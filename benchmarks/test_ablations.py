@@ -1,8 +1,8 @@
 """Ablation benches for design choices called out in DESIGN.md.
 
-* DEP grid implementation: cell-loop (Algorithm 2, faithful) vs the
-  O(1) prefix-sum table — identical answers, different CPU cost; the
-  paper's I/O metric is unaffected.
+* DEP grid implementation: the cumulative-count table grid, its frozen
+  alias and the 2x2 pyramid — identical answers, different CPU cost;
+  the paper's I/O metric is unaffected.
 * kNWC maintenance: the paper's Steps 1-5 vs the exact greedy buffer.
 * Tree construction: STR bulk load vs dynamic R* inserts — query I/O
   of the resulting trees should be in the same ballpark.

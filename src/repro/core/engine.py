@@ -62,9 +62,10 @@ from .schemes import OptimizationFlags, Scheme
 DEFAULT_GRID_CELL_SIZE = 25.0
 
 #: Engine execution modes: the original scalar path, the numpy kernel
-#: path (see :mod:`repro.core.kernels`) and the columnar path over the
-#: flat struct-of-arrays index (see :mod:`repro.index.flat`); all three
-#: return bit-identical answers and counters.
+#: path (see :mod:`repro.core.kernels`) and the columnar, leaf-batched
+#: path over the flat struct-of-arrays index (see
+#: :mod:`repro.index.flat`); all three return bit-identical answers and
+#: counters.
 EXECUTION_MODES = ("python", "numpy", "columnar")
 
 #: Default execution mode.
@@ -145,6 +146,49 @@ class _OrderedBestGroup(_BestGroup):
     def bound(self) -> float:
         best = self.group.distance if self.group is not None else float("inf")
         return best if best < self._initial else self._initial
+
+
+#: ``_LeafTable.slots`` codes of rows that issue no window query.
+_SRR_SKIPPED = -1
+_DEP_CANCELLED = -2
+
+
+class _LeafStream:
+    """One visited leaf's objects in pop order — ascending ``(distance,
+    seq)`` — and the batch table over the rows still to pop."""
+
+    __slots__ = ("leaf", "dists", "cols", "seqs", "xs", "ys", "table")
+
+    def __init__(self, leaf, dists, cols, seqs, xs, ys) -> None:
+        self.leaf = leaf
+        self.dists = dists
+        self.cols = cols
+        self.seqs = seqs
+        self.xs = xs
+        self.ys = ys
+        self.table: _LeafTable | None = None
+
+
+class _LeafTable:
+    """What each object of a leaf stream does when popped, precomputed
+    for stream rows ``start..`` under the prune bound ``bound`` (see
+    :meth:`NWCEngine._leaf_table`).
+
+    ``shrunk`` / ``upper`` / ``slots`` are per row; ``slots[row]`` is
+    ``_SRR_SKIPPED``, ``_DEP_CANCELLED`` or the row's index into the
+    per-window-query lists: IWP root descent ``avoided``, ``nodes`` /
+    ``leaves`` accessed, partners ``examined``, and the member columns
+    ``cols[indptr[slot]:indptr[slot + 1]]``.
+    """
+
+    __slots__ = ("bound", "start", "shrunk", "upper", "slots", "avoided",
+                 "nodes", "leaves", "examined", "indptr", "cols")
+
+    def __init__(self, bound, start, shrunk, upper) -> None:
+        self.bound = bound
+        self.start = start
+        self.shrunk = shrunk
+        self.upper = upper
 
 
 class NWCEngine:
@@ -589,14 +633,17 @@ class NWCEngine:
         region: Rect | None = None,
         cache_size: int = kernels.DEFAULT_CACHE_SIZE,
     ) -> NWCBatchResult:
-        """Answer many NWC queries with shared region state.
+        """Answer many NWC queries with shared engine state.
 
         Per-query answers are identical to calling :meth:`nwc` in a
-        loop; the batch shares one structure-refresh and an LRU of
-        window-query results keyed on the search-region rectangle, so
-        queries that regenerate the same region skip the tree descent
-        (and, in numpy mode, the y-sort).  Aggregate counters and cache
-        effectiveness are reported in the result's ``stats``.
+        loop; the batch shares one structure refresh and refuses
+        updates while it is in flight.  The scalar and numpy modes also
+        install an LRU of window-query results keyed on the
+        search-region rectangle, so queries that regenerate the same
+        region skip the tree descent (and, in numpy mode, the y-sort);
+        the columnar loop fetches regions a leaf at a time and reports
+        no LRU events.  Aggregate counters and cache effectiveness are
+        reported in the result's ``stats``.
         """
         results = []
         for query, _cache in self._batched(queries, cache_size):
@@ -853,9 +900,14 @@ class NWCEngine:
         through a single head entry: stream keys are nondecreasing and
         every object enters the heap before its turn, so the global pop
         sequence is identical to the scalar one-entry-per-object heap.
+
+        The per-object body runs a leaf at a time (:meth:`_leaf_table`):
+        a pop only replays its precomputed row, and every counter is
+        charged here, at pop time, so rows an SRR early stop never
+        reaches cost nothing.  Stream distances stay scalar
+        ``math.hypot`` — ``np.hypot`` differs in the last ulp.
         """
         flat = self._flat
-        flat_iwp = self._flat_iwp
         tracer = self.tracer
         qx, qy, length, width, n = q.qx, q.qy, q.length, q.width, q.n
         mbrs = flat.mbrs
@@ -913,7 +965,8 @@ class NWCEngine:
                     order = sorted(range(cnt), key=ds.__getitem__)
                     base = seq
                     seq += cnt
-                    leaf_stream = (
+                    leaf_stream = _LeafStream(
+                        node,
                         [ds[i] for i in order],
                         [s + i for i in order],
                         [base + i for i in order],
@@ -922,7 +975,7 @@ class NWCEngine:
                     )
                     heapq.heappush(
                         heap,
-                        (leaf_stream[0][0], 1, leaf_stream[2][0], 0, leaf_stream),
+                        (leaf_stream.dists[0], 1, leaf_stream.seqs[0], 0, leaf_stream),
                     )
                 else:
                     sub = mbrs[s:e]
@@ -941,15 +994,14 @@ class NWCEngine:
                         )
                         seq += 1
                 continue
-            # Object pop: advance the stream, then the scalar per-object body.
-            dlist, collist, seqlist, xlist, ylist = stream
+            # Object pop: advance the stream, then replay the object's row
+            # of its leaf table (the scalar per-object body, precomputed).
             nxt = ident + 1
-            if nxt < len(dlist):
+            if nxt < len(stream.dists):
                 heapq.heappush(
-                    heap, (dlist[nxt], 1, seqlist[nxt], nxt, stream))
-            px = xlist[ident]
-            py = ylist[ident]
-            col = collist[ident]
+                    heap, (stream.dists[nxt], 1, stream.seqs[nxt], nxt, stream))
+            px = stream.xs[ident]
+            py = stream.ys[ident]
             if region is not None and not region.contains_point(px, py):
                 continue
             bound = policy.bound()
@@ -961,74 +1013,160 @@ class NWCEngine:
                 ax1 <= px < ax2 and ay1 <= py < ay2
             ):
                 continue
-            self._offer_anchor = dist
-            frame = QuadrantFrame(qx, qy, 1.0 if px >= qx else -1.0,
-                                  1.0 if py >= qy else -1.0)
-            self._offer_sy = frame.sy
-            sr = FrameRegion(frame.sx * (px - qx), frame.sy * (py - qy),
-                             length, width, width, px, py)
-            if flags.srr:
-                shrunk = shrink_search_region(sr, bound)
-                if shrunk is None:
-                    if attr is not None:
-                        attr.srr_objects_skipped += 1
-                    continue
-                if attr is not None and shrunk.upper < sr.upper:
-                    attr.srr_regions_shrunk += 1
-                sr = shrunk
-            real_sr = sr.to_real(frame)
-            if flags.dep and grid.is_pruned(real_sr, n):
+            table = stream.table
+            if table is None or (flags.srr and table.bound != bound):
+                # Only SRR reads the bound: a moved bound restamps the
+                # rows still to come, anything else keeps the table.
+                table = stream.table = self._leaf_table(
+                    q, stream, ident, bound, region)
+            row = ident - table.start
+            if attr is not None and table.shrunk[row]:
+                attr.srr_regions_shrunk += 1
+            slot = table.slots[row]
+            if slot == _SRR_SKIPPED:
+                if attr is not None:
+                    attr.srr_objects_skipped += 1
+                continue
+            if slot == _DEP_CANCELLED:
                 stats.window_queries_cancelled += 1
                 if attr is not None:
                     attr.dep_windows_cancelled += 1
                 continue
             stats.window_queries += 1
-            cache = self._region_cache
-            cache_key = None
-
-            def fetch_cols(col=col, real_sr=real_sr):
-                if flags.iwp:
-                    starts = flat_iwp.start_ids(int(flat.leaf_of[col]), real_sr)
-                    if attr is not None and starts[0] != 0:
-                        attr.iwp_root_descents_avoided += 1
-                    found = flat.window_query_cols(real_sr, starts)
-                else:
-                    found = flat.window_query_cols(real_sr)
-                if region is not None and found.size:
-                    fx = xs[found]
-                    fy = ys[found]
-                    keep = ((region.x1 <= fx) & (fx <= region.x2)
-                            & (region.y1 <= fy) & (fy <= region.y2))
-                    found = found[keep]
-                return found
-
+            if attr is not None and table.avoided[slot]:
+                attr.iwp_root_descents_avoided += 1
             wq_span = None
             if tracing:
                 wq_span = tracer.start_span(
-                    "window_query", {"oid": int(flat.oids[col]), "dist": dist}
-                )
+                    "window_query",
+                    {"oid": int(flat.oids[stream.cols[ident]]), "dist": dist})
             try:
-                if cache is not None:
-                    cache_key = (real_sr.x1, real_sr.y1, real_sr.x2, real_sr.y2)
-                    cols = cache.members(cache_key, fetch_cols)
-                else:
-                    cols = fetch_cols()
+                stats.node_accesses += table.nodes[slot]
+                stats.leaf_accesses += table.leaves[slot]
+                lo = table.indptr[slot]
+                hi = table.indptr[slot + 1]
                 enum_span = None
                 if tracing:
                     enum_span = tracer.start_span(
-                        "enumerate", {"members": int(cols.size)}
-                    )
+                        "enumerate", {"members": hi - lo})
                 try:
-                    self._enumerate_windows_columnar(
-                        q, frame, sr, cols, policy, prune_windows,
-                        cache_key, attr=attr, tspan=enum_span,
-                    )
+                    if hi - lo < n:
+                        # No window can qualify: only the partner count
+                        # reaches the counters, no snapshot is built.
+                        stats.objects_examined += table.examined[slot]
+                        stats.windows_evaluated += table.examined[slot]
+                    else:
+                        self._offer_anchor = dist
+                        frame = QuadrantFrame(qx, qy, 1.0 if px >= qx else -1.0,
+                                              1.0 if py >= qy else -1.0)
+                        self._offer_sy = frame.sy
+                        sr = FrameRegion(
+                            frame.sx * (px - qx), frame.sy * (py - qy),
+                            length, width, table.upper[row], px, py)
+                        self._enumerate_windows_columnar(
+                            q, frame, sr, table.cols[lo:hi], policy,
+                            prune_windows, attr=attr, tspan=enum_span,
+                        )
                 finally:
                     if tracing:
                         tracer.end_span(enum_span)
             finally:
                 if tracing:
                     tracer.end_span(wq_span)
+
+    def _leaf_table(self, q, stream, start, bound, region) -> "_LeafTable":
+        """Rows ``start..`` of a leaf stream under one frozen ``bound``.
+
+        The per-object body of Algorithm 1 up to the member fetch — SRR
+        shrink, real-space search rectangle, DEP upper bound, window
+        walk, member and partner counts — for every object the leaf has
+        still to pop, each step one array pass.  Every row is a pure
+        function of ``(object, bound)``, computed with the scalar body's
+        operations in the scalar order, so a pop that finds the table
+        stamped with its own bound replays exactly what the oracle would
+        compute; nothing is charged to the counters here.
+        """
+        flags = self.flags
+        flat = self._flat
+        length, width = q.length, q.width
+        # Axis 0 of every two-row array below is (x, y).
+        origin = np.array(((q.qx,), (q.qy,)))
+        points = np.array((stream.xs[start:], stream.ys[start:]))
+        positive = points >= origin  # the frame signs (sx, sy) as booleans
+        sign = np.where(positive, 1.0, -1.0)
+        tx, ty = sign * (points - origin)
+        if flags.srr and math.isfinite(bound):
+            upper, live = kernels.shrink_uppers(tx, ty, length, width, bound)
+            shrunk = live & (upper < width)
+        else:
+            upper = np.full(len(tx), width)
+            live = np.ones(len(tx), dtype=bool)
+            shrunk = np.zeros(len(tx), dtype=bool)
+        # Rows the pop loop drops before it consults the table.
+        if region is not None:
+            live &= ((points >= ((region.x1,), (region.y1,)))
+                     & (points <= ((region.x2,), (region.y2,)))).all(axis=0)
+        if self._anchor_region is not None:
+            ax1, ay1, ax2, ay2 = self._anchor_region
+            live &= ((points >= ((ax1,), (ay1,)))
+                     & (points < ((ax2,), (ay2,)))).all(axis=0)
+        slots = np.full(len(tx), _SRR_SKIPPED)
+        rows = live.nonzero()[0]
+        # Real-space search rectangles: (length, width) towards q, nothing
+        # in x and the shrunk reach in y away from it (FrameRegion.to_real).
+        points, positive = points[:, rows], positive[:, rows]
+        towards = np.array(((length,), (width,)))
+        away = np.zeros(points.shape)
+        away[1] = upper[rows]
+        rects = np.concatenate((points - np.where(positive, towards, away),
+                                points + np.where(positive, away, towards)))
+        if flags.dep and len(rows):
+            grid = self.grid
+            if hasattr(grid, "upper_bounds"):
+                pruned = grid.upper_bounds(*rects) < q.n
+            else:  # duck-typed DEP replacements answer one rectangle a call
+                pruned = np.array([grid.is_pruned(Rect(*rect), q.n)
+                                   for rect in rects.T.tolist()])
+            slots[rows[pruned]] = _DEP_CANCELLED
+            rows, rects = rows[~pruned], rects[:, ~pruned]
+        table = _LeafTable(bound, start, shrunk.tolist(), upper.tolist())
+        if len(rows):
+            slots[rows] = np.arange(len(rows))
+            self._walk_rows(table, rects, stream.leaf, region,
+                            sign[1][rows], ty[rows], q.qy)
+        table.slots = slots.tolist()
+        return table
+
+    def _walk_rows(self, table, rects, leaf, region, sy, ty, qy) -> None:
+        """Fill ``table``'s per-window-query lists: the batched window
+        walk from ``leaf`` over ``rects`` (the rows' real-space search
+        rectangles; ``sy`` / ``ty`` are their generators' frame sign
+        and frame y)."""
+        flat = self._flat
+        start_depth = None
+        if self.flags.iwp:
+            start_depth = self._flat_iwp.start_depths(leaf, rects)
+            table.avoided = (start_depth != 0).tolist()
+        else:
+            table.avoided = [False] * len(sy)
+        nodes, leaves, member_rect, cols = flat.window_query_batch(
+            rects, start_depth)
+        my = flat.ys.take(cols)
+        if region is not None:
+            mx = flat.xs.take(cols)
+            keep = ((region.x1 <= mx) & (mx <= region.x2)
+                    & (region.y1 <= my) & (my <= region.y2))
+            member_rect, cols, my = member_rect[keep], cols[keep], my[keep]
+        indptr = np.zeros(len(sy) + 1, dtype=np.intp)
+        np.bincount(member_rect, minlength=len(sy)).cumsum(out=indptr[1:])
+        # Partners: members at or above their generator in frame y.
+        partner = sy.take(member_rect) * (my - qy) >= ty.take(member_rect)
+        table.nodes = nodes.tolist()
+        table.leaves = leaves.tolist()
+        table.examined = np.bincount(
+            member_rect[partner], minlength=len(sy)).tolist()
+        table.indptr = indptr.tolist()
+        table.cols = cols
 
     def _enumerate_windows(
         self,
@@ -1195,7 +1333,6 @@ class NWCEngine:
         cols: np.ndarray,
         policy,
         prune_windows: bool,
-        cache_key: tuple | None = None,
         attr: _Attribution | None = None,
         tspan=None,
     ) -> None:
@@ -1213,14 +1350,7 @@ class NWCEngine:
         stats = self.tree.stats
         n = q.n
         sy = frame.sy
-        cache = self._region_cache
-        if cache is not None and cache_key is not None:
-            snap = cache.snapshot(
-                cache_key, sy, cols,
-                builder=lambda m, s: kernels.ColumnarSnapshot.build(flat, m, s),
-            )
-        else:
-            snap = kernels.ColumnarSnapshot.build(flat, cols, sy)
+        snap = kernels.ColumnarSnapshot.build(flat, cols, sy)
         tys, dsq = snap.frame_arrays(q.qx, q.qy, sy)
         start, tops, los, his = kernels.window_spans(tys, sr.ty_p, q.width)
         examined = len(tops)

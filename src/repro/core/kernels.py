@@ -10,6 +10,8 @@ operations over one search region's members:
 * :class:`RegionSnapshot` — the frame transform and the stable y-sort,
   reusable across queries because the sort order depends only on the
   frame's y-sign, not on the query point;
+* :func:`shrink_uppers` — SRR's ``shrink_search_region`` for all the
+  objects of a leaf at once;
 * :func:`window_spans` — the two-pointer window counting sweep
   (``searchsorted`` twice instead of a Python loop per partner);
 * :func:`window_mindists` — MINDIST lower bounds of every candidate
@@ -27,7 +29,8 @@ groups, distances and counters.
 memoizes window-query results (and their y-sorted snapshots) keyed by
 the real-space query rectangle, so consecutive queries in a batch that
 regenerate the same search region skip both the tree descent and the
-re-sort.
+re-sort (scalar and numpy modes; the columnar engine batches window
+queries per leaf instead, see ``NWCEngine._leaf_table``).
 """
 
 from __future__ import annotations
@@ -117,6 +120,29 @@ class ColumnarSnapshot:
         dy = self.ys - qy
         dx = self.xs - qx
         return sy * dy, dx * dx + dy * dy
+
+
+def shrink_uppers(tx: np.ndarray, ty: np.ndarray, length: float,
+                  width: float, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """SRR for many search regions: the array form of
+    :func:`~repro.core.regions.shrink_search_region`.
+
+    ``tx`` / ``ty`` are the generating objects' frame coordinates and
+    ``bound`` a finite ``dist_best``.  Returns ``(upper, live)``: each
+    region's shrunk upward extension, and False where the scalar code
+    returns ``None`` (no window query at all).  Same operations in the
+    same order, so ``upper`` is bit-identical for live regions.
+    """
+    dx = np.maximum(np.maximum(tx - length, -tx), 0.0)
+    # dx < bound on every live row, so the clamp only silences rows
+    # that are dropped anyway.
+    budget = np.sqrt(np.maximum(bound * bound - dx * dx, 0.0))
+    # A zero budget beside dx < bound means bound**2 underflowed
+    # (subnormal seeded bounds): substitute the bound, as the scalar does.
+    budget[budget <= 0.0] = bound
+    dy_low = np.maximum(np.maximum(ty - width, -ty), 0.0)
+    upper = np.minimum(width, budget + width - ty)
+    return upper, (dx < bound) & (dy_low < budget) & (upper >= 0.0)
 
 
 def window_kth_dsq(dsq: np.ndarray, los: np.ndarray, his: np.ndarray,
@@ -233,11 +259,11 @@ def select_ranked(rank: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
 class RegionCache:
     """Small LRU over window-query results, keyed by the query rectangle.
 
-    Used only inside batch query execution: queries in a batch that
-    build the same search region (same generating object, same window
-    parameters, same SRR extension) reuse the fetched member list —
-    skipping the tree descent — and, in numpy mode, the y-sorted
-    :class:`RegionSnapshot` as well.  ``window_queries`` counters still
+    Used only inside batch query execution of the scalar and numpy
+    modes: queries in a batch that build the same search region (same
+    generating object, same window parameters, same SRR extension)
+    reuse the fetched member list — skipping the tree descent — and, in
+    numpy mode, the y-sorted :class:`RegionSnapshot` as well.  ``window_queries`` counters still
     advance on hits; only the node I/O is saved.
     """
 
@@ -271,21 +297,11 @@ class RegionCache:
             self._snapshots.pop((evicted, -1.0), None)
         return found
 
-    def snapshot(
-        self, key: tuple, sy: float, members, builder: Callable | None = None
-    ) -> RegionSnapshot | ColumnarSnapshot:
-        """The y-sorted snapshot of ``members`` for y-sign ``sy``.
-
-        ``builder`` overrides the default :class:`RegionSnapshot`
-        construction — the columnar path passes a
-        :class:`ColumnarSnapshot` factory over its column ids.
-        """
+    def snapshot(self, key: tuple, sy: float, members) -> RegionSnapshot:
+        """The y-sorted snapshot of ``members`` for y-sign ``sy``."""
         snap = self._snapshots.get((key, sy))
         if snap is None:
-            if builder is None:
-                snap = RegionSnapshot.build(members, sy)
-            else:
-                snap = builder(members, sy)
+            snap = RegionSnapshot.build(members, sy)
             if key in self._members:
                 self._snapshots[(key, sy)] = snap
         return snap

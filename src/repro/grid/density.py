@@ -7,19 +7,21 @@ objects inside it.  DEP uses the grid to upper-bound the number of
 objects in any rectangle: the sum of counts of every cell *intersecting*
 the rectangle.  A finer grid gives tighter bounds (Figure 9).
 
-Two implementations share one interface:
-
-* :class:`DensityGrid` — faithful to Algorithm 2, iterating the
-  intersecting cells;
-* :class:`PrefixSumDensityGrid` — an ablation that answers the same
-  upper bound in O(1) via a 2-D cumulative-sum table (same results,
-  different CPU cost; the paper's metric is I/O, which is identical).
+:class:`DensityGrid` stores the counts as their 2-D cumulative-count
+table (the O(1) window aggregate of Shi & Wang, see PAPERS.md), one
+eagerly built int32 array kept exact under ``add``/``remove``: every
+upper bound — scalar or a whole array of rectangles at once — is four
+table lookups, a single cell's count included, and concurrent readers
+never create state.  :class:`PrefixSumDensityGrid` is the same grid
+frozen against updates (the former ablation, kept for its importers).
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ..geometry import PointObject, Rect
 
@@ -38,17 +40,31 @@ class DensityGrid:
         self.cell_size = float(cell_size)
         self.cols = max(1, math.ceil(extent.width / cell_size))
         self.rows = max(1, math.ceil(extent.height / cell_size))
-        self._counts = [0] * (self.cols * self.rows)
+        # Axis 0 of the two-row arrays is (x, y) resp. (col, row).
+        self._origin = np.array(((extent.x1,), (extent.y1,)))
+        self._far = np.array(((extent.x2,), (extent.y2,)))
+        self._last = np.array(((self.cols - 1,), (self.rows - 1,)))
+        # _table[r, c] = objects in the cells of rows [0, r), columns [0, c);
+        # int32 halves the table and holds any dataset below 2**31 objects.
+        self._table = np.zeros((self.rows + 1, self.cols + 1), dtype=np.int32)
         self.total = 0
 
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, objects: Iterable[PointObject], extent: Rect,
               cell_size: float) -> "DensityGrid":
-        """Build the grid from a dataset."""
+        """Build the grid from a dataset (one ``bincount`` pass)."""
         grid = cls(extent, cell_size)
-        for obj in objects:
-            grid.add(obj.x, obj.y)
+        coords = np.fromiter(
+            (c for obj in objects for c in (obj.x, obj.y)), np.float64
+        ).reshape(-1, 2)
+        col, row = grid._cells(coords.T)
+        counts = np.bincount(row * grid.cols + col, minlength=grid.cell_count)
+        inner = grid._table[1:, 1:]
+        np.cumsum(counts.reshape(grid.rows, grid.cols), axis=0,
+                  dtype=np.int32, out=inner)
+        np.cumsum(inner, axis=1, out=inner)
+        grid.total = len(coords)
         return grid
 
     @property
@@ -61,6 +77,15 @@ class DensityGrid:
         return self.cell_count * bytes_per_cell
 
     # ------------------------------------------------------------------
+    def _cells(self, points: np.ndarray) -> np.ndarray:
+        """Clamped ``(col, row)`` cells of a ``(2, k)`` array of points —
+        the array form of :meth:`_cell_of` (``np.floor_divide`` and
+        Python ``//`` round identically)."""
+        index = np.floor_divide(points - self._origin, self.cell_size)
+        np.maximum(index, 0, out=index)
+        np.minimum(index, self._last, out=index)
+        return index.astype(np.intp)
+
     def _cell_of(self, x: float, y: float) -> tuple[int, int]:
         col = int((x - self.extent.x1) // self.cell_size)
         row = int((y - self.extent.y1) // self.cell_size)
@@ -69,17 +94,22 @@ class DensityGrid:
     def add(self, x: float, y: float) -> None:
         """Count one object at ``(x, y)`` (clamped into the extent)."""
         col, row = self._cell_of(x, y)
-        self._counts[row * self.cols + col] += 1
+        self._table[row + 1:, col + 1:] += 1
         self.total += 1
 
     def remove(self, x: float, y: float) -> None:
         """Remove one previously added object."""
         col, row = self._cell_of(x, y)
-        idx = row * self.cols + col
-        if self._counts[idx] <= 0:
+        if self._range_sum(col, col, row, row) <= 0:
             raise ValueError(f"cell ({col}, {row}) is already empty")
-        self._counts[idx] -= 1
+        self._table[row + 1:, col + 1:] -= 1
         self.total -= 1
+
+    def _range_sum(self, col_lo: int, col_hi: int, row_lo: int, row_hi: int) -> int:
+        """Objects in the (inclusive) cell range."""
+        at = self._table.item
+        return (at(row_hi + 1, col_hi + 1) - at(row_lo, col_hi + 1)
+                - at(row_hi + 1, col_lo) + at(row_lo, col_lo))
 
     def cell_range(self, rect: Rect) -> tuple[int, int, int, int]:
         """Index range ``(col_lo, col_hi, row_lo, row_hi)`` (inclusive) of
@@ -99,79 +129,61 @@ class DensityGrid:
         """Upper bound on objects inside ``rect`` (Algorithm 2's ``ub``)."""
         if not rect.intersects(self.extent):
             return 0
-        col_lo, col_hi, row_lo, row_hi = self.cell_range(rect)
-        counts = self._counts
-        cols = self.cols
-        total = 0
-        for row in range(row_lo, row_hi + 1):
-            base = row * cols
-            total += sum(counts[base + col_lo : base + col_hi + 1])
-        return total
+        return self._range_sum(*self.cell_range(rect))
+
+    def upper_bounds(self, x1: np.ndarray, y1: np.ndarray,
+                     x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
+        """:meth:`upper_bound` of many rectangles at once (coordinate
+        arrays of equal length)."""
+        low, high = np.array((x1, y1)), np.array((x2, y2))
+        col_lo, row_lo = self._cells(low)
+        col_hi, row_hi = self._cells(high) + 1
+        table = self._table
+        bounds = (table[row_hi, col_hi] - table[row_lo, col_hi]
+                  - table[row_hi, col_lo] + table[row_lo, col_lo])
+        bounds[((low > self._far) | (high < self._origin)).any(axis=0)] = 0
+        return bounds
 
     def is_pruned(self, rect: Rect, n: int) -> bool:
         """Algorithm 2: True when ``rect`` cannot hold ``n`` objects."""
         return self.upper_bound(rect) < n
 
     def cell_counts(self) -> Sequence[int]:
-        """Read-only view of the raw counts (row-major)."""
-        return tuple(self._counts)
+        """Read-only copy of the raw counts (row-major)."""
+        counts = np.diff(np.diff(self._table, axis=0), axis=1)
+        return tuple(counts.ravel().tolist())
 
 
 class PrefixSumDensityGrid(DensityGrid):
-    """Density grid with O(1) rectangle upper bounds.
+    """A :class:`DensityGrid` frozen against updates.
 
-    Builds a cumulative-sum table after construction; call
-    :meth:`freeze` once the dataset is loaded (done by :meth:`build`).
+    Historically the O(1) ablation of the cell-loop grid; the base grid
+    now answers from the same cumulative table, so only the contract
+    remains: :meth:`freeze` (called by :meth:`build`) makes ``add`` /
+    ``remove`` raise, which the engine answers with a lazy rebuild.
     """
 
     def __init__(self, extent: Rect, cell_size: float) -> None:
         super().__init__(extent, cell_size)
-        self._prefix: list[int] | None = None
+        self._frozen = False
 
     @classmethod
     def build(cls, objects: Iterable[PointObject], extent: Rect,
               cell_size: float) -> "PrefixSumDensityGrid":
-        grid = cls(extent, cell_size)
-        for obj in objects:
-            grid.add(obj.x, obj.y)
+        grid = super().build(objects, extent, cell_size)
         grid.freeze()
         return grid
 
     def add(self, x: float, y: float) -> None:
-        if self._prefix is not None:
+        if self._frozen:
             raise RuntimeError("grid is frozen; updates are not allowed")
         super().add(x, y)
 
     def remove(self, x: float, y: float) -> None:
-        if self._prefix is not None:
+        if self._frozen:
             raise RuntimeError("grid is frozen; updates are not allowed")
         super().remove(x, y)
 
     def freeze(self) -> None:
-        """Build the (cols+1) x (rows+1) inclusion–exclusion table."""
-        cols, rows = self.cols, self.rows
-        prefix = [0] * ((cols + 1) * (rows + 1))
-        stride = cols + 1
-        for row in range(rows):
-            running = 0
-            for col in range(cols):
-                running += self._counts[row * cols + col]
-                prefix[(row + 1) * stride + (col + 1)] = (
-                    prefix[row * stride + (col + 1)] + running
-                )
-        self._prefix = prefix
-
-    def upper_bound(self, rect: Rect) -> int:
-        if self._prefix is None:
-            return super().upper_bound(rect)
-        if not rect.intersects(self.extent):
-            return 0
-        col_lo, col_hi, row_lo, row_hi = self.cell_range(rect)
-        stride = self.cols + 1
-        p = self._prefix
-        return (
-            p[(row_hi + 1) * stride + (col_hi + 1)]
-            - p[row_lo * stride + (col_hi + 1)]
-            - p[(row_hi + 1) * stride + col_lo]
-            + p[row_lo * stride + col_lo]
-        )
+        """Reject further updates."""
+        self._frozen = True

@@ -33,9 +33,7 @@ class HierarchicalDensityGrid(DensityGrid):
     @classmethod
     def build(cls, objects: Iterable[PointObject], extent: Rect,
               cell_size: float) -> "HierarchicalDensityGrid":
-        grid = cls(extent, cell_size)
-        for obj in objects:
-            grid.add(obj.x, obj.y)
+        grid = super().build(objects, extent, cell_size)
         grid.freeze()
         return grid
 
@@ -51,7 +49,7 @@ class HierarchicalDensityGrid(DensityGrid):
 
     def freeze(self) -> None:
         """Build the aggregation pyramid (level 0 = the raw cells)."""
-        levels = [(self.cols, self.rows, list(self._counts))]
+        levels = [(self.cols, self.rows, list(self.cell_counts()))]
         cols, rows, counts = levels[0]
         while cols > 1 or rows > 1:
             new_cols = (cols + 1) // 2

@@ -25,12 +25,13 @@ Two construction paths produce identical layouts:
   and MBRs recomputed bottom-up from the leaf coordinates are bitwise
   equal to the scalar loader's ``add_entry`` unions (min/max are exact).
 
-:class:`FlatIWP` mirrors :class:`~repro.index.pointers.IWPIndex` on the
+:class:`FlatIWP` is :class:`~repro.index.pointers.IWPIndex` on the
 flat layout: ancestor-at-depth arrays instead of per-leaf pointer
-objects, and per-depth CSR overlap lists instead of per-node Python
-lists.  ``start_ids`` reproduces the scalar start-set (same chosen
-backward pointer, same overlap expansion) so window-query I/O counters
-stay bit-identical.
+objects.  It needs no overlap lists — a window query's start set is, by
+their construction, every node of the chosen depth that meets the query
+rectangle, which :meth:`FlatRTree.window_query_batch` finds (and
+counts) from the chosen depth alone — so window-query I/O counters stay
+bit-identical to the scalar start-set walk.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ _INTERNAL_DTYPE = np.dtype(
 #: test, playing the role of the scalar ``mbr is None``.
 _EMPTY_MBR = (np.inf, np.inf, -np.inf, -np.inf)
 
-_EMPTY_I8 = np.empty(0, dtype=np.int64)
+
+#: About how many ``(rectangle, column)`` pairs the batched walk tests
+#: at a time; bounds its transient arrays whatever the window size.
+_PAIR_BUDGET = 4096
 
 
 class FlatRTree:
@@ -88,8 +92,7 @@ class FlatRTree:
     __slots__ = (
         "mbrs", "is_leaf", "first", "count", "parent", "level_bounds",
         "xs", "ys", "oids", "leaf_of", "size", "max_entries", "min_entries",
-        "stats", "_objects", "_nx1", "_ny1", "_nx2", "_ny2", "_nfirst",
-        "_ncount", "_nleaf", "_colids",
+        "stats", "_objects",
     )
 
     def __init__(self, *, mbrs, is_leaf, first, count, parent, level_bounds,
@@ -110,18 +113,6 @@ class FlatRTree:
         self.min_entries = min_entries
         self.stats = stats if stats is not None else IOStats()
         self._objects = objects
-        # Scalar mirrors of the node arrays for the window-query walk:
-        # node counts are tiny next to the object columns, and Python
-        # float/int comparisons beat numpy's per-call overhead on the
-        # handful-of-nodes frontiers the walk actually sees.
-        self._nx1 = mbrs[:, 0].tolist()
-        self._ny1 = mbrs[:, 1].tolist()
-        self._nx2 = mbrs[:, 2].tolist()
-        self._ny2 = mbrs[:, 3].tolist()
-        self._nfirst = first.tolist()
-        self._ncount = count.tolist()
-        self._nleaf = is_leaf.tolist()
-        self._colids = np.arange(len(xs), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Construction
@@ -383,69 +374,91 @@ class FlatRTree:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def window_query_cols(self, rect: Rect, start_ids=None,
-                          count_io: bool = True) -> np.ndarray:
-        """Column indices of the objects inside the closed rectangle.
+    def window_query_batch(self, rects: np.ndarray, start_depth=None):
+        """Window queries for many rectangles in one pass.
 
-        The columnar twin of ``RStarTree.window_query_from``, split by
-        data volume: the node descent is a plain Python walk over the
-        scalar node mirrors (frontiers are a handful of nodes — array
-        dispatch overhead would dominate), while the object containment
-        test runs as one vectorized pass over the concatenated column
-        slices of the reached leaves.  Node accounting matches the
-        scalar record-at-push convention exactly: every start or child
-        whose MBR intersects ``rect`` is counted once.
+        ``rects`` is a ``(4, R)`` array with rows ``x1, y1, x2, y2``;
+        ``start_depth`` gives per rectangle the depth of its start
+        nodes (see :meth:`FlatIWP.start_depths`; default: the root).
+        Returns ``(nodes, leaves, member_rect, member_cols)``: the node
+        and leaf accesses the scalar walk would charge for each
+        rectangle (the caller charges them — nothing is counted here)
+        and the member columns of all rectangles as parallel arrays,
+        ascending in the rectangle index, in no particular order within
+        one rectangle.
+
+        MBRs nest, so a node below the start depth is reached by the
+        scalar walk exactly when its own MBR meets the rectangle: its
+        ancestors down from the start depth then meet it too, and an
+        IWP start set is by construction every node of its depth that
+        meets the rectangle.  The accesses of a rectangle are therefore
+        a count — the nodes at or below its start depth that meet it —
+        and one descent from the root along the rectangles' union box
+        finds the candidate nodes for all of them.
         """
-        rx1, ry1, rx2, ry2 = rect.x1, rect.y1, rect.x2, rect.y2
-        nx1, ny1, nx2, ny2 = self._nx1, self._ny1, self._nx2, self._ny2
-        nfirst, ncount, nleaf = self._nfirst, self._ncount, self._nleaf
-        if start_ids is None:
-            start_ids = (0,)
-        nodes = leaves = 0
-        stack = []
-        for node in start_ids:
-            if (nx1[node] <= rx2 and rx1 <= nx2[node]
-                    and ny1[node] <= ry2 and ry1 <= ny2[node]):
-                stack.append(node)
-                nodes += 1
-                leaves += nleaf[node]
-        spans = []
-        while stack:
-            node = stack.pop()
-            lo = nfirst[node]
-            hi = lo + ncount[node]
-            if nleaf[node]:
-                if hi > lo:
-                    spans.append((lo, hi))
-                continue
-            for child in range(lo, hi):
-                if (nx1[child] <= rx2 and rx1 <= nx2[child]
-                        and ny1[child] <= ry2 and ry1 <= ny2[child]):
-                    stack.append(child)
-                    nodes += 1
-                    leaves += nleaf[child]
-        if count_io:
-            stats = self.stats
-            stats.node_accesses += nodes
-            stats.leaf_accesses += leaves
-        if not spans:
-            return _EMPTY_I8
-        xs, ys, colids = self.xs, self.ys, self._colids
-        if len(spans) == 1:
-            lo, hi = spans[0]
-            x = xs[lo:hi]
-            y = ys[lo:hi]
-            cols = colids[lo:hi]
-        else:
-            x = np.concatenate([xs[lo:hi] for lo, hi in spans])
-            y = np.concatenate([ys[lo:hi] for lo, hi in spans])
-            cols = np.concatenate([colids[lo:hi] for lo, hi in spans])
-        inside = (rx1 <= x) & (x <= rx2) & (ry1 <= y) & (y <= ry2)
-        return cols[inside]
+        mbrs = self.mbrs
+        # Candidates: per level, the nodes meeting the union box.
+        low, high = rects[:2].min(axis=1), rects[2:].max(axis=1)
+        levels = [np.zeros(1, dtype=np.intp)]
+        for _ in range(self.height):
+            child = self._children(levels[-1])
+            box = mbrs[child]
+            levels.append(
+                child[((box[:, :2] <= high) & (low <= box[:, 2:])).all(axis=1)])
+        cand = np.concatenate(levels)
+        leaf_level = levels[-1]
+        # meet[r, c]: rectangle r reaches candidate c.
+        box = mbrs[cand].T[:, None]
+        meet = ((box[:2] <= rects[2:, :, None])
+                & (rects[:2, :, None] <= box[2:])).all(axis=0)
+        if start_depth is not None:
+            depth = np.arange(len(levels)).repeat([len(ids) for ids in levels])
+            meet &= depth >= start_depth[:, None]
+        meet_leaf = meet[:, len(cand) - len(leaf_level):]
+        pair_rect, pair_leaf = meet_leaf.nonzero()
+        pair_leaf = leaf_level[pair_leaf]
+        # Containment pass over the (rectangle, leaf) pairs, about
+        # _PAIR_BUDGET (rectangle, column) pairs at a time.
+        counts = self.count[pair_leaf]
+        ends = counts.cumsum()
+        cuts = [0, len(ends)]
+        if len(ends) and ends[-1] > _PAIR_BUDGET:
+            cuts[1:1] = np.searchsorted(
+                ends, np.arange(_PAIR_BUDGET, ends[-1], _PAIR_BUDGET),
+                side="right").tolist()
+        member_rect, member_cols = [], []
+        for lo, hi in zip(cuts, cuts[1:]):
+            cols = self._children(pair_leaf[lo:hi])
+            rect = pair_rect[lo:hi].repeat(counts[lo:hi])
+            x, y = self.xs.take(cols), self.ys.take(cols)
+            inside = rects[0].take(rect) <= x
+            inside &= x <= rects[2].take(rect)
+            inside &= rects[1].take(rect) <= y
+            inside &= y <= rects[3].take(rect)
+            member_rect.append(rect[inside])
+            member_cols.append(cols[inside])
+        return (meet.sum(axis=1), meet_leaf.sum(axis=1),
+                np.concatenate(member_rect), np.concatenate(member_cols))
+
+    def _children(self, nodes: np.ndarray) -> np.ndarray:
+        """Ids of all children of ``nodes`` — object columns when they
+        are leaves — parent by parent."""
+        counts = self.count[nodes]
+        ends = counts.cumsum()
+        # first child of each parent, pre-shifted by the parent's offset
+        # in the result so one arange completes the ids
+        shift = (self.first[nodes] - (ends - counts)).astype(np.int32)
+        return shift.repeat(counts) + np.arange(
+            ends[-1] if len(ends) else 0, dtype=np.int32)
 
     def window_query(self, rect: Rect, count_io: bool = True) -> list[PointObject]:
-        """Object-level window query (compatibility/testing wrapper)."""
-        cols = self.window_query_cols(rect, count_io=count_io)
+        """Object-level window query from the root (the columnar twin
+        of ``RStarTree.window_query``, same I/O accounting)."""
+        nodes, leaves, _, cols = self.window_query_batch(
+            np.array(((rect.x1,), (rect.y1,), (rect.x2,), (rect.y2,))))
+        if count_io:
+            self.stats.node_accesses += int(nodes[0])
+            self.stats.leaf_accesses += int(leaves[0])
         return list(self.objects_at(cols))
 
     # ------------------------------------------------------------------
@@ -513,96 +526,45 @@ class FlatRTree:
 
 
 class FlatIWP:
-    """IWP pointers (Section 3.3.4) over the flat layout.
+    """IWP backward pointers (Section 3.3.4) over the flat layout.
 
     Equivalent to :class:`~repro.index.pointers.IWPIndex` built on the
     same tree: the backward-pointer targets of a leaf are its ancestors
-    at ``backward_pointer_depths(height)`` (read off per-depth ancestor
-    arrays), and each non-root target depth carries a CSR adjacency of
-    same-depth MBR overlaps.
+    at ``backward_pointer_depths(height)``, read off per-depth ancestor
+    arrays.  The overlapping pointers need no storage here: they make
+    a query's start set every same-depth node meeting the rectangle,
+    which the batched walk finds itself.
     """
 
-    __slots__ = ("flat", "depths", "_leaf_lo", "_anc", "_overlaps")
+    __slots__ = ("flat", "depths", "_leaf_lo", "_pointer_depths", "_anc")
 
-    def __init__(self, flat: FlatRTree, chunk: int = 256) -> None:
+    def __init__(self, flat: FlatRTree) -> None:
         self.flat = flat
         height = flat.height
         self.depths = backward_pointer_depths(height)
-        bounds = flat.level_bounds
-        lo, hi = int(bounds[height]), int(bounds[height + 1])
+        lo, hi = (int(b) for b in flat.level_bounds[height:height + 2])
         self._leaf_lo = lo
-        wanted = set(self.depths)
-        self._anc: dict[int, np.ndarray] = {}
+        # The non-root pointer depths, leaf to root, and row by row the
+        # ancestor of every leaf at that depth.
+        self._pointer_depths = np.array([d for d in self.depths if d],
+                                        dtype=np.intp)
+        ancestors = {}
         cur = np.arange(lo, hi, dtype=np.int64)
-        for depth in range(height, -1, -1):
-            if depth in wanted:
-                self._anc[depth] = cur
-            if depth:
-                cur = flat.parent[cur]
-        self._overlaps: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
-        for depth in self.depths:
-            if depth == 0:
-                continue  # the paper excludes the root from overlap lists
-            d_lo, d_hi = int(bounds[depth]), int(bounds[depth + 1])
-            self._overlaps[depth] = self._overlap_csr(
-                flat.mbrs[d_lo:d_hi], d_lo, chunk)
+        for depth in range(height, 0, -1):
+            ancestors[depth] = cur
+            cur = flat.parent[cur]
+        self._anc = np.array([ancestors[d] for d in self._pointer_depths],
+                             dtype=np.int64).reshape(-1, hi - lo)
 
-    @staticmethod
-    def _overlap_csr(boxes: np.ndarray, base: int,
-                     chunk: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """Same-depth overlap adjacency as ``(base, indptr, indices)``.
-
-        Built by chunked pairwise MBR intersection so the transient
-        boolean matrix stays bounded at ``chunk x level_size``.
-        """
-        n = boxes.shape[0]
-        x1, y1, x2, y2 = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-        counts = np.zeros(n + 1, dtype=np.int64)
-        parts = []
-        for s in range(0, n, chunk):
-            e = min(n, s + chunk)
-            inter = ((x1[s:e, None] <= x2[None, :])
-                     & (x1[None, :] <= x2[s:e, None])
-                     & (y1[s:e, None] <= y2[None, :])
-                     & (y1[None, :] <= y2[s:e, None]))
-            rows = np.arange(s, e)
-            inter[rows - s, rows] = False  # a node never overlaps itself
-            row_idx, col_idx = np.nonzero(inter)
-            counts[s + 1:e + 1] = np.bincount(row_idx, minlength=e - s)
-            parts.append(col_idx.astype(np.int64) + base)
-        indptr = np.cumsum(counts)
-        indices = np.concatenate(parts) if parts else _EMPTY_I8
-        return base, indptr, indices
-
-    def start_ids(self, leaf_id: int, rect: Rect) -> list[int]:
-        """Window-query start set (node ids) for a query from ``leaf_id``.
-
-        Mirrors ``IWPIndex.start_nodes``: the first backward pointer
-        whose MBR fully contains ``rect`` (root fallback), expanded by
-        the chosen node's same-depth overlaps that intersect ``rect``.
-        The first element is always the chosen start, so callers can
-        attribute an avoided root descent via ``start_ids(...)[0] != 0``.
-        """
-        flat = self.flat
-        mbrs = flat.mbrs
-        rx1, ry1, rx2, ry2 = rect.x1, rect.y1, rect.x2, rect.y2
-        pos = leaf_id - self._leaf_lo
-        chosen = -1
-        chosen_depth = -1
-        for depth in self.depths:
-            node = int(self._anc[depth][pos])
-            x1, y1, x2, y2 = mbrs[node]
-            if x1 <= rx1 and y1 <= ry1 and rx2 <= x2 and ry2 <= y2:
-                chosen = node
-                chosen_depth = depth
-                break
-        if chosen <= 0:
-            return [0]  # root start (chosen or fallback): no overlap list
-        ids = [chosen]
-        base, indptr, indices = self._overlaps[chosen_depth]
-        row = chosen - base
-        for other in indices[indptr[row]:indptr[row + 1]].tolist():
-            x1, y1, x2, y2 = mbrs[other]
-            if x1 <= rx2 and rx1 <= x2 and y1 <= ry2 and ry1 <= y2:
-                ids.append(other)
-        return ids
+    def start_depths(self, leaf_id: int, rects: np.ndarray) -> np.ndarray:
+        """Depth of the window-query start nodes of many rectangles
+        queried from one leaf (``rects`` is ``(4, R)`` as in
+        :meth:`FlatRTree.window_query_batch`): the first backward
+        pointer, leaf to root, whose MBR contains the rectangle, and
+        ``0`` for a root start (chosen or fallback)."""
+        depths = self._pointer_depths
+        if not len(depths):
+            return np.zeros(rects.shape[1], dtype=np.intp)
+        box = self.flat.mbrs[self._anc[:, leaf_id - self._leaf_lo]][:, :, None]
+        contains = ((box[:, :2] <= rects[:2]) & (rects[2:] <= box[:, 2:])).all(axis=1)
+        return np.where(contains.any(axis=0), depths[contains.argmax(axis=0)], 0)

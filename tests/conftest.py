@@ -34,6 +34,25 @@ def make_clustered_points(
     return make_points(coords)
 
 
+def grid_upper_bounds(grid, rects) -> list[int]:
+    """``grid.upper_bounds`` over a list of :class:`Rect`."""
+    import numpy as np
+    columns = (np.array([getattr(r, side) for r in rects])
+               for side in ("x1", "y1", "x2", "y2"))
+    return grid.upper_bounds(*columns).tolist()
+
+
+def grid_cell_sum(grid, rect: Rect) -> int:
+    """Algorithm 2 spelt out: add up every grid cell meeting ``rect``."""
+    if not rect.intersects(grid.extent):
+        return 0
+    col_lo, col_hi, row_lo, row_hi = grid.cell_range(rect)
+    counts = grid.cell_counts()
+    return sum(counts[row * grid.cols + col]
+               for row in range(row_lo, row_hi + 1)
+               for col in range(col_lo, col_hi + 1))
+
+
 @pytest.fixture(scope="session")
 def uniform_points() -> list[PointObject]:
     """1,000 uniform points in a 1,000-wide square."""

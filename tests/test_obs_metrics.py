@@ -244,7 +244,10 @@ class TestBatchCacheMetrics:
 
         tree = RStarTree.bulk_load(make_uniform_points(150, seed=77),
                                    max_entries=16)
-        return NWCEngine(tree, Scheme.NWC_STAR, metrics=reg)
+        # The region LRU lives in the scalar/numpy modes; the columnar
+        # loop batches window queries per leaf and reports no LRU events.
+        return NWCEngine(tree, Scheme.NWC_STAR, metrics=reg,
+                         execution="numpy")
 
     def test_batch_counters_match_batch_stats(self):
         from repro.core import NWCQuery

@@ -222,7 +222,7 @@ QUERIES = [
 
 
 class TestEngineIntegration:
-    @pytest.mark.parametrize("execution", ["python", "numpy"])
+    @pytest.mark.parametrize("execution", ["python", "numpy", "columnar"])
     def test_tracing_is_bit_identical(self, obs_tree, obs_points, execution):
         """Results and I/O counters must not change when tracing is on."""
         plain = _engine(obs_tree, obs_points, execution)
@@ -237,13 +237,19 @@ class TestEngineIntegration:
                 assert a.distance == b.distance
                 assert [o.oid for o in a.objects] == [o.oid for o in b.objects]
 
-    def test_python_numpy_agree_under_tracing(self, obs_tree, obs_points):
+    def test_modes_agree_under_tracing(self, obs_tree, obs_points):
+        """Same stats, same attribution, same window-query spans (oid,
+        distance and I/O delta each) in every execution mode."""
         results = {}
-        for execution in ("python", "numpy"):
-            engine = _engine(obs_tree, obs_points, execution,
-                             tracer=QueryTracer())
-            results[execution] = [engine.nwc(q).stats for q in QUERIES]
-        assert results["python"] == results["numpy"]
+        for execution in ("python", "numpy", "columnar"):
+            tracer = QueryTracer()
+            engine = _engine(obs_tree, obs_points, execution, tracer=tracer)
+            stats = [engine.nwc(q).stats for q in QUERIES]
+            walks = [(span.attrs["oid"], span.attrs["dist"], span.io)
+                     for root in tracer.roots
+                     for span in root.children[0].children]
+            results[execution] = (stats, [r.counts for r in tracer.roots], walks)
+        assert results["python"] == results["numpy"] == results["columnar"]
 
     def test_root_span_io_matches_result_stats(self, obs_tree, obs_points):
         tracer = QueryTracer()
@@ -254,10 +260,11 @@ class TestEngineIntegration:
         nonzero = {k: v for k, v in result.stats.items() if v}
         assert root.io == nonzero
 
-    def test_span_tree_io_is_conservative(self, obs_tree, obs_points):
+    @pytest.mark.parametrize("execution", ["python", "numpy", "columnar"])
+    def test_span_tree_io_is_conservative(self, obs_tree, obs_points, execution):
         """Parent I/O == own work + sum of children, recursively."""
         tracer = QueryTracer()
-        engine = _engine(obs_tree, obs_points, "numpy", tracer=tracer)
+        engine = _engine(obs_tree, obs_points, execution, tracer=tracer)
         engine.nwc(QUERIES[0])
 
         def check(span):
@@ -270,10 +277,20 @@ class TestEngineIntegration:
                 check(child)
 
         check(tracer.last)
+        # A window-query span's I/O is exactly its own tree walk: every
+        # node access under the search span that is not a frontier pop.
+        search = tracer.last.children[0]
+        assert search.name == "search"
+        walks = [c for c in search.children if c.name == "window_query"]
+        assert walks and all(w.children[0].name == "enumerate" for w in walks)
+        assert (sum(w.io.get("node_accesses", 0) for w in walks)
+                == search.io["node_accesses"] - search.self_io["node_accesses"])
 
-    def test_attribution_fires_on_star_scheme(self, obs_tree, obs_points):
+    @pytest.mark.parametrize("execution", ["python", "numpy", "columnar"])
+    def test_attribution_fires_on_star_scheme(self, obs_tree, obs_points,
+                                              execution):
         tracer = QueryTracer()
-        engine = _engine(obs_tree, obs_points, "numpy", tracer=tracer)
+        engine = _engine(obs_tree, obs_points, execution, tracer=tracer)
         for query in QUERIES:
             engine.nwc(query)
         totals = {}

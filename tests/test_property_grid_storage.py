@@ -7,6 +7,9 @@ from repro.geometry import PointObject, Rect
 from repro.grid import DensityGrid, PrefixSumDensityGrid
 from repro.storage import decode, encode_internal, encode_leaf
 
+from .conftest import grid_cell_sum as _cell_sum
+from .conftest import grid_upper_bounds as _batch_bounds
+
 EXTENT = Rect(0.0, 0.0, 100.0, 100.0)
 
 grid_points = st.lists(
@@ -48,6 +51,43 @@ class TestDensityGridProperties:
         grid = DensityGrid.build(points, EXTENT, cell)
         assert grid.total == len(points)
         assert grid.upper_bound(EXTENT) == len(points)
+
+
+    @given(grid_points, st.lists(query_rects(), min_size=1, max_size=12),
+           st.floats(1.0, 40.0, allow_nan=False))
+    @settings(max_examples=80, deadline=None)
+    def test_upper_bounds_equals_scalar_and_cell_sum(self, raw, rects, cell):
+        points = [PointObject(i, x, y) for i, (x, y) in enumerate(raw)]
+        grid = DensityGrid.build(points, EXTENT, cell)
+        assert _batch_bounds(grid, rects) == [
+            grid.upper_bound(r) for r in rects] == [
+            _cell_sum(grid, r) for r in rects]
+
+    @given(grid_points, st.lists(st.tuples(st.booleans(), st.integers(0, 10_000)),
+                                 max_size=40),
+           st.lists(query_rects(), min_size=1, max_size=8),
+           st.sampled_from([1.0, 7.0, 12.5, 25.0, 33.3]))
+    @settings(max_examples=80, deadline=None)
+    def test_table_maintained_under_add_remove(self, raw, ops, rects, cell):
+        """``add``/``remove`` keep the cumulative table exact: after any
+        update sequence the grid equals one rebuilt from scratch."""
+        live = list(raw)
+        grid = DensityGrid.build(
+            [PointObject(i, x, y) for i, (x, y) in enumerate(live)], EXTENT, cell)
+        for insert, pick in ops:
+            if insert or not live:
+                # multiples of 2.5 land on cell edges for most cell sizes
+                point = ((pick % 41) * 2.5, (pick // 41 % 41) * 2.5)
+                live.append(point)
+                grid.add(*point)
+            else:
+                grid.remove(*live.pop(pick % len(live)))
+        fresh = DensityGrid.build(
+            [PointObject(i, x, y) for i, (x, y) in enumerate(live)], EXTENT, cell)
+        assert grid.total == fresh.total == len(live)
+        assert grid.cell_counts() == fresh.cell_counts()
+        assert _batch_bounds(grid, rects) == _batch_bounds(fresh, rects) == [
+            _cell_sum(grid, r) for r in rects]
 
 
 serializable_points = st.lists(
