@@ -152,6 +152,11 @@ class _OrderedBestGroup(_BestGroup):
 _SRR_SKIPPED = -1
 _DEP_CANCELLED = -2
 
+#: Members per pass of the enumeration-floor work of a leaf table: its
+#: transient arrays are a few times this many elements, whatever the
+#: window size (a row larger than the budget is a pass of its own).
+_FLOOR_BUDGET = 4096
+
 
 class _LeafStream:
     """One visited leaf's objects in pop order — ascending ``(distance,
@@ -177,18 +182,25 @@ class _LeafTable:
     ``shrunk`` / ``upper`` / ``slots`` are per row; ``slots[row]`` is
     ``_SRR_SKIPPED``, ``_DEP_CANCELLED`` or the row's index into the
     per-window-query lists: IWP root descent ``avoided``, ``nodes`` /
-    ``leaves`` accessed, partners ``examined``, and the member columns
-    ``cols[indptr[slot]:indptr[slot + 1]]``.
+    ``leaves`` accessed, partners ``examined``, the member columns
+    ``cols[indptr[slot]:indptr[slot + 1]]`` and — ``floors`` is
+    ``None`` when the table has none — the enumeration ``floors``, a
+    lower bound on the distance of any group a row of ``n`` members
+    can offer, with the row's ``qualified`` window count; under
+    attribution ``mindists[qptr[slot]:qptr[slot + 1]]`` are the
+    MINDISTs of those windows.
     """
 
     __slots__ = ("bound", "start", "shrunk", "upper", "slots", "avoided",
-                 "nodes", "leaves", "examined", "indptr", "cols")
+                 "nodes", "leaves", "examined", "indptr", "cols",
+                 "qualified", "floors", "mindists", "qptr")
 
     def __init__(self, bound, start, shrunk, upper) -> None:
         self.bound = bound
         self.start = start
         self.shrunk = shrunk
         self.upper = upper
+        self.floors = None
 
 
 class NWCEngine:
@@ -922,6 +934,13 @@ class NWCEngine:
         anchor_region = self._anchor_region
         if anchor_region is not None:
             ax1, ay1, ax2, ay2 = anchor_region
+        # Order statistic of the squared distances that is the group
+        # distance under MAX / MIN; 0 when the enumeration floor cannot
+        # apply (another measure, or nothing prunes on distance).
+        floor_k = 0
+        if prune_windows:
+            floor_k = {DistanceMeasure.MAX: n,
+                       DistanceMeasure.MIN: 1}.get(q.measure, 0)
         # kind 0 = node, kind 1 = object; seq is unique so the trailing
         # payload fields are never compared.
         heap: list = [(root_mbr.mindist(qx, qy), 0, 0, 0, None)]
@@ -1018,7 +1037,8 @@ class NWCEngine:
                 # Only SRR reads the bound: a moved bound restamps the
                 # rows still to come, anything else keeps the table.
                 table = stream.table = self._leaf_table(
-                    q, stream, ident, bound, region)
+                    q, stream, ident, bound, region, floor_k,
+                    attr is not None)
             row = ident - table.start
             if attr is not None and table.shrunk[row]:
                 attr.srr_regions_shrunk += 1
@@ -1055,6 +1075,18 @@ class NWCEngine:
                         # reaches the counters, no snapshot is built.
                         stats.objects_examined += table.examined[slot]
                         stats.windows_evaluated += table.examined[slot]
+                    elif (table.floors is not None
+                          and table.floors[slot] >= bound):
+                        # Every group the row can offer is at least its
+                        # floor away: nothing is offered, the bound
+                        # stands, and the row's outcome is its counters.
+                        stats.objects_examined += table.examined[slot]
+                        stats.windows_evaluated += table.examined[slot]
+                        stats.qualified_windows += table.qualified[slot]
+                        if attr is not None:
+                            attr.windows_pruned_by_bound += np.count_nonzero(
+                                table.mindists[table.qptr[slot]:
+                                               table.qptr[slot + 1]] >= bound)
                     else:
                         self._offer_anchor = dist
                         frame = QuadrantFrame(qx, qy, 1.0 if px >= qx else -1.0,
@@ -1074,7 +1106,8 @@ class NWCEngine:
                 if tracing:
                     tracer.end_span(wq_span)
 
-    def _leaf_table(self, q, stream, start, bound, region) -> "_LeafTable":
+    def _leaf_table(self, q, stream, start, bound, region, floor_k,
+                    attributed) -> "_LeafTable":
         """Rows ``start..`` of a leaf stream under one frozen ``bound``.
 
         The per-object body of Algorithm 1 up to the member fetch — SRR
@@ -1084,10 +1117,11 @@ class NWCEngine:
         function of ``(object, bound)``, computed with the scalar body's
         operations in the scalar order, so a pop that finds the table
         stamped with its own bound replays exactly what the oracle would
-        compute; nothing is charged to the counters here.
+        compute; nothing is charged to the counters here.  ``floor_k``
+        and ``attributed`` select what :meth:`_walk_rows` adds about the
+        rows' enumerations.
         """
         flags = self.flags
-        flat = self._flat
         length, width = q.length, q.width
         # Axis 0 of every two-row array below is (x, y).
         origin = np.array(((q.qx,), (q.qy,)))
@@ -1132,17 +1166,30 @@ class NWCEngine:
         table = _LeafTable(bound, start, shrunk.tolist(), upper.tolist())
         if len(rows):
             slots[rows] = np.arange(len(rows))
-            self._walk_rows(table, rects, stream.leaf, region,
-                            sign[1][rows], ty[rows], q.qy)
+            if flags.srr and not math.isfinite(bound):
+                floor_k = 0  # any offer restamps the table: no floor is read
+            self._walk_rows(table, q, rects, stream.leaf, region,
+                            sign[1][rows], tx[rows], ty[rows], floor_k,
+                            attributed)
         table.slots = slots.tolist()
         return table
 
-    def _walk_rows(self, table, rects, leaf, region, sy, ty, qy) -> None:
+    def _walk_rows(self, table, q, rects, leaf, region, sy, tx, ty,
+                   floor_k, attributed) -> None:
         """Fill ``table``'s per-window-query lists: the batched window
         walk from ``leaf`` over ``rects`` (the rows' real-space search
-        rectangles; ``sy`` / ``ty`` are their generators' frame sign
-        and frame y)."""
+        rectangles; ``sy`` / ``tx`` / ``ty`` are their generators' frame
+        sign and frame coordinates), and what the enumeration of each
+        row comes to when it offers nothing.
+
+        With ``floor_k`` (the group distance is the ``floor_k``-th
+        smallest member distance of a window) every row holding ``n``
+        members gets its *floor* — that order statistic over all its
+        members, below any of its windows' distances — and its qualified
+        window count; ``attributed`` adds the MINDISTs of those windows.
+        """
         flat = self._flat
+        n, width, qy = q.n, q.width, q.qy
         start_depth = None
         if self.flags.iwp:
             start_depth = self._flat_iwp.start_depths(leaf, rects)
@@ -1157,16 +1204,48 @@ class NWCEngine:
             keep = ((region.x1 <= mx) & (mx <= region.x2)
                     & (region.y1 <= my) & (my <= region.y2))
             member_rect, cols, my = member_rect[keep], cols[keep], my[keep]
+        sizes = np.bincount(member_rect, minlength=len(sy))
         indptr = np.zeros(len(sy) + 1, dtype=np.intp)
-        np.bincount(member_rect, minlength=len(sy)).cumsum(out=indptr[1:])
+        sizes.cumsum(out=indptr[1:])
         # Partners: members at or above their generator in frame y.
-        partner = sy.take(member_rect) * (my - qy) >= ty.take(member_rect)
+        frame_y = sy.take(member_rect) * (my - qy)
+        partner = frame_y >= ty.take(member_rect)
         table.nodes = nodes.tolist()
         table.leaves = leaves.tolist()
         table.examined = np.bincount(
             member_rect[partner], minlength=len(sy)).tolist()
         table.indptr = indptr.tolist()
         table.cols = cols
+        full = sizes >= n
+        if not floor_k or not full.any():
+            return
+        # Rows short of n members keep a floor nobody reads.
+        floors = np.full(len(sy), math.inf)
+        passed = np.zeros(len(cols), dtype=bool)
+        cuts = [0, len(sy)]
+        if len(cols) > _FLOOR_BUDGET:
+            cuts[1:1] = np.searchsorted(
+                indptr, np.arange(_FLOOR_BUDGET, len(cols), _FLOOR_BUDGET),
+                side="right").tolist()
+        for r0, r1 in zip(cuts, cuts[1:]):
+            if not full[r0:r1].any():
+                continue
+            s, e = table.indptr[r0], table.indptr[r1]
+            dx, dy = flat.xs.take(cols[s:e]) - q.qx, my[s:e] - qy
+            ends = indptr[r0 + 1:r1 + 1] - s
+            floors[r0:r1] = np.sqrt(kernels.window_kth_dsq(
+                dx * dx + dy * dy, ends - sizes[r0:r1], ends, floor_k))
+            passed[s:e] = partner[s:e] & (kernels.leaf_window_counts(
+                frame_y[s:e], sizes[r0:r1], width) >= n)
+        table.floors = floors.tolist()
+        member_rect = member_rect[passed]
+        qualified = np.bincount(member_rect, minlength=len(sy))
+        table.qualified = qualified.tolist()
+        if attributed:
+            table.mindists = kernels.window_mindists(
+                frame_y[passed], width,
+                np.maximum(tx - q.length, 0.0).take(member_rect))
+            table.qptr = [0, *qualified.cumsum().tolist()]
 
     def _enumerate_windows(
         self,
@@ -1438,17 +1517,8 @@ class NWCEngine:
             cand = np.flatnonzero(qualified & (mindists < entry))
             if cand.size == 0:
                 return
-            clos = los[cand]
-            chis = his[cand]
-            if math.isfinite(entry):
-                # Region-level floor: the k-th smallest distance over the
-                # union span lower-bounds every window's distance.
-                seg = dsq[int(clos.min()):int(chis.max())]
-                floor_sq = (seg.min() if k == 1
-                            else np.partition(seg, k - 1)[k - 1])
-                if math.sqrt(floor_sq) >= entry:
-                    return
-            dists = np.sqrt(kernels.window_kth_dsq(dsq, clos, chis, k))
+            dists = np.sqrt(
+                kernels.window_kth_dsq(dsq, los[cand], his[cand], k))
             prev = np.minimum.accumulate(
                 np.concatenate(([entry], dists)))[:-1]
             offered = np.flatnonzero(dists < prev)

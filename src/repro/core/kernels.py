@@ -16,6 +16,8 @@ operations over one search region's members:
   (``searchsorted`` twice instead of a Python loop per partner);
 * :func:`window_mindists` — MINDIST lower bounds of every candidate
   window at once;
+* :func:`leaf_window_counts` — the member count of every candidate
+  window of every search region of a leaf, without sorting any region;
 * :func:`select_group` — top-``n`` selection by ``(distance, oid)`` via
   ``np.argpartition`` with an explicit tie fix-up so the result is
   bit-identical to ``heapq.nsmallest`` with a composite key.
@@ -197,12 +199,42 @@ def window_spans(
     return start, tops, los, his
 
 
-def window_mindists(tops: np.ndarray, width: float, dx: float) -> np.ndarray:
+def leaf_window_counts(tys: np.ndarray, sizes: np.ndarray,
+                       width: float) -> np.ndarray:
+    """Size of the candidate window topped by every member of many
+    search regions — ``his - los`` of :func:`window_spans` for all of
+    them at once, with no per-region sort.
+
+    ``tys`` holds the members' frame y region after region, ``sizes``
+    members each, in any order within a region.  The regions of one
+    leaf overlap almost entirely, so their members share few distinct
+    frame-y values: along those sorted values the members of a region
+    below a window's bottom ``ty - width`` are a prefix, and one
+    cumulative membership count per region answers every window with
+    two lookups.  Same float subtraction and tie-inclusive comparisons
+    as the per-region ``searchsorted`` pair, so the counts are equal.
+    """
+    levels, top = np.unique(tys, return_inverse=True)
+    span = len(levels) + 1  # a region's cumulative counts: 0..len(levels)
+    base = (np.arange(len(sizes)) * span).repeat(sizes)
+    bottom = base + levels.searchsorted(levels - width, side="left").take(top)
+    top += base + 1
+    # One running count over the flattened (region, level) table: both
+    # lookups of a window fall inside its own region's span, so the
+    # carry from earlier regions cancels.
+    table = np.bincount(top, minlength=len(sizes) * span)
+    table.cumsum(out=table)
+    return table.take(top) - table.take(bottom)
+
+
+def window_mindists(tops: np.ndarray, width: float,
+                    dx: float | np.ndarray) -> np.ndarray:
     """MINDIST from the query point to every candidate window.
 
     ``dx`` is the horizontal component shared by all windows of one
-    search region (``max(0, x1)`` in frame space); the vertical
-    component is the window's bottom edge clamped at the axis.
+    search region (``max(0, x1)`` in frame space; an array gives each
+    window its own region's); the vertical component is the window's
+    bottom edge clamped at the axis.
     """
     dys = np.maximum(tops - width, 0.0)
     return np.sqrt(dx * dx + dys * dys)

@@ -9,6 +9,13 @@ measure and entry point, on data built to hit the places where an array
 pass could drift from the scalar code: duplicate coordinates, equal-y
 ties inside one search region, points exactly on grid-cell and extent
 edges, subnormal seeded bounds, and a bound that moves mid-leaf.
+
+The second half runs the same contract on *dense* windows, where almost
+every search region holds ``n`` members and the table's enumeration
+floor answers a row from its counters: there the number of
+``ColumnarSnapshot`` builds is part of the contract too — far below the
+number of regions that enumerate, and the same whether or not a tracer
+or a metrics registry is watching.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ import random
 
 import pytest
 
+import numpy as np
+
 from repro.core import (
     DistanceMeasure,
     KNWCQuery,
@@ -26,11 +35,12 @@ from repro.core import (
     NWCQuery,
     OptimizationFlags,
     Scheme,
+    kernels,
 )
 from repro.geometry import PointObject, Rect, make_points
 from repro.grid import DensityGrid, SubtreeCountIndex
 from repro.index import RStarTree
-from repro.obs import QueryTracer
+from repro.obs import MetricsRegistry, QueryTracer
 
 EXTENT = Rect(0.0, 0.0, 500.0, 500.0)
 CELL = 25.0
@@ -218,9 +228,9 @@ def test_bound_moving_mid_leaf_restamps_the_table(monkeypatch):
     builds = []
     original = NWCEngine._leaf_table
 
-    def recording(self, q, stream, start, bound, region):
+    def recording(self, q, stream, start, bound, *rest):
         builds.append((stream.leaf, start, bound))
-        return original(self, q, stream, start, bound, region)
+        return original(self, q, stream, start, bound, *rest)
 
     monkeypatch.setattr(NWCEngine, "_leaf_table", recording)
     engines = [NWCEngine(RStarTree.bulk_load(points, max_entries=16),
@@ -242,3 +252,297 @@ def test_bound_moving_mid_leaf_restamps_the_table(monkeypatch):
     counts = engines[1].tracer.last.counts
     assert counts["srr_objects_skipped"] > 0
     assert result.stats["window_queries_cancelled"] > 0
+
+
+# ----------------------------------------------------------------------
+# Dense windows: the enumeration floor
+# ----------------------------------------------------------------------
+def _dense_points(seed: int = 11) -> list[PointObject]:
+    """~0.15 objects per unit area: a 20 x 15 window holds ~45.  Most
+    points sit on a half-unit lattice (duplicates, equal-y rows), the
+    rest are continuous."""
+    rng = random.Random(seed)
+    coords = [(rng.randrange(201) * 0.5, rng.randrange(201) * 0.5)
+              for _ in range(900)]
+    coords += [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0))
+               for _ in range(600)]
+    return make_points(coords)
+
+
+DENSE = _dense_points()
+DENSE_EXTENT = Rect(0.0, 0.0, 100.0, 100.0)
+LENGTH, WIDTH = 20.0, 15.0
+#: Inside the data off the lattice (the leaf around q holds objects on
+#: both sides of qy), on a lattice node, and outside the extent.
+DENSE_LOCATIONS = [(41.3, 57.9), (50.0, 50.0), (-15.0, 30.2)]
+NO_SRR = OptimizationFlags(srr=False, dip=True, dep=True, iwp=True)
+
+
+def _dense_engine(flags, execution, points=DENSE, **observers):
+    if isinstance(flags, Scheme):
+        flags = flags.flags
+    grid = DensityGrid.build(points, DENSE_EXTENT, 5.0) if flags.dep else None
+    return NWCEngine(RStarTree.bulk_load(points, max_entries=12), flags,
+                     grid=grid, execution=execution, **observers)
+
+
+def _dense_pair(flags, points=DENSE):
+    return [_dense_engine(flags, mode, points, tracer=QueryTracer())
+            for mode in ("python", "columnar")]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Sizes of the ``ColumnarSnapshot``s built, in order."""
+    sizes = []
+    original = kernels.ColumnarSnapshot.build.__func__
+
+    def counting(cls, flat, cols, sy):
+        sizes.append(len(cols))
+        return original(cls, flat, cols, sy)
+
+    monkeypatch.setattr(kernels.ColumnarSnapshot, "build", classmethod(counting))
+    return sizes
+
+
+@pytest.fixture
+def enumerating(monkeypatch):
+    """The oracle's window queries that found at least ``n`` members —
+    the rows the columnar loop used to build one snapshot each for."""
+    sizes = []
+    original = NWCEngine._enumerate_windows
+
+    def counting(self, q, frame, sr, members, *args, **kwargs):
+        if len(members) >= q.n:
+            sizes.append(len(members))
+        return original(self, q, frame, sr, members, *args, **kwargs)
+
+    monkeypatch.setattr(NWCEngine, "_enumerate_windows", counting)
+    return sizes
+
+
+def _assert_same_knwc(oracle, columnar, query, maintenance):
+    a = oracle.knwc(query, maintenance=maintenance)
+    b = columnar.knwc(query, maintenance=maintenance)
+    assert a.distances == b.distances
+    assert [g.oids for g in a.groups] == [g.oids for g in b.groups]
+    assert a.stats == b.stats
+    assert oracle.tracer.last.counts == columnar.tracer.last.counts
+
+
+@pytest.mark.parametrize("flags", [Scheme.NWC_STAR, NO_SRR], ids=["star", "no-srr"])
+@pytest.mark.parametrize("measure", list(DistanceMeasure),
+                         ids=[m.name for m in DistanceMeasure])
+def test_dense_windows_match_the_oracle(flags, measure, builds, enumerating):
+    oracle, columnar = _dense_pair(flags)
+    pruned = 0
+    # n = 40 sits near a window's mean content, where one member more
+    # or less at a window edge decides whether it qualifies.
+    for n, (x, y) in itertools.product((1, 3, 8, 40), DENSE_LOCATIONS):
+        _assert_same_nwc(oracle, columnar,
+                         NWCQuery(x, y, LENGTH, WIDTH, n, measure))
+        pruned += columnar.tracer.last.counts.get("windows_pruned_by_bound", 0)
+    assert pruned > 0
+    if measure in (DistanceMeasure.MAX, DistanceMeasure.MIN):
+        assert len(builds) * 3 < len(enumerating)
+    else:  # the floor bounds an order statistic: other measures enumerate
+        assert sorted(builds) == sorted(enumerating)
+
+
+@pytest.mark.parametrize("maintenance", ["exact", "paper"])
+def test_dense_knwc_matches_the_oracle(maintenance, builds, enumerating):
+    query = KNWCQuery.make(41.3, 57.9, LENGTH, WIDTH, 8, 3, 2)
+    _assert_same_knwc(*_dense_pair(Scheme.NWC_STAR), query, maintenance)
+    # Every row before the k-th group is found enumerates (bound = inf).
+    assert len(builds) * 3 < len(enumerating) * 2
+    # The baseline scheme evaluates every qualified window
+    # (prune_windows is false): no row may be answered from the table.
+    del builds[:], enumerating[:]
+    _assert_same_knwc(*_dense_pair(Scheme.NWC), query, maintenance)
+    assert sorted(builds) == sorted(enumerating)
+
+
+def test_one_table_holds_both_frame_signs(monkeypatch):
+    signs = []
+    original = NWCEngine._walk_rows
+
+    def recording(self, table, q, rects, leaf, region, sy, *rest):
+        original(self, table, q, rects, leaf, region, sy, *rest)
+        if table.floors is not None:
+            signs.append({s for s, floor in zip(sy.tolist(), table.floors)
+                          if math.isfinite(floor)})
+
+    monkeypatch.setattr(NWCEngine, "_walk_rows", recording)
+    for measure in (DistanceMeasure.MAX, DistanceMeasure.MIN):
+        _assert_same_nwc(*_dense_pair(Scheme.NWC_STAR),
+                         NWCQuery(41.3, 57.9, LENGTH, WIDTH, 8, measure))
+    assert {1.0, -1.0} in signs
+
+
+def test_distinct_y_rounding_to_one_frame_y(builds, enumerating):
+    """Rows of objects one and two ulps apart in y, seen from a query
+    point so far below that ``y - qy`` rounds them together: the
+    snapshot orders them by real y, the table groups them by frame y."""
+    rng = random.Random(23)
+    coords = []
+    for _ in range(320):
+        y = float(rng.randrange(11))
+        for _ in range(rng.randrange(3)):
+            y = math.nextafter(y, math.inf)
+        coords.append((rng.uniform(0.0, 40.0), y))
+    points = make_points(coords)
+    qy = -1000.25
+    assert len({y - qy for _, y in coords}) < len({y for _, y in coords})
+    for measure, n in itertools.product(DistanceMeasure, (3, 8, 36)):
+        _assert_same_nwc(*_dense_pair(Scheme.NWC_PLUS, points),
+                         NWCQuery(17.3, qy, 15.0, 3.0, n, measure))
+    assert len(builds) < len(enumerating)
+
+
+def test_dense_constrained_region_matches_the_oracle(builds, enumerating):
+    engines = _dense_pair(Scheme.NWC_STAR)
+    region = Rect(20.0, 35.5, 80.0, 90.0)  # edges on lattice lines
+    for n, (x, y) in itertools.product((3, 8), DENSE_LOCATIONS):
+        result = _assert_same_nwc(
+            *engines, NWCQuery(x, y, LENGTH, WIDTH, n), region=region)
+        assert result.found
+        assert all(region.contains_object(p) for p in result.objects)
+    assert len(builds) * 3 < len(enumerating)
+
+
+def _first_floor(monkeypatch, flags, query, anchor):
+    """``(floor, x, y)`` of the first row an unseeded columnar
+    ``nwc_ordered`` pops with a window query."""
+    tables = []
+    original = NWCEngine._leaf_table
+
+    def recording(self, q, stream, start, *rest):
+        table = original(self, q, stream, start, *rest)
+        tables.append((stream, table))
+        return table
+
+    with monkeypatch.context() as patch:
+        patch.setattr(NWCEngine, "_leaf_table", recording)
+        _dense_engine(flags, "columnar").nwc_ordered(
+            query, anchor_region=anchor)
+    stream, table = tables[0]
+    row = next(r for r, slot in enumerate(table.slots) if slot >= 0)
+    floor = table.floors[table.slots[row]]
+    assert math.isfinite(floor) and floor > 0.0
+    return floor, stream.xs[table.start + row], stream.ys[table.start + row]
+
+
+@pytest.mark.parametrize("flags", [Scheme.NWC_STAR, NO_SRR], ids=["star", "no-srr"])
+def test_dense_sharded_entry_points_and_seeds(flags, monkeypatch):
+    anchor = (10.0, 0.0, 60.5, 100.0)
+    query = NWCQuery(41.3, 57.9, LENGTH, WIDTH, 8)
+    # Without SRR a row does not depend on the bound, so the first
+    # row's floor is a seed the search meets again, exactly.
+    floor, px, py = _first_floor(monkeypatch, NO_SRR, query, anchor)
+    generators = []
+    original = NWCEngine._enumerate_windows_columnar
+
+    def recording(self, q, frame, sr, *args, **kwargs):
+        generators.append((sr.px, sr.py))
+        return original(self, q, frame, sr, *args, **kwargs)
+
+    monkeypatch.setattr(NWCEngine, "_enumerate_windows_columnar", recording)
+    oracle = _dense_engine(flags, "python")
+    columnar = _dense_engine(flags, "columnar")
+    above = math.nextafter(floor, math.inf)
+    for bound in (None, 5e-324, floor, above, 12.0):
+        del generators[:]
+        (a, a_order), (b, b_order) = (
+            engine.nwc_ordered(query, bound=bound, anchor_region=anchor)
+            for engine in (oracle, columnar))
+        assert _answer(a) == _answer(b)
+        assert a_order == b_order
+        assert a.stats == b.stats
+        if flags is NO_SRR and bound in (floor, above):
+            # floor >= bound answers the row from the table, as the
+            # scalar loop's ``distance >= bound`` skips its every window.
+            assert ((px, py) in generators) == (bound == above)
+        pools = []
+        for engine in (oracle, columnar):
+            pool = engine.knwc_candidates(
+                KNWCQuery(query, 3, 2), 12, bound=bound, anchor_region=anchor)
+            pools.append(([g.oids for g in pool.groups],
+                          [g.distance for g in pool.groups], pool.orders,
+                          pool.horizon, engine.tree.stats.snapshot()))
+        assert pools[0] == pools[1]
+
+
+def test_dense_windows_after_interleaved_updates(builds, enumerating):
+    engines = _dense_pair(Scheme.NWC_STAR)
+    rng = random.Random(41)
+    live = list(DENSE)
+    next_oid = 2_000_000
+    for step in range(18):
+        if step % 3 == 2:
+            victim = live.pop(rng.randrange(len(live)))
+            assert all(engine.delete(victim) for engine in engines)
+        else:
+            obj = PointObject(next_oid, rng.randrange(-4, 205) * 0.5,
+                              rng.randrange(201) * 0.5)
+            next_oid += 1
+            live.append(obj)
+            for engine in engines:
+                engine.insert(obj)
+        x, y = DENSE_LOCATIONS[step % 3]
+        _assert_same_nwc(*engines, NWCQuery(x, y, LENGTH, WIDTH, 8))
+    assert len(builds) * 3 < len(enumerating)
+
+
+def test_observers_do_not_change_which_code_answers(builds):
+    """No clock: with a registry, with a tracer and with neither, a
+    query builds the same snapshots and returns the same answer and
+    counters — attribution reads the table, it does not pick a loop."""
+    engines = [_dense_engine(Scheme.NWC_STAR, "columnar", **observers)
+               for observers in ({}, {"metrics": MetricsRegistry()},
+                                 {"tracer": QueryTracer()})]
+    queries = [NWCQuery(x, y, LENGTH, WIDTH, n, measure)
+               for measure in (DistanceMeasure.MAX, DistanceMeasure.MIN)
+               for n in (3, 8) for x, y in DENSE_LOCATIONS]
+    for query in queries:
+        seen = []
+        for engine in engines:
+            del builds[:]
+            result = engine.nwc(query)
+            seen.append((_answer(result), result.stats, list(builds)))
+        assert seen[0] == seen[1] == seen[2]
+    knwc = KNWCQuery.make(41.3, 57.9, LENGTH, WIDTH, 8, 3, 2)
+    seen = []
+    for engine in engines:
+        del builds[:]
+        result = engine.knwc(knwc)
+        seen.append((result.distances, result.stats, list(builds)))
+    assert seen[0] == seen[1] == seen[2]
+
+
+@pytest.mark.parametrize("budget", [1, 150, 1000])
+def test_floor_work_in_passes_under_a_small_budget(monkeypatch, budget,
+                                                   builds, enumerating):
+    """``_FLOOR_BUDGET`` patched down: a pass per row (rows larger than
+    the budget, repeated cuts), a few rows a pass, a few passes a table."""
+    monkeypatch.setattr("repro.core.engine._FLOOR_BUDGET", budget)
+    engines = _dense_pair(Scheme.NWC_STAR)
+    for measure, n in itertools.product(
+            (DistanceMeasure.MAX, DistanceMeasure.MIN), (8, 40)):
+        _assert_same_nwc(*engines, NWCQuery(41.3, 57.9, LENGTH, WIDTH, n, measure))
+    assert len(builds) * 3 < len(enumerating)
+
+
+def test_leaf_window_counts_equal_per_region_spans():
+    rng = np.random.default_rng(7)
+    levels = np.concatenate((rng.integers(0, 12, 30) * 0.5,
+                             rng.uniform(-3.0, 6.0, 30), [-0.0, 0.0]))
+    sizes = np.array([0, 1, 17, 40, 0, 9, 25])
+    tys = rng.choice(levels, sizes.sum())
+    counts = kernels.leaf_window_counts(tys, sizes, 1.5)
+    at = 0
+    for size in sizes.tolist():
+        region = tys[at:at + size]
+        order = np.argsort(region, kind="stable")
+        _, _, los, his = kernels.window_spans(region[order], -np.inf, 1.5)
+        assert counts[at:at + size][order].tolist() == (his - los).tolist()
+        at += size
