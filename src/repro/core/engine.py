@@ -24,6 +24,7 @@ Queries then run the incremental nearest-qualified-window search:
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from bisect import bisect_left, bisect_right
@@ -155,28 +156,38 @@ _DEP_CANCELLED = -2
 #: Members per pass of the enumeration-floor work of a leaf table: its
 #: transient arrays are a few times this many elements, whatever the
 #: window size (a row larger than the budget is a pass of its own).
+#: Also the table size beyond which a group of leaves stops growing.
 _FLOOR_BUDGET = 4096
+
+#: Most leaves one table is built for (see ``_search_loop_columnar``).
+_GROUP_CAP = 16
 
 
 class _LeafStream:
-    """One visited leaf's objects in pop order — ascending ``(distance,
-    seq)`` — and the batch table over the rows still to pop."""
+    """One leaf's objects in pop order — ascending distance, entry order
+    among equals — and the batch table over the rows still to pop:
+    object ``i`` is row ``i + base`` of ``table``.  Its heap entries
+    carry ``seq + i``: ``seq`` is assigned when the leaf itself is
+    popped (only the leaves' seq ranges order equal distances, the
+    stream orders its own); a stream may be prepared, table and all,
+    before that."""
 
-    __slots__ = ("leaf", "dists", "cols", "seqs", "xs", "ys", "table")
+    __slots__ = ("leaf", "dists", "cols", "seq", "xs", "ys", "table", "base")
 
-    def __init__(self, leaf, dists, cols, seqs, xs, ys) -> None:
+    def __init__(self, leaf, dists, cols, xs, ys) -> None:
         self.leaf = leaf
         self.dists = dists
         self.cols = cols
-        self.seqs = seqs
+        self.seq = None
         self.xs = xs
         self.ys = ys
         self.table: _LeafTable | None = None
+        self.base = 0
 
 
 class _LeafTable:
-    """What each object of a leaf stream does when popped, precomputed
-    for stream rows ``start..`` under the prune bound ``bound`` (see
+    """What each object of a group of leaf streams does when popped,
+    precomputed under the prune bound ``bound`` (see
     :meth:`NWCEngine._leaf_table`).
 
     ``shrunk`` / ``upper`` / ``slots`` are per row; ``slots[row]`` is
@@ -191,15 +202,15 @@ class _LeafTable:
     MINDISTs of those windows.
     """
 
-    __slots__ = ("bound", "start", "shrunk", "upper", "slots", "avoided",
+    __slots__ = ("bound", "shrunk", "upper", "slots", "avoided",
                  "nodes", "leaves", "examined", "indptr", "cols",
                  "qualified", "floors", "mindists", "qptr")
 
-    def __init__(self, bound, start, shrunk, upper) -> None:
+    def __init__(self, bound, shrunk, upper) -> None:
         self.bound = bound
-        self.start = start
         self.shrunk = shrunk
         self.upper = upper
+        self.cols = ()
         self.floors = None
 
 
@@ -913,20 +924,32 @@ class NWCEngine:
         every object enters the heap before its turn, so the global pop
         sequence is identical to the scalar one-entry-per-object heap.
 
-        The per-object body runs a leaf at a time (:meth:`_leaf_table`):
-        a pop only replays its precomputed row, and every counter is
-        charged here, at pop time, so rows an SRR early stop never
-        reaches cost nothing.  Stream distances stay scalar
-        ``math.hypot`` — ``np.hypot`` differs in the last ulp.
+        The per-object body runs a group of leaves at a time
+        (:meth:`_leaf_table`): a pop only replays its precomputed row,
+        and every counter is charged here, at pop time, so rows an SRR
+        early stop never reaches cost nothing.  A table costs about the
+        same whatever its height, so each build also takes in the
+        other streams waiting for a table under the same bound and —
+        while the rows cannot depend on the bound — the leaves next in
+        the heap, whose streams are prepared ahead of their pop (which
+        still decides whether the leaf is read at all).  The group
+        doubles with every build under an unchanged bound, up to
+        ``_GROUP_CAP``, and starts over at one leaf when the bound
+        moves: the rows built in vain never outnumber the rows used,
+        and a query whose first leaf offers a group builds a leaf at a
+        time.  It halves after a table of more than ``_FLOOR_BUDGET``
+        members — dense windows, where the fixed cost is a small part
+        of a table and a table lives as long as any of its streams.
+        Stream distances stay scalar ``math.hypot`` — ``np.hypot``
+        differs in the last ulp.
         """
         flat = self._flat
         tracer = self.tracer
         qx, qy, length, width, n = q.qx, q.qy, q.length, q.width, q.n
         mbrs = flat.mbrs
-        xs, ys = flat.xs, flat.ys
-        is_leaf = flat.is_leaf
         first = flat.first
         count = flat.count
+        leaf_lo = int(flat.level_bounds[-2])
         use_gen = flags.dip or flags.dep
         root_mbr = flat.root_mbr
         if root_mbr is None:
@@ -945,6 +968,8 @@ class NWCEngine:
         # payload fields are never compared.
         heap: list = [(root_mbr.mindist(qx, qy), 0, 0, 0, None)]
         seq = 1
+        prepared: dict[int, _LeafStream] = {}  # leaf id -> stream built ahead
+        group, group_bound = 1, None
         while heap:
             dist, kind, _, ident, stream = heapq.heappop(heap)
             if kind == 0:
@@ -966,36 +991,20 @@ class NWCEngine:
                         if attr is not None:
                             attr.dip_nodes_pruned += 1
                         continue
-                leaf_flag = bool(is_leaf[node])
+                leaf_flag = node >= leaf_lo
                 stats.record_node(leaf_flag)
-                lo = int(first[node])
                 cnt = int(count[node])
-                s, e = lo, lo + cnt
+                s = int(first[node])
+                e = s + cnt
                 if leaf_flag:
                     if cnt == 0:
                         continue
-                    xlist = xs[s:e].tolist()
-                    ylist = ys[s:e].tolist()
-                    dxl = (xs[s:e] - qx).tolist()
-                    dyl = (ys[s:e] - qy).tolist()
-                    ds = [math.hypot(dxl[i], dyl[i]) for i in range(cnt)]
-                    # Stable sort: equal distances keep entry order, i.e.
-                    # ascending seq — the scalar heap's tie-break.
-                    order = sorted(range(cnt), key=ds.__getitem__)
-                    base = seq
-                    seq += cnt
-                    leaf_stream = _LeafStream(
-                        node,
-                        [ds[i] for i in order],
-                        [s + i for i in order],
-                        [base + i for i in order],
-                        [xlist[i] for i in order],
-                        [ylist[i] for i in order],
-                    )
+                    leaf_stream = (prepared.pop(node, None)
+                                   or self._leaf_stream(node, qx, qy))
+                    leaf_stream.seq = seq
                     heapq.heappush(
-                        heap,
-                        (leaf_stream.dists[0], 1, leaf_stream.seqs[0], 0, leaf_stream),
-                    )
+                        heap, (leaf_stream.dists[0], 1, seq, 0, leaf_stream))
+                    seq += cnt
                 else:
                     sub = mbrs[s:e]
                     dxs = np.maximum(
@@ -1018,7 +1027,7 @@ class NWCEngine:
             nxt = ident + 1
             if nxt < len(stream.dists):
                 heapq.heappush(
-                    heap, (stream.dists[nxt], 1, stream.seqs[nxt], nxt, stream))
+                    heap, (stream.dists[nxt], 1, stream.seq + nxt, nxt, stream))
             px = stream.xs[ident]
             py = stream.ys[ident]
             if region is not None and not region.contains_point(px, py):
@@ -1036,10 +1045,20 @@ class NWCEngine:
             if table is None or (flags.srr and table.bound != bound):
                 # Only SRR reads the bound: a moved bound restamps the
                 # rows still to come, anything else keeps the table.
-                table = stream.table = self._leaf_table(
-                    q, stream, ident, bound, region, floor_k,
-                    attr is not None)
-            row = ident - table.start
+                if bound != group_bound:
+                    group, group_bound = 1, bound
+                parts = [(stream, ident)]
+                if group > 1:
+                    parts += self._waiting_parts(
+                        heap, stream, bound, group - 1, prepared, qx, qy)
+                self._leaf_table(q, parts, bound, region, floor_k,
+                                 attr is not None)
+                table = stream.table
+                if len(table.cols) <= _FLOOR_BUDGET:
+                    group = min(2 * group, _GROUP_CAP)
+                else:
+                    group = max(group // 2, 1)
+            row = ident + stream.base
             if attr is not None and table.shrunk[row]:
                 attr.srr_regions_shrunk += 1
             slot = table.slots[row]
@@ -1106,26 +1125,81 @@ class NWCEngine:
                 if tracing:
                     tracer.end_span(wq_span)
 
-    def _leaf_table(self, q, stream, start, bound, region, floor_k,
-                    attributed) -> "_LeafTable":
-        """Rows ``start..`` of a leaf stream under one frozen ``bound``.
+    def _waiting_parts(self, heap, stream, bound, room, prepared,
+                       qx, qy) -> list:
+        """Up to ``room`` more ``(stream, start)`` parts for the table
+        ``stream`` is about to get under ``bound``: in heap order, the
+        other streams whose next pop would build one — no table yet, or
+        one SRR stamped with another bound — and, while no row can
+        depend on the bound, the leaves still waiting to be popped,
+        whose streams go into ``prepared``."""
+        srr = self.flags.srr
+        ahead = not srr or bound == math.inf
+        leaf_lo = int(self._flat.level_bounds[-2])
+        waiting = []
+        for entry in heap:
+            other = entry[4]
+            if other is None:
+                if ahead and entry[3] >= leaf_lo and entry[3] not in prepared:
+                    waiting.append(entry)
+            elif other is not stream and (
+                    other.table is None
+                    or (srr and other.table.bound != bound)):
+                waiting.append(entry)
+        parts = []
+        for _, _, _, at, other in heapq.nsmallest(room, waiting):
+            if other is None:
+                other = prepared[at] = self._leaf_stream(at, qx, qy)
+                at = 0
+            parts.append((other, at))
+        return parts
+
+    def _leaf_stream(self, leaf: int, qx: float, qy: float) -> _LeafStream:
+        """The objects of ``leaf`` in ascending distance to the query
+        point (its ``seq`` is the pop's to give)."""
+        flat = self._flat
+        s = int(flat.first[leaf])
+        e = s + int(flat.count[leaf])
+        xlist = flat.xs[s:e].tolist()
+        ylist = flat.ys[s:e].tolist()
+        dxl = (flat.xs[s:e] - qx).tolist()
+        dyl = (flat.ys[s:e] - qy).tolist()
+        ds = [math.hypot(dx, dy) for dx, dy in zip(dxl, dyl)]
+        # Stable sort: equal distances keep entry order, i.e.
+        # ascending seq — the scalar heap's tie-break.
+        order = sorted(range(e - s), key=ds.__getitem__)
+        return _LeafStream(
+            leaf,
+            [ds[i] for i in order],
+            [s + i for i in order],
+            [xlist[i] for i in order],
+            [ylist[i] for i in order],
+        )
+
+    def _leaf_table(self, q, parts, bound, region, floor_k,
+                    attributed) -> None:
+        """One table, under one frozen ``bound``, over the rows
+        ``start..`` of every ``(stream, start)`` of ``parts``; each
+        stream is handed the table and its row offset.
 
         The per-object body of Algorithm 1 up to the member fetch — SRR
         shrink, real-space search rectangle, DEP upper bound, window
-        walk, member and partner counts — for every object the leaf has
-        still to pop, each step one array pass.  Every row is a pure
+        walk, member and partner counts — for every object the leaves
+        have still to pop, each step one array pass.  Every row is a pure
         function of ``(object, bound)``, computed with the scalar body's
         operations in the scalar order, so a pop that finds the table
         stamped with its own bound replays exactly what the oracle would
-        compute; nothing is charged to the counters here.  ``floor_k``
-        and ``attributed`` select what :meth:`_walk_rows` adds about the
-        rows' enumerations.
+        compute, whenever the table was built; nothing is charged to the
+        counters here.  ``floor_k`` and ``attributed`` select what
+        :meth:`_walk_rows` adds about the rows' enumerations.
         """
         flags = self.flags
         length, width = q.length, q.width
         # Axis 0 of every two-row array below is (x, y).
         origin = np.array(((q.qx,), (q.qy,)))
-        points = np.array((stream.xs[start:], stream.ys[start:]))
+        points = np.array((
+            [x for stream, start in parts for x in stream.xs[start:]],
+            [y for stream, start in parts for y in stream.ys[start:]]))
         positive = points >= origin  # the frame signs (sx, sy) as booleans
         sign = np.where(positive, 1.0, -1.0)
         tx, ty = sign * (points - origin)
@@ -1144,8 +1218,16 @@ class NWCEngine:
             ax1, ay1, ax2, ay2 = self._anchor_region
             live &= ((points >= ((ax1,), (ay1,)))
                      & (points < ((ax2,), (ay2,)))).all(axis=0)
-        slots = np.full(len(tx), _SRR_SKIPPED)
+        table = _LeafTable(bound, shrunk.tolist(), upper.tolist())
+        sizes = [len(stream.xs) - start for stream, start in parts]
+        for (stream, start), end in zip(parts, itertools.accumulate(sizes)):
+            stream.table = table
+            stream.base = end - len(stream.xs)
         rows = live.nonzero()[0]
+        if not len(rows):
+            table.slots = [_SRR_SKIPPED] * len(tx)
+            return
+        slots = np.full(len(tx), _SRR_SKIPPED)
         # Real-space search rectangles: (length, width) towards q, nothing
         # in x and the shrunk reach in y away from it (FrameRegion.to_real).
         points, positive = points[:, rows], positive[:, rows]
@@ -1154,7 +1236,7 @@ class NWCEngine:
         away[1] = upper[rows]
         rects = np.concatenate((points - np.where(positive, towards, away),
                                 points + np.where(positive, away, towards)))
-        if flags.dep and len(rows):
+        if flags.dep:
             grid = self.grid
             if hasattr(grid, "upper_bounds"):
                 pruned = grid.upper_bounds(*rects) < q.n
@@ -1163,22 +1245,22 @@ class NWCEngine:
                                    for rect in rects.T.tolist()])
             slots[rows[pruned]] = _DEP_CANCELLED
             rows, rects = rows[~pruned], rects[:, ~pruned]
-        table = _LeafTable(bound, start, shrunk.tolist(), upper.tolist())
         if len(rows):
             slots[rows] = np.arange(len(rows))
             if flags.srr and not math.isfinite(bound):
                 floor_k = 0  # any offer restamps the table: no floor is read
-            self._walk_rows(table, q, rects, stream.leaf, region,
+            leaves = np.repeat([stream.leaf for stream, _ in parts], sizes)
+            self._walk_rows(table, q, rects, leaves[rows], region,
                             sign[1][rows], tx[rows], ty[rows], floor_k,
                             attributed)
         table.slots = slots.tolist()
-        return table
 
     def _walk_rows(self, table, q, rects, leaf, region, sy, tx, ty,
                    floor_k, attributed) -> None:
         """Fill ``table``'s per-window-query lists: the batched window
-        walk from ``leaf`` over ``rects`` (the rows' real-space search
-        rectangles; ``sy`` / ``tx`` / ``ty`` are their generators' frame
+        walk over ``rects`` (the rows' real-space search rectangles,
+        each from its generator's ``leaf``, the rows of one leaf
+        adjacent; ``sy`` / ``tx`` / ``ty`` are the generators' frame
         sign and frame coordinates), and what the enumeration of each
         row comes to when it offers nothing.
 
@@ -1197,7 +1279,7 @@ class NWCEngine:
         else:
             table.avoided = [False] * len(sy)
         nodes, leaves, member_rect, cols = flat.window_query_batch(
-            rects, start_depth)
+            rects, start_depth, leaf)
         my = flat.ys.take(cols)
         if region is not None:
             mx = flat.xs.take(cols)
@@ -1222,11 +1304,14 @@ class NWCEngine:
         # Rows short of n members keep a floor nobody reads.
         floors = np.full(len(sy), math.inf)
         passed = np.zeros(len(cols), dtype=bool)
-        cuts = [0, len(sy)]
+        # A pass never spans two leaves: their rows share no members,
+        # so the count table of a pass would grow with their product.
+        cuts = {0, len(sy), *(np.flatnonzero(leaf[1:] != leaf[:-1]) + 1).tolist()}
         if len(cols) > _FLOOR_BUDGET:
-            cuts[1:1] = np.searchsorted(
+            cuts.update(np.searchsorted(
                 indptr, np.arange(_FLOOR_BUDGET, len(cols), _FLOOR_BUDGET),
-                side="right").tolist()
+                side="right").tolist())
+        cuts = sorted(cuts)
         for r0, r1 in zip(cuts, cuts[1:]):
             if not full[r0:r1].any():
                 continue

@@ -21,11 +21,19 @@ class ObjectGroup:
     objects: tuple[PointObject, ...]
     distance: float
     window: Rect
+    # :attr:`oids`, once asked for; no part of the group's value.
+    _oids: frozenset[int] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def oids(self) -> frozenset[int]:
-        """Object ids — the kNWC overlap constraint compares these."""
-        return frozenset(p.oid for p in self.objects)
+        """Object ids — the kNWC overlap constraint compares these
+        (built on first use: kNWC group selection asks many times)."""
+        cached = self._oids
+        if cached is None:
+            cached = frozenset(p.oid for p in self.objects)
+            object.__setattr__(self, "_oids", cached)
+        return cached
 
     def overlap(self, other: "ObjectGroup") -> int:
         """``|objs_1 ∩ objs_2|`` of Definition 3."""

@@ -69,6 +69,18 @@ _EMPTY_MBR = (np.inf, np.inf, -np.inf, -np.inf)
 _PAIR_BUDGET = 4096
 
 
+def _meets(a, b) -> np.ndarray:
+    """Element by element, whether the closed boxes ``a`` and ``b``
+    (each four equally long arrays ``x1, y1, x2, y2``) intersect."""
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    meet = ax1 <= bx2
+    meet &= bx1 <= ax2
+    meet &= ay1 <= by2
+    meet &= by1 <= ay2
+    return meet
+
+
 class FlatRTree:
     """Read-only struct-of-arrays snapshot of an R*-tree.
 
@@ -374,18 +386,22 @@ class FlatRTree:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def window_query_batch(self, rects: np.ndarray, start_depth=None):
+    def window_query_batch(self, rects: np.ndarray, start_depth=None,
+                           groups=None):
         """Window queries for many rectangles in one pass.
 
         ``rects`` is a ``(4, R)`` array with rows ``x1, y1, x2, y2``;
         ``start_depth`` gives per rectangle the depth of its start
-        nodes (see :meth:`FlatIWP.start_depths`; default: the root).
-        Returns ``(nodes, leaves, member_rect, member_cols)``: the node
-        and leaf accesses the scalar walk would charge for each
-        rectangle (the caller charges them — nothing is counted here)
-        and the member columns of all rectangles as parallel arrays,
-        ascending in the rectangle index, in no particular order within
-        one rectangle.
+        nodes (see :meth:`FlatIWP.start_depths`; default: the root);
+        ``groups`` labels every rectangle, rectangles of one group
+        adjacent — a group is a set of rectangles that lie close
+        together, such as the search regions of one leaf (default: all
+        of them one group).  Returns ``(nodes, leaves, member_rect,
+        member_cols)``: the node and leaf accesses the scalar walk
+        would charge for each rectangle (the caller charges them —
+        nothing is counted here) and the member columns of all
+        rectangles as parallel arrays, ascending in the rectangle
+        index, in no particular order within one rectangle.
 
         MBRs nest, so a node below the start depth is reached by the
         scalar walk exactly when its own MBR meets the rectangle: its
@@ -393,30 +409,60 @@ class FlatRTree:
         IWP start set is by construction every node of its depth that
         meets the rectangle.  The accesses of a rectangle are therefore
         a count — the nodes at or below its start depth that meet it —
-        and one descent from the root along the rectangles' union box
-        finds the candidate nodes for all of them.
+        over any candidate set holding those nodes.  One descent of
+        ``(group, node)`` pairs along each group's own union box finds
+        such a set per group (a node meeting a rectangle meets the
+        union box of its group, and so do its ancestors), and each
+        rectangle is compared with the candidates of its group only:
+        the work grows with the number of groups, not with its square.
         """
-        mbrs = self.mbrs
-        # Candidates: per level, the nodes meeting the union box.
-        low, high = rects[:2].min(axis=1), rects[2:].max(axis=1)
-        levels = [np.zeros(1, dtype=np.intp)]
+        boxes = self.mbrs.T
+        total = rects.shape[1]
+        # group_of: the rank of each rectangle's group; gstart: where
+        # each group begins.
+        first = np.zeros(total, dtype=bool)
+        first[0] = True
+        if groups is not None:
+            first[1:] = groups[1:] != groups[:-1]
+        gstart = first.nonzero()[0]
+        group_of = first.cumsum() - 1
+        union = (*np.minimum.reduceat(rects[:2], gstart, axis=1),
+                 *np.maximum.reduceat(rects[2:], gstart, axis=1))
+        # Candidates: per level, the (group, node) pairs whose node
+        # meets the group's union box; the root is everyone's.
+        pair_group = np.arange(len(gstart))
+        pair_node = np.zeros(len(gstart), dtype=np.intp)
+        cand_group, cand_node = [pair_group], [pair_node]
         for _ in range(self.height):
-            child = self._children(levels[-1])
-            box = mbrs[child]
-            levels.append(
-                child[((box[:, :2] <= high) & (low <= box[:, 2:])).all(axis=1)])
-        cand = np.concatenate(levels)
-        leaf_level = levels[-1]
-        # meet[r, c]: rectangle r reaches candidate c.
-        box = mbrs[cand].T[:, None]
-        meet = ((box[:2] <= rects[2:, :, None])
-                & (rects[:2, :, None] <= box[2:])).all(axis=0)
+            pair_node, counts = self._children(pair_node)
+            pair_group = pair_group.repeat(counts)
+            meet = _meets([side[pair_node] for side in boxes],
+                          [side[pair_group] for side in union])
+            pair_group, pair_node = pair_group[meet], pair_node[meet]
+            cand_group.append(pair_group)
+            cand_node.append(pair_node)
+        cand_group = np.concatenate(cand_group)
+        cand_node = np.concatenate(cand_node)[
+            np.argsort(cand_group, kind="stable")]
+        # The ragged (rectangle, candidate) product, rectangle by
+        # rectangle: each against the candidates of its own group.
+        per_group = np.bincount(cand_group)
+        fan = per_group[group_of]
+        ends = fan.cumsum()
+        pair_rect = np.arange(total).repeat(fan)
+        pair_node = cand_node[
+            ((per_group.cumsum() - per_group)[group_of] - (ends - fan)).repeat(fan)
+            + np.arange(ends[-1])]
+        meet = _meets([side[pair_node] for side in boxes],
+                      [side.repeat(fan) for side in rects])
         if start_depth is not None:
-            depth = np.arange(len(levels)).repeat([len(ids) for ids in levels])
-            meet &= depth >= start_depth[:, None]
-        meet_leaf = meet[:, len(cand) - len(leaf_level):]
-        pair_rect, pair_leaf = meet_leaf.nonzero()
-        pair_leaf = leaf_level[pair_leaf]
+            # BFS numbering: the nodes at or below a depth are the ids
+            # from that level's first on.
+            meet &= self.level_bounds[start_depth].repeat(fan) <= pair_node
+        pair_rect, pair_node = pair_rect[meet], pair_node[meet]
+        nodes = np.bincount(pair_rect, minlength=total)
+        at_leaf = pair_node >= self.level_bounds[-2]
+        pair_rect, pair_leaf = pair_rect[at_leaf], pair_node[at_leaf]
         # Containment pass over the (rectangle, leaf) pairs, about
         # _PAIR_BUDGET (rectangle, column) pairs at a time.
         counts = self.count[pair_leaf]
@@ -428,8 +474,8 @@ class FlatRTree:
                 side="right").tolist()
         member_rect, member_cols = [], []
         for lo, hi in zip(cuts, cuts[1:]):
-            cols = self._children(pair_leaf[lo:hi])
-            rect = pair_rect[lo:hi].repeat(counts[lo:hi])
+            cols, sizes = self._children(pair_leaf[lo:hi])
+            rect = pair_rect[lo:hi].repeat(sizes)
             x, y = self.xs.take(cols), self.ys.take(cols)
             inside = rects[0].take(rect) <= x
             inside &= x <= rects[2].take(rect)
@@ -437,19 +483,19 @@ class FlatRTree:
             inside &= y <= rects[3].take(rect)
             member_rect.append(rect[inside])
             member_cols.append(cols[inside])
-        return (meet.sum(axis=1), meet_leaf.sum(axis=1),
+        return (nodes, np.bincount(pair_rect, minlength=total),
                 np.concatenate(member_rect), np.concatenate(member_cols))
 
-    def _children(self, nodes: np.ndarray) -> np.ndarray:
+    def _children(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of all children of ``nodes`` — object columns when they
-        are leaves — parent by parent."""
+        are leaves — parent by parent, and the child count of each."""
         counts = self.count[nodes]
         ends = counts.cumsum()
         # first child of each parent, pre-shifted by the parent's offset
         # in the result so one arange completes the ids
         shift = (self.first[nodes] - (ends - counts)).astype(np.int32)
         return shift.repeat(counts) + np.arange(
-            ends[-1] if len(ends) else 0, dtype=np.int32)
+            ends[-1] if len(ends) else 0, dtype=np.int32), counts
 
     def window_query(self, rect: Rect, count_io: bool = True) -> list[PointObject]:
         """Object-level window query from the root (the columnar twin
@@ -556,15 +602,20 @@ class FlatIWP:
         self._anc = np.array([ancestors[d] for d in self._pointer_depths],
                              dtype=np.int64).reshape(-1, hi - lo)
 
-    def start_depths(self, leaf_id: int, rects: np.ndarray) -> np.ndarray:
+    def start_depths(self, leaf_id, rects: np.ndarray) -> np.ndarray:
         """Depth of the window-query start nodes of many rectangles
-        queried from one leaf (``rects`` is ``(4, R)`` as in
-        :meth:`FlatRTree.window_query_batch`): the first backward
-        pointer, leaf to root, whose MBR contains the rectangle, and
-        ``0`` for a root start (chosen or fallback)."""
+        (``rects`` is ``(4, R)`` as in
+        :meth:`FlatRTree.window_query_batch`), each queried from its
+        own leaf when ``leaf_id`` is an ``(R,)`` array and all from one
+        leaf when it is an id: the first backward pointer, leaf to
+        root, whose MBR contains the rectangle, and ``0`` for a root
+        start (chosen or fallback)."""
         depths = self._pointer_depths
         if not len(depths):
             return np.zeros(rects.shape[1], dtype=np.intp)
-        box = self.flat.mbrs[self._anc[:, leaf_id - self._leaf_lo]][:, :, None]
-        contains = ((box[:, :2] <= rects[:2]) & (rects[2:] <= box[:, 2:])).all(axis=1)
+        # (4, pointer, 1 or R) against (4, 1, R)
+        box = self.flat.mbrs[
+            self._anc[:, np.atleast_1d(leaf_id) - self._leaf_lo]].transpose(2, 0, 1)
+        contains = ((box[:2] <= rects[:2, None])
+                    & (rects[2:, None] <= box[2:])).all(axis=0)
         return np.where(contains.any(axis=0), depths[contains.argmax(axis=0)], 0)

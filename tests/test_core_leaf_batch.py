@@ -16,10 +16,17 @@ floor answers a row from its counters: there the number of
 ``ColumnarSnapshot`` builds is part of the contract too — far below the
 number of regions that enumerate, and the same whether or not a tracer
 or a metrics registry is watching.
+
+The third part runs it on *sparse* windows, where a query walks many
+leaves before any group exists and the loop builds the tables of the
+next leaves in the heap together, ahead of their pop: there the number
+of tables built is part of the contract, and so is what happens to a
+leaf prepared ahead that is then pruned, restamped or never reached.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -28,6 +35,7 @@ import pytest
 
 import numpy as np
 
+from repro.core import engine as engine_module
 from repro.core import (
     DistanceMeasure,
     KNWCQuery,
@@ -69,6 +77,8 @@ POINTS = _lattice_points()
 LOCATIONS = [(250.0, 250.0), (112.5, 387.5), (301.3, 148.9), (-20.0, 510.0)]
 ALL_FLAGS = [OptimizationFlags(*bits)
              for bits in itertools.product((False, True), repeat=4)]
+FLAG_IDS = ["".join(name for name, on in zip("SIEW", (f.srr, f.dip, f.dep, f.iwp))
+                    if on) or "none" for f in ALL_FLAGS]
 
 
 def _engine(flags, execution, tree=None, traced=False, grid=None):
@@ -95,9 +105,7 @@ def _assert_same_nwc(oracle, columnar, query, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "flags", ALL_FLAGS,
-    ids=["".join(name for name, on in zip(("S", "I", "E", "W"), (
-        f.srr, f.dip, f.dep, f.iwp)) if on) or "none" for f in ALL_FLAGS])
+    "flags", ALL_FLAGS, ids=FLAG_IDS)
 @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
 def test_every_flag_combination_matches_the_oracle(flags, traced):
     oracle = _engine(flags, "python", traced=traced)
@@ -228,9 +236,9 @@ def test_bound_moving_mid_leaf_restamps_the_table(monkeypatch):
     builds = []
     original = NWCEngine._leaf_table
 
-    def recording(self, q, stream, start, bound, *rest):
-        builds.append((stream.leaf, start, bound))
-        return original(self, q, stream, start, bound, *rest)
+    def recording(self, q, parts, bound, *rest):
+        builds.extend((stream.leaf, start, bound) for stream, start in parts)
+        return original(self, q, parts, bound, *rest)
 
     monkeypatch.setattr(NWCEngine, "_leaf_table", recording)
     engines = [NWCEngine(RStarTree.bulk_load(points, max_entries=16),
@@ -243,11 +251,14 @@ def test_bound_moving_mid_leaf_restamps_the_table(monkeypatch):
     for leaf, start, bound in builds:
         by_leaf.setdefault(leaf, []).append((start, bound))
     restamped = [stamps for stamps in by_leaf.values() if len(stamps) > 1]
-    assert restamped, "no leaf table was recomputed mid-leaf"
+    assert any(stamps[-1][0] > 0 for stamps in restamped), \
+        "no leaf table was recomputed mid-leaf"
     for stamps in restamped:
         starts = [start for start, _ in stamps]
         bounds = [bound for _, bound in stamps]
-        assert starts == sorted(set(starts)) and starts[-1] > 0
+        # A leaf waiting with its head unpopped may be restamped at the
+        # same row (in another leaf's group); it never goes back.
+        assert starts == sorted(starts)
         assert bounds == sorted(set(bounds), reverse=True)  # the bound only drops
     counts = engines[1].tracer.last.counts
     assert counts["srr_objects_skipped"] > 0
@@ -416,20 +427,20 @@ def _first_floor(monkeypatch, flags, query, anchor):
     tables = []
     original = NWCEngine._leaf_table
 
-    def recording(self, q, stream, start, *rest):
-        table = original(self, q, stream, start, *rest)
-        tables.append((stream, table))
-        return table
+    def recording(self, q, parts, *rest):
+        original(self, q, parts, *rest)
+        tables.append((parts[0][0], parts[0][0].table, parts[0][0].base))
 
     with monkeypatch.context() as patch:
         patch.setattr(NWCEngine, "_leaf_table", recording)
         _dense_engine(flags, "columnar").nwc_ordered(
             query, anchor_region=anchor)
-    stream, table = tables[0]
-    row = next(r for r, slot in enumerate(table.slots) if slot >= 0)
-    floor = table.floors[table.slots[row]]
+    stream, table, base = tables[0]
+    at = next(i for i in range(-base, len(stream.xs))
+              if table.slots[i + base] >= 0)
+    floor = table.floors[table.slots[at + base]]
     assert math.isfinite(floor) and floor > 0.0
-    return floor, stream.xs[table.start + row], stream.ys[table.start + row]
+    return floor, stream.xs[at], stream.ys[at]
 
 
 @pytest.mark.parametrize("flags", [Scheme.NWC_STAR, NO_SRR], ids=["star", "no-srr"])
@@ -546,3 +557,273 @@ def test_leaf_window_counts_equal_per_region_spans():
         _, _, los, his = kernels.window_spans(region[order], -np.inf, 1.5)
         assert counts[at:at + size][order].tolist() == (his - los).tolist()
         at += size
+
+
+# ----------------------------------------------------------------------
+# Sparse windows: tables built ahead of the pop
+# ----------------------------------------------------------------------
+SPARSE_EXTENT = Rect(0.0, 0.0, 1000.0, 1000.0)
+SPARSE_LENGTH, SPARSE_WIDTH = 8.0, 6.0
+#: Mid-data, near a corner, and outside the extent.
+SPARSE_LOCATIONS = [(500.0, 500.0), (60.0, 130.0), (-40.0, 1010.0)]
+NO_SRR_NO_DIP = OptimizationFlags(srr=False, dip=False, dep=True, iwp=True)
+
+
+CLUSTERS = ((640.0, 610.0), (180.0, 820.0), (905.0, 95.0), (330.0, 240.0))
+
+
+def _sparse_points(background: int = 520, clusters=CLUSTERS,
+                   seed: int = 19) -> list[PointObject]:
+    """A uniform background too thin to fill an 8 x 6 window (0.02
+    objects a window at 520) and half-unit-lattice clusters of ten
+    that do: a query pops leaf after leaf under an infinite bound, then
+    finds a group far away."""
+    rng = random.Random(seed)
+    coords = [(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
+              for _ in range(background)]
+    for cx, cy in clusters:
+        coords += [(cx + rng.randrange(9) * 0.5, cy + rng.randrange(7) * 0.5)
+                   for _ in range(10)]
+    return make_points(coords)
+
+
+SPARSE = _sparse_points()
+
+
+def _sparse_engine(flags, execution, points=SPARSE, **observers):
+    if isinstance(flags, Scheme):
+        flags = flags.flags
+    grid = DensityGrid.build(points, SPARSE_EXTENT, CELL) if flags.dep else None
+    return NWCEngine(RStarTree.bulk_load(points, max_entries=8), flags,
+                     grid=grid, execution=execution, **observers)
+
+
+def _sparse_pair(flags, points=SPARSE):
+    return [_sparse_engine(flags, mode, points, tracer=QueryTracer())
+            for mode in ("python", "columnar")]
+
+
+def _sparse_query(x, y, n, measure=DistanceMeasure.MAX):
+    return NWCQuery(x, y, SPARSE_LENGTH, SPARSE_WIDTH, n, measure)
+
+
+class _Tables:
+    """Every ``_leaf_table`` call of the columnar loop, in order:
+    ``(bound, [(stream, start, ahead)])`` — ``ahead`` when the stream's
+    leaf had not been popped yet."""
+
+    def __init__(self, monkeypatch):
+        self.builds = []
+        original = NWCEngine._leaf_table
+
+        def recording(engine, q, parts, bound, *rest):
+            self.builds.append((bound, [(stream, start, stream.seq is None)
+                                        for stream, start in parts]))
+            return original(engine, q, parts, bound, *rest)
+
+        monkeypatch.setattr(NWCEngine, "_leaf_table", recording)
+
+    def clear(self):
+        del self.builds[:]
+
+    def parts(self):
+        return [part for _, parts in self.builds for part in parts]
+
+    def streams(self):
+        return list({id(stream): stream for stream, _, _ in self.parts()}.values())
+
+    def ahead(self):
+        return list({id(stream): stream
+                     for stream, _, ahead in self.parts() if ahead}.values())
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    return _Tables(monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "flags", ALL_FLAGS, ids=FLAG_IDS)
+@pytest.mark.parametrize("observer", ["plain", "traced", "registry"])
+def test_sparse_every_flag_combination_matches_the_oracle(flags, observer, tables):
+    observers = {"plain": dict, "traced": lambda: {"tracer": QueryTracer()},
+                 "registry": lambda: {"metrics": MetricsRegistry()}}[observer]
+    oracle = _sparse_engine(flags, "python", **observers())
+    columnar = _sparse_engine(flags, "columnar", **observers())
+    for measure, n, (x, y) in itertools.product(
+            DistanceMeasure, (1, 3, 8), SPARSE_LOCATIONS[:2]):
+        _assert_same_nwc(oracle, columnar, _sparse_query(x, y, n, measure))
+    if observer == "registry":
+        a, b = (engine.metrics.to_dict() for engine in (oracle, columnar))
+        assert a["nwc_opt_events_total"] == b["nwc_opt_events_total"]
+        assert a["nwc_query_node_accesses"] == b["nwc_query_node_accesses"]
+    # The contract was checked on tables built ahead, not one at a time.
+    assert tables.ahead()
+    assert max(len(parts) for _, parts in tables.builds) > 2
+
+
+def test_sparse_queries_build_few_tables(tables):
+    """Clock-free budget: with the bound infinite for most of the
+    search, a table serves a doubling number of leaves."""
+    points = _sparse_points(background=2600, clusters=CLUSTERS[2:3])
+    oracle, columnar = _sparse_pair(Scheme.NWC_STAR, points)
+    for x, y in SPARSE_LOCATIONS:
+        tables.clear()
+        _assert_same_nwc(oracle, columnar, _sparse_query(x, y, 8))
+        popped = [s for s in tables.streams() if s.seq is not None]
+        assert len(tables.builds) * 3 < len(popped)
+        # What is built in vain stays below what is used.
+        assert len(tables.ahead()) - len(popped) < len(popped)
+
+
+def test_a_first_leaf_that_offers_keeps_one_leaf_per_table(tables, monkeypatch):
+    """Dense windows: the first leaf offers a group, the bound is finite
+    from then on, and nothing is ever built ahead of its pop — the only
+    table stamped ``inf`` holds one leaf, as in the one-leaf-at-a-time
+    loop (the cap patched to 1), which also builds no fewer tables."""
+    columnar = _dense_engine(Scheme.NWC_STAR, "columnar")
+    for x, y in DENSE_LOCATIONS[:2] + [(80.2, 20.7)]:  # inside the data
+        query = NWCQuery(x, y, LENGTH, WIDTH, 8)
+        tables.clear()
+        columnar.nwc(query)
+        grouped = list(tables.builds)
+        assert not tables.ahead()
+        assert [len(parts) for bound, parts in grouped if bound == math.inf] == [1]
+        # ... and the group starts over whenever the bound has moved.
+        assert all(len(parts) == 1 for (before, _), (bound, parts)
+                   in zip(grouped, grouped[1:]) if bound != before)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "_GROUP_CAP", 1)
+            tables.clear()
+            columnar.nwc(query)
+        assert all(len(parts) == 1 for _, parts in tables.builds)
+        assert (sum(bound == math.inf for bound, _ in tables.builds) == 1
+                and len(grouped) <= len(tables.builds))
+
+
+@pytest.mark.parametrize("flags,region,counter", [
+    (OptimizationFlags(False, False, False, False),
+     Rect(400.0, 380.0, 700.0, 650.0), None),
+    (OptimizationFlags(False, False, True, False), None, "dep_nodes_pruned"),
+    (OptimizationFlags(False, True, False, False), None, "dip_nodes_pruned"),
+], ids=["region", "dep-node", "dip-after-the-bound-moved"])
+def test_a_leaf_prepared_ahead_and_pruned_at_its_pop_charges_nothing(
+        flags, region, counter, tables):
+    """None of these schemes stops early, so a stream prepared ahead
+    whose leaf never got its ``seq`` was dropped at its pop."""
+    oracle, columnar = _sparse_pair(flags)
+    dropped = 0
+    for n, (x, y) in itertools.product((3, 8), SPARSE_LOCATIONS):
+        tables.clear()
+        kwargs = {} if region is None else {"region": region}
+        _assert_same_nwc(oracle, columnar, _sparse_query(x, y, n), **kwargs)
+        pruned = [s for s in tables.ahead() if s.seq is None]
+        if counter is not None:
+            assert len(pruned) <= columnar.tracer.last.counts.get(counter, 0)
+        dropped += len(pruned)
+    assert dropped > 0
+
+
+def test_a_table_prepared_under_inf_restamps_under_srr(tables):
+    oracle, columnar = _sparse_pair(Scheme.NWC_STAR)
+    result = _assert_same_nwc(oracle, columnar, _sparse_query(500.0, 500.0, 8))
+    assert result.found
+    stamps: dict[int, list] = {}
+    for bound, parts in tables.builds:
+        for stream, start, ahead in parts:
+            stamps.setdefault(id(stream), []).append((bound, ahead))
+    # Prepared before its pop under inf, reached after the first offer.
+    assert any(history[0] == (math.inf, True)
+               and any(bound < math.inf for bound, _ in history[1:])
+               for history in stamps.values())
+
+
+def test_a_table_prepared_under_inf_is_kept_without_srr(tables):
+    """Without SRR (and without DIP: every leaf is popped, every row
+    replayed) no table is built twice, though the bound moves while
+    leaves prepared under ``inf`` are still waiting — those beyond the
+    answer's distance plus a window diagonal pop after the last offer."""
+    oracle, columnar = _sparse_pair(NO_SRR_NO_DIP)
+    query = _sparse_query(500.0, 500.0, 8)
+    result = _assert_same_nwc(oracle, columnar, query)
+    assert result.found
+    assert len(tables.parts()) == len(tables.streams())
+    late = [stream for bound, parts in tables.builds
+            for stream, _, ahead in parts
+            if ahead and bound == math.inf and stream.seq is not None
+            and stream.dists[0] > result.distance + query.diagonal]
+    assert late
+    assert any(bound < math.inf for bound, _ in tables.builds)
+
+
+@pytest.mark.parametrize("flags", [Scheme.NWC_STAR, NO_SRR], ids=["star", "no-srr"])
+def test_sparse_sharded_entry_points_and_seeds(flags, tables):
+    """A finite seed makes the rows depend on the bound from the first
+    pop: under SRR nothing may be built ahead of its pop."""
+    if isinstance(flags, Scheme):
+        flags = flags.flags
+    oracle = _sparse_engine(flags, "python")
+    columnar = _sparse_engine(flags, "columnar")
+    anchor = (250.0, 0.0, 700.5, 1000.0)
+    query = _sparse_query(500.0, 500.0, 8)
+    for bound in (None, 5e-324, 150.0, 400.0):
+        tables.clear()
+        (a, a_order), (b, b_order) = (
+            engine.nwc_ordered(query, bound=bound, anchor_region=anchor)
+            for engine in (oracle, columnar))
+        assert _answer(a) == _answer(b)
+        assert a_order == b_order
+        assert a.stats == b.stats
+        if flags.srr:
+            assert bool(tables.ahead()) == (bound is None)
+        elif bound in (None, 400.0):  # (a small seed leaves DIP one leaf)
+            assert tables.ahead()
+        pools = []
+        for engine in (oracle, columnar):
+            pool = engine.knwc_candidates(
+                KNWCQuery(query, 2, 2), 8, bound=bound, anchor_region=anchor)
+            pools.append(([g.oids for g in pool.groups],
+                          [g.distance for g in pool.groups], pool.orders,
+                          pool.horizon, engine.tree.stats.snapshot()))
+        assert pools[0] == pools[1]
+
+
+def test_sparse_windows_after_interleaved_updates(tables):
+    """The flat snapshot is rebuilt between queries: a stream prepared
+    for one query must not live into the next."""
+    engines = _sparse_pair(Scheme.NWC_STAR)
+    rng = random.Random(43)
+    live = list(SPARSE)
+    next_oid = 3_000_000
+    ahead = 0
+    for step in range(15):
+        if step % 3 == 2:
+            victim = live.pop(rng.randrange(len(live)))
+            assert all(engine.delete(victim) for engine in engines)
+        else:
+            obj = PointObject(next_oid, rng.uniform(-20.0, 1020.0),
+                              rng.uniform(0.0, 1000.0))
+            next_oid += 1
+            live.append(obj)
+            for engine in engines:
+                engine.insert(obj)
+        x, y = SPARSE_LOCATIONS[step % 3]
+        tables.clear()
+        _assert_same_nwc(*engines, _sparse_query(x, y, 8))
+        ahead += len(tables.ahead())
+        tables.clear()
+        gc.collect()
+        assert not any(isinstance(found, engine_module._LeafStream)
+                       for found in gc.get_objects())
+    assert ahead > 0
+
+
+@pytest.mark.parametrize("cap", [1, 2, 1000])
+def test_group_cap_changes_no_answer_and_no_counter(monkeypatch, cap, tables):
+    monkeypatch.setattr(engine_module, "_GROUP_CAP", cap)
+    for flags in (Scheme.NWC_STAR, NO_SRR):
+        oracle, columnar = _sparse_pair(flags)
+        for n, (x, y) in itertools.product((3, 8), SPARSE_LOCATIONS):
+            _assert_same_nwc(oracle, columnar, _sparse_query(x, y, n))
+    assert max(len(parts) for _, parts in tables.builds) <= cap
+    assert (cap == 1) == (not tables.ahead())

@@ -1,11 +1,13 @@
 """Unit tests for query descriptors and result types."""
 
 import math
+import pickle
 
 import pytest
 
 from repro.core import DistanceMeasure, KNWCQuery, NWCQuery, NWCResult, ObjectGroup
 from repro.geometry import Rect, make_points
+from repro.serve.protocol import _serialize_group, group_from_payload
 
 
 class TestNWCQuery:
@@ -63,6 +65,17 @@ class TestObjectGroup:
         b = ObjectGroup((pts[1], pts[2]), 2.0, Rect(0, 0, 5, 5))
         assert a.overlap(b) == 1
         assert a.overlap(a) == 2
+
+    def test_oids_are_built_once_and_are_no_part_of_the_value(self):
+        asked, fresh = (self._group([(1, 1), (2, 2)]) for _ in range(2))
+        assert asked.oids is asked.oids
+        assert asked == fresh and hash(asked) == hash(fresh)
+        assert repr(asked) == repr(fresh)
+        for group in (asked, fresh):
+            copy = pickle.loads(pickle.dumps(group))
+            assert copy == group and copy.oids == group.oids
+        assert group_from_payload(_serialize_group(asked)) == fresh
+        assert _serialize_group(asked) == _serialize_group(fresh)
 
 
 class TestNWCResult:

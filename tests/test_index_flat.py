@@ -27,7 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import PointObject, Rect, make_points
-from repro.index import FlatRTree, RStarTree, load_tree, save_tree
+from repro.index import (
+    FlatIWP,
+    FlatRTree,
+    IWPIndex,
+    RStarTree,
+    load_tree,
+    save_tree,
+)
 from repro.storage import IOStats
 from tests.conftest import make_clustered_points, make_uniform_points
 
@@ -124,6 +131,118 @@ def test_window_query_matches_tree(case):
     # Identical I/O accounting: same nodes touched, pushed or pruned.
     assert flat.stats.node_accesses == tree.stats.node_accesses
     assert flat.stats.leaf_accesses == tree.stats.leaf_accesses
+
+
+# ----------------------------------------------------------------------
+# The grouped batch walk against the scalar IWP start-set walk
+# ----------------------------------------------------------------------
+def _leaves_in_flat_order(tree):
+    """The tree's leaf nodes in the order ``from_tree`` numbers them."""
+    level = [tree.root]
+    while not level[0].is_leaf:
+        level = [child for node in level for child in node.entries]
+    return level
+
+
+def _grouped_case(height, group_count, per_group, seed):
+    """A tree of the given height and ``group_count`` groups of
+    ``per_group`` rectangles, each group issued from one leaf: windows
+    around that leaf's objects, from a point to a tenth of the extent.
+    The first group also holds a rectangle that misses the root MBR and
+    (with ``per_group > 1``) one that covers all of it."""
+    count, max_entries = {0: (7, 8), 2: (400, 16), 5: (1200, 4)}[height]
+    points = make_uniform_points(count, seed=seed)
+    tree = RStarTree.bulk_load(points, max_entries=max_entries)
+    flat = FlatRTree.from_tree(tree)
+    assert flat.height == height
+    leaves = _leaves_in_flat_order(tree)
+    leaf_lo = int(flat.level_bounds[-2])
+    rng = np.random.default_rng(seed)
+    picked = rng.choice(len(leaves), min(group_count, len(leaves)),
+                        replace=False).tolist()
+    rects, leaf_ids = [], []
+    for g, at in enumerate(picked):
+        for k in range(per_group):
+            p = leaves[at].entries[k % len(leaves[at].entries)]
+            w, h = rng.uniform(0.0, 100.0, 2).tolist()
+            rects.append((p.x - w, p.y - h / 2, p.x, p.y + h / 2))
+            leaf_ids.append(leaf_lo + at)
+        if g == 0:
+            rects[-1] = (2000.0, 2000.0, 2100.0, 2050.0)
+            if per_group > 1:
+                rects[-2] = (-1.0, -1.0, 1001.0, 1001.0)
+    return tree, flat, leaves, leaf_lo, np.array(rects).T, np.array(leaf_ids)
+
+
+@pytest.mark.parametrize("height", [0, 2, 5])
+@pytest.mark.parametrize("group_count,per_group",
+                         [(1, 9), (2, 6), (17, 4), (17, 1)])
+@pytest.mark.parametrize("budget", [None, 50], ids=["budget", "budget-50"])
+def test_grouped_batch_walk_matches_the_scalar_start_set_walk(
+        height, group_count, per_group, budget, monkeypatch):
+    if budget is not None:  # many containment passes on any tree
+        monkeypatch.setattr("repro.index.flat._PAIR_BUDGET", budget)
+    tree, flat, leaves, leaf_lo, rects, leaf_ids = _grouped_case(
+        height, group_count, per_group, seed=31 + height)
+    iwp, flat_iwp = IWPIndex(tree), FlatIWP(flat)
+    start_depth = flat_iwp.start_depths(leaf_ids, rects)
+    nodes, leaf_hits, member_rect, member_cols = flat.window_query_batch(
+        rects, start_depth, leaf_ids)
+    assert (np.diff(member_rect) >= 0).all()
+    for r, (rect, leaf_id) in enumerate(zip(rects.T.tolist(), leaf_ids.tolist())):
+        tree.stats.reset()
+        starts = iwp.start_nodes(leaves[leaf_id - leaf_lo], Rect(*rect))
+        want = tree.window_query_from(starts, Rect(*rect))
+        assert (int(nodes[r]), int(leaf_hits[r])) == (
+            tree.stats.node_accesses, tree.stats.leaf_accesses)
+        assert sorted(flat.oids[member_cols[member_rect == r]].tolist()) == \
+            sorted(p.oid for p in want)
+        assert (start_depth[r] != 0) == (starts[0] is not tree.root)
+    # The rectangle off the data reads nothing, wherever it starts.
+    off = per_group - 1
+    assert (nodes[off], leaf_hits[off]) == (0, 0)
+    # Default arguments: root starts, everything one group.
+    root_nodes, _, root_rect, root_cols = flat.window_query_batch(rects)
+    for r, rect in enumerate(rects.T.tolist()):
+        tree.stats.reset()
+        want = tree.window_query(Rect(*rect))
+        assert int(root_nodes[r]) == tree.stats.node_accesses
+        assert sorted(flat.oids[root_cols[root_rect == r]].tolist()) == \
+            sorted(p.oid for p in want)
+
+
+def test_rectangles_above_the_pair_budget():
+    """Rectangles that hold the whole data set: far more (rectangle,
+    column) pairs than one containment pass takes."""
+    points = make_uniform_points(2000, seed=5)
+    tree = RStarTree.bulk_load(points, max_entries=8)
+    flat = FlatRTree.from_tree(tree)
+    rects = np.array([(-1.0, -1.0, 1001.0, 1001.0), (0.0, 0.0, 1000.0, 600.0),
+                      (-5.0, 300.0, 1005.0, 1005.0)]).T
+    groups = np.array([4, 4, 9])
+    nodes, leaf_hits, member_rect, member_cols = flat.window_query_batch(
+        rects, None, groups)
+    assert len(member_cols) > 4096
+    for r, rect in enumerate(rects.T.tolist()):
+        tree.stats.reset()
+        want = tree.window_query(Rect(*rect))
+        assert (int(nodes[r]), int(leaf_hits[r])) == (
+            tree.stats.node_accesses, tree.stats.leaf_accesses)
+        assert sorted(flat.oids[member_cols[member_rect == r]].tolist()) == \
+            sorted(p.oid for p in want)
+
+
+@pytest.mark.parametrize("height", [0, 2, 5])
+def test_start_depths_per_row_leaves_equal_per_leaf_calls(height):
+    _, flat, _, _, rects, leaf_ids = _grouped_case(height, 17, 4, seed=77)
+    flat_iwp = FlatIWP(flat)
+    per_row = flat_iwp.start_depths(leaf_ids, rects)
+    for leaf in set(leaf_ids.tolist()):
+        rows = leaf_ids == leaf
+        assert per_row[rows].tolist() == \
+            flat_iwp.start_depths(leaf, rects[:, rows]).tolist()
+    if height:
+        assert len(set(per_row.tolist())) > 1  # not every start is the root
 
 
 @settings(max_examples=80, deadline=None)
