@@ -7,7 +7,6 @@ from .bruteforce import (
     qualified_window_exists,
 )
 from .errors import (
-    BatchStateError,
     EngineConfigError,
     NWCError,
     QueryParameterError,
@@ -19,7 +18,6 @@ from .engine import (
     NWCEngine,
 )
 from .group import Aggregate, GroupNWCQuery, group_knwc, group_nwc, group_nwc_bruteforce
-from .kernels import RegionCache, RegionSnapshot
 from .knwc import ExactGroupBuffer, PaperGroupList, make_policy
 from .maxrs import MaxRSResult, maxrs, maxrs_bruteforce
 from .measures import (
@@ -40,10 +38,7 @@ from .regions import (
     shrink_search_region,
 )
 from .results import (
-    BatchStats,
-    KNWCBatchResult,
     KNWCResult,
-    NWCBatchResult,
     NWCResult,
     ObjectGroup,
 )
@@ -53,8 +48,6 @@ from .sweep import knwc_sweep, nwc_sweep
 __all__ = [
     "ALL_SCHEMES",
     "Aggregate",
-    "BatchStateError",
-    "BatchStats",
     "DEFAULT_EXECUTION",
     "DEFAULT_GRID_CELL_SIZE",
     "DistanceMeasure",
@@ -64,17 +57,13 @@ __all__ = [
     "GroupNWCQuery",
     "MaxRSResult",
     "FrameRegion",
-    "KNWCBatchResult",
     "KNWCQuery",
     "KNWCResult",
-    "NWCBatchResult",
     "NWCEngine",
     "NWCError",
     "NWCQuery",
     "NWCResult",
     "ObjectGroup",
-    "RegionCache",
-    "RegionSnapshot",
     "OptimizationFlags",
     "PaperGroupList",
     "QuadrantFrame",

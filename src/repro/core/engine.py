@@ -28,7 +28,7 @@ import itertools
 import math
 import time
 from bisect import bisect_left, bisect_right
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from ..index import FlatIWP, FlatRTree, IWPIndex, RStarTree
 from ..obs.metrics import DEFAULT_WORK_BUCKETS, MetricsRegistry
 from ..obs.trace import ATTRIBUTION_KEYS, NULL_TRACER
 from . import kernels
-from .errors import BatchStateError, EngineConfigError
+from .errors import EngineConfigError
 from .knwc import CandidatePool, KNWCCandidates, _rank_key, make_policy
 from .measures import DistanceMeasure
 from .query import KNWCQuery, NWCQuery
@@ -49,25 +49,18 @@ from .regions import (
     search_region,
     shrink_search_region,
 )
-from .results import (
-    BatchStats,
-    KNWCBatchResult,
-    KNWCResult,
-    NWCBatchResult,
-    NWCResult,
-    ObjectGroup,
-)
+from .results import KNWCResult, NWCResult, ObjectGroup
 from .schemes import OptimizationFlags, Scheme
 
 #: Paper default: "The grid cell size is set to 25" (Section 5).
 DEFAULT_GRID_CELL_SIZE = 25.0
 
-#: Engine execution modes: the original scalar path, the numpy kernel
-#: path (see :mod:`repro.core.kernels`) and the columnar, leaf-batched
-#: path over the flat struct-of-arrays index (see
-#: :mod:`repro.index.flat`); all three return bit-identical answers and
-#: counters.
-EXECUTION_MODES = ("python", "numpy", "columnar")
+#: Engine execution modes: the scalar path — the paper's loop, line by
+#: line, the reference every identity suite compares against — and the
+#: columnar, leaf-batched array loop over the flat struct-of-arrays
+#: index (see :mod:`repro.index.flat` and :mod:`repro.core.kernels`);
+#: both return bit-identical answers and counters.
+EXECUTION_MODES = ("python", "columnar")
 
 #: Default execution mode.
 DEFAULT_EXECUTION = "columnar"
@@ -241,15 +234,14 @@ class NWCEngine:
             grid: Pre-built density grid (DEP); built on demand otherwise.
             grid_cell_size: Cell side used when the grid is auto-built.
             iwp: Pre-built pointer index (IWP); built on demand otherwise
-                (scalar/numpy modes only — the columnar path builds a
+                (scalar mode only — the columnar path builds a
                 :class:`~repro.index.flat.FlatIWP` instead).
             extent: Data-space rectangle for the auto-built grid; defaults
                 to the root MBR.
-            execution: ``"columnar"`` (whole-frontier array search over
-                the flat struct-of-arrays index, the default),
-                ``"numpy"`` (array enumeration kernels over the scalar
-                tree walk) or ``"python"`` (the original scalar path);
-                all three return bit-identical results and counters.
+            execution: ``"columnar"`` (leaf-batched array search over
+                the flat struct-of-arrays index, the default) or
+                ``"python"`` (the scalar reference path); both return
+                bit-identical results and counters.
             flat: Pre-built flat snapshot of ``tree`` (columnar mode);
                 converted on demand otherwise.  Must share ``tree``'s
                 stats counter.
@@ -305,14 +297,6 @@ class NWCEngine:
                 )
                 for key, _ in ATTRIBUTION_KEYS
             }
-            self._m_batch_cache = {
-                outcome: metrics.counter(
-                    "nwc_cache_events_total",
-                    "Result/region cache events by layer",
-                    labels={"layer": "batch", "outcome": outcome},
-                )
-                for outcome in ("hit", "miss")
-            }
         self.scheme = scheme if isinstance(scheme, Scheme) else None
         self.flags = scheme.flags if isinstance(scheme, Scheme) else scheme
         self.grid = grid
@@ -327,9 +311,6 @@ class NWCEngine:
         self._flat = flat
         self._flat_iwp = flat_iwp
         self._flat_dirty = False
-        self._region_cache: kernels.RegionCache | None = None
-        self._last_cache_hits = 0
-        self._last_cache_misses = 0
         # Sharded-search state: a half-open ``(x1, y1, x2, y2)`` rectangle
         # restricting which objects may *anchor* windows (members still
         # come from the whole tree), plus the anchor distance / frame
@@ -361,16 +342,10 @@ class NWCEngine:
         holds the object).  The IWP pointer index is structural and is
         rebuilt lazily before the next query.
 
-        Raises :class:`BatchStateError` while a batch is in flight: the
-        batch's region LRU holds window contents computed against the
-        pre-update dataset, so a mutation mid-batch would silently serve
-        stale regions to the remaining queries.
+        Updates and queries are ordered by the caller (the server's
+        write slot); the engine holds no state across queries that an
+        update could leave stale.
         """
-        if self._region_cache is not None:
-            raise BatchStateError(
-                "cannot insert while a batch is in flight: the batch's "
-                "region cache would serve stale window contents"
-            )
         if isinstance(self.tree, FlatRTree):
             raise EngineConfigError(
                 "engine is bound to a read-only flat snapshot; updates "
@@ -392,14 +367,8 @@ class NWCEngine:
     def delete(self, obj: PointObject) -> bool:
         """Delete one object; returns False when it is not indexed.
 
-        Raises :class:`BatchStateError` while a batch is in flight, for
-        the same reason as :meth:`insert`.
+        Ordered against queries by the caller, like :meth:`insert`.
         """
-        if self._region_cache is not None:
-            raise BatchStateError(
-                "cannot delete while a batch is in flight: the batch's "
-                "region cache would serve stale window contents"
-            )
         if isinstance(self.tree, FlatRTree):
             raise EngineConfigError(
                 "engine is bound to a read-only flat snapshot; updates "
@@ -648,79 +617,6 @@ class NWCEngine:
                               horizon=policy.horizon())
 
     # ------------------------------------------------------------------
-    # Batched execution
-    # ------------------------------------------------------------------
-    def nwc_batch(
-        self,
-        queries: Iterable[NWCQuery],
-        region: Rect | None = None,
-        cache_size: int = kernels.DEFAULT_CACHE_SIZE,
-    ) -> NWCBatchResult:
-        """Answer many NWC queries with shared engine state.
-
-        Per-query answers are identical to calling :meth:`nwc` in a
-        loop; the batch shares one structure refresh and refuses
-        updates while it is in flight.  The scalar and numpy modes also
-        install an LRU of window-query results keyed on the
-        search-region rectangle, so queries that regenerate the same
-        region skip the tree descent (and, in numpy mode, the y-sort);
-        the columnar loop fetches regions a leaf at a time and reports
-        no LRU events.  Aggregate counters and cache effectiveness are
-        reported in the result's ``stats``.
-        """
-        results = []
-        for query, _cache in self._batched(queries, cache_size):
-            results.append(self.nwc(query, region=region))
-        return NWCBatchResult(
-            results=tuple(results),
-            stats=BatchStats.collect(
-                [r.stats for r in results], self._last_cache_hits,
-                self._last_cache_misses,
-            ),
-        )
-
-    def knwc_batch(
-        self,
-        queries: Iterable[KNWCQuery],
-        maintenance: str = "exact",
-        region: Rect | None = None,
-        cache_size: int = kernels.DEFAULT_CACHE_SIZE,
-    ) -> KNWCBatchResult:
-        """Batched :meth:`knwc`; see :meth:`nwc_batch` for semantics."""
-        results = []
-        for query, _cache in self._batched(queries, cache_size):
-            results.append(self.knwc(query, maintenance=maintenance, region=region))
-        return KNWCBatchResult(
-            results=tuple(results),
-            stats=BatchStats.collect(
-                [r.stats for r in results], self._last_cache_hits,
-                self._last_cache_misses,
-            ),
-        )
-
-    def _batched(self, queries: Iterable, cache_size: int):
-        """Iterate ``queries`` with the region LRU installed."""
-        if self._region_cache is not None:
-            raise BatchStateError("batch execution cannot be nested")
-        self._refresh_structures()
-        cache = kernels.RegionCache(cache_size)
-        self._region_cache = cache
-        self._last_cache_hits = 0
-        self._last_cache_misses = 0
-        try:
-            for query in queries:
-                yield query, cache
-        finally:
-            self._last_cache_hits = cache.hits
-            self._last_cache_misses = cache.misses
-            self._region_cache = None
-            if self.metrics is not None:
-                if cache.hits:
-                    self._m_batch_cache["hit"].inc(cache.hits)
-                if cache.misses:
-                    self._m_batch_cache["miss"].inc(cache.misses)
-
-    # ------------------------------------------------------------------
     # Core search (Algorithm 1)
     # ------------------------------------------------------------------
     def _observed_search(self, kind: str, q: NWCQuery, policy,
@@ -859,51 +755,31 @@ class NWCEngine:
                     attr.dep_windows_cancelled += 1
                 continue
             stats.window_queries += 1
-            cache = self._region_cache
-            cache_key = None
-
-            def fetch_members(leaf=leaf, real_sr=real_sr):
-                if flags.iwp:
-                    if attr is not None:
-                        starts = self.iwp.start_nodes(leaf, real_sr)
-                        if starts[0] is not tree.root:
-                            attr.iwp_root_descents_avoided += 1
-                        found = tree.window_query_from(starts, real_sr)
-                    else:
-                        found = self.iwp.window_query(leaf, real_sr)
-                else:
-                    found = tree.window_query(real_sr)
-                if region is not None:
-                    found = [m for m in found if region.contains_object(m)]
-                return found
-
             wq_span = None
             if tracing:
                 wq_span = tracer.start_span(
                     "window_query", {"oid": p.oid, "dist": dist_p}
                 )
             try:
-                if cache is not None:
-                    cache_key = (real_sr.x1, real_sr.y1, real_sr.x2, real_sr.y2)
-                    members = cache.members(cache_key, fetch_members)
+                if flags.iwp:
+                    starts = self.iwp.start_nodes(leaf, real_sr)
+                    if attr is not None and starts[0] is not tree.root:
+                        attr.iwp_root_descents_avoided += 1
+                    members = tree.window_query_from(starts, real_sr)
                 else:
-                    members = fetch_members()
+                    members = tree.window_query(real_sr)
+                if region is not None:
+                    members = [m for m in members if region.contains_object(m)]
                 enum_span = None
                 if tracing:
                     enum_span = tracer.start_span(
                         "enumerate", {"members": len(members)}
                     )
                 try:
-                    if self.execution == "numpy":
-                        self._enumerate_windows_numpy(
-                            q, frame, sr, members, policy, prune_windows,
-                            cache_key, attr=attr, tspan=enum_span,
-                        )
-                    else:
-                        self._enumerate_windows(
-                            q, frame, sr, members, policy, prune_windows,
-                            attr=attr, tspan=enum_span,
-                        )
+                    self._enumerate_windows(
+                        q, frame, sr, members, policy, prune_windows,
+                        attr=attr, tspan=enum_span,
+                    )
                 finally:
                     if tracing:
                         tracer.end_span(enum_span)
@@ -1406,89 +1282,6 @@ class NWCEngine:
             window = sr.window_rect(frame, entries[j][2].y)
             policy.offer(ObjectGroup(objects, distance, window))
 
-    def _enumerate_windows_numpy(
-        self,
-        q: NWCQuery,
-        frame: QuadrantFrame,
-        sr,
-        members: Sequence[PointObject],
-        policy,
-        prune_windows: bool,
-        cache_key: tuple | None = None,
-        attr: _Attribution | None = None,
-        tspan=None,
-    ) -> None:
-        """Array-kernel version of :meth:`_enumerate_windows`.
-
-        Same windows, same groups, same counters (see
-        :mod:`repro.core.kernels` for the bit-identity argument); only
-        the per-window top-``n`` selections remain per-window work, and
-        those run as ``argpartition`` over array slices.
-        """
-        if not members:
-            return
-        stats = self.tree.stats
-        n = q.n
-        sy = frame.sy
-        cache = self._region_cache
-        if cache is not None and cache_key is not None:
-            snap = cache.snapshot(cache_key, sy, members)
-        else:
-            snap = kernels.RegionSnapshot.build(members, sy)
-        tys, dsq = snap.frame_arrays(q.qx, q.qy, sy)
-        start, tops, los, his = kernels.window_spans(tys, sr.ty_p, q.width)
-        examined = len(tops)
-        if examined == 0:
-            return
-        stats.objects_examined += examined
-        stats.windows_evaluated += examined
-        qualified = (his - los) >= n
-        stats.qualified_windows += int(qualified.sum())
-        if not qualified.any():
-            return
-        mindists = kernels.window_mindists(tops, q.width, max(0.0, sr.x1))
-        objects_sorted = snap.objects
-        # The (distance, oid) selection order is shared by every window
-        # of the region; built lazily on the first unpruned window.
-        rank = None
-        # Group objects are only needed up front by the window-based
-        # measure; the point measures derive the distance from dsq alone,
-        # so the tuple can wait until the group survives the bound check.
-        lazy_objects = q.measure is not DistanceMeasure.NEAREST_WINDOW
-        for jj in qualified.nonzero()[0].tolist():
-            if prune_windows and mindists[jj] >= policy.bound():
-                if attr is not None:
-                    attr.windows_pruned_by_bound += 1
-                continue
-            if rank is None:
-                rank = kernels.rank_by_key(dsq, snap.oids)
-            sel = kernels.select_ranked(rank, int(los[jj]), int(his[jj]), n)
-            dsqs = dsq[sel].tolist()
-            if lazy_objects:
-                if tspan is not None:
-                    t0 = time.perf_counter()
-                    distance = self._measure(q, (), dsqs)
-                    tspan.add_time("measure_s", time.perf_counter() - t0)
-                    tspan.add_time("measure_calls", 1)
-                else:
-                    distance = self._measure(q, (), dsqs)
-                if prune_windows and distance >= policy.bound():
-                    continue
-                objects = tuple(objects_sorted[i] for i in sel.tolist())
-            else:
-                objects = tuple(objects_sorted[i] for i in sel.tolist())
-                if tspan is not None:
-                    t0 = time.perf_counter()
-                    distance = self._measure(q, objects, dsqs)
-                    tspan.add_time("measure_s", time.perf_counter() - t0)
-                    tspan.add_time("measure_calls", 1)
-                else:
-                    distance = self._measure(q, objects, dsqs)
-                if prune_windows and distance >= policy.bound():
-                    continue
-            window = sr.window_rect(frame, objects_sorted[start + jj].y)
-            policy.offer(ObjectGroup(objects, distance, window))
-
     def _enumerate_windows_columnar(
         self,
         q: NWCQuery,
@@ -1500,9 +1293,12 @@ class NWCEngine:
         attr: _Attribution | None = None,
         tspan=None,
     ) -> None:
-        """Column-id version of :meth:`_enumerate_windows_numpy`.
+        """Array-kernel version of :meth:`_enumerate_windows`.
 
-        Same spans, same counters, same groups; members are flat-index
+        Same windows, same groups, same counters (see
+        :mod:`repro.core.kernels` for the bit-identity argument); the
+        per-window top-``n`` selections are masks over one rank
+        permutation of the region, and members are flat-index
         column ids so objects materialize only for groups that survive
         the bound checks.  MAX/MIN measures without instrumentation take
         :meth:`_enumerate_columnar_fast`, which measures every candidate
@@ -1536,7 +1332,12 @@ class NWCEngine:
                 mindists, policy, prune_windows,
             )
             return
+        # The (distance, oid) selection order is shared by every window
+        # of the region; built lazily on the first unpruned window.
         rank = None
+        # Group objects are only needed up front by the window-based
+        # measure; the point measures derive the distance from dsq alone,
+        # so the tuple can wait until the group survives the bound check.
         lazy_objects = measure is not DistanceMeasure.NEAREST_WINDOW
         for jj in qualified.nonzero()[0].tolist():
             if prune_windows and mindists[jj] >= policy.bound():

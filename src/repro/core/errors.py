@@ -4,8 +4,8 @@ Every failure the NWC/kNWC layer can raise on its own maps to a
 subclass of :class:`NWCError`, so serving layers (the CLI, the eval
 harness) can turn engine misuse into clean diagnostics without string-
 matching bare builtins.  Each subclass also inherits the builtin
-exception the seed code raised (``ValueError`` / ``RuntimeError``), so
-existing ``except`` clauses keep working.
+exception the seed code raised (``ValueError``), so existing
+``except`` clauses keep working.
 
 Note that an *unsatisfiable* query — ``n`` larger than the dataset, or
 a constrained region holding no objects — is **not** an error: it
@@ -17,7 +17,6 @@ requests the engine cannot even interpret.
 from __future__ import annotations
 
 __all__ = [
-    "BatchStateError",
     "EngineConfigError",
     "NWCError",
     "QueryParameterError",
@@ -36,7 +35,3 @@ class QueryParameterError(NWCError, ValueError):
 class EngineConfigError(NWCError, ValueError):
     """The engine cannot be configured as requested (unknown execution
     mode, DEP grid over an empty tree, ...)."""
-
-
-class BatchStateError(NWCError, RuntimeError):
-    """Batched execution was used while another batch is in flight."""

@@ -5,11 +5,11 @@ all of its time in per-object Python work: building ``(ty, dsq, obj)``
 tuples, sorting them, bisecting the y-sorted list once per candidate
 partner and running ``heapq.nsmallest`` once per qualified window.  The
 kernels below compute the same quantities as whole-array numpy
-operations over one search region's members:
+operations over one search region's members, or over all the search
+regions of a group of leaves:
 
-* :class:`RegionSnapshot` — the frame transform and the stable y-sort,
-  reusable across queries because the sort order depends only on the
-  frame's y-sign, not on the query point;
+* :class:`ColumnarSnapshot` — the frame transform and the stable y-sort
+  of one region's members, as flat-index column ids;
 * :func:`shrink_uppers` — SRR's ``shrink_search_region`` for all the
   objects of a leaf at once;
 * :func:`window_spans` — the two-pointer window counting sweep
@@ -18,86 +18,37 @@ operations over one search region's members:
   window at once;
 * :func:`leaf_window_counts` — the member count of every candidate
   window of every search region of a leaf, without sorting any region;
-* :func:`select_group` — top-``n`` selection by ``(distance, oid)`` via
-  ``np.argpartition`` with an explicit tie fix-up so the result is
-  bit-identical to ``heapq.nsmallest`` with a composite key.
+* :func:`window_kth_dsq` — the MAX / MIN group distance of many windows
+  as one order-statistic pass;
+* :func:`rank_by_key` / :func:`select_ranked` — top-``n`` selection by
+  ``(distance, oid)``: one lexsort per region, one mask per window, the
+  same set in the same order as ``heapq.nsmallest`` with the composite
+  key.
 
 Every kernel mirrors the scalar code operation for operation (same IEEE
 arithmetic, same stable orderings, same boundary conventions), which is
 what lets the engine cross-check the two execution modes for identical
 groups, distances and counters.
-
-:class:`RegionCache` is the small LRU used by the batch query API: it
-memoizes window-query results (and their y-sorted snapshots) keyed by
-the real-space query rectangle, so consecutive queries in a batch that
-regenerate the same search region skip both the tree descent and the
-re-sort (scalar and numpy modes; the columnar engine batches window
-queries per leaf instead, see ``NWCEngine._leaf_table``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
-
-from ..geometry import PointObject
-
-#: Default capacity of the batch-mode region LRU.
-DEFAULT_CACHE_SIZE = 256
-
-
-@dataclass(slots=True)
-class RegionSnapshot:
-    """Frame-y-sorted view of one search region's members.
-
-    Position ``i`` of every array describes the member with the ``i``-th
-    smallest frame-y coordinate; ties keep the fetch order (a stable
-    sort), matching the scalar path's ``list.sort``.  The sort key is
-    ``sy * y``: frame y is ``sy * (y - qy)``, a strictly increasing
-    transform of it, so one snapshot serves every query point that
-    normalizes into the same vertical half-plane.
-    """
-
-    objects: list[PointObject]
-    xs: np.ndarray
-    ys: np.ndarray
-    oids: np.ndarray
-
-    @classmethod
-    def build(cls, members: Sequence[PointObject], sy: float) -> "RegionSnapshot":
-        count = len(members)
-        xs = np.fromiter((p.x for p in members), np.float64, count)
-        ys = np.fromiter((p.y for p in members), np.float64, count)
-        oids = np.fromiter((p.oid for p in members), np.int64, count)
-        order = np.argsort(ys if sy > 0 else -ys, kind="stable")
-        objects = [members[i] for i in order.tolist()]
-        return cls(objects, xs[order], ys[order], oids[order])
-
-    def __len__(self) -> int:
-        return len(self.objects)
-
-    def frame_arrays(self, qx: float, qy: float, sy: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(tys, dsq)`` for a query at ``(qx, qy)``.
-
-        ``tys`` are frame-y coordinates in ascending order; ``dsq`` are
-        squared Euclidean distances to the query point, aligned.
-        """
-        dy = self.ys - qy
-        dx = self.xs - qx
-        return sy * dy, dx * dx + dy * dy
 
 
 @dataclass(slots=True)
 class ColumnarSnapshot:
     """Frame-y-sorted view of one search region in flat-index columns.
 
-    The columnar twin of :class:`RegionSnapshot`: instead of a list of
-    ``PointObject``\\ s it keeps the flat index's column ids, so group
-    materialization can stay lazy until a window actually survives the
-    bound checks.  Sort semantics are identical (stable by ``sy * y``).
+    Position ``i`` of every array describes the member with the ``i``-th
+    smallest frame-y coordinate; ties keep the fetch order (a stable
+    sort), matching the scalar path's ``list.sort``.  The sort key is
+    ``sy * y``: frame y is ``sy * (y - qy)``, a strictly increasing
+    transform of it.  Members are the flat index's column ids, not
+    ``PointObject``\\ s, so group materialization stays lazy until a
+    window actually survives the bound checks.
     """
 
     cols: np.ndarray
@@ -117,8 +68,11 @@ class ColumnarSnapshot:
         return len(self.cols)
 
     def frame_arrays(self, qx: float, qy: float, sy: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(tys, dsq)`` for a query at ``(qx, qy)`` (see
-        :meth:`RegionSnapshot.frame_arrays`)."""
+        """``(tys, dsq)`` for a query at ``(qx, qy)``.
+
+        ``tys`` are frame-y coordinates in ascending order; ``dsq`` are
+        squared Euclidean distances to the query point, aligned.
+        """
         dy = self.ys - qy
         dx = self.xs - qx
         return sy * dy, dx * dx + dy * dy
@@ -240,33 +194,6 @@ def window_mindists(tops: np.ndarray, width: float,
     return np.sqrt(dx * dx + dys * dys)
 
 
-def select_group(
-    dsq: np.ndarray, oids: np.ndarray, lo: int, hi: int, n: int
-) -> np.ndarray:
-    """Positions of the ``n`` members of window ``[lo, hi)`` with the
-    smallest ``(squared distance, oid)`` key, in ascending key order.
-
-    ``np.argpartition`` partitions on the distance alone, so ties at the
-    cut value are re-resolved by oid explicitly — the returned set and
-    order are exactly those of ``heapq.nsmallest`` with the composite
-    key.  Requires ``hi - lo >= n``.
-    """
-    if hi - lo == n:
-        local = np.arange(lo, hi)
-    else:
-        d = dsq[lo:hi]
-        part = np.argpartition(d, n - 1)[:n]
-        cut = d[part].max()
-        strict = np.flatnonzero(d < cut)
-        ties = np.flatnonzero(d == cut)
-        need = n - strict.size
-        if ties.size > need:
-            ties = ties[np.argsort(oids[lo + ties], kind="stable")[:need]]
-        local = np.concatenate((strict, ties)) + lo
-    order = np.lexsort((oids[local], dsq[local]))
-    return local[order]
-
-
 def rank_by_key(dsq: np.ndarray, oids: np.ndarray) -> np.ndarray:
     """Positions of a region's members ordered by ``(distance, oid)``.
 
@@ -278,62 +205,10 @@ def rank_by_key(dsq: np.ndarray, oids: np.ndarray) -> np.ndarray:
 
 
 def select_ranked(rank: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
-    """First ``n`` members of window ``[lo, hi)`` in region rank order.
-
-    Equivalent to :func:`select_group` (same positions, same order) —
-    filtering the region-global ``(distance, oid)`` permutation to the
-    window's y-span keeps members sorted by the selection key.
+    """First ``n`` members of window ``[lo, hi)`` in region rank order:
+    the positions and order ``heapq.nsmallest`` gives under the
+    ``(squared distance, oid)`` key — filtering the region-global
+    permutation to the window's y-span keeps members sorted by it.
     """
     window = rank[(rank >= lo) & (rank < hi)]
     return window[:n]
-
-
-class RegionCache:
-    """Small LRU over window-query results, keyed by the query rectangle.
-
-    Used only inside batch query execution of the scalar and numpy
-    modes: queries in a batch that build the same search region (same
-    generating object, same window parameters, same SRR extension)
-    reuse the fetched member list — skipping the tree descent — and, in
-    numpy mode, the y-sorted :class:`RegionSnapshot` as well.  ``window_queries`` counters still
-    advance on hits; only the node I/O is saved.
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_CACHE_SIZE) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._members: OrderedDict[tuple, list[PointObject]] = OrderedDict()
-        self._snapshots: dict[tuple, RegionSnapshot] = {}
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def members(
-        self, key: tuple, fetch: Callable[[], list[PointObject]]
-    ) -> list[PointObject]:
-        """The window-query result for ``key``, fetching on a miss."""
-        found = self._members.get(key)
-        if found is not None:
-            self.hits += 1
-            self._members.move_to_end(key)
-            return found
-        self.misses += 1
-        found = fetch()
-        self._members[key] = found
-        if len(self._members) > self.maxsize:
-            evicted, _ = self._members.popitem(last=False)
-            self._snapshots.pop((evicted, 1.0), None)
-            self._snapshots.pop((evicted, -1.0), None)
-        return found
-
-    def snapshot(self, key: tuple, sy: float, members) -> RegionSnapshot:
-        """The y-sorted snapshot of ``members`` for y-sign ``sy``."""
-        snap = self._snapshots.get((key, sy))
-        if snap is None:
-            snap = RegionSnapshot.build(members, sy)
-            if key in self._members:
-                self._snapshots[(key, sy)] = snap
-        return snap

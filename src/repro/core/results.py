@@ -113,92 +113,3 @@ class KNWCResult:
             for b in self.groups[i + 1 :]:
                 worst = max(worst, a.overlap(b))
         return worst
-
-
-@dataclass(frozen=True, slots=True)
-class BatchStats:
-    """Aggregate counters of one batched query execution.
-
-    Attributes:
-        queries: Number of queries in the batch.
-        totals: Counter-wise sums of the per-query stats snapshots.
-        cache_hits: Region-LRU hits (window queries answered without
-            touching the tree).
-        cache_misses: Region-LRU misses.
-    """
-
-    queries: int
-    totals: dict[str, int]
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-    @staticmethod
-    def collect(
-        snapshots: list[dict[str, int]], cache_hits: int = 0, cache_misses: int = 0
-    ) -> "BatchStats":
-        """Sum per-query snapshots into one aggregate."""
-        totals: dict[str, int] = {}
-        for snap in snapshots:
-            for name, value in snap.items():
-                totals[name] = totals.get(name, 0) + value
-        return BatchStats(len(snapshots), totals, cache_hits, cache_misses)
-
-    def total(self, name: str = "node_accesses") -> int:
-        """Sum of one counter over the batch."""
-        return self.totals.get(name, 0)
-
-    def mean(self, name: str = "node_accesses") -> float:
-        """Per-query average of one counter."""
-        if self.queries == 0:
-            return 0.0
-        return self.totals.get(name, 0) / self.queries
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of window queries served from the region LRU."""
-        issued = self.cache_hits + self.cache_misses
-        return self.cache_hits / issued if issued else 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class NWCBatchResult:
-    """Answers of one NWC batch, in query order."""
-
-    results: tuple[NWCResult, ...]
-    stats: BatchStats
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __getitem__(self, index: int) -> NWCResult:
-        return self.results[index]
-
-    @property
-    def found_count(self) -> int:
-        """How many queries found a qualified window."""
-        return sum(1 for r in self.results if r.found)
-
-
-@dataclass(frozen=True, slots=True)
-class KNWCBatchResult:
-    """Answers of one kNWC batch, in query order."""
-
-    results: tuple[KNWCResult, ...]
-    stats: BatchStats
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __getitem__(self, index: int) -> KNWCResult:
-        return self.results[index]
-
-    @property
-    def total_groups(self) -> int:
-        """Groups returned across the whole batch."""
-        return sum(len(r.groups) for r in self.results)

@@ -7,7 +7,7 @@ span tree mirrors the shape of Algorithm 1:
 
 .. code-block:: text
 
-    query:nwc  scheme=NWC* execution=numpy
+    query:nwc  scheme=NWC* execution=columnar
     └─ search                      (the best-first object loop)
        ├─ window_query  oid=17    (one Algorithm-1 region fetch)
        │  └─ enumerate            (candidate-window sweep + measures)
@@ -29,7 +29,7 @@ Two tracer implementations share the interface:
 * :data:`NULL_TRACER` (a :class:`NullTracer`) — the default everywhere.
   Its ``enabled`` flag is ``False`` and instrumented code checks that
   flag *once per query*, so the disabled cost is a handful of attribute
-  reads — the overhead budget (≤2% on the numpy path) is enforced by
+  reads — the overhead budget (≤2%) is enforced by
   ``scripts/bench_report.py``.
 * :class:`QueryTracer` — records spans, bounded by ``max_spans`` so a
   baseline-scheme query over a large dataset cannot hoard memory; spans

@@ -38,9 +38,8 @@ __all__ = ["CacheStats", "ResultCache"]
 #: Default entry capacity.
 DEFAULT_CACHE_ENTRIES = 1024
 
-#: Cache event outcomes exported through the shared
-#: ``nwc_cache_events_total`` family (``layer="serve"``); the engine's
-#: batch region LRU exports the same family with ``layer="batch"``.
+#: Cache event outcomes exported through the
+#: ``nwc_cache_events_total`` family (``layer="serve"``).
 _EVENTS = ("hit", "miss", "expired", "invalidated", "carried", "evicted")
 
 
@@ -111,7 +110,7 @@ class ResultCache:
             self._m_events = {
                 event: metrics.counter(
                     "nwc_cache_events_total",
-                    "Result/region cache events by layer",
+                    "Result cache events by layer",
                     labels={"layer": "serve", "outcome": event},
                 )
                 for event in _EVENTS

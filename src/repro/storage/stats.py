@@ -8,7 +8,6 @@ instance attached to the tree, so experiments read a single counter.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 
@@ -58,24 +57,6 @@ class IOStats:
         for name in self.__dataclass_fields__:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
-
-    def merged_with(self, other: "IOStats") -> "IOStats":
-        """Return a new instance with counter-wise sums.
-
-        .. deprecated:: use ``stats += other`` (:meth:`__iadd__`) to
-           accumulate in place, or ``IOStats() + both`` style copies via
-           an explicit fresh instance.
-        """
-        warnings.warn(
-            "IOStats.merged_with() is deprecated; use the in-place "
-            "'stats += other' operator instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        merged = IOStats()
-        merged += self
-        merged += other
-        return merged
 
 
 @dataclass

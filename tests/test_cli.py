@@ -140,6 +140,14 @@ class TestErrorExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_deleted_execution_mode_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(TestTrace.ARGS + ["--execution", "numpy"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'numpy'" in err
+        assert "python" in err and "columnar" in err
+
 
 class TestResume:
     def test_resume_creates_checkpoint_and_skips_on_rerun(self, tmp_path, capsys):

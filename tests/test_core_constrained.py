@@ -54,6 +54,20 @@ class TestConstrainedNWC:
             for p in result.objects:
                 assert region.contains_object(p)
 
+    def test_baseline_scheme_filters_members(self):
+        # No pruning flag: every window query's members go through the
+        # region filter, query after query on one engine.
+        tree = RStarTree.bulk_load(make_clustered_points(600, seed=23),
+                                   max_entries=16)
+        engine = NWCEngine(tree, Scheme.NWC)
+        region = Rect(0.0, 0.0, 500.0, 500.0)
+        rng = random.Random(2)
+        for _ in range(6):
+            query = NWCQuery(rng.uniform(0, 1000), rng.uniform(0, 1000),
+                             60, 60, 3)
+            for obj in engine.nwc(query, region=region).objects:
+                assert region.contains_object(obj)
+
     def test_empty_region_returns_nothing(self):
         pts = make_uniform_points(200, seed=205)
         tree = RStarTree.bulk_load(pts, max_entries=16)

@@ -5,8 +5,16 @@ import math
 
 import pytest
 
-from repro.core import KNWCQuery, NWCEngine, NWCQuery, Scheme, nwc_sweep
-from repro.geometry import PointObject
+from repro.core import (
+    KNWCQuery,
+    NWCEngine,
+    NWCQuery,
+    OptimizationFlags,
+    Scheme,
+    nwc_sweep,
+)
+from repro.geometry import PointObject, Rect
+from repro.grid import DensityGrid
 from repro.index import RStarTree, validate_tree
 from tests.conftest import make_clustered_points, make_uniform_points
 
@@ -62,6 +70,21 @@ class TestInsert:
         result = engine.nwc(query)
         assert result.found
         assert {p.oid for p in result.objects} == {p.oid for p in planted}
+
+    def test_prebuilt_grid_cell_size_survives_rebuild(self):
+        """A pre-built grid's cell size (not the constructor default) must be
+        used when updates force a lazy grid rebuild."""
+        tree = RStarTree.bulk_load(make_clustered_points(600, seed=23),
+                                   max_entries=16)
+        grid = DensityGrid.build(tree.iter_objects(), Rect(0, 0, 1100, 1100), 80.0)
+        engine = NWCEngine(tree, OptimizationFlags(dep=True), grid=grid)
+        assert engine._grid_cell_size == 80.0
+        outsider = PointObject(999_999, 2000.0, 2000.0)
+        engine.insert(outsider)  # outside the grid extent -> dirty rebuild
+        engine.nwc(NWCQuery(500.0, 500.0, 60.0, 60.0, 3))
+        assert engine.grid.cell_size == 80.0
+        assert engine.grid is not grid  # actually rebuilt
+        assert engine.delete(outsider)
 
 
 class TestDelete:
@@ -179,7 +202,7 @@ class TestMutationEdges:
         assert _close(engine.nwc(query).distance,
                       nwc_sweep(current, query).distance)
 
-    @pytest.mark.parametrize("execution", ["python", "numpy"])
+    @pytest.mark.parametrize("execution", ["python", "columnar"])
     def test_n_equal_to_dataset_size(self, execution):
         pts = make_uniform_points(8, seed=81)
         tree = RStarTree.bulk_load(pts, max_entries=16)
@@ -190,7 +213,7 @@ class TestMutationEdges:
         assert result.reason is None  # satisfiable: runs the real search
         assert _close(result.distance, nwc_sweep(pts, query).distance)
 
-    @pytest.mark.parametrize("execution", ["python", "numpy"])
+    @pytest.mark.parametrize("execution", ["python", "columnar"])
     def test_n_exceeding_dataset_size_is_explicit_empty(self, execution):
         pts = make_uniform_points(8, seed=83)
         tree = RStarTree.bulk_load(pts, max_entries=16)
@@ -207,29 +230,17 @@ class TestMutationEdges:
         assert knwc.groups == ()
         assert knwc.reason == "n exceeds dataset size"
 
-    def test_scalar_and_numpy_agree_on_edge_n(self):
+    def test_scalar_and_columnar_agree_on_edge_n(self):
         pts = make_clustered_points(30, clusters=2, seed=85)
         tree_a = RStarTree.bulk_load(pts, max_entries=16)
         tree_b = RStarTree.bulk_load(pts, max_entries=16)
         scalar = NWCEngine(tree_a, Scheme.NWC_STAR, grid_cell_size=50.0,
                            execution="python")
         vector = NWCEngine(tree_b, Scheme.NWC_STAR, grid_cell_size=50.0,
-                           execution="numpy")
+                           execution="columnar")
         for n in (len(pts) - 1, len(pts), len(pts) + 1, len(pts) + 10):
             query = NWCQuery(500, 500, 1000, 1000, n)
             a, b = scalar.nwc(query), vector.nwc(query)
             assert a.found == b.found
             assert a.reason == b.reason
             assert _close(a.distance, b.distance)
-
-    def test_batch_reports_unsatisfiable_members(self):
-        pts = make_uniform_points(10, seed=87)
-        tree = RStarTree.bulk_load(pts, max_entries=16)
-        engine = NWCEngine(tree, Scheme.NWC_STAR, grid_cell_size=50.0)
-        queries = [
-            NWCQuery(500, 500, 1000, 1000, 2),
-            NWCQuery(500, 500, 1000, 1000, 11),
-        ]
-        batch = engine.nwc_batch(queries)
-        assert batch[0].found and batch[0].reason is None
-        assert not batch[1].found and batch[1].reason == "n exceeds dataset size"

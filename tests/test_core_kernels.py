@@ -1,9 +1,9 @@
 """Equivalence of the engine execution modes, plus kernel units.
 
-The numpy and columnar paths must be *bit-identical* to the scalar
-path: same groups (objects and order), same distances, same stats
-counters — across schemes, measures, window shapes and datasets with
-duplicate coordinates.  The property tests here are the contract that
+The columnar path must be *bit-identical* to the scalar path: same
+groups (objects and order), same distances, same stats counters —
+across schemes, measures, window shapes and datasets with duplicate
+coordinates.  The property tests here are the contract that
 lets the engine default to ``execution="columnar"``.
 """
 
@@ -19,22 +19,21 @@ from hypothesis import strategies as st
 from repro.core import (
     ALL_SCHEMES,
     DistanceMeasure,
+    EngineConfigError,
     KNWCQuery,
     NWCEngine,
     NWCQuery,
-    RegionCache,
-    RegionSnapshot,
     Scheme,
 )
 from repro.core.kernels import (
+    ColumnarSnapshot,
     rank_by_key,
-    select_group,
     select_ranked,
     window_mindists,
     window_spans,
 )
 from repro.geometry import PointObject, make_points
-from repro.index import RStarTree
+from repro.index import FlatRTree, RStarTree
 
 
 # ----------------------------------------------------------------------
@@ -67,25 +66,21 @@ def engine_cases(draw):
 
 def _run_both(points, scheme, build_query):
     tree = RStarTree.bulk_load(points, max_entries=8)
-    results = {}
-    for execution in ("python", "numpy", "columnar"):
-        engine = NWCEngine(tree, scheme, execution=execution)
-        results[execution] = build_query(engine)
-    return results["python"], results["numpy"], results["columnar"]
+    return [build_query(NWCEngine(tree, scheme, execution=execution))
+            for execution in ("python", "columnar")]
 
 
 @settings(max_examples=60, deadline=None)
 @given(engine_cases())
 def test_nwc_vector_modes_match_python(case):
     points, scheme, query = case
-    py, nx, col = _run_both(points, scheme, lambda e: e.nwc(query))
-    for other in (nx, col):
-        assert py.stats == other.stats
-        assert py.found == other.found
-        assert py.distance == other.distance
-        if py.found:
-            assert [p.oid for p in py.objects] == [p.oid for p in other.objects]
-            assert py.group.window == other.group.window
+    py, col = _run_both(points, scheme, lambda e: e.nwc(query))
+    assert py.stats == col.stats
+    assert py.found == col.found
+    assert py.distance == col.distance
+    if py.found:
+        assert [p.oid for p in py.objects] == [p.oid for p in col.objects]
+        assert py.group.window == col.group.window
 
 
 @settings(max_examples=30, deadline=None)
@@ -95,13 +90,12 @@ def test_knwc_vector_modes_match_python(case, k, m_raw, maintenance):
     points, scheme, base = case
     m = min(m_raw, base.n - 1)
     query = KNWCQuery(base, k, m)
-    py, nx, col = _run_both(points, scheme,
-                            lambda e: e.knwc(query, maintenance=maintenance))
-    for other in (nx, col):
-        assert py.stats == other.stats
-        assert py.distances == other.distances
-        assert [[p.oid for p in g.objects] for g in py.groups] == \
-            [[p.oid for p in g.objects] for g in other.groups]
+    py, col = _run_both(points, scheme,
+                        lambda e: e.knwc(query, maintenance=maintenance))
+    assert py.stats == col.stats
+    assert py.distances == col.distances
+    assert [[p.oid for p in g.objects] for g in py.groups] == \
+        [[p.oid for p in g.objects] for g in col.groups]
 
 
 # ----------------------------------------------------------------------
@@ -110,10 +104,13 @@ def test_knwc_vector_modes_match_python(case, k, m_raw, maintenance):
 def test_snapshot_sort_is_stable_and_matches_scalar():
     members = [PointObject(i, float(i), y) for i, y in
                enumerate([3.0, 1.0, 3.0, 1.0, 2.0])]
+    flat = FlatRTree.from_tree(RStarTree.bulk_load(members, max_entries=8))
+    cols = np.argsort(flat.oids)  # fetch order == ``members`` order
     for sy in (1.0, -1.0):
-        snap = RegionSnapshot.build(members, sy)
+        snap = ColumnarSnapshot.build(flat, cols, sy)
         expected = sorted(members, key=lambda p: sy * p.y)
-        assert [p.oid for p in snap.objects] == [p.oid for p in expected]
+        assert snap.oids.tolist() == [p.oid for p in expected]
+        assert flat.oids[snap.cols].tolist() == snap.oids.tolist()
         tys, dsq = snap.frame_arrays(0.0, 0.0, sy)
         assert list(tys) == [sy * p.y for p in expected]
         assert list(dsq) == [p.x * p.x + p.y * p.y for p in expected]
@@ -139,7 +136,7 @@ def test_window_spans_matches_bisect():
 @given(st.lists(st.integers(0, 8), min_size=3, max_size=40),
        st.integers(1, 5), st.randoms(use_true_random=False))
 @settings(max_examples=80, deadline=None)
-def test_select_group_matches_nsmallest(vals, n, rnd):
+def test_select_ranked_matches_nsmallest(vals, n, rnd):
     # Heavy duplication in vals forces tie-breaks through the oid path.
     dsq = np.asarray([float(v) for v in vals])
     oids = np.arange(len(vals), dtype=np.int64)
@@ -148,42 +145,17 @@ def test_select_group_matches_nsmallest(vals, n, rnd):
     hi = rnd.randrange(lo, len(vals)) + 1
     if hi - lo < n:
         return
-    got = select_group(dsq, oids, lo, hi, n).tolist()
     ref = heapq.nsmallest(n, range(lo, hi),
                           key=lambda i: (dsq[i], oids[i]))
-    assert got == ref
-    # The amortized path — one region-global rank, filtered per window —
-    # must pick the same members in the same order.
+    # One region-global rank, filtered per window, must pick the same
+    # members in the same order.
     rank = rank_by_key(dsq, oids)
     assert select_ranked(rank, lo, hi, n).tolist() == ref
 
 
-def test_region_cache_lru_and_hits():
-    cache = RegionCache(maxsize=2)
-    calls = []
-
-    def fetcher(tag):
-        def fetch():
-            calls.append(tag)
-            return [PointObject(tag, float(tag), float(tag))]
-        return fetch
-
-    assert cache.members(("a",), fetcher(1))[0].oid == 1
-    assert cache.members(("a",), fetcher(1))[0].oid == 1  # hit
-    assert cache.hits == 1 and cache.misses == 1 and calls == [1]
-    cache.members(("b",), fetcher(2))
-    cache.members(("c",), fetcher(3))  # evicts "a"
-    assert len(cache) == 2
-    cache.members(("a",), fetcher(4))  # refetched
-    assert calls == [1, 2, 3, 4]
-    # Snapshots are cached per (key, sy) and dropped with their entry.
-    members = cache.members(("a",), fetcher(4))
-    snap1 = cache.snapshot(("a",), 1.0, members)
-    assert cache.snapshot(("a",), 1.0, members) is snap1
-    assert cache.snapshot(("a",), -1.0, members) is not snap1
-
-
 def test_invalid_execution_mode_rejected(uniform_points):
     tree = RStarTree.bulk_load(uniform_points[:50])
-    with pytest.raises(ValueError):
-        NWCEngine(tree, Scheme.NWC, execution="fortran")
+    for mode in ("fortran", "numpy"):
+        with pytest.raises(EngineConfigError,
+                           match=r"\('python', 'columnar'\)"):
+            NWCEngine(tree, Scheme.NWC, execution=mode)

@@ -228,65 +228,3 @@ class TestExport:
     def test_default_bucket_sets_are_sorted(self):
         assert list(DEFAULT_LATENCY_BUCKETS) == sorted(DEFAULT_LATENCY_BUCKETS)
         assert list(DEFAULT_WORK_BUCKETS) == sorted(DEFAULT_WORK_BUCKETS)
-
-
-class TestBatchCacheMetrics:
-    """Satellite of the serving PR: the engine's batch region-cache
-    counters flow into the shared ``nwc_cache_events_total`` family
-    (``layer="batch"``), mirroring the serve-layer result cache
-    (``layer="serve"``) so both read uniformly off one registry."""
-
-    def _engine(self, reg):
-        from tests.conftest import make_uniform_points
-
-        from repro.core import NWCEngine, Scheme
-        from repro.index import RStarTree
-
-        tree = RStarTree.bulk_load(make_uniform_points(150, seed=77),
-                                   max_entries=16)
-        # The region LRU lives in the scalar/numpy modes; the columnar
-        # loop batches window queries per leaf and reports no LRU events.
-        return NWCEngine(tree, Scheme.NWC_STAR, metrics=reg,
-                         execution="numpy")
-
-    def test_batch_counters_match_batch_stats(self):
-        from repro.core import NWCQuery
-
-        reg = MetricsRegistry()
-        engine = self._engine(reg)
-        queries = [NWCQuery(100.0 * (i % 3), 200.0, 60, 60, 3)
-                   for i in range(9)]
-        batch = engine.nwc_batch(queries)
-        values = reg.to_dict()["nwc_cache_events_total"]["values"]
-        assert values['{layer="batch",outcome="hit"}'] == batch.stats.cache_hits
-        assert values['{layer="batch",outcome="miss"}'] == batch.stats.cache_misses
-        assert batch.stats.cache_hits > 0
-
-    def test_batch_counters_accumulate_across_batches(self):
-        from repro.core import NWCQuery
-
-        reg = MetricsRegistry()
-        engine = self._engine(reg)
-        queries = [NWCQuery(100, 200, 60, 60, 3)] * 3
-        first = engine.nwc_batch(queries).stats
-        second = engine.nwc_batch(queries).stats
-        values = reg.to_dict()["nwc_cache_events_total"]["values"]
-        assert values['{layer="batch",outcome="hit"}'] == (
-            first.cache_hits + second.cache_hits
-        )
-        # Per-batch stats stay batch-scoped while the registry accumulates.
-        assert engine._last_cache_hits == second.cache_hits
-
-    def test_serve_and_batch_layers_share_the_family(self):
-        from repro.serve.cache import ResultCache
-
-        reg = MetricsRegistry()
-        engine = self._engine(reg)
-        cache = ResultCache(metrics=reg)
-        cache.get("missing", 0)  # one serve-layer miss
-        from repro.core import NWCQuery
-
-        engine.nwc_batch([NWCQuery(100, 200, 60, 60, 3)] * 2)
-        values = reg.to_dict()["nwc_cache_events_total"]["values"]
-        assert '{layer="serve",outcome="miss"}' in values
-        assert '{layer="batch",outcome="miss"}' in values

@@ -222,7 +222,7 @@ QUERIES = [
 
 
 class TestEngineIntegration:
-    @pytest.mark.parametrize("execution", ["python", "numpy", "columnar"])
+    @pytest.mark.parametrize("execution", ["python", "columnar"])
     def test_tracing_is_bit_identical(self, obs_tree, obs_points, execution):
         """Results and I/O counters must not change when tracing is on."""
         plain = _engine(obs_tree, obs_points, execution)
@@ -239,9 +239,9 @@ class TestEngineIntegration:
 
     def test_modes_agree_under_tracing(self, obs_tree, obs_points):
         """Same stats, same attribution, same window-query spans (oid,
-        distance and I/O delta each) in every execution mode."""
+        distance and I/O delta each) in both execution modes."""
         results = {}
-        for execution in ("python", "numpy", "columnar"):
+        for execution in ("python", "columnar"):
             tracer = QueryTracer()
             engine = _engine(obs_tree, obs_points, execution, tracer=tracer)
             stats = [engine.nwc(q).stats for q in QUERIES]
@@ -249,18 +249,39 @@ class TestEngineIntegration:
                      for root in tracer.roots
                      for span in root.children[0].children]
             results[execution] = (stats, [r.counts for r in tracer.roots], walks)
-        assert results["python"] == results["numpy"] == results["columnar"]
+        assert results["python"] == results["columnar"]
+
+    def test_one_member_fetch_whoever_watches(self, obs_tree, obs_points):
+        """The scalar path fetches a region's members one way — IWP start
+        set, then the descent from it — with a tracer attached, a
+        registry attached, or neither: same answers, same full IOStats,
+        equal to columnar, and the root descents it reports avoided are
+        the ones it always reported."""
+        def answers(execution, **observers):
+            engine = _engine(obs_tree, obs_points, execution, **observers)
+            return [(r.stats, r.distance, [o.oid for o in r.objects])
+                    for r in map(engine.nwc, QUERIES)]
+
+        tracer, registry = QueryTracer(), MetricsRegistry()
+        plain = answers("python")
+        assert answers("python", tracer=tracer) == plain
+        assert answers("python", metrics=registry) == plain
+        assert answers("columnar") == plain
+        assert [root.counts.get("iwp_root_descents_avoided", 0)
+                for root in tracer.roots] == [0, 1, 4]
+        events = registry.to_dict()["nwc_opt_events_total"]["values"]
+        assert events['{event="iwp_root_descents_avoided"}'] == 5
 
     def test_root_span_io_matches_result_stats(self, obs_tree, obs_points):
         tracer = QueryTracer()
-        engine = _engine(obs_tree, obs_points, "numpy", tracer=tracer)
+        engine = _engine(obs_tree, obs_points, "columnar", tracer=tracer)
         result = engine.nwc(QUERIES[0])
         root = tracer.last
         assert root.name == "query:nwc"
         nonzero = {k: v for k, v in result.stats.items() if v}
         assert root.io == nonzero
 
-    @pytest.mark.parametrize("execution", ["python", "numpy", "columnar"])
+    @pytest.mark.parametrize("execution", ["python", "columnar"])
     def test_span_tree_io_is_conservative(self, obs_tree, obs_points, execution):
         """Parent I/O == own work + sum of children, recursively."""
         tracer = QueryTracer()
@@ -286,7 +307,7 @@ class TestEngineIntegration:
         assert (sum(w.io.get("node_accesses", 0) for w in walks)
                 == search.io["node_accesses"] - search.self_io["node_accesses"])
 
-    @pytest.mark.parametrize("execution", ["python", "numpy", "columnar"])
+    @pytest.mark.parametrize("execution", ["python", "columnar"])
     def test_attribution_fires_on_star_scheme(self, obs_tree, obs_points,
                                               execution):
         tracer = QueryTracer()
@@ -302,9 +323,9 @@ class TestEngineIntegration:
 
     def test_knwc_traced(self, obs_tree, obs_points):
         tracer = QueryTracer()
-        engine = _engine(obs_tree, obs_points, "numpy", tracer=tracer)
+        engine = _engine(obs_tree, obs_points, "columnar", tracer=tracer)
         query = KNWCQuery.make(500.0, 500.0, 80.0, 80.0, 3, 2, 0)
-        plain = _engine(obs_tree, obs_points, "numpy").knwc(query)
+        plain = _engine(obs_tree, obs_points, "columnar").knwc(query)
         traced = engine.knwc(query)
         assert traced.stats == plain.stats
         assert tracer.last.name == "query:knwc"
@@ -312,7 +333,7 @@ class TestEngineIntegration:
 
     def test_engine_metrics_populated(self, obs_tree, obs_points):
         registry = MetricsRegistry()
-        engine = _engine(obs_tree, obs_points, "numpy", metrics=registry)
+        engine = _engine(obs_tree, obs_points, "columnar", metrics=registry)
         for query in QUERIES:
             engine.nwc(query)
         text = registry.dump_metrics()
@@ -325,7 +346,7 @@ class TestEngineIntegration:
         """Engine, page file and buffer pool share one registry."""
         from repro.storage import PageFile, BufferPool
         registry = MetricsRegistry()
-        engine = _engine(obs_tree, obs_points, "numpy", metrics=registry)
+        engine = _engine(obs_tree, obs_points, "columnar", metrics=registry)
         engine.nwc(QUERIES[0])
         with PageFile(tmp_path / "pages.db", page_size=128, create=True,
                       metrics=registry) as file:

@@ -19,6 +19,7 @@ Three layers of proof, increasingly end-to-end:
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import socket
@@ -51,6 +52,7 @@ from repro.serve import (
     run_loadgen,
     wait_until_healthy,
 )
+from repro.serve.backoff import retry_deadline
 from repro.serve.loadgen import LoadgenConfig, LoadMix
 from repro.storage.wal import (
     WalCorruptionError,
@@ -319,25 +321,52 @@ class TestClientRobustness:
         assert closed == [True]
 
     def test_wait_until_healthy_backs_off_exponentially(self, monkeypatch):
+        """The polling schedule itself, on a virtual clock: sleeping
+        advances ``monotonic`` and nothing else does."""
+        class VirtualClock:
+            def __init__(self):
+                self.now = 100.0
+                self.sleeps = []  # (clock before the sleep, duration)
+
+            def monotonic(self):
+                return self.now
+
+            def sleep(self, duration):
+                self.sleeps.append((self.now, duration))
+                self.now += duration
+
+        clock = VirtualClock()
         attempts = []
 
         def refuse(self, *args, **kwargs):
-            attempts.append(time.monotonic())
+            attempts.append(clock.now)
             raise OSError("connection refused (test)")
 
         monkeypatch.setattr(ServeClient, "__init__", refuse)
-        started = time.monotonic()
-        with pytest.raises(TimeoutError):
+        monkeypatch.setattr("repro.serve.backoff.time", clock)
+        monkeypatch.setattr("repro.serve.client.time", clock)
+        # retry_deadline bound the real time.sleep as its default.
+        monkeypatch.setattr(
+            "repro.serve.client.retry_deadline",
+            functools.partial(retry_deadline, sleep=clock.sleep))
+        deadline = clock.now + 1.0
+        with pytest.raises(TimeoutError, match="connection refused"):
             wait_until_healthy("127.0.0.1", 1, timeout_s=1.0,
                                interval_s=0.05)
-        elapsed = time.monotonic() - started
-        assert elapsed >= 1.0
-        # Fixed 0.05s polling would make ~20 attempts in a second; the
-        # exponential schedule caps well below that even with jitter
-        # shaving every delay in half.
-        assert 2 <= len(attempts) <= 12
-        gaps = [b - a for a, b in zip(attempts, attempts[1:])]
-        assert gaps[-1] > gaps[0]  # delays grow
+        assert attempts[0] == 100.0  # the first attempt is immediate
+        assert len(attempts) == len(clock.sleeps) + 1
+        # 0.05, 0.1, 0.2, 0.4, 0.8, 1.0: five or six delays fill a second
+        # (fixed 0.05 s polling would make twenty attempts).
+        assert 6 <= len(attempts) <= 8
+        for i, (before, slept) in enumerate(clock.sleeps):
+            full = min(1.0, 0.05 * 2 ** i)
+            # Jitter only shortens, by at most half; a delay that would
+            # pass the deadline is clipped to end on it.
+            assert slept <= full
+            assert slept >= full / 2 or slept == deadline - before
+        before, slept = clock.sleeps[-1]
+        assert slept == deadline - before
+        assert deadline <= clock.now == pytest.approx(deadline)
 
     def test_retry_rides_through_server_restart(self, tmp_path):
         engine, durable = _boot(tmp_path / "state")

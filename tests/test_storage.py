@@ -54,15 +54,6 @@ class TestIOStats:
         assert a.leaf_accesses == 1
         assert b.node_accesses == 3  # unchanged
 
-    def test_merged_with_deprecated(self):
-        a = IOStats(node_accesses=2)
-        b = IOStats(node_accesses=3, leaf_accesses=1)
-        with pytest.deprecated_call():
-            merged = a.merged_with(b)
-        assert merged.node_accesses == 5
-        assert merged.leaf_accesses == 1
-        assert a.node_accesses == 2  # unchanged
-
     def test_aggregator_mean_total(self):
         agg = StatsAggregator()
         agg.add(IOStats(node_accesses=10))

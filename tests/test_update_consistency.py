@@ -52,7 +52,7 @@ def _assert_knwc_agrees(engine, points, query):
     ]
 
 
-@pytest.mark.parametrize("execution", ["python", "numpy"])
+@pytest.mark.parametrize("execution", ["python", "columnar"])
 @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.value)
 def test_random_interleaving_matches_bruteforce(scheme, execution):
     """~40 random ops; every query re-checked against brute force."""
@@ -89,7 +89,7 @@ def test_random_interleaving_matches_bruteforce(scheme, execution):
     validate_tree(engine.tree)
 
 
-@pytest.mark.parametrize("execution", ["python", "numpy"])
+@pytest.mark.parametrize("execution", ["python", "columnar"])
 def test_out_of_extent_inserts_dirty_grid_rebuild(execution):
     """Inserts beyond the DEP grid's extent flip ``_grid_dirty``; the
     lazy rebuild must happen before the next query prunes anything."""
@@ -110,16 +110,23 @@ def test_out_of_extent_inserts_dirty_grid_rebuild(execution):
     assert got.found and {p.oid for p in got.objects} == {p.oid for p in planted}
 
 
-@pytest.mark.parametrize("execution", ["python", "numpy"])
+@pytest.mark.parametrize("execution", ["python", "columnar"])
 def test_updates_rebuild_iwp_before_answering(execution):
     """IWP's structural pointers go stale on any update; interleaved
     queries must see the rebuilt index, not the old node graph."""
     points = make_clustered_points(80, clusters=3, span=400.0, seed=41)
     engine = _build(points, Scheme.NWC_STAR, execution)
-    assert engine.iwp is not None
+
+    def pointer_index():
+        return engine.iwp if execution == "python" else engine._flat_iwp
+
+    assert engine.flags.iwp
+    if execution == "python":  # columnar builds its FlatIWP with the first query
+        assert engine.iwp is not None
     live = list(points)
     rng = random.Random(43)
     for round_no in range(4):
+        stale = pointer_index()
         for _ in range(6):
             obj = PointObject(70_000 + round_no * 10 + _,
                               rng.uniform(0, 400), rng.uniform(0, 400))
@@ -132,16 +139,17 @@ def test_updates_rebuild_iwp_before_answering(execution):
         query = NWCQuery(rng.uniform(0, 400), rng.uniform(0, 400), 70, 70, 3)
         _assert_nwc_agrees(engine, live, query)
         assert not engine._iwp_dirty
+        assert pointer_index() is not None and pointer_index() is not stale
 
 
 def test_execution_modes_identical_through_updates():
-    """The python, numpy and columnar paths stay bit-identical across
+    """The python and columnar paths stay bit-identical across
     the same update/query interleaving (the serving twin-verify
     precondition; columnar also exercises the flat-snapshot rebuild)."""
     points = make_uniform_points(60, span=300.0, seed=47)
     engines = {
         mode: _build(list(points), Scheme.NWC_STAR, mode)
-        for mode in ("python", "numpy", "columnar")
+        for mode in ("python", "columnar")
     }
     rng = random.Random(53)
     for step in range(20):
@@ -152,11 +160,9 @@ def test_execution_modes_identical_through_updates():
                 engine.insert(obj)
         query = NWCQuery(rng.uniform(0, 300), rng.uniform(0, 300), 60, 60, 3)
         results = {mode: engine.nwc(query) for mode, engine in engines.items()}
-        py = results["python"]
-        for mode in ("numpy", "columnar"):
-            other = results[mode]
-            assert py.found == other.found
-            assert py.distance == other.distance  # bitwise, not approximate
-            if py.found:
-                assert [p.oid for p in py.objects] == \
-                    [p.oid for p in other.objects]
+        py, other = results["python"], results["columnar"]
+        assert py.found == other.found
+        assert py.distance == other.distance  # bitwise, not approximate
+        if py.found:
+            assert [p.oid for p in py.objects] == \
+                [p.oid for p in other.objects]
