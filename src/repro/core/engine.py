@@ -142,9 +142,11 @@ class _OrderedBestGroup(_BestGroup):
         return best if best < self._initial else self._initial
 
 
-#: ``_LeafTable.slots`` codes of rows that issue no window query.
+#: ``_LeafTable.slots`` codes of rows that issue no window query; a row
+#: outside ``region`` / ``anchor_region`` is dropped before SRR sees it.
 _SRR_SKIPPED = -1
 _DEP_CANCELLED = -2
+_OUTSIDE = -3
 
 #: Members per pass of the enumeration-floor work of a leaf table: its
 #: transient arrays are a few times this many elements, whatever the
@@ -163,9 +165,15 @@ class _LeafStream:
     carry ``seq + i``: ``seq`` is assigned when the leaf itself is
     popped (only the leaves' seq ranges order equal distances, the
     stream orders its own); a stream may be prepared, table and all,
-    before that."""
+    before that.
 
-    __slots__ = ("leaf", "dists", "cols", "seq", "xs", "ys", "table", "base")
+    Only its *events* enter the heap (``_search_loop_columnar``): rows
+    below ``at`` are charged, ``head`` is the row of its valid entry,
+    ``queued`` the rows of all its entries — a re-key leaves the older
+    one behind, superseded."""
+
+    __slots__ = ("leaf", "dists", "cols", "seq", "xs", "ys", "table", "base",
+                 "at", "head", "queued")
 
     def __init__(self, leaf, dists, cols, xs, ys) -> None:
         self.leaf = leaf
@@ -175,7 +183,30 @@ class _LeafStream:
         self.xs = xs
         self.ys = ys
         self.table: _LeafTable | None = None
-        self.base = 0
+        self.base = self.at = self.head = 0
+        self.queued: set[int] = set()
+
+    def first_after(self, dist: float, seq: int) -> int:
+        """The first uncharged row keyed after ``(dist, seq)`` in heap
+        order: equal distances are ordered by ``seq``."""
+        dists = self.dists
+        lo = bisect_left(dists, dist, self.at)
+        return min(bisect_right(dists, dist, lo), max(lo, seq + 1 - self.seq))
+
+    def next_event(self, i: int, reach: float | None) -> int:
+        """The first row from ``i`` on to pop under the table held
+        (``len(dists)``: none): one of ``table.events`` or — ``reach``
+        is the window diagonal under SRR — the first the SRR stop may
+        land on."""
+        table = self.table
+        events = table.events
+        end = len(self.dists)
+        at = bisect_left(events, i + self.base)
+        if at < len(events):
+            end = min(end, events[at] - self.base)
+        if reach is not None:
+            end = bisect_left(self.dists, table.bound + reach, i, end)
+        return end
 
 
 class _LeafTable:
@@ -184,27 +215,65 @@ class _LeafTable:
     :meth:`NWCEngine._leaf_table`).
 
     ``shrunk`` / ``upper`` / ``slots`` are per row; ``slots[row]`` is
-    ``_SRR_SKIPPED``, ``_DEP_CANCELLED`` or the row's index into the
-    per-window-query lists: IWP root descent ``avoided``, ``nodes`` /
-    ``leaves`` accessed, partners ``examined``, the member columns
-    ``cols[indptr[slot]:indptr[slot + 1]]`` and — ``floors`` is
-    ``None`` when the table has none — the enumeration ``floors``, a
-    lower bound on the distance of any group a row of ``n`` members
-    can offer, with the row's ``qualified`` window count; under
-    attribution ``mindists[qptr[slot]:qptr[slot + 1]]`` are the
+    ``_SRR_SKIPPED``, ``_DEP_CANCELLED``, ``_OUTSIDE`` or the row's
+    index into the per-window-query arrays: IWP root descent
+    ``avoided``, ``nodes`` / ``leaves`` accessed, partners ``examined``,
+    the member columns ``cols[indptr[slot]:indptr[slot + 1]]`` and —
+    ``floors`` is ``None`` when the table has none — the enumeration
+    ``floors``, a lower bound on the distance of any group a row of
+    ``n`` members can offer, with the row's ``qualified`` window count;
+    under attribution ``mindists[qptr[slot]:qptr[slot + 1]]`` are the
     MINDISTs of those windows.
+
+    ``events`` lists, ascending, the rows whose outcome the table does
+    not hold; the others are charged from ``sums``
+    (:meth:`running_sums`), built when a charge first reads them.
     """
 
     __slots__ = ("bound", "shrunk", "upper", "slots", "avoided",
                  "nodes", "leaves", "examined", "indptr", "cols",
-                 "qualified", "floors", "mindists", "qptr")
+                 "qualified", "floors", "mindists", "qptr", "events", "sums")
 
-    def __init__(self, bound, shrunk, upper) -> None:
+    def __init__(self, bound, shrunk, upper, slots) -> None:
         self.bound = bound
         self.shrunk = shrunk
         self.upper = upper
+        self.slots = slots
+        self.avoided = self.nodes = self.leaves = self.examined = ()
         self.cols = ()
-        self.floors = None
+        self.floors = self.sums = None
+        self.events: list[int] = []
+
+    def running_sums(self, attributed: bool) -> list[list[int]]:
+        """Build ``sums``: what popping a run of rows charges, no event
+        among them, as differences of running sums — one list of ints
+        per counter, in the order :meth:`NWCEngine._charge` unpacks.
+        ``queries``, ``cancelled``, ``shrunk`` and ``skipped`` run over
+        rows, the others over slots: ``queries[row]`` is the next slot."""
+        slots = self.slots
+        zeros = np.zeros(len(self.nodes), dtype=np.intp)
+        floored = self.floors is not None
+        per_row = [slots >= 0, slots == _DEP_CANCELLED]
+        per_slot = [self.nodes, self.leaves, self.examined,
+                    self.qualified if floored else zeros]
+        if attributed:
+            per_row += [self.shrunk, slots == _SRR_SKIPPED]
+            pruned = zeros
+            if floored:  # of each row's qualified windows, those pruned
+                beyond = np.zeros(len(self.mindists) + 1, dtype=np.intp)
+                np.cumsum(self.mindists >= self.bound, out=beyond[1:])
+                pruned = np.diff(beyond[self.qptr])
+            per_slot += [self.avoided, pruned]
+        rows, slots = (_running(counts) for counts in (per_row, per_slot))
+        self.sums = rows[:2] + slots[:4] + rows[2:] + slots[4:]
+        return self.sums
+
+
+def _running(counts: list) -> list[list[int]]:
+    """Running sums, from zero, of each of the equally long ``counts``."""
+    sums = np.zeros((len(counts), len(counts[0]) + 1), dtype=np.intp)
+    sums[:, 1:] = counts
+    return sums.cumsum(axis=1).tolist()
 
 
 class NWCEngine:
@@ -796,37 +865,42 @@ class NWCEngine:
         record order — but computes child MINDISTs and leaf-object
         distances as array passes.  Each popped leaf contributes one
         *stream* (its objects pre-sorted by ``(distance, seq)``) merged
-        through a single head entry: stream keys are nondecreasing and
-        every object enters the heap before its turn, so the global pop
-        sequence is identical to the scalar one-entry-per-object heap.
+        through a single head entry.
 
         The per-object body runs a group of leaves at a time
-        (:meth:`_leaf_table`): a pop only replays its precomputed row,
-        and every counter is charged here, at pop time, so rows an SRR
-        early stop never reaches cost nothing.  A table costs about the
-        same whatever its height, so each build also takes in the
-        other streams waiting for a table under the same bound and —
-        while the rows cannot depend on the bound — the leaves next in
-        the heap, whose streams are prepared ahead of their pop (which
-        still decides whether the leaf is read at all).  The group
-        doubles with every build under an unchanged bound, up to
-        ``_GROUP_CAP``, and starts over at one leaf when the bound
-        moves: the rows built in vain never outnumber the rows used,
-        and a query whose first leaf offers a group builds a leaf at a
-        time.  It halves after a table of more than ``_FLOOR_BUDGET``
-        members — dense windows, where the fixed cost is a small part
-        of a table and a table lives as long as any of its streams.
-        Stream distances stay scalar ``math.hypot`` — ``np.hypot``
-        differs in the last ulp.
+        (:meth:`_leaf_table`), and a row whose outcome the table holds
+        — SRR skip, DEP cancel, fewer than ``n`` members, floor at or
+        above the bound — cannot move the bound and never enters the
+        heap: a stream's entry points at its next *event* — the row
+        where it gets or restamps its table, a row of the table's
+        ``events``, the first row the SRR stop may land on — and the
+        rows passed on the way are charged there (:meth:`_charge`), so
+        rows an SRR early stop never reaches still cost nothing.  When
+        an event moves the bound under SRR, every stream is charged up
+        to that event's heap key and re-keyed to its next row, where it
+        restamps; at the stop every stream is charged up to the stopping
+        key, at exhaustion to its end (DESIGN.md, "Leaf batches", 7).
+
+        A table costs about the same whatever its height, so each
+        build also takes in the other streams waiting for a table under
+        the same bound and — while the rows cannot depend on the bound
+        — the leaves next in the heap, whose streams are prepared ahead
+        of their pop (which still decides whether the leaf is read at
+        all).  The group doubles with every build under an unchanged
+        bound, up to ``_GROUP_CAP``, starts over at one leaf when the
+        bound moves and halves after a table of more than
+        ``_FLOOR_BUDGET`` members (DESIGN.md, "Which leaves share a
+        table").  Stream distances stay scalar ``math.hypot`` —
+        ``np.hypot`` differs in the last ulp.
         """
         flat = self._flat
-        tracer = self.tracer
         qx, qy, length, width, n = q.qx, q.qy, q.length, q.width, q.n
         mbrs = flat.mbrs
         first = flat.first
         count = flat.count
         leaf_lo = int(flat.level_bounds[-2])
         use_gen = flags.dip or flags.dep
+        srr = flags.srr
         root_mbr = flat.root_mbr
         if root_mbr is None:
             return
@@ -840,14 +914,34 @@ class NWCEngine:
         if prune_windows:
             floor_k = {DistanceMeasure.MAX: n,
                        DistanceMeasure.MIN: 1}.get(q.measure, 0)
-        # kind 0 = node, kind 1 = object; seq is unique so the trailing
-        # payload fields are never compared.
+        # kind 0 = node, kind 1 = object; seq is unique and a stream has
+        # one entry a row, so the stream itself is never compared.
         heap: list = [(root_mbr.mindist(qx, qy), 0, 0, 0, None)]
         seq = 1
         prepared: dict[int, _LeafStream] = {}  # leaf id -> stream built ahead
+        entered: list[_LeafStream] = []  # popped leaves with rows to charge
         group, group_bound = 1, None
+
+        def rekey(stream: _LeafStream, i: int) -> None:
+            # Its next event from row i on: i itself while a table is due.
+            table = stream.table
+            if table is not None and not (srr and table.bound != policy.bound()):
+                i = stream.next_event(i, diagonal if srr else None)
+            stream.head = i
+            if i < len(stream.dists) and i not in stream.queued:
+                stream.queued.add(i)
+                heapq.heappush(
+                    heap, (stream.dists[i], 1, stream.seq + i, i, stream))
+
+        def settle(dist: float, key_seq: int) -> None:
+            # Charge every entered stream up to the heap key (dist, key_seq).
+            for other in entered:
+                i = other.first_after(dist, key_seq)
+                if i > other.at:
+                    self._charge(other, i, stats, attr)
+
         while heap:
-            dist, kind, _, ident, stream = heapq.heappop(heap)
+            dist, kind, at_seq, ident, stream = heapq.heappop(heap)
             if kind == 0:
                 node = ident
                 x1, y1, x2, y2 = mbrs[node].tolist()
@@ -878,8 +972,8 @@ class NWCEngine:
                     leaf_stream = (prepared.pop(node, None)
                                    or self._leaf_stream(node, qx, qy))
                     leaf_stream.seq = seq
-                    heapq.heappush(
-                        heap, (leaf_stream.dists[0], 1, seq, 0, leaf_stream))
+                    entered.append(leaf_stream)
+                    rekey(leaf_stream, 0)
                     seq += cnt
                 else:
                     sub = mbrs[s:e]
@@ -898,27 +992,32 @@ class NWCEngine:
                         )
                         seq += 1
                 continue
-            # Object pop: advance the stream, then replay the object's row
-            # of its leaf table (the scalar per-object body, precomputed).
-            nxt = ident + 1
-            if nxt < len(stream.dists):
-                heapq.heappush(
-                    heap, (stream.dists[nxt], 1, stream.seq + nxt, nxt, stream))
-            px = stream.xs[ident]
-            py = stream.ys[ident]
+            # Object pop: an event of its stream, unless a re-key has
+            # superseded the entry.  Charge the rows the stream passed on
+            # its way, then replay the object's row of its leaf table.
+            stream.queued.discard(ident)
+            if ident != stream.head:
+                continue
+            if ident > stream.at:
+                self._charge(stream, ident, stats, attr)
+            stream.at = ident + 1
+            px = float(stream.xs[ident])
+            py = float(stream.ys[ident])
             if region is not None and not region.contains_point(px, py):
+                rekey(stream, ident + 1)
                 continue
             bound = policy.bound()
-            if flags.srr and dist >= bound + diagonal:
+            if srr and dist >= bound + diagonal:
                 if attr is not None:
                     attr.srr_early_stop += 1
                 break
             if anchor_region is not None and not (
                 ax1 <= px < ax2 and ay1 <= py < ay2
             ):
+                rekey(stream, ident + 1)
                 continue
             table = stream.table
-            if table is None or (flags.srr and table.bound != bound):
+            if table is None or (srr and table.bound != bound):
                 # Only SRR reads the bound: a moved bound restamps the
                 # rows still to come, anything else keeps the table.
                 if bound != group_bound:
@@ -934,79 +1033,126 @@ class NWCEngine:
                     group = min(2 * group, _GROUP_CAP)
                 else:
                     group = max(group // 2, 1)
-            row = ident + stream.base
-            if attr is not None and table.shrunk[row]:
-                attr.srr_regions_shrunk += 1
-            slot = table.slots[row]
-            if slot == _SRR_SKIPPED:
-                if attr is not None:
-                    attr.srr_objects_skipped += 1
-                continue
-            if slot == _DEP_CANCELLED:
-                stats.window_queries_cancelled += 1
-                if attr is not None:
-                    attr.dep_windows_cancelled += 1
-                continue
-            stats.window_queries += 1
-            if attr is not None and table.avoided[slot]:
-                attr.iwp_root_descents_avoided += 1
-            wq_span = None
+            self._replay_row(q, stream, ident, dist, px, py, bound, policy,
+                             prune_windows, attr, tracing, stats)
+            if srr and policy.bound() != bound:
+                # Every row keyed below this one was popped under the old
+                # bound, whichever stream it belongs to; the rest restamp.
+                settle(dist, at_seq)
+                entered = [other for other in entered
+                           if other.at < len(other.dists)]
+                for other in entered:
+                    rekey(other, other.at)
+            else:
+                rekey(stream, ident + 1)
+        else:
+            dist = math.inf  # exhausted: every stream is charged to its end
+        settle(dist, at_seq)
+
+    @staticmethod
+    def _charge(stream, end, stats, attr) -> None:
+        """Charge what the pops of rows ``stream.at .. end - 1`` — no
+        event among them — come to under the table ``stream`` holds."""
+        sums = stream.table.sums or stream.table.running_sums(attr is not None)
+        queries, cancelled, nodes, leaves, examined, qualified = sums[:6]
+        lo, hi = stream.at + stream.base, end + stream.base
+        stream.at = end
+        a, b = queries[lo], queries[hi]
+        stats.window_queries += b - a
+        stats.window_queries_cancelled += cancelled[hi] - cancelled[lo]
+        stats.node_accesses += nodes[b] - nodes[a]
+        stats.leaf_accesses += leaves[b] - leaves[a]
+        stats.objects_examined += examined[b] - examined[a]
+        stats.windows_evaluated += examined[b] - examined[a]
+        stats.qualified_windows += qualified[b] - qualified[a]
+        if attr is not None:
+            shrunk, skipped, avoided, pruned = sums[6:]
+            attr.srr_regions_shrunk += shrunk[hi] - shrunk[lo]
+            attr.srr_objects_skipped += skipped[hi] - skipped[lo]
+            attr.dep_windows_cancelled += cancelled[hi] - cancelled[lo]
+            attr.iwp_root_descents_avoided += avoided[b] - avoided[a]
+            attr.windows_pruned_by_bound += pruned[b] - pruned[a]
+
+    def _replay_row(self, q, stream, ident, dist, px, py, bound, policy,
+                    prune_windows, attr, tracing, stats) -> None:
+        """One object's pop, replayed from its row of the table
+        ``stream`` holds, stamped ``bound``: the per-row event handler."""
+        tracer = self.tracer
+        table = stream.table
+        row = ident + stream.base
+        if attr is not None and table.shrunk[row]:
+            attr.srr_regions_shrunk += 1
+        slot = int(table.slots[row])
+        if slot == _SRR_SKIPPED:
+            if attr is not None:
+                attr.srr_objects_skipped += 1
+            return
+        if slot == _DEP_CANCELLED:
+            stats.window_queries_cancelled += 1
+            if attr is not None:
+                attr.dep_windows_cancelled += 1
+            return
+        stats.window_queries += 1
+        if attr is not None and table.avoided[slot]:
+            attr.iwp_root_descents_avoided += 1
+        wq_span = None
+        if tracing:
+            wq_span = tracer.start_span(
+                "window_query",
+                {"oid": int(self._flat.oids[stream.cols[ident]]),
+                 "dist": dist})
+        try:
+            stats.node_accesses += int(table.nodes[slot])
+            stats.leaf_accesses += int(table.leaves[slot])
+            lo = int(table.indptr[slot])
+            hi = int(table.indptr[slot + 1])
+            enum_span = None
             if tracing:
-                wq_span = tracer.start_span(
-                    "window_query",
-                    {"oid": int(flat.oids[stream.cols[ident]]), "dist": dist})
+                enum_span = tracer.start_span(
+                    "enumerate", {"members": hi - lo})
             try:
-                stats.node_accesses += table.nodes[slot]
-                stats.leaf_accesses += table.leaves[slot]
-                lo = table.indptr[slot]
-                hi = table.indptr[slot + 1]
-                enum_span = None
-                if tracing:
-                    enum_span = tracer.start_span(
-                        "enumerate", {"members": hi - lo})
-                try:
-                    if hi - lo < n:
-                        # No window can qualify: only the partner count
-                        # reaches the counters, no snapshot is built.
-                        stats.objects_examined += table.examined[slot]
-                        stats.windows_evaluated += table.examined[slot]
-                    elif (table.floors is not None
-                          and table.floors[slot] >= bound):
-                        # Every group the row can offer is at least its
-                        # floor away: nothing is offered, the bound
-                        # stands, and the row's outcome is its counters.
-                        stats.objects_examined += table.examined[slot]
-                        stats.windows_evaluated += table.examined[slot]
-                        stats.qualified_windows += table.qualified[slot]
-                        if attr is not None:
-                            attr.windows_pruned_by_bound += np.count_nonzero(
-                                table.mindists[table.qptr[slot]:
-                                               table.qptr[slot + 1]] >= bound)
-                    else:
-                        self._offer_anchor = dist
-                        frame = QuadrantFrame(qx, qy, 1.0 if px >= qx else -1.0,
-                                              1.0 if py >= qy else -1.0)
-                        self._offer_sy = frame.sy
-                        sr = FrameRegion(
-                            frame.sx * (px - qx), frame.sy * (py - qy),
-                            length, width, table.upper[row], px, py)
-                        self._enumerate_windows_columnar(
-                            q, frame, sr, table.cols[lo:hi], policy,
-                            prune_windows, attr=attr, tspan=enum_span,
-                        )
-                finally:
-                    if tracing:
-                        tracer.end_span(enum_span)
+                floored = hi - lo >= q.n and table.floors is not None
+                if hi - lo < q.n or (floored and table.floors[slot] >= bound):
+                    # No window can qualify, or every group the row can
+                    # offer is at least its floor away: nothing is
+                    # offered, the bound stands, no snapshot is built
+                    # and the row's outcome is its counters.
+                    examined = int(table.examined[slot])
+                    stats.objects_examined += examined
+                    stats.windows_evaluated += examined
+                    if floored:
+                        stats.qualified_windows += int(table.qualified[slot])
+                    if floored and attr is not None:
+                        attr.windows_pruned_by_bound += np.count_nonzero(
+                            table.mindists[table.qptr[slot]:
+                                           table.qptr[slot + 1]] >= bound)
+                else:
+                    self._offer_anchor = dist
+                    frame = QuadrantFrame(q.qx, q.qy,
+                                          1.0 if px >= q.qx else -1.0,
+                                          1.0 if py >= q.qy else -1.0)
+                    self._offer_sy = frame.sy
+                    sr = FrameRegion(
+                        frame.sx * (px - q.qx), frame.sy * (py - q.qy),
+                        q.length, q.width, float(table.upper[row]), px, py)
+                    self._enumerate_windows_columnar(
+                        q, frame, sr, table.cols[lo:hi], policy,
+                        prune_windows, attr=attr, tspan=enum_span,
+                    )
             finally:
                 if tracing:
-                    tracer.end_span(wq_span)
+                    tracer.end_span(enum_span)
+        finally:
+            if tracing:
+                tracer.end_span(wq_span)
 
     def _waiting_parts(self, heap, stream, bound, room, prepared,
                        qx, qy) -> list:
         """Up to ``room`` more ``(stream, start)`` parts for the table
         ``stream`` is about to get under ``bound``: in heap order, the
         other streams whose next pop would build one — no table yet, or
-        one SRR stamped with another bound — and, while no row can
+        one SRR stamped with another bound; an entry a re-key has
+        superseded is nobody's next pop — and, while no row can
         depend on the bound, the leaves still waiting to be popped,
         whose streams go into ``prepared``."""
         srr = self.flags.srr
@@ -1018,7 +1164,7 @@ class NWCEngine:
             if other is None:
                 if ahead and entry[3] >= leaf_lo and entry[3] not in prepared:
                     waiting.append(entry)
-            elif other is not stream and (
+            elif other is not stream and entry[3] == other.head and (
                     other.table is None
                     or (srr and other.table.bound != bound)):
                 waiting.append(entry)
@@ -1036,21 +1182,15 @@ class NWCEngine:
         flat = self._flat
         s = int(flat.first[leaf])
         e = s + int(flat.count[leaf])
-        xlist = flat.xs[s:e].tolist()
-        ylist = flat.ys[s:e].tolist()
         dxl = (flat.xs[s:e] - qx).tolist()
         dyl = (flat.ys[s:e] - qy).tolist()
-        ds = [math.hypot(dx, dy) for dx, dy in zip(dxl, dyl)]
+        ds = list(map(math.hypot, dxl, dyl))
         # Stable sort: equal distances keep entry order, i.e.
         # ascending seq — the scalar heap's tie-break.
-        order = sorted(range(e - s), key=ds.__getitem__)
-        return _LeafStream(
-            leaf,
-            [ds[i] for i in order],
-            [s + i for i in order],
-            [xlist[i] for i in order],
-            [ylist[i] for i in order],
-        )
+        cols = np.array(ds).argsort(kind="stable") + s
+        ds.sort()
+        return _LeafStream(leaf, ds, cols,
+                           flat.xs.take(cols), flat.ys.take(cols))
 
     def _leaf_table(self, q, parts, bound, region, floor_k,
                     attributed) -> None:
@@ -1074,8 +1214,8 @@ class NWCEngine:
         # Axis 0 of every two-row array below is (x, y).
         origin = np.array(((q.qx,), (q.qy,)))
         points = np.array((
-            [x for stream, start in parts for x in stream.xs[start:]],
-            [y for stream, start in parts for y in stream.ys[start:]]))
+            np.concatenate([stream.xs[start:] for stream, start in parts]),
+            np.concatenate([stream.ys[start:] for stream, start in parts])))
         positive = points >= origin  # the frame signs (sx, sy) as booleans
         sign = np.where(positive, 1.0, -1.0)
         tx, ty = sign * (points - origin)
@@ -1086,24 +1226,28 @@ class NWCEngine:
             upper = np.full(len(tx), width)
             live = np.ones(len(tx), dtype=bool)
             shrunk = np.zeros(len(tx), dtype=bool)
-        # Rows the pop loop drops before it consults the table.
-        if region is not None:
-            live &= ((points >= ((region.x1,), (region.y1,)))
-                     & (points <= ((region.x2,), (region.y2,)))).all(axis=0)
-        if self._anchor_region is not None:
-            ax1, ay1, ax2, ay2 = self._anchor_region
-            live &= ((points >= ((ax1,), (ay1,)))
-                     & (points < ((ax2,), (ay2,)))).all(axis=0)
-        table = _LeafTable(bound, shrunk.tolist(), upper.tolist())
+        slots = np.full(len(tx), _SRR_SKIPPED)
+        if region is not None or self._anchor_region is not None:
+            # Rows the pop loop drops before it consults the table.
+            inside = np.ones(len(tx), dtype=bool)
+            if region is not None:
+                inside &= ((points >= ((region.x1,), (region.y1,))) & (
+                    points <= ((region.x2,), (region.y2,)))).all(axis=0)
+            if self._anchor_region is not None:
+                ax1, ay1, ax2, ay2 = self._anchor_region
+                inside &= ((points >= ((ax1,), (ay1,)))
+                           & (points < ((ax2,), (ay2,)))).all(axis=0)
+            live &= inside
+            shrunk &= inside
+            slots[~inside] = _OUTSIDE
+        table = _LeafTable(bound, shrunk, upper, slots)
         sizes = [len(stream.xs) - start for stream, start in parts]
         for (stream, start), end in zip(parts, itertools.accumulate(sizes)):
             stream.table = table
             stream.base = end - len(stream.xs)
         rows = live.nonzero()[0]
         if not len(rows):
-            table.slots = [_SRR_SKIPPED] * len(tx)
             return
-        slots = np.full(len(tx), _SRR_SKIPPED)
         # Real-space search rectangles: (length, width) towards q, nothing
         # in x and the shrunk reach in y away from it (FrameRegion.to_real).
         points, positive = points[:, rows], positive[:, rows]
@@ -1121,15 +1265,25 @@ class NWCEngine:
                                    for rect in rects.T.tolist()])
             slots[rows[pruned]] = _DEP_CANCELLED
             rows, rects = rows[~pruned], rects[:, ~pruned]
-        if len(rows):
-            slots[rows] = np.arange(len(rows))
-            if flags.srr and not math.isfinite(bound):
-                floor_k = 0  # any offer restamps the table: no floor is read
-            leaves = np.repeat([stream.leaf for stream, _ in parts], sizes)
-            self._walk_rows(table, q, rects, leaves[rows], region,
-                            sign[1][rows], tx[rows], ty[rows], floor_k,
-                            attributed)
-        table.slots = slots.tolist()
+        if not len(rows):
+            return
+        slots[rows] = np.arange(len(rows))
+        if flags.srr and not math.isfinite(bound):
+            floor_k = 0  # any offer restamps the table: no floor is read
+        leaves = np.repeat([stream.leaf for stream, _ in parts], sizes)
+        self._walk_rows(table, q, rects, leaves[rows], region,
+                        sign[1][rows], tx[rows], ty[rows], floor_k,
+                        attributed)
+        # Events: a row of n members may offer — unless, under SRR, its
+        # floor is at or above the stamp; without SRR the table outlives
+        # the bound and the pop compares the floor with the bound of its
+        # day.  A tracer opens a span a window query, in pop order.
+        if not self.tracer.enabled:
+            if flags.srr and table.floors is not None:
+                rows = rows[table.floors < bound]
+            else:
+                rows = rows[np.diff(table.indptr) >= q.n]
+        table.events = rows.tolist()
 
     def _walk_rows(self, table, q, rects, leaf, region, sy, tx, ty,
                    floor_k, attributed) -> None:
@@ -1151,9 +1305,9 @@ class NWCEngine:
         start_depth = None
         if self.flags.iwp:
             start_depth = self._flat_iwp.start_depths(leaf, rects)
-            table.avoided = (start_depth != 0).tolist()
+            table.avoided = start_depth != 0
         else:
-            table.avoided = [False] * len(sy)
+            table.avoided = np.zeros(len(sy), dtype=bool)
         nodes, leaves, member_rect, cols = flat.window_query_batch(
             rects, start_depth, leaf)
         my = flat.ys.take(cols)
@@ -1168,11 +1322,10 @@ class NWCEngine:
         # Partners: members at or above their generator in frame y.
         frame_y = sy.take(member_rect) * (my - qy)
         partner = frame_y >= ty.take(member_rect)
-        table.nodes = nodes.tolist()
-        table.leaves = leaves.tolist()
-        table.examined = np.bincount(
-            member_rect[partner], minlength=len(sy)).tolist()
-        table.indptr = indptr.tolist()
+        table.nodes = nodes
+        table.leaves = leaves
+        table.examined = np.bincount(member_rect[partner], minlength=len(sy))
+        table.indptr = indptr
         table.cols = cols
         full = sizes >= n
         if not floor_k or not full.any():
@@ -1191,22 +1344,21 @@ class NWCEngine:
         for r0, r1 in zip(cuts, cuts[1:]):
             if not full[r0:r1].any():
                 continue
-            s, e = table.indptr[r0], table.indptr[r1]
+            s, e = int(indptr[r0]), int(indptr[r1])
             dx, dy = flat.xs.take(cols[s:e]) - q.qx, my[s:e] - qy
             ends = indptr[r0 + 1:r1 + 1] - s
             floors[r0:r1] = np.sqrt(kernels.window_kth_dsq(
                 dx * dx + dy * dy, ends - sizes[r0:r1], ends, floor_k))
             passed[s:e] = partner[s:e] & (kernels.leaf_window_counts(
                 frame_y[s:e], sizes[r0:r1], width) >= n)
-        table.floors = floors.tolist()
+        table.floors = floors
         member_rect = member_rect[passed]
-        qualified = np.bincount(member_rect, minlength=len(sy))
-        table.qualified = qualified.tolist()
+        table.qualified = np.bincount(member_rect, minlength=len(sy))
         if attributed:
             table.mindists = kernels.window_mindists(
                 frame_y[passed], width,
                 np.maximum(tx - q.length, 0.0).take(member_rect))
-            table.qptr = [0, *qualified.cumsum().tolist()]
+            table.qptr = np.concatenate(([0], table.qualified.cumsum()))
 
     def _enumerate_windows(
         self,

@@ -62,8 +62,9 @@ class ExactGroupBuffer:
         self._keys: list[tuple[float, tuple[int, ...]]] = []
         self._candidates: list[ObjectGroup] = []
         self._seen: set[frozenset[int]] = set()
+        # The greedy selection over the buffer, and its rank keys.
         self._selected: list[ObjectGroup] = []
-        self._dirty = False
+        self._selected_keys: list[tuple[float, tuple[int, ...]]] = []
 
     def offer(self, group: ObjectGroup) -> None:
         if group.oids in self._seen:
@@ -73,34 +74,31 @@ class ExactGroupBuffer:
         at = bisect.bisect_left(self._keys, key)
         self._keys.insert(at, key)
         self._candidates.insert(at, group)
+        selected, selected_keys = self._selected, self._selected_keys
         # Greedy selection over a grown candidate set only changes when
-        # the newcomer ranks ahead of the current k-th selected group;
-        # otherwise the cached selection stays valid.
-        if len(self._selected) == self.k and key > _rank_key(self._selected[-1]):
+        # the newcomer ranks ahead of the current k-th selected group.
+        if len(selected) == self.k and key > selected_keys[-1]:
             return
-        self._dirty = True
-
-    def _select(self) -> list[ObjectGroup]:
-        if not self._dirty:
-            return self._selected
-        selected: list[ObjectGroup] = []
-        for cand in self._candidates:
+        # The greedy verdict on a candidate depends only on those ranked
+        # before it: what was selected or rejected ahead of the newcomer
+        # stands, and the walk resumes at the newcomer.
+        keep = bisect.bisect_left(selected_keys, key)
+        del selected[keep:], selected_keys[keep:]
+        for i in range(at, len(self._keys)):
             if len(selected) == self.k:
                 break
+            cand = self._candidates[i]
             if all(cand.overlap(kept) <= self.m for kept in selected):
                 selected.append(cand)
-        self._selected = selected
-        self._dirty = False
-        return selected
+                selected_keys.append(self._keys[i])
 
     def bound(self) -> float:
-        selected = self._select()
-        if len(selected) < self.k:
+        if len(self._selected) < self.k:
             return float("inf")
-        return selected[-1].distance
+        return self._selected[-1].distance
 
     def finalize(self) -> tuple[ObjectGroup, ...]:
-        return tuple(self._select())
+        return tuple(self._selected)
 
 
 class PaperGroupList:

@@ -1,5 +1,7 @@
 """Unit tests for the kNWC group-maintenance policies."""
 
+import random
+
 import pytest
 
 from repro.core import ExactGroupBuffer, PaperGroupList, ObjectGroup, make_policy
@@ -109,6 +111,32 @@ class TestExactBuffer:
             if reference is None:
                 reference = outcome
             assert outcome == reference
+
+
+    @pytest.mark.parametrize("k,m", [(1, 0), (3, 0), (3, 1), (5, 2)])
+    def test_resumed_selection_equals_a_fresh_greedy_filter(self, k, m):
+        """The selection is resumed from the newcomer's rank, not walked
+        again from the top: after every offer of a seeded sequence —
+        distances tie, several offers pass between two reads — it
+        equals Definition 3's greedy filter over everything offered."""
+        rng = random.Random(100 * k + m)
+        policy = ExactGroupBuffer(k, m)
+        offered: dict[frozenset, ObjectGroup] = {}
+        for _ in range(400):
+            candidate = group(rng.sample(range(12), 3), float(rng.randrange(9)))
+            policy.offer(candidate)
+            offered.setdefault(candidate.oids, candidate)  # first offer wins
+            if rng.random() < 0.4:
+                continue  # no read between this offer and the next
+            expected = []
+            for cand in sorted(offered.values(),
+                               key=lambda g: (g.distance, sorted(g.oids))):
+                if len(expected) < k and all(
+                        len(cand.oids & kept.oids) <= m for kept in expected):
+                    expected.append(cand)
+            assert list(policy.finalize()) == expected
+            assert policy.bound() == (
+                expected[-1].distance if len(expected) == k else float("inf"))
 
 
 class TestPaperList:

@@ -22,14 +22,26 @@ leaves before any group exists and the loop builds the tables of the
 next leaves in the heap together, ahead of their pop: there the number
 of tables built is part of the contract, and so is what happens to a
 leaf prepared ahead that is then pruned, restamped or never reached.
+
+The last part pins the *event-driven* frontier: only the rows that can
+move the search go through the heap, every other row is charged as a
+difference of running sums when its stream reaches its next event —
+so the number of object entries popped is part of the contract, and so
+are the places where a sum could be cut at the wrong row: equal
+distances across leaves, rows dropped before a stream has a table, a
+bound that is finite from the first pop, and a tracer, which turns
+every window query into an event.
 """
 
 from __future__ import annotations
 
 import gc
+import heapq
 import itertools
 import math
 import random
+import types
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -48,7 +60,7 @@ from repro.core import (
 from repro.geometry import PointObject, Rect, make_points
 from repro.grid import DensityGrid, SubtreeCountIndex
 from repro.index import RStarTree
-from repro.obs import MetricsRegistry, QueryTracer
+from repro.obs import MetricsRegistry, QueryTracer, span_to_dict
 
 EXTENT = Rect(0.0, 0.0, 500.0, 500.0)
 CELL = 25.0
@@ -827,3 +839,242 @@ def test_group_cap_changes_no_answer_and_no_counter(monkeypatch, cap, tables):
             _assert_same_nwc(oracle, columnar, _sparse_query(x, y, n))
     assert max(len(parts) for _, parts in tables.builds) <= cap
     assert (cap == 1) == (not tables.ahead())
+
+
+# ----------------------------------------------------------------------
+# Events only: what goes through the heap, and where the sums are cut
+# ----------------------------------------------------------------------
+@pytest.fixture
+def object_pops(monkeypatch):
+    """The object entries the columnar loop takes off its heap, in
+    order (``heapq`` as :mod:`repro.core.engine` sees it)."""
+    popped = []
+    shim = types.SimpleNamespace(**vars(heapq))
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        if entry[1] == 1:
+            popped.append(entry)
+        return entry
+
+    shim.heappop = heappop
+    monkeypatch.setattr(engine_module, "heapq", shim)
+    return popped
+
+
+def _count_visits(monkeypatch, oracle):
+    """Objects the scalar loop takes off its iterator, one list item each."""
+    visits = []
+    original = oracle.tree.incremental_nearest
+
+    def counting(*args, **kwargs):
+        for item in original(*args, **kwargs):
+            visits.append(item[1])
+            yield item
+
+    monkeypatch.setattr(oracle.tree, "incremental_nearest", counting)
+    return visits
+
+
+def test_only_events_go_through_the_heap(tables, object_pops, monkeypatch):
+    """The pop gate, clock-free: a stream enters the heap once, then
+    only for a row that may offer, for the SRR stop and once per
+    restamp — a small share of the objects the oracle visits, whose
+    every pop the loop used to replay."""
+    points = _sparse_points(background=2600, clusters=CLUSTERS[2:3])
+    oracle = _sparse_engine(Scheme.NWC_STAR, "python", points)
+    columnar = _sparse_engine(Scheme.NWC_STAR, "columnar", points)
+    visits = _count_visits(monkeypatch, oracle)
+    enumerations = []
+    original = NWCEngine._enumerate_windows_columnar
+
+    def counting(self, *args, **kwargs):
+        enumerations.append(args[2])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(NWCEngine, "_enumerate_windows_columnar", counting)
+    for x, y in SPARSE_LOCATIONS:
+        tables.clear()
+        del object_pops[:], visits[:], enumerations[:]
+        result = _assert_same_nwc(oracle, columnar, _sparse_query(x, y, 8))
+        assert result.found
+        entered = [s for s in tables.streams() if s.seq is not None]
+        restamps = len(tables.parts()) - len(tables.streams())
+        events = len(enumerations) + 1  # the rows that may offer, the stop
+        assert len(object_pops) <= len(entered) + events + restamps
+        assert len(object_pops) * 10 < len(visits)
+
+
+def _mirrored_points(seed: int = 7) -> list[PointObject]:
+    """A thinned lattice and two tight clusters in one quadrant,
+    mirrored about ``(50, 50)`` in x, in y and in both: seen from
+    there, every object has three twins at exactly its distance, in
+    leaves of their own."""
+    rng = random.Random(seed)
+    quadrant = [(1.5 + 3.0 * i, 1.5 + 3.0 * j)
+                for i in range(16) for j in range(16) if rng.random() < 0.45]
+    for cx, cy in ((19.5, 13.5), (31.5, 34.5)):
+        quadrant += [(cx + 0.5 * a, cy + 0.5 * b)
+                     for a in range(2) for b in range(2)]
+    return make_points([(50.0 + sx * x, 50.0 + sy * y) for x, y in quadrant
+                        for sx in (1.0, -1.0) for sy in (1.0, -1.0)])
+
+
+def test_equal_distances_across_leaves_are_cut_by_seq(monkeypatch):
+    """The rows charged at a move of the bound, and at the SRR stop,
+    are those keyed below the moving / stopping row's heap key
+    ``(dist, seq + i)`` — not those nearer than it: a twin at the same
+    distance in a leaf popped earlier has been passed, one in a leaf
+    popped later has not.  Full ``IOStats`` and attribution equal the
+    oracle's, with twins on both sides of a move and beyond the stop."""
+    points = _mirrored_points()
+    cuts = []  # (key the sums are cut at, side of a stream with a twin)
+    original = engine_module._LeafStream.first_after
+
+    def recording(stream, dist, seq):
+        dists = stream.dists
+        twin = (bisect_right(dists, dist, stream.at)
+                > bisect_left(dists, dist, stream.at))
+        if twin and seq < stream.seq:
+            cuts.append(((dist, seq), "later"))
+        elif twin and seq >= stream.seq + len(dists):
+            cuts.append(((dist, seq), "earlier"))
+        else:
+            cuts.append(((dist, seq), None))
+        return original(stream, dist, seq)
+
+    monkeypatch.setattr(engine_module._LeafStream, "first_after", recording)
+    engines = [NWCEngine(RStarTree.bulk_load(points, max_entries=8),
+                         Scheme.NWC_STAR,
+                         grid=DensityGrid.build(points, Rect(0, 0, 100, 100), 5.0),
+                         execution=mode, metrics=MetricsRegistry())
+               for mode in ("python", "columnar")]
+    at_moves, at_stops = set(), set()
+    for measure, n, (length, width) in itertools.product(
+            DistanceMeasure, (3, 6), ((4.0, 4.0), (8.0, 5.0))):
+        del cuts[:]
+        result = _assert_same_nwc(
+            *engines, NWCQuery(50.0, 50.0, length, width, n, measure))
+        assert result.found
+        a, b = (engine.metrics.to_dict() for engine in engines)
+        assert a["nwc_opt_events_total"] == b["nwc_opt_events_total"]
+        assert b["nwc_opt_events_total"]["values"]  # attribution was on
+        stop = cuts[-1][0]
+        at_moves |= {side for key, side in cuts if key != stop}
+        at_stops |= {side for key, side in cuts if key == stop}
+    assert at_moves == {"earlier", "later", None}
+    # (An earlier leaf's twin of the stopping row would have stopped first.)
+    assert at_stops == {"later", None}
+
+
+@pytest.mark.parametrize("scheme", [Scheme.NWC, Scheme.NWC_STAR])
+def test_rows_dropped_before_the_first_table_keep_the_stream_going(scheme, tables):
+    """A stream whose nearest rows lie outside ``region`` /
+    ``anchor_region`` drops them before it has a table: its next row is
+    an event all the same, or the stream would never be heard of again."""
+    oracle = _engine(scheme.flags, "python")
+    columnar = _engine(scheme.flags, "columnar")
+    late = 0
+    for (x, y), n in itertools.product(LOCATIONS, (1, 3)):
+        query = NWCQuery(x, y, 40.0, 30.0, n)
+        for kwargs in ({"region": Rect(130.0, 120.0, 400.0, 362.5)},
+                       {"anchor_region": (130.0, 0.0, 262.5, 500.0)}):
+            tables.clear()
+            if "region" in kwargs:
+                _assert_same_nwc(oracle, columnar, query, **kwargs)
+            else:
+                (a, a_order), (b, b_order) = (
+                    engine.nwc_ordered(query, **kwargs)
+                    for engine in (oracle, columnar))
+                assert _answer(a) == _answer(b)
+                assert a_order == b_order
+                assert a.stats == b.stats
+            first = {}
+            for stream, start, _ in tables.parts():
+                first.setdefault(id(stream), start)
+            late += sum(start > 0 for start in first.values())
+    assert late > 0
+
+
+EVENT_SCHEMES = [Scheme.NWC_STAR.flags, NO_SRR, Scheme.NWC.flags]
+
+
+@pytest.mark.parametrize("flags", EVENT_SCHEMES, ids=["star", "no-srr", "baseline"])
+def test_a_bound_finite_from_the_first_pop(flags, object_pops):
+    """Seeded bounds, pool limits and both kNWC policies on the sparse
+    fixture, under SRR (every move of the bound re-keys the frontier),
+    without it (no table reads the bound, the pop compares a row's
+    floor with the bound of its day) and with no optimization at all:
+    results, ``IOStats`` and attribution equal the oracle's, and the
+    rows in between still stay out of the heap."""
+    oracle, columnar = _sparse_pair(flags)
+    plain = _sparse_engine(flags, "columnar")
+    anchor = (250.0, 0.0, 700.5, 1000.0)
+    query = _sparse_query(500.0, 500.0, 8)
+    for bound in (150.0, 400.0):
+        (a, a_order), (b, b_order) = (
+            engine.nwc_ordered(query, bound=bound, anchor_region=anchor)
+            for engine in (oracle, columnar))
+        assert _answer(a) == _answer(b)
+        assert a_order == b_order
+        assert a.stats == b.stats
+        assert oracle.tracer.last.counts == columnar.tracer.last.counts
+        for limit in (1, 4):
+            pools = []
+            for engine in (oracle, columnar):
+                pool = engine.knwc_candidates(
+                    KNWCQuery(query, 2, 2), limit, bound=bound,
+                    anchor_region=anchor)
+                pools.append(([g.oids for g in pool.groups],
+                              [g.distance for g in pool.groups], pool.orders,
+                              pool.horizon, engine.tree.stats.snapshot(),
+                              engine.tracer.last.counts))
+            assert pools[0] == pools[1]
+    for maintenance, (k, m) in itertools.product(
+            ("exact", "paper"), ((2, 0), (3, 2))):
+        knwc = KNWCQuery.make(640.0, 600.0, SPARSE_LENGTH, SPARSE_WIDTH, 4, k, m)
+        _assert_same_knwc(oracle, columnar, knwc, maintenance)
+        del object_pops[:]
+        result = plain.knwc(knwc, maintenance=maintenance)
+        assert result.stats == columnar.tree.stats.snapshot()
+        assert len(object_pops) * 2 < len(SPARSE)
+
+
+def _span_tree(span):
+    """A span subtree without its clock readings (and the count of
+    them: a row answered by its floor measures no window)."""
+    tree = span_to_dict(span)
+
+    def strip(node):
+        del node["duration_s"]
+        node["attrs"] = {
+            key: value for key, value in node["attrs"].items()
+            if key not in ("execution", "measure_s", "measure_calls")}
+        for child in node["children"]:
+            strip(child)
+        return node
+
+    return strip(tree)
+
+
+@pytest.mark.parametrize("flags", EVENT_SCHEMES, ids=["star", "no-srr", "baseline"])
+def test_a_tracer_makes_every_window_query_an_event(flags, object_pops):
+    """Spans open in pop order, so with a tracer every row that issues
+    a window query goes through the heap: the span list, each span's
+    I/O delta and the root's attribution counts equal the oracle's —
+    while the rows that issue none (SRR skips, DEP cancels, dropped
+    rows) are still charged in sums, to the ``search`` span."""
+    oracle, columnar = _sparse_pair(flags)
+    for n, (x, y) in itertools.product((3, 8), SPARSE_LOCATIONS[:2]):
+        del object_pops[:]
+        result = _assert_same_nwc(oracle, columnar, _sparse_query(x, y, n))
+        a, b = _span_tree(oracle.tracer.last), _span_tree(columnar.tracer.last)
+        assert a == b
+        assert a["io"] == {k: v for k, v in result.stats.items() if v}
+        queries = result.stats["window_queries"]
+        assert queries <= len(object_pops)
+        if flags.dep:  # cancelled rows open no span
+            assert result.stats["window_queries_cancelled"] > 0
+    knwc = KNWCQuery.make(640.0, 600.0, SPARSE_LENGTH, SPARSE_WIDTH, 4, 2, 0)
+    _assert_same_knwc(oracle, columnar, knwc, "exact")
+    assert _span_tree(oracle.tracer.last) == _span_tree(columnar.tracer.last)
