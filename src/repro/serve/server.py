@@ -77,11 +77,23 @@ from .durability import DEFAULT_DEDUPE_ENTRIES, DurableState
 from .protocol import ProtocolError, error_response
 
 __all__ = ["DeadlineExceeded", "LineProtocolServer", "ReadWriteScheduler",
-           "ServeConfig", "QueryServer", "ServerThread", "ServingThread"]
+           "Refused", "ServeConfig", "QueryServer", "ServerThread",
+           "ServingThread"]
 
 
 class DeadlineExceeded(Exception):
     """A request's deadline passed while it waited for the scheduler."""
+
+
+class Refused(Exception):
+    """A request the server declines to run: ``overloaded`` / ``draining``
+    from admission control, ``shard_unavailable`` from a coordinator
+    body.  Always raised, never returned — ``_handle_line`` turns it
+    into the error frame and the ``serve_requests_total`` outcome."""
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 #: The connection a handler is serving, so ``subscribe`` can attach the
@@ -297,18 +309,23 @@ class ReadWriteScheduler:
 
 
 class LineProtocolServer:
-    """Transport, dispatch and admission shared by every NDJSON server.
+    """Transport, dispatch and the request pipeline of every NDJSON server.
 
     Owns everything that is *not* about a local engine: the asyncio
     TCP listener and per-connection line loop, handler dispatch with
-    error mapping and request-id echo, admission control + deadlines,
-    the FIFO read/write scheduler, the blocking-work executor, the
-    request-id dedupe map and the request/latency metric families.
+    error mapping and request-id echo, the FIFO read/write scheduler,
+    the blocking-work executor, the request-id dedupe map, the
+    auto-checkpoint trigger, the request/latency metric families — and
+    the request skeleton itself (admission, deadline, slot, dedupe,
+    cache, accounting), written once as three shapes: :meth:`_answer_query`
+    for cached queries, :meth:`_write_op` for idempotent writes and
+    :meth:`_read_op` for uncached reads (DESIGN.md "Request pipeline").
 
     Subclasses — :class:`QueryServer` (one engine),
     :class:`~repro.shard.worker.ShardServer` (one shard) and
     :class:`~repro.shard.coordinator.ShardCoordinator` (no engine at
-    all) — contribute a ``_HANDLERS`` table and may extend ``_OPS`` /
+    all) — contribute a ``_HANDLERS`` table whose handlers parse the
+    request and supply the stage body, and may extend ``_OPS`` /
     ``_OUTCOMES`` so the metric families cover their extra ops.
     """
 
@@ -330,7 +347,10 @@ class LineProtocolServer:
                  metrics: MetricsRegistry | None = None) -> None:
         self.config = config or ServeConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.engine: NWCEngine | None = None
         self.cache: ResultCache | None = None
+        #: Standing queries by id (anything with ``get(sub_id)``).
+        self.subs: Any = {}
         self.durable: DurableState | None = None
         self.version = 0
         self._dedupe: OrderedDict[str, dict[str, Any]] = OrderedDict()
@@ -492,8 +512,12 @@ class LineProtocolServer:
     def _detach_connection(self, conn: "_Connection") -> None:
         """Unhook a closing connection from the subscriptions attached
         to it (the subscriptions themselves stay registered — standing
-        queries outlive connections; overridden where a sub registry
-        exists)."""
+        queries outlive connections)."""
+        for sub_id in conn.subs:
+            sub = self.subs.get(sub_id)
+            if sub is not None and sub.conn is conn:
+                sub.conn = None
+        conn.subs.clear()
 
     def _push_notifications(self, changed: list[Subscription]) -> None:
         """Enqueue one ``notify`` frame per changed subscription on its
@@ -529,6 +553,30 @@ class LineProtocolServer:
         sub.conn = conn
         conn.subs.add(sub.sub_id)
 
+    def _live_sub(self, sub_id: str | None) -> Subscription | None:
+        """The registered standing query ``sub_id`` (a worker's shield
+        sentinels are the coordinator's, never a client's)."""
+        sub = self.subs.get(sub_id) if sub_id else None
+        return None if sub is None or sub.sentinel else sub
+
+    def _reattach_replayed(self, ack: dict[str, Any]) -> None:
+        """``subscribe``'s ``on_replay``: the retry of an acked subscribe
+        re-attaches the (new) connection before the ack is replayed."""
+        existing = self._live_sub(ack.get("sub"))
+        if existing is not None:
+            self._attach_subscription(existing)
+
+    def _resume_subscription(self, sub: Subscription) -> dict[str, Any]:
+        """Resume: same standing query, new connection — the client
+        reads the current answer and revision and keeps counting from
+        there (continuity across both client reconnects and server
+        restarts)."""
+        self._attach_subscription(sub)
+        return {"ok": True, "op": "subscribe", "sub": sub.sub_id,
+                "kind": sub.kind, "version": self.version,
+                "revision": sub.revision, "result": sub.result,
+                "resumed": True}
+
     async def _handle_line(self, line: bytes) -> dict[str, Any]:
         try:
             payload = protocol.decode_line(line)
@@ -547,6 +595,8 @@ class LineProtocolServer:
             outcome = "ok" if response.get("ok") else response["error"]["code"]
         except ProtocolError as exc:
             response, outcome = error_response("bad_request", str(exc)), "bad_request"
+        except Refused as exc:
+            response, outcome = error_response(exc.code, str(exc)), exc.code
         except DeadlineExceeded:
             response, outcome = error_response(
                 "deadline_exceeded", "deadline passed before execution"
@@ -585,8 +635,17 @@ class LineProtocolServer:
 
     @contextlib.contextmanager
     def _admitted(self):
-        """Admission-control slot; raises an ``overloaded`` response via
-        its caller when the system is full."""
+        """Admission control: one of the ``max_inflight + max_queue``
+        places in the system for the duration of the block, or
+        :class:`Refused` (``draining`` / ``overloaded``) when there is
+        none."""
+        if self._draining:
+            raise Refused("draining", "server is shutting down")
+        limit = self.config.max_inflight + self.config.max_queue
+        if self._active >= limit:
+            raise Refused(
+                "overloaded",
+                f"{self._active} requests in flight (limit {limit})")
         self._active += 1
         self._refresh_pressure_gauges()
         try:
@@ -601,17 +660,6 @@ class LineProtocolServer:
         )
         self._g_inflight.set(inflight)
         self._g_queue.set(max(0, self._active - inflight))
-
-    def _check_admission(self) -> dict[str, Any] | None:
-        if self._draining:
-            return error_response("draining", "server is shutting down")
-        limit = self.config.max_inflight + self.config.max_queue
-        if self._active >= limit:
-            return error_response(
-                "overloaded",
-                f"{self._active} requests in flight (limit {limit})",
-            )
-        return None
 
     async def _run(self, fn: Callable, *args) -> Any:
         """Run blocking engine work on the executor."""
@@ -645,6 +693,132 @@ class LineProtocolServer:
         while len(self._dedupe) > self._dedupe_cap:
             self._dedupe.popitem(last=False)
 
+    def _note_durable_record(self) -> None:
+        """Count one logged update towards the auto-checkpoint trigger."""
+        durable = self.durable
+        if durable is None:
+            return
+        durable.records_since_checkpoint += 1
+        if (durable.config.checkpoint_every > 0
+                and durable.records_since_checkpoint
+                >= durable.config.checkpoint_every
+                and self._auto_checkpoint_task is None
+                and not self._draining):
+            task = asyncio.get_running_loop().create_task(
+                self._auto_checkpoint())
+            self._auto_checkpoint_task = task
+
+    async def _auto_checkpoint(self) -> None:
+        try:
+            await self._HANDLERS["checkpoint"](self, {})
+        except (DeadlineExceeded, Refused, NWCError, StorageError,
+                ValueError, OSError):
+            # Leave records_since_checkpoint high; the next update
+            # re-arms the trigger and retries.
+            pass
+        finally:
+            self._auto_checkpoint_task = None
+
+    # ------------------------------------------------------------------
+    # The request pipeline (DESIGN.md "Request pipeline")
+    # ------------------------------------------------------------------
+    async def _answer_query(self, payload: dict[str, Any], op: str,
+                            key: tuple, qx: float, qy: float, n: int,
+                            evaluate: Callable) -> dict[str, Any]:
+        """A cached query: trace context → admit → cache lookup →
+        deadline → slot → ``evaluate`` → cache fill → latency.
+
+        ``await evaluate(deadline, ctx)`` runs inside the slot (``ctx``
+        is the sampled trace context or ``None``) and returns ``(answer,
+        radii, extras)``: the serialized ``result``, the ``(insert,
+        delete)`` shield radii to cache it under — ``None`` for an
+        answer that must not be cached (traced, partial) — and the
+        remaining response fields (``stats``, ``trace``, ``shards``…).
+        A sampled trace bypasses the cache so it always shows a real
+        run."""
+        ctx = self._trace_context(payload)
+        if ctx is not None and not ctx.sampled:
+            ctx = None
+        start = time.perf_counter()
+        with self._admitted():
+            if ctx is None:
+                cached = self.cache.get(key, self.version)
+                self._g_cache_entries.set(len(self.cache))
+                if cached is not None:
+                    self._m_latency[(op, "cache")].observe(
+                        time.perf_counter() - start)
+                    return {"ok": True, "op": op, "version": self.version,
+                            "cached": True, "result": cached}
+            deadline = self._deadline(payload)
+            # Exclusive slot for a trace of the local engine: its IOStats
+            # are process-global, so nothing else may touch the engine
+            # while the trace's I/O deltas are being attributed.  The
+            # query itself is a pure read — the answer is bit-identical
+            # either way.  (A coordinator's trace is stitched from the
+            # workers' own subtrees and stays a shared read.)
+            slot = (self._scheduler.write
+                    if ctx is not None and self.engine is not None
+                    else self._scheduler.read)
+            async with slot(deadline):
+                self._refresh_pressure_gauges()
+                version = self.version  # stable while the slot is held
+                answer, radii, extras = await evaluate(deadline, ctx)
+            if radii is not None:
+                self.cache.put(key, version, answer, qx, qy, n, *radii)
+                self._g_cache_entries.set(len(self.cache))
+            self._m_latency[(op, "engine")].observe(time.perf_counter() - start)
+            return {"ok": True, "op": op, "version": version,
+                    "cached": False, "result": answer, **extras}
+
+    async def _write_op(self, payload: dict[str, Any], op: str,
+                        body: Callable,
+                        on_replay: Callable | None = None) -> dict[str, Any]:
+        """An idempotent write: request id → admit → deadline → exclusive
+        slot → dedupe → ``body`` → remember → durable-record count →
+        gauges → latency → ``before_ack``.
+
+        ``await body(deadline, request_id)`` applies the change inside
+        the slot (logging it first on a durable server) and returns the
+        ack; it raises :class:`Refused` rather than returning an error
+        frame, so nothing refused is ever remembered.  A retried request
+        id gets the stored ack back (``on_replay(ack)`` first, for side
+        effects the retry still needs).  A ``resumed`` ack changed
+        nothing: it is neither remembered nor counted."""
+        request_id = protocol.parse_request_id(payload)
+        start = time.perf_counter()
+        with self._admitted():
+            deadline = self._deadline(payload)
+            async with self._scheduler.write(deadline):
+                self._refresh_pressure_gauges()
+                response = self._deduped(request_id)
+                if response is not None:
+                    if on_replay is not None:
+                        on_replay(response)
+                    return response
+                response = await body(deadline, request_id)
+                if response.get("resumed"):
+                    return response
+                self._remember(request_id, response)
+                self._note_durable_record()
+            self._g_version.set(self.version)
+            self._g_cache_entries.set(len(self.cache))
+            self._m_latency[(op, "engine")].observe(time.perf_counter() - start)
+            crash_point("before_ack")
+            return response
+
+    async def _read_op(self, payload: dict[str, Any], op: str,
+                       body: Callable) -> dict[str, Any]:
+        """An uncached read: admit → deadline → shared slot → ``body`` →
+        latency.  ``await body()`` returns the response."""
+        start = time.perf_counter()
+        with self._admitted():
+            deadline = self._deadline(payload)
+            async with self._scheduler.read(deadline):
+                self._refresh_pressure_gauges()
+                response = await body()
+            self._m_latency[(op, "engine")].observe(time.perf_counter() - start)
+            return response
+
     # ------------------------------------------------------------------
     # Generic ops
     # ------------------------------------------------------------------
@@ -672,23 +846,22 @@ class LineProtocolServer:
                     "state": registry_state(self.metrics)}
         raise ProtocolError(f"unknown metrics format {fmt!r}")
 
-    # ------------------------------------------------------------------
-    # Traced engine execution
-    # ------------------------------------------------------------------
-    def _trace_engine_call(self, run: Callable) -> tuple[Any, Any, int]:
-        """Run ``run()`` with a per-request tracer on the engine
-        (executor thread).  The caller must hold a slot that makes the
-        engine's IOStats delta attributable to this call alone; the
-        tracer swap is restored even when the engine raises."""
-        tracer = QueryTracer()
-        engine = self.engine  # type: ignore[attr-defined]
-        previous = engine.tracer
-        engine.tracer = tracer
-        try:
-            result = run()
-        finally:
-            engine.tracer = previous
-        return result, tracer.last, tracer.dropped_spans
+    def _health(self, size: int) -> dict[str, Any]:
+        """The ``health`` fields every server reports."""
+        return {
+            "ok": True,
+            "op": "health",
+            "status": "draining" if self._draining else "serving",
+            "version": self.version,
+            "size": size,
+            "uptime_s": round(time.monotonic() - self._started, 3),
+            "active": self._active,
+            "max_inflight": self.config.max_inflight,
+            "max_queue": self.config.max_queue,
+            "cache": dataclasses.asdict(self.cache.stats())
+                     | {"hit_rate": self.cache.stats().hit_rate},
+            "subscriptions": len(self.subs),
+        }
 
     @staticmethod
     def _trace_envelope(ctx: TraceContext, root, dropped: int) -> dict[str, Any]:
@@ -758,12 +931,10 @@ class QueryServer(LineProtocolServer):
         key = ("nwc", query.qx, query.qy, query.length, query.width,
                query.n, query.measure.value, self._flags_key)
         return await self._answer_query(
-            payload, "nwc", key,
-            run=lambda: self.engine.nwc(query),
-            serialize=protocol.serialize_nwc,
-            radii=lambda result: protocol.shield_radii_nwc(query, result),
-            n=query.n, qx=query.qx, qy=query.qy,
-        )
+            payload, "nwc", key, query.qx, query.qy, query.n,
+            lambda deadline, ctx: self._evaluate(
+                ctx, lambda: self.engine.nwc(query), protocol.serialize_nwc,
+                lambda result: protocol.shield_radii_nwc(query, result)))
 
     async def _op_knwc(self, payload: dict[str, Any]) -> dict[str, Any]:
         query, maintenance = protocol.parse_knwc(payload)
@@ -772,184 +943,97 @@ class QueryServer(LineProtocolServer):
                base.measure.value, query.k, query.m, maintenance,
                self._flags_key)
         return await self._answer_query(
-            payload, "knwc", key,
-            run=lambda: self.engine.knwc(query, maintenance=maintenance),
-            serialize=protocol.serialize_knwc,
-            radii=lambda result: protocol.shield_radii_knwc(query, result),
-            n=base.n, qx=base.qx, qy=base.qy,
-        )
+            payload, "knwc", key, base.qx, base.qy, base.n,
+            lambda deadline, ctx: self._evaluate(
+                ctx, lambda: self.engine.knwc(query, maintenance=maintenance),
+                protocol.serialize_knwc,
+                lambda result: protocol.shield_radii_knwc(query, result)))
 
-    async def _answer_query(self, payload, op, key, run, serialize,
-                            radii, n, qx, qy) -> dict[str, Any]:
-        ctx = self._trace_context(payload)
-        traced = ctx is not None and ctx.sampled
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            if not traced:
-                cached = self.cache.get(key, self.version)
-                self._g_cache_entries.set(len(self.cache))
-                if cached is not None:
-                    self._m_latency[(op, "cache")].observe(
-                        time.perf_counter() - start)
-                    return {"ok": True, "op": op, "version": self.version,
-                            "cached": True, "result": cached}
-            deadline = self._deadline(payload)
-            if traced:
-                # Exclusive slot: the engine's IOStats are process-global,
-                # so nothing else may touch the engine while the trace's
-                # I/O deltas are being attributed.  The query itself is a
-                # pure read — the answer is bit-identical either way —
-                # and the cache is bypassed so the trace always shows a
-                # real engine run.
-                async with self._scheduler.write(deadline):
-                    self._refresh_pressure_gauges()
-                    result, root, dropped = await self._run(
-                        self._trace_engine_call, run)
-                    version = self.version
-            else:
-                async with self._scheduler.read(deadline):
-                    self._refresh_pressure_gauges()
-                    result = await self._run(run)
-                    version = self.version  # stable while any reader runs
-            answer = serialize(result)
-            if not traced:
-                insert_radius, delete_radius = radii(result)
-                self.cache.put(key, version, answer, qx, qy, n,
-                               insert_radius, delete_radius)
-                self._g_cache_entries.set(len(self.cache))
-            self._m_latency[(op, "engine")].observe(time.perf_counter() - start)
-            response = {"ok": True, "op": op, "version": version,
-                        "cached": False, "result": answer,
-                        "stats": {"node_accesses": result.node_accesses}}
-            if traced:
-                response["trace"] = self._trace_envelope(ctx, root, dropped)
-            return response
+    async def _evaluate(self, ctx, run, serialize, radii):
+        """The ``evaluate`` stage of a local query: one engine run,
+        serialized while the slot is still held."""
+        result, traced = await self._run_engine(run, ctx)
+        return (serialize(result), None if traced else radii(result),
+                {"stats": {"node_accesses": result.node_accesses}, **traced})
+
+    async def _run_engine(self, run: Callable, ctx: TraceContext | None
+                          ) -> tuple[Any, dict[str, Any]]:
+        """``run()`` on the executor → ``(value, response fields)``: no
+        fields, or — for a sampled trace context, which runs the call
+        under a per-request tracer — the ``trace`` envelope."""
+        if ctx is None or not ctx.sampled:
+            return await self._run(run), {}
+        value, root, dropped = await self._run(self._trace_engine_call, run)
+        return value, {"trace": self._trace_envelope(ctx, root, dropped)}
+
+    def _trace_engine_call(self, run: Callable) -> tuple[Any, Any, int]:
+        """Run ``run()`` with a per-request tracer on the engine
+        (executor thread).  The caller must hold a slot that makes the
+        engine's IOStats delta attributable to this call alone; the
+        tracer swap is restored even when the engine raises."""
+        tracer = QueryTracer()
+        previous = self.engine.tracer
+        self.engine.tracer = tracer
+        try:
+            result = run()
+        finally:
+            self.engine.tracer = previous
+        return result, tracer.last, tracer.dropped_spans
 
     # ------------------------------------------------------------------
     # Update ops
     # ------------------------------------------------------------------
-    def _wal_append(self, record: dict[str, Any]) -> None:
-        """Blocking WAL append (executor); no-op on in-memory servers."""
+    async def _log(self, record: dict[str, Any],
+                   request_id: str | None) -> None:
+        """Append one record to the WAL (no-op on in-memory servers),
+        stamped with the client's request id so recovery rebuilds the
+        dedupe map."""
+        if request_id is not None:
+            record["req"] = request_id
         if self.durable is not None:
-            self.durable.wal.append(record)
+            await self._run(self.durable.wal.append, record)
 
     async def _op_insert(self, payload: dict[str, Any]) -> dict[str, Any]:
         obj = protocol.parse_point(payload)
-        request_id = protocol.parse_request_id(payload)
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.write(deadline):
-                self._refresh_pressure_gauges()
-                replayed = self._deduped(request_id)
-                if replayed is not None:
-                    return replayed
-                record = {"op": "insert", "oid": obj.oid,
-                          "x": obj.x, "y": obj.y}
-                if request_id is not None:
-                    record["req"] = request_id
-                # Durability contract: the record is on disk (per fsync
-                # policy) before the engine changes, and long before the
-                # ack leaves the server.
-                await self._run(self._wal_append, record)
-                await self._run(self._apply_insert, obj)
-                self.version += 1
-                self.cache.note_insert(obj.x, obj.y, self.version)
-                changed, hints = await self._reconcile_subs(
-                    "insert", obj.x, obj.y)
-                response = {"ok": True, "op": "insert",
-                            "version": self.version,
-                            "size": self.engine.tree.size}
-                if hints:
-                    response["subs"] = hints
-                self._remember(request_id, response)
-                self._note_durable_record()
-                self._push_notifications(changed)
-            self._g_version.set(self.version)
-            self._g_cache_entries.set(len(self.cache))
-            self._m_latency[("insert", "engine")].observe(
-                time.perf_counter() - start)
-            crash_point("before_ack")
+
+        async def body(deadline, request_id):
+            # Durability contract: the record is on disk (per fsync
+            # policy) before the engine changes, and long before the
+            # ack leaves the server.
+            await self._log({"op": "insert", "oid": obj.oid,
+                             "x": obj.x, "y": obj.y}, request_id)
+            await self._run(self._apply_insert, obj)
+            self.version += 1
+            self.cache.note_insert(obj.x, obj.y, self.version)
+            response = {"ok": True, "op": "insert", "version": self.version,
+                        "size": self.engine.tree.size}
+            await self._reconcile_subs("insert", obj.x, obj.y, response)
             return response
+
+        return await self._write_op(payload, "insert", body)
 
     async def _op_delete(self, payload: dict[str, Any]) -> dict[str, Any]:
         obj = protocol.parse_point(payload)
-        request_id = protocol.parse_request_id(payload)
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.write(deadline):
-                self._refresh_pressure_gauges()
-                replayed = self._deduped(request_id)
-                if replayed is not None:
-                    return replayed
-                record = {"op": "delete", "oid": obj.oid,
-                          "x": obj.x, "y": obj.y}
-                if request_id is not None:
-                    record["req"] = request_id
-                # Logged even when it turns out to be a no-op: replay
-                # recomputes the same outcome, and the dedupe map must
-                # remember *every* acknowledged request id.
-                await self._run(self._wal_append, record)
-                deleted = await self._run(self._apply_delete, obj)
-                changed: list[Subscription] = []
-                hints: list[str] = []
-                if deleted:
-                    self.version += 1
-                    self.cache.note_delete(
-                        obj.x, obj.y, self.version, self.engine.tree.size
-                    )
-                    changed, hints = await self._reconcile_subs(
-                        "delete", obj.x, obj.y)
-                response = {"ok": True, "op": "delete",
-                            "version": self.version, "deleted": deleted,
-                            "size": self.engine.tree.size}
-                if hints:
-                    response["subs"] = hints
-                self._remember(request_id, response)
-                self._note_durable_record()
-                self._push_notifications(changed)
-            self._g_version.set(self.version)
-            self._g_cache_entries.set(len(self.cache))
-            self._m_latency[("delete", "engine")].observe(
-                time.perf_counter() - start)
-            crash_point("before_ack")
+
+        async def body(deadline, request_id):
+            # Logged even when it turns out to be a no-op: replay
+            # recomputes the same outcome, and the dedupe map must
+            # remember *every* acknowledged request id.
+            await self._log({"op": "delete", "oid": obj.oid,
+                             "x": obj.x, "y": obj.y}, request_id)
+            deleted = await self._run(self._apply_delete, obj)
+            if deleted:
+                self.version += 1
+                self.cache.note_delete(
+                    obj.x, obj.y, self.version, self.engine.tree.size
+                )
+            response = {"ok": True, "op": "delete", "version": self.version,
+                        "deleted": deleted, "size": self.engine.tree.size}
+            if deleted:
+                await self._reconcile_subs("delete", obj.x, obj.y, response)
             return response
 
-    def _note_durable_record(self) -> None:
-        """Count one logged update towards the auto-checkpoint trigger."""
-        durable = self.durable
-        if durable is None:
-            return
-        durable.records_since_checkpoint += 1
-        if (durable.config.checkpoint_every > 0
-                and durable.records_since_checkpoint
-                >= durable.config.checkpoint_every
-                and self._auto_checkpoint_task is None
-                and not self._draining):
-            task = asyncio.get_running_loop().create_task(
-                self._auto_checkpoint())
-            self._auto_checkpoint_task = task
-
-    async def _auto_checkpoint(self) -> None:
-        try:
-            await self._op_checkpoint({})
-        except (DeadlineExceeded, NWCError, StorageError, ValueError,
-                OSError):
-            # Leave records_since_checkpoint high; the next update
-            # re-arms the trigger and retries.
-            pass
-        finally:
-            self._auto_checkpoint_task = None
+        return await self._write_op(payload, "delete", body)
 
     def _apply_insert(self, obj) -> None:
         self.engine.insert(obj)
@@ -966,15 +1050,15 @@ class QueryServer(LineProtocolServer):
     # ------------------------------------------------------------------
     # Subscriptions (standing queries)
     # ------------------------------------------------------------------
-    async def _reconcile_subs(self, op: str, x: float,
-                              y: float) -> tuple[list[Subscription],
-                                                 list[str]]:
-        """Re-evaluate affected standing queries; called inside the
-        exclusive write slot with the update applied and the version
-        bumped, so every changed answer is bit-identical to a fresh
-        query at ``self.version``."""
+    async def _reconcile_subs(self, op: str, x: float, y: float,
+                              response: dict[str, Any]) -> None:
+        """Re-evaluate affected standing queries, push their ``notify``
+        frames and put the affected-sentinel hints on the ack; called
+        inside the exclusive write slot with the update applied and the
+        version bumped, so every changed answer is bit-identical to a
+        fresh query at ``self.version``."""
         if not len(self.subs):
-            return [], []
+            return
         start = time.perf_counter()
         changed, hints, reevals = await self._run(
             reconcile, self.subs, self.engine, op, x, y,
@@ -984,7 +1068,8 @@ class QueryServer(LineProtocolServer):
             self._h_sub_reeval.observe(time.perf_counter() - start)
         if hints:
             self._m_sub_hints.inc(len(hints))
-        return changed, hints
+            response["subs"] = hints
+        self._push_notifications(changed)
 
     def _register_subscription(self, sub: Subscription) -> None:
         """Index + attach one evaluated subscription (write slot)."""
@@ -993,109 +1078,53 @@ class QueryServer(LineProtocolServer):
         self._g_sub_active.set(len(self.subs))
 
     async def _op_subscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
-        request_id = protocol.parse_request_id(payload)
         sub_id = protocol.parse_subscription_id(payload)
         kind, spec, query, maintenance = protocol.parse_subscription(payload)
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.write(deadline):
-                self._refresh_pressure_gauges()
-                replayed = self._deduped(request_id)
-                if replayed is not None:
-                    # The retry of an acked subscribe: re-attach the
-                    # (new) connection before replaying the ack.
-                    existing = self.subs.get(replayed.get("sub"))
-                    if existing is not None and not existing.sentinel:
-                        self._attach_subscription(existing)
-                    return replayed
-                existing = self.subs.get(sub_id) if sub_id else None
-                if existing is not None and not existing.sentinel:
-                    # Resume: same standing query, new connection — the
-                    # client reads the current answer and revision and
-                    # keeps counting from there (continuity across both
-                    # client reconnects and server restarts).
-                    self._attach_subscription(existing)
-                    return {"ok": True, "op": "subscribe",
-                            "sub": existing.sub_id, "kind": existing.kind,
-                            "version": self.version,
-                            "revision": existing.revision,
-                            "result": existing.result, "resumed": True}
-                sub = Subscription(
-                    sub_id=sub_id or f"sub-{uuid.uuid4().hex[:16]}",
-                    kind=kind, spec=spec, query=query,
-                    maintenance=maintenance, qx=spec["x"], qy=spec["y"],
-                    n=spec["n"])
-                record = {"op": "subscribe", "sub": sub.sub_id,
-                          "kind": kind, **spec}
-                if request_id is not None:
-                    record["req"] = request_id
-                # Same durability contract as updates: the registration
-                # is on disk before the ack leaves, and recovery replays
-                # it (re-evaluating at the same point in the record
-                # stream, so revisions continue rather than fork).
-                await self._run(self._wal_append, record)
-                answer, sub.insert_radius, sub.delete_radius = \
-                    await self._run(evaluate_subscription, self.engine, sub)
-                sub.result = answer
-                sub.revision = 1
-                sub.version = self.version
-                self._register_subscription(sub)
-                response = {"ok": True, "op": "subscribe",
-                            "sub": sub.sub_id, "kind": kind,
-                            "version": self.version, "revision": 1,
-                            "result": answer}
-                self._remember(request_id, response)
-                self._note_durable_record()
-            self._m_latency[("subscribe", "engine")].observe(
-                time.perf_counter() - start)
-            crash_point("before_ack")
-            return response
+
+        async def body(deadline, request_id):
+            existing = self._live_sub(sub_id)
+            if existing is not None:
+                return self._resume_subscription(existing)
+            sub = Subscription(
+                sub_id=sub_id or f"sub-{uuid.uuid4().hex[:16]}",
+                kind=kind, spec=spec, query=query,
+                maintenance=maintenance, qx=spec["x"], qy=spec["y"],
+                n=spec["n"])
+            # Same durability contract as updates: the registration
+            # is on disk before the ack leaves, and recovery replays
+            # it (re-evaluating at the same point in the record
+            # stream, so revisions continue rather than fork).
+            await self._log({"op": "subscribe", "sub": sub.sub_id,
+                             "kind": kind, **spec}, request_id)
+            sub.result, sub.insert_radius, sub.delete_radius = \
+                await self._run(evaluate_subscription, self.engine, sub)
+            sub.revision = 1
+            sub.version = self.version
+            self._register_subscription(sub)
+            return {"ok": True, "op": "subscribe", "sub": sub.sub_id,
+                    "kind": kind, "version": self.version, "revision": 1,
+                    "result": sub.result}
+
+        return await self._write_op(payload, "subscribe", body,
+                                    self._reattach_replayed)
 
     async def _op_unsubscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
-        request_id = protocol.parse_request_id(payload)
         sub_id = protocol.parse_subscription_id(payload, required=True)
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.write(deadline):
-                self._refresh_pressure_gauges()
-                replayed = self._deduped(request_id)
-                if replayed is not None:
-                    return replayed
-                record = {"op": "unsubscribe", "sub": sub_id}
-                if request_id is not None:
-                    record["req"] = request_id
-                # Logged even when the id is unknown: like no-op
-                # deletes, replay recomputes the same outcome and the
-                # dedupe map must remember every acknowledged id.
-                await self._run(self._wal_append, record)
-                removed = self.subs.remove(sub_id)
-                if removed is not None and removed.conn is not None:
-                    removed.conn.subs.discard(sub_id)
-                    removed.conn = None
-                self._g_sub_active.set(len(self.subs))
-                response = {"ok": True, "op": "unsubscribe", "sub": sub_id,
-                            "removed": removed is not None,
-                            "version": self.version}
-                self._remember(request_id, response)
-                self._note_durable_record()
-            self._m_latency[("unsubscribe", "engine")].observe(
-                time.perf_counter() - start)
-            return response
 
-    def _detach_connection(self, conn: "_Connection") -> None:
-        for sub_id in conn.subs:
-            sub = self.subs.get(sub_id)
-            if sub is not None and sub.conn is conn:
-                sub.conn = None
-        conn.subs.clear()
+        async def body(deadline, request_id):
+            # Logged even when the id is unknown: like no-op
+            # deletes, replay recomputes the same outcome and the
+            # dedupe map must remember every acknowledged id.
+            await self._log({"op": "unsubscribe", "sub": sub_id}, request_id)
+            removed = self.subs.remove(sub_id)
+            if removed is not None and removed.conn is not None:
+                removed.conn.subs.discard(sub_id)
+                removed.conn = None
+            self._g_sub_active.set(len(self.subs))
+            return {"ok": True, "op": "unsubscribe", "sub": sub_id,
+                    "removed": removed is not None, "version": self.version}
+
+        return await self._write_op(payload, "unsubscribe", body)
 
     # ------------------------------------------------------------------
     # Maintenance ops
@@ -1104,22 +1133,16 @@ class QueryServer(LineProtocolServer):
         path = payload.get("path")
         if not isinstance(path, str) or not path:
             raise ProtocolError("snapshot needs a 'path' string")
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
+
+        async def body():
             # A snapshot only reads the tree; the crash-safe save
             # (tmp+fsync+rename) runs under a shared slot.
-            async with self._scheduler.read(deadline):
-                self._refresh_pressure_gauges()
-                version = self.version
-                await self._run(save_tree, self.engine.tree, path)
-            self._m_latency[("snapshot", "engine")].observe(
-                time.perf_counter() - start)
+            version = self.version
+            await self._run(save_tree, self.engine.tree, path)
             return {"ok": True, "op": "snapshot", "version": version,
                     "path": path}
+
+        return await self._read_op(payload, "snapshot", body)
 
     async def _op_checkpoint(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Checkpoint-then-compact: tree → ``CURRENT`` → WAL truncation.
@@ -1135,9 +1158,6 @@ class QueryServer(LineProtocolServer):
             raise ProtocolError(
                 "checkpoint requires a durable server (start with a "
                 "state directory)")
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
         start = time.perf_counter()
         with self._admitted():
             deadline = self._deadline(payload)
@@ -1175,20 +1195,7 @@ class QueryServer(LineProtocolServer):
                     "checkpoints_pruned": pruned}
 
     async def _op_health(self, payload: dict[str, Any]) -> dict[str, Any]:
-        response = {
-            "ok": True,
-            "op": "health",
-            "status": "draining" if self._draining else "serving",
-            "version": self.version,
-            "size": self.engine.tree.size,
-            "uptime_s": round(time.monotonic() - self._started, 3),
-            "active": self._active,
-            "max_inflight": self.config.max_inflight,
-            "max_queue": self.config.max_queue,
-            "cache": dataclasses.asdict(self.cache.stats())
-                     | {"hit_rate": self.cache.stats().hit_rate},
-            "subscriptions": len(self.subs),
-        }
+        response = self._health(self.engine.tree.size)
         durable = self.durable
         if durable is not None:
             response["durability"] = {

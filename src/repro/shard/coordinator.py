@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
 import math
 import random
 import time
@@ -75,12 +74,12 @@ from typing import Any
 
 from ..obs.context import TraceContext
 from ..obs.fleet import merge_fleet, registry_state, rollup
-from ..obs.trace import NULL_TRACER, Span, span_from_dict
+from ..obs.trace import Span, span_from_dict
 from ..serve import protocol
 from ..serve.backoff import BackoffPolicy
 from ..serve.cache import ResultCache
-from ..serve.protocol import ProtocolError, error_response
-from ..serve.server import (DeadlineExceeded, LineProtocolServer,
+from ..serve.protocol import ProtocolError
+from ..serve.server import (DeadlineExceeded, LineProtocolServer, Refused,
                             ServeConfig, ServingThread)
 from ..sub import Subscription
 from ..sub.index import _encode_radius
@@ -322,8 +321,6 @@ class ShardCoordinator(LineProtocolServer):
         config: Coordinator tunables.
         metrics: Registry backing the ``metrics`` op (and the fan-out /
             prune counters).
-        tracer: Optional :class:`~repro.obs.trace.QueryTracer`; scatter
-            stages are recorded as spans.
     """
 
     _OUTCOMES = LineProtocolServer._OUTCOMES + ("shard_unavailable",)
@@ -331,14 +328,13 @@ class ShardCoordinator(LineProtocolServer):
     def __init__(self, manifest: ShardManifest,
                  addresses: list[tuple[str, int]],
                  config: CoordinatorConfig | None = None,
-                 metrics=None, tracer=None) -> None:
+                 metrics=None) -> None:
         if len(addresses) != manifest.shard_count:
             raise ValueError(
                 f"need {manifest.shard_count} shard addresses, "
                 f"got {len(addresses)}")
         super().__init__(config or CoordinatorConfig(), metrics)
         self.manifest = manifest
-        self.tracer = NULL_TRACER if tracer is None else tracer
         self.cache = ResultCache(
             max_entries=self.config.cache_entries,
             ttl_s=self.config.cache_ttl_s,
@@ -417,6 +413,14 @@ class ShardCoordinator(LineProtocolServer):
     # ------------------------------------------------------------------
     # Query ops
     # ------------------------------------------------------------------
+    @staticmethod
+    def _check_exact(maintenance: str) -> None:
+        if maintenance != "exact":
+            raise ProtocolError(
+                "sharded serving supports maintenance='exact' only (the "
+                "'paper' policy is offer-sequence dependent and has no "
+                "shard-exact replay)")
+
     def _check_window(self, query) -> None:
         if query.length > self.manifest.halo:
             raise ProtocolError(
@@ -460,81 +464,117 @@ class ShardCoordinator(LineProtocolServer):
                         time.perf_counter() - start, response)
         return response
 
+    async def _fan(self, calls: dict[int, Any],
+                   lost: tuple = (ShardCallError,)
+                   ) -> tuple[dict[int, dict[str, Any]], dict[int, Exception]]:
+        """Await ``calls`` (shard index → shard-call awaitable)
+        concurrently and sort the outcomes into ``(acks, failed)``:
+        responses by shard, and the ``lost`` exceptions that count as
+        "this shard did not answer".  Anything else — a deadline where
+        only :class:`ShardCallError` is tolerated, a bug — propagates."""
+        outcomes = await asyncio.gather(*calls.values(),
+                                        return_exceptions=True)
+        acks: dict[int, dict[str, Any]] = {}
+        failed: dict[int, Exception] = {}
+        for i, outcome in zip(calls, outcomes):
+            if isinstance(outcome, lost):
+                failed[i] = outcome
+            elif isinstance(outcome, BaseException):
+                raise outcome
+            else:
+                acks[i] = outcome
+        return acks, failed
+
+    def _fan_all(self, frame: dict[str, Any], deadline: float | None = None,
+                 lost: tuple = (ShardCallError, DeadlineExceeded)):
+        """:meth:`_fan` of one frame to every shard worker."""
+        return self._fan({i: link.call(dict(frame), deadline)
+                          for i, link in enumerate(self.links)}, lost)
+
     async def _op_nwc(self, payload: dict[str, Any]) -> dict[str, Any]:
         query = protocol.parse_nwc(payload)
-        self._check_window(query)
-        partial_ok = self._partial_requested(payload)
-        ctx = self._trace_context(payload)
-        traced = ctx is not None and ctx.sampled
-        recorder = _TraceRecorder(ctx) if traced else None
         key = ("nwc", query.qx, query.qy, query.length, query.width,
                query.n, query.measure.value, self._flags_key)
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            if not traced:
-                cached = self.cache.get(key, self.version)
-                self._g_cache_entries.set(len(self.cache))
-                if cached is not None:
-                    self._m_latency[("nwc", "cache")].observe(
-                        time.perf_counter() - start)
-                    return {"ok": True, "op": "nwc", "version": self.version,
-                            "cached": True, "result": cached}
-            deadline = self._deadline(payload)
-            async with self._scheduler.read(deadline):
-                self._refresh_pressure_gauges()
-                version = self.version
-                if query.n > self.size:
-                    best, accesses, meta, failed = None, 0, {
-                        "fanout": 0, "skipped": self.manifest.shard_count,
-                    }, []
-                    answer = {"found": False, "group": None,
-                              "reason": "n exceeds dataset size"}
-                else:
-                    best, accesses, meta, failed = await self._scatter_nwc(
-                        query, deadline, recorder)
-                    if failed and not partial_ok:
-                        return error_response(
-                            "shard_unavailable",
-                            f"shard(s) {sorted(failed)} unreachable")
-                    answer = {
-                        "found": best is not None,
-                        "group": (protocol._serialize_group(best)
-                                  if best is not None else None),
-                        "reason": None,
-                    }
+        return await self._answer_fleet_query(payload, "nwc", query, query,
+                                              key)
+
+    async def _op_knwc(self, payload: dict[str, Any]) -> dict[str, Any]:
+        query, maintenance = protocol.parse_knwc(payload)
+        self._check_exact(maintenance)
+        base = query.base
+        key = ("knwc", base.qx, base.qy, base.length, base.width, base.n,
+               base.measure.value, query.k, query.m, maintenance,
+               self._flags_key)
+        return await self._answer_fleet_query(payload, "knwc", query, base,
+                                              key)
+
+    def _answer_fleet_query(self, payload, kind, query, base, key):
+        """The one query handler body: scatter, then refuse or flag a
+        partial answer, then stitch the trace.  (A plain ``def`` handing
+        back the pipeline's awaitable: no extra coroutine per request.)"""
+        self._check_window(base)
+        partial_ok = self._partial_requested(payload)
+
+        async def evaluate(deadline, ctx):
+            recorder = _TraceRecorder(ctx) if ctx is not None else None
+            answer, radii, accesses, meta, failed = await self._evaluate(
+                kind, query, deadline, recorder)
+            if failed and not partial_ok:
+                raise Refused("shard_unavailable",
+                              f"shard(s) {sorted(failed)} unreachable")
+            extras = {"stats": {"node_accesses": accesses}, "shards": meta}
             if failed:
+                # Degraded answers are flagged and never cached.
                 self._m_partial.inc()
-                meta = dict(meta) | {"failed": sorted(failed)}
-            elif not traced:
-                shim = SimpleNamespace(
-                    found=best is not None,
-                    distance=best.distance if best is not None else math.inf)
-                insert_radius, delete_radius = protocol.shield_radii_nwc(
-                    query, shim)
-                self.cache.put(key, version, answer, query.qx, query.qy,
-                               query.n, insert_radius, delete_radius)
-            self._g_cache_entries.set(len(self.cache))
-            self._m_latency[("nwc", "engine")].observe(
-                time.perf_counter() - start)
-            response = {"ok": True, "op": "nwc", "version": version,
-                        "cached": False, "result": answer,
-                        "stats": {"node_accesses": accesses},
-                        "shards": meta}
-            if failed:
-                response["partial"] = True
+                extras["shards"] = meta | {"failed": sorted(failed)}
+                extras["partial"] = True
+                radii = None
             if recorder is not None:
-                root = recorder.finish("query:nwc", {
-                    "kind": "nwc", "sharded": True,
+                root = recorder.finish(f"query:{kind}", {
+                    "kind": kind, "sharded": True,
                     "shards": self.manifest.shard_count,
-                    "fanout": meta.get("fanout", 0),
-                    "skipped": meta.get("skipped", 0),
+                    "fanout": meta["fanout"], "skipped": meta["skipped"],
                 })
-                response["trace"] = self._trace_envelope(
+                extras["trace"] = self._trace_envelope(
                     ctx, root, recorder.dropped)
-            return response
+                radii = None
+            return answer, radii, extras
+
+        return self._answer_query(payload, kind, key, base.qx, base.qy,
+                                  base.n, evaluate)
+
+    async def _evaluate(self, kind: str, query, deadline: float | None,
+                        recorder: _TraceRecorder | None = None):
+        """One fresh scatter-gather evaluation, shared by one-shot
+        queries and fleet subscriptions: ``(answer, radii, accesses,
+        meta, failed)`` — the exact ``result`` payload of the wire
+        response, the ``(insert, delete)`` shield radii that guard it,
+        and the scatter's bookkeeping.  ``failed`` lists unreachable
+        shards; the answer is then only partial."""
+        base = query if kind == "nwc" else query.base
+        if base.n > self.size:
+            found, accesses, failed = (None if kind == "nwc" else ()), 0, []
+            meta = {"fanout": 0, "skipped": self.manifest.shard_count}
+            reason = "n exceeds dataset size"
+        else:
+            scatter = self._scatter_nwc if kind == "nwc" else self._scatter_knwc
+            found, accesses, meta, failed = await scatter(
+                query, deadline, recorder)
+            reason = None
+        if kind == "nwc":
+            answer = {"found": found is not None,
+                      "group": (protocol._serialize_group(found)
+                                if found is not None else None),
+                      "reason": reason}
+            radii = protocol.shield_radii_nwc(query, SimpleNamespace(
+                found=found is not None,
+                distance=found.distance if found is not None else math.inf))
+        else:
+            answer = {"groups": [protocol._serialize_group(g) for g in found],
+                      "reason": reason}
+            radii = protocol.shield_radii_knwc(
+                query, SimpleNamespace(groups=tuple(found)))
+        return answer, radii, accesses, meta, failed
 
     async def _scatter_nwc(self, query, deadline, recorder=None):
         """Staged NWC scatter; returns ``(best, accesses, meta, failed)``."""
@@ -559,13 +599,12 @@ class ShardCoordinator(LineProtocolServer):
             accesses += response.get("stats", {}).get("node_accesses", 0)
 
         probe = order[0]
-        with self.tracer.span("shard.probe", {"shard": probe}):
-            try:
-                absorb(await self._shard_call(
-                    recorder, "probe", probe, base, deadline))
-                contacted += 1
-            except ShardCallError:
-                failed.append(probe)
+        try:
+            absorb(await self._shard_call(
+                recorder, "probe", probe, base, deadline))
+            contacted += 1
+        except ShardCallError:
+            failed.append(probe)
         best, _ = merge.merge_nwc(winners)
         skipped = 0
         rest = []
@@ -578,105 +617,18 @@ class ShardCoordinator(LineProtocolServer):
             fan = dict(base)
             if best is not None and merge.seedable(query.measure):
                 fan["bound"] = merge.next_bound(best.distance)
-            with self.tracer.span("shard.fanout", {"shards": len(rest)}):
-                responses = await asyncio.gather(
-                    *(self._shard_call(recorder, "fanout", i, fan, deadline)
-                      for i in rest),
-                    return_exceptions=True,
-                )
-            for i, response in zip(rest, responses):
-                if isinstance(response, ShardCallError):
-                    failed.append(i)
-                elif isinstance(response, BaseException):
-                    raise response
-                else:
-                    absorb(response)
-                    contacted += 1
+            acks, lost = await self._fan({
+                i: self._shard_call(recorder, "fanout", i, fan, deadline)
+                for i in rest})
+            failed.extend(lost)
+            for response in acks.values():
+                absorb(response)
+            contacted += len(acks)
         best, _ = merge.merge_nwc(winners)
         self._m_prune_skips.inc(skipped)
         self._m_fanout.observe(contacted)
         meta = {"fanout": contacted, "skipped": skipped}
         return best, accesses, meta, failed
-
-    async def _op_knwc(self, payload: dict[str, Any]) -> dict[str, Any]:
-        query, maintenance = protocol.parse_knwc(payload)
-        if maintenance != "exact":
-            raise ProtocolError(
-                "sharded serving supports maintenance='exact' only (the "
-                "'paper' policy is offer-sequence dependent and has no "
-                "shard-exact replay)")
-        self._check_window(query.base)
-        partial_ok = self._partial_requested(payload)
-        ctx = self._trace_context(payload)
-        traced = ctx is not None and ctx.sampled
-        recorder = _TraceRecorder(ctx) if traced else None
-        base = query.base
-        key = ("knwc", base.qx, base.qy, base.length, base.width, base.n,
-               base.measure.value, query.k, query.m, maintenance,
-               self._flags_key)
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            if not traced:
-                cached = self.cache.get(key, self.version)
-                self._g_cache_entries.set(len(self.cache))
-                if cached is not None:
-                    self._m_latency[("knwc", "cache")].observe(
-                        time.perf_counter() - start)
-                    return {"ok": True, "op": "knwc", "version": self.version,
-                            "cached": True, "result": cached}
-            deadline = self._deadline(payload)
-            async with self._scheduler.read(deadline):
-                self._refresh_pressure_gauges()
-                version = self.version
-                if base.n > self.size:
-                    groups, accesses, meta, failed = (), 0, {
-                        "fanout": 0, "skipped": self.manifest.shard_count,
-                    }, []
-                    answer = {"groups": [],
-                              "reason": "n exceeds dataset size"}
-                else:
-                    groups, accesses, meta, failed = await self._scatter_knwc(
-                        query, deadline, recorder)
-                    if failed and not partial_ok:
-                        return error_response(
-                            "shard_unavailable",
-                            f"shard(s) {sorted(failed)} unreachable")
-                    answer = {
-                        "groups": [protocol._serialize_group(g)
-                                   for g in groups],
-                        "reason": None,
-                    }
-            if failed:
-                self._m_partial.inc()
-                meta = dict(meta) | {"failed": sorted(failed)}
-            elif not traced:
-                shim = SimpleNamespace(groups=tuple(groups))
-                insert_radius, delete_radius = protocol.shield_radii_knwc(
-                    query, shim)
-                self.cache.put(key, version, answer, base.qx, base.qy,
-                               base.n, insert_radius, delete_radius)
-            self._g_cache_entries.set(len(self.cache))
-            self._m_latency[("knwc", "engine")].observe(
-                time.perf_counter() - start)
-            response = {"ok": True, "op": "knwc", "version": version,
-                        "cached": False, "result": answer,
-                        "stats": {"node_accesses": accesses},
-                        "shards": meta}
-            if failed:
-                response["partial"] = True
-            if recorder is not None:
-                root = recorder.finish("query:knwc", {
-                    "kind": "knwc", "sharded": True,
-                    "shards": self.manifest.shard_count,
-                    "fanout": meta.get("fanout", 0),
-                    "skipped": meta.get("skipped", 0),
-                })
-                response["trace"] = self._trace_envelope(
-                    ctx, root, recorder.dropped)
-            return response
 
     async def _scatter_knwc(self, query, deadline, recorder=None):
         """Two-stage kNWC scatter with horizon-guarded replay."""
@@ -703,13 +655,12 @@ class ShardCoordinator(LineProtocolServer):
             return orders, groups, pool["horizon"]
 
         probe = order[0]
-        with self.tracer.span("shard.probe", {"shard": probe}):
-            try:
-                pools[probe] = decode(await self._shard_call(
-                    recorder, "probe", probe, request, deadline))
-                contacted += 1
-            except ShardCallError:
-                failed.append(probe)
+        try:
+            pools[probe] = decode(await self._shard_call(
+                recorder, "probe", probe, request, deadline))
+            contacted += 1
+        except ShardCallError:
+            failed.append(probe)
         seed = None
         kth = None
         if pools[probe] is not None and merge.seedable(base.measure):
@@ -731,20 +682,13 @@ class ShardCoordinator(LineProtocolServer):
             fan = dict(request)
             if seed is not None:
                 fan["bound"] = seed
-            with self.tracer.span("shard.fanout", {"shards": len(rest)}):
-                responses = await asyncio.gather(
-                    *(self._shard_call(recorder, "fanout", i, fan, deadline)
-                      for i in rest),
-                    return_exceptions=True,
-                )
-            for i, response in zip(rest, responses):
-                if isinstance(response, ShardCallError):
-                    failed.append(i)
-                elif isinstance(response, BaseException):
-                    raise response
-                else:
-                    pools[i] = decode(response)
-                    contacted += 1
+            acks, lost = await self._fan({
+                i: self._shard_call(recorder, "fanout", i, fan, deadline)
+                for i in rest})
+            failed.extend(lost)
+            for i, response in acks.items():
+                pools[i] = decode(response)
+            contacted += len(acks)
         live = [p for p in pools if p is not None]
         result = merge.replay(query.k, query.m, [p[:2] for p in live])
         rounds = 0
@@ -768,24 +712,16 @@ class ShardCoordinator(LineProtocolServer):
             again["limit"] = None
             if target is not None:
                 again["bound"] = target
-            with self.tracer.span("shard.refetch",
-                                  {"shards": len(refetch),
-                                   "bounded": target is not None}):
-                responses = await asyncio.gather(
-                    *(self._shard_call(recorder, "refetch", i, again, deadline)
-                      for i in refetch),
-                    return_exceptions=True,
-                )
-            for i, response in zip(refetch, responses):
-                if isinstance(response, ShardCallError):
-                    if i not in failed:
-                        failed.append(i)
-                    pools[i] = None
-                elif isinstance(response, BaseException):
-                    raise response
-                else:
-                    pools[i] = decode(response)
-                    contacted += 1
+            acks, lost = await self._fan({
+                i: self._shard_call(recorder, "refetch", i, again, deadline)
+                for i in refetch})
+            for i in lost:
+                if i not in failed:
+                    failed.append(i)
+                pools[i] = None
+            for i, response in acks.items():
+                pools[i] = decode(response)
+            contacted += len(acks)
             self._m_refetches.inc(len(refetch))
             rounds += 1
             live = [p for p in pools if p is not None]
@@ -800,125 +736,71 @@ class ShardCoordinator(LineProtocolServer):
     # ------------------------------------------------------------------
     # Update ops
     # ------------------------------------------------------------------
-    async def _fan_update(self, op: str, obj, request_id: str | None,
-                          deadline: float):
-        """Forward one update to every shard storing the object.
-
-        Each forwarded request carries an idempotency id — the client's
-        when given, a coordinator-generated one otherwise — so the
-        per-shard WAL dedupe absorbs the link layer's retries.  Returns
-        the per-shard acks in target order.
-        """
-        rid = request_id or f"coord-{uuid.uuid4().hex[:20]}"
-        targets = self.manifest.affected(obj.x)
-        sub = {"op": op, "oid": obj.oid, "x": obj.x, "y": obj.y, "req": rid}
-        responses = await asyncio.gather(
-            *(self.links[i].call(dict(sub), deadline) for i in targets),
-            return_exceptions=True,
-        )
-        acks = {}
-        failed = []
-        for i, response in zip(targets, responses):
-            if isinstance(response, ShardCallError):
-                failed.append(i)
-            elif isinstance(response, BaseException):
-                raise response
-            else:
-                acks[i] = response
-        return targets, acks, failed
-
     async def _op_insert(self, payload: dict[str, Any]) -> dict[str, Any]:
-        obj = protocol.parse_point(payload)
-        request_id = protocol.parse_request_id(payload)
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.write(deadline):
-                self._refresh_pressure_gauges()
-                replayed = self._deduped(request_id)
-                if replayed is not None:
-                    return replayed
-                targets, acks, failed = await self._fan_update(
-                    "insert", obj, request_id, deadline)
-                if failed:
-                    # Some shards may already have applied: the dataset
-                    # changed, so advance the version (invalidating any
-                    # cached answer the torn write could affect) before
-                    # failing the request.  A client retry with the same
-                    # request id is absorbed by the shard WAL dedupe.
-                    # Standing queries could not be re-evaluated either:
-                    # the dirty flag forces a full pass next update.
-                    self.version += 1
-                    self.cache.note_insert(obj.x, obj.y, self.version)
-                    if self.subs:
-                        self._subs_dirty = True
-                    return error_response(
-                        "shard_unavailable",
-                        f"insert reached {len(targets) - len(failed)}/"
-                        f"{len(targets)} shard(s); {sorted(failed)} down")
-                self.version += 1
-                self.size += 1
-                self.cache.note_insert(obj.x, obj.y, self.version)
-                changed = await self._reconcile_fleet_subs(acks, deadline)
-                response = {"ok": True, "op": "insert",
-                            "version": self.version, "size": self.size,
-                            "shards": list(targets)}
-                self._remember(request_id, response)
-                self._push_notifications(changed)
-            self._g_version.set(self.version)
-            self._g_cache_entries.set(len(self.cache))
-            self._m_latency[("insert", "engine")].observe(
-                time.perf_counter() - start)
-            return response
+        return await self._update(payload, "insert")
 
     async def _op_delete(self, payload: dict[str, Any]) -> dict[str, Any]:
+        return await self._update(payload, "delete")
+
+    def _update(self, payload: dict[str, Any], op: str):
+        """The one update handler body: forward to every shard storing
+        the object, then advance version, size, cache and standing
+        queries — or, on a torn write, everything but the size."""
         obj = protocol.parse_point(payload)
-        request_id = protocol.parse_request_id(payload)
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.write(deadline):
-                self._refresh_pressure_gauges()
-                replayed = self._deduped(request_id)
-                if replayed is not None:
-                    return replayed
-                targets, acks, failed = await self._fan_update(
-                    "delete", obj, request_id, deadline)
-                if failed:
-                    self.version += 1
+        insert = op == "insert"
+
+        async def body(deadline, request_id):
+            # Each forwarded request carries an idempotency id — the
+            # client's when given, a coordinator-generated one otherwise
+            # — so the per-shard WAL dedupe absorbs the link layer's
+            # retries.
+            frame = {"op": op, "oid": obj.oid, "x": obj.x, "y": obj.y,
+                     "req": request_id or f"coord-{uuid.uuid4().hex[:20]}"}
+            targets = self.manifest.affected(obj.x)
+            acks, failed = await self._fan(
+                {i: self.links[i].call(dict(frame), deadline)
+                 for i in targets},
+                lost=(ShardCallError, DeadlineExceeded))
+            deleted = (not insert and not failed and bool(
+                acks[self.manifest.route(obj.x)].get("deleted")))
+            if insert or deleted or failed:
+                self.version += 1
+                if not failed:
+                    self.size += 1 if insert else -1
+                if insert:
+                    self.cache.note_insert(obj.x, obj.y, self.version)
+                else:
                     self.cache.note_delete(obj.x, obj.y, self.version,
                                            self.size)
-                    if self.subs:
-                        self._subs_dirty = True
-                    return error_response(
-                        "shard_unavailable",
-                        f"delete reached {len(targets) - len(failed)}/"
-                        f"{len(targets)} shard(s); {sorted(failed)} down")
-                owner = self.manifest.route(obj.x)
-                deleted = bool(acks[owner].get("deleted"))
-                changed: list[Subscription] = []
-                if deleted:
-                    self.version += 1
-                    self.size -= 1
-                    self.cache.note_delete(obj.x, obj.y, self.version,
-                                           self.size)
-                    changed = await self._reconcile_fleet_subs(acks, deadline)
-                response = {"ok": True, "op": "delete",
-                            "version": self.version, "deleted": deleted,
-                            "size": self.size, "shards": list(targets)}
-                self._remember(request_id, response)
-                self._push_notifications(changed)
-            self._g_version.set(self.version)
-            self._g_cache_entries.set(len(self.cache))
-            self._m_latency[("delete", "engine")].observe(
-                time.perf_counter() - start)
+            if failed:
+                # Some shards may already have applied: the dataset
+                # changed, so the version advanced (invalidating any
+                # cached answer the torn write could affect) before
+                # failing the request.  A client retry with the same
+                # request id is absorbed by the shard WAL dedupe.
+                # Standing queries could not be re-evaluated either:
+                # the dirty flag forces a full pass next update.  A
+                # deadline that passed on one target is the same torn
+                # write; the client still reads ``deadline_exceeded``.
+                if self.subs:
+                    self._subs_dirty = True
+                for error in failed.values():
+                    if isinstance(error, DeadlineExceeded):
+                        raise error
+                raise Refused(
+                    "shard_unavailable",
+                    f"{op} reached {len(acks)}/{len(targets)} shard(s); "
+                    f"{sorted(failed)} down")
+            if insert or deleted:
+                self._push_notifications(
+                    await self._reconcile_fleet_subs(acks, deadline))
+            response = {"ok": True, "op": op, "version": self.version,
+                        "size": self.size, "shards": list(targets)}
+            if not insert:
+                response["deleted"] = deleted
             return response
+
+        return self._write_op(payload, op, body)
 
     # ------------------------------------------------------------------
     # Fleet subscriptions (standing queries)
@@ -931,41 +813,12 @@ class ShardCoordinator(LineProtocolServer):
         ``result`` a one-shot query op would return.  Raises
         :class:`ShardCallError` when any shard is unreachable (a
         partial answer must never be pushed as a notification)."""
-        if sub.kind == "nwc":
-            query = sub.query
-            if query.n > self.size:
-                shim = SimpleNamespace(found=False, distance=math.inf)
-                return ({"found": False, "group": None,
-                         "reason": "n exceeds dataset size"},
-                        *protocol.shield_radii_nwc(query, shim))
-            best, _accesses, _meta, failed = await self._scatter_nwc(
-                query, deadline)
-            if failed:
-                raise ShardCallError(failed[0], "unavailable",
-                                     "subscription re-evaluation")
-            shim = SimpleNamespace(
-                found=best is not None,
-                distance=best.distance if best is not None else math.inf)
-            return ({"found": best is not None,
-                     "group": (protocol._serialize_group(best)
-                               if best is not None else None),
-                     "reason": None},
-                    *protocol.shield_radii_nwc(query, shim))
-        query = sub.query
-        base = query.base
-        if base.n > self.size:
-            shim = SimpleNamespace(groups=())
-            return ({"groups": [], "reason": "n exceeds dataset size"},
-                    *protocol.shield_radii_knwc(query, shim))
-        groups, _accesses, _meta, failed = await self._scatter_knwc(
-            query, deadline)
+        answer, radii, _accesses, _meta, failed = await self._evaluate(
+            sub.kind, sub.query, deadline)
         if failed:
             raise ShardCallError(failed[0], "unavailable",
                                  "subscription re-evaluation")
-        shim = SimpleNamespace(groups=tuple(groups))
-        return ({"groups": [protocol._serialize_group(g) for g in groups],
-                 "reason": None},
-                *protocol.shield_radii_knwc(query, shim))
+        return answer, *radii
 
     async def _fan_sub_track(self, sub: Subscription,
                              deadline: float | None) -> list[int]:
@@ -974,34 +827,22 @@ class ShardCoordinator(LineProtocolServer):
         fleet subscription).  Returns the shards that stayed
         unreachable; one shared request id makes link retries
         idempotent against each worker's WAL dedupe."""
-        frame = {"op": "sub_track", "sub": sub.sub_id,
-                 "x": sub.qx, "y": sub.qy, "n": sub.n,
-                 "ins": _encode_radius(sub.insert_radius),
-                 "del": _encode_radius(sub.delete_radius),
-                 "req": f"coord-{uuid.uuid4().hex[:20]}"}
-        responses = await asyncio.gather(
-            *(link.call(dict(frame), deadline) for link in self.links),
-            return_exceptions=True,
-        )
-        failed = []
-        for i, response in enumerate(responses):
-            if isinstance(response, (ShardCallError, DeadlineExceeded)):
-                failed.append(i)
-            elif isinstance(response, BaseException):
-                raise response
-        return failed
+        _acks, failed = await self._fan_all(
+            {"op": "sub_track", "sub": sub.sub_id,
+             "x": sub.qx, "y": sub.qy, "n": sub.n,
+             "ins": _encode_radius(sub.insert_radius),
+             "del": _encode_radius(sub.delete_radius),
+             "req": f"coord-{uuid.uuid4().hex[:20]}"}, deadline)
+        return sorted(failed)
 
     async def _fan_sub_untrack(self, sub_id: str,
                                deadline: float | None) -> None:
         """Best-effort sentinel removal — a sentinel that survives on
         an unreachable worker only produces hints the coordinator
         ignores (the id is no longer in ``self.subs``)."""
-        frame = {"op": "sub_untrack", "sub": sub_id,
-                 "req": f"coord-{uuid.uuid4().hex[:20]}"}
-        await asyncio.gather(
-            *(link.call(dict(frame), deadline) for link in self.links),
-            return_exceptions=True,
-        )
+        await self._fan_all(
+            {"op": "sub_untrack", "sub": sub_id,
+             "req": f"coord-{uuid.uuid4().hex[:20]}"}, deadline)
 
     async def _reconcile_fleet_subs(self, acks: dict[int, dict[str, Any]],
                                     deadline: float | None
@@ -1056,135 +897,83 @@ class ShardCoordinator(LineProtocolServer):
         return changed
 
     async def _op_subscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
-        request_id = protocol.parse_request_id(payload)
         sub_id = protocol.parse_subscription_id(payload)
         kind, spec, query, maintenance = protocol.parse_subscription(payload)
-        if maintenance != "exact":
-            raise ProtocolError(
-                "sharded serving supports maintenance='exact' only (the "
-                "'paper' policy is offer-sequence dependent and has no "
-                "shard-exact replay)")
+        self._check_exact(maintenance)
         self._check_window(query if kind == "nwc" else query.base)
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.write(deadline):
-                self._refresh_pressure_gauges()
-                replayed = self._deduped(request_id)
-                if replayed is not None:
-                    existing = self.subs.get(replayed.get("sub"))
-                    if existing is not None:
-                        self._attach_subscription(existing)
-                    return replayed
-                existing = self.subs.get(sub_id) if sub_id else None
-                if existing is not None:
-                    self._attach_subscription(existing)
-                    return {"ok": True, "op": "subscribe",
-                            "sub": existing.sub_id, "kind": existing.kind,
-                            "version": self.version,
-                            "revision": existing.revision,
-                            "result": existing.result, "resumed": True}
-                sub = Subscription(
-                    sub_id=sub_id or f"sub-{uuid.uuid4().hex[:16]}",
-                    kind=kind, spec=spec, query=query,
-                    maintenance=maintenance, qx=spec["x"], qy=spec["y"],
-                    n=spec["n"])
-                try:
-                    sub.result, sub.insert_radius, sub.delete_radius = \
-                        await self._evaluate_fleet_sub(sub, deadline)
-                except ShardCallError as exc:
-                    return error_response(
-                        "shard_unavailable",
-                        f"cannot evaluate subscription: {exc}")
-                sub.revision = 1
-                sub.version = self.version
-                failed = await self._fan_sub_track(sub, deadline)
-                if failed:
-                    # Registration is all-or-nothing: a worker without
-                    # the sentinel would silently stop hinting.  Roll
-                    # the sentinels back and refuse.
-                    await self._fan_sub_untrack(sub.sub_id, deadline)
-                    return error_response(
-                        "shard_unavailable",
-                        f"sentinel registration failed on shard(s) "
-                        f"{sorted(failed)}")
-                self.subs[sub.sub_id] = sub
-                self._attach_subscription(sub)
-                self._g_sub_active.set(len(self.subs))
-                response = {"ok": True, "op": "subscribe",
-                            "sub": sub.sub_id, "kind": kind,
-                            "version": self.version, "revision": 1,
-                            "result": sub.result}
-                self._remember(request_id, response)
-            self._m_latency[("subscribe", "engine")].observe(
-                time.perf_counter() - start)
-            return response
+
+        async def body(deadline, request_id):
+            existing = self._live_sub(sub_id)
+            if existing is not None:
+                return self._resume_subscription(existing)
+            sub = Subscription(
+                sub_id=sub_id or f"sub-{uuid.uuid4().hex[:16]}",
+                kind=kind, spec=spec, query=query,
+                maintenance=maintenance, qx=spec["x"], qy=spec["y"],
+                n=spec["n"])
+            try:
+                sub.result, sub.insert_radius, sub.delete_radius = \
+                    await self._evaluate_fleet_sub(sub, deadline)
+            except ShardCallError as exc:
+                raise Refused("shard_unavailable",
+                              f"cannot evaluate subscription: {exc}") from exc
+            sub.revision = 1
+            sub.version = self.version
+            failed = await self._fan_sub_track(sub, deadline)
+            if failed:
+                # Registration is all-or-nothing: a worker without
+                # the sentinel would silently stop hinting.  Roll
+                # the sentinels back and refuse.
+                await self._fan_sub_untrack(sub.sub_id, deadline)
+                raise Refused(
+                    "shard_unavailable",
+                    f"sentinel registration failed on shard(s) {failed}")
+            self.subs[sub.sub_id] = sub
+            self._attach_subscription(sub)
+            self._g_sub_active.set(len(self.subs))
+            return {"ok": True, "op": "subscribe", "sub": sub.sub_id,
+                    "kind": kind, "version": self.version, "revision": 1,
+                    "result": sub.result}
+
+        return await self._write_op(payload, "subscribe", body,
+                                    self._reattach_replayed)
 
     async def _op_unsubscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
-        request_id = protocol.parse_request_id(payload)
         sub_id = protocol.parse_subscription_id(payload, required=True)
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.write(deadline):
-                self._refresh_pressure_gauges()
-                replayed = self._deduped(request_id)
-                if replayed is not None:
-                    return replayed
-                removed = self.subs.pop(sub_id, None)
-                if removed is not None:
-                    if removed.conn is not None:
-                        removed.conn.subs.discard(sub_id)
-                        removed.conn = None
-                    await self._fan_sub_untrack(sub_id, deadline)
-                self._g_sub_active.set(len(self.subs))
-                response = {"ok": True, "op": "unsubscribe", "sub": sub_id,
-                            "removed": removed is not None,
-                            "version": self.version}
-                self._remember(request_id, response)
-            self._m_latency[("unsubscribe", "engine")].observe(
-                time.perf_counter() - start)
-            return response
 
-    def _detach_connection(self, conn) -> None:
-        for sub_id in conn.subs:
-            sub = self.subs.get(sub_id)
-            if sub is not None and sub.conn is conn:
-                sub.conn = None
-        conn.subs.clear()
+        async def body(deadline, request_id):
+            removed = self.subs.pop(sub_id, None)
+            if removed is not None:
+                if removed.conn is not None:
+                    removed.conn.subs.discard(sub_id)
+                    removed.conn = None
+                await self._fan_sub_untrack(sub_id, deadline)
+            self._g_sub_active.set(len(self.subs))
+            return {"ok": True, "op": "unsubscribe", "sub": sub_id,
+                    "removed": removed is not None, "version": self.version}
+
+        return await self._write_op(payload, "unsubscribe", body)
 
     # ------------------------------------------------------------------
     # Maintenance ops
     # ------------------------------------------------------------------
     async def _op_checkpoint(self, payload: dict[str, Any]) -> dict[str, Any]:
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
+        start = time.perf_counter()
         with self._admitted():
-            deadline = self._deadline(payload)
-            responses = await asyncio.gather(
-                *(link.call({"op": "checkpoint"}, deadline)
-                  for link in self.links),
-                return_exceptions=True,
-            )
-            shards = []
-            for i, response in enumerate(responses):
-                if isinstance(response, ShardCallError):
-                    return error_response(
-                        "shard_unavailable",
-                        f"checkpoint failed on shard {i}: {response}")
-                if isinstance(response, BaseException):
-                    raise response
-                shards.append({"shard": i, "seq": response.get("seq"),
-                               "checkpoint": response.get("checkpoint")})
+            acks, failed = await self._fan_all(
+                {"op": "checkpoint"}, self._deadline(payload),
+                lost=(ShardCallError,))
+            if failed:
+                i = min(failed)
+                raise Refused("shard_unavailable",
+                              f"checkpoint failed on shard {i}: {failed[i]}")
+            self._m_checkpoints.inc()
+            self._m_latency[("checkpoint", "engine")].observe(
+                time.perf_counter() - start)
             return {"ok": True, "op": "checkpoint", "version": self.version,
-                    "shards": shards}
+                    "shards": [{"shard": i, "seq": ack.get("seq"),
+                                "checkpoint": ack.get("checkpoint")}
+                               for i, ack in acks.items()]}
 
     async def _op_metrics(self, payload: dict[str, Any]) -> dict[str, Any]:
         scope = payload.get("scope", "local")
@@ -1199,26 +988,17 @@ class ShardCoordinator(LineProtocolServer):
         self._g_version.set(self.version)
         if self.cache is not None:
             self._g_cache_entries.set(len(self.cache))
-        responses = await asyncio.gather(
-            *(link.call({"op": "metrics", "format": "state"})
-              for link in self.links),
-            return_exceptions=True,
-        )
+        acks, failed = await self._fan_all(
+            {"op": "metrics", "format": "state"})
         scrapes: list[tuple[dict[str, str], dict]] = [
             ({"shard": "coordinator"}, registry_state(self.metrics)),
         ]
-        unreachable: list[int] = []
-        for i, response in enumerate(responses):
-            if isinstance(response, (ShardCallError, DeadlineExceeded)):
-                unreachable.append(i)
-            elif isinstance(response, BaseException):
-                raise response
-            else:
-                scrapes.append(({"shard": str(i)}, response["state"]))
+        scrapes.extend(({"shard": str(i)}, ack["state"])
+                       for i, ack in acks.items())
         merged = merge_fleet(scrapes)
         response = {"ok": True, "op": "metrics", "scope": "fleet",
-                    "format": fmt, "shards_scraped": len(scrapes) - 1,
-                    "unreachable": unreachable}
+                    "format": fmt, "shards_scraped": len(acks),
+                    "unreachable": sorted(failed)}
         if fmt == "prometheus":
             return response | {"text": merged.dump_metrics()}
         if fmt == "state":
@@ -1230,41 +1010,17 @@ class ShardCoordinator(LineProtocolServer):
                            "rollup": rollup(merged).to_dict()}
 
     async def _op_health(self, payload: dict[str, Any]) -> dict[str, Any]:
-        responses = await asyncio.gather(
-            *(link.call({"op": "health"}) for link in self.links),
-            return_exceptions=True,
-        )
-        shards = []
-        for i, response in enumerate(responses):
-            if isinstance(response, (ShardCallError, DeadlineExceeded)):
-                shards.append({"shard": i, "status": "unreachable"})
-            elif isinstance(response, BaseException):
-                raise response
-            else:
-                shards.append({
-                    "shard": i,
-                    "status": response.get("status"),
-                    "version": response.get("version"),
-                    "size": response.get("size"),
-                    "owned_size": response.get("shard", {}).get("owned_size"),
-                    "wal_lag": response.get("durability", {}).get(
-                        "records_since_checkpoint"),
-                })
-        return {
-            "ok": True,
-            "op": "health",
-            "status": "draining" if self._draining else "serving",
-            "version": self.version,
-            "size": self.size,
-            "uptime_s": round(time.monotonic() - self._started, 3),
-            "active": self._active,
-            "max_inflight": self.config.max_inflight,
-            "max_queue": self.config.max_queue,
-            "cache": dataclasses.asdict(self.cache.stats())
-                     | {"hit_rate": self.cache.stats().hit_rate},
-            "subscriptions": len(self.subs),
-            "shards": shards,
-        }
+        acks, failed = await self._fan_all({"op": "health"})
+        shards = [{"shard": i, "status": "unreachable"} if i in failed else {
+            "shard": i,
+            "status": acks[i].get("status"),
+            "version": acks[i].get("version"),
+            "size": acks[i].get("size"),
+            "owned_size": acks[i].get("shard", {}).get("owned_size"),
+            "wal_lag": acks[i].get("durability", {}).get(
+                "records_since_checkpoint"),
+        } for i in range(len(self.links))]
+        return self._health(self.size) | {"shards": shards}
 
     _HANDLERS = {
         "nwc": _op_nwc,
@@ -1282,9 +1038,8 @@ class ShardCoordinator(LineProtocolServer):
 def coordinator_thread(manifest: ShardManifest,
                        addresses: list[tuple[str, int]],
                        config: CoordinatorConfig | None = None,
-                       metrics=None, tracer=None) -> ServingThread:
+                       metrics=None) -> ServingThread:
     """A :class:`ShardCoordinator` on a background thread (the
     in-process harness tests and benchmarks use)."""
     return ServingThread(ShardCoordinator(manifest, addresses,
-                                          config=config, metrics=metrics,
-                                          tracer=tracer))
+                                          config=config, metrics=metrics))

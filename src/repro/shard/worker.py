@@ -30,7 +30,6 @@ first update dirties the snapshot.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any
 
 from ..core import NWCEngine
@@ -39,7 +38,6 @@ from ..index import FlatRTree, load_tree
 from ..serve import protocol
 from ..serve.durability import DurabilityConfig, recover
 from ..serve.server import QueryServer, ServeConfig
-from ..storage.wal import crash_point
 from ..sub import subscription_from_record
 from ..sub.index import _encode_radius
 from .partition import ShardManifest
@@ -132,78 +130,45 @@ class ShardServer(QueryServer):
         query = protocol.parse_nwc(payload)
         bound = protocol.parse_bound(payload)
         ctx = self._trace_context(payload)
-        traced = ctx is not None and ctx.sampled
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.read(deadline):
-                self._refresh_pressure_gauges()
 
-                def run():
-                    return self.engine.nwc_ordered(
-                        query, bound=bound,
-                        anchor_region=self.anchor_region,
-                    )
-
-                if traced:
-                    # _run serializes engine work behind _engine_lock,
-                    # so the tracer swap + query is atomic and the
-                    # I/O delta belongs to this query alone.
-                    (result, order), root, dropped = await self._run(
-                        self._trace_engine_call, run)
-                else:
-                    result, order = await self._run(run)
-                version = self.version
-            self._m_latency[("nwc_scatter", "engine")].observe(
-                time.perf_counter() - start)
-            response = {
-                "ok": True, "op": "nwc_scatter", "version": version,
+        async def body():
+            # _run serializes engine work behind _engine_lock, so a
+            # traced call's tracer swap + query is atomic and the I/O
+            # delta belongs to this query alone.
+            (result, order), traced = await self._run_engine(
+                lambda: self.engine.nwc_ordered(
+                    query, bound=bound, anchor_region=self.anchor_region),
+                ctx)
+            return {
+                "ok": True, "op": "nwc_scatter", "version": self.version,
                 "shard": self.shard_index,
                 "result": protocol.serialize_nwc(result),
                 "order": None if order is None else list(order),
                 "stats": {"node_accesses": result.node_accesses},
+                **traced,
             }
-            if traced:
-                response["trace"] = self._trace_envelope(ctx, root, dropped)
-            return response
+
+        return await self._read_op(payload, "nwc_scatter", body)
 
     async def _op_knwc_pool(self, payload: dict[str, Any]) -> dict[str, Any]:
         query, _maintenance = protocol.parse_knwc(payload)
         limit = protocol.parse_pool_limit(payload)
         bound = protocol.parse_bound(payload)
         ctx = self._trace_context(payload)
-        traced = ctx is not None and ctx.sampled
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.read(deadline):
-                self._refresh_pressure_gauges()
 
-                def run():
-                    pool = self.engine.knwc_candidates(
-                        query, limit, bound=bound,
-                        anchor_region=self.anchor_region,
-                    )
-                    accesses = self.engine.tree.stats.snapshot().get(
-                        "node_accesses", 0)
-                    return pool, accesses
+        def run():
+            pool = self.engine.knwc_candidates(
+                query, limit, bound=bound,
+                anchor_region=self.anchor_region,
+            )
+            accesses = self.engine.tree.stats.snapshot().get(
+                "node_accesses", 0)
+            return pool, accesses
 
-                if traced:
-                    (pool, accesses), root, dropped = await self._run(
-                        self._trace_engine_call, run)
-                else:
-                    (pool, accesses) = await self._run(run)
-                version = self.version
-            self._m_latency[("knwc_pool", "engine")].observe(
-                time.perf_counter() - start)
-            response = {
-                "ok": True, "op": "knwc_pool", "version": version,
+        async def body():
+            (pool, accesses), traced = await self._run_engine(run, ctx)
+            return {
+                "ok": True, "op": "knwc_pool", "version": self.version,
                 "shard": self.shard_index,
                 "pool": {
                     "groups": [protocol._serialize_group(g)
@@ -213,10 +178,10 @@ class ShardServer(QueryServer):
                     "reason": pool.reason,
                 },
                 "stats": {"node_accesses": accesses},
+                **traced,
             }
-            if traced:
-                response["trace"] = self._trace_envelope(ctx, root, dropped)
-            return response
+
+        return await self._read_op(payload, "knwc_pool", body)
 
     # ------------------------------------------------------------------
     # Sentinel tracking (coordinator-owned fleet subscriptions)
@@ -230,71 +195,34 @@ class ShardServer(QueryServer):
         could have changed.  WAL-logged like any update: a worker that
         is ``kill -9``-ed mid-burst recovers its sentinels and keeps
         hinting."""
-        request_id = protocol.parse_request_id(payload)
         sub_id = protocol.parse_subscription_id(payload, required=True)
-        x = protocol._number(payload, "x")
-        y = protocol._number(payload, "y")
-        n = protocol._integer(payload, "n", 1)
-        ins = protocol.parse_radius(payload, "ins")
-        dele = protocol.parse_radius(payload, "del")
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.write(deadline):
-                self._refresh_pressure_gauges()
-                replayed = self._deduped(request_id)
-                if replayed is not None:
-                    return replayed
-                record = {"op": "sub_track", "sub": sub_id,
-                          "x": x, "y": y, "n": n,
-                          "ins": _encode_radius(ins),
-                          "del": _encode_radius(dele)}
-                if request_id is not None:
-                    record["req"] = request_id
-                await self._run(self._wal_append, record)
-                sentinel = subscription_from_record(record)
-                self.subs.add(sentinel)
-                self._g_sub_active.set(len(self.subs))
-                response = {"ok": True, "op": "sub_track", "sub": sub_id,
-                            "version": self.version}
-                self._remember(request_id, response)
-                self._note_durable_record()
-            self._m_latency[("sub_track", "engine")].observe(
-                time.perf_counter() - start)
-            crash_point("before_ack")
-            return response
+        record = {"op": "sub_track", "sub": sub_id,
+                  "x": protocol._number(payload, "x"),
+                  "y": protocol._number(payload, "y"),
+                  "n": protocol._integer(payload, "n", 1),
+                  "ins": _encode_radius(protocol.parse_radius(payload, "ins")),
+                  "del": _encode_radius(protocol.parse_radius(payload, "del"))}
+
+        async def body(deadline, request_id):
+            await self._log(record, request_id)
+            self.subs.add(subscription_from_record(record))
+            self._g_sub_active.set(len(self.subs))
+            return {"ok": True, "op": "sub_track", "sub": sub_id,
+                    "version": self.version}
+
+        return await self._write_op(payload, "sub_track", body)
 
     async def _op_sub_untrack(self, payload: dict[str, Any]) -> dict[str, Any]:
-        request_id = protocol.parse_request_id(payload)
         sub_id = protocol.parse_subscription_id(payload, required=True)
-        refused = self._check_admission()
-        if refused is not None:
-            return refused
-        start = time.perf_counter()
-        with self._admitted():
-            deadline = self._deadline(payload)
-            async with self._scheduler.write(deadline):
-                self._refresh_pressure_gauges()
-                replayed = self._deduped(request_id)
-                if replayed is not None:
-                    return replayed
-                record = {"op": "sub_untrack", "sub": sub_id}
-                if request_id is not None:
-                    record["req"] = request_id
-                await self._run(self._wal_append, record)
-                removed = self.subs.remove(sub_id)
-                self._g_sub_active.set(len(self.subs))
-                response = {"ok": True, "op": "sub_untrack", "sub": sub_id,
-                            "removed": removed is not None,
-                            "version": self.version}
-                self._remember(request_id, response)
-                self._note_durable_record()
-            self._m_latency[("sub_untrack", "engine")].observe(
-                time.perf_counter() - start)
-            return response
+
+        async def body(deadline, request_id):
+            await self._log({"op": "sub_untrack", "sub": sub_id}, request_id)
+            removed = self.subs.remove(sub_id)
+            self._g_sub_active.set(len(self.subs))
+            return {"ok": True, "op": "sub_untrack", "sub": sub_id,
+                    "removed": removed is not None, "version": self.version}
+
+        return await self._write_op(payload, "sub_untrack", body)
 
     # ------------------------------------------------------------------
     # Inherited ops, shard-aware

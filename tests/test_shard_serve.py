@@ -4,12 +4,14 @@ Boots three shard workers and a coordinator in-process, plus a
 single-engine oracle server, then checks: answer identity through the
 full protocol stack, update routing by partition ownership, the
 coordinator's semantic cache with shard-aware shield invalidation,
-fan-in health, typed window/maintenance rejections, and degraded
-partial-mode answers when a worker dies.
+fan-in health, the fleet checkpoint's accounting, typed
+window/maintenance rejections, degraded partial-mode answers when a
+worker dies, and the torn write a deadline leaves behind.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -20,14 +22,16 @@ from repro.core.query import KNWCQuery, NWCQuery
 from repro.core.schemes import Scheme
 from repro.geometry import Rect
 from repro.index import RStarTree
+from repro.obs.context import TraceContext, new_span_id, new_trace_id
 from repro.serve import protocol
 from repro.serve.client import (
+    DeadlineError,
     RemoteError,
     ServeClient,
     ShardUnavailableError,
     wait_until_healthy,
 )
-from repro.serve.server import ServerThread, ServingThread
+from repro.serve.server import DeadlineExceeded, ServerThread, ServingThread
 from repro.shard import (
     CoordinatorConfig,
     build_shard_server,
@@ -44,14 +48,18 @@ SHARDS = 3
 
 class Fleet:
     def __init__(self, tmp_path, shards=SHARDS, points=POINTS,
-                 pool_limit=8):
+                 pool_limit=8, durable=False):
         self.manifest = partition_dataset(points, shards, L, tmp_path,
                                           EXTENT, cell_size=25.0)
         self.workers = []
         addresses = []
         for i in range(shards):
-            thread = ServingThread(
-                build_shard_server(self.manifest, str(tmp_path), i)).start()
+            state_dir = None
+            if durable:
+                state_dir = str(tmp_path / f"state-{i}")
+                os.mkdir(state_dir)
+            thread = ServingThread(build_shard_server(
+                self.manifest, str(tmp_path), i, state_dir=state_dir)).start()
             self.workers.append(thread)
             addresses.append((thread.host, thread.port))
         self.coordinator = coordinator_thread(
@@ -192,6 +200,24 @@ def test_health_fans_in_every_shard(fleet):
         health["size"]
 
 
+def test_fleet_checkpoint_is_counted_and_timed(tmp_path):
+    fleet = Fleet(tmp_path, shards=2, durable=True,
+                  points=make_uniform_points(120, seed=909))
+    try:
+        fleet.client.insert(31341, 500.0, 500.0)
+        response = fleet.client.call({"op": "checkpoint"})
+        assert [entry["shard"] for entry in response["shards"]] == [0, 1]
+        assert all(entry["checkpoint"] for entry in response["shards"])
+        # Accounted like the single server's checkpoint: one cycle, one
+        # latency observation.
+        families = fleet.client.metrics()["metrics"]
+        assert families["serve_checkpoints_total"]["values"][""] == 1.0
+        latency = families["serve_request_seconds"]["values"]
+        assert latency['{op="checkpoint",source="engine"}']["count"] == 1
+    finally:
+        fleet.stop()
+
+
 def test_shard_metric_families_exported(fleet):
     families = fleet.client.metrics()["metrics"]
     for name in ("shard_prune_skips_total", "shard_fanout",
@@ -239,5 +265,57 @@ def test_dead_worker_partial_mode(tmp_path):
         statuses = {entry["shard"]: entry["status"]
                     for entry in health["shards"]}
         assert statuses[1] == "unreachable"
+    finally:
+        fleet.stop()
+
+
+def test_deadline_on_one_update_target_is_a_torn_write(tmp_path):
+    """An insert whose deadline passes on one target after another
+    target applied it changed the dataset: the version must advance and
+    the cached answer go, exactly as for an unreachable shard.  The
+    client still reads ``deadline_exceeded``.  Clock-free: the expiry is
+    raised by a patched link, not waited for."""
+    fleet = Fleet(tmp_path, shards=2,
+                  points=make_uniform_points(120, seed=909))
+    try:
+        coordinator = fleet.coordinator.server
+        # A query point in the halo band: inserts there go to both
+        # shards; the owner applies, the other link's deadline "passes".
+        x = fleet.manifest.owned_interval(0)[1] - 1.0
+        y, n = 500.0, 3
+        targets = fleet.manifest.affected(x)
+        assert targets == (0, 1) and fleet.manifest.route(x) == 0
+
+        before = fleet.client.nwc(x, y, L, W, n)
+        assert fleet.client.nwc(x, y, L, W, n)["cached"] is True
+
+        link = coordinator.links[1]
+        real_call = link.call
+
+        async def expired_on_insert(payload, deadline=None):
+            if payload.get("op") == "insert":
+                raise DeadlineExceeded
+            return await real_call(payload, deadline)
+
+        link.call = expired_on_insert
+        try:
+            for i in range(n):
+                with pytest.raises(DeadlineError):
+                    fleet.client.insert(41_000 + i, x - 0.1 * i, y + 0.1)
+        finally:
+            link.call = real_call
+
+        after = fleet.client.nwc(x, y, L, W, n)
+        assert after["version"] == before["version"] + n
+        assert after["cached"] is False
+        # Every served frame == a fresh query at the version it
+        # carries: a sampled trace bypasses the cache.
+        fresh = fleet.client.nwc(
+            x, y, L, W, n,
+            trace=TraceContext(new_trace_id(), new_span_id()).to_wire())
+        assert after["result"] == fresh["result"]
+        assert after["result"]["group"]["distance"] < 1.0
+        if before["result"]["found"]:
+            assert before["result"]["group"]["distance"] > 1.0
     finally:
         fleet.stop()
