@@ -379,7 +379,9 @@ class NWCEngine:
         self._grid_dirty = False
         self._flat = flat
         self._flat_iwp = flat_iwp
-        self._flat_dirty = False
+        # Leaves edited since ``_flat`` was taken: the pending edit the
+        # next refresh splices in (see _note_edit).
+        self._flat_edit: set = set()
         # Sharded-search state: a half-open ``(x1, y1, x2, y2)`` rectangle
         # restricting which objects may *anchor* windows (members still
         # come from the whole tree), plus the anchor distance / frame
@@ -421,7 +423,7 @@ class NWCEngine:
                 "need the object-graph RStarTree"
             )
         self.tree.insert(obj)
-        self._flat_dirty = True
+        self._note_edit()
         if self.grid is not None:
             if self.grid.extent.contains_point(obj.x, obj.y):
                 try:
@@ -445,7 +447,7 @@ class NWCEngine:
             )
         if not self.tree.delete(obj):
             return False
-        self._flat_dirty = True
+        self._note_edit()
         if self.grid is not None:
             if self.grid.extent.contains_point(obj.x, obj.y):
                 try:
@@ -458,6 +460,24 @@ class NWCEngine:
             self._iwp_dirty = True
         return True
 
+    def _note_edit(self) -> None:
+        """Gather the tree's latest edit into the pending snapshot edit.
+
+        Edits gather because a fleet worker or a WAL replay can apply
+        several before the next query.  A structural edit (see
+        ``RStarTree.last_edit``), or any edit to a snapshot loaded from a
+        page file (it has no node map), drops the snapshot instead: the
+        next refresh rebuilds it with ``FlatRTree.from_tree``.
+        """
+        if self._flat is None:
+            return
+        edit = self.tree.last_edit
+        if edit is None or self._flat.node_ids is None:
+            self._flat = None
+            self._flat_edit = set()
+        else:
+            self._flat_edit |= edit
+
     def _refresh_structures(self) -> None:
         """Rebuild DEP/IWP/flat structures invalidated by updates."""
         if self._grid_dirty and self.grid is not None:
@@ -469,11 +489,14 @@ class NWCEngine:
                 )
             self._grid_dirty = False
         if self.execution == "columnar":
-            if self._flat is None or self._flat_dirty:
+            if self._flat is None:
                 self._flat = (self.tree if isinstance(self.tree, FlatRTree)
                               else FlatRTree.from_tree(self.tree))
                 self._flat_iwp = None
-                self._flat_dirty = False
+            elif self._flat_edit:
+                self._flat = self._flat.splice(self._flat_edit)
+                self._flat_iwp = None
+                self._flat_edit = set()
             if self.flags.iwp and self._flat_iwp is None:
                 self._flat_iwp = FlatIWP(self._flat)
             self._iwp_dirty = False

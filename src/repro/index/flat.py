@@ -16,6 +16,9 @@ Two construction paths produce identical layouts:
 
 * :meth:`FlatRTree.from_tree` converts a live tree (sharing its
   :class:`~repro.storage.IOStats` and its ``PointObject`` instances);
+  after updates that create or remove no node, :meth:`FlatRTree.splice`
+  derives the same arrays from the previous snapshot by rewriting only
+  the edited leaves' columns and their ancestors' MBRs;
 * :meth:`FlatRTree.from_page_file` maps a saved page file with
   :class:`~repro.storage.MappedPageFile` and decodes node records
   straight out of the mapping via ``np.frombuffer`` — no intermediate
@@ -69,6 +72,11 @@ _EMPTY_MBR = (np.inf, np.inf, -np.inf, -np.inf)
 _PAIR_BUDGET = 4096
 
 
+def _mbr_row(mbr: Rect | None) -> tuple[float, float, float, float]:
+    """A node's ``mbrs`` row from its cached MBR."""
+    return _EMPTY_MBR if mbr is None else (mbr.x1, mbr.y1, mbr.x2, mbr.y2)
+
+
 def _meets(a, b) -> np.ndarray:
     """Element by element, whether the closed boxes ``a`` and ``b``
     (each four equally long arrays ``x1, y1, x2, y2``) intersect."""
@@ -96,20 +104,22 @@ class FlatRTree:
         level_bounds: ``(L + 1,)`` int64 — nodes of depth ``d`` are the
             ids ``level_bounds[d] : level_bounds[d + 1]``.
         xs / ys / oids: object columns, grouped by leaf in node order.
-        leaf_of: ``(N,)`` int64 — owning leaf id of every column.
         stats: The I/O counter (shared with the source tree when built
             by :meth:`from_tree`).
+        node_ids: BFS id of every source-tree node by its ``node_id``
+            (what :meth:`splice` needs); ``None`` when built from a page
+            file.
     """
 
     __slots__ = (
         "mbrs", "is_leaf", "first", "count", "parent", "level_bounds",
-        "xs", "ys", "oids", "leaf_of", "size", "max_entries", "min_entries",
-        "stats", "_objects",
+        "xs", "ys", "oids", "size", "max_entries", "min_entries",
+        "stats", "node_ids", "_objects",
     )
 
     def __init__(self, *, mbrs, is_leaf, first, count, parent, level_bounds,
-                 xs, ys, oids, leaf_of, objects, size, max_entries,
-                 min_entries, stats=None):
+                 xs, ys, oids, objects, size, max_entries,
+                 min_entries, stats=None, node_ids=None):
         self.mbrs = mbrs
         self.is_leaf = is_leaf
         self.first = first
@@ -119,11 +129,11 @@ class FlatRTree:
         self.xs = xs
         self.ys = ys
         self.oids = oids
-        self.leaf_of = leaf_of
         self.size = size
         self.max_entries = max_entries
         self.min_entries = min_entries
         self.stats = stats if stats is not None else IOStats()
+        self.node_ids = node_ids
         self._objects = objects
 
     # ------------------------------------------------------------------
@@ -152,9 +162,7 @@ class FlatRTree:
         col_of_leaf_start: list[int] = []
         cursor = 1  # next child id in BFS order (root's children start at 1)
         for i, node in enumerate(order):
-            mbr = node.mbr
-            mbrs[i] = _EMPTY_MBR if mbr is None else (mbr.x1, mbr.y1,
-                                                      mbr.x2, mbr.y2)
+            mbrs[i] = _mbr_row(node.mbr)
             cnt = len(node.entries)
             count[i] = cnt
             if node.is_leaf:
@@ -169,14 +177,65 @@ class FlatRTree:
         xs = np.fromiter((p.x for p in objects), np.float64, n)
         ys = np.fromiter((p.y for p in objects), np.float64, n)
         oids = np.fromiter((p.oid for p in objects), np.int64, n)
-        leaf_ids = np.flatnonzero(is_leaf)
-        leaf_of = np.repeat(leaf_ids, count[leaf_ids])
         return cls(
             mbrs=mbrs, is_leaf=is_leaf, first=first, count=count,
             parent=parent, level_bounds=bounds, xs=xs, ys=ys, oids=oids,
-            leaf_of=leaf_of, objects=objects, size=tree.size,
+            objects=objects, size=tree.size,
             max_entries=tree.max_entries, min_entries=tree.min_entries,
             stats=tree.stats,
+            node_ids={node.node_id: i for i, node in enumerate(order)},
+        )
+
+    def splice(self, leaves) -> "FlatRTree":
+        """A new snapshot of the source tree after edits that changed
+        only the entry lists of ``leaves`` — no node created or removed
+        since this snapshot was taken (see ``RStarTree.last_edit``).
+
+        BFS numbering depends only on the root and the internal nodes'
+        child lists, which such edits leave alone, and a leaf's columns
+        only on its entry list; so the untouched column spans are reused
+        and the result equals ``from_tree`` of the edited tree, array for
+        array.  ``self`` is not modified: ``is_leaf``, ``parent`` and
+        ``level_bounds`` are shared, everything else is new.
+        """
+        ids = self.node_ids
+        count = self.count.copy()
+        mbrs = self.mbrs.copy()
+        # One list copy, then slice assignments (they move pointers
+        # without touching the objects, unlike slicing and re-joining).
+        objects = self._objects.copy()
+        xs, ys, oids = [], [], []
+        done = 0  # old columns before this one are already placed
+        shift = 0  # new minus old column of everything after them
+        for leaf in sorted(leaves, key=lambda leaf: ids[leaf.node_id]):
+            i = ids[leaf.node_id]
+            start, old = int(self.first[i]), int(count[i])
+            entries = leaf.entries
+            cnt = len(entries)
+            objects[start + shift:start + shift + old] = entries
+            xs += (self.xs[done:start],
+                   np.fromiter((p.x for p in entries), np.float64, cnt))
+            ys += (self.ys[done:start],
+                   np.fromiter((p.y for p in entries), np.float64, cnt))
+            oids += (self.oids[done:start],
+                     np.fromiter((p.oid for p in entries), np.int64, cnt))
+            done, shift = start + old, shift + cnt - old
+            count[i] = cnt
+            node = leaf
+            while node is not None:  # the leaf and its ancestors
+                mbrs[ids[node.node_id]] = _mbr_row(node.mbr)
+                node = node.parent
+        lo = int(self.level_bounds[-2])
+        first = self.first.copy()
+        first[lo:] = count[lo:].cumsum() - count[lo:]
+        return FlatRTree(
+            mbrs=mbrs, is_leaf=self.is_leaf, first=first, count=count,
+            parent=self.parent, level_bounds=self.level_bounds,
+            xs=np.concatenate((*xs, self.xs[done:])),
+            ys=np.concatenate((*ys, self.ys[done:])),
+            oids=np.concatenate((*oids, self.oids[done:])),
+            objects=objects, size=len(objects), max_entries=self.max_entries,
+            min_entries=self.min_entries, stats=self.stats, node_ids=ids,
         )
 
     @classmethod
@@ -327,12 +386,10 @@ class FlatRTree:
                 child = mbrs[s:e]
                 mbrs[i] = (child[:, 0].min(), child[:, 1].min(),
                            child[:, 2].max(), child[:, 3].max())
-        leaf_ids = np.flatnonzero(is_leaf)
-        leaf_of = np.repeat(leaf_ids, count[leaf_ids])
         return cls(
             mbrs=mbrs, is_leaf=is_leaf, first=first, count=count,
             parent=parent, level_bounds=bounds, xs=xs, ys=ys, oids=oids,
-            leaf_of=leaf_of, objects=[None] * cols, size=size,
+            objects=[None] * cols, size=size,
             max_entries=max_entries, min_entries=min_entries, stats=stats,
         )
 
@@ -342,6 +399,13 @@ class FlatRTree:
     @property
     def node_count(self) -> int:
         return self.mbrs.shape[0]
+
+    @property
+    def leaf_of(self) -> np.ndarray:
+        """``(N,)`` int64 — owning leaf id of every column (derived on
+        access: the search never needs it)."""
+        leaf_ids = np.flatnonzero(self.is_leaf)
+        return np.repeat(leaf_ids, self.count[leaf_ids])
 
     @property
     def height(self) -> int:
@@ -541,12 +605,13 @@ class FlatRTree:
                   f"leaves must sit exactly at depth {len(bounds) - 2}")
         cursor = 1
         cols = 0
+        leaf_of = self.leaf_of
         for i in range(m):
             cnt = int(self.count[i])
             if self.is_leaf[i]:
                 check(int(self.first[i]) == cols,
                       f"leaf {i} columns must be contiguous")
-                check(bool((self.leaf_of[cols:cols + cnt] == i).all()),
+                check(bool((leaf_of[cols:cols + cnt] == i).all()),
                       f"leaf_of must map columns back to leaf {i}")
                 if cnt:
                     s, e = cols, cols + cnt

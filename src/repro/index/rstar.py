@@ -41,21 +41,30 @@ def _least_enlargement_child(children: list[Node], rect: Rect) -> Node:
 
 
 def _least_overlap_child(children: list[Node], rect: Rect) -> Node:
+    # Rect's union / overlap_area / enlargement / area inlined on float
+    # tuples, operand for operand, so every key is bit-identical.  A
+    # sibling disjoint from the enlarged box is disjoint from the child
+    # too; it would add 0.0 - 0.0, which compares equal, so it is skipped.
+    boxes = [(c.mbr.x1, c.mbr.y1, c.mbr.x2, c.mbr.y2) for c in children]
+    rx1, ry1, rx2, ry2 = rect.x1, rect.y1, rect.x2, rect.y2
     best = None
     best_key = None
-    for child in children:
-        assert child.mbr is not None
-        enlarged = child.mbr.union(rect)
+    for i, (cx1, cy1, cx2, cy2) in enumerate(boxes):
+        ex1, ey1 = min(cx1, rx1), min(cy1, ry1)
+        ex2, ey2 = max(cx2, rx2), max(cy2, ry2)
         overlap_delta = 0.0
-        for other in children:
-            if other is child:
+        for j, (ox1, oy1, ox2, oy2) in enumerate(boxes):
+            if j == i or ex1 > ox2 or ox1 > ex2 or ey1 > oy2 or oy1 > ey2:
                 continue
-            assert other.mbr is not None
-            overlap_delta += enlarged.overlap_area(other.mbr)
-            overlap_delta -= child.mbr.overlap_area(other.mbr)
-        key = (overlap_delta, child.mbr.enlargement(rect), child.mbr.area)
+            overlap_delta += ((min(ex2, ox2) - max(ex1, ox1))
+                              * (min(ey2, oy2) - max(ey1, oy1)))
+            x1, y1 = max(cx1, ox1), max(cy1, oy1)
+            x2, y2 = min(cx2, ox2), min(cy2, oy2)
+            overlap_delta -= 0.0 if x1 > x2 or y1 > y2 else (x2 - x1) * (y2 - y1)
+        area = (cx2 - cx1) * (cy2 - cy1)
+        key = (overlap_delta, (ex2 - ex1) * (ey2 - ey1) - area, area)
         if best_key is None or key < best_key:
-            best, best_key = child, key
+            best, best_key = children[i], key
     assert best is not None
     return best
 

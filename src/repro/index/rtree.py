@@ -64,6 +64,13 @@ class RStarTree:
         self.root = Node(is_leaf=True, node_id=0)
         self._next_node_id = 1
         self.size = 0
+        #: What the latest :meth:`insert` / :meth:`delete` changed: the
+        #: leaves whose entry lists it edited, or ``None`` when it created
+        #: or removed a node (a split, a condense removal, the root
+        #: growing or shrinking) — a *structural* edit.  Leaf-level
+        #: forced reinsertion only moves objects between existing leaves;
+        #: internal-level moves happen only after a split or a removal.
+        self.last_edit: set[Node] | None = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -71,10 +78,12 @@ class RStarTree:
     def _new_node(self, is_leaf: bool) -> Node:
         node = Node(is_leaf, node_id=self._next_node_id)
         self._next_node_id += 1
+        self.last_edit = None
         return node
 
     def insert(self, obj: PointObject) -> None:
         """Insert one object (R* insertion with forced reinsertion)."""
+        self.last_edit = set()
         self._insert_entry(obj, level=0, reinserted_levels=set())
         self.size += 1
 
@@ -164,6 +173,8 @@ class RStarTree:
     def _insert_entry(self, entry, level: int, reinserted_levels: set[int]) -> None:
         target = self._choose_node(Node.entry_mbr(entry), level)
         target.add_entry(entry)
+        if level == 0 and self.last_edit is not None:
+            self.last_edit.add(target)
         self._adjust_upward(target)
         if len(target.entries) > self.max_entries:
             self._handle_overflow(target, level, reinserted_levels)
@@ -220,7 +231,9 @@ class RStarTree:
         """Delete one object; returns False when it is not in the tree."""
         leaf = self._find_leaf(self.root, obj)
         if leaf is None:
+            self.last_edit = set()
             return False
+        self.last_edit = {leaf}
         leaf.entries.remove(obj)
         leaf.refresh_mbr()
         self._condense(leaf)
@@ -245,6 +258,7 @@ class RStarTree:
             if len(current.entries) < self.min_entries:
                 parent.entries.remove(current)
                 current.parent = None
+                self.last_edit = None
                 # Entries of a node at level L are reinserted into
                 # containers at level L (objects -> leaves, child nodes
                 # at L-1 -> internal nodes at L).
@@ -265,6 +279,7 @@ class RStarTree:
             child = self.root.entries[0]
             child.parent = None
             self.root = child
+            self.last_edit = None
 
     # ------------------------------------------------------------------
     # Introspection

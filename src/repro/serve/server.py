@@ -1037,8 +1037,11 @@ class QueryServer(LineProtocolServer):
 
     def _apply_insert(self, obj) -> None:
         self.engine.insert(obj)
-        # Rebuild dirty DEP/IWP structures while we hold the exclusive
-        # slot: readers then never trigger (or race on) a lazy rebuild.
+        # Refresh the derived structures while we hold the exclusive
+        # slot — splice the edited leaves into the flat snapshot (a full
+        # from_tree rebuild only after an edit that created or removed a
+        # node, or over a page-file snapshot) and rebuild FlatIWP — so
+        # readers never trigger (or race on) a lazy refresh.
         self.engine._refresh_structures()
 
     def _apply_delete(self, obj) -> bool:

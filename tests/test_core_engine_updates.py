@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.geometry import PointObject, Rect
 from repro.grid import DensityGrid
-from repro.index import RStarTree, validate_tree
+from repro.index import FlatRTree, RStarTree, load_tree, save_tree, validate_tree
 from tests.conftest import make_clustered_points, make_uniform_points
 
 
@@ -144,11 +144,90 @@ class TestIWPRebuild:
         old_flat_iwp = engine._flat_iwp
         assert old_flat is not None and old_flat_iwp is not None
         engine.insert(PointObject(40_000, 123.0, 456.0))
-        assert engine._flat_dirty
+        assert engine._flat_edit
         engine.nwc(NWCQuery(100, 400, 40, 40, 2))
         assert engine._flat is not old_flat
         assert engine._flat_iwp is not old_flat_iwp
-        assert not engine._flat_dirty
+        assert not engine._flat_edit
+
+
+class TestSnapshotSplice:
+    """Updates splice the flat snapshot; ``FlatRTree.from_tree`` runs only
+    after a structural edit or over a snapshot loaded from a page file."""
+
+    @staticmethod
+    def _count_from_tree(monkeypatch) -> list:
+        calls = []
+        real = FlatRTree.from_tree.__func__
+
+        def counted(cls, tree):
+            calls.append(tree)
+            return real(cls, tree)
+
+        monkeypatch.setattr(FlatRTree, "from_tree", classmethod(counted))
+        return calls
+
+    @staticmethod
+    def _update_both(engines, op, obj):
+        for engine in engines:
+            assert getattr(engine, op)(obj) is not False
+
+    @staticmethod
+    def _assert_same(oracle, columnar, query):
+        a, b = oracle.nwc(query), columnar.nwc(query)
+        assert (a.found, a.distance, [p.oid for p in a.objects]) == \
+            (b.found, b.distance, [p.oid for p in b.objects])
+        assert a.stats == b.stats
+
+    def test_non_structural_updates_never_rebuild(self, monkeypatch):
+        pts = make_clustered_points(400, clusters=3, seed=87)
+        oracle, columnar = (
+            NWCEngine(RStarTree.bulk_load(pts, max_entries=16),
+                      Scheme.NWC_STAR, grid_cell_size=50.0, execution=mode)
+            for mode in ("python", "columnar"))
+        query = NWCQuery(500, 500, 60, 60, 4)
+        self._assert_same(oracle, columnar, query)
+        calls = self._count_from_tree(monkeypatch)
+        for i, p in enumerate(pts[:40:4]):
+            extra = PointObject(70_000 + i, p.x + 1.0, p.y - 1.0)
+            self._update_both((oracle, columnar), "insert", extra)
+            assert columnar.tree.last_edit  # leaves only
+            self._assert_same(oracle, columnar, query)
+            self._update_both((oracle, columnar), "delete", p)
+            assert columnar.tree.last_edit
+            self._assert_same(oracle, columnar, query)
+        assert calls == []
+        # Inserts piling into one leaf: forced reinsertion, then a split.
+        for i in range(40):
+            self._update_both((oracle, columnar), "insert",
+                              PointObject(71_000 + i, 500.0 + i / 8, 500.0))
+            self._assert_same(oracle, columnar, query)
+            if columnar.tree.last_edit is None:
+                break
+        assert columnar.tree.last_edit is None
+        assert len(calls) == 1
+
+    def test_page_file_snapshot_rebuilds_on_first_update(self, tmp_path,
+                                                         monkeypatch):
+        path = tmp_path / "tree.pages"
+        save_tree(RStarTree.bulk_load(make_uniform_points(400, seed=89),
+                                      max_entries=16), path)
+        oracle = NWCEngine(load_tree(path), Scheme.NWC_STAR,
+                           grid_cell_size=50.0, execution="python")
+        tree = load_tree(path)
+        columnar = NWCEngine(
+            tree, Scheme.NWC_STAR, grid_cell_size=50.0,
+            flat=FlatRTree.from_page_file(path, stats=tree.stats))
+        calls = self._count_from_tree(monkeypatch)
+        query = NWCQuery(300, 300, 50, 50, 3)
+        self._assert_same(oracle, columnar, query)
+        assert calls == []
+        for i in range(3):
+            self._update_both((oracle, columnar), "insert",
+                              PointObject(72_000 + i, 300.0 + i, 310.0))
+            assert columnar.tree.last_edit
+            self._assert_same(oracle, columnar, query)
+            assert len(calls) == 1
 
 
 class TestMutationEdges:

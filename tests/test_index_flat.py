@@ -12,7 +12,8 @@ Two property families back the columnar execution mode:
 Plus the persistence contract: ``FlatRTree.from_page_file`` (zero-copy
 ``np.frombuffer`` over an mmap) must produce the identical layout as
 rebuilding through ``load_tree`` on both v1 (legacy) and v2
-(checksummed) page files.
+(checksummed) page files, and the update contract: after non-structural
+edits ``FlatRTree.splice`` must produce exactly what ``from_tree`` would.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -322,6 +324,79 @@ def test_from_page_file_insert_built_tree(tmp_path, format_version):
     rect = Rect(200, 200, 700, 700)
     assert sorted(p.oid for p in mmapped.window_query(rect)) == \
         sorted(p.oid for p in tree.window_query(rect))
+
+
+# ----------------------------------------------------------------------
+# Updates: a splice of the previous snapshot equals from_tree
+# ----------------------------------------------------------------------
+_FIELDS = ("mbrs", "is_leaf", "first", "count", "parent", "level_bounds",
+           "xs", "ys", "oids", "leaf_of")
+
+
+def _frozen(flat: FlatRTree):
+    return ({name: getattr(flat, name).copy() for name in _FIELDS},
+            list(flat._objects), flat.size)
+
+
+def _assert_same_snapshot(a: FlatRTree, b: FlatRTree) -> None:
+    _assert_same_layout(a, b)
+    for name in _FIELDS:
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+    assert a._objects == b._objects
+    assert a.stats is b.stats
+
+
+@pytest.mark.parametrize("max_entries", [4, 5, 8])
+@pytest.mark.parametrize("batch", [1, 3], ids=["each", "batched"])
+def test_splice_equals_from_tree_through_updates(max_entries, batch):
+    """Seeded inserts and deletes on a small-fanout tree — splits, forced
+    reinserts, condense, root growth and shrink, a drain to empty and a
+    refill — with a refresh after every ``batch`` updates that splices
+    the gathered leaves, or rebuilds after a structural edit."""
+    rng = random.Random(100 * max_entries + batch)
+    tree = RStarTree(max_entries=max_entries)
+    flat = FlatRTree.from_tree(tree)
+    live: list[PointObject] = []
+    ops = ["insert" if rng.random() < 0.7 else "delete" for _ in range(300)]
+    ops += ["delete"] * 400 + ["insert"] * 40  # drain (extra deletes skip), refill
+    pending: set | None = set()
+    seen = {"spliced": 0, "rebuilt": 0, "reinsert_moves": 0, "condensed": 0,
+            "root_grew": 0, "root_shrank": 0, "drained": 0}
+    for step, op in enumerate(ops):
+        height = tree.height
+        if op == "insert":
+            obj = PointObject(step, rng.randint(0, 200) / 2, rng.randint(0, 200) / 2)
+            tree.insert(obj)
+            live.append(obj)
+            if tree.last_edit is not None and len(tree.last_edit) > 1:
+                seen["reinsert_moves"] += 1
+        elif live:
+            assert tree.delete(live.pop(rng.randrange(len(live))))
+            seen["condensed"] += tree.last_edit is None
+            seen["drained"] += not live
+        else:
+            continue
+        seen["root_grew"] += tree.height > height
+        seen["root_shrank"] += tree.height < height
+        edit = tree.last_edit
+        pending = None if edit is None or pending is None else pending | edit
+        if step % batch:
+            continue
+        old, before = flat, _frozen(flat)
+        if pending is None:
+            flat = FlatRTree.from_tree(tree)
+            seen["rebuilt"] += 1
+        else:
+            flat = flat.splice(pending)
+            seen["spliced"] += 1
+        pending = set()
+        _assert_same_snapshot(flat, FlatRTree.from_tree(tree))
+        after = _frozen(old)
+        for name in _FIELDS:
+            np.testing.assert_array_equal(after[0][name], before[0][name])
+        assert after[1:] == before[1:]
+    assert all(seen.values()), seen
+    flat.validate()
 
 
 def test_empty_and_single_object_trees():
