@@ -8,11 +8,11 @@ Paper claims reproduced here:
 """
 
 from benchmarks.conftest import BENCH_QUERIES, mean_by, record
-from repro.eval import fig9_grid_size
+from repro.eval import EXPERIMENTS
 
 
 def test_fig9_grid_size(run_once):
-    result = run_once(fig9_grid_size, queries=BENCH_QUERIES)
+    result = run_once(EXPERIMENTS["fig9"], queries=BENCH_QUERIES)
     record(result, x_column="grid_size")
 
     def growth(dataset: str) -> float:

@@ -9,11 +9,11 @@ Paper claims reproduced here:
 """
 
 from benchmarks.conftest import BENCH_QUERIES, mean_by, record
-from repro.eval import fig10_distribution
+from repro.eval import EXPERIMENTS
 
 
 def test_fig10_distribution(run_once):
-    result = run_once(fig10_distribution, queries=BENCH_QUERIES)
+    result = run_once(EXPERIMENTS["fig10"], queries=BENCH_QUERIES)
     record(result, x_column="std")
 
     # Baseline grows as std shrinks (2000 -> 1000 means more clustering).

@@ -8,12 +8,12 @@ Paper claims reproduced here:
 """
 
 from benchmarks.conftest import BENCH_QUERIES, mean_by, record
-from repro.eval import fig11_num_objects
+from repro.eval import EXPERIMENTS
 from repro.workloads import N_VALUES
 
 
 def test_fig11_num_objects(run_once):
-    result = run_once(fig11_num_objects, queries=BENCH_QUERIES)
+    result = run_once(EXPERIMENTS["fig11"], queries=BENCH_QUERIES)
     record(result, x_column="n")
 
     for dataset in ("CA-like", "NY-like", "Gaussian(std=2000)"):

@@ -9,12 +9,12 @@ Paper claims reproduced here:
 """
 
 from benchmarks.conftest import BENCH_QUERIES, mean_by, record
-from repro.eval import fig12_window_size
+from repro.eval import EXPERIMENTS
 from repro.workloads import WINDOW_SIZES
 
 
 def test_fig12_window_size(run_once):
-    result = run_once(fig12_window_size, queries=BENCH_QUERIES)
+    result = run_once(EXPERIMENTS["fig12"], queries=BENCH_QUERIES)
     record(result, x_column="window")
 
     for dataset in ("CA-like", "NY-like", "Gaussian(std=2000)"):

@@ -6,12 +6,12 @@ Paper claims reproduced here:
 """
 
 from benchmarks.conftest import BENCH_QUERIES, mean_by, record
-from repro.eval import fig13_k
+from repro.eval import EXPERIMENTS
 from repro.workloads import K_VALUES
 
 
 def test_fig13_k(run_once):
-    result = run_once(fig13_k, queries=BENCH_QUERIES)
+    result = run_once(EXPERIMENTS["fig13"], queries=BENCH_QUERIES)
     record(result, x_column="k")
 
     for dataset in ("CA-like", "NY-like"):

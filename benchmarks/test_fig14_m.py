@@ -7,12 +7,12 @@ Paper claims reproduced here:
 """
 
 from benchmarks.conftest import BENCH_QUERIES, mean_by, record
-from repro.eval import fig14_m
+from repro.eval import EXPERIMENTS
 from repro.workloads import M_VALUES
 
 
 def test_fig14_m(run_once):
-    result = run_once(fig14_m, queries=BENCH_QUERIES)
+    result = run_once(EXPERIMENTS["fig14"], queries=BENCH_QUERIES)
     record(result, x_column="m")
 
     for dataset in ("CA-like", "NY-like"):

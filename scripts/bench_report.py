@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Measure the execution modes and write ``BENCH_nwc.json``.
 
-Runs a dense-uniform workload — scalar vs columnar single queries and a
-small parallel sweep at 1 and N workers — plus the serving A/B guards,
-and records the timings, speedups and environment in a JSON report at
-the repo root (untracked; ``bench/`` holds the numbers of record).
+Runs a dense-uniform workload — scalar vs columnar single queries —
+plus the serving A/B guards, and records the timings, speedups and
+environment in a JSON report at the repo root (untracked; ``bench/``
+holds the numbers of record).
 
     PYTHONPATH=src python scripts/bench_report.py [--card 50000] [--repeats 3]
 """
@@ -32,16 +32,10 @@ import numpy as np
 from repro.core import NWCEngine, NWCQuery, Scheme
 from repro.obs import MetricsRegistry, QueryTracer
 from repro.datasets import uniform
-from repro.eval import DatasetSpec, ParallelSweepRunner, SweepTask, stage_tasks
 from repro.geometry import Rect
 from repro.index import FlatRTree, RStarTree, load_tree, save_tree
 from repro.storage import DEFAULT_PAGE_SIZE, FORMAT_VERSION, LEGACY_VERSION
-from repro.workloads import (
-    DEFAULT_N,
-    DEFAULT_WINDOW,
-    SweepPoint,
-    data_biased_query_points,
-)
+from repro.workloads import DEFAULT_N, DEFAULT_WINDOW, data_biased_query_points
 
 DENSITY = 5.0  # objects per unit area; keeps the per-window load fixed
 
@@ -121,45 +115,6 @@ def time_modes(tree, queries, repeats: int) -> dict:
             "mmap_load_s": round(mmap_load_s, 4),
             "convert_s": round(convert_s, 4),
         },
-    }
-
-
-#: Parallel sweeps must actually pay for their workers (guarded when
-#: the machine has at least two cores).
-SWEEP_SPEEDUP_FLOOR = 1.2
-
-
-def time_parallel_sweep(jobs: int, repeats: int) -> dict:
-    spec = DatasetSpec("uniform", 4000, seed=3)
-    tasks = [
-        SweepTask(
-            spec, scheme, SweepPoint(n=n, length=600.0, width=600.0), queries=3,
-            labels=(("scheme", scheme.value), ("n", n)),
-        )
-        for scheme in (Scheme.NWC_PLUS, Scheme.NWC_STAR)
-        for n in (8, 16, 32)
-    ]
-    # Stage the tree once in the parent: workers page-load it instead of
-    # regenerating + bulk-loading per worker, which previously ate the
-    # entire parallel win on this small sweep.
-    with tempfile.TemporaryDirectory() as tmp:
-        staged = stage_tasks(tasks, tmp)
-        serial_t, serial_rows = best_of(
-            repeats, ParallelSweepRunner(jobs=1).run, staged)
-        par_t, par_rows = best_of(
-            repeats, ParallelSweepRunner(jobs=jobs).run, staged)
-    assert serial_rows == par_rows, "parallel sweep is not deterministic"
-    speedup = serial_t / par_t
-    multicore = (os.cpu_count() or 1) >= 2
-    return {
-        "tasks": len(tasks),
-        "jobs": jobs,
-        "serial_s": round(serial_t, 4),
-        "parallel_s": round(par_t, 4),
-        "speedup": round(speedup, 2),
-        "speedup_floor": SWEEP_SPEEDUP_FLOOR,
-        "rows_identical": True,
-        "speedup_ok": speedup > SWEEP_SPEEDUP_FLOOR if multicore else True,
     }
 
 
@@ -830,11 +785,6 @@ def main(argv=None) -> int:
     parser.add_argument("--card", type=int, default=50_000)
     parser.add_argument("--queries", type=int, default=3)
     parser.add_argument("--repeats", type=int, default=3)
-    # At least 2 so the worker-pool path is exercised even on one core
-    # (the speedup is then honest-but-boring; rows_identical is the point).
-    parser.add_argument(
-        "--jobs", type=int, default=max(2, min(4, os.cpu_count() or 1))
-    )
     parser.add_argument(
         "--output",
         default=os.path.join(os.path.dirname(__file__), "..", "BENCH_nwc.json"),
@@ -866,7 +816,6 @@ def main(argv=None) -> int:
         },
         "nwc_execution_modes": modes,
         "columnar": modes.pop("columnar"),
-        "parallel_sweep": time_parallel_sweep(args.jobs, args.repeats),
         "storage_formats": time_storage_formats(tree, args.repeats),
         "tracing_overhead": time_tracing_overhead(tree, queries, args.repeats),
         "coordinator_obs": time_coordinator_obs(args.repeats),
@@ -885,7 +834,6 @@ def main(argv=None) -> int:
     columnar = report["columnar"]
     ok = ok and columnar["identical_results"]
     ok = ok and columnar["mmap_identical_results"]
-    ok = ok and report["parallel_sweep"]["speedup_ok"]
     # The A/B guards always run now; a null here is itself a failure.
     ok = ok and report["tracing_overhead"]["within_budget"] is True
     ok = ok and report["coordinator_obs"]["within_budget"] is True

@@ -62,14 +62,7 @@ from .core import (
     Scheme,
 )
 from .datasets import ca_like, gaussian, ny_like, uniform
-from .eval import (
-    EXPERIMENTS,
-    PARALLEL_EXPERIMENTS,
-    format_table,
-    parallel_experiment,
-    pivot_by_scheme,
-    save_csv,
-)
+from .eval import EXPERIMENTS, FIGURES, format_table, pivot_by_scheme, save_csv
 from .grid import DensityGrid
 from .index import IWPIndex, RStarTree
 from .obs import (
@@ -163,9 +156,8 @@ def _write_metrics(metrics: MetricsRegistry, path: str) -> None:
 def _aggregate_row_metrics(metrics: MetricsRegistry, result) -> None:
     """Fold finished sweep rows into the registry.
 
-    Serial experiment drivers never see the registry, so the CLI derives
-    cell-level aggregates from the result rows after the fact; on the
-    parallel path these ride alongside the runner's own task metrics.
+    Experiment drivers never see the registry, so the CLI derives
+    cell-level aggregates from the result rows after the fact.
     """
     cells = metrics.counter("experiment_cells_total",
                             "Finished sweep cells (rows)")
@@ -192,29 +184,20 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         kwargs["scale"] = args.scale
     if args.queries is not None:
         kwargs["queries"] = args.queries
-    jobs = args.jobs if args.jobs >= 1 else None  # None = one per CPU
+    jobs = args.jobs if args.jobs >= 1 else os.cpu_count() or 1
     checkpoint = args.checkpoint
     if args.resume and checkpoint is None:
         checkpoint = f"{args.id}.sweep.jsonl"
-    metrics = MetricsRegistry() if args.metrics else None
-    wants_sweep_features = (
-        checkpoint is not None or args.timeout is not None or jobs != 1
-    )
-    if wants_sweep_features and args.id in PARALLEL_EXPERIMENTS:
-        result = parallel_experiment(
-            args.id, jobs=jobs, timeout=args.timeout, checkpoint=checkpoint,
-            metrics=metrics, **kwargs,
-        )
-    else:
-        if checkpoint is not None or args.timeout is not None:
-            print(f"--resume/--timeout need a sweep experiment "
-                  f"({', '.join(PARALLEL_EXPERIMENTS)}); "
-                  f"{args.id!r} has no parallel driver", file=sys.stderr)
-            return 2
-        if jobs != 1:
-            print(f"note: {args.id!r} has no parallel driver; running serially",
-                  file=sys.stderr)
-        result = runner(**kwargs)
+    if args.id in FIGURES:
+        kwargs.update(jobs=jobs, checkpoint=checkpoint)
+    elif checkpoint is not None:
+        print(f"--resume needs a sweep experiment ({', '.join(FIGURES)}); "
+              f"{args.id!r} has no parallel driver", file=sys.stderr)
+        return 2
+    elif jobs != 1:
+        print(f"note: {args.id!r} has no parallel driver; running serially",
+              file=sys.stderr)
+    result = runner(**kwargs)
     x_column = {
         "fig9": "grid_size", "fig10": "std", "fig11": "n",
         "fig12": "window", "fig13": "k", "fig14": "m",
@@ -226,7 +209,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.csv:
         save_csv(result, args.csv)
         print(f"\nrows written to {args.csv}")
-    if metrics is not None:
+    if args.metrics:
+        metrics = MetricsRegistry()
         _aggregate_row_metrics(metrics, result)
         _write_metrics(metrics, args.metrics)
         print(f"metrics written to {args.metrics}", file=sys.stderr)
@@ -760,9 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--checkpoint", default=None,
                      help="checkpoint journal path (default with --resume: "
                           "<id>.sweep.jsonl)")
-    exp.add_argument("--timeout", type=float, default=None,
-                     help="per-task timeout in seconds for parallel sweeps "
-                          "(hung workers are retried, then run inline)")
     exp.add_argument("--csv", help="also write rows to this CSV file")
     exp.add_argument("--metrics", default=None,
                      help="write aggregate sweep metrics to this file "

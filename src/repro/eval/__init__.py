@@ -2,31 +2,21 @@
 
 from .experiments import (
     EXPERIMENTS,
+    FIGURES,
+    DatasetSpec,
     ExperimentResult,
+    SweepTask,
     cost_model_validation,
-    fig9_grid_size,
-    fig10_distribution,
-    fig11_num_objects,
-    fig12_window_size,
-    fig13_k,
-    fig14_m,
     paper_datasets,
+    paper_specs,
+    run_figure,
+    run_sweep_task,
+    run_tasks,
     storage_overheads,
     table2_datasets,
     table3_schemes,
 )
 from .checkpoint import SweepCheckpoint
-from .parallel import (
-    PARALLEL_EXPERIMENTS,
-    DatasetSpec,
-    ParallelSweepRunner,
-    SweepError,
-    SweepTask,
-    paper_specs,
-    parallel_experiment,
-    run_sweep_task,
-    stage_tasks,
-)
 from .reporting import format_table, pivot_by_scheme, reduction_rate, save_csv
 from .runner import (
     BenchContext,
@@ -42,31 +32,23 @@ __all__ = [
     "DatasetSpec",
     "EXPERIMENTS",
     "ExperimentResult",
-    "PARALLEL_EXPERIMENTS",
-    "ParallelSweepRunner",
+    "FIGURES",
     "SweepCheckpoint",
-    "SweepError",
     "SweepTask",
     "cost_model_validation",
     "experiment_query_count",
     "experiment_scale",
-    "fig10_distribution",
-    "fig11_num_objects",
-    "fig12_window_size",
-    "fig13_k",
-    "fig14_m",
-    "fig9_grid_size",
     "format_table",
     "paper_datasets",
     "paper_specs",
-    "parallel_experiment",
     "pivot_by_scheme",
     "reduction_rate",
+    "run_figure",
     "run_sweep_task",
+    "run_tasks",
     "run_knwc_setting",
     "run_nwc_setting",
     "save_csv",
-    "stage_tasks",
     "storage_overheads",
     "table2_datasets",
     "table3_schemes",

@@ -3,7 +3,7 @@
 A multi-hour sweep that dies (worker crash, OOM kill, ctrl-C) should
 not recompute the cells it already finished.  :class:`SweepCheckpoint`
 journals one JSON line per completed cell, keyed by the task's stable
-fingerprint (see :attr:`repro.eval.parallel.SweepTask.key`), so a rerun
+fingerprint (see :attr:`repro.eval.experiments.SweepTask.key`), so a rerun
 with the same task list skips finished cells and produces rows
 identical to an uninterrupted run.
 

@@ -66,16 +66,10 @@ def window_scale_factor(scale: float) -> float:
 
 @dataclass
 class BenchContext:
-    """Everything reusable across schemes and sweep points of a dataset.
-
-    ``tree`` is normally the object-graph :class:`RStarTree`; a staged
-    sweep worker instead holds a page-loaded :class:`FlatRTree` (no
-    node objects), in which case every engine runs columnar and the
-    scalar-only structures (:meth:`pointer_index`) are unavailable.
-    """
+    """Everything reusable across schemes and sweep points of a dataset."""
 
     dataset: Dataset
-    tree: RStarTree | FlatRTree
+    tree: RStarTree
     iwp: IWPIndex | None = None
     grids: dict[float, DensityGrid] = field(default_factory=dict)
     flat: FlatRTree | None = None
@@ -102,15 +96,9 @@ class BenchContext:
         return self.iwp
 
     def flat_index(self) -> FlatRTree:
-        """The columnar snapshot of the tree, built once.
-
-        A context whose ``tree`` is already a :class:`FlatRTree` (a
-        staged worker context, page-loaded without node objects) is its
-        own snapshot.
-        """
+        """The columnar snapshot of the tree, built once."""
         if self.flat is None:
-            self.flat = (self.tree if isinstance(self.tree, FlatRTree)
-                         else FlatRTree.from_tree(self.tree))
+            self.flat = FlatRTree.from_tree(self.tree)
         return self.flat
 
     def flat_pointer_index(self) -> FlatIWP:
@@ -124,18 +112,14 @@ class BenchContext:
 
         The flat snapshot (and its FlatIWP) is shared too, so the
         default columnar execution does not re-convert the tree for
-        every (scheme, sweep point) cell.  On a flat-only context (a
-        staged worker) the scalar pointer index cannot exist — the
-        engines run columnar, which never consults it.
+        every (scheme, sweep point) cell.
         """
         flags = scheme.flags
-        flat_only = isinstance(self.tree, FlatRTree)
         return NWCEngine(
             self.tree,
             scheme,
             grid=self.grid(point.grid_cell) if flags.dep else None,
-            iwp=(self.pointer_index()
-                 if flags.iwp and not flat_only else None),
+            iwp=self.pointer_index() if flags.iwp else None,
             flat=self.flat_index(),
             flat_iwp=self.flat_pointer_index() if flags.iwp else None,
             extent=self.dataset.extent,

@@ -11,10 +11,9 @@ that story (the per-query side is :mod:`repro.obs.trace`):
 * :class:`MetricsRegistry` — the named family store every instrumented
   component shares.  One registry is constructor-injected into
   :class:`~repro.core.engine.NWCEngine`,
-  :class:`~repro.storage.buffer.BufferPool`,
-  :class:`~repro.storage.pages.PageFile` and
-  :class:`~repro.eval.parallel.ParallelSweepRunner`, so a process-wide
-  view is one ``dump_metrics()`` call.
+  :class:`~repro.storage.buffer.BufferPool` and
+  :class:`~repro.storage.pages.PageFile`, so a process-wide view is one
+  ``dump_metrics()`` call.
 
 There are no external dependencies: ``dump_metrics()`` renders the
 Prometheus text exposition format directly and ``to_dict()`` gives the

@@ -10,21 +10,17 @@ failure modes:
 * :class:`FaultInjectingPageFile`, a drop-in :class:`PageFile` that
   raises seeded transient ``OSError`` s and/or flips read bits in
   flight, for exercising error propagation through higher layers;
-* picklable sweep-task wrappers (:func:`crash_in_worker`,
-  :func:`crash_once`, :func:`sleep_in_worker`) that make
-  ``ParallelSweepRunner`` workers crash deterministically, crash once,
-  or hang — in worker processes only, so the parent's inline fallback
-  stays healthy;
+* :func:`exit_on_label`, a picklable sweep-task wrapper that kills the
+  pool worker running one labelled task, the way an OOM kill or a
+  segfault ends a worker mid-sweep;
 * write-ahead-log corruptors (:func:`wal_record_spans`,
   :func:`garble_wal_record`, :func:`append_garbage`) that damage a WAL
   the way crashes and bit rot do, so the recovery path can prove it
   tells a torn tail (truncate and continue) from body corruption
   (refuse and surface a typed error).
 
-The wrappers communicate with worker processes through ``os.environ``
-(inherited on fork and spawn) and sentinel files (atomically created
-with ``open(..., "x")``), because closures do not cross the process
-boundary.
+The wrapper learns its target through ``os.environ`` (inherited on
+fork and spawn), because closures do not cross the process boundary.
 """
 
 from __future__ import annotations
@@ -32,30 +28,19 @@ from __future__ import annotations
 import os
 import random
 
-from repro.eval.parallel import SweepTask, run_sweep_task
+from repro.eval.experiments import SweepTask, run_sweep_task
 from repro.storage import PageFile
 from repro.storage.stats import IOStats
 
 #: Pid of the process that imported this module first — i.e. the test
 #: harness itself.  Forked pool workers inherit the value but have a
-#: different ``os.getpid()``, which is how the crash wrappers tell
+#: different ``os.getpid()``, which is how :func:`exit_on_label` tells
 #: "worker" from "parent".
 HARNESS_PID = os.getpid()
 
-#: Env var naming a sentinel file for one-shot crashes (see
-#: :func:`crash_once`).
-CRASH_ONCE_SENTINEL = "REPRO_FAULT_CRASH_ONCE_SENTINEL"
-
-#: Env var holding the worker sleep seconds for :func:`sleep_in_worker`.
-WORKER_SLEEP_SECONDS = "REPRO_FAULT_WORKER_SLEEP"
-
-#: Env var selecting which task :func:`crash_on_label` kills, as
+#: Env var selecting which task :func:`exit_on_label` kills, as
 #: ``"name=value"`` matched against the task's labels.
 CRASH_LABEL = "REPRO_FAULT_CRASH_LABEL"
-
-
-class InjectedWorkerCrash(RuntimeError):
-    """The failure the crashy sweep wrappers raise."""
 
 
 # ----------------------------------------------------------------------
@@ -216,64 +201,20 @@ class FaultInjectingPageFile(PageFile):
 # ----------------------------------------------------------------------
 # Sweep-worker fault injection (picklable, env-configured)
 # ----------------------------------------------------------------------
-def crash_in_worker(task: SweepTask) -> dict:
-    """Deterministically crash in *every* pool worker, succeed inline.
-
-    With this as ``task_fn``, no worker can ever produce a row: the
-    runner must exhaust retries and fall back to inline re-execution
-    for the whole sweep — proving a bad worker cannot change the rows.
-    """
-    if os.getpid() != HARNESS_PID:
-        raise InjectedWorkerCrash(
-            f"injected crash in worker pid {os.getpid()}"
-        )
-    return run_sweep_task(task)
-
-
-def crash_once(task: SweepTask) -> dict:
-    """Crash exactly once across all processes, then behave.
-
-    The first execution (worker or parent) to atomically create the
-    sentinel file named by ``$REPRO_FAULT_CRASH_ONCE_SENTINEL`` raises;
-    every later execution runs normally — modelling a transient worker
-    failure that a single retry absorbs.
-    """
-    sentinel = os.environ.get(CRASH_ONCE_SENTINEL)
-    if sentinel:
-        try:
-            with open(sentinel, "x"):
-                pass
-        except FileExistsError:
-            pass
-        else:
-            raise InjectedWorkerCrash("injected one-shot crash")
-    return run_sweep_task(task)
-
-
-def crash_on_label(task: SweepTask) -> dict:
-    """Crash — in workers only — on the task whose labels match
+def exit_on_label(task: SweepTask) -> dict:
+    """Kill the pool worker running the task whose labels match
     ``$REPRO_FAULT_CRASH_LABEL`` (``"name=value"``); run every other
     task normally.
 
-    The targeted task fails on every worker attempt (crash-on-Nth-task
-    semantics, with N picked by label), so the runner must exhaust its
-    retries and rescue exactly that cell inline.
+    Installed in place of ``repro.eval.experiments.run_sweep_task``, it
+    ends the worker with ``os._exit`` — no exception, no cleanup — so
+    the pool breaks the way it does when a worker is OOM-killed.  The
+    harness process itself is never killed.
     """
     target = os.environ.get(CRASH_LABEL)
     if target and os.getpid() != HARNESS_PID:
         name, _, value = target.partition("=")
         if any(label == name and str(current) == value
                for label, current in task.labels):
-            raise InjectedWorkerCrash(f"injected crash on task {target!r}")
-    return run_sweep_task(task)
-
-
-def sleep_in_worker(task: SweepTask) -> dict:
-    """Hang (sleep ``$REPRO_FAULT_WORKER_SLEEP`` seconds) in pool
-    workers; run normally inline — for exercising the per-task timeout
-    without an unkillable stuck process."""
-    import time
-
-    if os.getpid() != HARNESS_PID:
-        time.sleep(float(os.environ.get(WORKER_SLEEP_SECONDS, "5")))
+            os._exit(1)
     return run_sweep_task(task)

@@ -148,6 +148,12 @@ class TestErrorExitCodes:
         assert "invalid choice: 'numpy'" in err
         assert "python" in err and "columnar" in err
 
+    def test_deleted_timeout_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "fig9", "--timeout", "5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --timeout 5" in capsys.readouterr().err
+
 
 class TestResume:
     def test_resume_creates_checkpoint_and_skips_on_rerun(self, tmp_path, capsys):

@@ -1,21 +1,24 @@
-"""ParallelSweepRunner: determinism across worker counts, spec fidelity
-and the parallel figure drivers."""
+"""Sweep task lists: determinism across worker counts, spec fidelity,
+checkpoint keys and the figure runner."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 
 import pytest
 
+import repro.eval.experiments as experiments
 from repro.core import Scheme
 from repro.eval import (
+    FIGURES,
     DatasetSpec,
-    ParallelSweepRunner,
     SweepTask,
-    fig9_grid_size,
-    parallel_experiment,
+    run_figure,
     run_sweep_task,
+    run_tasks,
+    window_scale_factor,
 )
 from repro.workloads import SweepPoint
 
@@ -50,8 +53,8 @@ def _rows_as_csv(rows):
 
 def test_jobs_1_and_jobs_4_produce_identical_csv_rows():
     tasks = _tiny_tasks()
-    serial_rows = ParallelSweepRunner(jobs=1).run(tasks)
-    parallel_rows = ParallelSweepRunner(jobs=4).run(tasks)
+    serial_rows = run_tasks(tasks, jobs=1)
+    parallel_rows = run_tasks(tasks, jobs=4)
     assert serial_rows == parallel_rows
     assert _rows_as_csv(serial_rows) == _rows_as_csv(parallel_rows)
     # Sanity: the rows actually measured something.
@@ -81,79 +84,45 @@ def test_run_sweep_task_merges_labels_and_metrics():
     assert "node_accesses" in row and "found_fraction" in row
 
 
-def test_parallel_figure_matches_serial_rows():
-    serial = fig9_grid_size(scale=0.002, queries=1)
-    parallel = parallel_experiment("fig9", scale=0.002, queries=1, jobs=2)
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_parallel_figure_matches_serial_rows(name):
+    serial = run_figure(name, scale=0.002, queries=1, jobs=1)
+    parallel = run_figure(name, scale=0.002, queries=1, jobs=2)
     assert parallel.rows == serial.rows
     assert parallel.columns == serial.columns
-    assert parallel.meta["jobs"] == 2
+    assert parallel.meta == serial.meta  # "jobs" is not provenance
+
+
+def test_checkpoint_key_is_stable():
+    """Journals written by earlier versions must keep resuming: the key
+    of the first fig13 cell is pinned as a literal."""
+    _, builder = FIGURES["fig13"]
+    _, tasks = builder(0.002, 1, window_scale_factor(0.002))
+    assert tasks[0].key == (
+        '{"kind":"knwc","labels":[["dataset","CA-like"],["k",2],'
+        '["scheme","kNWC+"]],"maintenance":"exact","point":{"grid_cell":25.0,'
+        '"k":2,"length":178.88543819998318,"m":2,"n":8,'
+        '"width":178.88543819998318},"queries":1,"query_seed":42,'
+        '"scheme":"NWC+","spec":{"cardinality":125,"kind":"ca",'
+        '"max_entries":50,"seed":null,"std":null}}'
+    )
+
+
+def test_context_memo_keeps_only_the_current_spec():
+    """An in-process sweep retains one dataset's context, not every
+    dataset it has visited, and reusing it does not change rows."""
+    first = _tiny_tasks()
+    other = DatasetSpec("uniform", 300, seed=4)
+    tasks = first + [dataclasses.replace(task, spec=other) for task in first]
+    fresh = []
+    for task in tasks:
+        experiments._CONTEXTS.clear()
+        fresh.append(run_sweep_task(task))
+    rows = run_tasks(tasks, jobs=1)
+    assert len(experiments._CONTEXTS) <= 1
+    assert rows == fresh
 
 
 def test_parallel_experiment_rejects_unknown_id():
     with pytest.raises(ValueError, match="no parallel driver"):
-        parallel_experiment("table2", jobs=2)
-
-
-def test_runner_validates_jobs():
-    with pytest.raises(ValueError):
-        ParallelSweepRunner(jobs=0)
-    assert ParallelSweepRunner(jobs=None).jobs >= 1
-
-
-def test_runner_metrics_recorded_and_rows_unaffected():
-    """A metrics registry observes task timings without changing rows."""
-    from repro.obs import MetricsRegistry
-    tasks = _tiny_tasks()
-    plain_rows = ParallelSweepRunner(jobs=1).run(tasks)
-    registry = MetricsRegistry()
-    metered_rows = ParallelSweepRunner(jobs=2, metrics=registry).run(tasks)
-    assert metered_rows == plain_rows
-    data = registry.to_dict()
-    assert data["sweep_tasks_total"]["values"][""] == len(tasks)
-    assert data["sweep_task_seconds"]["values"][""]["count"] == len(tasks)
-
-
-class TestStagedTasks:
-    """Staging ships pre-built trees to workers via page files; rows and
-    checkpoint keys must be indistinguishable from the unstaged run."""
-
-    def test_staged_rows_match_unstaged(self, tmp_path):
-        from repro.eval import stage_tasks
-        import repro.eval.parallel as parallel_mod
-
-        tasks = _tiny_tasks()
-        plain = ParallelSweepRunner(jobs=1).run(tasks)
-        staged = stage_tasks(tasks, tmp_path)
-        assert all(t.spec.tree_path is not None for t in staged)
-        # One distinct spec -> one staged file, shared by every task.
-        assert len({t.spec.tree_path for t in staged}) == 1
-        parallel_mod._CONTEXTS.clear()  # force the page-load path
-        try:
-            staged_rows = ParallelSweepRunner(jobs=1).run(staged)
-            pooled_rows = ParallelSweepRunner(jobs=2).run(staged)
-        finally:
-            parallel_mod._CONTEXTS.clear()
-        assert staged_rows == plain
-        assert pooled_rows == plain
-
-    def test_staging_preserves_checkpoint_keys(self, tmp_path):
-        from repro.eval import stage_tasks
-
-        tasks = _tiny_tasks()
-        staged = stage_tasks(tasks, tmp_path)
-        assert [t.key for t in staged] == [t.key for t in tasks]
-
-    def test_staged_context_is_flat(self, tmp_path):
-        from repro.eval import stage_tasks
-        from repro.index import FlatRTree
-        import repro.eval.parallel as parallel_mod
-
-        staged = stage_tasks(_tiny_tasks(), tmp_path)
-        spec = staged[0].spec
-        parallel_mod._CONTEXTS.pop(spec, None)
-        try:
-            context = parallel_mod._context_for(spec)
-            assert isinstance(context.tree, FlatRTree)
-            assert context.flat_index() is context.tree
-        finally:
-            parallel_mod._CONTEXTS.pop(spec, None)
+        run_figure("table2", jobs=2)

@@ -1,10 +1,11 @@
 """Fault-injection tests: the acceptance criteria of the robustness layer.
 
 Uses :mod:`tests.faults` to corrupt page files, break read paths and
-crash sweep workers, then asserts the system's contract: corruption is
+kill sweep workers, then asserts the system's contract: corruption is
 *always* detected and raised as a typed :class:`StorageError` (never a
-silently wrong answer), worker failures never change sweep rows, and a
-killed sweep resumes from its checkpoint without recomputing.
+silently wrong answer), a crashed worker aborts its sweep without
+journaling a row it did not finish, and a killed sweep resumes from its
+checkpoint without recomputing.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from __future__ import annotations
 import os
 import random
 import shutil
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.eval import ParallelSweepRunner, SweepCheckpoint, SweepError, SweepTask
-from repro.eval.parallel import DatasetSpec, run_sweep_task
+import repro.eval.experiments as experiments
+from repro.eval import SweepCheckpoint, SweepTask, run_tasks
+from repro.eval.experiments import DatasetSpec, run_sweep_task
 from repro.index import RStarTree, load_tree, save_tree, validate_tree
 from repro.storage import (
     DEFAULT_PAGE_SIZE,
@@ -197,7 +200,7 @@ class TestLegacyFormat:
 
 
 # ----------------------------------------------------------------------
-# Sweep fault tolerance
+# Sweep worker crash
 # ----------------------------------------------------------------------
 def _sweep_tasks(queries=2):
     spec = DatasetSpec("uniform", 300, seed=5)
@@ -212,72 +215,61 @@ def _sweep_tasks(queries=2):
     return tasks
 
 
-class TestSweepFaultTolerance:
-    def test_crashing_workers_rescued_inline_rows_match_serial(self):
-        """Acceptance: a sweep with injected worker crashes returns rows
-        identical to the serial run."""
+class TestSweepCrash:
+    def test_worker_crash_aborts_then_resume_runs_only_missing_cells(
+            self, tmp_path, monkeypatch):
+        """Acceptance: a worker killed mid-sweep aborts it with
+        BrokenProcessPool and the journal holds only finished cells;
+        rerunning with the same journal computes exactly the missing
+        cells and returns the rows of an uninterrupted run."""
         tasks = _sweep_tasks()
-        serial = ParallelSweepRunner(jobs=1).run(tasks)
-        runner = ParallelSweepRunner(jobs=2, retries=1, backoff=0.01)
-        assert runner.run(tasks, task_fn=faults.crash_in_worker) == serial
+        tasks.append(SweepTask(
+            tasks[0].spec, Scheme.NWC_STAR,
+            SweepPoint(n=4, length=600.0, width=600.0), queries=2,
+            labels=(("scheme", Scheme.NWC_STAR.value), ("n", 4)),
+        ))
+        full_rows = run_tasks(tasks)
+        expected = {task.key: row for task, row in zip(tasks, full_rows)}
+        journal_path = tmp_path / "sweep.jsonl"
 
-    def test_transient_crash_absorbed_by_retry(self, tmp_path, monkeypatch):
-        tasks = _sweep_tasks()
-        serial = ParallelSweepRunner(jobs=1).run(tasks)
-        monkeypatch.setenv(faults.CRASH_ONCE_SENTINEL,
-                           str(tmp_path / "crashed-once"))
-        runner = ParallelSweepRunner(jobs=2, retries=2, backoff=0.01)
-        assert runner.run(tasks, task_fn=faults.crash_once) == serial
-        assert (tmp_path / "crashed-once").exists()  # the crash did happen
+        monkeypatch.setenv(faults.CRASH_LABEL, "n=4")
+        monkeypatch.setattr(experiments, "run_sweep_task", faults.exit_on_label)
+        with SweepCheckpoint.load(journal_path) as journal:
+            with pytest.raises(BrokenProcessPool):
+                run_tasks(tasks, jobs=2, checkpoint=journal)
+        with SweepCheckpoint.load(journal_path) as journal:
+            finished = [task.key for task in tasks
+                        if journal.completed(task.key) is not None]
+            assert tasks[-1].key not in finished
+            for key in finished:
+                assert journal.completed(key) == expected[key]
 
-    def test_crash_on_specific_task_rescued(self, monkeypatch):
-        tasks = _sweep_tasks()
-        serial = ParallelSweepRunner(jobs=1).run(tasks)
-        monkeypatch.setenv(faults.CRASH_LABEL, "n=3")
-        runner = ParallelSweepRunner(jobs=2, retries=1, backoff=0.01)
-        assert runner.run(tasks, task_fn=faults.crash_on_label) == serial
+        executed = []
 
-    def test_hung_worker_times_out_and_runs_inline(self, monkeypatch):
-        tasks = _sweep_tasks(queries=1)[:2]
-        serial = ParallelSweepRunner(jobs=1).run(tasks)
-        monkeypatch.setenv(faults.WORKER_SLEEP_SECONDS, "3")
-        runner = ParallelSweepRunner(jobs=2, timeout=0.3, retries=0)
-        assert runner.run(tasks, task_fn=faults.sleep_in_worker) == serial
+        def counting(task):
+            executed.append(task.key)
+            return run_sweep_task(task)
 
-    def test_task_failing_everywhere_raises_sweep_error(self):
-        tasks = _sweep_tasks()[:1]
-
-        def always_broken(task):
-            raise RuntimeError("boom")
-
-        runner = ParallelSweepRunner(jobs=1)
-        with pytest.raises(SweepError, match="boom"):
-            # jobs=1 with 2+ tasks forces the pool path; replicate the
-            # task so the pool engages and the inline rescue also fails.
-            ParallelSweepRunner(jobs=2, retries=0, backoff=0.0).run(
-                tasks * 2, task_fn=_raise_everywhere
-            )
-        with pytest.raises(RuntimeError):
-            runner.run(tasks, task_fn=always_broken)
-
-
-def _raise_everywhere(task):
-    raise RuntimeError("boom: broken everywhere")
+        monkeypatch.setattr(experiments, "run_sweep_task", counting)
+        with SweepCheckpoint.load(journal_path) as journal:
+            resumed_rows = run_tasks(tasks, checkpoint=journal)
+        assert resumed_rows == full_rows
+        assert sorted(executed) == sorted(
+            task.key for task in tasks if task.key not in finished)
 
 
 # ----------------------------------------------------------------------
 # Checkpoint / resume
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
-    def test_kill_and_resume_skips_completed_cells(self, tmp_path):
+    def test_kill_and_resume_skips_completed_cells(self, tmp_path, monkeypatch):
         """Acceptance: killing a sweep mid-run then rerunning with the
         same checkpoint produces the same rows as an uninterrupted run
         while skipping the already-journaled cells."""
         tasks = _sweep_tasks()
         journal_path = tmp_path / "sweep.jsonl"
         with SweepCheckpoint.load(journal_path) as journal:
-            full_rows = ParallelSweepRunner(jobs=1).run(tasks,
-                                                        checkpoint=journal)
+            full_rows = run_tasks(tasks, checkpoint=journal)
         # Simulate a kill after two cells: keep only the first 2 lines.
         lines = journal_path.read_text().splitlines(keepends=True)
         assert len(lines) == len(tasks)
@@ -290,11 +282,10 @@ class TestCheckpointResume:
             executed.append(task.key)
             return run_sweep_task(task)
 
+        monkeypatch.setattr(experiments, "run_sweep_task", counting)
         with SweepCheckpoint.load(journal_path) as journal:
             assert len(journal) == keep
-            resumed_rows = ParallelSweepRunner(jobs=1).run(
-                tasks, task_fn=counting, checkpoint=journal
-            )
+            resumed_rows = run_tasks(tasks, checkpoint=journal)
         assert resumed_rows == full_rows
         assert len(executed) == len(tasks) - keep
         # The journal is complete again after the resumed run.
@@ -304,14 +295,13 @@ class TestCheckpointResume:
         tasks = _sweep_tasks()
         journal_path = tmp_path / "sweep.jsonl"
         with SweepCheckpoint.load(journal_path) as journal:
-            full_rows = ParallelSweepRunner(jobs=1).run(tasks,
-                                                        checkpoint=journal)
+            full_rows = run_tasks(tasks, checkpoint=journal)
         # Tear the last line mid-JSON, as a kill during append would.
         text = journal_path.read_text()
         journal_path.write_text(text[: len(text) - 25])
         with SweepCheckpoint.load(journal_path) as journal:
             assert len(journal) == len(tasks) - 1
-            rows = ParallelSweepRunner(jobs=1).run(tasks, checkpoint=journal)
+            rows = run_tasks(tasks, checkpoint=journal)
         assert rows == full_rows
 
     def test_checkpoint_keys_distinguish_all_cells(self):

@@ -7,8 +7,8 @@ import pytest
 from repro.core import KNWCQuery, NWCEngine, NWCQuery, Scheme
 from repro.datasets import ca_like, gaussian, ny_like
 from repro.eval import (
+    EXPERIMENTS,
     BenchContext,
-    fig9_grid_size,
     reduction_rate,
     run_nwc_setting,
     window_scale_factor,
@@ -80,7 +80,7 @@ class TestPipeline:
 
 class TestExperimentSmoke:
     def test_fig9_tiny_run_has_expected_shape(self):
-        result = fig9_grid_size(scale=0.004, queries=2)
+        result = EXPERIMENTS["fig9"](scale=0.004, queries=2)
         assert len(result.rows) == 15  # 3 datasets x 5 grid sizes
         datasets = {row["dataset"] for row in result.rows}
         assert len(datasets) == 3
