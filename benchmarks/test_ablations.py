@@ -99,13 +99,13 @@ class TestLoadingAblation:
 class TestSubstrateMicrobench:
     def test_window_query_speed(self, benchmark, tree):
         rect = Rect(3000, 2500, 3400, 2900)
-        result = benchmark(lambda: tree.window_query(rect, count_io=False))
+        result = benchmark(lambda: tree.window_query(rect, io=None))
         assert result is not None
 
     def test_incremental_nn_speed(self, benchmark, tree):
         def first_100():
             out = []
-            for obj, dist, _ in tree.incremental_nearest(3200, 2800, count_io=False):
+            for obj, dist, _ in tree.incremental_nearest(3200, 2800, io=None):
                 out.append(obj)
                 if len(out) == 100:
                     break

@@ -48,8 +48,7 @@ def test_tree_variant_nwc_io(benchmark, kind):
     def run():
         agg = StatsAggregator()
         for query in queries:
-            engine.nwc(query)
-            agg.add(tree.stats)
+            agg.add(engine.nwc(query).stats)
         return agg.mean()
 
     mean_io = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -64,6 +63,5 @@ def test_tree_variant_nwc_io(benchmark, kind):
     reference = NWCEngine(reference_tree, Scheme.NWC_STAR)
     ref_agg = StatsAggregator()
     for query in queries:
-        reference.nwc(query)
-        ref_agg.add(reference_tree.stats)
+        ref_agg.add(reference.nwc(query).stats)
     assert mean_io <= 10 * max(ref_agg.mean(), 1.0)

@@ -27,8 +27,7 @@ def evaluate(dataset, n_queries: int = 5) -> None:
         engine = NWCEngine(tree, scheme)
         agg = StatsAggregator()
         for query in queries:
-            engine.nwc(query)
-            agg.add(tree.stats)
+            agg.add(engine.nwc(query).stats)
         mean_io = agg.mean()
         if baseline is None:
             baseline = mean_io

@@ -168,8 +168,8 @@ def time_storage_formats(tree, repeats: int) -> dict:
 TRACING_OVERHEAD_BUDGET_PCT = 2.0
 
 
-def _baseline_observed_search(self, kind, q, policy, prune_windows,
-                              region=None, **extra_attrs):
+def _baseline_observed_search(self, kind, q, policy, stats, prune_windows,
+                              region=None, anchor_region=None, **extra_attrs):
     """``_observed_search`` with the observability dispatch bypassed.
 
     ``_observed_search`` is the single seam the obs subsystem added to
@@ -177,7 +177,7 @@ def _baseline_observed_search(self, kind, q, policy, prune_windows,
     pre-observability call shape in-process, so the A/B needs no second
     source checkout.
     """
-    self._search(q, policy, prune_windows, region)
+    self._search(q, policy, stats, prune_windows, region, anchor_region)
 
 
 def time_tracing_overhead(tree, queries, repeats: int) -> dict:

@@ -37,9 +37,11 @@ from ..grid import DensityGrid
 from ..index import FlatIWP, FlatRTree, IWPIndex, RStarTree
 from ..obs.metrics import DEFAULT_WORK_BUCKETS, MetricsRegistry
 from ..obs.trace import ATTRIBUTION_KEYS, NULL_TRACER
+from ..storage import IOStats
 from . import kernels
 from .errors import EngineConfigError
-from .knwc import CandidatePool, KNWCCandidates, _rank_key, make_policy
+from .knwc import (CandidatePool, KNWCCandidates, _rank_key, make_policy,
+                   offer_order)
 from .measures import DistanceMeasure
 from .query import KNWCQuery, NWCQuery
 from .regions import (
@@ -117,7 +119,7 @@ class _OrderedBestGroup(_BestGroup):
     Used by the sharded search (:meth:`NWCEngine.nwc_ordered`): the bound
     can start below ``inf`` so a coordinator-forwarded ``dist_best``
     prunes remote shards, and the kept offer records its enumeration
-    order key (see :meth:`NWCEngine._offer_order`).  The single-engine
+    order key (see :func:`~repro.core.knwc.offer_order`).  The single-engine
     search keeps the enumeration-*first* candidate achieving the best
     distance (later equal-distance offers are pruned by ``distance >=
     bound()`` before they reach the policy), so a coordinator merging
@@ -125,17 +127,16 @@ class _OrderedBestGroup(_BestGroup):
     instance, window included, the oracle would have kept.
     """
 
-    def __init__(self, engine: "NWCEngine",
-                 initial_bound: float | None = None) -> None:
+    def __init__(self, qy: float, initial_bound: float | None = None) -> None:
         super().__init__()
-        self._engine = engine
+        self.anchor, self.sy, self.qy = 0.0, 1.0, qy  # see offer_order
         self._initial = float("inf") if initial_bound is None else initial_bound
         self.order: tuple[float, float] | None = None
 
     def offer(self, group: ObjectGroup) -> None:
         if self.group is None or _rank_key(group) < _rank_key(self.group):
             self.group = group
-            self.order = self._engine._offer_order(group.window)
+            self.order = offer_order(self, group.window)
 
     def bound(self) -> float:
         best = self.group.distance if self.group is not None else float("inf")
@@ -276,8 +277,21 @@ def _running(counts: list) -> list[list[int]]:
     return sums.cumsum(axis=1).tolist()
 
 
+def query_seconds(metrics: MetricsRegistry, kind: str):
+    """``nwc_query_seconds{kind}``: wall-clock time of one engine run,
+    recorded by an engine with a registry or by a server around it."""
+    return metrics.histogram("nwc_query_seconds", "Wall-clock query latency",
+                             labels={"kind": kind})
+
+
 class NWCEngine:
-    """Processes NWC and kNWC queries against one dataset/tree."""
+    """Processes NWC and kNWC queries against one dataset/tree.
+
+    A query writes nothing on the engine: its I/O counters, anchor band
+    and offer-order origin are its own, and it reads the snapshot it
+    searches once.  So queries are safe to run concurrently between
+    updates, which the caller orders against them.
+    """
 
     def __init__(
         self,
@@ -312,14 +326,13 @@ class NWCEngine:
                 ``"python"`` (the scalar reference path); both return
                 bit-identical results and counters.
             flat: Pre-built flat snapshot of ``tree`` (columnar mode);
-                converted on demand otherwise.  Must share ``tree``'s
-                stats counter.
+                converted on demand otherwise.
             flat_iwp: Pre-built :class:`~repro.index.flat.FlatIWP` over
                 ``flat``; built on demand otherwise.
             tracer: A :class:`~repro.obs.trace.QueryTracer` to record a
                 span tree per query; the default no-op tracer costs one
-                flag check per query.  The engine binds the tracer's
-                ``stats`` to this tree's counters so spans capture I/O
+                flag check per query.  A traced query binds the tracer's
+                ``stats`` to its own counters so spans capture its I/O
                 deltas.
             metrics: Shared :class:`~repro.obs.metrics.MetricsRegistry`
                 for query latency/work histograms and optimization
@@ -340,13 +353,8 @@ class NWCEngine:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics = metrics
         if metrics is not None:
-            self._m_seconds = {
-                kind: metrics.histogram(
-                    "nwc_query_seconds", "Wall-clock query latency",
-                    labels={"kind": kind},
-                )
-                for kind in ("nwc", "knwc")
-            }
+            self._m_seconds = {kind: query_seconds(metrics, kind)
+                               for kind in ("nwc", "knwc")}
             self._m_queries = {
                 kind: metrics.counter(
                     "nwc_queries_total", "Queries answered",
@@ -382,15 +390,6 @@ class NWCEngine:
         # Leaves edited since ``_flat`` was taken: the pending edit the
         # next refresh splices in (see _note_edit).
         self._flat_edit: set = set()
-        # Sharded-search state: a half-open ``(x1, y1, x2, y2)`` rectangle
-        # restricting which objects may *anchor* windows (members still
-        # come from the whole tree), plus the anchor distance / frame
-        # orientation / query y of the enumerate call currently offering
-        # groups (see _OrderedBestGroup and _offer_order).
-        self._anchor_region: tuple[float, float, float, float] | None = None
-        self._offer_anchor = 0.0
-        self._offer_sy = 1.0
-        self._offer_qy = 0.0
         if self.flags.dep and self.grid is None:
             grid_extent = extent if extent is not None else _root_mbr_of(tree)
             if grid_extent is None:
@@ -478,8 +477,11 @@ class NWCEngine:
         else:
             self._flat_edit |= edit
 
-    def _refresh_structures(self) -> None:
-        """Rebuild DEP/IWP/flat structures invalidated by updates."""
+    def _refresh_structures(self) -> tuple[FlatRTree | None, FlatIWP | None]:
+        """Rebuild DEP/IWP/flat structures invalidated by updates; return
+        the ``(flat, flat_iwp)`` pair a columnar search runs on, built
+        before it is published (a query racing the lazy first build gets
+        the published pair or builds an equal one of its own)."""
         if self._grid_dirty and self.grid is not None:
             extent = _root_mbr_of(self.tree)
             if extent is not None:
@@ -489,20 +491,24 @@ class NWCEngine:
                 )
             self._grid_dirty = False
         if self.execution == "columnar":
-            if self._flat is None:
-                self._flat = (self.tree if isinstance(self.tree, FlatRTree)
-                              else FlatRTree.from_tree(self.tree))
-                self._flat_iwp = None
+            flat, flat_iwp = self._flat, self._flat_iwp
+            if flat is None:
+                flat = (self.tree if isinstance(self.tree, FlatRTree)
+                        else FlatRTree.from_tree(self.tree))
+                flat_iwp = None
             elif self._flat_edit:
-                self._flat = self._flat.splice(self._flat_edit)
-                self._flat_iwp = None
+                flat = flat.splice(self._flat_edit)
+                flat_iwp = None
                 self._flat_edit = set()
-            if self.flags.iwp and self._flat_iwp is None:
-                self._flat_iwp = FlatIWP(self._flat)
+            if self.flags.iwp and flat_iwp is None:
+                flat_iwp = FlatIWP(flat)
+            self._flat, self._flat_iwp = flat, flat_iwp
             self._iwp_dirty = False
-        elif self._iwp_dirty and self.flags.iwp:
+            return flat, flat_iwp
+        if self._iwp_dirty and self.flags.iwp:
             self.iwp = IWPIndex(self.tree)
             self._iwp_dirty = False
+        return None, None
 
     # ------------------------------------------------------------------
     # Public API
@@ -511,7 +517,6 @@ class NWCEngine:
         self,
         query: NWCQuery,
         region: Rect | None = None,
-        reset_stats: bool = True,
     ) -> NWCResult:
         """Answer one NWC query (Definition 1).
 
@@ -527,16 +532,21 @@ class NWCEngine:
         returns an explicit empty result (``found`` False) with its
         ``reason`` set, without touching the index.
         """
-        if reset_stats:
-            self.tree.stats.reset()
-        reason = self._unsatisfiable(query, region)
-        if reason is not None:
-            return NWCResult(group=None, stats=self.tree.stats.snapshot(),
-                             reason=reason)
         policy = _BestGroup()
-        self._observed_search("nwc", query, policy, prune_windows=True,
-                              region=region)
-        return NWCResult(group=policy.group, stats=self.tree.stats.snapshot())
+        stats, reason = self._answer("nwc", query, policy, True, region)
+        return NWCResult(group=policy.group, stats=stats, reason=reason)
+
+    def _answer(self, kind: str, q: NWCQuery, policy, prune_windows: bool,
+                region: Rect | None = None, anchor_region=None,
+                **extra_attrs) -> tuple[dict[str, int], str | None]:
+        """Run one query into ``policy``: its own fresh counters, and the
+        :meth:`_unsatisfiable` reason when it left the index untouched."""
+        stats = IOStats()
+        reason = self._unsatisfiable(q, region)
+        if reason is None:
+            self._observed_search(kind, q, policy, stats, prune_windows,
+                                  region, anchor_region, **extra_attrs)
+        return stats.snapshot(), reason
 
     def _unsatisfiable(self, query: NWCQuery, region: Rect | None) -> str | None:
         """A cheap proof that no qualified window can exist, or ``None``.
@@ -559,7 +569,6 @@ class NWCEngine:
         query: KNWCQuery,
         maintenance: str = "exact",
         region: Rect | None = None,
-        reset_stats: bool = True,
     ) -> KNWCResult:
         """Answer one kNWC query (Definition 3).
 
@@ -569,12 +578,6 @@ class NWCEngine:
                 DESIGN.md §4.1.
             region: Optional constrained-kNWC region (see :meth:`nwc`).
         """
-        if reset_stats:
-            self.tree.stats.reset()
-        reason = self._unsatisfiable(query.base, region)
-        if reason is not None:
-            return KNWCResult(groups=(), stats=self.tree.stats.snapshot(),
-                              reason=reason)
         policy = make_policy(maintenance, query.k, query.m)
         # The baseline scheme drains every object anyway; evaluating every
         # qualified window makes the unoptimized kNWC answer exactly the
@@ -582,37 +585,18 @@ class NWCEngine:
         # the brute-force reference).  Optimized schemes apply the paper's
         # MINDIST-based skip.
         prune = self.flags.srr or self.flags.dip or self.flags.dep or self.flags.iwp
-        self._observed_search("knwc", query.base, policy, prune_windows=prune,
-                              region=region, k=query.k, m=query.m)
-        return KNWCResult(groups=policy.finalize(), stats=self.tree.stats.snapshot())
+        stats, reason = self._answer("knwc", query.base, policy, prune, region,
+                                     k=query.k, m=query.m)
+        return KNWCResult(groups=policy.finalize(), stats=stats, reason=reason)
 
     # ------------------------------------------------------------------
     # Sharded execution primitives (scatter-gather serving)
     # ------------------------------------------------------------------
-    def _offer_order(self, window: Rect) -> tuple[float, float]:
-        """Enumeration order key of the offer currently being made.
-
-        The search enumerates anchors in ascending distance from ``q``
-        (one contiguous block of offers per anchor, every execution
-        mode), and within an anchor the candidate windows ascend by the
-        top partner's frame-space y (``_enumerate_windows*`` sort region
-        members by frame y before pairing).  Both components are
-        properties of the *candidate*, not of tree shape, so order keys
-        are comparable between a shard and the single-engine oracle: the
-        merge key is ``(anchor distance, partner frame y)``, with the
-        second component recovered from the offered window's horizontal
-        edge.
-        """
-        sy = self._offer_sy
-        partner_y = window.y2 if sy > 0 else window.y1
-        return (self._offer_anchor, sy * (partner_y - self._offer_qy))
-
     def nwc_ordered(
         self,
         query: NWCQuery,
         bound: float | None = None,
         anchor_region: tuple[float, float, float, float] | None = None,
-        reset_stats: bool = True,
     ) -> tuple[NWCResult, tuple[float, float] | None]:
         """One shard's slice of an NWC query, with its merge order key.
 
@@ -627,27 +611,16 @@ class NWCEngine:
         every shard to reproduce the oracle's kept window.
 
         Returns ``(result, order)`` where ``order`` is the
-        :meth:`_offer_order` key of the kept offer (``None`` when
-        nothing was found).  The pruned single-engine search keeps the
-        enumeration-first candidate achieving the best distance, so the
-        coordinator's merge rule is: minimum ``(distance, order)``
-        across shard answers.
+        :func:`~repro.core.knwc.offer_order` key of the kept offer
+        (``None`` when nothing was found).  The pruned single-engine
+        search keeps the enumeration-first candidate achieving the best
+        distance, so the coordinator's merge rule is: minimum
+        ``(distance, order)`` across shard answers.
         """
-        if reset_stats:
-            self.tree.stats.reset()
-        reason = self._unsatisfiable(query, None)
-        if reason is not None:
-            return NWCResult(group=None, stats=self.tree.stats.snapshot(),
-                             reason=reason), None
-        policy = _OrderedBestGroup(self, bound)
-        self._anchor_region = anchor_region
-        self._offer_qy = query.qy
-        try:
-            self._observed_search("nwc", query, policy, prune_windows=True)
-        finally:
-            self._anchor_region = None
-        return NWCResult(group=policy.group,
-                         stats=self.tree.stats.snapshot()), policy.order
+        policy = _OrderedBestGroup(query.qy, bound)
+        stats, reason = self._answer("nwc", query, policy, True,
+                                     anchor_region=anchor_region)
+        return NWCResult(group=policy.group, stats=stats, reason=reason), policy.order
 
     def knwc_candidates(
         self,
@@ -655,18 +628,18 @@ class NWCEngine:
         limit: int | None,
         bound: float | None = None,
         anchor_region: tuple[float, float, float, float] | None = None,
-        reset_stats: bool = True,
     ) -> KNWCCandidates:
         """One shard's raw kNWC candidate pool for a cross-shard merge.
 
         Collects the shard's top-``limit`` distinct candidate groups by
         ``(distance, oids)`` rank *ignoring* the overlap constraint,
-        each with its :meth:`_offer_order` key.  The coordinator replays
-        the *unpruned baseline* selection — every instance of the
-        order-sorted union offered ungated to a fresh ExactGroupBuffer —
-        see ``repro.shard.merge`` for the replay and its exactness
-        argument.  ``bound`` seeds this shard's local prune bound;
-        ``anchor_region`` restricts anchors as in :meth:`nwc_ordered`.
+        each with its :func:`~repro.core.knwc.offer_order` key.  The
+        coordinator replays the *unpruned baseline* selection — every
+        instance of the order-sorted union offered ungated to a fresh
+        ExactGroupBuffer — see ``repro.shard.merge`` for the replay and
+        its exactness argument.  ``bound`` seeds this shard's local
+        prune bound; ``anchor_region`` restricts anchors as in
+        :meth:`nwc_ordered`.
 
         ``horizon`` is the distance below which the pool is provably
         complete (``None`` = fully complete): candidates at or beyond it
@@ -685,35 +658,26 @@ class NWCEngine:
         pruning is disabled for that measure and completeness is governed
         by pool capacity alone.
         """
-        if reset_stats:
-            self.tree.stats.reset()
-        reason = self._unsatisfiable(query.base, None)
-        if reason is not None:
-            return KNWCCandidates(groups=(), orders=(), horizon=None,
-                                  reason=reason)
-        policy = CandidatePool(limit, order_source=self, initial_bound=bound)
+        policy = CandidatePool(limit, query.base.qy, initial_bound=bound)
         prune = (
             (self.flags.srr or self.flags.dip or self.flags.dep
              or self.flags.iwp)
             and query.base.measure is not DistanceMeasure.NEAREST_WINDOW
         )
-        self._anchor_region = anchor_region
-        self._offer_qy = query.base.qy
-        try:
-            self._observed_search("knwc", query.base, policy,
-                                  prune_windows=prune, k=query.k, m=query.m)
-        finally:
-            self._anchor_region = None
+        stats, reason = self._answer("knwc", query.base, policy, prune,
+                                     anchor_region=anchor_region,
+                                     k=query.k, m=query.m)
         return KNWCCandidates(groups=policy.finalize(),
                               orders=policy.orders(),
-                              horizon=policy.horizon())
+                              horizon=None if reason else policy.horizon(),
+                              stats=stats, reason=reason)
 
     # ------------------------------------------------------------------
     # Core search (Algorithm 1)
     # ------------------------------------------------------------------
-    def _observed_search(self, kind: str, q: NWCQuery, policy,
+    def _observed_search(self, kind: str, q: NWCQuery, policy, stats: IOStats,
                          prune_windows: bool, region: Rect | None = None,
-                         **extra_attrs) -> None:
+                         anchor_region=None, **extra_attrs) -> None:
         """Run :meth:`_search` under the configured tracer/registry.
 
         The fast path — no tracer, no registry — is a two-attribute
@@ -723,13 +687,12 @@ class NWCEngine:
         tracer = self.tracer
         metrics = self.metrics
         if not tracer.enabled and metrics is None:
-            self._search(q, policy, prune_windows, region)
+            self._search(q, policy, stats, prune_windows, region, anchor_region)
             return
         attr = _Attribution()
         start = time.perf_counter()
         if tracer.enabled:
-            if getattr(tracer, "stats", None) is None:
-                tracer.stats = self.tree.stats
+            tracer.stats = stats
             attrs = {"scheme": self.scheme.value if self.scheme else "custom",
                      "execution": self.execution,
                      "qx": q.qx, "qy": q.qy, "length": q.length,
@@ -737,26 +700,29 @@ class NWCEngine:
             attrs.update(extra_attrs)
             root = tracer.start_span(f"query:{kind}", attrs)
             try:
-                self._search(q, policy, prune_windows, region, attr=attr)
+                self._search(q, policy, stats, prune_windows, region,
+                             anchor_region, attr)
             finally:
                 if root is not None:
                     root.counts.update(attr.nonzero())
                 tracer.end_span(root)
         else:
-            self._search(q, policy, prune_windows, region, attr=attr)
+            self._search(q, policy, stats, prune_windows, region,
+                         anchor_region, attr)
         if metrics is not None:
             self._m_seconds[kind].observe(time.perf_counter() - start)
             self._m_queries[kind].inc()
-            self._m_node_accesses.observe(self.tree.stats.node_accesses)
+            self._m_node_accesses.observe(stats.node_accesses)
             counters = self._m_attribution
             for key, value in attr.nonzero().items():
                 counters[key].inc(value)
 
-    def _search(self, q: NWCQuery, policy, prune_windows: bool,
-                region: Rect | None = None, attr: _Attribution | None = None) -> None:
-        self._refresh_structures()
-        tree = self.tree
-        stats = tree.stats
+    def _search(self, q: NWCQuery, policy, stats: IOStats, prune_windows: bool,
+                region: Rect | None = None, anchor_region=None,
+                attr: _Attribution | None = None) -> None:
+        """One search, charging ``stats``; ``anchor_region`` restricts
+        the anchors as in :meth:`nwc_ordered`."""
+        flat, flat_iwp = self._refresh_structures()
         flags = self.flags
         qx, qy, length, width, n = q.qx, q.qy, q.length, q.width, q.n
         diagonal = q.diagonal
@@ -768,8 +734,8 @@ class NWCEngine:
             search_span = tracer.start_span("search") if tracing else None
             try:
                 self._search_loop_columnar(
-                    q, policy, prune_windows, region, attr,
-                    tracing, stats, flags, grid, diagonal,
+                    q, policy, prune_windows, region, anchor_region, attr,
+                    tracing, stats, flags, grid, diagonal, flat, flat_iwp,
                 )
             finally:
                 if tracing:
@@ -798,22 +764,23 @@ class NWCEngine:
         search_span = tracer.start_span("search") if tracing else None
         try:
             self._search_loop(
-                q, policy, prune_windows, region, attr, node_filter,
-                tracing, stats, flags, grid, diagonal,
+                q, policy, prune_windows, region, anchor_region, attr,
+                node_filter, tracing, stats, flags, grid, diagonal,
             )
         finally:
             if tracing:
                 tracer.end_span(search_span)
 
-    def _search_loop(self, q, policy, prune_windows, region, attr,
-                     node_filter, tracing, stats, flags, grid, diagonal) -> None:
+    def _search_loop(self, q, policy, prune_windows, region, anchor_region,
+                     attr, node_filter, tracing, stats, flags, grid,
+                     diagonal) -> None:
         tree = self.tree
         tracer = self.tracer
         qx, qy, length, width, n = q.qx, q.qy, q.length, q.width, q.n
-        anchor_region = self._anchor_region
         if anchor_region is not None:
             ax1, ay1, ax2, ay2 = anchor_region
-        for p, dist_p, leaf in tree.incremental_nearest(qx, qy, node_filter=node_filter):
+        for p, dist_p, leaf in tree.incremental_nearest(
+                qx, qy, node_filter=node_filter, io=stats):
             if region is not None and not region.contains_object(p):
                 continue
             bound = policy.bound()
@@ -827,9 +794,8 @@ class NWCEngine:
                 ax1 <= p.x < ax2 and ay1 <= p.y < ay2
             ):
                 continue
-            self._offer_anchor = dist_p
             frame = QuadrantFrame.for_object(qx, qy, p)
-            self._offer_sy = frame.sy
+            policy.anchor, policy.sy = dist_p, frame.sy  # see offer_order
             sr = search_region(frame, p, length, width)
             if flags.srr:
                 shrunk = shrink_search_region(sr, bound)
@@ -857,9 +823,9 @@ class NWCEngine:
                     starts = self.iwp.start_nodes(leaf, real_sr)
                     if attr is not None and starts[0] is not tree.root:
                         attr.iwp_root_descents_avoided += 1
-                    members = tree.window_query_from(starts, real_sr)
+                    members = tree.window_query_from(starts, real_sr, io=stats)
                 else:
-                    members = tree.window_query(real_sr)
+                    members = tree.window_query(real_sr, io=stats)
                 if region is not None:
                     members = [m for m in members if region.contains_object(m)]
                 enum_span = None
@@ -869,7 +835,7 @@ class NWCEngine:
                     )
                 try:
                     self._enumerate_windows(
-                        q, frame, sr, members, policy, prune_windows,
+                        q, frame, sr, members, policy, prune_windows, stats,
                         attr=attr, tspan=enum_span,
                     )
                 finally:
@@ -879,8 +845,9 @@ class NWCEngine:
                 if tracing:
                     tracer.end_span(wq_span)
 
-    def _search_loop_columnar(self, q, policy, prune_windows, region, attr,
-                              tracing, stats, flags, grid, diagonal) -> None:
+    def _search_loop_columnar(self, q, policy, prune_windows, region,
+                              anchor_region, attr, tracing, stats, flags,
+                              grid, diagonal, flat, flat_iwp) -> None:
         """Whole-frontier twin of :meth:`_search_loop` over the flat index.
 
         Replays the scalar best-first search exactly — same heap keys
@@ -916,7 +883,6 @@ class NWCEngine:
         table").  Stream distances stay scalar ``math.hypot`` —
         ``np.hypot`` differs in the last ulp.
         """
-        flat = self._flat
         qx, qy, length, width, n = q.qx, q.qy, q.length, q.width, q.n
         mbrs = flat.mbrs
         first = flat.first
@@ -927,7 +893,6 @@ class NWCEngine:
         root_mbr = flat.root_mbr
         if root_mbr is None:
             return
-        anchor_region = self._anchor_region
         if anchor_region is not None:
             ax1, ay1, ax2, ay2 = anchor_region
         # Order statistic of the squared distances that is the group
@@ -993,7 +958,7 @@ class NWCEngine:
                     if cnt == 0:
                         continue
                     leaf_stream = (prepared.pop(node, None)
-                                   or self._leaf_stream(node, qx, qy))
+                                   or self._leaf_stream(flat, node, qx, qy))
                     leaf_stream.seq = seq
                     entered.append(leaf_stream)
                     rekey(leaf_stream, 0)
@@ -1048,16 +1013,17 @@ class NWCEngine:
                 parts = [(stream, ident)]
                 if group > 1:
                     parts += self._waiting_parts(
-                        heap, stream, bound, group - 1, prepared, qx, qy)
-                self._leaf_table(q, parts, bound, region, floor_k,
-                                 attr is not None)
+                        heap, stream, bound, group - 1, prepared, flat, qx, qy)
+                self._leaf_table(q, parts, bound, region, anchor_region,
+                                 floor_k, attr is not None, grid, flat,
+                                 flat_iwp)
                 table = stream.table
                 if len(table.cols) <= _FLOOR_BUDGET:
                     group = min(2 * group, _GROUP_CAP)
                 else:
                     group = max(group // 2, 1)
             self._replay_row(q, stream, ident, dist, px, py, bound, policy,
-                             prune_windows, attr, tracing, stats)
+                             prune_windows, attr, tracing, stats, flat)
             if srr and policy.bound() != bound:
                 # Every row keyed below this one was popped under the old
                 # bound, whichever stream it belongs to; the rest restamp.
@@ -1097,7 +1063,7 @@ class NWCEngine:
             attr.windows_pruned_by_bound += pruned[b] - pruned[a]
 
     def _replay_row(self, q, stream, ident, dist, px, py, bound, policy,
-                    prune_windows, attr, tracing, stats) -> None:
+                    prune_windows, attr, tracing, stats, flat) -> None:
         """One object's pop, replayed from its row of the table
         ``stream`` holds, stamped ``bound``: the per-row event handler."""
         tracer = self.tracer
@@ -1122,7 +1088,7 @@ class NWCEngine:
         if tracing:
             wq_span = tracer.start_span(
                 "window_query",
-                {"oid": int(self._flat.oids[stream.cols[ident]]),
+                {"oid": int(flat.oids[stream.cols[ident]]),
                  "dist": dist})
         try:
             stats.node_accesses += int(table.nodes[slot])
@@ -1150,17 +1116,16 @@ class NWCEngine:
                             table.mindists[table.qptr[slot]:
                                            table.qptr[slot + 1]] >= bound)
                 else:
-                    self._offer_anchor = dist
                     frame = QuadrantFrame(q.qx, q.qy,
                                           1.0 if px >= q.qx else -1.0,
                                           1.0 if py >= q.qy else -1.0)
-                    self._offer_sy = frame.sy
+                    policy.anchor, policy.sy = dist, frame.sy  # offer_order
                     sr = FrameRegion(
                         frame.sx * (px - q.qx), frame.sy * (py - q.qy),
                         q.length, q.width, float(table.upper[row]), px, py)
                     self._enumerate_windows_columnar(
                         q, frame, sr, table.cols[lo:hi], policy,
-                        prune_windows, attr=attr, tspan=enum_span,
+                        prune_windows, stats, flat, attr=attr, tspan=enum_span,
                     )
             finally:
                 if tracing:
@@ -1169,7 +1134,7 @@ class NWCEngine:
             if tracing:
                 tracer.end_span(wq_span)
 
-    def _waiting_parts(self, heap, stream, bound, room, prepared,
+    def _waiting_parts(self, heap, stream, bound, room, prepared, flat,
                        qx, qy) -> list:
         """Up to ``room`` more ``(stream, start)`` parts for the table
         ``stream`` is about to get under ``bound``: in heap order, the
@@ -1180,7 +1145,7 @@ class NWCEngine:
         whose streams go into ``prepared``."""
         srr = self.flags.srr
         ahead = not srr or bound == math.inf
-        leaf_lo = int(self._flat.level_bounds[-2])
+        leaf_lo = int(flat.level_bounds[-2])
         waiting = []
         for entry in heap:
             other = entry[4]
@@ -1194,15 +1159,15 @@ class NWCEngine:
         parts = []
         for _, _, _, at, other in heapq.nsmallest(room, waiting):
             if other is None:
-                other = prepared[at] = self._leaf_stream(at, qx, qy)
+                other = prepared[at] = self._leaf_stream(flat, at, qx, qy)
                 at = 0
             parts.append((other, at))
         return parts
 
-    def _leaf_stream(self, leaf: int, qx: float, qy: float) -> _LeafStream:
+    @staticmethod
+    def _leaf_stream(flat, leaf: int, qx: float, qy: float) -> _LeafStream:
         """The objects of ``leaf`` in ascending distance to the query
         point (its ``seq`` is the pop's to give)."""
-        flat = self._flat
         s = int(flat.first[leaf])
         e = s + int(flat.count[leaf])
         dxl = (flat.xs[s:e] - qx).tolist()
@@ -1215,8 +1180,8 @@ class NWCEngine:
         return _LeafStream(leaf, ds, cols,
                            flat.xs.take(cols), flat.ys.take(cols))
 
-    def _leaf_table(self, q, parts, bound, region, floor_k,
-                    attributed) -> None:
+    def _leaf_table(self, q, parts, bound, region, anchor_region, floor_k,
+                    attributed, grid, flat, flat_iwp) -> None:
         """One table, under one frozen ``bound``, over the rows
         ``start..`` of every ``(stream, start)`` of ``parts``; each
         stream is handed the table and its row offset.
@@ -1230,7 +1195,8 @@ class NWCEngine:
         stamped with its own bound replays exactly what the oracle would
         compute, whenever the table was built; nothing is charged to the
         counters here.  ``floor_k`` and ``attributed`` select what
-        :meth:`_walk_rows` adds about the rows' enumerations.
+        :meth:`_walk_rows` adds about the rows' enumerations; ``grid``,
+        ``flat`` and ``flat_iwp`` are what the search read at its start.
         """
         flags = self.flags
         length, width = q.length, q.width
@@ -1250,14 +1216,14 @@ class NWCEngine:
             live = np.ones(len(tx), dtype=bool)
             shrunk = np.zeros(len(tx), dtype=bool)
         slots = np.full(len(tx), _SRR_SKIPPED)
-        if region is not None or self._anchor_region is not None:
+        if region is not None or anchor_region is not None:
             # Rows the pop loop drops before it consults the table.
             inside = np.ones(len(tx), dtype=bool)
             if region is not None:
                 inside &= ((points >= ((region.x1,), (region.y1,))) & (
                     points <= ((region.x2,), (region.y2,)))).all(axis=0)
-            if self._anchor_region is not None:
-                ax1, ay1, ax2, ay2 = self._anchor_region
+            if anchor_region is not None:
+                ax1, ay1, ax2, ay2 = anchor_region
                 inside &= ((points >= ((ax1,), (ay1,)))
                            & (points < ((ax2,), (ay2,)))).all(axis=0)
             live &= inside
@@ -1280,7 +1246,6 @@ class NWCEngine:
         rects = np.concatenate((points - np.where(positive, towards, away),
                                 points + np.where(positive, away, towards)))
         if flags.dep:
-            grid = self.grid
             if hasattr(grid, "upper_bounds"):
                 pruned = grid.upper_bounds(*rects) < q.n
             else:  # duck-typed DEP replacements answer one rectangle a call
@@ -1296,7 +1261,7 @@ class NWCEngine:
         leaves = np.repeat([stream.leaf for stream, _ in parts], sizes)
         self._walk_rows(table, q, rects, leaves[rows], region,
                         sign[1][rows], tx[rows], ty[rows], floor_k,
-                        attributed)
+                        attributed, flat, flat_iwp)
         # Events: a row of n members may offer — unless, under SRR, its
         # floor is at or above the stamp; without SRR the table outlives
         # the bound and the pop compares the floor with the bound of its
@@ -1309,7 +1274,7 @@ class NWCEngine:
         table.events = rows.tolist()
 
     def _walk_rows(self, table, q, rects, leaf, region, sy, tx, ty,
-                   floor_k, attributed) -> None:
+                   floor_k, attributed, flat, flat_iwp) -> None:
         """Fill ``table``'s per-window-query lists: the batched window
         walk over ``rects`` (the rows' real-space search rectangles,
         each from its generator's ``leaf``, the rows of one leaf
@@ -1323,11 +1288,10 @@ class NWCEngine:
         members, below any of its windows' distances — and its qualified
         window count; ``attributed`` adds the MINDISTs of those windows.
         """
-        flat = self._flat
         n, width, qy = q.n, q.width, q.qy
         start_depth = None
         if self.flags.iwp:
-            start_depth = self._flat_iwp.start_depths(leaf, rects)
+            start_depth = flat_iwp.start_depths(leaf, rects)
             table.avoided = start_depth != 0
         else:
             table.avoided = np.zeros(len(sy), dtype=bool)
@@ -1391,12 +1355,12 @@ class NWCEngine:
         members: Sequence[PointObject],
         policy,
         prune_windows: bool,
+        stats: IOStats,
         attr: _Attribution | None = None,
         tspan=None,
     ) -> None:
         """Pair the search region's object with every partner (Algorithm 1
         lines 17-26) and offer each qualified window's best group."""
-        stats = self.tree.stats
         n = q.n
         width = q.width
         qx, qy = q.qx, q.qy
@@ -1465,6 +1429,8 @@ class NWCEngine:
         cols: np.ndarray,
         policy,
         prune_windows: bool,
+        stats: IOStats,
+        flat: FlatRTree,
         attr: _Attribution | None = None,
         tspan=None,
     ) -> None:
@@ -1481,8 +1447,6 @@ class NWCEngine:
         """
         if cols.size == 0:
             return
-        flat = self._flat
-        stats = self.tree.stats
         n = q.n
         sy = frame.sy
         snap = kernels.ColumnarSnapshot.build(flat, cols, sy)
@@ -1504,7 +1468,7 @@ class NWCEngine:
                      or measure is DistanceMeasure.MIN)):
             self._enumerate_columnar_fast(
                 q, frame, sr, snap, start, los, his, dsq, qualified,
-                mindists, policy, prune_windows,
+                mindists, policy, prune_windows, flat,
             )
             return
         # The (distance, oid) selection order is shared by every window
@@ -1550,7 +1514,7 @@ class NWCEngine:
 
     def _enumerate_columnar_fast(
         self, q, frame, sr, snap, start, los, his, dsq, qualified,
-        mindists, policy, prune_windows,
+        mindists, policy, prune_windows, flat,
     ) -> None:
         """Measure every candidate window of the region in one pass.
 
@@ -1570,7 +1534,6 @@ class NWCEngine:
         for the same reason: ``distance >= mindist``, so a window whose
         mindist already misses the entry bound can never be offered.
         """
-        flat = self._flat
         n = q.n
         k = n if q.measure is DistanceMeasure.MAX else 1
         if isinstance(policy, _BestGroup) and prune_windows:

@@ -40,6 +40,7 @@ from typing import Sequence
 
 from ..geometry import PointObject, Rect
 from ..index import RStarTree
+from ..storage import IOStats
 from .knwc import make_policy
 from .measures import DistanceMeasure
 from .results import NWCResult, ObjectGroup
@@ -114,7 +115,7 @@ class GroupNWCQuery:
 
 
 def group_nwc(tree: RStarTree, query: GroupNWCQuery,
-              prune: bool = True, reset_stats: bool = True) -> NWCResult:
+              prune: bool = True) -> NWCResult:
     """Answer a group NWC query against an R*-tree.
 
     Args:
@@ -122,10 +123,8 @@ def group_nwc(tree: RStarTree, query: GroupNWCQuery,
         query: The group query.
         prune: Apply bound-based pruning (disable to force the
             exhaustive baseline, e.g. for testing).
-        reset_stats: Reset the tree's I/O counters first.
     """
-    if reset_stats:
-        tree.stats.reset()
+    stats = IOStats()
     best: ObjectGroup | None = None
     best_key: tuple | None = None
 
@@ -138,8 +137,8 @@ def group_nwc(tree: RStarTree, query: GroupNWCQuery,
         if best_key is None or key < best_key:
             best, best_key = candidate, key
 
-    _group_search(tree, query, bound, offer, prune)
-    return NWCResult(group=best, stats=tree.stats.snapshot())
+    _group_search(tree, query, bound, offer, prune, stats)
+    return NWCResult(group=best, stats=stats.snapshot())
 
 
 def group_knwc(
@@ -149,7 +148,6 @@ def group_knwc(
     m: int,
     maintenance: str = "exact",
     prune: bool = True,
-    reset_stats: bool = True,
 ):
     """Group kNWC: ``k`` alternative areas for the query group, with at
     most ``m`` shared objects between any two (Definition 3 lifted to
@@ -159,15 +157,14 @@ def group_knwc(
 
     if not 0 <= m < query.n:
         raise ValueError("m must satisfy 0 <= m < n")
-    if reset_stats:
-        tree.stats.reset()
+    stats = IOStats()
     policy = make_policy(maintenance, k, m)
-    _group_search(tree, query, policy.bound, policy.offer, prune)
-    return KNWCResult(groups=policy.finalize(), stats=tree.stats.snapshot())
+    _group_search(tree, query, policy.bound, policy.offer, prune, stats)
+    return KNWCResult(groups=policy.finalize(), stats=stats.snapshot())
 
 
 def _group_search(tree: RStarTree, query: GroupNWCQuery, bound, offer,
-                  prune: bool) -> None:
+                  prune: bool, stats: IOStats) -> None:
     """Shared best-first search loop of group NWC / group kNWC."""
 
     def node_filter(node) -> bool:
@@ -179,22 +176,22 @@ def _group_search(tree: RStarTree, query: GroupNWCQuery, bound, offer,
         return query.rect_lower_bound(gen) < bound()
 
     slack = query.diagonal_slack
-    for p, cost_p, _leaf in _incremental_by_cost(tree, query, node_filter):
+    for p, cost_p, _leaf in _incremental_by_cost(tree, query, node_filter, stats):
         if prune and cost_p >= bound() + slack:
             break
         sr = Rect(p.x - query.length, p.y - query.width,
                   p.x, p.y + query.width)
         if prune and query.rect_lower_bound(sr) >= bound():
             continue
-        tree.stats.window_queries += 1
-        members = tree.window_query(sr)
+        stats.window_queries += 1
+        members = tree.window_query(sr, io=stats)
         for candidate in _candidates_in_search_region(
             query, p, members, bound() if prune else None
         ):
             offer(candidate)
 
 
-def _incremental_by_cost(tree: RStarTree, query: GroupNWCQuery, node_filter):
+def _incremental_by_cost(tree: RStarTree, query: GroupNWCQuery, node_filter, stats):
     """Best-first object stream in ascending aggregate cost."""
     counter = itertools.count()
     root = tree.root
@@ -209,7 +206,7 @@ def _incremental_by_cost(tree: RStarTree, query: GroupNWCQuery, node_filter):
         node = item
         if not node_filter(node):
             continue
-        tree.stats.record_node(node.is_leaf)
+        stats.record_node(node.is_leaf)
         if node.is_leaf:
             for obj in node.entries:
                 heapq.heappush(

@@ -28,12 +28,34 @@ import bisect
 from dataclasses import dataclass
 from typing import Protocol
 
+from ..geometry import Rect
 from .results import ObjectGroup
 
 
 def _rank_key(group: ObjectGroup) -> tuple[float, tuple[int, ...]]:
     """Deterministic ordering: distance, then object ids (tie-break)."""
     return (group.distance, tuple(sorted(g for g in group.oids)))
+
+
+def offer_order(policy, window: Rect) -> tuple[float, float]:
+    """Enumeration order key of the offer ``policy`` is being made.
+
+    The search enumerates anchors in ascending distance from ``q`` (one
+    contiguous block of offers per anchor, every execution mode), and
+    within an anchor the candidate windows ascend by the top partner's
+    frame-space y (``_enumerate_windows*`` sort region members by frame
+    y before pairing).  Both components are properties of the
+    *candidate*, not of tree shape, so order keys are comparable between
+    a shard and the single-engine oracle: the merge key is ``(anchor
+    distance, partner frame y)``, with the second component recovered
+    from the offered window's horizontal edge.
+
+    The origin is the policy's own: the query's ``qy``, and ``anchor``
+    (distance) and ``sy`` (frame y sign) set by the search per anchor.
+    """
+    sy = policy.sy
+    partner_y = window.y2 if sy > 0 else window.y1
+    return (policy.anchor, sy * (partner_y - policy.qy))
 
 
 class GroupPolicy(Protocol):
@@ -167,12 +189,14 @@ class KNWCCandidates:
             ``None`` when nothing was evicted, rank-rejected, or
             search-pruned (the pool then holds *every* candidate the
             shard's search enumerated).
+        stats: The query's I/O counters, as in ``KNWCResult``.
         reason: Unsatisfiability reason, as in ``KNWCResult``.
     """
 
     groups: tuple[ObjectGroup, ...]
     orders: tuple[tuple[float, float], ...]
     horizon: float | None
+    stats: dict[str, int]
     reason: str | None = None
 
 
@@ -198,12 +222,12 @@ class CandidatePool:
     stream (``horizon() is None``).
     """
 
-    def __init__(self, limit: int | None, order_source=None,
+    def __init__(self, limit: int | None, qy: float,
                  initial_bound: float | None = None) -> None:
         if limit is not None and limit <= 0:
             raise ValueError("limit must be positive")
         self.limit = limit
-        self._source = order_source
+        self.anchor, self.sy, self.qy = 0.0, 1.0, qy  # see offer_order
         self._seeded = initial_bound is not None
         self._initial = float("inf") if initial_bound is None else initial_bound
         self._keys: list[tuple[float, tuple[int, ...]]] = []
@@ -225,11 +249,7 @@ class CandidatePool:
         at = bisect.bisect_left(self._keys, key)
         self._keys.insert(at, key)
         self._groups.insert(at, group)
-        if self._source is not None:
-            order = self._source._offer_order(group.window)
-        else:
-            order = (0.0, 0.0)
-        self._orders.insert(at, order)
+        self._orders.insert(at, offer_order(self, group.window))
         if full:
             self._keys.pop()
             self._groups.pop()

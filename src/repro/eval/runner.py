@@ -142,7 +142,7 @@ def run_nwc_setting(
     found = 0
     for qx, qy in query_points:
         result = engine.nwc(NWCQuery(qx, qy, point.length, point.width, point.n))
-        agg.add(context.tree.stats)
+        agg.add(result.stats)
         found += 1 if result.found else 0
     return {
         "node_accesses": agg.mean("node_accesses"),
@@ -169,7 +169,7 @@ def run_knwc_setting(
             qx, qy, point.length, point.width, point.n, point.k, point.m
         )
         result = engine.knwc(query, maintenance=maintenance)
-        agg.add(context.tree.stats)
+        agg.add(result.stats)
         groups_found += len(result.groups)
     return {
         "node_accesses": agg.mean("node_accesses"),

@@ -51,6 +51,7 @@ from ..storage import (
     IOStats,
     MappedPageFile,
 )
+from ..storage.stats import OWN_STATS
 from .pointers import backward_pointer_depths
 
 # Node-record layout (see repro.storage.serializer): flags:u8 count:u16
@@ -561,14 +562,15 @@ class FlatRTree:
         return shift.repeat(counts) + np.arange(
             ends[-1] if len(ends) else 0, dtype=np.int32), counts
 
-    def window_query(self, rect: Rect, count_io: bool = True) -> list[PointObject]:
+    def window_query(self, rect: Rect, io=OWN_STATS) -> list[PointObject]:
         """Object-level window query from the root (the columnar twin
         of ``RStarTree.window_query``, same I/O accounting)."""
         nodes, leaves, _, cols = self.window_query_batch(
             np.array(((rect.x1,), (rect.y1,), (rect.x2,), (rect.y2,))))
-        if count_io:
-            self.stats.node_accesses += int(nodes[0])
-            self.stats.leaf_accesses += int(leaves[0])
+        io = self.stats if io is OWN_STATS else io
+        if io is not None:
+            io.node_accesses += int(nodes[0])
+            io.leaf_accesses += int(leaves[0])
         return list(self.objects_at(cols))
 
     # ------------------------------------------------------------------

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from ..geometry import PointObject, Rect
+from ..storage.stats import OWN_STATS
 from .node import Node
 from .rtree import RStarTree
 
@@ -183,10 +184,10 @@ class IWPIndex:
                 nodes.append(other)
         return nodes
 
-    def window_query(self, leaf: Node, rect: Rect, count_io: bool = True) -> list[PointObject]:
+    def window_query(self, leaf: Node, rect: Rect, io=OWN_STATS) -> list[PointObject]:
         """Window query for ``rect`` issued while visiting an object of
         ``leaf`` (Algorithm 3): the ordinary descent run from
         :meth:`start_nodes` instead of the root.
         """
         nodes = self.start_nodes(leaf, rect)
-        return self.tree.window_query_from(nodes, rect, count_io=count_io)
+        return self.tree.window_query_from(nodes, rect, io=io)

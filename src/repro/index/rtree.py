@@ -26,7 +26,7 @@ import math
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..geometry import PointObject, Rect
-from ..storage import IOStats
+from ..storage.stats import OWN_STATS, IOStats
 from .node import Node
 from .rstar import choose_subtree, pick_reinsert_entries, split_node
 
@@ -330,15 +330,16 @@ class RStarTree:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def window_query(self, rect: Rect, count_io: bool = True) -> list[PointObject]:
+    def window_query(self, rect: Rect, io=OWN_STATS) -> list[PointObject]:
         """All objects inside the closed rectangle ``rect``.
 
-        Standard root-to-leaf descent; every visited node is counted.
+        Standard root-to-leaf descent; every visited node is charged to
+        ``io`` (this tree's ``stats`` by default, ``None`` for none).
         """
-        return self.window_query_from([self.root], rect, count_io=count_io)
+        return self.window_query_from([self.root], rect, io=io)
 
     def window_query_from(
-        self, start_nodes: Sequence[Node], rect: Rect, count_io: bool = True
+        self, start_nodes: Sequence[Node], rect: Rect, io=OWN_STATS
     ) -> list[PointObject]:
         """Window query that starts from arbitrary nodes (IWP support).
 
@@ -346,11 +347,12 @@ class RStarTree:
         query rectangle (Algorithm 3 arranges that via backward and
         overlapping pointers).
         """
+        io = self.stats if io is OWN_STATS else io
         result: list[PointObject] = []
         stack = [n for n in start_nodes if n.mbr is not None and n.mbr.intersects(rect)]
-        if count_io:
+        if io is not None:
             for node in stack:
-                self.stats.record_node(node.is_leaf)
+                io.record_node(node.is_leaf)
         while stack:
             node = stack.pop()
             if node.is_leaf:
@@ -360,8 +362,8 @@ class RStarTree:
                 continue
             for child in node.entries:
                 if child.mbr is not None and child.mbr.intersects(rect):
-                    if count_io:
-                        self.stats.record_node(child.is_leaf)
+                    if io is not None:
+                        io.record_node(child.is_leaf)
                     stack.append(child)
         return result
 
@@ -370,7 +372,7 @@ class RStarTree:
         x: float,
         y: float,
         node_filter: NodeFilter | None = None,
-        count_io: bool = True,
+        io=OWN_STATS,
     ) -> Iterator[tuple[PointObject, float, Node]]:
         """Distance browsing (Hjaltason & Samet [10]).
 
@@ -385,7 +387,9 @@ class RStarTree:
                 how DIP and DEP save I/O).  The predicate sees the
                 current best-known state through its closure, so pruning
                 tightens as ``dist_best`` improves.
+            io: Charged as in :meth:`window_query`.
         """
+        io = self.stats if io is OWN_STATS else io
         counter = itertools.count()
         heap: list[tuple[float, int, int, object, object]] = []
         # kind 0 = node, kind 1 = object (nodes first on distance ties so
@@ -402,8 +406,8 @@ class RStarTree:
             node: Node = item  # type: ignore[assignment]
             if node_filter is not None and not node_filter(node):
                 continue
-            if count_io:
-                self.stats.record_node(node.is_leaf)
+            if io is not None:
+                io.record_node(node.is_leaf)
             if node.is_leaf:
                 for obj in node.entries:
                     d = math.hypot(obj.x - x, obj.y - y)
@@ -417,13 +421,13 @@ class RStarTree:
                     )
 
     def nearest(
-        self, x: float, y: float, k: int = 1, count_io: bool = True
+        self, x: float, y: float, k: int = 1, io=OWN_STATS
     ) -> list[tuple[PointObject, float]]:
         """Best-first k-nearest-neighbour query."""
         if k <= 0:
             raise ValueError("k must be positive")
         out: list[tuple[PointObject, float]] = []
-        for obj, dist, _ in self.incremental_nearest(x, y, count_io=count_io):
+        for obj, dist, _ in self.incremental_nearest(x, y, io=io):
             out.append((obj, dist))
             if len(out) == k:
                 break

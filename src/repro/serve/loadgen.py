@@ -12,8 +12,11 @@ updates.  Because the client is closed-loop, worker 0's view of the
 dataset is sequentially consistent with the server's: it applies every
 update to the twin the moment the server acknowledges it, recomputes
 every one of its queries locally, and compares the serialized answers
-byte for byte.  Any divergence (including on cache hits, which is where
-an unsound invalidation rule would show) is counted as a mismatch.
+byte for byte, and an engine-answered (uncached) one's
+``stats.node_accesses`` with the twin's.  Any divergence (including on
+cache hits, which is where an unsound invalidation rule would show) is
+counted as a mismatch.  The sharded twin's canon is the unpruned
+engine, so ``ShardedVerifyTwin`` checks answers only.
 Other workers stay read-only in this mode so the twin never drifts.
 
 **Subscriptions** (``subscriptions`` > 0): worker 0 registers that many
@@ -385,9 +388,9 @@ class _Worker:
         response = client.nwc(x, y, c.length, c.width, c.n,
                               deadline_ms=c.deadline_ms)
         if self.twin is not None:
-            query = NWCQuery(x, y, c.length, c.width, c.n)
-            self._verify(response, protocol.serialize_nwc(self.twin.nwc(query)),
-                         {"op": "nwc", "x": x, "y": y})
+            result = self.twin.nwc(NWCQuery(x, y, c.length, c.width, c.n))
+            self._verify(response, protocol.serialize_nwc(result),
+                         result.node_accesses, {"op": "nwc", "x": x, "y": y})
         return response
 
     def _op_knwc(self, client: ServeClient) -> dict[str, Any]:
@@ -396,10 +399,10 @@ class _Worker:
         response = client.knwc(x, y, c.length, c.width, c.n, c.k, c.m,
                                deadline_ms=c.deadline_ms)
         if self.twin is not None:
-            query = KNWCQuery.make(x, y, c.length, c.width, c.n, c.k, c.m)
-            self._verify(response,
-                         protocol.serialize_knwc(self.twin.knwc(query)),
-                         {"op": "knwc", "x": x, "y": y})
+            result = self.twin.knwc(
+                KNWCQuery.make(x, y, c.length, c.width, c.n, c.k, c.m))
+            self._verify(response, protocol.serialize_knwc(result),
+                         result.node_accesses, {"op": "knwc", "x": x, "y": y})
         return response
 
     def _op_insert(self, client: ServeClient) -> dict[str, Any]:
@@ -435,15 +438,21 @@ class _Worker:
         return response
 
     def _verify(self, response: dict[str, Any], expected: dict[str, Any],
-                context: dict[str, Any]) -> None:
+                accesses: int, context: dict[str, Any]) -> None:
         self.verified += 1
-        if response.get("result") != expected and len(self.mismatches) < 10:
+        served = response.get("stats", {}).get("node_accesses")
+        counted = (response.get("cached")
+                   or isinstance(self.twin, ShardedVerifyTwin)
+                   or served == accesses)
+        if ((response.get("result") != expected or not counted)
+                and len(self.mismatches) < 10):
             self.mismatches.append(
                 context | {
                     "cached": response.get("cached"),
                     "version": response.get("version"),
                     "served": response.get("result"),
                     "expected": expected,
+                    "node_accesses": [served, accesses],
                 }
             )
 

@@ -61,6 +61,7 @@ from dataclasses import dataclass
 from typing import Any, Awaitable, Callable
 
 from ..core import NWCEngine, NWCError
+from ..core.engine import query_seconds
 from ..index import save_tree
 from ..obs.context import TraceContext
 from ..obs.fleet import registry_state
@@ -186,7 +187,7 @@ class ServeConfig:
         cache_entries: Result-cache capacity (0 disables caching).
         cache_ttl_s: Result-cache TTL (None = no expiry).
         drain_timeout_s: Grace period for in-flight requests at
-            shutdown.
+            shutdown (an idle connection is closed at once).
     """
 
     host: str = "127.0.0.1"
@@ -368,6 +369,8 @@ class LineProtocolServer:
         self._started = time.monotonic()
         self._server: asyncio.base_events.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        # Connection tasks parked between requests (see drain).
+        self._idle: set[asyncio.Task] = set()
         m = self.metrics
         self._m_requests = {
             (op, outcome): m.counter(
@@ -454,11 +457,14 @@ class LineProtocolServer:
         self._stop_event.set()
 
     async def drain(self) -> None:
-        """Graceful shutdown: refuse new work, finish in-flight work."""
+        """Graceful shutdown: refuse new work, finish in-flight requests,
+        close every connection — an idle one at once (its queued frames
+        still flushed), so it never extends the wait."""
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        for task in self._idle:
+            task.cancel()
         pending = [t for t in self._conn_tasks if not t.done()]
         if pending:
             done, still = await asyncio.wait(
@@ -468,6 +474,9 @@ class LineProtocolServer:
                 task.cancel()
             if still:
                 await asyncio.gather(*still, return_exceptions=True)
+        if self._server is not None:
+            # Last: from Python 3.12.1 it waits for open connections too.
+            await self._server.wait_closed()
         if self._auto_checkpoint_task is not None:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._auto_checkpoint_task
@@ -488,15 +497,18 @@ class LineProtocolServer:
         token = _CURRENT_CONN.set(conn)
         self._g_connections.inc()
         try:
-            while True:
+            while not self._draining:
+                self._idle.add(task)
                 try:
                     line = await reader.readline()
-                except ConnectionError:
-                    break
+                except (ConnectionError, asyncio.CancelledError):
+                    break  # a cancel is the drain closing an idle connection
                 except ValueError:  # line longer than the stream limit
                     conn.send(error_response("bad_request",
                                              "request too large"))
                     break
+                finally:
+                    self._idle.discard(task)
                 if not line or conn.closed:
                     break
                 response = await self._handle_line(line)
@@ -750,16 +762,7 @@ class LineProtocolServer:
                     return {"ok": True, "op": op, "version": self.version,
                             "cached": True, "result": cached}
             deadline = self._deadline(payload)
-            # Exclusive slot for a trace of the local engine: its IOStats
-            # are process-global, so nothing else may touch the engine
-            # while the trace's I/O deltas are being attributed.  The
-            # query itself is a pure read — the answer is bit-identical
-            # either way.  (A coordinator's trace is stitched from the
-            # workers' own subtrees and stays a shared read.)
-            slot = (self._scheduler.write
-                    if ctx is not None and self.engine is not None
-                    else self._scheduler.read)
-            async with slot(deadline):
+            async with self._slot(ctx)(deadline):
                 self._refresh_pressure_gauges()
                 version = self.version  # stable while the slot is held
                 answer, radii, extras = await evaluate(deadline, ctx)
@@ -807,17 +810,26 @@ class LineProtocolServer:
             return response
 
     async def _read_op(self, payload: dict[str, Any], op: str,
-                       body: Callable) -> dict[str, Any]:
-        """An uncached read: admit → deadline → shared slot → ``body`` →
-        latency.  ``await body()`` returns the response."""
+                       body: Callable,
+                       ctx: TraceContext | None = None) -> dict[str, Any]:
+        """An uncached read: admit → deadline → :meth:`_slot` of ``ctx``
+        → ``body`` → latency.  ``await body()`` returns the response."""
         start = time.perf_counter()
         with self._admitted():
             deadline = self._deadline(payload)
-            async with self._scheduler.read(deadline):
+            async with self._slot(ctx)(deadline):
                 self._refresh_pressure_gauges()
                 response = await body()
             self._m_latency[(op, "engine")].observe(time.perf_counter() - start)
             return response
+
+    def _slot(self, ctx: TraceContext | None) -> Callable:
+        """A read's scheduler slot: exclusive for a sampled trace of the
+        local engine, whose tracer is set on the shared engine for the
+        run (a coordinator stitches its workers' traces), else shared."""
+        if ctx is not None and ctx.sampled and self.engine is not None:
+            return self._scheduler.write
+        return self._scheduler.read
 
     # ------------------------------------------------------------------
     # Generic ops
@@ -922,6 +934,8 @@ class QueryServer(LineProtocolServer):
             self.engine.flags.dep, self.engine.flags.iwp,
             self.engine.execution,
         )
+        self._m_query_seconds = {kind: query_seconds(self.metrics, kind)
+                                 for kind in ("nwc", "knwc")}
 
     # ------------------------------------------------------------------
     # Query ops
@@ -933,7 +947,7 @@ class QueryServer(LineProtocolServer):
         return await self._answer_query(
             payload, "nwc", key, query.qx, query.qy, query.n,
             lambda deadline, ctx: self._evaluate(
-                ctx, lambda: self.engine.nwc(query), protocol.serialize_nwc,
+                ctx, "nwc", lambda: self.engine.nwc(query), protocol.serialize_nwc,
                 lambda result: protocol.shield_radii_nwc(query, result)))
 
     async def _op_knwc(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -945,32 +959,37 @@ class QueryServer(LineProtocolServer):
         return await self._answer_query(
             payload, "knwc", key, base.qx, base.qy, base.n,
             lambda deadline, ctx: self._evaluate(
-                ctx, lambda: self.engine.knwc(query, maintenance=maintenance),
+                ctx, "knwc", lambda: self.engine.knwc(query, maintenance=maintenance),
                 protocol.serialize_knwc,
                 lambda result: protocol.shield_radii_knwc(query, result)))
 
-    async def _evaluate(self, ctx, run, serialize, radii):
+    async def _evaluate(self, ctx, kind, run, serialize, radii):
         """The ``evaluate`` stage of a local query: one engine run,
         serialized while the slot is still held."""
-        result, traced = await self._run_engine(run, ctx)
+        result, traced = await self._run_engine(run, ctx, kind)
         return (serialize(result), None if traced else radii(result),
                 {"stats": {"node_accesses": result.node_accesses}, **traced})
 
-    async def _run_engine(self, run: Callable, ctx: TraceContext | None
-                          ) -> tuple[Any, dict[str, Any]]:
+    async def _run_engine(self, run: Callable, ctx: TraceContext | None,
+                          kind: str) -> tuple[Any, dict[str, Any]]:
         """``run()`` on the executor → ``(value, response fields)``: no
         fields, or — for a sampled trace context, which runs the call
-        under a per-request tracer — the ``trace`` envelope."""
+        under a per-request tracer — the ``trace`` envelope.  Observes
+        ``nwc_query_seconds{kind}`` once, on the loop thread."""
+        start = time.perf_counter()
         if ctx is None or not ctx.sampled:
-            return await self._run(run), {}
-        value, root, dropped = await self._run(self._trace_engine_call, run)
-        return value, {"trace": self._trace_envelope(ctx, root, dropped)}
+            value, fields = await self._run(run), {}
+        else:
+            value, root, dropped = await self._run(self._trace_engine_call, run)
+            fields = {"trace": self._trace_envelope(ctx, root, dropped)}
+        self._m_query_seconds[kind].observe(time.perf_counter() - start)
+        return value, fields
 
     def _trace_engine_call(self, run: Callable) -> tuple[Any, Any, int]:
         """Run ``run()`` with a per-request tracer on the engine
-        (executor thread).  The caller must hold a slot that makes the
-        engine's IOStats delta attributable to this call alone; the
-        tracer swap is restored even when the engine raises."""
+        (executor thread).  The caller must hold the exclusive slot
+        (:meth:`_slot`), since the tracer is set on the shared engine;
+        the swap is restored even when the engine raises."""
         tracer = QueryTracer()
         previous = self.engine.tracer
         self.engine.tracer = tracer

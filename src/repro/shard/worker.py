@@ -29,7 +29,6 @@ first update dirties the snapshot.
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 from ..core import NWCEngine
@@ -52,8 +51,6 @@ def make_shard_engine(
     tree=None,
     scheme: Scheme = Scheme.NWC_STAR,
     execution: str = "columnar",
-    metrics=None,
-    tracer=None,
 ) -> NWCEngine:
     """Build shard ``index``'s engine.
 
@@ -67,19 +64,19 @@ def make_shard_engine(
 
     The DEP grid is built over the *dataset* extent, so empty and
     sparse shards get a valid (all-zero) grid instead of a failed
-    root-MBR probe.
+    root-MBR probe.  No registry or tracer rides on the engine, whose
+    reads run concurrently: its server records and traces per request.
     """
     if tree is None:
         path = manifest.shard_path(directory, index)
         tree = load_tree(path)
         flat = None
         if execution == "columnar" and tree.size:
-            flat = FlatRTree.from_page_file(path, stats=tree.stats)
+            flat = FlatRTree.from_page_file(path)
         return NWCEngine(tree, scheme=scheme, extent=manifest.extent,
-                         execution=execution, flat=flat,
-                         metrics=metrics, tracer=tracer)
+                         execution=execution, flat=flat)
     return NWCEngine(tree, scheme=scheme, extent=manifest.extent,
-                     execution=execution, metrics=metrics, tracer=tracer)
+                     execution=execution)
 
 
 class ShardServer(QueryServer):
@@ -95,14 +92,6 @@ class ShardServer(QueryServer):
                  metrics=None, durable=None) -> None:
         super().__init__(engine, config=config, metrics=metrics,
                          durable=durable)
-        # The scatter entry points (nwc_ordered / knwc_candidates)
-        # thread query-local state — the anchor restriction and the
-        # order-key origin — through engine instance fields, so two
-        # engine calls interleaved on executor threads would corrupt
-        # each other's merge order keys.  A shard worker therefore pins
-        # engine work to one thread at a time; read parallelism comes
-        # from the process fleet, not from threads within one shard.
-        self._engine_lock = threading.Lock()
         self.manifest = manifest
         self.shard_index = shard_index
         self.anchor_region = manifest.anchor_region(shard_index)
@@ -117,12 +106,6 @@ class ShardServer(QueryServer):
     def _owns(self, x: float) -> bool:
         return self._owned_lo <= x < self._owned_hi
 
-    async def _run(self, fn, *args):
-        def serialized():
-            with self._engine_lock:
-                return fn(*args)
-        return await super()._run(serialized)
-
     # ------------------------------------------------------------------
     # Scatter ops
     # ------------------------------------------------------------------
@@ -132,13 +115,10 @@ class ShardServer(QueryServer):
         ctx = self._trace_context(payload)
 
         async def body():
-            # _run serializes engine work behind _engine_lock, so a
-            # traced call's tracer swap + query is atomic and the I/O
-            # delta belongs to this query alone.
             (result, order), traced = await self._run_engine(
                 lambda: self.engine.nwc_ordered(
                     query, bound=bound, anchor_region=self.anchor_region),
-                ctx)
+                ctx, "nwc")
             return {
                 "ok": True, "op": "nwc_scatter", "version": self.version,
                 "shard": self.shard_index,
@@ -148,7 +128,7 @@ class ShardServer(QueryServer):
                 **traced,
             }
 
-        return await self._read_op(payload, "nwc_scatter", body)
+        return await self._read_op(payload, "nwc_scatter", body, ctx)
 
     async def _op_knwc_pool(self, payload: dict[str, Any]) -> dict[str, Any]:
         query, _maintenance = protocol.parse_knwc(payload)
@@ -156,17 +136,12 @@ class ShardServer(QueryServer):
         bound = protocol.parse_bound(payload)
         ctx = self._trace_context(payload)
 
-        def run():
-            pool = self.engine.knwc_candidates(
-                query, limit, bound=bound,
-                anchor_region=self.anchor_region,
-            )
-            accesses = self.engine.tree.stats.snapshot().get(
-                "node_accesses", 0)
-            return pool, accesses
-
         async def body():
-            (pool, accesses), traced = await self._run_engine(run, ctx)
+            pool, traced = await self._run_engine(
+                lambda: self.engine.knwc_candidates(
+                    query, limit, bound=bound,
+                    anchor_region=self.anchor_region),
+                ctx, "knwc")
             return {
                 "ok": True, "op": "knwc_pool", "version": self.version,
                 "shard": self.shard_index,
@@ -177,11 +152,11 @@ class ShardServer(QueryServer):
                     "horizon": pool.horizon,
                     "reason": pool.reason,
                 },
-                "stats": {"node_accesses": accesses},
+                "stats": {"node_accesses": pool.stats["node_accesses"]},
                 **traced,
             }
 
-        return await self._read_op(payload, "knwc_pool", body)
+        return await self._read_op(payload, "knwc_pool", body, ctx)
 
     # ------------------------------------------------------------------
     # Sentinel tracking (coordinator-owned fleet subscriptions)
@@ -270,7 +245,6 @@ def build_shard_server(
     scheme: Scheme = Scheme.NWC_STAR,
     execution: str = "columnar",
     metrics=None,
-    tracer=None,
 ) -> ShardServer:
     """Construct a (possibly durable) worker for shard ``index``.
 
@@ -288,13 +262,12 @@ def build_shard_server(
             cfg,
             lambda tree: make_shard_engine(
                 manifest, directory, index, tree=tree, scheme=scheme,
-                execution=execution, metrics=metrics, tracer=tracer,
+                execution=execution,
             ),
             metrics=metrics,
         )
     else:
         engine = make_shard_engine(manifest, directory, index, scheme=scheme,
-                                   execution=execution, metrics=metrics,
-                                   tracer=tracer)
+                                   execution=execution)
     return ShardServer(engine, manifest, index, config=config,
                        metrics=metrics, durable=durable)

@@ -2,18 +2,24 @@
 
 The paper's performance metric is *the number of R*-tree nodes visited*
 (Section 5).  Every node fetch in this library — best-first traversal,
-window queries, IWP descents — goes through one :class:`IOStats`
-instance attached to the tree, so experiments read a single counter.
+window queries, IWP descents — is charged to an :class:`IOStats`.  An
+engine query creates its own and hands it down, so a query's counters
+are its result's ``stats`` whatever runs beside it; a direct call on a
+tree charges the tree's ``stats`` (see :data:`OWN_STATS`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: Default ``io`` sink of the index query methods: the tree's own
+#: ``stats`` (an engine query passes its own; ``None`` counts nothing).
+OWN_STATS = object()
+
 
 @dataclass
 class IOStats:
-    """Counters for one tree (or one query, when reset per query).
+    """Counters of one query (or of one tree's direct calls).
 
     Attributes:
         node_accesses: R-tree nodes visited (the paper's metric).
@@ -44,7 +50,7 @@ class IOStats:
             self.leaf_accesses += 1
 
     def reset(self) -> None:
-        """Zero every counter (typically called before each query)."""
+        """Zero every counter."""
         for name in self.__dataclass_fields__:
             setattr(self, name, 0)
 
@@ -69,9 +75,11 @@ class StatsAggregator:
 
     snapshots: list[dict[str, int]] = field(default_factory=list)
 
-    def add(self, stats: IOStats) -> None:
-        """Record one per-query snapshot."""
-        self.snapshots.append(stats.snapshot())
+    def add(self, stats: IOStats | dict[str, int]) -> None:
+        """Record one per-query snapshot (a result's ``stats`` dict or
+        an :class:`IOStats`)."""
+        self.snapshots.append(
+            stats if isinstance(stats, dict) else stats.snapshot())
 
     def __len__(self) -> int:
         return len(self.snapshots)

@@ -80,12 +80,14 @@ class TestStatsCounters:
         assert result.stats["qualified_windows"] > 0
         assert result.stats["windows_evaluated"] >= result.stats["qualified_windows"]
 
-    def test_reset_stats_false_accumulates(self):
+    def test_consecutive_calls_report_equal_independent_counters(self):
         engine = self._engine(Scheme.NWC_PLUS)
         q = NWCQuery(500, 500, 60, 60, 3)
-        first = engine.nwc(q).node_accesses
-        total = engine.nwc(q, reset_stats=False).node_accesses
-        assert total == 2 * first
+        first = engine.nwc(q)
+        second = engine.nwc(q)
+        assert first.node_accesses > 0
+        assert second.stats == first.stats
+        assert engine.tree.stats.node_accesses == 0
 
 
 class TestMeasuresInKNWC:

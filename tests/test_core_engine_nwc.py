@@ -152,16 +152,16 @@ class TestIOBehaviour:
         pts = make_uniform_points(400, seed=15)
         tree = RStarTree.bulk_load(pts, max_entries=16)
         engine = NWCEngine(tree, Scheme.NWC)
-        engine.nwc(NWCQuery(500, 500, 30, 30, 4))
+        result = engine.nwc(NWCQuery(500, 500, 30, 30, 4))
         leaves = sum(1 for node in tree.iter_nodes() if node.is_leaf)
-        assert tree.stats.leaf_accesses >= leaves
+        assert result.stats["leaf_accesses"] >= leaves
 
     def test_dep_cancels_window_queries_in_sparse_space(self):
         pts = make_clustered_points(500, clusters=2, spread=10, seed=3)
         tree = RStarTree.bulk_load(pts, max_entries=16)
         engine = NWCEngine(tree, Scheme.DEP, grid_cell_size=25.0)
-        engine.nwc(NWCQuery(500, 500, 20, 20, 8))
-        assert tree.stats.window_queries_cancelled > 0
+        result = engine.nwc(NWCQuery(500, 500, 20, 20, 8))
+        assert result.stats["window_queries_cancelled"] > 0
 
     def test_engine_with_explicit_flags(self, clustered_tree):
         from repro.core import OptimizationFlags

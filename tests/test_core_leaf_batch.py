@@ -174,7 +174,7 @@ def test_sharded_entry_points_match_the_oracle(scheme, bound):
                 KNWCQuery(query, 3, 1), 16, bound=bound, anchor_region=anchor)
             pools.append(([g.oids for g in pool.groups],
                           [g.distance for g in pool.groups], pool.orders,
-                          pool.horizon, engine.tree.stats.snapshot()))
+                          pool.horizon, pool.stats))
         assert pools[0] == pools[1]
 
 
@@ -351,6 +351,7 @@ def _assert_same_knwc(oracle, columnar, query, maintenance):
     assert [g.oids for g in a.groups] == [g.oids for g in b.groups]
     assert a.stats == b.stats
     assert oracle.tracer.last.counts == columnar.tracer.last.counts
+    return b
 
 
 @pytest.mark.parametrize("flags", [Scheme.NWC_STAR, NO_SRR], ids=["star", "no-srr"])
@@ -491,7 +492,7 @@ def test_dense_sharded_entry_points_and_seeds(flags, monkeypatch):
                 KNWCQuery(query, 3, 2), 12, bound=bound, anchor_region=anchor)
             pools.append(([g.oids for g in pool.groups],
                           [g.distance for g in pool.groups], pool.orders,
-                          pool.horizon, engine.tree.stats.snapshot()))
+                          pool.horizon, pool.stats))
         assert pools[0] == pools[1]
 
 
@@ -796,7 +797,7 @@ def test_sparse_sharded_entry_points_and_seeds(flags, tables):
                 KNWCQuery(query, 2, 2), 8, bound=bound, anchor_region=anchor)
             pools.append(([g.oids for g in pool.groups],
                           [g.distance for g in pool.groups], pool.orders,
-                          pool.horizon, engine.tree.stats.snapshot()))
+                          pool.horizon, pool.stats))
         assert pools[0] == pools[1]
 
 
@@ -1027,16 +1028,16 @@ def test_a_bound_finite_from_the_first_pop(flags, object_pops):
                     anchor_region=anchor)
                 pools.append(([g.oids for g in pool.groups],
                               [g.distance for g in pool.groups], pool.orders,
-                              pool.horizon, engine.tree.stats.snapshot(),
+                              pool.horizon, pool.stats,
                               engine.tracer.last.counts))
             assert pools[0] == pools[1]
     for maintenance, (k, m) in itertools.product(
             ("exact", "paper"), ((2, 0), (3, 2))):
         knwc = KNWCQuery.make(640.0, 600.0, SPARSE_LENGTH, SPARSE_WIDTH, 4, k, m)
-        _assert_same_knwc(oracle, columnar, knwc, maintenance)
+        expected = _assert_same_knwc(oracle, columnar, knwc, maintenance)
         del object_pops[:]
         result = plain.knwc(knwc, maintenance=maintenance)
-        assert result.stats == columnar.tree.stats.snapshot()
+        assert result.stats == expected.stats
         assert len(object_pops) * 2 < len(SPARSE)
 
 

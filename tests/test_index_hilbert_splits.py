@@ -69,8 +69,8 @@ class TestHilbertBulkLoad:
         for _ in range(15):
             x, y = rng.uniform(0, 900), rng.uniform(0, 900)
             rect = Rect(x, y, x + 80, y + 60)
-            a = sorted(o.oid for o in hil.window_query(rect, count_io=False))
-            b = sorted(o.oid for o in strt.window_query(rect, count_io=False))
+            a = sorted(o.oid for o in hil.window_query(rect, io=None))
+            b = sorted(o.oid for o in strt.window_query(rect, io=None))
             assert a == b
 
     def test_updatable_after_load(self):
@@ -130,7 +130,7 @@ class TestVariantRTree:
             assert tree.delete(p)
         validate_tree(tree)
         rect = Rect(200, 200, 500, 600)
-        got = sorted(o.oid for o in tree.window_query(rect, count_io=False))
+        got = sorted(o.oid for o in tree.window_query(rect, io=None))
         expect = sorted(p.oid for p in pts[150:] if rect.contains_object(p))
         assert got == expect
 
@@ -139,6 +139,6 @@ class TestVariantRTree:
         pts = make_uniform_points(400, seed=51)
         tree = make_tree(strategy, max_entries=8)
         tree.extend(pts)
-        got = tree.nearest(500, 500, k=5, count_io=False)
+        got = tree.nearest(500, 500, k=5, io=None)
         expect = sorted(pts, key=lambda p: (p.x - 500) ** 2 + (p.y - 500) ** 2)[:5]
         assert got[-1][1] == pytest.approx(expect[-1].distance_to(500, 500))

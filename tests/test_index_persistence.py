@@ -45,7 +45,7 @@ class TestSaveLoad:
         for _ in range(10):
             x, y = rng.uniform(0, 900), rng.uniform(0, 900)
             rect = Rect(x, y, x + 80, y + 80)
-            got = sorted(o.oid for o in loaded.window_query(rect, count_io=False))
+            got = sorted(o.oid for o in loaded.window_query(rect, io=None))
             expect = sorted(p.oid for p in points if rect.contains_object(p))
             assert got == expect
 

@@ -78,9 +78,9 @@ class TestIWPIndex:
         for _ in range(40):
             x, y = rng.uniform(0, 950), rng.uniform(0, 950)
             rect = Rect(x, y, x + rng.uniform(1, 120), y + rng.uniform(1, 120))
-            _, _, leaf = next(iter(tree.incremental_nearest(x, y, count_io=False)))
-            got = sorted(o.oid for o in iwp.window_query(leaf, rect, count_io=False))
-            expect = sorted(o.oid for o in tree.window_query(rect, count_io=False))
+            _, _, leaf = next(iter(tree.incremental_nearest(x, y, io=None)))
+            got = sorted(o.oid for o in iwp.window_query(leaf, rect, io=None))
+            expect = sorted(o.oid for o in tree.window_query(rect, io=None))
             assert got == expect
 
     def test_window_query_saves_io_for_local_rects(self, setup):
@@ -91,7 +91,7 @@ class TestIWPIndex:
         for _ in range(30):
             x, y = rng.uniform(100, 900), rng.uniform(100, 900)
             rect = Rect(x, y, x + 10, y + 10)
-            obj, _, leaf = next(iter(tree.incremental_nearest(x, y, count_io=False)))
+            obj, _, leaf = next(iter(tree.incremental_nearest(x, y, io=None)))
             tree.stats.reset()
             iwp.window_query(leaf, rect)
             with_iwp = tree.stats.node_accesses
@@ -107,8 +107,8 @@ class TestIWPIndex:
     def test_rect_beyond_root_mbr_falls_back_to_root(self, setup):
         points, tree, iwp = setup
         rect = Rect(-100, -100, 2000, 2000)
-        _, _, leaf = next(iter(tree.incremental_nearest(0, 0, count_io=False)))
-        got = sorted(o.oid for o in iwp.window_query(leaf, rect, count_io=False))
+        _, _, leaf = next(iter(tree.incremental_nearest(0, 0, io=None)))
+        got = sorted(o.oid for o in iwp.window_query(leaf, rect, io=None))
         assert got == sorted(p.oid for p in points)
 
     def test_storage_overheads(self, setup):
@@ -130,8 +130,8 @@ class TestIWPOnClusteredData:
         for _ in range(25):
             x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
             rect = Rect(x, y, x + 60, y + 40)
-            _, _, leaf = next(iter(tree.incremental_nearest(x, y, count_io=False)))
-            got = sorted(o.oid for o in iwp.window_query(leaf, rect, count_io=False))
+            _, _, leaf = next(iter(tree.incremental_nearest(x, y, io=None)))
+            got = sorted(o.oid for o in iwp.window_query(leaf, rect, io=None))
             expect = sorted(p.oid for p in points if rect.contains_object(p))
             assert got == expect
 
@@ -141,5 +141,5 @@ class TestIWPOnClusteredData:
         iwp = IWPIndex(tree)
         rect = Rect(0, 0, 1000, 1000)
         leaf = tree.root
-        got = sorted(o.oid for o in iwp.window_query(leaf, rect, count_io=False))
+        got = sorted(o.oid for o in iwp.window_query(leaf, rect, io=None))
         assert got == [p.oid for p in points]

@@ -21,8 +21,7 @@ from tests.conftest import make_clustered_points, make_uniform_points
 def mean_io(engine, queries):
     agg = StatsAggregator()
     for q in queries:
-        engine.nwc(q)
-        agg.add(engine.tree.stats)
+        agg.add(engine.nwc(q).stats)
     return agg.mean()
 
 

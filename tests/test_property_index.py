@@ -46,7 +46,7 @@ class TestUpdateSequences:
         tree = RStarTree(max_entries=6)
         tree.extend(points)
         rect = Rect(float(x), float(y), float(x + w), float(y + h))
-        got = sorted(o.oid for o in tree.window_query(rect, count_io=False))
+        got = sorted(o.oid for o in tree.window_query(rect, io=None))
         expect = sorted(p.oid for p in points if rect.contains_object(p))
         assert got == expect
 
@@ -56,7 +56,7 @@ class TestUpdateSequences:
     def test_incremental_nearest_is_sorted_and_complete(self, raw, qx, qy):
         points = [PointObject(i, float(a), float(b)) for i, (a, b) in enumerate(raw)]
         tree = RStarTree.bulk_load(points, max_entries=6)
-        stream = list(tree.incremental_nearest(qx, qy, count_io=False))
+        stream = list(tree.incremental_nearest(qx, qy, io=None))
         dists = [d for _, d, _ in stream]
         assert dists == sorted(dists)
         assert sorted(o.oid for o, _, _ in stream) == [p.oid for p in points]

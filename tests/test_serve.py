@@ -27,6 +27,7 @@ from repro.serve import (
     protocol,
     run_loadgen,
 )
+from repro.serve.loadgen import _Worker
 from repro.serve.server import DeadlineExceeded, ReadWriteScheduler
 from tests.conftest import make_uniform_points
 
@@ -321,6 +322,24 @@ class TestLoadgen:
         d = report.to_dict()
         assert d["latency"]["p95_ms"] >= d["latency"]["p50_ms"]
 
+    def test_doctored_node_accesses_is_a_mismatch(self):
+        dataset = Dataset("serve-test", tuple(POINTS))
+        worker = _Worker(0, LoadgenConfig(query_pool=4), dataset,
+                         twin=_engine(), stop_at=None)
+        result = worker.twin.nwc(NWCQuery(500.0, 500.0, 60.0, 60.0, 3))
+        expected = protocol.serialize_nwc(result)
+        accesses = result.node_accesses
+        for cached, served, mismatches in ((False, accesses, 0),
+                                           (True, accesses + 1, 0),
+                                           (False, accesses + 1, 1)):
+            response = {"ok": True, "op": "nwc", "cached": cached,
+                        "result": expected,
+                        "stats": {"node_accesses": served}}
+            worker._verify(response, expected, accesses, {"op": "nwc"})
+            assert len(worker.mismatches) == mismatches
+        assert worker.mismatches[0]["node_accesses"] == [accesses + 1,
+                                                         accesses]
+
     def test_loadgen_metrics_and_format(self):
         dataset = Dataset("serve-test", tuple(POINTS))
         registry = MetricsRegistry()
@@ -348,6 +367,19 @@ class TestServerThreadLifecycle:
         with ServerThread(_engine(), ServeConfig(port=port)) as again:
             with ServeClient(port=again.port) as client:
                 assert client.health()["ok"]
+
+    def test_stop_closes_an_idle_connection_at_once(self):
+        # An idle connection holds no request, so the drain never waits
+        # on it: with a 600 s grace period, stop() still returns with
+        # the loop thread gone (the join timeout is only a hang guard).
+        thread = ServerThread(_engine(), ServeConfig(port=0,
+                                                     drain_timeout_s=600.0))
+        thread.start()
+        loop_thread = thread._thread
+        with ServeClient(port=thread.port) as client:
+            assert client.health()["ok"]
+            thread.stop()
+            assert not loop_thread.is_alive()
 
     def test_bind_failure_surfaces(self):
         with ServerThread(_engine(), ServeConfig(port=0)) as thread:

@@ -224,3 +224,24 @@ def test_repeated_request_id_replays_the_stored_ack(kind, op, tmp_path):
             assert first["deleted" if op == "delete" else "removed"] is True
 
     _drive(kind, tmp_path, scenario)
+
+
+@pytest.mark.parametrize("kind,ops", [
+    ("QueryServer", {"nwc": "nwc", "knwc": "knwc"}),
+    ("ShardServer", {"nwc_scatter": "nwc", "knwc_pool": "knwc"}),
+])
+def test_engine_runs_observe_query_seconds(kind, ops, tmp_path):
+    """One ``nwc_query_seconds{kind}`` observation per engine run, none
+    for a cache hit (scatter ops are never cached)."""
+    async def scenario(server, send):
+        for op, label in ops.items():
+            histogram = server.metrics.histogram(
+                "nwc_query_seconds", labels={"kind": label})
+            first = await send(op)
+            assert first["ok"] is True and not first.get("cached")
+            assert histogram.count == 1
+            if kind == "QueryServer":
+                assert (await send(op))["cached"] is True
+                assert histogram.count == 1
+
+    _drive(kind, tmp_path, scenario)
