@@ -595,15 +595,11 @@ def time_sharding(duration_s: float, workers: int = 4) -> dict:
                 addresses.append(("127.0.0.1", port))
             for host, port in addresses:
                 wait_until_healthy(host, port, timeout_s=60.0)
-            # pool_limit=256 keeps most kNWC horizon guards sound on
-            # this dense workload; the escalating bounded refetch
-            # absorbs the rest without full enumerations.  The deadline
-            # covers the worst case of every closed-loop client issuing
-            # a kNWC at once on an oversubscribed box.
+            # The deadline covers the worst case of every closed-loop
+            # client issuing a kNWC at once on an oversubscribed box.
             coordinator = coordinator_thread(
                 manifest, addresses,
                 config=CoordinatorConfig(max_inflight=workers,
-                                         pool_limit=256,
                                          deadline_s=60.0)).start()
             wait_until_healthy(coordinator.host, coordinator.port,
                                timeout_s=60.0, shards=shards)

@@ -40,7 +40,7 @@ Subcommands:
 * ``shard-worker`` — one shard's server process (started by
   ``shard-serve``; rarely invoked by hand).
 * ``fleet-status`` — one-shot (or ``--watch``) table of per-shard
-  qps, p99, prune/refetch rates, WAL lag, SLO burn, live
+  qps, p99, prune rate, WAL lag, SLO burn, live
   subscriptions, notification rate and re-evaluation p99, computed
   from two fleet-scope metric scrapes of a running shard coordinator.
 """
@@ -572,7 +572,7 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
             host=args.host, port=args.port,
             max_inflight=args.max_inflight, max_queue=args.max_queue,
             deadline_s=args.deadline, cache_entries=args.cache_entries,
-            cache_ttl_s=args.cache_ttl, pool_limit=args.pool_limit,
+            cache_ttl_s=args.cache_ttl,
         )
         coordinator = ShardCoordinator(manifest, addresses, config=config,
                                        metrics=MetricsRegistry())
@@ -603,7 +603,7 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
 
 def _render_fleet_table(rows, wal_lag: dict) -> str:
     lines = [f"{'shard':<12} {'qps':>8} {'p99 ms':>9} {'err':>5} "
-             f"{'prune/s':>9} {'refetch/s':>10} {'slo burn':>9} "
+             f"{'prune/s':>9} {'slo burn':>9} "
              f"{'subs':>6} {'notify/s':>9} {'reeval p99':>11} "
              f"{'wal lag':>8}"]
     for row in rows:
@@ -611,7 +611,7 @@ def _render_fleet_table(rows, wal_lag: dict) -> str:
         lines.append(
             f"{row['shard']:<12} {row['qps']:>8.1f} {row['p99_ms']:>9.2f} "
             f"{row['errors']:>5} {row['prune_per_s']:>9.2f} "
-            f"{row['refetch_per_s']:>10.2f} {row['slo_burn']:>9.2f} "
+            f"{row['slo_burn']:>9.2f} "
             f"{row['live_subs']:>6.0f} {row['notify_per_s']:>9.2f} "
             f"{row['reeval_p99_ms']:>11.2f} "
             f"{'-' if lag is None else lag:>8}")
@@ -927,9 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="coordinator result-cache capacity (workers "
                           "never cache scatter ops)")
     shs.add_argument("--cache-ttl", type=float, default=None)
-    shs.add_argument("--pool-limit", type=int, default=64,
-                     help="per-shard kNWC candidate pool size before an "
-                          "unbounded refetch is needed")
     shs.add_argument("--worker-inflight", type=int, default=4,
                      help="concurrent engine operations per shard worker")
     shs.add_argument("--state-root", default=None,

@@ -40,8 +40,8 @@ from ..obs.trace import ATTRIBUTION_KEYS, NULL_TRACER
 from ..storage import IOStats
 from . import kernels
 from .errors import EngineConfigError
-from .knwc import (CandidatePool, KNWCCandidates, _rank_key, make_policy,
-                   offer_order)
+from .knwc import (CandidatePool, KNWCCandidates, Rank, _rank_key,
+                   make_policy, offer_order)
 from .measures import DistanceMeasure
 from .query import KNWCQuery, NWCQuery
 from .regions import (
@@ -625,51 +625,44 @@ class NWCEngine:
     def knwc_candidates(
         self,
         query: KNWCQuery,
-        limit: int | None,
-        bound: float | None = None,
+        limit: int,
+        after: Rank | None = None,
         anchor_region: tuple[float, float, float, float] | None = None,
     ) -> KNWCCandidates:
-        """One shard's raw kNWC candidate pool for a cross-shard merge.
+        """One page of this shard's kNWC candidate stream.
 
-        Collects the shard's top-``limit`` distinct candidate groups by
-        ``(distance, oids)`` rank *ignoring* the overlap constraint,
-        each with its :func:`~repro.core.knwc.offer_order` key.  The
-        coordinator replays the *unpruned baseline* selection — every
-        instance of the order-sorted union offered ungated to a fresh
-        ExactGroupBuffer — see ``repro.shard.merge`` for the replay and
-        its exactness argument.  ``bound`` seeds this shard's local
-        prune bound; ``anchor_region`` restricts anchors as in
-        :meth:`nwc_ordered`.
-
-        ``horizon`` is the distance below which the pool is provably
-        complete (``None`` = fully complete): candidates at or beyond it
-        may have been evicted, rank-rejected, or search-pruned, so the
-        coordinator must re-fetch with ``limit=None`` whenever its
-        merged greedy selection is not strictly below every shard's
-        horizon.  A re-fetch may keep a ``bound`` above the replayed
-        kth distance — the pool is then complete below that bound and
-        reports it as the new horizon, letting the guard re-check
-        cheaply before falling back to a full enumeration.
+        The stream is every distinct group the unpruned baseline
+        enumerates from anchors inside ``anchor_region`` (restricted as
+        in :meth:`nwc_ordered`), overlap constraint NOT applied, each at
+        its first window — the one the baseline keeps — in
+        :data:`~repro.core.knwc.InstanceKey` order: ``(distance, sorted
+        oids, order key)``.  The page is its next ``limit`` groups ranked
+        strictly after the cursor ``after`` — the ``(distance, sorted
+        oids)`` of the previous page's last group, ``None`` from the
+        start — each with its :func:`~repro.core.knwc.offer_order` key,
+        and ``exhausted`` says that nothing follows them.  A page is a
+        fresh search pruned one ulp above its ``limit``-th distance (see
+        :class:`~repro.core.knwc.CandidatePool`); ``repro.shard.merge``
+        consumes the pages of every shard lazily.
 
         Under the NEAREST_WINDOW measure the per-window MINDIST prefilter
         can drop an instance whose *group* distance is below the bound
         (the group's nearest covering window need not be the generated
-        one), which would break the horizon guarantee — so distance-based
-        pruning is disabled for that measure and completeness is governed
-        by pool capacity alone.
+        one), so distance pruning stays off for that measure: its pages
+        are cut by rank only, and every page enumerates the whole shard.
         """
-        policy = CandidatePool(limit, query.base.qy, initial_bound=bound)
         prune = (
             (self.flags.srr or self.flags.dip or self.flags.dep
              or self.flags.iwp)
             and query.base.measure is not DistanceMeasure.NEAREST_WINDOW
         )
+        policy = CandidatePool(limit, query.base.qy, after, prune)
         stats, reason = self._answer("knwc", query.base, policy, prune,
                                      anchor_region=anchor_region,
                                      k=query.k, m=query.m)
-        return KNWCCandidates(groups=policy.finalize(),
-                              orders=policy.orders(),
-                              horizon=None if reason else policy.horizon(),
+        groups = policy.finalize()
+        return KNWCCandidates(groups=groups, orders=policy.orders(),
+                              exhausted=len(groups) < limit,
                               stats=stats, reason=reason)
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ agnostic.  ``bound()`` — the distance of the current ``k``-th group (or
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -32,7 +33,11 @@ from ..geometry import Rect
 from .results import ObjectGroup
 
 
-def _rank_key(group: ObjectGroup) -> tuple[float, tuple[int, ...]]:
+#: A group's rank: ``(distance, sorted oids)``.
+Rank = tuple[float, tuple[int, ...]]
+
+
+def _rank_key(group: ObjectGroup) -> Rank:
     """Deterministic ordering: distance, then object ids (tie-break)."""
     return (group.distance, tuple(sorted(g for g in group.oids)))
 
@@ -81,12 +86,12 @@ class ExactGroupBuffer:
             raise ValueError("m must be non-negative")
         self.k = k
         self.m = m
-        self._keys: list[tuple[float, tuple[int, ...]]] = []
+        self._keys: list[Rank] = []
         self._candidates: list[ObjectGroup] = []
         self._seen: set[frozenset[int]] = set()
         # The greedy selection over the buffer, and its rank keys.
         self._selected: list[ObjectGroup] = []
-        self._selected_keys: list[tuple[float, tuple[int, ...]]] = []
+        self._selected_keys: list[Rank] = []
 
     def offer(self, group: ObjectGroup) -> None:
         if group.oids in self._seen:
@@ -174,115 +179,98 @@ class PaperGroupList:
         return tuple(self._groups)
 
 
+#: The merge key of one candidate in a shard's stream: ``(distance,
+#: sorted oids, order key)``.  The first two components are the group's
+#: rank (:func:`_rank_key`), which a shard's stream never repeats; the
+#: order key (see :func:`offer_order`) orders one group's windows the way
+#: the unpruned baseline enumerates them, so when two shards offer the
+#: same group, the smaller key carries the window the baseline keeps.
+InstanceKey = tuple[float, tuple[int, ...], tuple[float, float]]
+
+
+def instance_key(group: ObjectGroup, order: tuple[float, float]) -> InstanceKey:
+    """The :data:`InstanceKey` of ``group`` offered at order key ``order``."""
+    return (*_rank_key(group), order)
+
+
 @dataclass(frozen=True, slots=True)
 class KNWCCandidates:
-    """One shard's raw kNWC candidate pool (see ``knwc_candidates``).
+    """One page of a shard's kNWC candidate stream (see ``knwc_candidates``).
 
     Attributes:
-        groups: Top-``limit`` distinct candidates ascending by
-            ``(distance, oids)`` rank, overlap constraint NOT applied.
-        orders: Per-candidate enumeration order key of the kept (first)
-            offer — ``(anchor distance, partner frame y)``; the
-            coordinator sorts the merged pools by it to replay the
-            single-engine offer sequence.
-        horizon: Distance below which the pool is provably complete;
-            ``None`` when nothing was evicted, rank-rejected, or
-            search-pruned (the pool then holds *every* candidate the
-            shard's search enumerated).
+        groups: The page's candidate groups ascending by
+            :data:`InstanceKey`, overlap constraint NOT applied.
+        orders: Per-group enumeration order key of its first window —
+            ``(anchor distance, partner frame y)``.
+        exhausted: Whether nothing follows the page in the stream.
         stats: The query's I/O counters, as in ``KNWCResult``.
         reason: Unsatisfiability reason, as in ``KNWCResult``.
     """
 
     groups: tuple[ObjectGroup, ...]
     orders: tuple[tuple[float, float], ...]
-    horizon: float | None
+    exhausted: bool
     stats: dict[str, int]
     reason: str | None = None
 
 
 class CandidatePool:
-    """Top-``limit`` candidate window instances by rank, no overlap filter.
+    """The next ``limit`` candidate groups after ``after``, no overlap filter.
 
-    The raw material of a cross-shard kNWC merge: the single-engine
-    answer under distance ties depends on the exact offer sequence the
-    pruned search produced, so shards export raw candidates plus
-    enumeration order keys and let the coordinator *replay* the
-    single-engine policy over the order-sorted union (see
-    ``repro.shard.merge``).  Entries are window **instances** — the same
-    object group reached from two anchors is kept twice — because the
-    replay's bound-gating decides per instance which one the oracle's
-    dedupe would have kept; only exact ``(oids, window)`` duplicates are
-    dropped (those are impossible to tell apart and never both offered).
+    A page of the candidate stream a cross-shard kNWC merge consumes
+    (see ``repro.shard.merge``): offers of a group ranked at or before
+    the cursor ``after`` (a :func:`_rank_key`) are dropped, the rest are
+    ranked by :data:`InstanceKey`, and a group's first offer stands —
+    the window the unpruned baseline's buffer keeps for it, as
+    :class:`ExactGroupBuffer` ignores a group's later offers.  A page
+    never splits a group, so a cursor is a rank, not a window.
 
-    ``bound()`` prunes the shard search at the worst kept rank's
-    distance once the pool is full (or at the seeded coordinator bound
-    if lower), which keeps the pool exact for every rank below
-    :meth:`horizon`.  With ``limit=None`` the pool is unbounded and —
-    when unseeded — never prunes, so it captures the complete offer
-    stream (``horizon() is None``).
+    ``bound()`` prunes the search one ulp above the ``limit``-th kept
+    distance once the page is full.  The search skips only what lies
+    at or beyond the bound of its time — strictly beyond the then
+    ``limit``-th kept distance, which only falls — so every group up
+    to the final ``limit``-th distance, ties included, was offered, and
+    the page is exactly the stream's next ``limit`` groups.  With
+    ``prune=False`` the bound stays infinite: the search enumerates
+    everything and the page is cut by rank alone.
     """
 
-    def __init__(self, limit: int | None, qy: float,
-                 initial_bound: float | None = None) -> None:
-        if limit is not None and limit <= 0:
+    def __init__(self, limit: int, qy: float, after: Rank | None,
+                 prune: bool) -> None:
+        if limit <= 0:
             raise ValueError("limit must be positive")
         self.limit = limit
         self.anchor, self.sy, self.qy = 0.0, 1.0, qy  # see offer_order
-        self._seeded = initial_bound is not None
-        self._initial = float("inf") if initial_bound is None else initial_bound
-        self._keys: list[tuple[float, tuple[int, ...]]] = []
+        self._after = after
+        self._prune = prune
+        self._keys: list[InstanceKey] = []
         self._groups: list[ObjectGroup] = []
-        self._orders: list[tuple[float, float]] = []
-        self._seen: set[tuple[frozenset[int], object]] = set()
-        self._overflowed = False
 
     def offer(self, group: ObjectGroup) -> None:
-        instance = (group.oids, group.window)
-        if instance in self._seen:
+        rank = _rank_key(group)
+        if self._after is not None and rank <= self._after:
             return
-        self._seen.add(instance)
-        key = _rank_key(group)
-        full = self.limit is not None and len(self._groups) == self.limit
-        if full and key >= self._keys[-1]:
-            self._overflowed = True
+        keys = self._keys
+        # A rank sorts just before every InstanceKey it prefixes.
+        at = bisect.bisect_left(keys, rank)
+        if at == self.limit or (at < len(keys) and keys[at][:2] == rank):
             return
-        at = bisect.bisect_left(self._keys, key)
-        self._keys.insert(at, key)
+        keys.insert(at, (*rank, offer_order(self, group.window)))
         self._groups.insert(at, group)
-        self._orders.insert(at, offer_order(self, group.window))
-        if full:
-            self._keys.pop()
+        if len(keys) > self.limit:
+            keys.pop()
             self._groups.pop()
-            self._orders.pop()
-            self._overflowed = True
 
     def bound(self) -> float:
-        if self.limit is not None and len(self._groups) == self.limit:
-            worst = self._keys[-1][0]
-            return worst if worst < self._initial else self._initial
-        return self._initial
+        if self._prune and len(self._keys) == self.limit:
+            return math.nextafter(self._keys[-1][0], math.inf)
+        return math.inf
 
     def finalize(self) -> tuple[ObjectGroup, ...]:
         return tuple(self._groups)
 
     def orders(self) -> tuple[tuple[float, float], ...]:
-        return tuple(self._orders)
-
-    def horizon(self) -> float | None:
-        """Distance below which the pool is provably complete.
-
-        Everything the pool dropped — seed-pruned, search-pruned by
-        ``bound()``, rank-rejected, or evicted — had distance at least
-        the *final* ``bound()`` (the seed is constant and the worst kept
-        rank only tightens), so instances strictly below it are all
-        present.  ``None`` when the pool never filled and no seed was
-        given: the search then ran unpruned by distance and the pool
-        holds every instance enumerated.
-        """
-        if self._seeded or self._overflowed or (
-                self.limit is not None and len(self._groups) == self.limit):
-            return self.bound()
-        return None
+        return tuple(key[2] for key in self._keys)
 
 
 def make_policy(kind: str, k: int, m: int) -> GroupPolicy:

@@ -21,7 +21,7 @@ whole system.  This module makes the fleet scrapeable as one registry:
 * :func:`rollup` — drop one label (usually ``shard``) and re-merge, so
   fleet totals appear once instead of per shard;
 * :func:`fleet_rows` — the ``repro fleet-status`` table: per-shard qps,
-  windowed p99, prune/refetch rates, SLO burn, live subscriptions,
+  windowed p99, prune rate, SLO burn, live subscriptions,
   notification rate and re-evaluation p99, computed from two state
   snapshots taken an interval apart.
 
@@ -300,8 +300,6 @@ def fleet_rows(before: MetricsRegistry, after: MetricsRegistry,
             "p99_ms": _windowed_p99_ms(before, after, shard, label),
             "prune_per_s": _delta_sum(
                 before, after, "shard_prune_skips_total", shard, label) / interval_s,
-            "refetch_per_s": _delta_sum(
-                before, after, "shard_refetches_total", shard, label) / interval_s,
             "slo_burn": burn if math.isfinite(burn) else 0.0,
             "live_subs": live_subs,
             "notify_per_s": _delta_sum(

@@ -181,7 +181,7 @@ class LoadReport:
     mismatches: int
     mismatch_examples: list[dict[str, Any]]
     #: Server-side ``shard_*`` metric families (scatter fan-out, prune
-    #: skips, refetches), scraped after the run when the target is a
+    #: skips, partial answers), scraped after the run when the target is a
     #: shard coordinator; empty against a single-engine server.
     shard_metrics: dict[str, Any] = field(default_factory=dict)
     #: Fleet-scope scrape summary (coordinator targets only): shard

@@ -48,6 +48,7 @@ import math
 from typing import Any
 
 from ..core import DistanceMeasure, KNWCQuery, KNWCResult, NWCQuery, NWCResult
+from ..core.knwc import Rank
 from ..core.results import ObjectGroup
 from ..geometry import PointObject, Rect
 from ..obs.context import TraceContext
@@ -63,7 +64,7 @@ __all__ = [
     "parse_knwc",
     "parse_nwc",
     "parse_point",
-    "parse_pool_limit",
+    "parse_page",
     "parse_radius",
     "parse_request_id",
     "parse_subscription",
@@ -203,15 +204,33 @@ def parse_bound(payload: dict[str, Any]) -> float | None:
     return bound
 
 
-def parse_pool_limit(payload: dict[str, Any]) -> int | None:
-    """The ``limit`` of a ``knwc_pool`` request; ``null`` = unbounded."""
+def parse_page(payload: dict[str, Any]) -> tuple[int, Rank | None]:
+    """The ``(limit, after)`` of a ``knwc_pool`` page request.
+
+    ``limit`` is a positive integer; ``after`` is the cursor the page
+    starts strictly after — ``[distance, [oids…]]``, the rank of the
+    previous page's last group — or absent/``null`` for the first page.
+    """
     limit = payload.get("limit")
-    if limit is None:
-        return None
     if isinstance(limit, bool) or not isinstance(limit, int) or limit <= 0:
         raise ProtocolError(
-            f"field 'limit' must be a positive integer or null, got {limit!r}")
-    return limit
+            f"field 'limit' must be a positive integer, got {limit!r}")
+    after = payload.get("after")
+    if after is None:
+        return limit, None
+    try:
+        distance, oids = after
+        if (isinstance(distance, bool)
+                or not isinstance(distance, (int, float))
+                or not math.isfinite(distance)
+                or not all(isinstance(oid, int) and not isinstance(oid, bool)
+                           for oid in oids)):
+            raise ValueError("non-finite distance or non-integer oid")
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(
+            "field 'after' must be [distance, [oids...]] with a finite "
+            f"distance and integer oids, got {after!r}") from exc
+    return limit, (float(distance), tuple(oids))
 
 
 def parse_trace(payload: dict[str, Any]) -> TraceContext | None:

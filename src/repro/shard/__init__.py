@@ -11,7 +11,7 @@ bit-identically to the single-engine oracle
 
 from .coordinator import (CoordinatorConfig, ShardCallError,
                           ShardCoordinator, ShardLink, coordinator_thread)
-from .merge import (horizon_sound, merge_nwc, next_bound, replay, seedable,
+from .merge import (KNWCPager, merge_nwc, next_bound, seedable,
                     shard_lower_bound)
 from .partition import (MANIFEST_NAME, ShardInfo, ShardManifest, choose_cuts,
                         partition_dataset, shard_filename)
@@ -20,6 +20,7 @@ from .worker import ShardServer, build_shard_server, make_shard_engine
 __all__ = [
     "MANIFEST_NAME",
     "CoordinatorConfig",
+    "KNWCPager",
     "ShardCallError",
     "ShardCoordinator",
     "ShardInfo",
@@ -29,12 +30,10 @@ __all__ = [
     "build_shard_server",
     "choose_cuts",
     "coordinator_thread",
-    "horizon_sound",
     "make_shard_engine",
     "merge_nwc",
     "next_bound",
     "partition_dataset",
-    "replay",
     "seedable",
     "shard_filename",
     "shard_lower_bound",

@@ -14,12 +14,11 @@ gather (see :mod:`repro.shard.merge` for the correctness argument):
 3. **Fan out** to the remaining shards in parallel, forwarding the
    running best advanced one ulp as the ``bound`` hint (point measures
    only; NEAREST_WINDOW scatters unseeded), then merge.
-4. For kNWC, gather per-shard candidate pools and *replay* the greedy
-   selection over their rank-sorted union; if the result is not
-   provably below every shard's completeness horizon, refetch the
-   stale pools with an escalating bound — first complete-below one
-   ulp above the replayed kth distance (shards still prune), then
-   unbounded as the fallback (``shard_refetches_total``).
+4. **kNWC** replaces the stages with paging: read each shard's
+   candidate stream in rank order, ask a shard for its next page only
+   when the k-way merge cannot place another instance without it, and
+   stop at the ``k``-th acceptance of the greedy selection; shards
+   never asked count as prune skips.
 
 Updates route by stored-band membership: every shard whose band
 (owned ± halo) contains the object applies the update through its own
@@ -92,9 +91,8 @@ __all__ = ["CoordinatorConfig", "ShardCallError", "ShardCoordinator",
 
 #: Read-buffer limit for coordinator→worker links.  Client request
 #: lines are capped at :data:`~repro.serve.protocol.MAX_LINE_BYTES`
-#: (1 MiB), but a worker's ``knwc_pool`` *response* legitimately grows
-#: with ``pool_limit × n`` serialized objects — and an unbounded
-#: horizon refetch ships a shard's entire candidate enumeration.
+#: (1 MiB), but a worker's ``knwc_pool`` *response* grows with its page
+#: size × ``n`` serialized objects, and page sizes double per shard.
 SHARD_LINE_BYTES = 64 << 20
 
 
@@ -113,9 +111,6 @@ class CoordinatorConfig(ServeConfig):
     """Coordinator tunables (extends the common serve tunables).
 
     Attributes:
-        pool_limit: Per-shard kNWC candidate pool size for the bounded
-            first round; larger pools refetch less, smaller pools ship
-            less.
         shard_attempts: Tries per shard call before the request fails
             with ``shard_unavailable`` (reconnects count; a supervisor
             restarting a worker typically lands within the backoff).
@@ -124,7 +119,6 @@ class CoordinatorConfig(ServeConfig):
             client deadline (health fan-in, boot).
     """
 
-    pool_limit: int = 64
     shard_attempts: int = 4
     shard_backoff_s: float = 0.05
     shard_timeout_s: float = 10.0
@@ -133,8 +127,6 @@ class CoordinatorConfig(ServeConfig):
         # slots=True rebuilds the class, breaking zero-argument super()
         # inside dataclass methods; name the base explicitly.
         ServeConfig.__post_init__(self)
-        if self.pool_limit < 1:
-            raise ValueError("pool_limit must be at least 1")
         if self.shard_attempts < 1:
             raise ValueError("shard_attempts must be at least 1")
 
@@ -246,7 +238,7 @@ class ShardLink:
 
 
 #: Render order of stitched RPC spans (matches scatter staging).
-_STAGE_ORDER = {"probe": 0, "fanout": 1, "refetch": 2}
+_STAGE_ORDER = {"probe": 0, "fanout": 1}
 
 
 class _TraceRecorder:
@@ -376,10 +368,6 @@ class ShardCoordinator(LineProtocolServer):
         self._m_fanout = m.histogram(
             "shard_fanout", "Shard workers contacted per query",
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0))
-        self._m_refetches = m.counter(
-            "shard_refetches_total",
-            "kNWC pools refetched after a horizon violation (escalating "
-            "bound, unbounded fallback)")
         self._m_partial = m.counter(
             "shard_partial_results_total",
             "Queries answered degraded (partial=true) with shards down")
@@ -631,107 +619,42 @@ class ShardCoordinator(LineProtocolServer):
         return best, accesses, meta, failed
 
     async def _scatter_knwc(self, query, deadline, recorder=None):
-        """Two-stage kNWC scatter with horizon-guarded replay."""
+        """kNWC by paging through each shard's rank order (see
+        :class:`~repro.shard.merge.KNWCPager`); a lost shard's stream
+        ends where it stands."""
         base = query.base
-        bounds = self._lower_bounds(base.qx, base.length)
-        order = sorted(range(len(self.links)), key=lambda i: (bounds[i], i))
-        limit = self.config.pool_limit
+        pager = merge.KNWCPager(query, [self.manifest.owned_interval(i)
+                                        for i in range(len(self.links))])
         request = {"op": "knwc_pool", "x": base.qx, "y": base.qy,
                    "length": base.length, "width": base.width, "n": base.n,
-                   "k": query.k, "m": query.m,
-                   "measure": base.measure.value, "limit": limit}
+                   "k": query.k, "m": query.m, "measure": base.measure.value}
         accesses = 0
-        contacted = 0
         failed: list[int] = []
-        # pools[i] = (orders, groups, horizon); None = not yet fetched
-        pools: list[tuple | None] = [None] * len(self.links)
-
-        def decode(response):
-            nonlocal accesses
-            pool = response["pool"]
-            groups = [protocol.group_from_payload(g) for g in pool["groups"]]
-            orders = [tuple(o) for o in pool["orders"]]
-            accesses += response.get("stats", {}).get("node_accesses", 0)
-            return orders, groups, pool["horizon"]
-
-        probe = order[0]
-        try:
-            pools[probe] = decode(await self._shard_call(
-                recorder, "probe", probe, request, deadline))
-            contacted += 1
-        except ShardCallError:
-            failed.append(probe)
-        seed = None
-        kth = None
-        if pools[probe] is not None and merge.seedable(base.measure):
-            selected = merge.replay(query.k, query.m, [pools[probe][:2]])
-            if len(selected) == query.k:
-                kth = selected[-1].distance
-                seed = merge.next_bound(kth)
-        skipped: list[int] = []
-        rest = []
-        for i in order[1:]:
-            if kth is not None and bounds[i] > kth:
-                # A skipped shard's (empty) pool is complete below its
-                # lower bound — the horizon guard accounts for it.
-                pools[i] = ((), (), bounds[i])
-                skipped.append(i)
-                continue
-            rest.append(i)
-        if rest:
-            fan = dict(request)
-            if seed is not None:
-                fan["bound"] = seed
+        stage = "probe"
+        while pages := pager.requests():
             acks, lost = await self._fan({
-                i: self._shard_call(recorder, "fanout", i, fan, deadline)
-                for i in rest})
-            failed.extend(lost)
-            for i, response in acks.items():
-                pools[i] = decode(response)
-            contacted += len(acks)
-        live = [p for p in pools if p is not None]
-        result = merge.replay(query.k, query.m, [p[:2] for p in live])
-        rounds = 0
-        while not merge.horizon_sound(result, query.k, [p[2] for p in live]):
-            # Escalating refetch.  Round one is *bounded*: when the
-            # replayed selection is full but reaches past some pool's
-            # horizon, completing every stale pool up to one ulp above
-            # the replayed kth distance usually suffices — the shards
-            # still prune at the target, and the guard re-checks the
-            # next replay.  Only a selection that deepens past the
-            # target (cross-shard overlap rejections push the true kth
-            # higher) or one that never filled needs the unbounded
-            # round, which ships complete enumerations.
-            target = None
-            if rounds == 0 and len(result) == query.k:
-                target = merge.next_bound(result[-1].distance)
-            refetch = [i for i, p in enumerate(pools)
-                       if p is not None and p[2] is not None
-                       and (target is None or p[2] < target)]
-            again = dict(request)
-            again["limit"] = None
-            if target is not None:
-                again["bound"] = target
-            acks, lost = await self._fan({
-                i: self._shard_call(recorder, "refetch", i, again, deadline)
-                for i in refetch})
+                i: self._shard_call(recorder, stage, i,
+                                    request | {"after": after, "limit": limit},
+                                    deadline)
+                for i, (after, limit) in pages.items()})
+            stage = "fanout"
             for i in lost:
-                if i not in failed:
-                    failed.append(i)
-                pools[i] = None
+                failed.append(i)
+                pager.lose(i)
             for i, response in acks.items():
-                pools[i] = decode(response)
-            contacted += len(acks)
-            self._m_refetches.inc(len(refetch))
-            rounds += 1
-            live = [p for p in pools if p is not None]
-            result = merge.replay(query.k, query.m, [p[:2] for p in live])
-            if target is None:
-                break  # complete enumerations: nothing left to fetch
-        self._m_prune_skips.inc(len(skipped))
+                pool = response["pool"]
+                accesses += response.get("stats", {}).get("node_accesses", 0)
+                pager.feed(i, [protocol.group_from_payload(g)
+                               for g in pool["groups"]],
+                           [tuple(o) for o in pool["orders"]],
+                           pool["exhausted"])
+        contacted = sum(1 for count in pager.pages if count)
+        skipped = sum(1 for i, count in enumerate(pager.pages)
+                      if not count and i not in failed)
+        self._m_prune_skips.inc(skipped)
         self._m_fanout.observe(contacted)
-        meta = {"fanout": contacted, "skipped": len(skipped)}
-        return result, accesses, meta, failed
+        meta = {"fanout": contacted, "skipped": skipped}
+        return pager.result(), accesses, meta, failed
 
     # ------------------------------------------------------------------
     # Update ops

@@ -32,33 +32,36 @@ repo-wide convention that NEAREST_WINDOW answers agree on distance.
 
 **kNWC (all measures).**  The canonical answer is Definition 3's greedy
 selection over the full candidate universe — what the *unpruned*
-baseline engine and ``knwc_bruteforce`` compute.  Each shard exports a
-rank-ordered candidate pool plus per-instance order keys and a
-*horizon*: the distance below which its pool is provably complete.  The
-coordinator replays the greedy selection over the rank-sorted union
-(:func:`replay`); :func:`horizon_sound` accepts the result only when
-every selected group sits strictly below every shard's horizon —
-otherwise the coordinator refetches the truncated shards unbounded and
-unseeded, obtaining complete enumerations.  Distance is a pure function
-of the group under every measure, so all instances of a group share one
-rank and a selected group's instances are never half-missing.
+baseline engine and ``knwc_bruteforce`` compute.  The greedy walks the
+candidates in rank order and stops at the ``k``-th acceptance, so it
+reads only a *prefix* of that order, and nothing past the prefix can
+change it.  Each shard serves its candidate groups, each at its first
+window, as a stream in :data:`~repro.core.knwc.InstanceKey` order, one
+page at a time (``knwc_candidates``); :class:`KNWCPager` k-way-merges
+the streams into one :class:`ExactGroupBuffer` and stops at the
+``k``-th acceptance, so the merged answer is exact by construction.
+Distance is a pure function of the group under every measure, so a
+group offered by two shards is adjacent to itself in the merged order,
+and the buffer keeps the first — the smallest order key, the
+baseline's first enumeration of the group.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Iterable, Sequence
 
-from ..core.knwc import ExactGroupBuffer
+from ..core.knwc import ExactGroupBuffer, InstanceKey, Rank, instance_key
 from ..core.measures import DistanceMeasure
+from ..core.query import KNWCQuery
 from ..core.results import ObjectGroup
 
 __all__ = [
+    "KNWCPager",
     "OrderKey",
-    "horizon_sound",
     "merge_nwc",
     "next_bound",
-    "replay",
     "seedable",
     "shard_lower_bound",
 ]
@@ -110,46 +113,89 @@ def merge_nwc(
     return best, best_order
 
 
-def replay(
-    k: int,
-    m: int,
-    pools: Iterable[tuple[Sequence[OrderKey], Sequence[ObjectGroup]]],
-) -> tuple[ObjectGroup, ...]:
-    """Definition 3's greedy selection over the union of shard pools.
+class KNWCPager:
+    """One fleet kNWC as a sans-IO merge of the shards' candidate streams.
 
-    Instances are sorted by their enumeration order key and offered
-    ungated to a fresh :class:`ExactGroupBuffer` — the selection is a
-    pure function of the candidate *set* (rank ordering), so offering
-    everything reproduces the unpruned baseline engine's answer
-    whenever the union is complete below every selected rank
-    (:func:`horizon_sound` checks exactly that).
+    :meth:`requests` pops every candidate the merge can already place
+    and names the pages it needs before it can pop again, as ``{shard:
+    (after, limit)}``; :meth:`feed` hands one page in, and :meth:`lose`
+    gives a shard up (its stream ends where it stands).  It is done when
+    :meth:`requests` comes back empty.
+
+    A shard is asked when its buffered page is used up, its stream is
+    not exhausted, and its *floor* — the larger of its band's
+    :func:`shard_lower_bound` (over twice the length under
+    NEAREST_WINDOW) and its cursor's distance, below which
+    the rest of its stream cannot lie — is at most the smallest buffered
+    head, which could not pop before it.  Of the shards in that state
+    only those with the lowest floor are asked, so every later pop lies
+    at or above their floor: the nearest shard is asked first, and a
+    shard whose lower bound exceeds the answer's last distance is never
+    contacted.  The first page to a shard holds ``k`` groups, and
+    each further one doubles.
     """
-    stream: list[tuple[OrderKey, ObjectGroup]] = []
-    for orders, groups in pools:
-        stream.extend(zip(orders, groups))
-    stream.sort(key=lambda item: item[0])
-    buffer = ExactGroupBuffer(k, m)
-    for _order, group in stream:
-        buffer.offer(group)
-    return buffer.finalize()
 
+    def __init__(self, query: KNWCQuery,
+                 owned: Sequence[tuple[float, float]]) -> None:
+        base = query.base
+        # A NEAREST_WINDOW group's distance is to its nearest covering
+        # window: within one length of a member, which lies within one
+        # length of the anchor.
+        reach = base.length
+        if base.measure is DistanceMeasure.NEAREST_WINDOW:
+            reach *= 2
+        self.k = query.k
+        self._buffer = ExactGroupBuffer(query.k, query.m)
+        self._lower = tuple(shard_lower_bound(base.qx, reach, band)
+                            for band in owned)
+        count = len(self._lower)
+        self._heads: list[deque[tuple[InstanceKey, ObjectGroup]]] = [
+            deque() for _ in range(count)]
+        self._after: list[Rank | None] = [None] * count
+        self._exhausted = [False] * count
+        #: Pages each shard has answered.
+        self.pages = [0] * count
 
-def horizon_sound(result: Sequence[ObjectGroup], k: int,
-                  horizons: Iterable[float | None]) -> bool:
-    """Whether a replayed selection is provably the global answer.
+    def _floor(self, shard: int) -> float:
+        after = self._after[shard]
+        lower = self._lower[shard]
+        return lower if after is None else max(lower, after[0])
 
-    ``horizons`` carries one entry per shard: ``None`` when the shard's
-    pool holds its complete enumeration, else the distance below which
-    it is complete (a skipped shard contributes its lower bound — its
-    "pool" is trivially complete below that).  The selection is sound
-    iff it is full (``k`` groups) and its worst distance lies strictly
-    below every horizon: then no dropped instance can rank at or before
-    any selected group, so the greedy walk never sees a difference.
-    """
-    finite = [h for h in horizons if h is not None]
-    if not finite:
-        return True
-    return len(result) == k and result[-1].distance < min(finite)
+    def requests(self) -> dict[int, tuple[Rank | None, int]]:
+        heads = self._heads
+        while len(self._buffer.finalize()) < self.k:
+            src = min((i for i, head in enumerate(heads) if head),
+                      key=lambda i: heads[i][0][0], default=None)
+            bar = math.inf if src is None else heads[src][0][0][0]
+            waiting = {i: floor for i, head in enumerate(heads)
+                       if not head and not self._exhausted[i]
+                       and (floor := self._floor(i)) <= bar}
+            if waiting:
+                nearest = min(waiting.values())
+                return {i: (self._after[i], self.k << self.pages[i])
+                        for i, floor in waiting.items() if floor == nearest}
+            if src is None:
+                break  # every stream is exhausted
+            self._buffer.offer(heads[src].popleft()[1])
+        return {}
+
+    def feed(self, shard: int, groups: Sequence[ObjectGroup],
+             orders: Sequence[OrderKey], exhausted: bool) -> None:
+        """One page from ``shard``: its candidates in stream order."""
+        self.pages[shard] += 1
+        head = self._heads[shard]
+        for group, order in zip(groups, orders):
+            head.append((instance_key(group, order), group))
+        if groups:
+            self._after[shard] = head[-1][0][:2]
+        self._exhausted[shard] = exhausted or not groups
+
+    def lose(self, shard: int) -> None:
+        """``shard`` did not answer: merge without the rest of its stream."""
+        self._exhausted[shard] = True
+
+    def result(self) -> tuple[ObjectGroup, ...]:
+        return self._buffer.finalize()
 
 
 def shard_lower_bound(qx: float, length: float,

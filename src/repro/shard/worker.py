@@ -9,11 +9,14 @@ ops a coordinator fans out:
   ``bound`` forwarded from faster shards; answers carry the merge
   order key.
 * ``knwc_pool`` — :meth:`~repro.core.engine.NWCEngine.knwc_candidates`:
-  a rank-ordered raw candidate pool with per-instance order keys and
-  the completeness horizon.
+  one page of the shard's candidate stream in rank order — the next
+  ``limit`` groups ranked strictly after the ``after`` cursor, each at
+  its first window with its order key, and whether the stream is
+  exhausted.  Pages are stateless: each is a fresh search, so pages of
+  many queries run concurrently.
 
 Scatter ops bypass the per-worker result cache (their answers depend on
-the coordinator-supplied bound); the coordinator owns the semantic
+the coordinator-supplied bound or cursor); the coordinator owns the semantic
 cache instead.  Everything else — the plain query ops, update ops with
 WAL-before-apply durability, request-id dedupe, checkpointing, drain —
 is inherited unchanged, so one shard worker is operationally identical
@@ -132,14 +135,13 @@ class ShardServer(QueryServer):
 
     async def _op_knwc_pool(self, payload: dict[str, Any]) -> dict[str, Any]:
         query, _maintenance = protocol.parse_knwc(payload)
-        limit = protocol.parse_pool_limit(payload)
-        bound = protocol.parse_bound(payload)
+        limit, after = protocol.parse_page(payload)
         ctx = self._trace_context(payload)
 
         async def body():
             pool, traced = await self._run_engine(
                 lambda: self.engine.knwc_candidates(
-                    query, limit, bound=bound,
+                    query, limit, after=after,
                     anchor_region=self.anchor_region),
                 ctx, "knwc")
             return {
@@ -149,7 +151,7 @@ class ShardServer(QueryServer):
                     "groups": [protocol._serialize_group(g)
                                for g in pool.groups],
                     "orders": [list(order) for order in pool.orders],
-                    "horizon": pool.horizon,
+                    "exhausted": pool.exhausted,
                     "reason": pool.reason,
                 },
                 "stats": {"node_accesses": pool.stats["node_accesses"]},

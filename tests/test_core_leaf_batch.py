@@ -106,6 +106,25 @@ def _answer(result):
             [p.oid for p in result.objects] if result.found else None)
 
 
+def _pages(engine, query, limit, anchor):
+    """Two consecutive kNWC candidate pages, the second after the first's
+    last group: groups, order keys, ``exhausted``, ``IOStats`` and, on a
+    traced engine, the attribution counts of each page."""
+    pages, after = [], None
+    for _ in range(2):
+        page = engine.knwc_candidates(query, limit, after=after,
+                                      anchor_region=anchor)
+        pages.append(([g.oids for g in page.groups],
+                      [g.distance for g in page.groups], page.orders,
+                      page.exhausted, page.stats,
+                      engine.tracer.last.counts if engine.tracer.enabled
+                      else None))
+        if page.groups:
+            last = page.groups[-1]
+            after = (last.distance, tuple(sorted(last.oids)))
+    return pages
+
+
 def _assert_same_nwc(oracle, columnar, query, **kwargs):
     a = oracle.nwc(query, **kwargs)
     b = columnar.nwc(query, **kwargs)
@@ -168,14 +187,8 @@ def test_sharded_entry_points_match_the_oracle(scheme, bound):
         assert _answer(a) == _answer(b)
         assert a_order == b_order
         assert a.stats == b.stats
-        pools = []
-        for engine in (oracle, columnar):
-            pool = engine.knwc_candidates(
-                KNWCQuery(query, 3, 1), 16, bound=bound, anchor_region=anchor)
-            pools.append(([g.oids for g in pool.groups],
-                          [g.distance for g in pool.groups], pool.orders,
-                          pool.horizon, pool.stats))
-        assert pools[0] == pools[1]
+        assert (_pages(oracle, KNWCQuery(query, 3, 1), 16, anchor)
+                == _pages(columnar, KNWCQuery(query, 3, 1), 16, anchor))
 
 
 def test_matches_the_oracle_after_interleaved_updates():
@@ -486,14 +499,8 @@ def test_dense_sharded_entry_points_and_seeds(flags, monkeypatch):
             # floor >= bound answers the row from the table, as the
             # scalar loop's ``distance >= bound`` skips its every window.
             assert ((px, py) in generators) == (bound == above)
-        pools = []
-        for engine in (oracle, columnar):
-            pool = engine.knwc_candidates(
-                KNWCQuery(query, 3, 2), 12, bound=bound, anchor_region=anchor)
-            pools.append(([g.oids for g in pool.groups],
-                          [g.distance for g in pool.groups], pool.orders,
-                          pool.horizon, pool.stats))
-        assert pools[0] == pools[1]
+        assert (_pages(oracle, KNWCQuery(query, 3, 2), 12, anchor)
+                == _pages(columnar, KNWCQuery(query, 3, 2), 12, anchor))
 
 
 def test_dense_windows_after_interleaved_updates(builds, enumerating):
@@ -791,14 +798,8 @@ def test_sparse_sharded_entry_points_and_seeds(flags, tables):
             assert bool(tables.ahead()) == (bound is None)
         elif bound in (None, 400.0):  # (a small seed leaves DIP one leaf)
             assert tables.ahead()
-        pools = []
-        for engine in (oracle, columnar):
-            pool = engine.knwc_candidates(
-                KNWCQuery(query, 2, 2), 8, bound=bound, anchor_region=anchor)
-            pools.append(([g.oids for g in pool.groups],
-                          [g.distance for g in pool.groups], pool.orders,
-                          pool.horizon, pool.stats))
-        assert pools[0] == pools[1]
+        assert (_pages(oracle, KNWCQuery(query, 2, 2), 8, anchor)
+                == _pages(columnar, KNWCQuery(query, 2, 2), 8, anchor))
 
 
 def test_sparse_windows_after_interleaved_updates(tables):
@@ -1002,7 +1003,7 @@ EVENT_SCHEMES = [Scheme.NWC_STAR.flags, NO_SRR, Scheme.NWC.flags]
 
 @pytest.mark.parametrize("flags", EVENT_SCHEMES, ids=["star", "no-srr", "baseline"])
 def test_a_bound_finite_from_the_first_pop(flags, object_pops):
-    """Seeded bounds, pool limits and both kNWC policies on the sparse
+    """Seeded bounds, page sizes and both kNWC policies on the sparse
     fixture, under SRR (every move of the bound re-keys the frontier),
     without it (no table reads the bound, the pop compares a row's
     floor with the bound of its day) and with no optimization at all:
@@ -1021,16 +1022,8 @@ def test_a_bound_finite_from_the_first_pop(flags, object_pops):
         assert a.stats == b.stats
         assert oracle.tracer.last.counts == columnar.tracer.last.counts
         for limit in (1, 4):
-            pools = []
-            for engine in (oracle, columnar):
-                pool = engine.knwc_candidates(
-                    KNWCQuery(query, 2, 2), limit, bound=bound,
-                    anchor_region=anchor)
-                pools.append(([g.oids for g in pool.groups],
-                              [g.distance for g in pool.groups], pool.orders,
-                              pool.horizon, pool.stats,
-                              engine.tracer.last.counts))
-            assert pools[0] == pools[1]
+            assert (_pages(oracle, KNWCQuery(query, 2, 2), limit, anchor)
+                    == _pages(columnar, KNWCQuery(query, 2, 2), limit, anchor))
     for maintenance, (k, m) in itertools.product(
             ("exact", "paper"), ((2, 0), (3, 2))):
         knwc = KNWCQuery.make(640.0, 600.0, SPARSE_LENGTH, SPARSE_WIDTH, 4, k, m)

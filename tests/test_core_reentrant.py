@@ -3,7 +3,7 @@ offer-order origin, and reads the snapshot it searches once.
 
 Clock-free forced interleavings: thread A parks on a ``threading.Event``
 inside a wrapped snapshot method, thread B runs a whole query, then A
-resumes.  Every answer — group, order keys, horizon and the full I/O
+resumes.  Every answer — group, order keys, ``exhausted`` and the full I/O
 counter dict — must equal the sequential run's.  The event waits carry
 a timeout only as a hang guard.
 """
@@ -131,7 +131,7 @@ def test_two_candidate_pools_keep_their_own_state(monkeypatch):
         pool = engine.knwc_candidates(query, 8, anchor_region=band)
         return ([g.oids for g in pool.groups],
                 [g.distance for g in pool.groups],
-                pool.orders, pool.horizon, pool.stats)
+                pool.orders, pool.exhausted, pool.stats)
 
     expected = run(WEST), run(EAST)
     got = _interleaved(monkeypatch, lambda: run(WEST), lambda: run(EAST))

@@ -225,6 +225,20 @@ class TestProtocol:
         with pytest.raises(protocol.ProtocolError):
             protocol.parse_knwc(payload | {"maintenance": "lazy"})
 
+    def test_parse_page_validates_limit_and_cursor(self):
+        assert protocol.parse_page({"limit": 4}) == (4, None)
+        assert protocol.parse_page({"limit": 4, "after": None}) == (4, None)
+        assert protocol.parse_page({"limit": 8, "after": [1.5, [3, 9]]}) \
+            == (8, (1.5, (3, 9)))
+        for limit in (None, 0, -1, 2.0, True, "4"):
+            with pytest.raises(protocol.ProtocolError):
+                protocol.parse_page({"limit": limit})
+        for after in (7, [], [1.5], [1.5, [3], [2.0, 0.0]], [1.5, 3],
+                      [1.5, [3, 9.5]], [1.5, [True]], ["1.5", [3]],
+                      [False, [3]], [math.inf, [3]], [math.nan, [3]]):
+            with pytest.raises(protocol.ProtocolError):
+                protocol.parse_page({"limit": 4, "after": after})
+
     def test_parse_point_rejects_non_finite(self):
         with pytest.raises(protocol.ProtocolError):
             protocol.parse_point({"oid": 1, "x": math.inf, "y": 0})

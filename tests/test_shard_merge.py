@@ -2,13 +2,12 @@
 bit-identical to the single-engine oracle.
 
 The scatter is simulated in-process against real shard engines — the
-same staged exchange the coordinator performs over TCP: probe the
-closest shard first, seed the fan-out with one ulp above its best,
-skip shards whose x-band lower bound cannot beat it, and (for kNWC)
-refetch truncated pools when the horizon guard rejects the replay.
-Randomized over partitions (including empty shards), measures, and
-``k`` larger than any per-shard pool, for both fresh-built and
-mmap-loaded shard engines.
+same exchange the coordinator performs over TCP: for NWC, probe the
+closest shard first, seed the fan-out with one ulp above its best and
+skip shards whose x-band lower bound cannot beat it; for kNWC, drive
+the coordinator's :class:`KNWCPager` through each shard's pages.
+Randomized over partitions (including empty shards) and measures, for
+both fresh-built and mmap-loaded shard engines.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ from repro.core.schemes import Scheme
 from repro.geometry import Rect
 from repro.index import RStarTree
 from repro.shard import (
+    KNWCPager,
     ShardManifest,
-    horizon_sound,
     make_shard_engine,
     merge_nwc,
     next_bound,
     partition_dataset,
-    replay,
     seedable,
     shard_lower_bound,
 )
@@ -97,64 +95,19 @@ class World:
         merged, _ = merge_nwc(winners)
         return merged, skipped
 
-    def scatter_knwc(self, query: KNWCQuery, limit: int):
+    def scatter_knwc(self, query: KNWCQuery):
+        """The coordinator's paging loop against in-process shards:
+        ``(groups, pages answered per shard)``."""
         manifest = self.manifest
-        base = query.base
-        bounds = [shard_lower_bound(base.qx, base.length,
-                                    manifest.owned_interval(i))
-                  for i in range(manifest.shard_count)]
-        order = sorted(range(manifest.shard_count),
-                       key=lambda i: (bounds[i], i))
-        probe = order[0]
-        pools: list[tuple] = [None] * manifest.shard_count
-        pool = self.engines[probe].knwc_candidates(
-            query, limit, anchor_region=manifest.anchor_region(probe))
-        pools[probe] = (pool.orders, pool.groups, pool.horizon)
-        selected = replay(query.k, query.m, [(pool.orders, pool.groups)])
-        seed = None
-        kth = None
-        if len(selected) == query.k:
-            kth = selected[-1].distance
-            if seedable(base.measure):
-                seed = next_bound(kth)
-        skipped = 0
-        for i in order[1:]:
-            if kth is not None and bounds[i] > kth:
-                # Skipped shard: empty pool, complete below its bound.
-                pools[i] = ((), (), bounds[i])
-                skipped += 1
-                continue
-            pool = self.engines[i].knwc_candidates(
-                query, limit, bound=seed,
-                anchor_region=manifest.anchor_region(i))
-            pools[i] = (pool.orders, pool.groups, pool.horizon)
-        result = replay(query.k, query.m,
-                        [(orders, groups) for orders, groups, _ in pools])
-        refetched = 0
-        rounds = 0
-        # The coordinator's escalating refetch: bounded at one ulp
-        # above the replayed kth first, unbounded as the fallback.
-        while not horizon_sound(result, query.k, [h for _, _, h in pools]):
-            target = None
-            if rounds == 0 and len(result) == query.k:
-                target = next_bound(result[-1].distance)
-            for i, (_, _, horizon) in enumerate(pools):
-                if horizon is None or (target is not None
-                                       and horizon >= target):
-                    continue
-                pool = self.engines[i].knwc_candidates(
-                    query, None, bound=target,
+        pager = KNWCPager(query, [manifest.owned_interval(i)
+                                  for i in range(manifest.shard_count)])
+        while pages := pager.requests():
+            for i, (after, limit) in pages.items():
+                page = self.engines[i].knwc_candidates(
+                    query, limit, after=after,
                     anchor_region=manifest.anchor_region(i))
-                pools[i] = (pool.orders, pool.groups, pool.horizon)
-                refetched += 1
-            rounds += 1
-            result = replay(query.k, query.m,
-                            [(orders, groups) for orders, groups, _ in pools])
-            if target is None:
-                assert horizon_sound(result, query.k,
-                                     [h for _, _, h in pools])
-                break
-        return result, skipped, refetched
+                pager.feed(i, page.groups, page.orders, page.exhausted)
+        return pager.result(), pager.pages
 
 
 def _build_world(name, tmp_path, points, shards, mode):
@@ -239,30 +192,29 @@ def test_nwc_nearest_window_distance_exact(world):
 
 def test_knwc_matches_unpruned_baseline(world):
     rng = random.Random(990)
-    refetches = 0
+    deepest = 0
     nonempty = 0
     for qx, qy, length, width, n in _random_queries(world, rng, 8):
         for measure in ALL_MEASURES:
             k = rng.choice((1, 3, 8))
             m = rng.choice((0, n - 1))
             query = KNWCQuery.make(qx, qy, length, width, n, k, m, measure)
-            # limit=2 truncates every pool well below k=8, forcing the
-            # horizon guard to reject the first replay and refetch.
-            merged, _, refetched = world.scatter_knwc(query, limit=2)
-            refetches += refetched
+            merged, pages = world.scatter_knwc(query)
+            deepest = max(deepest, *pages)
             canon = world.baseline.knwc(query)
             assert [_group_key(g) for g in merged] == \
                 [_group_key(g) for g in canon.groups]
             nonempty += bool(canon.groups)
     assert nonempty > 0
-    assert refetches > 0  # the guard path must actually run
+    assert deepest > 1  # some shard must have been paged past its first page
 
 
 def test_knwc_prune_skips_occur_without_breaking_identity(world):
-    # A query hugging the left edge makes far shards' lower bounds
-    # exceed the kth distance; identity must survive the skips.  Skips
-    # are only *guaranteed* on dense uniform data with enough shards
-    # (elsewhere the kth distance may legitimately reach every band).
+    # A query hugging the left edge puts far shards' lower bounds above
+    # the kth distance: those shards must never be asked for a page.
+    # Skips are only *guaranteed* on dense uniform data with enough
+    # shards (elsewhere the kth distance may legitimately reach every
+    # band).
     if world.manifest.shard_count < 3:
         pytest.skip("needs enough shards for a far one to be skipped")
     rng = random.Random(11)
@@ -270,10 +222,52 @@ def test_knwc_prune_skips_occur_without_breaking_identity(world):
     for _ in range(6):
         query = KNWCQuery.make(rng.uniform(0, 60), rng.uniform(0, 200),
                                30.0, 20.0, 2, 2, 1, DistanceMeasure.MAX)
-        merged, skipped, _ = world.scatter_knwc(query, limit=16)
-        skips += skipped
+        merged, pages = world.scatter_knwc(query)
         canon = world.baseline.knwc(query)
         assert [_group_key(g) for g in merged] == \
             [_group_key(g) for g in canon.groups]
+        if len(merged) == query.k:
+            far = [i for i in range(world.manifest.shard_count)
+                   if shard_lower_bound(query.base.qx, query.base.length,
+                                        world.manifest.owned_interval(i))
+                   > merged[-1].distance]
+            assert all(pages[i] == 0 for i in far)
+            skips += len(far)
     if world.name == "uniform-4-fresh":
         assert skips > 0
+
+
+@pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.value)
+@pytest.mark.parametrize("spec", WORLD_SPECS[:2], ids=lambda s: s[0])
+def test_pages_walk_the_unpruned_candidate_stream(spec, measure, tmp_path):
+    """Paging one group at a time from no cursor until ``exhausted``
+    yields exactly the unpruned baseline's full candidate stream of the
+    shard's anchor band, in key order (ties, windows and order keys
+    included), on an mmap-loaded and a fresh-built fleet.  (The sparse
+    uniform worlds keep the walk short: each page is a fresh search.)"""
+    name, shards, mode, factory = spec
+    world = _build_world(name, tmp_path, factory(), shards, mode)
+    rng = random.Random(313)
+    walked = 0
+    for qx, qy, length, width, n in _random_queries(world, rng, 2):
+        query = KNWCQuery.make(qx, qy, length, width, n, 2, 0, measure)
+        for i, engine in enumerate(world.engines):
+            band = world.manifest.anchor_region(i)
+            whole = world.baseline.knwc_candidates(query, 1 << 30,
+                                                   anchor_region=band)
+            assert whole.exhausted
+            want = [(_group_key(g), order)
+                    for g, order in zip(whole.groups, whole.orders)]
+            got, after, exhausted = [], None, False
+            while not exhausted:
+                page = engine.knwc_candidates(query, 1, after=after,
+                                              anchor_region=band)
+                assert len(page.groups) <= 1
+                exhausted = page.exhausted
+                for group, order in zip(page.groups, page.orders):
+                    got.append((_group_key(group), order))
+                    after = (group.distance, tuple(sorted(group.oids)))
+                assert len(got) <= len(want)
+            assert got == want
+            walked += len(want)
+    assert walked > 0

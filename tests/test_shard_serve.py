@@ -33,7 +33,6 @@ from repro.serve.client import (
 )
 from repro.serve.server import DeadlineExceeded, ServerThread, ServingThread
 from repro.shard import (
-    CoordinatorConfig,
     build_shard_server,
     coordinator_thread,
     partition_dataset,
@@ -48,7 +47,7 @@ SHARDS = 3
 
 class Fleet:
     def __init__(self, tmp_path, shards=SHARDS, points=POINTS,
-                 pool_limit=8, durable=False):
+                 durable=False):
         self.manifest = partition_dataset(points, shards, L, tmp_path,
                                           EXTENT, cell_size=25.0)
         self.workers = []
@@ -63,8 +62,7 @@ class Fleet:
             self.workers.append(thread)
             addresses.append((thread.host, thread.port))
         self.coordinator = coordinator_thread(
-            self.manifest, addresses,
-            config=CoordinatorConfig(pool_limit=pool_limit)).start()
+            self.manifest, addresses).start()
         wait_until_healthy(self.coordinator.host, self.coordinator.port,
                            shards=shards)
         self.client = ServeClient(self.coordinator.host,
@@ -100,7 +98,7 @@ def oracle():
 def baseline():
     # Exact-kNWC canon: the unpruned baseline engine (Definition 3's
     # greedy selection; NWC_STAR may pick a different equal-distance
-    # group on ties, the coordinator's replay never does).
+    # group on ties, the coordinator's paged merge never does).
     return NWCEngine(RStarTree.bulk_load(list(POINTS)),
                      scheme=Scheme.NWC, extent=EXTENT)
 
@@ -221,7 +219,7 @@ def test_fleet_checkpoint_is_counted_and_timed(tmp_path):
 def test_shard_metric_families_exported(fleet):
     families = fleet.client.metrics()["metrics"]
     for name in ("shard_prune_skips_total", "shard_fanout",
-                 "shard_refetches_total", "shard_partial_results_total"):
+                 "shard_partial_results_total"):
         assert name in families
 
 
@@ -261,6 +259,16 @@ def test_dead_worker_partial_mode(tmp_path):
         assert degraded["shards"]["failed"] == [1]
         # Degraded answers are never cached.
         assert degraded["cached"] is False
+        # kNWC: the lost shard's stream ends; the merge goes on without it.
+        with pytest.raises(ShardUnavailableError):
+            fleet.client.knwc(500.0, 500.0, L, W, 2, 2)
+        degraded = fleet.client.call({
+            "op": "knwc", "x": 500.0, "y": 500.0, "length": L, "width": W,
+            "n": 2, "k": 2, "partial": True,
+        })
+        assert degraded["partial"] is True
+        assert degraded["shards"]["failed"] == [1]
+        assert degraded["result"]["groups"]
         health = fleet.client.health()
         statuses = {entry["shard"]: entry["status"]
                     for entry in health["shards"]}

@@ -83,11 +83,17 @@ class TestConservation:
             response["stats"]["node_accesses"]
 
     def test_knwc_root_io_equals_shard_sum_and_stats(self, fleet):
-        response = fleet.client.knwc(500, 500, L, W, 3, 2, 1, trace=wire())
+        # k = 8 outgrows a shard's first page of k instances: some shard
+        # answers several pages, each its own RPC span and subtree.
+        response = fleet.client.knwc(500, 500, L, W, 2, 8, 0, trace=wire())
         root = response["trace"]["span"]
         rpcs = rpc_children(root)
-        assert root["io"]["node_accesses"] == sum(
-            c["io"].get("node_accesses", 0) for c in rpcs) == \
+        paged = [c["attrs"]["shard"] for c in rpcs]
+        assert len(paged) > len(set(paged))
+        for key in root["io"]:
+            assert root["io"][key] == sum(
+                c["io"].get(key, 0) for c in rpcs), key
+        assert root["io"]["node_accesses"] == \
             response["stats"]["node_accesses"]
 
     def test_pruned_shards_contribute_zero_spans(self, fleet):
