@@ -266,33 +266,30 @@ def apply_record(engine: NWCEngine, version: int, record: dict[str, Any],
     it appended the record — replay therefore reconstructs the dedupe
     map exactly.
 
-    With a :class:`~repro.sub.SubscriptionIndex`, subscription records
-    (``subscribe``/``unsubscribe``/``sub_track``/``sub_untrack``)
-    restore standing queries, and every replayed update runs the same
-    :func:`~repro.sub.reconcile` step the live server ran — the
-    re-evaluations are deterministic, so revisions *continue* across a
-    crash instead of forking, and worker acks regain their
-    affected-sentinel ``subs`` hints.
+    With a :class:`~repro.sub.SubscriptionIndex`, ``subscribe`` /
+    ``unsubscribe`` records restore standing queries, and every replayed
+    update runs the same :func:`~repro.sub.reconcile` step the live
+    server ran — the re-evaluations are deterministic, so revisions
+    *continue* across a crash instead of forking.
     """
     from ..geometry import PointObject
 
     op = record.get("op")
-    if op in ("subscribe", "sub_track"):
+    if op == "subscribe":
         sub = subscription_from_record(record)
         response: dict[str, Any] = {"ok": True, "op": op,
                                     "sub": sub.sub_id, "version": version}
         if subs is not None:
-            if op == "subscribe":
-                sub.result, sub.insert_radius, sub.delete_radius = \
-                    evaluate_subscription(engine, sub)
-                sub.revision = 1
-                sub.version = version
-                response["kind"] = sub.kind
-                response["revision"] = 1
-                response["result"] = sub.result
+            sub.result, sub.insert_radius, sub.delete_radius = \
+                evaluate_subscription(engine, sub)
+            sub.revision = 1
+            sub.version = version
+            response["kind"] = sub.kind
+            response["revision"] = 1
+            response["result"] = sub.result
             subs.add(sub)
         return version, response
-    if op in ("unsubscribe", "sub_untrack"):
+    if op == "unsubscribe":
         sub_id = str(record["sub"])
         removed = subs.remove(sub_id) if subs is not None else None
         response = {"ok": True, "op": op, "sub": sub_id,
@@ -303,27 +300,29 @@ def apply_record(engine: NWCEngine, version: int, record: dict[str, Any],
     if op == "insert":
         engine.insert(obj)
         version += 1
-        response = {"ok": True, "op": "insert", "version": version,
-                    "size": engine.tree.size}
         if subs is not None and len(subs):
-            _, hints, _ = reconcile(subs, engine, "insert", obj.x, obj.y,
-                                    engine.tree.size, version)
-            if hints:
-                response["subs"] = hints
-        return version, response
+            reconcile(subs, engine, "insert", obj.x, obj.y,
+                      engine.tree.size, version)
+        return version, {"ok": True, "op": "insert", "version": version,
+                         "size": engine.tree.size}
     if op == "delete":
         deleted = engine.delete(obj)
         if deleted:
             version += 1
-        response = {"ok": True, "op": "delete", "version": version,
-                    "deleted": deleted, "size": engine.tree.size}
-        if deleted and subs is not None and len(subs):
-            _, hints, _ = reconcile(subs, engine, "delete", obj.x, obj.y,
-                                    engine.tree.size, version)
-            if hints:
-                response["subs"] = hints
-        return version, response
+            if subs is not None and len(subs):
+                reconcile(subs, engine, "delete", obj.x, obj.y,
+                          engine.tree.size, version)
+        return version, {"ok": True, "op": "delete", "version": version,
+                         "deleted": deleted, "size": engine.tree.size}
     raise WalError(f"WAL record with unknown op {record.get('op')!r}")
+
+
+#: The shield sentinels shard workers used to hold for a coordinator
+#: (checkpoint entries of this kind, WAL records of these ops).  Fleet
+#: subscriptions now live in the coordinator's own index, so recovery
+#: drops what state written by older workers still carries.
+_RETIRED_SUB_KIND = "shield"
+_RETIRED_OPS = ("sub_track", "sub_untrack")
 
 
 def recover(
@@ -362,7 +361,9 @@ def recover(
         version = current.version
         base_seq = current.seq
         dedupe: OrderedDict[str, dict[str, Any]] = OrderedDict(current.dedupe)
-        subs = SubscriptionIndex.from_state(current.subs)
+        subs = SubscriptionIndex.from_state(
+            [state for state in current.subs
+             if state.get("kind") != _RETIRED_SUB_KIND])
     else:
         engine = make_engine(None)
         version = 0
@@ -379,7 +380,7 @@ def recover(
                 f"{base_seq} — records are missing")
         report.truncated_bytes = replay.truncated_bytes
         for seq, record in replay.records:
-            if seq <= base_seq:
+            if seq <= base_seq or record.get("op") in _RETIRED_OPS:
                 report.skipped += 1
                 continue
             version, response = apply_record(engine, version, record, subs)

@@ -65,7 +65,6 @@ __all__ = [
     "parse_nwc",
     "parse_point",
     "parse_page",
-    "parse_radius",
     "parse_request_id",
     "parse_subscription",
     "parse_subscription_id",
@@ -261,7 +260,7 @@ def parse_subscription_id(payload: dict[str, Any],
     """The subscription id (``sub``) of a subscription frame.
 
     ``subscribe`` may omit it (the server then generates one and
-    returns it in the ack); ``unsubscribe``/``sub_track`` require it.
+    returns it in the ack); ``unsubscribe`` requires it.
     """
     sub = payload.get("sub")
     if sub is None:
@@ -298,23 +297,6 @@ def parse_subscription(payload: dict[str, Any]
             "width": query.width, "n": query.n,
             "measure": query.measure.value}
     return "nwc", spec, query, "exact"
-
-
-def parse_radius(payload: dict[str, Any], key: str) -> float:
-    """A shield-radius field of a ``sub_track`` request: the literal
-    strings ``"always"`` (+inf — every update of that kind re-gathers)
-    and ``"never"`` (-inf), or a finite non-negative number."""
-    raw = payload.get(key)
-    if raw == "always":
-        return math.inf
-    if raw == "never":
-        return -math.inf
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool) \
-            and math.isfinite(raw) and raw >= 0:
-        return float(raw)
-    raise ProtocolError(
-        f"field {key!r} must be 'always', 'never' or a finite "
-        f"non-negative number, got {raw!r}")
 
 
 def notify_frame(sub_id: str, kind: str, revision: int, version: int,

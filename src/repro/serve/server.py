@@ -320,7 +320,10 @@ class LineProtocolServer:
     the request skeleton itself (admission, deadline, slot, dedupe,
     cache, accounting), written once as three shapes: :meth:`_answer_query`
     for cached queries, :meth:`_write_op` for idempotent writes and
-    :meth:`_read_op` for uncached reads (DESIGN.md "Request pipeline").
+    :meth:`_read_op` for uncached reads (DESIGN.md "Request pipeline") —
+    and the ``subscribe``/``unsubscribe`` handlers over the standing-query
+    index, which differ between classes only in the :meth:`_log` and
+    :meth:`_evaluate_subscription` hooks.
 
     Subclasses — :class:`QueryServer` (one engine),
     :class:`~repro.shard.worker.ShardServer` (one shard) and
@@ -350,8 +353,8 @@ class LineProtocolServer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.engine: NWCEngine | None = None
         self.cache: ResultCache | None = None
-        #: Standing queries by id (anything with ``get(sub_id)``).
-        self.subs: Any = {}
+        #: Standing queries (recovered from the WAL on durable servers).
+        self.subs = SubscriptionIndex()
         self.durable: DurableState | None = None
         self.version = 0
         self._dedupe: OrderedDict[str, dict[str, Any]] = OrderedDict()
@@ -410,9 +413,6 @@ class LineProtocolServer:
             "Notifications not delivered (detached or slow subscriber)")
         self._m_sub_reevals = m.counter(
             "sub_reevals_total", "Standing queries re-evaluated by updates")
-        self._m_sub_hints = m.counter(
-            "sub_hints_total",
-            "Affected-subscription hints emitted to the coordinator")
         self._h_sub_reeval = m.histogram(
             "sub_reeval_seconds",
             "Subscription re-evaluation time per affecting update")
@@ -565,16 +565,10 @@ class LineProtocolServer:
         sub.conn = conn
         conn.subs.add(sub.sub_id)
 
-    def _live_sub(self, sub_id: str | None) -> Subscription | None:
-        """The registered standing query ``sub_id`` (a worker's shield
-        sentinels are the coordinator's, never a client's)."""
-        sub = self.subs.get(sub_id) if sub_id else None
-        return None if sub is None or sub.sentinel else sub
-
     def _reattach_replayed(self, ack: dict[str, Any]) -> None:
         """``subscribe``'s ``on_replay``: the retry of an acked subscribe
         re-attaches the (new) connection before the ack is replayed."""
-        existing = self._live_sub(ack.get("sub"))
+        existing = self.subs.get(ack.get("sub"))
         if existing is not None:
             self._attach_subscription(existing)
 
@@ -832,6 +826,78 @@ class LineProtocolServer:
         return self._scheduler.read
 
     # ------------------------------------------------------------------
+    # Subscription ops, shared over two hooks: _log, _evaluate_subscription
+    # ------------------------------------------------------------------
+    async def _log(self, record: dict[str, Any],
+                   request_id: str | None) -> None:
+        """Append one record to the WAL (no-op without one), stamped
+        with the client's request id so recovery rebuilds the dedupe
+        map."""
+        if request_id is not None:
+            record["req"] = request_id
+        if self.durable is not None:
+            await self._run(self.durable.wal.append, record)
+
+    async def _evaluate_subscription(self, sub: Subscription,
+                                     deadline: float
+                                     ) -> tuple[dict[str, Any], float, float]:
+        """One fresh evaluation of ``sub`` inside the write slot:
+        ``(result payload, insert_radius, delete_radius)`` — the exact
+        ``result`` a one-shot query op would return."""
+        raise NotImplementedError
+
+    async def _op_subscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
+        sub_id = protocol.parse_subscription_id(payload)
+        kind, spec, query, maintenance = protocol.parse_subscription(payload)
+
+        async def body(deadline, request_id):
+            existing = self.subs.get(sub_id)
+            if existing is not None:
+                return self._resume_subscription(existing)
+            sub = Subscription(
+                sub_id=sub_id or f"sub-{uuid.uuid4().hex[:16]}",
+                kind=kind, spec=spec, query=query,
+                maintenance=maintenance, qx=spec["x"], qy=spec["y"],
+                n=spec["n"])
+            # Same durability contract as updates: the registration
+            # is on disk before the ack leaves, and recovery replays
+            # it (re-evaluating at the same point in the record
+            # stream, so revisions continue rather than fork).
+            await self._log({"op": "subscribe", "sub": sub.sub_id,
+                             "kind": kind, **spec}, request_id)
+            sub.result, sub.insert_radius, sub.delete_radius = \
+                await self._evaluate_subscription(sub, deadline)
+            sub.revision = 1
+            sub.version = self.version
+            self.subs.add(sub)
+            self._attach_subscription(sub)
+            self._g_sub_active.set(len(self.subs))
+            return {"ok": True, "op": "subscribe", "sub": sub.sub_id,
+                    "kind": kind, "version": self.version, "revision": 1,
+                    "result": sub.result}
+
+        return await self._write_op(payload, "subscribe", body,
+                                    self._reattach_replayed)
+
+    async def _op_unsubscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
+        sub_id = protocol.parse_subscription_id(payload, required=True)
+
+        async def body(deadline, request_id):
+            # Logged even when the id is unknown: like no-op
+            # deletes, replay recomputes the same outcome and the
+            # dedupe map must remember every acknowledged id.
+            await self._log({"op": "unsubscribe", "sub": sub_id}, request_id)
+            removed = self.subs.remove(sub_id)
+            if removed is not None and removed.conn is not None:
+                removed.conn.subs.discard(sub_id)
+                removed.conn = None
+            self._g_sub_active.set(len(self.subs))
+            return {"ok": True, "op": "unsubscribe", "sub": sub_id,
+                    "removed": removed is not None, "version": self.version}
+
+        return await self._write_op(payload, "unsubscribe", body)
+
+    # ------------------------------------------------------------------
     # Generic ops
     # ------------------------------------------------------------------
     async def _op_metrics(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -1002,16 +1068,6 @@ class QueryServer(LineProtocolServer):
     # ------------------------------------------------------------------
     # Update ops
     # ------------------------------------------------------------------
-    async def _log(self, record: dict[str, Any],
-                   request_id: str | None) -> None:
-        """Append one record to the WAL (no-op on in-memory servers),
-        stamped with the client's request id so recovery rebuilds the
-        dedupe map."""
-        if request_id is not None:
-            record["req"] = request_id
-        if self.durable is not None:
-            await self._run(self.durable.wal.append, record)
-
     async def _op_insert(self, payload: dict[str, Any]) -> dict[str, Any]:
         obj = protocol.parse_point(payload)
 
@@ -1026,7 +1082,7 @@ class QueryServer(LineProtocolServer):
             self.cache.note_insert(obj.x, obj.y, self.version)
             response = {"ok": True, "op": "insert", "version": self.version,
                         "size": self.engine.tree.size}
-            await self._reconcile_subs("insert", obj.x, obj.y, response)
+            await self._reconcile_subs("insert", obj.x, obj.y)
             return response
 
         return await self._write_op(payload, "insert", body)
@@ -1049,7 +1105,7 @@ class QueryServer(LineProtocolServer):
             response = {"ok": True, "op": "delete", "version": self.version,
                         "deleted": deleted, "size": self.engine.tree.size}
             if deleted:
-                await self._reconcile_subs("delete", obj.x, obj.y, response)
+                await self._reconcile_subs("delete", obj.x, obj.y)
             return response
 
         return await self._write_op(payload, "delete", body)
@@ -1072,81 +1128,25 @@ class QueryServer(LineProtocolServer):
     # ------------------------------------------------------------------
     # Subscriptions (standing queries)
     # ------------------------------------------------------------------
-    async def _reconcile_subs(self, op: str, x: float, y: float,
-                              response: dict[str, Any]) -> None:
-        """Re-evaluate affected standing queries, push their ``notify``
-        frames and put the affected-sentinel hints on the ack; called
-        inside the exclusive write slot with the update applied and the
-        version bumped, so every changed answer is bit-identical to a
-        fresh query at ``self.version``."""
+    async def _reconcile_subs(self, op: str, x: float, y: float) -> None:
+        """Re-evaluate affected standing queries and push their
+        ``notify`` frames; called inside the exclusive write slot with
+        the update applied and the version bumped, so every changed
+        answer is bit-identical to a fresh query at ``self.version``."""
         if not len(self.subs):
             return
         start = time.perf_counter()
-        changed, hints, reevals = await self._run(
+        changed, reevals = await self._run(
             reconcile, self.subs, self.engine, op, x, y,
             self.engine.tree.size, self.version)
         if reevals:
             self._m_sub_reevals.inc(reevals)
             self._h_sub_reeval.observe(time.perf_counter() - start)
-        if hints:
-            self._m_sub_hints.inc(len(hints))
-            response["subs"] = hints
         self._push_notifications(changed)
 
-    def _register_subscription(self, sub: Subscription) -> None:
-        """Index + attach one evaluated subscription (write slot)."""
-        self.subs.add(sub)
-        self._attach_subscription(sub)
-        self._g_sub_active.set(len(self.subs))
-
-    async def _op_subscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
-        sub_id = protocol.parse_subscription_id(payload)
-        kind, spec, query, maintenance = protocol.parse_subscription(payload)
-
-        async def body(deadline, request_id):
-            existing = self._live_sub(sub_id)
-            if existing is not None:
-                return self._resume_subscription(existing)
-            sub = Subscription(
-                sub_id=sub_id or f"sub-{uuid.uuid4().hex[:16]}",
-                kind=kind, spec=spec, query=query,
-                maintenance=maintenance, qx=spec["x"], qy=spec["y"],
-                n=spec["n"])
-            # Same durability contract as updates: the registration
-            # is on disk before the ack leaves, and recovery replays
-            # it (re-evaluating at the same point in the record
-            # stream, so revisions continue rather than fork).
-            await self._log({"op": "subscribe", "sub": sub.sub_id,
-                             "kind": kind, **spec}, request_id)
-            sub.result, sub.insert_radius, sub.delete_radius = \
-                await self._run(evaluate_subscription, self.engine, sub)
-            sub.revision = 1
-            sub.version = self.version
-            self._register_subscription(sub)
-            return {"ok": True, "op": "subscribe", "sub": sub.sub_id,
-                    "kind": kind, "version": self.version, "revision": 1,
-                    "result": sub.result}
-
-        return await self._write_op(payload, "subscribe", body,
-                                    self._reattach_replayed)
-
-    async def _op_unsubscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
-        sub_id = protocol.parse_subscription_id(payload, required=True)
-
-        async def body(deadline, request_id):
-            # Logged even when the id is unknown: like no-op
-            # deletes, replay recomputes the same outcome and the
-            # dedupe map must remember every acknowledged id.
-            await self._log({"op": "unsubscribe", "sub": sub_id}, request_id)
-            removed = self.subs.remove(sub_id)
-            if removed is not None and removed.conn is not None:
-                removed.conn.subs.discard(sub_id)
-                removed.conn = None
-            self._g_sub_active.set(len(self.subs))
-            return {"ok": True, "op": "unsubscribe", "sub": sub_id,
-                    "removed": removed is not None, "version": self.version}
-
-        return await self._write_op(payload, "unsubscribe", body)
+    async def _evaluate_subscription(self, sub, deadline):
+        """One engine run on the executor."""
+        return await self._run(evaluate_subscription, self.engine, sub)
 
     # ------------------------------------------------------------------
     # Maintenance ops
@@ -1240,8 +1240,8 @@ class QueryServer(LineProtocolServer):
         "checkpoint": _op_checkpoint,
         "health": _op_health,
         "metrics": LineProtocolServer._op_metrics,
-        "subscribe": _op_subscribe,
-        "unsubscribe": _op_unsubscribe,
+        "subscribe": LineProtocolServer._op_subscribe,
+        "unsubscribe": LineProtocolServer._op_unsubscribe,
     }
 
 

@@ -34,16 +34,16 @@ exactness may send ``"partial": true`` on queries to accept merged
 results over the reachable shards (flagged ``"partial": true`` in the
 response and never cached).
 
-**Fleet subscriptions** (standing queries, see :mod:`repro.sub`) are
-coordinator-owned: ``subscribe`` evaluates through the scatter path,
-then registers a WAL-logged *shield sentinel* (geometry + shield radii,
-op ``sub_track``) on every worker.  Each update's fan-out acks carry
-the ids of the sentinels that update could affect — the workers'
-subscription indexes do the shield-radius pruning — and the coordinator
-re-gathers only that union under its write slot, pushing ``notify``
-frames that are bit-identical to re-querying at the new fleet version.
-A failed fan or failed sentinel re-sync degrades the next pass to
-re-evaluating every fleet subscription (delayed, never wrong).
+**Fleet subscriptions** (standing queries, see :mod:`repro.sub`) live
+in the coordinator's own :class:`~repro.sub.SubscriptionIndex`:
+``subscribe`` evaluates through the scatter path, and every applied
+update probes the index with the update's ``(x, y)`` and the fleet size
+— the same arguments the cache's shield check takes — then re-gathers
+only the subscriptions it names under the write slot, pushing
+``notify`` frames that are bit-identical to re-querying at the new
+fleet version.  Workers hold no subscription state.  A torn write or a
+failed re-evaluation degrades the next pass to re-evaluating every
+fleet subscription (delayed, never wrong).
 
 The coordinator is also the fleet's observability hub.  A sampled
 ``trace`` context on a query bypasses the cache, forwards a child
@@ -80,8 +80,7 @@ from ..serve.cache import ResultCache
 from ..serve.protocol import ProtocolError
 from ..serve.server import (DeadlineExceeded, LineProtocolServer, Refused,
                             ServeConfig, ServingThread)
-from ..sub import Subscription
-from ..sub.index import _encode_radius
+from ..sub import Subscription, advance
 from . import merge
 from .partition import ShardManifest
 
@@ -341,19 +340,15 @@ class ShardCoordinator(LineProtocolServer):
         ]
         self.size = 0
         self._size_known = False
-        # Fleet subscriptions (standing queries), coordinator-owned.
-        # There is no coordinator WAL: fleet subscriptions do not
+        # Fleet subscriptions (standing queries) live in the inherited
+        # SubscriptionIndex.  There is no coordinator WAL: they do not
         # survive a coordinator restart — clients resubscribe (their
-        # revision counters restart at 1).  Worker-side *sentinels* DO
-        # survive worker crashes (sub_track is WAL-logged); stale
-        # sentinels from a dead coordinator only cost spurious hints.
-        self.subs: dict[str, Subscription] = {}
-        # Set when an update's fan partially failed (shards may have
-        # applied while re-evaluation could not run) or a sentinel
-        # re-sync failed: the next reconcile pass degrades to
-        # re-evaluating EVERY fleet subscription instead of trusting
-        # the hint set, and clears the flag once a pass completes
-        # without failures.
+        # revision counters restart at 1).  The dirty flag is set when
+        # an update's fan partially failed (shards may have applied
+        # while re-evaluation could not run) or a re-evaluation failed:
+        # the next reconcile pass degrades to re-evaluating EVERY fleet
+        # subscription instead of probing the index, and clears the
+        # flag once a pass completes without failures.
         self._subs_dirty = False
         # Cache keys must never collide with a single-engine server's
         # (different pruning trajectories, same answers — but reason
@@ -705,7 +700,7 @@ class ShardCoordinator(LineProtocolServer):
                 # the dirty flag forces a full pass next update.  A
                 # deadline that passed on one target is the same torn
                 # write; the client still reads ``deadline_exceeded``.
-                if self.subs:
+                if len(self.subs):
                     self._subs_dirty = True
                 for error in failed.values():
                     if isinstance(error, DeadlineExceeded):
@@ -715,8 +710,8 @@ class ShardCoordinator(LineProtocolServer):
                     f"{op} reached {len(acks)}/{len(targets)} shard(s); "
                     f"{sorted(failed)} down")
             if insert or deleted:
-                self._push_notifications(
-                    await self._reconcile_fleet_subs(acks, deadline))
+                self._push_notifications(await self._reconcile_fleet_subs(
+                    op, obj.x, obj.y, deadline))
             response = {"ok": True, "op": op, "version": self.version,
                         "size": self.size, "shards": list(targets)}
             if not insert:
@@ -728,69 +723,41 @@ class ShardCoordinator(LineProtocolServer):
     # ------------------------------------------------------------------
     # Fleet subscriptions (standing queries)
     # ------------------------------------------------------------------
-    async def _evaluate_fleet_sub(self, sub: Subscription,
-                                  deadline: float | None
-                                  ) -> tuple[dict[str, Any], float, float]:
-        """One fresh scatter-gather evaluation of a fleet subscription:
-        ``(result payload, insert_radius, delete_radius)`` — the exact
-        ``result`` a one-shot query op would return.  Raises
-        :class:`ShardCallError` when any shard is unreachable (a
-        partial answer must never be pushed as a notification)."""
+    async def _evaluate_subscription(self, sub: Subscription,
+                                     deadline: float | None
+                                     ) -> tuple[dict[str, Any], float, float]:
+        """One fresh scatter-gather evaluation of a fleet subscription.
+        Refuses (``shard_unavailable``) when any shard is unreachable:
+        a partial answer must never be pushed as a notification.  The
+        window/maintenance checks of the query ops run here too, since
+        the shared ``subscribe`` handler has no coordinator parse step."""
+        self._check_exact(sub.maintenance)
+        self._check_window(sub.query if sub.kind == "nwc" else sub.query.base)
         answer, radii, _accesses, _meta, failed = await self._evaluate(
             sub.kind, sub.query, deadline)
         if failed:
-            raise ShardCallError(failed[0], "unavailable",
-                                 "subscription re-evaluation")
+            raise Refused("shard_unavailable",
+                          f"cannot evaluate subscription: shard(s) "
+                          f"{sorted(failed)} unreachable")
         return answer, *radii
 
-    async def _fan_sub_track(self, sub: Subscription,
-                             deadline: float | None) -> list[int]:
-        """Upsert ``sub``'s shield sentinel on every shard worker (the
-        shield disk is not band-local, so every worker tracks every
-        fleet subscription).  Returns the shards that stayed
-        unreachable; one shared request id makes link retries
-        idempotent against each worker's WAL dedupe."""
-        _acks, failed = await self._fan_all(
-            {"op": "sub_track", "sub": sub.sub_id,
-             "x": sub.qx, "y": sub.qy, "n": sub.n,
-             "ins": _encode_radius(sub.insert_radius),
-             "del": _encode_radius(sub.delete_radius),
-             "req": f"coord-{uuid.uuid4().hex[:20]}"}, deadline)
-        return sorted(failed)
-
-    async def _fan_sub_untrack(self, sub_id: str,
-                               deadline: float | None) -> None:
-        """Best-effort sentinel removal — a sentinel that survives on
-        an unreachable worker only produces hints the coordinator
-        ignores (the id is no longer in ``self.subs``)."""
-        await self._fan_all(
-            {"op": "sub_untrack", "sub": sub_id,
-             "req": f"coord-{uuid.uuid4().hex[:20]}"}, deadline)
-
-    async def _reconcile_fleet_subs(self, acks: dict[int, dict[str, Any]],
+    async def _reconcile_fleet_subs(self, op: str, x: float, y: float,
                                     deadline: float | None
                                     ) -> list[Subscription]:
         """Bring fleet subscriptions up to date after an applied update
-        (inside the exclusive write slot, version already bumped).
-
-        Trusts the union of the workers' affected-sentinel ``subs``
-        hints — each worker's :class:`~repro.sub.SubscriptionIndex`
-        already did the shield-radius pruning — unless the dirty flag
-        forces a full pass.  Every re-evaluation failure (or failed
-        sentinel re-sync after a radii change) re-arms the dirty flag:
-        correctness degrades to *delayed*, never to *wrong*."""
-        if not self.subs:
+        (inside the exclusive write slot, version and size already
+        advanced): probe the index with the update, or take every
+        subscription when the dirty flag is set.  A failed
+        re-evaluation re-arms the flag: correctness degrades to
+        *delayed*, never to *wrong*."""
+        if not len(self.subs):
             return []
-        hinted: set[str] = set()
-        for ack in acks.values():
-            hinted.update(ack.get("subs", ()))
         if self._subs_dirty:
-            todo = list(self.subs.values())
+            todo = list(self.subs.subscriptions())
+        elif op == "insert":
+            todo = self.subs.affected_insert(x, y)
         else:
-            todo = [self.subs[sub_id] for sub_id in sorted(hinted)
-                    if sub_id in self.subs]
-        if hinted:
-            self._m_sub_hints.inc(len(hinted))
+            todo = self.subs.affected_delete(x, y, self.size)
         if not todo:
             return []
         start = time.perf_counter()
@@ -798,84 +765,16 @@ class ShardCoordinator(LineProtocolServer):
         dirty = False
         for sub in todo:
             try:
-                payload, insert_radius, delete_radius = \
-                    await self._evaluate_fleet_sub(sub, deadline)
-            except (ShardCallError, DeadlineExceeded):
+                evaluation = await self._evaluate_subscription(sub, deadline)
+            except (Refused, DeadlineExceeded):
                 dirty = True
                 continue
             self._m_sub_reevals.inc()
-            sub.version = self.version
-            if payload != sub.result:
-                radii_changed = (insert_radius != sub.insert_radius
-                                 or delete_radius != sub.delete_radius)
-                sub.result = payload
-                sub.revision += 1
-                sub.insert_radius = insert_radius
-                sub.delete_radius = delete_radius
+            if advance(self.subs, sub, self.version, evaluation):
                 changed.append(sub)
-                if radii_changed and await self._fan_sub_track(sub, deadline):
-                    dirty = True
         self._subs_dirty = dirty
         self._h_sub_reeval.observe(time.perf_counter() - start)
         return changed
-
-    async def _op_subscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
-        sub_id = protocol.parse_subscription_id(payload)
-        kind, spec, query, maintenance = protocol.parse_subscription(payload)
-        self._check_exact(maintenance)
-        self._check_window(query if kind == "nwc" else query.base)
-
-        async def body(deadline, request_id):
-            existing = self._live_sub(sub_id)
-            if existing is not None:
-                return self._resume_subscription(existing)
-            sub = Subscription(
-                sub_id=sub_id or f"sub-{uuid.uuid4().hex[:16]}",
-                kind=kind, spec=spec, query=query,
-                maintenance=maintenance, qx=spec["x"], qy=spec["y"],
-                n=spec["n"])
-            try:
-                sub.result, sub.insert_radius, sub.delete_radius = \
-                    await self._evaluate_fleet_sub(sub, deadline)
-            except ShardCallError as exc:
-                raise Refused("shard_unavailable",
-                              f"cannot evaluate subscription: {exc}") from exc
-            sub.revision = 1
-            sub.version = self.version
-            failed = await self._fan_sub_track(sub, deadline)
-            if failed:
-                # Registration is all-or-nothing: a worker without
-                # the sentinel would silently stop hinting.  Roll
-                # the sentinels back and refuse.
-                await self._fan_sub_untrack(sub.sub_id, deadline)
-                raise Refused(
-                    "shard_unavailable",
-                    f"sentinel registration failed on shard(s) {failed}")
-            self.subs[sub.sub_id] = sub
-            self._attach_subscription(sub)
-            self._g_sub_active.set(len(self.subs))
-            return {"ok": True, "op": "subscribe", "sub": sub.sub_id,
-                    "kind": kind, "version": self.version, "revision": 1,
-                    "result": sub.result}
-
-        return await self._write_op(payload, "subscribe", body,
-                                    self._reattach_replayed)
-
-    async def _op_unsubscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
-        sub_id = protocol.parse_subscription_id(payload, required=True)
-
-        async def body(deadline, request_id):
-            removed = self.subs.pop(sub_id, None)
-            if removed is not None:
-                if removed.conn is not None:
-                    removed.conn.subs.discard(sub_id)
-                    removed.conn = None
-                await self._fan_sub_untrack(sub_id, deadline)
-            self._g_sub_active.set(len(self.subs))
-            return {"ok": True, "op": "unsubscribe", "sub": sub_id,
-                    "removed": removed is not None, "version": self.version}
-
-        return await self._write_op(payload, "unsubscribe", body)
 
     # ------------------------------------------------------------------
     # Maintenance ops
@@ -950,8 +849,8 @@ class ShardCoordinator(LineProtocolServer):
         "knwc": _op_knwc,
         "insert": _op_insert,
         "delete": _op_delete,
-        "subscribe": _op_subscribe,
-        "unsubscribe": _op_unsubscribe,
+        "subscribe": LineProtocolServer._op_subscribe,
+        "unsubscribe": LineProtocolServer._op_unsubscribe,
         "checkpoint": _op_checkpoint,
         "health": _op_health,
         "metrics": _op_metrics,

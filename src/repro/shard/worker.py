@@ -21,7 +21,9 @@ cache instead.  Everything else — the plain query ops, update ops with
 WAL-before-apply durability, request-id dedupe, checkpointing, drain —
 is inherited unchanged, so one shard worker is operationally identical
 to a single-engine server (PR 7's supervisor restarts it with its WAL
-intact).
+intact).  Fleet subscriptions are not among that state: the
+coordinator indexes them itself from the updates it routes, so a
+worker's WAL and checkpoints hold only its slice of the dataset.
 
 At boot the worker mmap-loads its shard page file as a read-only
 :class:`~repro.index.FlatRTree` (zero-copy: replicas of the same shard
@@ -40,8 +42,6 @@ from ..index import FlatRTree, load_tree
 from ..serve import protocol
 from ..serve.durability import DurabilityConfig, recover
 from ..serve.server import QueryServer, ServeConfig
-from ..sub import subscription_from_record
-from ..sub.index import _encode_radius
 from .partition import ShardManifest
 
 __all__ = ["ShardServer", "build_shard_server", "make_shard_engine"]
@@ -85,10 +85,8 @@ def make_shard_engine(
 class ShardServer(QueryServer):
     """A query server bound to one shard of a :class:`ShardManifest`."""
 
-    _OPS = QueryServer._OPS + ("nwc_scatter", "knwc_pool",
-                               "sub_track", "sub_untrack")
-    _LATENCY_OPS = QueryServer._LATENCY_OPS + ("nwc_scatter", "knwc_pool",
-                                               "sub_track", "sub_untrack")
+    _OPS = QueryServer._OPS + ("nwc_scatter", "knwc_pool")
+    _LATENCY_OPS = QueryServer._LATENCY_OPS + ("nwc_scatter", "knwc_pool")
 
     def __init__(self, engine: NWCEngine, manifest: ShardManifest,
                  shard_index: int, config: ServeConfig | None = None,
@@ -161,47 +159,6 @@ class ShardServer(QueryServer):
         return await self._read_op(payload, "knwc_pool", body, ctx)
 
     # ------------------------------------------------------------------
-    # Sentinel tracking (coordinator-owned fleet subscriptions)
-    # ------------------------------------------------------------------
-    async def _op_sub_track(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Upsert one *shield sentinel*: the geometry + shield radii of
-        a fleet subscription the coordinator owns.  Sentinels never
-        evaluate anything on the worker — they only make update acks
-        carry ``subs`` hints (see ``_reconcile_subs``), so the
-        coordinator re-gathers exactly the standing queries an update
-        could have changed.  WAL-logged like any update: a worker that
-        is ``kill -9``-ed mid-burst recovers its sentinels and keeps
-        hinting."""
-        sub_id = protocol.parse_subscription_id(payload, required=True)
-        record = {"op": "sub_track", "sub": sub_id,
-                  "x": protocol._number(payload, "x"),
-                  "y": protocol._number(payload, "y"),
-                  "n": protocol._integer(payload, "n", 1),
-                  "ins": _encode_radius(protocol.parse_radius(payload, "ins")),
-                  "del": _encode_radius(protocol.parse_radius(payload, "del"))}
-
-        async def body(deadline, request_id):
-            await self._log(record, request_id)
-            self.subs.add(subscription_from_record(record))
-            self._g_sub_active.set(len(self.subs))
-            return {"ok": True, "op": "sub_track", "sub": sub_id,
-                    "version": self.version}
-
-        return await self._write_op(payload, "sub_track", body)
-
-    async def _op_sub_untrack(self, payload: dict[str, Any]) -> dict[str, Any]:
-        sub_id = protocol.parse_subscription_id(payload, required=True)
-
-        async def body(deadline, request_id):
-            await self._log({"op": "sub_untrack", "sub": sub_id}, request_id)
-            removed = self.subs.remove(sub_id)
-            self._g_sub_active.set(len(self.subs))
-            return {"ok": True, "op": "sub_untrack", "sub": sub_id,
-                    "removed": removed is not None, "version": self.version}
-
-        return await self._write_op(payload, "sub_untrack", body)
-
-    # ------------------------------------------------------------------
     # Inherited ops, shard-aware
     # ------------------------------------------------------------------
     async def _op_health(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -231,8 +188,6 @@ class ShardServer(QueryServer):
         **QueryServer._HANDLERS,
         "nwc_scatter": _op_nwc_scatter,
         "knwc_pool": _op_knwc_pool,
-        "sub_track": _op_sub_track,
-        "sub_untrack": _op_sub_untrack,
         "health": _op_health,
     }
 

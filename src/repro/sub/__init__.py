@@ -18,18 +18,24 @@ grid cell (plus the always-invalidated set) instead of walking every
 standing query.
 
 :func:`reconcile` is the single maintenance step shared by the live
-server, the shard worker and WAL replay — which is what makes
-revisions *recoverable*: replaying the log re-runs the exact same
-re-evaluations, so a ``kill -9`` cannot fork revision history.
+server and WAL replay — which is what makes revisions *recoverable*:
+replaying the log re-runs the exact same re-evaluations, so a
+``kill -9`` cannot fork revision history.  A shard coordinator keeps
+fleet subscriptions in its own index, probes it with the ``(x, y)`` of
+every update it routes, and stores each scatter-gather re-evaluation
+through the same per-subscription :func:`advance` step; shard workers
+hold no subscription state for it.
 """
 
 from .index import DEFAULT_CELL_SIZE, Subscription, SubscriptionIndex
-from .runtime import evaluate_subscription, reconcile, subscription_from_record
+from .runtime import (advance, evaluate_subscription, reconcile,
+                      subscription_from_record)
 
 __all__ = [
     "DEFAULT_CELL_SIZE",
     "Subscription",
     "SubscriptionIndex",
+    "advance",
     "evaluate_subscription",
     "reconcile",
     "subscription_from_record",

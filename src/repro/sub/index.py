@@ -59,18 +59,16 @@ class Subscription:
 
     Attributes:
         sub_id: Wire identifier (``sub`` field of the frames).
-        kind: ``"nwc"`` or ``"knwc"``; shard workers additionally hold
-            ``"shield"`` *sentinels* — coordinator-owned subscriptions
-            tracked only for their geometry, never evaluated locally.
+        kind: ``"nwc"`` or ``"knwc"``.
         spec: The wire fields that re-parse into ``query`` (this is
             what the WAL ``subscribe`` record and the checkpoint
             pointer store).
         query: Parsed :class:`~repro.core.NWCQuery` /
-            :class:`~repro.core.KNWCQuery` (``None`` for sentinels).
+            :class:`~repro.core.KNWCQuery`.
         maintenance: kNWC maintenance mode (``exact``/``paper``).
         qx, qy: Query point (shield disk center).
         n: Group size (the delete size-flip guard).
-        result: Serialized current answer (``None`` for sentinels).
+        result: Serialized current answer.
         revision: Monotone answer counter; 1 at registration, +1 per
             answer change.  Never reset — recovery replays the same
             re-evaluations, so it continues across ``kill -9``.
@@ -94,10 +92,6 @@ class Subscription:
     insert_radius: float = _ALWAYS
     delete_radius: float = _ALWAYS
     conn: Any = None
-
-    @property
-    def sentinel(self) -> bool:
-        return self.kind == "shield"
 
     def to_state(self) -> dict[str, Any]:
         """The JSON-safe persistent form (checkpoint pointer entry)."""
@@ -130,8 +124,8 @@ class Subscription:
             maintenance=maintenance, qx=qx, qy=qy, n=n,
             result=state.get("result"),
             revision=int(state["revision"]), version=int(state["version"]),
-            insert_radius=_parse_radius(state["ins"]),
-            delete_radius=_parse_radius(state["del"]),
+            insert_radius=_decode_radius(state["ins"]),
+            delete_radius=_decode_radius(state["del"]),
         )
 
 
@@ -144,7 +138,7 @@ def _encode_radius(radius: float) -> float | str:
     return radius
 
 
-def _parse_radius(raw: Any) -> float:
+def _decode_radius(raw: Any) -> float:
     if raw == "always":
         return _ALWAYS
     if raw == "never":

@@ -3,12 +3,15 @@
 :func:`reconcile` is the one maintenance step every code path shares:
 the live server calls it inside the exclusive write slot right after an
 update applies (so notifications are bit-identical to a fresh query at
-that dataset version), shard workers call the same function to produce
-affected-sentinel hints for the coordinator, and WAL replay calls it
-record-by-record during recovery — which is exactly why revisions
-continue across ``kill -9`` instead of forking: the replayed
-re-evaluations are the same deterministic computations the live server
-performed.
+that dataset version), and WAL replay calls it record-by-record during
+recovery — which is exactly why revisions continue across ``kill -9``
+instead of forking: the replayed re-evaluations are the same
+deterministic computations the live server performed.
+
+:func:`advance` is the per-subscription half of that step — store one
+fresh evaluation, bump the revision on a change, rebucket — and is also
+what a shard coordinator runs after each scatter-gather re-evaluation
+of its own (engine-less) index.
 
 The :mod:`repro.serve.protocol` imports are deliberately lazy: the
 serve package imports :mod:`repro.sub` (durability restores
@@ -19,9 +22,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from .index import Subscription, SubscriptionIndex, _parse_radius
+from .index import Subscription, SubscriptionIndex
 
 __all__ = [
+    "advance",
     "evaluate_subscription",
     "parse_spec",
     "reconcile",
@@ -31,18 +35,11 @@ __all__ = [
 
 def parse_spec(kind: str, spec: dict[str, Any],
                maintenance: str) -> tuple[Any, float, float, int]:
-    """Parse a subscription ``spec`` into ``(query, qx, qy, n)``.
-
-    ``shield`` sentinels carry only geometry (no query object); real
-    subscriptions re-parse through the wire parsers, so a spec that
-    came off the WAL is validated exactly like a live request.
-    """
+    """Parse a subscription ``spec`` into ``(query, qx, qy, n)``
+    through the wire parsers, so a spec that came off the WAL is
+    validated exactly like a live request."""
     from ..serve import protocol
 
-    if kind == "shield":
-        return (None, protocol._number(spec, "x"),
-                protocol._number(spec, "y"),
-                protocol._integer(spec, "n", 1))
     if kind == "nwc":
         query = protocol.parse_nwc(spec)
         return query, query.qx, query.qy, query.n
@@ -77,71 +74,59 @@ def evaluate_subscription(engine: Any,
 
 
 def subscription_from_record(record: dict[str, Any]) -> Subscription:
-    """Build the :class:`Subscription` a WAL ``subscribe`` /
-    ``sub_track`` record describes (revision 0 — the caller evaluates
-    or restores the answer state)."""
-    op = record.get("op")
+    """Build the :class:`Subscription` a WAL ``subscribe`` record
+    describes (revision 0 — the caller evaluates or restores the answer
+    state)."""
     sub_id = record.get("sub")
     if not isinstance(sub_id, str) or not sub_id:
-        raise ValueError(f"{op} record without a subscription id")
-    if op == "sub_track":
-        kind = "shield"
-    elif op == "subscribe":
-        kind = str(record.get("kind", "nwc"))
-    else:
-        raise ValueError(f"not a subscription record: op {op!r}")
+        raise ValueError("subscribe record without a subscription id")
+    kind = str(record.get("kind", "nwc"))
     spec = {key: value for key, value in record.items()
-            if key not in ("op", "sub", "kind", "req", "ins", "del")}
+            if key not in ("op", "sub", "kind", "req")}
     maintenance = str(spec.get("maintenance", "exact"))
     query, qx, qy, n = parse_spec(kind, spec, maintenance)
-    sub = Subscription(sub_id=sub_id, kind=kind, spec=spec, query=query,
-                       maintenance=maintenance, qx=qx, qy=qy, n=n)
-    if op == "sub_track":
-        sub.insert_radius = _parse_radius(record["ins"])
-        sub.delete_radius = _parse_radius(record["del"])
-    return sub
+    return Subscription(sub_id=sub_id, kind=kind, spec=spec, query=query,
+                        maintenance=maintenance, qx=qx, qy=qy, n=n)
+
+
+def advance(index: SubscriptionIndex, sub: Subscription, version: int,
+            evaluation: tuple[dict[str, Any], float, float]) -> bool:
+    """Store one fresh ``evaluation`` (``(payload, insert_radius,
+    delete_radius)``, made at dataset ``version``) on ``sub``.  Returns
+    whether the answer changed — then the payload and radii are stored,
+    ``revision`` is bumped and the subscription rebucketed (the caller
+    pushes the ``notify`` frame)."""
+    payload, insert_radius, delete_radius = evaluation
+    sub.version = version
+    if payload == sub.result:
+        return False
+    sub.result = payload
+    sub.revision += 1
+    sub.insert_radius = insert_radius
+    sub.delete_radius = delete_radius
+    index.rebucket(sub)
+    return True
 
 
 def reconcile(index: SubscriptionIndex, engine: Any, op: str,
               x: float, y: float, new_size: int,
-              version: int) -> tuple[list[Subscription], list[str], int]:
+              version: int) -> tuple[list[Subscription], int]:
     """Bring every subscription the update can affect up to date.
 
     Called with the update already applied (dataset at ``version``) and
     the caller holding whatever makes engine access exclusive — the
     write slot on a live server, nothing during single-threaded replay.
 
-    Returns ``(changed, hints, reevals)``:
-
-    * ``changed`` — subscriptions whose answer changed: result, radii
-      and bucketing updated, ``revision`` bumped (the caller pushes the
-      ``notify`` frames);
-    * ``hints`` — sorted ids of affected *sentinels* (shard workers
-      return these to the coordinator, which re-gathers only them);
-    * ``reevals`` — evaluations actually run (the incrementality
-      metric).
+    Returns ``(changed, reevals)``: the subscriptions whose answer
+    changed (see :func:`advance`; the caller pushes their ``notify``
+    frames) and the evaluations actually run (the incrementality
+    metric).
     """
     if op == "insert":
         affected = index.affected_insert(x, y)
     else:
         affected = index.affected_delete(x, y, new_size)
-    changed: list[Subscription] = []
-    hints: list[str] = []
-    reevals = 0
-    for sub in affected:
-        if sub.sentinel:
-            hints.append(sub.sub_id)
-            continue
-        payload, insert_radius, delete_radius = \
-            evaluate_subscription(engine, sub)
-        reevals += 1
-        sub.version = version
-        if payload != sub.result:
-            sub.result = payload
-            sub.revision += 1
-            sub.insert_radius = insert_radius
-            sub.delete_radius = delete_radius
-            index.rebucket(sub)
-            changed.append(sub)
-    hints.sort()
-    return changed, hints, reevals
+    changed = [sub for sub in affected
+               if advance(index, sub, version,
+                          evaluate_subscription(engine, sub))]
+    return changed, len(affected)

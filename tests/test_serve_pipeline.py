@@ -47,17 +47,13 @@ def _payloads(tmp_path) -> dict[str, dict]:
         "delete": dict(_POINT),
         "subscribe": dict(_QUERY, sub="conformance"),
         "unsubscribe": {"sub": "conformance"},
-        "sub_track": {"sub": "sentinel", "x": 500.0, "y": 500.0, "n": 2,
-                      "ins": "always", "del": 75.0},
-        "sub_untrack": {"sub": "sentinel"},
         "snapshot": {"path": str(tmp_path / "snapshot.tree")},
         "checkpoint": {},
     }
 
 
 #: The ops that run through ``_write_op`` (idempotent under ``req``).
-WRITE_OPS = ("insert", "delete", "subscribe", "unsubscribe",
-             "sub_track", "sub_untrack")
+WRITE_OPS = ("insert", "delete", "subscribe", "unsubscribe")
 
 
 class _LoopbackLink:
@@ -201,8 +197,7 @@ def test_repeated_request_id_replays_the_stored_ack(kind, op, tmp_path):
     async def scenario(server, send):
         # Give removals something to remove, so the replayed ack is
         # distinguishable from a fresh no-op.
-        setup = {"delete": "insert", "unsubscribe": "subscribe",
-                 "sub_untrack": "sub_track"}.get(op)
+        setup = {"delete": "insert", "unsubscribe": "subscribe"}.get(op)
         if setup is not None:
             assert (await send(setup))["ok"] is True
         version = server.version
@@ -220,7 +215,7 @@ def test_repeated_request_id_replays_the_stored_ack(kind, op, tmp_path):
         assert server.version == applied
         assert applied - version == (1 if op in ("insert", "delete") else 0)
         assert server._m_deduped.value == deduped + 1
-        if op in ("delete", "unsubscribe", "sub_untrack"):
+        if op in ("delete", "unsubscribe"):
             assert first["deleted" if op == "delete" else "removed"] is True
 
     _drive(kind, tmp_path, scenario)
@@ -245,3 +240,18 @@ def test_engine_runs_observe_query_seconds(kind, ops, tmp_path):
                 assert histogram.count == 1
 
     _drive(kind, tmp_path, scenario)
+
+
+def test_worker_answers_retired_sub_track_as_unknown(tmp_path):
+    """A worker has no ``sub_track`` op (the coordinator indexes fleet
+    subscriptions itself): ``bad_request``, counted once as unknown."""
+    async def scenario(server, send):
+        before = _count(server, "unknown", "bad_request")
+        response = await server._handle_line(protocol.encode_line(
+            {"op": "sub_track", "sub": "sentinel", "x": 500.0, "y": 500.0,
+             "n": 2, "ins": "always", "del": 75.0}))
+        assert response["error"]["code"] == "bad_request"
+        assert "unknown op" in response["error"]["message"]
+        assert _count(server, "unknown", "bad_request") == before + 1
+
+    _drive("ShardServer", tmp_path, scenario)

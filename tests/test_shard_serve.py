@@ -224,15 +224,23 @@ def test_shard_metric_families_exported(fleet):
 
 
 def test_window_longer_than_halo_is_rejected(fleet):
-    with pytest.raises(RemoteError) as excinfo:
-        fleet.client.nwc(500.0, 500.0, L * 10, W, 2)
-    assert excinfo.value.code == "bad_request"
+    for op in ("nwc", "subscribe"):
+        with pytest.raises(RemoteError) as excinfo:
+            fleet.client.call({"op": op, "x": 500.0, "y": 500.0,
+                               "length": L * 10, "width": W, "n": 2})
+        assert excinfo.value.code == "bad_request"
+    assert fleet.client.health()["subscriptions"] == 0
 
 
 def test_non_exact_maintenance_is_rejected(fleet):
-    with pytest.raises(RemoteError) as excinfo:
-        fleet.client.knwc(500.0, 500.0, L, W, 2, 2, maintenance="lazy")
-    assert excinfo.value.code == "bad_request"
+    for op in ("knwc", "subscribe"):
+        for maintenance in ("lazy", "paper"):
+            with pytest.raises(RemoteError) as excinfo:
+                fleet.client.call({"op": op, "x": 500.0, "y": 500.0,
+                                   "length": L, "width": W, "n": 2, "k": 2,
+                                   "maintenance": maintenance})
+            assert excinfo.value.code == "bad_request"
+    assert fleet.client.health()["subscriptions"] == 0
 
 
 def test_n_exceeding_dataset_size_short_circuits(fleet):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import NWCEngine, NWCQuery, Scheme
 from repro.geometry import PointObject
-from repro.index import RStarTree
+from repro.index import RStarTree, save_tree
 from repro.serve import (
     ConnectionLostError,
     DurabilityConfig,
@@ -154,6 +154,69 @@ class TestRecovery:
         assert durable2.subs.get("s1") is None
         assert len(durable2.subs) == 0
         durable2.close()
+
+    def test_state_with_retired_shield_sentinels_recovers(self, tmp_path):
+        """Shard workers used to hold a coordinator's fleet subscriptions
+        as *shield sentinels*: ``sub_track``/``sub_untrack`` WAL records
+        and ``kind: "shield"`` checkpoint entries.  Recovery drops both;
+        the tree, the version and the client subscription come out as
+        if they had never been written."""
+        state_dir = tmp_path / "state"
+        _engine, durable = _boot(state_dir)
+        subscribe = {"op": "subscribe", "sub": "s1", "kind": "nwc",
+                     "x": QUERY.qx, "y": QUERY.qy, "length": QUERY.length,
+                     "width": QUERY.width, "n": QUERY.n}
+        sentinel = {"op": "sub_track", "sub": "fleet-1", "x": QUERY.qx,
+                    "y": QUERY.qy, "n": QUERY.n, "ins": "always",
+                    "del": 75.0, "req": "coord-track-1"}
+        head = [("insert", PointObject(9001 + i, 299.0 + i, 300.0))
+                for i in range(3)]
+        durable.wal.append(subscribe)
+        durable.wal.append(sentinel)
+        for op, obj in head:
+            durable.wal.append({"op": op, "oid": obj.oid, "x": obj.x,
+                                "y": obj.y})
+        durable.close()
+
+        # A checkpoint whose pointer also lists the sentinel, as the
+        # worker's SubscriptionIndex.to_state() wrote it.
+        engine, durable = _boot(state_dir)
+        seq, version = durable.wal.last_seq, durable.recovery.version
+        path = durable.state.checkpoint_path(seq)
+        save_tree(engine.tree, path)
+        shield_state = {"sub": "fleet-1", "kind": "shield",
+                        "spec": {"x": QUERY.qx, "y": QUERY.qy,
+                                 "n": QUERY.n},
+                        "revision": 0, "version": 0, "ins": "always",
+                        "del": 75.0}
+        durable.state.write_current(os.path.basename(path), seq, version,
+                                    durable.dedupe,
+                                    durable.subs.to_state() + [shield_state])
+        durable.wal.compact(seq, version)
+        tail = [("insert", PointObject(9004, 302.0, 300.0)),
+                ("delete", PointObject(9001, 299.0, 300.0))]
+        durable.wal.append({"op": "sub_track", "sub": "fleet-2",
+                            "x": 10.0, "y": 10.0, "n": 2, "ins": 5.0,
+                            "del": "never", "req": "coord-track-2"})
+        for op, obj in tail:
+            durable.wal.append({"op": op, "oid": obj.oid, "x": obj.x,
+                                "y": obj.y})
+            durable.wal.append({"op": "sub_untrack", "sub": "fleet-1",
+                                "req": f"coord-untrack-{obj.oid}"})
+        durable.close()
+
+        recovered, durable = _boot(state_dir)
+        updates = head + tail
+        twin, expected_revision, expected_result = _twin_replay(updates)
+        assert recovered.tree.size == twin.tree.size == len(POINTS) + 3
+        assert durable.recovery.version == len(updates)
+        assert [sub.sub_id for sub in durable.subs.subscriptions()] == ["s1"]
+        copy = durable.subs.get("s1")
+        assert copy.revision == expected_revision >= 2
+        assert copy.result == expected_result
+        assert copy.result == protocol.serialize_nwc(recovered.nwc(QUERY))
+        assert not any(req.startswith("coord-") for req in durable.dedupe)
+        durable.close()
 
 
 # ----------------------------------------------------------------------

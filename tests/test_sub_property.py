@@ -71,7 +71,7 @@ def test_single_engine_no_false_negatives(seed):
             engine.insert(obj)
             live.append(obj)
         version += 1
-        _changed, _hints, reevals = reconcile(
+        _changed, reevals = reconcile(
             index, engine, op, obj.x, obj.y, engine.tree.size, version)
         reeval_total += reevals
         # The invariant: every maintained answer equals a fresh
