@@ -64,7 +64,7 @@ from .core import (
 from .datasets import ca_like, gaussian, ny_like, uniform
 from .eval import EXPERIMENTS, FIGURES, format_table, pivot_by_scheme, save_csv
 from .grid import DensityGrid
-from .index import IWPIndex, RStarTree
+from .index import RStarTree
 from .obs import (
     DEFAULT_WORK_BUCKETS,
     MetricsRegistry,
@@ -89,9 +89,11 @@ def _make_engine(args: argparse.Namespace, *, tracer=None, metrics=None,
                  tree: RStarTree | None = None) -> NWCEngine:
     """Build an engine for ``args`` with the scheme's DEP/IWP structures.
 
-    Schemes whose flags ask for density-grid or pointer-index support get
-    those structures built here, so single-query commands exercise the
-    same optimizations as the experiment sweeps.
+    Schemes whose flags ask for density-grid support get the grid built
+    here, so single-query commands exercise the same optimizations as
+    the experiment sweeps; the engine builds the pointer index its
+    execution mode reads (``FlatIWP`` when columnar, ``IWPIndex``
+    otherwise).
 
     With ``tree`` given (a recovered checkpoint instead of a fresh bulk
     load), the dataset still provides the extent and query-pool
@@ -108,9 +110,8 @@ def _make_engine(args: argparse.Namespace, *, tracer=None, metrics=None,
     grid = None
     if flags.dep:
         grid = DensityGrid.build(dataset.points, dataset.extent, 25.0)
-    iwp = IWPIndex(tree) if flags.iwp else None
     engine = NWCEngine(
-        tree, scheme, grid=grid, iwp=iwp, extent=dataset.extent,
+        tree, scheme, grid=grid, extent=dataset.extent,
         execution=execution, tracer=tracer, metrics=metrics,
     )
     if recovered and grid is not None:

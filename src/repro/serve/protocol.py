@@ -56,8 +56,10 @@ from ..obs.context import TraceContext
 __all__ = [
     "ERROR_CODES",
     "MAINTENANCE_MODES",
+    "EncodedResult",
     "decode_line",
     "encode_line",
+    "encode_result",
     "error_response",
     "group_from_payload",
     "parse_bound",
@@ -97,9 +99,51 @@ class ProtocolError(ValueError):
     """A request the server cannot interpret (maps to ``bad_request``)."""
 
 
+#: The one encoder of every line: compact separators, sorted keys.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
+class EncodedResult(dict):
+    """A ``result`` payload that carries its own wire text.
+
+    Built once by :func:`encode_result` when an answer is computed; to
+    every in-process reader it is the plain payload dict, while
+    :func:`encode_line` splices :attr:`wire` into a response instead of
+    re-encoding the answer — so a cache hit serves stored bytes.  Treat
+    it as immutable: the text is not refreshed on mutation.
+    """
+
+    __slots__ = ("wire",)
+
+
+def encode_result(payload: dict[str, Any]) -> EncodedResult:
+    """``payload`` with its wire text attached (encoded once, here)."""
+    result = EncodedResult(payload)
+    result.wire = _ENCODER.encode(payload)
+    return result
+
+
 def encode_line(obj: dict[str, Any]) -> bytes:
-    """One NDJSON line: compact separators, sorted keys (deterministic)."""
-    return (json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n").encode()
+    """One NDJSON line: compact separators, sorted keys (deterministic).
+
+    An :class:`EncodedResult` under ``result`` is spliced in as its
+    stored text between the keys that sort before and after it; the
+    line equals the ``json.dumps`` of the plain dict byte for byte.
+    """
+    result = obj.get("result")
+    if type(result) is not EncodedResult:
+        return (_ENCODER.encode(obj) + "\n").encode()
+    head: dict[str, Any] = {}
+    tail: dict[str, Any] = {}
+    for key, value in obj.items():
+        if key < "result":
+            head[key] = value
+        elif key != "result":
+            tail[key] = value
+    text = '"result":' + result.wire
+    text = (_ENCODER.encode(head)[:-1] + "," if head else "{") + text
+    text += "," + _ENCODER.encode(tail)[1:] if tail else "}"
+    return (text + "\n").encode()
 
 
 def decode_line(line: bytes) -> dict[str, Any]:

@@ -110,32 +110,47 @@ CONN_QUEUE_LIMIT = 1024
 
 
 class _Connection:
-    """One client connection's outbound side: a FIFO frame queue
-    drained by a dedicated sender task.
+    """One client connection's outbound side: frames written inline
+    when nothing is ahead of them, else a FIFO frame queue drained by a
+    dedicated sender task.
 
-    Request responses and push notifications share the queue, so their
-    relative order on the wire is exactly their enqueue order — and
-    because notifications are enqueued inside the exclusive write slot,
-    a subscriber can never observe a notification reordered against an
-    ack it raced with.  ``send`` never blocks the caller: a consumer
-    whose queue overflows (:data:`CONN_QUEUE_LIMIT`) is marked closed
-    and dropped instead of back-pressuring the write path.
+    Request responses and push notifications share one order on the
+    wire — exactly their ``send`` order: a frame is written straight to
+    the transport only when no frame is queued, the sender is not
+    waiting in a drain and the transport's write buffer is empty, and
+    is queued behind the others otherwise.  Because notifications are
+    sent inside the exclusive write slot, a subscriber can never
+    observe a notification reordered against an ack it raced with.
+    ``send`` never blocks the caller: a consumer whose queue overflows
+    (:data:`CONN_QUEUE_LIMIT`) is marked closed and dropped instead of
+    back-pressuring the write path.
     """
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self._writer = writer
+        self._transport = writer.transport
         self._queue: asyncio.Queue[dict[str, Any] | None] = \
             asyncio.Queue(maxsize=CONN_QUEUE_LIMIT)
+        #: The sender has written a frame and not finished its drain.
+        self._writing = False
         self.closed = False
         #: Ids of subscriptions attached to this connection.
         self.subs: set[str] = set()
         self._sender = asyncio.get_running_loop().create_task(self._drain())
 
     def send(self, frame: dict[str, Any]) -> bool:
-        """Enqueue one outbound frame; ``False`` when the connection is
-        closed or too far behind (the frame is then dropped)."""
+        """Write or enqueue one outbound frame; ``False`` when the
+        connection is closed or too far behind (the frame is then
+        dropped)."""
         if self.closed:
             return False
+        # A closing transport drops writes silently: such frames take
+        # the queue, whose drain notices the loss and closes ``self``.
+        if (not self._writing and self._queue.empty()
+                and not self._transport.get_write_buffer_size()
+                and not self._transport.is_closing()):
+            self._writer.write(protocol.encode_line(frame))
+            return True
         try:
             self._queue.put_nowait(frame)
         except asyncio.QueueFull:
@@ -148,12 +163,15 @@ class _Connection:
             frame = await self._queue.get()
             if frame is None:
                 break
+            self._writing = True
             try:
                 self._writer.write(protocol.encode_line(frame))
                 await self._writer.drain()
             except (ConnectionError, OSError):
                 self.closed = True
                 break
+            finally:
+                self._writing = False
 
     async def aclose(self) -> None:
         """Flush queued frames (up to a close sentinel) and close."""
@@ -732,7 +750,7 @@ class LineProtocolServer:
                             key: tuple, qx: float, qy: float, n: int,
                             evaluate: Callable) -> dict[str, Any]:
         """A cached query: trace context → admit → cache lookup →
-        deadline → slot → ``evaluate`` → cache fill → latency.
+        deadline → slot → ``evaluate`` → encode → cache fill → latency.
 
         ``await evaluate(deadline, ctx)`` runs inside the slot (``ctx``
         is the sampled trace context or ``None``) and returns ``(answer,
@@ -760,6 +778,9 @@ class LineProtocolServer:
                 self._refresh_pressure_gauges()
                 version = self.version  # stable while the slot is held
                 answer, radii, extras = await evaluate(deadline, ctx)
+            # Encoded once: this response and every later hit send the
+            # stored text (see protocol.EncodedResult).
+            answer = protocol.encode_result(answer)
             if radii is not None:
                 self.cache.put(key, version, answer, qx, qy, n, *radii)
                 self._g_cache_entries.set(len(self.cache))
