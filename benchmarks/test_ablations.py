@@ -1,8 +1,8 @@
 """Ablation benches for design choices called out in DESIGN.md.
 
-* DEP grid implementation: the cumulative-count table grid, its frozen
-  alias and the 2x2 pyramid — identical answers, different CPU cost;
-  the paper's I/O metric is unaffected.
+* DEP grid implementation: the cumulative-count table grid and its
+  frozen alias — identical answers, different CPU cost; the paper's I/O
+  metric is unaffected.
 * kNWC maintenance: the paper's Steps 1-5 vs the exact greedy buffer.
 * Tree construction: STR bulk load vs dynamic R* inserts — query I/O
   of the resulting trees should be in the same ballpark.
@@ -17,7 +17,7 @@ import pytest
 from repro.core import KNWCQuery, NWCEngine, NWCQuery, Scheme
 from repro.datasets import ny_like
 from repro.geometry import Rect
-from repro.grid import DensityGrid, HierarchicalDensityGrid, PrefixSumDensityGrid
+from repro.grid import DensityGrid, PrefixSumDensityGrid
 from repro.index import RStarTree
 from repro.workloads import data_biased_query_points
 
@@ -48,19 +48,6 @@ class TestGridAblation:
 
         io_prefix = benchmark(run)
         assert io_prefix == io_plain  # identical pruning decisions
-
-    def test_hierarchical_grid_same_io(self, benchmark, dataset, tree):
-        plain = DensityGrid.build(dataset.points, dataset.extent, 25.0)
-        pyramid = HierarchicalDensityGrid.build(dataset.points, dataset.extent, 25.0)
-        (qx, qy) = data_biased_query_points(dataset, 1, seed=3)[0]
-        query = NWCQuery(qx, qy, 40, 40, 8)
-        io_plain = NWCEngine(tree, Scheme.DEP, grid=plain).nwc(query).node_accesses
-
-        def run():
-            return NWCEngine(tree, Scheme.DEP, grid=pyramid).nwc(query).node_accesses
-
-        io_pyramid = benchmark(run)
-        assert io_pyramid == io_plain  # identical pruning decisions
 
 
 class TestKnwcMaintenanceAblation:

@@ -2,11 +2,9 @@
 
 from .aggregate import SubtreeCountIndex
 from .density import DensityGrid, PrefixSumDensityGrid
-from .hierarchy import HierarchicalDensityGrid
 
 __all__ = [
     "DensityGrid",
-    "HierarchicalDensityGrid",
     "PrefixSumDensityGrid",
     "SubtreeCountIndex",
 ]

@@ -2,19 +2,19 @@
 
 Entries are keyed on the full query description — kind, location,
 window, ``n``, measure, kNWC parameters and the engine's optimization
-flags — and carry the dataset version they were computed at.  A lookup
-only hits when the entry's version matches the server's current
-version, so staleness is impossible by construction; the interesting
-part is what happens on updates.
+flags.  The cache tracks the dataset version it was last reconciled to,
+and a lookup only hits at that version, so staleness is impossible by
+construction; the interesting part is what happens on updates.
 
-Every :meth:`ResultCache.put` records two *shield radii* derived from
-the cached answer (see :func:`repro.serve.protocol.shield_radii_nwc`).
-When the dataset changes, :meth:`note_insert`/:meth:`note_delete` walk
-the live entries once: an entry whose radius strictly excludes the
-updated location is *carried forward* to the new version (its cached
-answer provably equals what the engine would recompute), everything
-else is evicted.  Entries without a usable bound get an infinite
-radius — the per-entry fallback to full invalidation.
+Every :meth:`ResultCache.put` files the entry, with two *shield radii*
+derived from its answer (:func:`repro.serve.protocol.shield_radii_nwc`),
+in a :class:`repro.sub.SubscriptionIndex` — the shield index standing
+queries use.  On an update, :meth:`note_insert`/:meth:`note_delete`
+probe it: the entries it names are evicted, and every other entry is
+*carried forward* to the new version without being visited (its
+cached answer provably equals what the engine would recompute).
+Entries without a usable bound get an infinite radius — the per-entry
+fallback to full invalidation.
 
 Eviction is LRU with an optional TTL; both exist for hygiene (bounded
 memory, bounded staleness of *metadata* like stats), not correctness.
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
 from ..obs.metrics import MetricsRegistry
+from ..sub.index import SubscriptionIndex
 
 __all__ = ["CacheStats", "ResultCache"]
 
@@ -45,8 +46,8 @@ _EVENTS = ("hit", "miss", "expired", "invalidated", "carried", "evicted")
 
 @dataclass(slots=True)
 class _Entry:
+    key: Hashable
     payload: dict[str, Any]
-    version: int
     expires_at: float
     qx: float
     qy: float
@@ -98,6 +99,9 @@ class ResultCache:
         self.ttl_s = ttl_s
         self._clock = clock
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
+        self._shields: SubscriptionIndex[_Entry] = SubscriptionIndex()
+        #: The dataset version every live entry is valid at.
+        self._version = 0
         self.hits = 0
         self.misses = 0
         self.expired = 0
@@ -131,21 +135,21 @@ class ResultCache:
     def get(self, key: Hashable, version: int) -> dict[str, Any] | None:
         """The cached payload for ``key`` at ``version``, or ``None``.
 
-        A version mismatch evicts the entry (it can never hit again —
-        versions only grow), an expired TTL likewise; both count as
-        misses.
+        A lookup at any version but the one the cache was last
+        reconciled to evicts the entry (it is not known valid there), an
+        expired TTL likewise; both count as misses.
         """
         entry = self._entries.get(key)
         if entry is None:
             self._record("miss")
             return None
-        if entry.version != version:
-            del self._entries[key]
+        if version != self._version:
+            self._drop(key)
             self._record("invalidated")
             self._record("miss")
             return None
         if entry.expires_at <= self._clock():
-            del self._entries[key]
+            self._drop(key)
             self._record("expired")
             self._record("miss")
             return None
@@ -166,6 +170,11 @@ class ResultCache:
     ) -> None:
         """Store one answer computed at ``version``.
 
+        An answer older than the cache's version is not stored (it could
+        never hit).  A newer one means updates the cache was never told
+        about: everything it holds is invalidated and it adopts
+        ``version``.
+
         Args:
             qx, qy: Query location the shield radii are measured from.
             n: The query's group size (guards the delete-below-``n``
@@ -174,16 +183,23 @@ class ResultCache:
                 entry (``+inf`` = any insert, ``-inf`` = none).
             delete_radius: Same for deletes.
         """
-        if self.max_entries == 0:
+        if self.max_entries == 0 or version < self._version:
             return
+        if version > self._version:
+            self._reconcile(set(self._entries), version)
         expires = math.inf if self.ttl_s is None else self._clock() + self.ttl_s
-        self._entries[key] = _Entry(
-            payload, version, expires, qx, qy, n, insert_radius, delete_radius
-        )
+        entry = _Entry(key, payload, expires, qx, qy, n, insert_radius,
+                       delete_radius)
+        self._entries[key] = entry
         self._entries.move_to_end(key)
+        self._shields.add(entry)
         while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+            self._shields.remove(self._entries.popitem(last=False)[0])
             self._record("evicted")
+
+    def _drop(self, key: Hashable) -> None:
+        del self._entries[key]
+        self._shields.remove(key)
 
     # ------------------------------------------------------------------
     # Update-aware invalidation
@@ -194,7 +210,7 @@ class ResultCache:
         Entries whose insert shield strictly excludes the new object are
         carried forward to ``new_version``; the rest are evicted.
         """
-        self._reconcile(x, y, new_version, use_insert=True, new_size=None)
+        self._reconcile(self._shields.affected(x, y, "insert"), new_version)
 
     def note_delete(self, x: float, y: float, new_version: int,
                     new_size: int) -> None:
@@ -206,36 +222,15 @@ class ResultCache:
         ``"n exceeds dataset size"`` reason, which the cached payload
         does not carry.
         """
-        self._reconcile(x, y, new_version, use_insert=False, new_size=new_size)
+        self._reconcile(self._shields.affected(x, y, "delete", new_size),
+                        new_version)
 
-    def _reconcile(self, x: float, y: float, new_version: int,
-                   use_insert: bool, new_size: int | None) -> None:
-        dropped: list[Hashable] = []
-        carried = 0
-        for key, entry in self._entries.items():
-            radius = entry.insert_radius if use_insert else entry.delete_radius
-            if new_size is not None and entry.n > new_size:
-                dropped.append(key)
-                continue
-            if radius == -math.inf:
-                entry.version = new_version
-                carried += 1
-                continue
-            if math.hypot(x - entry.qx, y - entry.qy) > radius:
-                entry.version = new_version
-                carried += 1
-            else:
-                dropped.append(key)
+    def _reconcile(self, dropped: set[Hashable], new_version: int) -> None:
         for key in dropped:
-            del self._entries[key]
-        self._record("carried", carried)
+            self._drop(key)
+        self._version = new_version
+        self._record("carried", len(self._entries))
         self._record("invalidated", len(dropped))
-
-    def invalidate_all(self) -> None:
-        """Drop every entry (the whole-cache fallback)."""
-        count = len(self._entries)
-        self._entries.clear()
-        self._record("invalidated", count)
 
     # ------------------------------------------------------------------
     # Introspection

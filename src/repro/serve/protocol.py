@@ -454,8 +454,8 @@ def shield_radii_nwc(query: NWCQuery, result: NWCResult) -> tuple[float, float]:
     is invalidated by any insert (a new object anywhere can create the
     first qualified window) but by no delete (removing objects can never
     create a window; the size-threshold ``reason`` flip is handled by
-    the cache's ``min n`` check, see
-    :meth:`repro.serve.cache.ResultCache.note_delete`).
+    the delete probe's ``n > new_size`` rule, see
+    :meth:`repro.sub.SubscriptionIndex.affected`).
     """
     if result.found and math.isfinite(result.distance):
         radius = result.distance + 2.0 * query.diagonal

@@ -7,9 +7,9 @@ its answer, and pushes a ``notify`` frame — the fresh result plus a
 monotonically increasing ``revision`` — over the subscriber's
 connection whenever the answer actually changed.
 
-The subsystem is incremental by the same geometric argument the serve
-cache (PR 4) uses for invalidation: an update at ``u`` provably cannot
-change an answer with best distance ``d`` unless
+The subsystem is incremental by the same geometric argument, and the
+same index, the serve cache uses for invalidation: an update at ``u``
+provably cannot change an answer with best distance ``d`` unless
 ``dist(q, u) <= d + 2·diagonal`` (see
 :func:`repro.serve.protocol.shield_radii_nwc`).
 :class:`SubscriptionIndex` buckets every live subscription into a

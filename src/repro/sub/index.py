@@ -1,12 +1,14 @@
-"""The standing-query registry: shield-radius bucketing.
+"""The shield-radius index, shared by standing queries and the cache.
 
-Every live subscription carries the *shield radii* of its current
-answer (:func:`repro.serve.protocol.shield_radii_nwc` /
-``shield_radii_knwc``): an update strictly farther from the query point
-than the radius provably cannot change the answer.  The index exploits
-that bound spatially — each subscription is bucketed into the coarse
+Every live subscription — and every result cache line
+(:class:`repro.serve.cache.ResultCache` keeps its entries in an
+instance of this index, keyed on the query key) — carries the *shield
+radii* of its current answer (:func:`repro.serve.protocol.shield_radii_nwc`
+/ ``shield_radii_knwc``): an update strictly farther from the query
+point than the radius provably cannot change the answer.  The index
+exploits that bound spatially — each item is bucketed into the coarse
 grid cells its shield disk overlaps, so probing an update costs one
-cell lookup instead of a scan over every subscription:
+cell lookup instead of a scan over every item:
 
 * finite radii → the cells covering the square circumscribing the
   shield disk of radius ``max(insert_radius, delete_radius)``;
@@ -18,14 +20,14 @@ cell lookup instead of a scan over every subscription:
 
 Probing is deliberately two-stage: :meth:`SubscriptionIndex.probe`
 returns the coarse candidate set (cell ∪ always), and
-``affected_insert``/``affected_delete`` apply the exact
+:meth:`~SubscriptionIndex.affected` applies the exact
 ``dist(q, u) <= radius`` test on those candidates.  Deletes carry one
-extra, non-geometric hazard: dropping the dataset below a
-subscription's ``n`` flips its answer to "n exceeds dataset size"
-*wherever* the deleted object was — mirrored from the cache's ``min
-n`` check by the ``n > new_size`` sweep (guarded by the running
-maximum ``n``, so it costs nothing until the dataset actually shrinks
-near it).
+extra, non-geometric hazard: dropping the dataset below an item's
+``n`` flips its answer to "n exceeds dataset size" *wherever* the
+deleted object was — caught by the ``n > new_size`` sweep (guarded by
+the running maximum ``n``, so it costs nothing until the dataset
+actually shrinks near it).  This module is the only place that test
+and those rules are written.
 
 ``naive=True`` turns both probes into "everything" — the
 re-evaluate-all baseline the benchmark's incrementality gate compares
@@ -35,8 +37,8 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any, Generic, Hashable, Iterator, TypeVar
 
 __all__ = ["DEFAULT_CELL_SIZE", "Subscription", "SubscriptionIndex"]
 
@@ -51,6 +53,8 @@ MAX_CELLS_PER_SUB = 4096
 
 _ALWAYS = math.inf
 _NEVER = -math.inf
+
+T = TypeVar("T")
 
 
 @dataclass(slots=True)
@@ -92,6 +96,11 @@ class Subscription:
     insert_radius: float = _ALWAYS
     delete_radius: float = _ALWAYS
     conn: Any = None
+
+    @property
+    def key(self) -> str:
+        """The index key: ``sub_id``."""
+        return self.sub_id
 
     def to_state(self) -> dict[str, Any]:
         """The JSON-safe persistent form (checkpoint pointer entry)."""
@@ -152,20 +161,15 @@ def _decode_radius(raw: Any) -> float:
     return value
 
 
-@dataclass(slots=True)
-class _Placement:
-    """Where one subscription currently sits in the index."""
+class SubscriptionIndex(Generic[T]):
+    """Spatial registry of shielded items (see module docstring).
 
-    cells: tuple[tuple[int, int], ...] = ()
-    always_insert: bool = False
-    always_delete: bool = False
-
-
-class SubscriptionIndex:
-    """Spatial registry of live subscriptions (see module docstring).
+    An item exposes ``key``, ``qx``, ``qy``, ``n``, ``insert_radius``
+    and ``delete_radius``: a :class:`Subscription` (keyed on
+    ``sub_id``) or a result cache line (keyed on its query key).
 
     Not thread-safe by itself: the server mutates it only under the
-    exclusive write slot, the same discipline the result cache rides.
+    exclusive write slot, or from the event-loop thread for the cache.
     """
 
     def __init__(self, cell_size: float = DEFAULT_CELL_SIZE,
@@ -173,14 +177,15 @@ class SubscriptionIndex:
         if not (cell_size > 0 and math.isfinite(cell_size)):
             raise ValueError("cell_size must be positive and finite")
         self.cell_size = cell_size
-        #: ``True`` degrades every probe to "all subscriptions" — the
+        #: ``True`` degrades every probe to "all items" — the
         #: benchmark's re-evaluate-everything baseline.
         self.naive = naive
-        self._subs: dict[str, Subscription] = {}
-        self._cells: dict[tuple[int, int], set[str]] = {}
-        self._always_insert: set[str] = set()
-        self._always_delete: set[str] = set()
-        self._placement: dict[str, _Placement] = {}
+        self._items: dict[Hashable, T] = {}
+        self._cells: dict[tuple[int, int], set[Hashable]] = {}
+        self._always_insert: set[Hashable] = set()
+        self._always_delete: set[Hashable] = set()
+        #: key -> the grid cells it is bucketed in.
+        self._placement: dict[Hashable, tuple[tuple[int, int], ...]] = {}
         self._n_counts: dict[int, int] = {}
         self._max_n = 0
 
@@ -188,52 +193,54 @@ class SubscriptionIndex:
     # Registry
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._subs)
+        return len(self._items)
 
-    def __contains__(self, sub_id: str) -> bool:
-        return sub_id in self._subs
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._items
 
-    def get(self, sub_id: str) -> Subscription | None:
-        return self._subs.get(sub_id)
+    def get(self, key: Hashable) -> T | None:
+        return self._items.get(key)
 
-    def subscriptions(self) -> Iterator[Subscription]:
-        """All live subscriptions, in registration order."""
-        return iter(self._subs.values())
+    def subscriptions(self) -> Iterator[T]:
+        """All live items, in registration order."""
+        return iter(self._items.values())
 
     @property
     def cell_count(self) -> int:
         return len(self._cells)
 
-    def add(self, sub: Subscription) -> None:
-        """Register (or replace — same ``sub_id``) a subscription."""
-        if sub.sub_id in self._subs:
-            self.remove(sub.sub_id)
-        self._subs[sub.sub_id] = sub
-        self._n_counts[sub.n] = self._n_counts.get(sub.n, 0) + 1
-        self._max_n = max(self._max_n, sub.n)
-        self._place(sub)
+    def add(self, item: T) -> None:
+        """Register (or replace — same key) an item."""
+        key = item.key
+        if key in self._items:
+            self.remove(key)
+        self._items[key] = item
+        self._n_counts[item.n] = self._n_counts.get(item.n, 0) + 1
+        self._max_n = max(self._max_n, item.n)
+        self._place(key, item)
 
-    def remove(self, sub_id: str) -> Subscription | None:
-        """Drop a subscription; returns it, or ``None`` if unknown."""
-        sub = self._subs.pop(sub_id, None)
-        if sub is None:
+    def remove(self, key: Hashable) -> T | None:
+        """Drop an item; returns it, or ``None`` if unknown."""
+        item = self._items.pop(key, None)
+        if item is None:
             return None
-        self._displace(sub_id)
-        count = self._n_counts[sub.n] - 1
+        self._displace(key)
+        count = self._n_counts[item.n] - 1
         if count:
-            self._n_counts[sub.n] = count
+            self._n_counts[item.n] = count
         else:
-            del self._n_counts[sub.n]
-            if sub.n == self._max_n:
+            del self._n_counts[item.n]
+            if item.n == self._max_n:
                 self._max_n = max(self._n_counts, default=0)
-        return sub
+        return item
 
-    def rebucket(self, sub: Subscription) -> None:
-        """Re-place a subscription after its shield radii changed (its
+    def rebucket(self, item: T) -> None:
+        """Re-place an item after its shield radii changed (its
         answer — and therefore its protective disk — moved)."""
-        assert sub.sub_id in self._subs
-        self._displace(sub.sub_id)
-        self._place(sub)
+        key = item.key
+        assert key in self._items
+        self._displace(key)
+        self._place(key, item)
 
     # ------------------------------------------------------------------
     # Placement
@@ -241,122 +248,113 @@ class SubscriptionIndex:
     def _cell_of(self, x: float, y: float) -> tuple[int, int]:
         return (math.floor(x / self.cell_size), math.floor(y / self.cell_size))
 
-    def _covering(self, sub: Subscription,
+    def _covering(self, item: T,
                   radius: float) -> tuple[tuple[int, int], ...] | None:
         """Cells overlapping the shield square, or ``None`` when the
         disk is too large to bucket economically."""
-        x0, y0 = self._cell_of(sub.qx - radius, sub.qy - radius)
-        x1, y1 = self._cell_of(sub.qx + radius, sub.qy + radius)
+        x0, y0 = self._cell_of(item.qx - radius, item.qy - radius)
+        x1, y1 = self._cell_of(item.qx + radius, item.qy + radius)
         if (x1 - x0 + 1) * (y1 - y0 + 1) > MAX_CELLS_PER_SUB:
             return None
         return tuple((ix, iy)
                      for ix in range(x0, x1 + 1)
                      for iy in range(y0, y1 + 1))
 
-    def _place(self, sub: Subscription) -> None:
-        placement = _Placement(
-            always_insert=sub.insert_radius == _ALWAYS,
-            always_delete=sub.delete_radius == _ALWAYS,
-        )
-        finite = [r for r in (sub.insert_radius, sub.delete_radius)
-                  if math.isfinite(r)]
-        if finite:
-            cells = self._covering(sub, max(finite))
-            if cells is None:
-                # Too large to bucket: degrade to always-invalidate for
-                # whichever operations had the finite radius (strictly
-                # conservative — never a missed probe).
-                placement.always_insert |= math.isfinite(sub.insert_radius)
-                placement.always_delete |= math.isfinite(sub.delete_radius)
-            else:
-                placement.cells = cells
-                for cell in cells:
-                    self._cells.setdefault(cell, set()).add(sub.sub_id)
-        if placement.always_insert:
-            self._always_insert.add(sub.sub_id)
-        if placement.always_delete:
-            self._always_delete.add(sub.sub_id)
-        self._placement[sub.sub_id] = placement
+    def _place(self, key: Hashable, item: T) -> None:
+        radii = (item.insert_radius, item.delete_radius)
+        finite = [r for r in radii if math.isfinite(r)]
+        cells = self._covering(item, max(finite)) if finite else ()
+        for radius, always in zip(radii, (self._always_insert,
+                                          self._always_delete)):
+            # A disk too large to bucket (no cells) degrades to the
+            # always set for its operation: strictly conservative —
+            # never a missed probe.
+            if radius == _ALWAYS or (cells is None and math.isfinite(radius)):
+                always.add(key)
+        self._placement[key] = cells = cells or ()
+        for cell in cells:
+            self._cells.setdefault(cell, set()).add(key)
 
-    def _displace(self, sub_id: str) -> None:
-        placement = self._placement.pop(sub_id)
-        for cell in placement.cells:
+    def _displace(self, key: Hashable) -> None:
+        for cell in self._placement.pop(key):
             bucket = self._cells.get(cell)
             if bucket is not None:
-                bucket.discard(sub_id)
+                bucket.discard(key)
                 if not bucket:
                     del self._cells[cell]
-        self._always_insert.discard(sub_id)
-        self._always_delete.discard(sub_id)
+        self._always_insert.discard(key)
+        self._always_delete.discard(key)
 
     # ------------------------------------------------------------------
     # Probing
     # ------------------------------------------------------------------
-    def probe(self, x: float, y: float, op: str) -> set[str]:
-        """Coarse candidate set for an update at ``(x, y)``: the ids in
+    def probe(self, x: float, y: float, op: str) -> set[Hashable]:
+        """Coarse candidate set for an update at ``(x, y)``: the keys in
         the update's grid cell plus the op's always set.  Conservative:
-        a superset of every subscription the update can affect."""
+        a superset of every item the update can affect."""
         if op not in ("insert", "delete"):
             raise ValueError(f"unknown update op {op!r}")
         if self.naive:
-            return set(self._subs)
+            return set(self._items)
         candidates = set(self._cells.get(self._cell_of(x, y), ()))
         candidates |= (self._always_insert if op == "insert"
                        else self._always_delete)
         return candidates
 
-    def affected_insert(self, x: float, y: float) -> list[Subscription]:
-        """Subscriptions an insert at ``(x, y)`` may affect (exact
-        shield test applied on the probed candidates)."""
-        if self.naive:
-            return list(self._subs.values())
-        affected = []
-        for sub_id in sorted(self.probe(x, y, "insert")):
-            sub = self._subs[sub_id]
-            if self._within(x, y, sub, sub.insert_radius):
-                affected.append(sub)
-        return affected
-
-    def affected_delete(self, x: float, y: float,
-                        new_size: int) -> list[Subscription]:
-        """Subscriptions a delete at ``(x, y)`` may affect: the shield
-        test on the probed candidates, plus every subscription whose
-        ``n`` now exceeds ``new_size`` (its answer flips to the
+    def affected(self, x: float, y: float, op: str,
+                 new_size: int | None = None) -> set[Hashable]:
+        """Keys of the items an update at ``(x, y)`` may affect, in no
+        particular order: the exact shield test on the probed
+        candidates, plus — for a delete leaving ``new_size`` objects —
+        every item whose ``n`` now exceeds it (its answer flips to the
         size-threshold reason regardless of geometry)."""
+        candidates = self.probe(x, y, op)
         if self.naive:
-            return list(self._subs.values())
-        candidates = self.probe(x, y, "delete")
-        if new_size < self._max_n:
+            return candidates
+        if op == "delete" and new_size < self._max_n:
             # The dataset shrank below the largest live n: sweep for
             # size flips.  Rare by construction (the guard is the max).
-            candidates = set(candidates)
-            candidates.update(sub_id for sub_id, sub in self._subs.items()
-                              if sub.n > new_size)
-        affected = []
-        for sub_id in sorted(candidates):
-            sub = self._subs[sub_id]
-            if (sub.n > new_size
-                    or self._within(x, y, sub, sub.delete_radius)):
-                affected.append(sub)
-        return affected
+            candidates.update(key for key, item in self._items.items()
+                              if item.n > new_size)
+        return {key for key in candidates
+                if self._within(x, y, self._items[key], op, new_size)}
+
+    def affected_insert(self, x: float, y: float) -> list[T]:
+        """The items an insert at ``(x, y)`` may affect, in key order
+        (naive: every item, in registration order)."""
+        return self._in_key_order(self.affected(x, y, "insert"))
+
+    def affected_delete(self, x: float, y: float, new_size: int) -> list[T]:
+        """Same for a delete that leaves ``new_size`` objects."""
+        return self._in_key_order(self.affected(x, y, "delete", new_size))
+
+    def _in_key_order(self, keys: set[Hashable]) -> list[T]:
+        # Re-evaluation order is part of the WAL replay contract: the
+        # live server and recovery must walk subscriptions identically.
+        if self.naive:
+            return list(self._items.values())
+        return [self._items[key] for key in sorted(keys)]
 
     @staticmethod
-    def _within(x: float, y: float, sub: Subscription,
-                radius: float) -> bool:
+    def _within(x: float, y: float, item: Any, op: str,
+                new_size: int | None) -> bool:
+        if op == "delete" and item.n > new_size:
+            return True
+        radius = item.insert_radius if op == "insert" else item.delete_radius
         if radius == _ALWAYS:
             return True
         if radius == _NEVER:
             return False
         # Non-strict: the shield argument only protects answers from
         # strictly farther updates (ties could flip oid tie-breaking).
-        return math.hypot(x - sub.qx, y - sub.qy) <= radius
+        return math.hypot(x - item.qx, y - item.qy) <= radius
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def to_state(self) -> list[dict[str, Any]]:
         """Persistent form of every subscription (checkpoint pointer)."""
-        return [sub.to_state() for sub in self._subs.values()]
+        return [sub.to_state() for sub in self._items.values()]
 
     @classmethod
     def from_state(cls, states: list[dict[str, Any]],

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.index import RStarTree
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
 from repro.serve.cache import ResultCache
+from repro.sub.index import SubscriptionIndex
 from tests.conftest import make_uniform_points
 
 
@@ -114,13 +116,6 @@ class TestTargetedInvalidation:
         _put(cache, "a", n=5, delete_radius=protocol.NEVER_INVALIDATE)
         cache.note_delete(1e9, 1e9, new_version=1, new_size=4)
         assert cache.get("a", 1) is None
-
-    def test_invalidate_all(self):
-        cache = ResultCache()
-        _put(cache, "a")
-        _put(cache, "b")
-        cache.invalidate_all()
-        assert len(cache) == 0 and cache.stats().invalidated == 2
 
     def test_metrics_layer_serve(self):
         reg = MetricsRegistry()
@@ -297,3 +292,211 @@ class TestShieldSoundnessRandomized:
                 carried += 1
                 assert kept == protocol.serialize_nwc(engine.nwc(query))
         assert carried > 0  # far-away queries must survive one update
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_carried_knwc_entries_match_recomputation(self, seed):
+        from repro.geometry import PointObject
+
+        rng = random.Random(2000 + seed)
+        points = make_uniform_points(150, span=800.0, seed=190 + seed)
+        engine = NWCEngine(RStarTree.bulk_load(list(points), max_entries=16),
+                           Scheme.NWC_STAR)
+        queries = [KNWCQuery.make(rng.uniform(0, 800), rng.uniform(0, 800),
+                                  60, 60, 2, 2, 1) for _ in range(12)]
+        cache = ResultCache()
+        for i, query in enumerate(queries):
+            result = engine.knwc(query)
+            ins, dele = protocol.shield_radii_knwc(query, result)
+            cache.put(i, 0, protocol.serialize_knwc(result),
+                      query.base.qx, query.base.qy, query.base.n, ins, dele)
+        if rng.random() < 0.5:
+            obj = PointObject(99_999, rng.uniform(0, 800), rng.uniform(0, 800))
+            engine.insert(obj)
+            cache.note_insert(obj.x, obj.y, 1)
+        else:
+            victim = rng.choice(points)
+            assert engine.delete(victim)
+            cache.note_delete(victim.x, victim.y, 1, engine.tree.size)
+        carried = 0
+        for i, query in enumerate(queries):
+            kept = cache.get(i, 1)
+            if kept is not None:
+                carried += 1
+                assert kept == protocol.serialize_knwc(engine.knwc(query))
+        assert carried > 0
+
+
+class TestCacheVersion:
+    """The cache holds answers at one version: the one it was last
+    reconciled to."""
+
+    def test_put_older_than_the_cache_is_not_stored(self):
+        cache = ResultCache()
+        cache.note_insert(1e9, 1e9, new_version=2)
+        _put(cache, "a", version=1)
+        assert len(cache) == 0
+
+    def test_put_newer_than_the_cache_invalidates_what_it_holds(self):
+        # Updates the cache was never told about: nothing it holds is
+        # known valid at the newer version.
+        cache = ResultCache()
+        _put(cache, "a", version=0)
+        _put(cache, "b", version=5)
+        assert cache.get("a", 5) is None
+        assert cache.get("b", 5) == {"k": "b"}
+        assert cache.stats().invalidated == 1
+
+
+class _LinearCache:
+    """The reference rule, one walk over every live entry per update:
+    an entry is carried iff ``n <= new_size`` and the update lies
+    strictly outside its shield radius; LRU and TTL as in the cache."""
+
+    def __init__(self, max_entries, ttl_s, clock):
+        self.max_entries, self.ttl_s, self.clock = max_entries, ttl_s, clock
+        self.entries = OrderedDict()  # key -> (expires_at, qx, qy, n, ins, del)
+        self.counts = dict.fromkeys(
+            ("hits", "misses", "expired", "invalidated", "carried",
+             "evicted"), 0)
+
+    def get(self, key):
+        entry = self.entries.get(key)
+        if entry is None:
+            self.counts["misses"] += 1
+        elif entry[0] <= self.clock():
+            del self.entries[key]
+            self.counts["expired"] += 1
+            self.counts["misses"] += 1
+        else:
+            self.entries.move_to_end(key)
+            self.counts["hits"] += 1
+
+    def put(self, key, qx, qy, n, ins, dele):
+        self.entries[key] = (self.clock() + self.ttl_s, qx, qy, n, ins, dele)
+        self.entries.move_to_end(key)
+        while len(self.entries) > self.max_entries:
+            self.entries.popitem(last=False)
+            self.counts["evicted"] += 1
+
+    def note(self, x, y, op, new_size):
+        for key, (_, qx, qy, n, ins, dele) in list(self.entries.items()):
+            radius = ins if op == "insert" else dele
+            if n <= new_size and math.hypot(x - qx, y - qy) > radius:
+                self.counts["carried"] += 1
+            else:
+                del self.entries[key]
+                self.counts["invalidated"] += 1
+
+
+class TestShieldIndexEquivalence:
+    """The bucketed reconcile against the linear rule, step by step:
+    random puts (finite, always and never radii, huge radii past the
+    bucketing budget, ``n`` around the dataset size, re-puts of live
+    keys at moved locations), lookups, inserts, deletes, LRU overflow
+    and TTL expiry on the injected clock."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_linear_reference(self, seed):
+        rng = random.Random(seed)
+        now = [0.0]
+        clock = lambda: now[0]  # noqa: E731
+        cache = ResultCache(max_entries=10, ttl_s=40.0, clock=clock)
+        ref = _LinearCache(10, 40.0, clock)
+        size, version = 30, 0
+
+        def radius():
+            roll = rng.random()
+            if roll < 0.1:
+                return protocol.ALWAYS_INVALIDATE
+            if roll < 0.2:
+                return protocol.NEVER_INVALIDATE
+            if roll < 0.25:
+                return 1e6  # too many cells: falls back to the always set
+            return rng.uniform(10.0, 400.0)
+
+        for _ in range(600):
+            step = rng.random()
+            if step < 0.45:
+                live = list(ref.entries)
+                key = (rng.choice(live) if live and rng.random() < 0.3
+                       else ("q", rng.randrange(60)))
+                qx, qy = rng.uniform(-200, 2200), rng.uniform(-200, 2200)
+                n = size + rng.randint(-3, 1)
+                ins, dele = radius(), radius()
+                cache.put(key, version, {"k": key}, qx, qy, n, ins, dele)
+                ref.put(key, qx, qy, n, ins, dele)
+            elif step < 0.7:
+                key = ("q", rng.randrange(60))
+                assert (cache.get(key, version) is not None) \
+                    == (key in ref.entries
+                        and ref.entries[key][0] > now[0])
+                ref.get(key)
+            elif step < 0.85:
+                x, y = rng.uniform(-200, 2200), rng.uniform(-200, 2200)
+                version += 1
+                if rng.random() < 0.5:
+                    size += 1
+                    cache.note_insert(x, y, version)
+                    ref.note(x, y, "insert", size)
+                else:
+                    size -= 1
+                    cache.note_delete(x, y, version, size)
+                    ref.note(x, y, "delete", size)
+            else:
+                now[0] += rng.uniform(0.0, 20.0)
+            stats = cache.stats()
+            assert list(cache._entries) == list(ref.entries)
+            assert len(cache._shields) == len(cache)
+            assert {name: getattr(stats, name) for name in ref.counts} \
+                == ref.counts
+
+
+def _count_shield_tests(monkeypatch) -> list:
+    """Record the key of every exact shield test the index runs."""
+    tested = []
+    within = SubscriptionIndex._within
+
+    def counting(x, y, item, *rule):
+        tested.append(item.key)
+        return within(x, y, item, *rule)
+
+    monkeypatch.setattr(SubscriptionIndex, "_within", staticmethod(counting))
+    return tested
+
+
+class TestReconcileWork:
+    """Reconcile work is proportional to the affected entries, not to
+    the cache: counted in exact shield tests, not in time."""
+
+    @staticmethod
+    def _grid_cache(always: int = 0) -> ResultCache:
+        cache = ResultCache(max_entries=1000 + always)
+        for i in range(1000):  # a 40 x 25 lattice, 25 units apart
+            _put(cache, i, qx=25.0 * (i % 40), qy=25.0 * (i // 40),
+                 insert_radius=60.0, delete_radius=60.0)
+        for i in range(always):
+            _put(cache, ("always", i), qx=500.0, qy=300.0,
+                 insert_radius=protocol.ALWAYS_INVALIDATE,
+                 delete_radius=protocol.NEVER_INVALIDATE)
+        return cache
+
+    def test_far_insert_tests_no_entry(self, monkeypatch):
+        cache = self._grid_cache()
+        tested = _count_shield_tests(monkeypatch)
+        cache.note_insert(-1e6, -1e6, new_version=1)
+        assert tested == []
+        assert cache.stats().carried == 1000 and len(cache) == 1000
+
+    def test_near_insert_tests_its_cell_and_the_always_set(self, monkeypatch):
+        cache = self._grid_cache(always=3)
+        x, y = 510.0, 290.0
+        shields = cache._shields
+        cell = set(shields._cells[shields._cell_of(x, y)])
+        inside = {i for i in range(1000)
+                  if math.hypot(x - 25.0 * (i % 40), y - 25.0 * (i // 40))
+                  <= 60.0}
+        tested = _count_shield_tests(monkeypatch)
+        cache.note_insert(x, y, new_version=1)
+        assert len(tested) <= len(cell) + 3 < 1000 // 4
+        assert cache.stats().invalidated == len(inside) + 3
+        assert cache.stats().carried == 1000 - len(inside)
