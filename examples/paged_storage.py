@@ -1,9 +1,8 @@
-"""Database substrate tour: paged persistence, buffer pool, cost model.
+"""Database substrate tour: paged persistence and the cost model.
 
 Persists an R*-tree into a 4096-byte-page file (the paper's page size),
-reloads it counting physical page reads, demonstrates the LRU buffer
-pool, and compares a measured query against the Section 4 analytic
-model.
+reloads it counting physical page reads, and compares a measured query
+against the Section 4 analytic model.
 
 Run with:  python examples/paged_storage.py
 """
@@ -15,7 +14,7 @@ from repro import NWCEngine, NWCQuery, RStarTree, Scheme
 from repro.analysis import NWCCostModel, TreeProfile
 from repro.datasets import uniform
 from repro.index import load_tree, save_tree
-from repro.storage import BufferPool, IOStats, PageFile
+from repro.storage import IOStats
 
 
 def main() -> None:
@@ -34,15 +33,6 @@ def main() -> None:
         reloaded = load_tree(path, stats=stats)
         print(f"loaded: {stats.page_reads} physical page reads, "
               f"{reloaded.size} objects")
-
-        # --- buffer pool over the raw page file --------------------
-        file = PageFile(path, stats=IOStats())
-        pool = BufferPool(file, capacity=64)
-        for page_id in list(range(1, 65)) * 3:  # re-read a hot set
-            pool.get(page_id)
-        print(f"buffer pool: {pool.hits} hits / {pool.misses} misses "
-              f"(hit ratio {pool.hit_ratio:.0%})")
-        file.close()
 
     # --- analytic model vs a measured query ------------------------
     profile = TreeProfile.from_tree(tree)

@@ -534,13 +534,17 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
 
 def _cmd_shard_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import shutil
     import subprocess
+    import tempfile
+    import time
 
     from .serve.client import wait_until_healthy
     from .shard import CoordinatorConfig, ShardCoordinator, ShardManifest
 
     manifest = ShardManifest.load(args.dir)
     procs: list = []
+    port_dir, port_files = None, []
     if args.attach:
         addresses = []
         for spec in args.attach.split(","):
@@ -551,11 +555,14 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
                   f"address(es), got {len(addresses)}", file=sys.stderr)
             return 2
     else:
+        port_dir = tempfile.mkdtemp(prefix="repro-fleet-")
         ports = [_free_port(args.host) for _ in range(manifest.shard_count)]
         for index, port in enumerate(ports):
+            port_files.append(os.path.join(port_dir, f"shard-{index}.port"))
             argv = [sys.executable, "-m", "repro", "shard-worker",
                     "--dir", args.dir, "--index", str(index),
                     "--host", args.host, "--port", str(port),
+                    "--port-file", port_files[-1],
                     "--max-inflight", str(args.worker_inflight)]
             if args.state_root:
                 state_dir = os.path.join(args.state_root, f"shard-{index:03d}")
@@ -567,6 +574,13 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
         addresses = [(args.host, port) for port in ports]
 
     try:
+        # A spawned worker writes its port file once it serves; polling
+        # it beats the health backoff, which would notice late.
+        deadline = time.monotonic() + args.boot_timeout
+        for proc, path in zip(procs, port_files):
+            while (not os.path.exists(path) and proc.poll() is None
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
         for host, port in addresses:
             wait_until_healthy(host, port, timeout_s=args.boot_timeout)
         config = CoordinatorConfig(
@@ -600,6 +614,8 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+        if port_dir is not None:
+            shutil.rmtree(port_dir, ignore_errors=True)
 
 
 def _render_fleet_table(rows, wal_lag: dict) -> str:

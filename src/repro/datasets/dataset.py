@@ -16,6 +16,9 @@ from ..geometry import PointObject, Rect
 #: The paper's data space.
 PAPER_EXTENT = Rect(0.0, 0.0, 10_000.0, 10_000.0)
 
+#: Rows :func:`from_coordinates` converts per array pass.
+_BLOCK = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class Dataset:
@@ -72,10 +75,18 @@ def from_coordinates(
     name: str, coords: Sequence[tuple[float, float]] | np.ndarray,
     extent: Rect = PAPER_EXTENT,
 ) -> Dataset:
-    """Wrap raw coordinates, clamping them into the extent."""
-    points = []
-    for i, (x, y) in enumerate(coords):
-        cx = min(max(float(x), extent.x1), extent.x2)
-        cy = min(max(float(y), extent.y1), extent.y2)
-        points.append(PointObject(i, cx, cy))
+    """Wrap raw coordinates, clamping them into the extent.  A bound
+    replaces a value only when strictly beyond it, as ``min(max(v, lo),
+    hi)`` does (``np.maximum`` could turn ``-0.0`` into ``0.0``)."""
+    arr = np.asarray(coords, dtype=float).reshape(-1, 2)
+    points: list[PointObject] = []
+    # A block at a time: whole-column temporaries would land on the
+    # allocator's heap and stay resident after they are freed.
+    for s in range(0, len(arr), _BLOCK):
+        cols = []
+        for col, lo, hi in ((arr[s:s + _BLOCK, 0], extent.x1, extent.x2),
+                            (arr[s:s + _BLOCK, 1], extent.y1, extent.y2)):
+            col = np.where(lo > col, lo, col)
+            cols.append(np.where(hi < col, hi, col).tolist())
+        points += map(PointObject, range(s, s + len(cols[0])), *cols)
     return Dataset(name, tuple(points), extent)

@@ -106,7 +106,9 @@ def clustered(
     ) * spreads_arr[assignments][:, None]
     coords[n_clustered:, 0] = rng.uniform(extent.x1, extent.x2, n_background)
     coords[n_clustered:, 1] = rng.uniform(extent.y1, extent.y2, n_background)
-    rng.shuffle(coords)
+    # Indexing by a permutation draws exactly what ``rng.shuffle`` would
+    # (same order, same generator state after) without its row-by-row swaps.
+    coords = coords[rng.permutation(cardinality)]
     return from_coordinates(name, coords, extent)
 
 

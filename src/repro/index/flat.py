@@ -26,7 +26,7 @@ Two construction paths produce identical layouts:
   entries in order and the loader walks pages breadth-first from the
   root, the numbering matches ``from_tree(load_tree(path))`` exactly,
   and MBRs recomputed bottom-up from the leaf coordinates are bitwise
-  equal to the scalar loader's ``add_entry`` unions (min/max are exact).
+  equal to the loaded tree's (both come from ``pack.chunk_mbrs``).
 
 :class:`FlatIWP` is :class:`~repro.index.pointers.IWPIndex` on the
 flat layout: ancestor-at-depth arrays instead of per-leaf pointer
@@ -50,18 +50,12 @@ from ..storage import (
     CorruptPageError,
     IOStats,
     MappedPageFile,
+    SerializationError,
+    decode_entries,
 )
 from ..storage.stats import OWN_STATS
+from .pack import chunk_mbrs
 from .pointers import backward_pointer_depths
-
-# Node-record layout (see repro.storage.serializer): flags:u8 count:u16
-# header followed by packed little-endian entries.
-_NODE_HEADER = struct.Struct("<BH")
-_FLAG_LEAF = 0x01
-_LEAF_DTYPE = np.dtype([("oid", "<i8"), ("x", "<f8"), ("y", "<f8")])
-_INTERNAL_DTYPE = np.dtype(
-    [("page", "<i8"), ("x1", "<f8"), ("y1", "<f8"), ("x2", "<f8"), ("y2", "<f8")]
-)
 
 #: MBR row of an empty node: fails every intersection / containment
 #: test, playing the role of the scalar ``mbr is None``.
@@ -290,7 +284,17 @@ class FlatRTree:
                             f"(pointer cycle or shared subtree)",
                             page_id=page_id)
                     visited.add(page_id)
-                    leaf, entries = cls._decode_node(mapped, page_id, path)
+                    payload = mapped.payload(page_id)
+                    try:
+                        leaf, entries = decode_entries(payload)
+                    except SerializationError as exc:
+                        raise CorruptPageError(
+                            f"{path}: truncated node record on page "
+                            f"{page_id}", page_id=page_id) from exc
+                    # An owning copy: the mapping cannot close while a
+                    # view into it is alive.
+                    entries = entries.copy()
+                    payload.release()
                     if leaf:
                         level_leaves += 1
                     else:
@@ -308,30 +312,6 @@ class FlatRTree:
                 level = nxt
             return cls._assemble(recs, np.asarray(bounds, dtype=np.int64),
                                  size, max_entries, min_entries, stats, path)
-
-    @staticmethod
-    def _decode_node(mapped: MappedPageFile, page_id: int,
-                     path: str) -> tuple[bool, np.ndarray]:
-        """Decode one node record into an owning entry array.
-
-        The ``np.frombuffer`` view into the mapping lives only inside
-        this frame — the returned copy owns its memory, so the mapping
-        can close (``mmap`` refuses to while exported buffers exist).
-        """
-        payload = mapped.payload(page_id)
-        flags, cnt = _NODE_HEADER.unpack_from(payload, 0)
-        leaf = bool(flags & _FLAG_LEAF)
-        dtype = _LEAF_DTYPE if leaf else _INTERNAL_DTYPE
-        if len(payload) < _NODE_HEADER.size + cnt * dtype.itemsize:
-            raise CorruptPageError(
-                f"{path}: truncated node record on page {page_id}",
-                page_id=page_id)
-        view = np.frombuffer(payload, dtype=dtype, count=cnt,
-                             offset=_NODE_HEADER.size)
-        entries = view.copy()
-        del view
-        payload.release()
-        return leaf, entries
 
     @classmethod
     def _assemble(cls, recs, bounds, size, max_entries, min_entries,
@@ -369,24 +349,16 @@ class FlatRTree:
             raise CorruptPageError(
                 f"{path}: metadata promises {size} objects, found {cols} "
                 f"in leaves")
-        # MBRs bottom-up from the coordinates, exactly like the scalar
-        # loader's add_entry unions (min/max selections — no rounding).
-        for i in range(m - 1, -1, -1):
-            if is_leaf[i]:
-                if count[i] == 0:
-                    mbrs[i] = _EMPTY_MBR
-                else:
-                    s, e = first[i], first[i] + count[i]
-                    mbrs[i] = (xs[s:e].min(), ys[s:e].min(),
-                               xs[s:e].max(), ys[s:e].max())
-            else:
-                if count[i] == 0:
-                    raise CorruptPageError(
-                        f"{path}: internal node {i} has no children")
-                s, e = first[i], first[i] + count[i]
-                child = mbrs[s:e]
-                mbrs[i] = (child[:, 0].min(), child[:, 1].min(),
-                           child[:, 2].max(), child[:, 3].max())
+        empty = np.flatnonzero(~is_leaf & (count == 0))
+        if len(empty):
+            raise CorruptPageError(
+                f"{path}: internal node {empty[0]} has no children")
+        # MBRs a level at a time from the leaves up, exactly like the
+        # scalar loader's add_entry unions (see repro.index.pack).
+        boxes = (xs, ys)
+        for lo, hi in reversed(list(zip(bounds[:-1], bounds[1:]))):
+            mbrs[lo:hi] = chunk_mbrs(boxes, count[lo:hi])
+            boxes = tuple(mbrs[lo:hi].T)
         return cls(
             mbrs=mbrs, is_leaf=is_leaf, first=first, count=count,
             parent=parent, level_bounds=bounds, xs=xs, ys=ys, oids=oids,

@@ -10,53 +10,63 @@ workload.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
+
+import numpy as np
 
 from ..geometry import PointObject, Rect
 from ..storage import IOStats
-from .rtree import DEFAULT_MAX_ENTRIES, RStarTree, _rebalance_tail
+from .pack import pack_tree, runs
+from .rtree import DEFAULT_MAX_ENTRIES, RStarTree
 
 #: Curve resolution: coordinates are quantized to 2**ORDER cells/axis.
 DEFAULT_CURVE_ORDER = 16
 
 
-def hilbert_d(x: int, y: int, order: int = DEFAULT_CURVE_ORDER) -> int:
+def hilbert_d(x, y, order: int = DEFAULT_CURVE_ORDER):
     """Distance along the Hilbert curve of the cell ``(x, y)``.
 
-    Classic bit-twiddling transform; ``x`` and ``y`` must lie in
+    Classic bit-twiddling transform, element-wise over integer arrays
+    (an ``int`` for scalar cells); ``x`` and ``y`` must lie in
     ``[0, 2**order)``.
     """
     side = 1 << order
-    if not (0 <= x < side and 0 <= y < side):
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    if ((x < 0) | (x >= side) | (y < 0) | (y >= side)).any():
         raise ValueError(f"cell ({x}, {y}) outside [0, {side})^2")
-    rx = ry = 0
-    d = 0
+    d = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
     s = side >> 1
     while s > 0:
-        rx = 1 if (x & s) > 0 else 0
-        ry = 1 if (y & s) > 0 else 0
+        rx = (x & s) > 0
+        ry = (y & s) > 0
         d += s * s * ((3 * rx) ^ ry)
-        # Rotate the quadrant.
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
+        # Rotate the quadrant: flip when (rx, ry) == (1, 0), swap when ry == 0.
+        flip = rx & ~ry
+        x = np.where(flip, s - 1 - x, x)
+        y = np.where(flip, s - 1 - y, y)
+        x, y = np.where(ry, x, y), np.where(ry, y, x)
         s >>= 1
-    return d
+    return int(d) if d.ndim == 0 else d
+
+
+def _hilbert_keys(xs, ys, extent: Rect, order: int):
+    """Hilbert index of each location's quantized cell inside ``extent``
+    (locations outside it fall into the nearest edge cell)."""
+    side = 1 << order
+    span_x = max(extent.width, 1e-12)
+    span_y = max(extent.height, 1e-12)
+    # Clipping before truncation equals int() then clamping to the grid.
+    cx = np.clip((np.asarray(xs) - extent.x1) / span_x * side, 0, side - 1)
+    cy = np.clip((np.asarray(ys) - extent.y1) / span_y * side, 0, side - 1)
+    return hilbert_d(cx.astype(np.int64), cy.astype(np.int64), order)
 
 
 def hilbert_key(
     p: PointObject, extent: Rect, order: int = DEFAULT_CURVE_ORDER
 ) -> int:
     """Hilbert index of an object's quantized location inside ``extent``."""
-    side = 1 << order
-    span_x = max(extent.width, 1e-12)
-    span_y = max(extent.height, 1e-12)
-    cx = min(side - 1, int((p.x - extent.x1) / span_x * side))
-    cy = min(side - 1, int((p.y - extent.y1) / span_y * side))
-    return hilbert_d(max(cx, 0), max(cy, 0), order)
+    return _hilbert_keys(p.x, p.y, extent, order)
 
 
 def hilbert_bulk_load(
@@ -70,39 +80,24 @@ def hilbert_bulk_load(
     """Build a packed tree by sorting objects along the Hilbert curve.
 
     Produces the same tree type as :meth:`RStarTree.bulk_load` (all
-    invariants hold; later dynamic updates work normally).
+    invariants hold; later dynamic updates work normally).  The upper
+    levels pack the nodes below in their order, unsorted.
     """
     if not 0.1 < fill <= 1.0:
         raise ValueError("fill must be in (0.1, 1.0]")
     tree = RStarTree(max_entries=max_entries, min_entries=min_entries, stats=stats)
     if not objects:
         return tree
-    extent = Rect.bounding(objects)
-    ordered = sorted(objects, key=lambda p: hilbert_key(p, extent, order))
     capacity = min(max_entries, max(2 * tree.min_entries, int(max_entries * fill)))
-    chunks = _rebalance_tail(
-        [ordered[i : i + capacity] for i in range(0, len(ordered), capacity)],
-        tree.min_entries,
-    )
-    level = []
-    for chunk in chunks:
-        leaf = tree._new_node(is_leaf=True)
-        for obj in chunk:
-            leaf.add_entry(obj)
-        level.append(leaf)
-    while len(level) > 1:
-        groups = _rebalance_tail(
-            [level[i : i + capacity] for i in range(0, len(level), capacity)],
-            tree.min_entries,
-        )
-        parents = []
-        for chunk in groups:
-            parent = tree._new_node(is_leaf=False)
-            for child in chunk:
-                parent.add_entry(child)
-            parents.append(parent)
-        level = parents
-    tree.root = level[0]
-    tree.root.parent = None
+
+    def tile(cx, cy, leaf):
+        if not leaf:
+            return np.arange(len(cx)), runs(len(cx), capacity)
+        extent = Rect(float(cx.min()), float(cy.min()),
+                      float(cx.max()), float(cy.max()))
+        keys = _hilbert_keys(cx, cy, extent, order)
+        return np.argsort(keys, kind="stable"), runs(len(cx), capacity)
+
+    tree.root = pack_tree(tree, objects, tile)
     tree.size = len(objects)
     return tree

@@ -25,22 +25,26 @@ from __future__ import annotations
 import os
 import struct
 
+import numpy as np
+
 from ..storage import (
     DEFAULT_PAGE_SIZE,
     FORMAT_VERSION,
     CorruptPageError,
-    InternalRecord,
     IOStats,
     LeafRecord,
     PageFile,
     RepairFailedError,
     SerializationError,
     decode,
+    decode_entries,
     encode_internal,
     encode_leaf,
     scan_pages,
 )
+from ..storage.serializer import LEAF_DTYPE, leaf_objects
 from .node import Node
+from .pack import pack_level
 from .rtree import DEFAULT_MAX_ENTRIES, RStarTree
 
 _META = struct.Struct("<qqq")  # max_entries, min_entries, size
@@ -157,10 +161,9 @@ def load_tree(path: str | os.PathLike[str], page_size: int = DEFAULT_PAGE_SIZE,
                                    page_id=1) from exc
         if file.root_page < 0:
             raise CorruptPageError(f"{path}: no root page recorded", page_id=0)
-        tree.root = _load_nodes(file, file.root_page, tree, path)
+        tree.root, loaded = _load_nodes(file, file.root_page, tree, path)
         tree.root.parent = None
         tree.size = meta[2]
-        loaded = sum(1 for _ in tree.iter_objects())
         if loaded != meta[2]:
             raise CorruptPageError(
                 f"{path}: metadata promises {meta[2]} objects, "
@@ -185,8 +188,12 @@ def decode_meta(raw: bytes) -> tuple[int, int, int]:
 
 
 def _load_nodes(file: PageFile, root_page: int, tree: RStarTree,
-                path: str | os.PathLike[str]) -> Node:
-    """Iterative depth-first reconstruction rooted at ``root_page``.
+                path: str | os.PathLike[str]) -> tuple[Node, int]:
+    """Iterative depth-first reconstruction rooted at ``root_page``;
+    returns the root and the number of objects in the leaves.
+
+    Node ids follow the post-order of the page walk, as when every node
+    was created after its children.
 
     Guards against structurally corrupt files: child pointers outside
     the data-page range, pointers into the metadata page, and pointer
@@ -195,7 +202,7 @@ def _load_nodes(file: PageFile, root_page: int, tree: RStarTree,
     """
     visited: set[int] = set()
 
-    def record_at(page_id: int) -> LeafRecord | InternalRecord:
+    def record_at(page_id: int) -> tuple[bool, np.ndarray]:
         if not 2 <= page_id <= file.page_count:
             raise CorruptPageError(
                 f"{path}: child pointer to page {page_id} outside the "
@@ -206,7 +213,7 @@ def _load_nodes(file: PageFile, root_page: int, tree: RStarTree,
                 f"or shared subtree)", page_id=page_id)
         visited.add(page_id)
         try:
-            return decode(file.read_page(page_id))
+            return decode_entries(file.read_page(page_id))
         except SerializationError as exc:
             raise CorruptPageError(
                 f"{path}: undecodable node record on page {page_id}: {exc}",
@@ -214,7 +221,8 @@ def _load_nodes(file: PageFile, root_page: int, tree: RStarTree,
 
     # Pass 1: depth-first decode, remembering the post-order so every
     # node can be assembled strictly after its children.
-    records: dict[int, LeafRecord | InternalRecord] = {}
+    leaves: dict[int, np.ndarray] = {}
+    children: dict[int, list[int]] = {}
     post_order: list[int] = []
     stack: list[tuple[int, bool]] = [(root_page, False)]
     while stack:
@@ -222,32 +230,39 @@ def _load_nodes(file: PageFile, root_page: int, tree: RStarTree,
         if expanded:
             post_order.append(page_id)
             continue
-        record = record_at(page_id)
-        records[page_id] = record
+        leaf, entries = record_at(page_id)
         stack.append((page_id, True))
-        if isinstance(record, InternalRecord):
-            for child_page, _mbr in reversed(record.children):
-                stack.append((child_page, False))
-    # Pass 2: build bottom-up; children exist (with MBRs) before their
-    # parent attaches them.
-    nodes: dict[int, Node] = {}
-    for page_id in post_order:
-        record = records[page_id]
-        if isinstance(record, LeafRecord):
-            node = tree._new_node(is_leaf=True)
-            for obj in record.objects:
-                node.add_entry(obj)
+        if leaf:
+            leaves[page_id] = entries
         else:
-            node = tree._new_node(is_leaf=False)
-            for child_page, _mbr in record.children:
-                child = nodes[child_page]
-                if child.mbr is None:
-                    raise CorruptPageError(
-                        f"{path}: internal page {page_id} references empty "
-                        f"child page {child_page}", page_id=page_id)
-                node.add_entry(child)
-        nodes[page_id] = node
-    return nodes[root_page]
+            children[page_id] = entries["page"].tolist()
+            stack.extend((c, False) for c in reversed(children[page_id]))
+    # Pass 2: every leaf in one pack, then the internal nodes in
+    # post-order; node ids follow the post-order.
+    ids = dict(zip(post_order, tree._take_ids(len(post_order))))
+    leaf_pages = [page_id for page_id in post_order if page_id in leaves]
+    cols = np.concatenate([leaves[page_id] for page_id in leaf_pages]
+                          or [np.empty(0, LEAF_DTYPE)])
+    packed, _ = pack_level(True, np.array(leaf_objects(cols), dtype=object),
+                           [len(leaves[page_id]) for page_id in leaf_pages],
+                           (cols["x"], cols["y"]),
+                           [ids[page_id] for page_id in leaf_pages])
+    nodes = dict(zip(leaf_pages, packed))
+    for page_id in post_order:
+        if page_id in nodes:
+            continue
+        kids = [nodes[c] for c in children[page_id]]
+        for child_page, kid in zip(children[page_id], kids):
+            if kid.mbr is None:
+                raise CorruptPageError(
+                    f"{path}: internal page {page_id} references empty "
+                    f"child page {child_page}", page_id=page_id)
+        boxes = np.array([(k.mbr.x1, k.mbr.y1, k.mbr.x2, k.mbr.y2)
+                          for k in kids]).reshape(-1, 4).T
+        (nodes[page_id],), _ = pack_level(
+            False, np.array(kids, dtype=object), [len(kids)], tuple(boxes),
+            [ids[page_id]])
+    return nodes[root_page], len(cols)
 
 
 def repair_tree(path: str | os.PathLike[str],

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from ..geometry import PointObject, Rect
 from ..storage.stats import OWN_STATS, IOStats
 from .node import Node
+from .pack import pack_tree, str_tiles
 from .rstar import choose_subtree, pick_reinsert_entries, split_node
 
 #: Paper's fanout (Section 5: "maximum number of entries in a node is 50").
@@ -75,11 +76,15 @@ class RStarTree:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _new_node(self, is_leaf: bool) -> Node:
-        node = Node(is_leaf, node_id=self._next_node_id)
-        self._next_node_id += 1
+    def _take_ids(self, count: int) -> range:
+        """Reserve ``count`` consecutive node ids (a structural edit)."""
+        first = self._next_node_id
+        self._next_node_id += count
         self.last_edit = None
-        return node
+        return range(first, first + count)
+
+    def _new_node(self, is_leaf: bool) -> Node:
+        return Node(is_leaf, node_id=self._take_ids(1)[0])
 
     def insert(self, obj: PointObject) -> None:
         """Insert one object (R* insertion with forced reinsertion)."""
@@ -117,38 +122,13 @@ class RStarTree:
         if not objects:
             return tree
         # A capacity of at least twice the underflow bound guarantees the
-        # tail rebalancing below always yields legal nodes.
+        # tail rebalancing always yields legal nodes.
         capacity = min(max_entries, max(2 * tree.min_entries, int(max_entries * fill)))
-        chunks = _rebalance_tail(
-            list(_str_tiles(list(objects), capacity,
-                            key_x=lambda p: p.x, key_y=lambda p: p.y)),
-            tree.min_entries,
-        )
-        leaves = []
-        for chunk in chunks:
-            leaf = tree._new_node(is_leaf=True)
-            for obj in chunk:
-                leaf.add_entry(obj)
-            leaves.append(leaf)
-        level = leaves
-        while len(level) > 1:
-            parents = []
-            chunks = _rebalance_tail(
-                list(_str_tiles(level, capacity,
-                                key_x=lambda n: n.mbr.center[0],
-                                key_y=lambda n: n.mbr.center[1])),
-                tree.min_entries,
-            )
-            for chunk in chunks:
-                parent = tree._new_node(is_leaf=False)
-                for child in chunk:
-                    parent.add_entry(child)
-                parents.append(parent)
-            level = parents
-        tree.root = level[0]
-        tree.root.parent = None
+        tree.root = pack_tree(
+            tree, objects, lambda cx, cy, _leaf: str_tiles(cx, cy, capacity))
         tree.size = len(objects)
         return tree
+
 
     # ------------------------------------------------------------------
     # R* insertion internals
@@ -432,42 +412,3 @@ class RStarTree:
             if len(out) == k:
                 break
         return out
-
-
-def _rebalance_tail(chunks: list[list], min_size: int) -> list[list]:
-    """Fix underfull STR chunks (slab remainders) by evenly re-splitting
-    each one together with its predecessor.
-
-    With ``capacity >= 2 * min_size`` (enforced by ``bulk_load``) the even
-    split of ``full + underfull`` always yields two legal chunks.
-    """
-    if len(chunks) <= 1:
-        return chunks
-    out: list[list] = []
-    for chunk in chunks:
-        if out and len(chunk) < min_size:
-            merged = out.pop() + chunk
-            half = len(merged) // 2
-            out.append(merged[:half])
-            out.append(merged[half:])
-        else:
-            out.append(chunk)
-    return out
-
-
-def _str_tiles(items: list, capacity: int, key_x, key_y) -> Iterator[list]:
-    """Sort-Tile-Recursive tiling of one level.
-
-    Sorts by x, cuts into vertical slabs of ``slab_count`` so that each
-    slab packs into roughly ``sqrt(pages)`` runs, then packs each slab in
-    y order into chunks of ``capacity``.
-    """
-    n = len(items)
-    pages = math.ceil(n / capacity)
-    slab_count = max(1, math.ceil(math.sqrt(pages)))
-    per_slab = math.ceil(n / slab_count)
-    by_x = sorted(items, key=key_x)
-    for s in range(0, n, per_slab):
-        slab = sorted(by_x[s : s + per_slab], key=key_y)
-        for c in range(0, len(slab), capacity):
-            yield slab[c : c + capacity]

@@ -10,8 +10,7 @@ that story (the per-query side is :mod:`repro.obs.trace`):
   count, plus bucket-interpolated quantile estimates (p50/p95/p99);
 * :class:`MetricsRegistry` — the named family store every instrumented
   component shares.  One registry is constructor-injected into
-  :class:`~repro.core.engine.NWCEngine`,
-  :class:`~repro.storage.buffer.BufferPool` and
+  :class:`~repro.core.engine.NWCEngine` and
   :class:`~repro.storage.pages.PageFile`, so a process-wide view is one
   ``dump_metrics()`` call.
 

@@ -25,11 +25,11 @@ intact).  Fleet subscriptions are not among that state: the
 coordinator indexes them itself from the updates it routes, so a
 worker's WAL and checkpoints hold only its slice of the dataset.
 
-At boot the worker mmap-loads its shard page file as a read-only
-:class:`~repro.index.FlatRTree` (zero-copy: replicas of the same shard
-share the page cache) next to the mutable R*-tree that absorbs updates;
-the engine transparently falls back to an in-memory rebuild once the
-first update dirties the snapshot.
+At boot the worker reads its shard page file once, into the mutable
+R*-tree that absorbs updates, and takes the columnar
+:class:`~repro.index.FlatRTree` snapshot from that tree.  The snapshot
+carries the tree's node map, so updates splice it (see
+``FlatRTree.splice``) from the first one on.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ def make_shard_engine(
 
     With ``tree=None`` the shard page file is the source of truth: the
     mutable R*-tree is loaded from it and the columnar snapshot is
-    mmap-ed zero-copy (`FlatRTree.from_page_file` produces the same
-    array layout as an in-memory conversion, so fresh-built and
-    mmap-loaded shards answer bit-identically).  A recovered checkpoint
-    ``tree`` (see :func:`~repro.serve.durability.recover`) skips the
-    mmap — its snapshot is rebuilt in memory on first use.
+    converted from that tree at boot (``from_tree`` numbers nodes as
+    ``FlatRTree.from_page_file`` would, so fresh-built and loaded
+    shards answer bit-identically).  A recovered checkpoint ``tree``
+    (see :func:`~repro.serve.durability.recover`) gets its snapshot
+    built in memory on first use.
 
     The DEP grid is built over the *dataset* extent, so empty and
     sparse shards get a valid (all-zero) grid instead of a failed
@@ -71,11 +71,10 @@ def make_shard_engine(
     reads run concurrently: its server records and traces per request.
     """
     if tree is None:
-        path = manifest.shard_path(directory, index)
-        tree = load_tree(path)
+        tree = load_tree(manifest.shard_path(directory, index))
         flat = None
         if execution == "columnar" and tree.size:
-            flat = FlatRTree.from_page_file(path)
+            flat = FlatRTree.from_tree(tree)
         return NWCEngine(tree, scheme=scheme, extent=manifest.extent,
                          execution=execution, flat=flat)
     return NWCEngine(tree, scheme=scheme, extent=manifest.extent,

@@ -16,12 +16,19 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..geometry import PointObject, Rect
 from .errors import SerializationError
 
 _HEADER = struct.Struct("<BH")
 _LEAF_ENTRY = struct.Struct("<qdd")
 _INTERNAL_ENTRY = struct.Struct("<qdddd")
+#: The same entry layouts as numpy record types, to decode a record at once.
+LEAF_DTYPE = np.dtype([("oid", "<i8"), ("x", "<f8"), ("y", "<f8")])
+INTERNAL_DTYPE = np.dtype(
+    [("page", "<i8"), ("x1", "<f8"), ("y1", "<f8"), ("x2", "<f8"), ("y2", "<f8")]
+)
 
 _FLAG_LEAF = 0x01
 
@@ -77,28 +84,33 @@ def encode_internal(children: list[tuple[int, Rect]], page_size: int) -> bytes:
     return b"".join(parts)
 
 
-def decode(data: bytes) -> LeafRecord | InternalRecord:
-    """Decode one page payload into a leaf or internal record."""
+def decode_entries(data) -> tuple[bool, np.ndarray]:
+    """Decode one page payload into ``(is_leaf, entries)``: a
+    :data:`LEAF_DTYPE` or :data:`INTERNAL_DTYPE` record array viewing
+    ``data`` (copy it to outlive the buffer)."""
     if len(data) < _HEADER.size:
         raise SerializationError("truncated node record")
     flags, count = _HEADER.unpack_from(data, 0)
-    offset = _HEADER.size
-    if flags & _FLAG_LEAF:
-        needed = offset + count * _LEAF_ENTRY.size
-        if len(data) < needed:
-            raise SerializationError("truncated leaf record")
-        objects = []
-        for _ in range(count):
-            oid, x, y = _LEAF_ENTRY.unpack_from(data, offset)
-            objects.append(PointObject(oid, x, y))
-            offset += _LEAF_ENTRY.size
-        return LeafRecord(tuple(objects))
-    needed = offset + count * _INTERNAL_ENTRY.size
-    if len(data) < needed:
-        raise SerializationError("truncated internal record")
-    children = []
-    for _ in range(count):
-        page_id, x1, y1, x2, y2 = _INTERNAL_ENTRY.unpack_from(data, offset)
-        children.append((page_id, Rect(x1, y1, x2, y2)))
-        offset += _INTERNAL_ENTRY.size
-    return InternalRecord(tuple(children))
+    leaf = bool(flags & _FLAG_LEAF)
+    dtype = LEAF_DTYPE if leaf else INTERNAL_DTYPE
+    if len(data) < _HEADER.size + count * dtype.itemsize:
+        raise SerializationError(
+            f"truncated {'leaf' if leaf else 'internal'} record")
+    return leaf, np.frombuffer(data, dtype=dtype, count=count,
+                               offset=_HEADER.size)
+
+
+def leaf_objects(entries: np.ndarray) -> list[PointObject]:
+    """The objects of a decoded leaf record array."""
+    return list(map(PointObject, entries["oid"].tolist(),
+                    entries["x"].tolist(), entries["y"].tolist()))
+
+
+def decode(data: bytes) -> LeafRecord | InternalRecord:
+    """Decode one page payload into a leaf or internal record."""
+    leaf, entries = decode_entries(data)
+    if leaf:
+        return LeafRecord(tuple(leaf_objects(entries)))
+    return InternalRecord(tuple(zip(entries["page"].tolist(), map(
+        Rect, entries["x1"].tolist(), entries["y1"].tolist(),
+        entries["x2"].tolist(), entries["y2"].tolist()))))

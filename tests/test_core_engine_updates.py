@@ -229,6 +229,36 @@ class TestSnapshotSplice:
             self._assert_same(oracle, columnar, query)
             assert len(calls) == 1
 
+    def test_shard_worker_splices_from_its_first_update(self, tmp_path,
+                                                         monkeypatch):
+        """A worker booted from its partition file reads it once, and its
+        snapshot carries the node map: no update rebuilds it."""
+        from repro.shard import make_shard_engine, partition_dataset
+
+        manifest = partition_dataset(
+            make_uniform_points(600, seed=91), 2, 60.0, tmp_path,
+            Rect(0.0, 0.0, 1000.0, 1000.0), cell_size=50.0)
+        page_reads = []
+        real_page_file = FlatRTree.from_page_file.__func__
+        monkeypatch.setattr(FlatRTree, "from_page_file", classmethod(
+            lambda cls, *a, **k: page_reads.append(a) or
+            real_page_file(cls, *a, **k)))
+        worker = make_shard_engine(manifest, str(tmp_path), 0)
+        assert page_reads == []
+        oracle = NWCEngine(load_tree(manifest.shard_path(str(tmp_path), 0)),
+                           Scheme.NWC_STAR, extent=manifest.extent,
+                           execution="python")
+        calls = self._count_from_tree(monkeypatch)
+        _lo, hi = manifest.owned_interval(0)
+        query = NWCQuery(hi - 40.0, 310.0, 50, 50, 3)
+        self._assert_same(oracle, worker, query)
+        for i in range(3):
+            self._update_both((oracle, worker), "insert",
+                              PointObject(73_000 + i, hi - 30.0 - i, 310.0))
+            assert worker.tree.last_edit
+            self._assert_same(oracle, worker, query)
+        assert calls == []
+
 
 class TestMutationEdges:
     """Edge cases at the boundaries of the mutable engine: draining the

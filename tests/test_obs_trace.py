@@ -343,19 +343,15 @@ class TestEngineIntegration:
         assert data["nwc_query_node_accesses"]["values"][""]["count"] == 3.0
 
     def test_one_registry_spans_components(self, obs_tree, obs_points, tmp_path):
-        """Engine, page file and buffer pool share one registry."""
-        from repro.storage import PageFile, BufferPool
+        """Engine and page file share one registry."""
+        from repro.storage import PageFile
         registry = MetricsRegistry()
         engine = _engine(obs_tree, obs_points, "columnar", metrics=registry)
         engine.nwc(QUERIES[0])
         with PageFile(tmp_path / "pages.db", page_size=128, create=True,
                       metrics=registry) as file:
-            pool = BufferPool(file, capacity=2, metrics=registry)
             page = file.allocate()
-            pool.put(page, b"x")
-            pool.get(page)
-            pool.flush()
+            file.write_page(page, b"x")
         text = registry.dump_metrics()
         assert "nwc_queries_total" in text
-        assert "buffer_pool_hits_total 1" in text
         assert "page_write_seconds_count" in text

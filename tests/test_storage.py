@@ -1,4 +1,4 @@
-"""Unit tests for repro.storage (stats, pages, buffer, serializer)."""
+"""Unit tests for repro.storage (stats, pages, serializer)."""
 
 import os
 
@@ -9,7 +9,6 @@ from repro.storage import (
     FORMAT_VERSION,
     LEGACY_VERSION,
     PAGE_OVERHEAD,
-    BufferPool,
     CorruptPageError,
     FormatVersionError,
     IOStats,
@@ -208,49 +207,6 @@ class TestPageFormat:
         survivors = dict(scan_pages(path, page_size=128))
         assert sorted(survivors) == [1, 3, 4]
         assert survivors[3].startswith(b"C" * 8)
-
-
-class TestBufferPool:
-    def _file(self, tmp_path, pages=10):
-        file = PageFile(tmp_path / "buf.db", page_size=64, create=True)
-        for _ in range(pages):
-            pid = file.allocate()
-            file.write_page(pid, bytes([pid]) * 8)
-        return file
-
-    def test_read_through_and_hit(self, tmp_path):
-        with self._file(tmp_path) as file:
-            pool = BufferPool(file, capacity=4)
-            assert pool.get(1)[0] == 1
-            assert pool.get(1)[0] == 1
-            assert pool.hits == 1 and pool.misses == 1
-            assert pool.hit_ratio == 0.5
-
-    def test_lru_eviction(self, tmp_path):
-        with self._file(tmp_path) as file:
-            pool = BufferPool(file, capacity=2)
-            pool.get(1)
-            pool.get(2)
-            pool.get(3)  # evicts 1
-            assert len(pool) == 2
-            pool.get(1)  # miss again
-            assert pool.misses == 4
-
-    def test_write_back_on_eviction_and_flush(self, tmp_path):
-        with self._file(tmp_path) as file:
-            pool = BufferPool(file, capacity=2)
-            pool.put(1, b"AA")
-            pool.put(2, b"BB")
-            pool.put(3, b"CC")  # evicts dirty page 1 -> must write it back
-            assert file.read_page(1).startswith(b"AA")
-            pool.flush()
-            assert file.read_page(2).startswith(b"BB")
-            assert file.read_page(3).startswith(b"CC")
-
-    def test_zero_capacity_rejected(self, tmp_path):
-        with self._file(tmp_path, pages=1) as file:
-            with pytest.raises(ValueError):
-                BufferPool(file, capacity=0)
 
 
 class TestSerializer:
