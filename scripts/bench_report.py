@@ -536,13 +536,11 @@ def time_sharding(duration_s: float, workers: int = 4) -> dict:
     files, boots real ``repro shard-worker`` subprocesses on free
     ports, fronts them with an in-process coordinator, and drives the
     same mixed closed loop as the serving section.  Worker 0 replays
-    every response on a :class:`ShardedVerifyTwin` — NWC against the
-    pruned star engine, kNWC against the unpruned baseline (the exact
-    canon; the star scheme may pick a different equal-distance group on
-    ties) — so every fleet size is gated on bit-identical merges.  The
-    workload is denser than the serving section's (a 300-unit window
-    holds ~2n objects at 4k cards) to keep the unpruned verifier
-    affordable; kNWC is correspondingly rare in the mix.
+    every response on a star engine over the whole dataset — a fleet
+    answers as one engine does — so every fleet size is gated on
+    bit-identical merges.  The workload is denser than the serving
+    section's (a 300-unit window holds ~2n objects at 4k cards); kNWC
+    is rare in the mix.
     """
     import shutil
     import socket
@@ -550,7 +548,7 @@ def time_sharding(duration_s: float, workers: int = 4) -> dict:
 
     from repro.serve import LoadgenConfig
     from repro.serve.client import wait_until_healthy
-    from repro.serve.loadgen import LoadMix, ShardedVerifyTwin, run_loadgen
+    from repro.serve.loadgen import LoadMix, run_loadgen
     from repro.shard import (
         CoordinatorConfig,
         coordinator_thread,
@@ -566,11 +564,8 @@ def time_sharding(duration_s: float, workers: int = 4) -> dict:
            "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
 
     def make_twin():
-        star = NWCEngine(RStarTree.bulk_load(dataset.points, max_entries=50),
+        return NWCEngine(RStarTree.bulk_load(dataset.points, max_entries=50),
                          Scheme.NWC_STAR)
-        base = NWCEngine(RStarTree.bulk_load(dataset.points, max_entries=50),
-                         Scheme.NWC)
-        return ShardedVerifyTwin(star, base)
 
     fleets: dict[int, dict] = {}
     for shards in SHARD_FLEET_SIZES:

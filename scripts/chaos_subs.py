@@ -92,19 +92,18 @@ def _update_with_retry(client, payload, timeout_s=60.0):
 
 
 class Twin:
-    """The coordinator's canon: pruned star engine for NWC answers,
-    unpruned baseline for exact kNWC."""
+    """The coordinator's canon: one star engine over the whole dataset."""
 
     def __init__(self, points) -> None:
         self.star = NWCEngine(RStarTree.bulk_load(list(points)),
                               Scheme.NWC_STAR, extent=EXTENT,
                               execution="columnar")
-        self.baseline = NWCEngine(RStarTree.bulk_load(list(points)),
-                                  Scheme.NWC, extent=EXTENT)
 
     def apply(self, op: str, obj: PointObject) -> None:
-        for engine in (self.star, self.baseline):
-            engine.insert(obj) if op == "insert" else engine.delete(obj)
+        if op == "insert":
+            self.star.insert(obj)
+        else:
+            self.star.delete(obj)
 
     def answer(self, spec) -> dict:
         x, y, n, k = spec
@@ -112,7 +111,7 @@ class Twin:
             return protocol.serialize_nwc(
                 self.star.nwc(NWCQuery(x, y, L, W, n)))
         return protocol.serialize_knwc(
-            self.baseline.knwc(KNWCQuery(NWCQuery(x, y, L, W, n), k, 1)))
+            self.star.knwc(KNWCQuery(NWCQuery(x, y, L, W, n), k, 1)))
 
 
 def main(argv=None) -> int:

@@ -23,9 +23,8 @@ Subcommands:
   crash-restarting process supervisor.
 * ``loadgen`` — drive a running server with closed-loop workers and
   report throughput and latency percentiles; ``--verify`` replays every
-  operation on a twin engine and counts answer mismatches
-  (``--verify-sharded`` uses the sharded coordinator's canon),
-  ``--retries`` rides out server restarts with idempotent resends, and
+  operation on a twin engine and counts answer mismatches (against
+  a single server or a shard coordinator alike), ``--retries`` rides out server restarts with idempotent resends, and
   ``--subscriptions``/``--verify-subs`` register standing queries and
   check every pushed notification against the twin.
 * ``subscribe`` — register a standing NWC/kNWC query on a running
@@ -407,21 +406,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     # every operation locally and compares answers byte for byte.
     dataset = _DATASETS[args.dataset](args.size)
     twin = None
-    if args.verify_sharded:
-        from .serve.loadgen import ShardedVerifyTwin
-
-        # The coordinator's canon: pruned columnar engine for NWC,
-        # unpruned baseline for kNWC (exact tie picks included).
-        star = _make_engine(args, execution=args.execution)
-        baseline_args = argparse.Namespace(**vars(args))
-        baseline_args.scheme = "NWC"
-        baseline = _make_engine(baseline_args)
-        twin = ShardedVerifyTwin(star, baseline)
-    elif args.verify:
+    if args.verify:
         twin = _make_engine(args, execution=args.execution)
     if args.verify_subs and twin is None:
-        print("error: --verify-subs needs a twin; add --verify or "
-              "--verify-sharded", file=sys.stderr)
+        print("error: --verify-subs needs a twin; add --verify",
+              file=sys.stderr)
         return 2
     mix = LoadMix(nwc=args.mix_nwc, knwc=args.mix_knwc,
                   insert=args.mix_insert, delete=args.mix_delete)
@@ -892,18 +881,15 @@ def build_parser() -> argparse.ArgumentParser:
     lg.add_argument("--verify", action="store_true",
                     help="replay every operation on a local twin engine "
                          "and count answer mismatches (the server must "
-                         "have been started with the same dataset args); "
-                         "exits 1 on any mismatch or request error")
-    lg.add_argument("--verify-sharded", action="store_true",
-                    help="like --verify but against the sharded "
-                         "coordinator's canon: the pruned engine for NWC "
-                         "and the unpruned baseline for kNWC")
+                         "have been started with the same dataset args, "
+                         "or a fleet partitioned from them); exits 1 on "
+                         "any mismatch or request error")
     lg.add_argument("--subscriptions", type=int, default=0,
                     help="standing queries worker 0 registers over a "
                          "streaming connection before driving load")
     lg.add_argument("--verify-subs", action="store_true",
                     help="check every pushed notification against the "
-                         "twin (needs --verify or --verify-sharded); "
+                         "twin (needs --verify); "
                          "exits 1 on any missed or spurious notification")
     lg.add_argument("--json", default=None,
                     help="also write the report to this JSON file")

@@ -22,7 +22,7 @@ import math
 from typing import Iterator, Sequence
 
 from ..geometry import PointObject, Rect
-from .knwc import make_policy
+from .knwc import OrderKey, make_policy, order_key
 from .measures import cluster_distance
 from .query import KNWCQuery, NWCQuery
 from .results import KNWCResult, NWCResult, ObjectGroup
@@ -65,25 +65,32 @@ def enumerate_generated_windows(
     """The engine's window universe: for every object ``p``, windows with
     ``p`` on the quadrant-determined vertical edge and a partner from
     ``SR_p`` on the quadrant-determined horizontal edge."""
+    for window, _order in _ordered_windows(points, query):
+        yield window
+
+
+def _ordered_windows(
+    points: Sequence[PointObject], query: NWCQuery
+) -> Iterator[tuple[Rect, OrderKey]]:
+    """The generated windows with their order keys, in order-key order:
+    anchors by distance to ``q``, each one's partners by frame y."""
     qx, qy = query.qx, query.qy
     length, width = query.length, query.width
-    for p in points:
+    for p in sorted(points, key=lambda o: o.distance_to(qx, qy)):
         if p.x >= qx:
             x1, x2 = p.x - length, p.x
         else:
             x1, x2 = p.x, p.x + length
         sr = Rect(x1, p.y - width, x2, p.y + width)
-        for partner in points:
-            if not sr.contains_object(partner):
-                continue
-            if p.y >= qy:
-                if partner.y < p.y:
-                    continue
-                yield Rect(x1, partner.y - width, x2, partner.y)
+        upper = p.y >= qy
+        partners = [o for o in points if sr.contains_object(o)
+                    and (o.y >= p.y if upper else o.y <= p.y)]
+        for partner in sorted(partners, key=lambda o: o.y, reverse=not upper):
+            if upper:
+                window = Rect(x1, partner.y - width, x2, partner.y)
             else:
-                if partner.y > p.y:
-                    continue
-                yield Rect(x1, partner.y, x2, partner.y + width)
+                window = Rect(x1, partner.y, x2, partner.y + width)
+            yield window, order_key(qx, qy, p, partner.y)
 
 
 def nwc_bruteforce(points: Sequence[PointObject], query: NWCQuery) -> NWCResult:
@@ -115,17 +122,17 @@ def knwc_bruteforce(
     points: Sequence[PointObject], query: KNWCQuery, maintenance: str = "exact"
 ) -> KNWCResult:
     """kNWC answer: every group of the generation-rule universe pushed
-    through the chosen maintenance policy.
+    through the chosen maintenance policy, in the engine's order.
 
-    With ``maintenance="exact"`` the result is the greedy-by-distance
-    filter over the full candidate set — order independent, hence exactly
-    comparable with an unpruned engine run.
+    With ``maintenance="exact"`` the result is the greedy filter in
+    :data:`~repro.core.knwc.Rank` order over the full candidate set,
+    hence exactly comparable with an engine run.
     """
     policy = make_policy(maintenance, query.k, query.m)
-    for window in enumerate_generated_windows(points, query.base):
+    for window, order in _ordered_windows(points, query.base):
         group = _group_from_window(query.base, window, points)
         if group is not None:
-            policy.offer(group)
+            policy.offer(group, order)
     return KNWCResult(groups=policy.finalize(), stats={})
 
 

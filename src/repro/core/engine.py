@@ -40,8 +40,7 @@ from ..obs.trace import ATTRIBUTION_KEYS, NULL_TRACER
 from ..storage import IOStats
 from . import kernels
 from .errors import EngineConfigError
-from .knwc import (CandidatePool, KNWCCandidates, Rank, _rank_key,
-                   make_policy, offer_order)
+from .knwc import CandidatePool, KNWCCandidates, Rank, make_policy
 from .measures import DistanceMeasure
 from .query import KNWCQuery, NWCQuery
 from .regions import (
@@ -94,53 +93,6 @@ class _Attribution:
     def nonzero(self) -> dict[str, int]:
         return {key: value for key in self.__slots__
                 if (value := getattr(self, key))}
-
-
-class _BestGroup:
-    """Result policy for plain NWC: keep the single best group."""
-
-    def __init__(self) -> None:
-        self.group: ObjectGroup | None = None
-
-    def offer(self, group: ObjectGroup) -> None:
-        if self.group is None or _rank_key(group) < _rank_key(self.group):
-            self.group = group
-
-    def bound(self) -> float:
-        return self.group.distance if self.group is not None else float("inf")
-
-    def finalize(self) -> tuple[ObjectGroup, ...]:
-        return (self.group,) if self.group is not None else ()
-
-
-class _OrderedBestGroup(_BestGroup):
-    """:class:`_BestGroup` with a seeded prune bound and offer-order capture.
-
-    Used by the sharded search (:meth:`NWCEngine.nwc_ordered`): the bound
-    can start below ``inf`` so a coordinator-forwarded ``dist_best``
-    prunes remote shards, and the kept offer records its enumeration
-    order key (see :func:`~repro.core.knwc.offer_order`).  The single-engine
-    search keeps the enumeration-*first* candidate achieving the best
-    distance (later equal-distance offers are pruned by ``distance >=
-    bound()`` before they reach the policy), so a coordinator merging
-    shard answers picks the minimum ``(distance, order)`` — exactly the
-    instance, window included, the oracle would have kept.
-    """
-
-    def __init__(self, qy: float, initial_bound: float | None = None) -> None:
-        super().__init__()
-        self.anchor, self.sy, self.qy = 0.0, 1.0, qy  # see offer_order
-        self._initial = float("inf") if initial_bound is None else initial_bound
-        self.order: tuple[float, float] | None = None
-
-    def offer(self, group: ObjectGroup) -> None:
-        if self.group is None or _rank_key(group) < _rank_key(self.group):
-            self.group = group
-            self.order = offer_order(self, group.window)
-
-    def bound(self) -> float:
-        best = self.group.distance if self.group is not None else float("inf")
-        return best if best < self._initial else self._initial
 
 
 #: ``_LeafTable.slots`` codes of rows that issue no window query; a row
@@ -531,10 +483,13 @@ class NWCEngine:
         the dataset, or a constrained region containing no objects —
         returns an explicit empty result (``found`` False) with its
         ``reason`` set, without touching the index.
+
+        The answer is the first group of the candidate stream: the
+        one-group page of :meth:`knwc_candidates`.
         """
-        policy = _BestGroup()
-        stats, reason = self._answer("nwc", query, policy, True, region)
-        return NWCResult(group=policy.group, stats=stats, reason=reason)
+        page = self.knwc_candidates(query, 1, region=region)
+        return NWCResult(group=page.groups[0] if page.groups else None,
+                         stats=page.stats, reason=page.reason)
 
     def _answer(self, kind: str, q: NWCQuery, policy, prune_windows: bool,
                 region: Rect | None = None, anchor_region=None,
@@ -590,76 +545,57 @@ class NWCEngine:
         return KNWCResult(groups=policy.finalize(), stats=stats, reason=reason)
 
     # ------------------------------------------------------------------
-    # Sharded execution primitives (scatter-gather serving)
+    # The candidate stream (NWC, and scatter-gather serving)
     # ------------------------------------------------------------------
-    def nwc_ordered(
-        self,
-        query: NWCQuery,
-        bound: float | None = None,
-        anchor_region: tuple[float, float, float, float] | None = None,
-    ) -> tuple[NWCResult, tuple[float, float] | None]:
-        """One shard's slice of an NWC query, with its merge order key.
-
-        Same search as :meth:`nwc` except that (a) only objects inside
-        the half-open ``anchor_region`` rectangle may *anchor* candidate
-        windows — window members still come from the whole tree, so a
-        shard holding its owned region plus a halo evaluates every owned
-        window on the full membership — and (b) the prune bound can be
-        seeded with another shard's best.  Seed with
-        ``math.nextafter(d, inf)`` to keep candidates that tie ``d``
-        exactly: the coordinator needs equal-distance instances from
-        every shard to reproduce the oracle's kept window.
-
-        Returns ``(result, order)`` where ``order`` is the
-        :func:`~repro.core.knwc.offer_order` key of the kept offer
-        (``None`` when nothing was found).  The pruned single-engine
-        search keeps the enumeration-first candidate achieving the best
-        distance, so the coordinator's merge rule is: minimum
-        ``(distance, order)`` across shard answers.
-        """
-        policy = _OrderedBestGroup(query.qy, bound)
-        stats, reason = self._answer("nwc", query, policy, True,
-                                     anchor_region=anchor_region)
-        return NWCResult(group=policy.group, stats=stats, reason=reason), policy.order
-
     def knwc_candidates(
         self,
-        query: KNWCQuery,
+        query: KNWCQuery | NWCQuery,
         limit: int,
         after: Rank | None = None,
         anchor_region: tuple[float, float, float, float] | None = None,
+        ceiling: float = math.inf,
+        region: Rect | None = None,
     ) -> KNWCCandidates:
-        """One page of this shard's kNWC candidate stream.
+        """One page of the candidate stream.
 
         The stream is every distinct group the unpruned baseline
-        enumerates from anchors inside ``anchor_region`` (restricted as
-        in :meth:`nwc_ordered`), overlap constraint NOT applied, each at
-        its first window — the one the baseline keeps — in
-        :data:`~repro.core.knwc.InstanceKey` order: ``(distance, sorted
-        oids, order key)``.  The page is its next ``limit`` groups ranked
-        strictly after the cursor ``after`` — the ``(distance, sorted
-        oids)`` of the previous page's last group, ``None`` from the
-        start — each with its :func:`~repro.core.knwc.offer_order` key,
-        and ``exhausted`` says that nothing follows them.  A page is a
-        fresh search pruned one ulp above its ``limit``-th distance (see
+        enumerates, overlap constraint NOT applied, each at its first
+        window — the one the baseline keeps — in
+        :data:`~repro.core.knwc.Rank` order: ``(distance, order key,
+        sorted oids)``.  Only objects inside the half-open
+        ``anchor_region`` rectangle may *anchor* windows (window members
+        still come from the whole tree, so a shard holding its owned
+        region plus a halo evaluates every owned window on the full
+        membership); ``region`` constrains the members as in
+        :meth:`nwc`.  The page is the stream's next ``limit`` groups
+        ranked strictly after the cursor ``after`` — the rank of the
+        previous page's last group, ``None`` from the start — and below
+        ``ceiling``, each with its order key, and ``exhausted`` says
+        that nothing (below the ceiling) follows them.  A page is a
+        fresh search pruned at its ``limit``-th distance (see
         :class:`~repro.core.knwc.CandidatePool`); ``repro.shard.merge``
         consumes the pages of every shard lazily.
 
-        Under the NEAREST_WINDOW measure the per-window MINDIST prefilter
-        can drop an instance whose *group* distance is below the bound
-        (the group's nearest covering window need not be the generated
-        one), so distance pruning stays off for that measure: its pages
-        are cut by rank only, and every page enumerates the whole shard.
+        An :class:`NWCQuery` asks for NWC's own search (``limit`` 1):
+        the stream's first group, pruned under every measure.  A
+        :class:`KNWCQuery` page under the NEAREST_WINDOW measure is not
+        pruned on distance: the per-window MINDIST prefilter can drop an
+        instance whose *group* distance is below the bound (the group's
+        nearest covering window need not be the generated one), so its
+        pages are cut by rank only, and each enumerates the whole shard.
         """
-        prune = (
-            (self.flags.srr or self.flags.dip or self.flags.dep
-             or self.flags.iwp)
-            and query.base.measure is not DistanceMeasure.NEAREST_WINDOW
-        )
-        policy = CandidatePool(limit, query.base.qy, after, prune)
-        stats, reason = self._answer("knwc", query.base, policy, prune,
-                                     anchor_region=anchor_region,
-                                     k=query.k, m=query.m)
+        if isinstance(query, KNWCQuery):
+            kind, base, attrs = "knwc", query.base, {"k": query.k, "m": query.m}
+            prune = (
+                (self.flags.srr or self.flags.dip or self.flags.dep
+                 or self.flags.iwp)
+                and base.measure is not DistanceMeasure.NEAREST_WINDOW
+            )
+        else:
+            kind, base, attrs, prune = "nwc", query, {}, True
+        policy = CandidatePool(limit, after, ceiling, prune)
+        stats, reason = self._answer(kind, base, policy, prune, region,
+                                     anchor_region, **attrs)
         groups = policy.finalize()
         return KNWCCandidates(groups=groups, orders=policy.orders(),
                               exhausted=len(groups) < limit,
@@ -714,7 +650,7 @@ class NWCEngine:
                 region: Rect | None = None, anchor_region=None,
                 attr: _Attribution | None = None) -> None:
         """One search, charging ``stats``; ``anchor_region`` restricts
-        the anchors as in :meth:`nwc_ordered`."""
+        the anchors as in :meth:`knwc_candidates`."""
         flat, flat_iwp = self._refresh_structures()
         flags = self.flags
         qx, qy, length, width, n = q.qx, q.qy, q.length, q.width, q.n
@@ -788,7 +724,6 @@ class NWCEngine:
             ):
                 continue
             frame = QuadrantFrame.for_object(qx, qy, p)
-            policy.anchor, policy.sy = dist_p, frame.sy  # see offer_order
             sr = search_region(frame, p, length, width)
             if flags.srr:
                 shrunk = shrink_search_region(sr, bound)
@@ -829,7 +764,7 @@ class NWCEngine:
                 try:
                     self._enumerate_windows(
                         q, frame, sr, members, policy, prune_windows, stats,
-                        attr=attr, tspan=enum_span,
+                        dist_p, attr=attr, tspan=enum_span,
                     )
                 finally:
                     if tracing:
@@ -1112,13 +1047,13 @@ class NWCEngine:
                     frame = QuadrantFrame(q.qx, q.qy,
                                           1.0 if px >= q.qx else -1.0,
                                           1.0 if py >= q.qy else -1.0)
-                    policy.anchor, policy.sy = dist, frame.sy  # offer_order
                     sr = FrameRegion(
                         frame.sx * (px - q.qx), frame.sy * (py - q.qy),
                         q.length, q.width, float(table.upper[row]), px, py)
                     self._enumerate_windows_columnar(
                         q, frame, sr, table.cols[lo:hi], policy,
-                        prune_windows, stats, flat, attr=attr, tspan=enum_span,
+                        prune_windows, stats, flat, dist, attr=attr,
+                        tspan=enum_span,
                     )
             finally:
                 if tracing:
@@ -1349,11 +1284,13 @@ class NWCEngine:
         policy,
         prune_windows: bool,
         stats: IOStats,
+        anchor: float,
         attr: _Attribution | None = None,
         tspan=None,
     ) -> None:
-        """Pair the search region's object with every partner (Algorithm 1
-        lines 17-26) and offer each qualified window's best group."""
+        """Pair the search region's object, ``anchor`` away from ``q``,
+        with every partner (Algorithm 1 lines 17-26) and offer each
+        qualified window's best group at its order key."""
         n = q.n
         width = q.width
         qx, qy = q.qx, q.qy
@@ -1412,7 +1349,8 @@ class NWCEngine:
             if prune_windows and distance >= policy.bound():
                 continue
             window = sr.window_rect(frame, entries[j][2].y)
-            policy.offer(ObjectGroup(objects, distance, window))
+            policy.offer(ObjectGroup(objects, distance, window),
+                         (anchor, ty_top))
 
     def _enumerate_windows_columnar(
         self,
@@ -1424,6 +1362,7 @@ class NWCEngine:
         prune_windows: bool,
         stats: IOStats,
         flat: FlatRTree,
+        anchor: float,
         attr: _Attribution | None = None,
         tspan=None,
     ) -> None:
@@ -1460,8 +1399,8 @@ class NWCEngine:
                 and (measure is DistanceMeasure.MAX
                      or measure is DistanceMeasure.MIN)):
             self._enumerate_columnar_fast(
-                q, frame, sr, snap, start, los, his, dsq, qualified,
-                mindists, policy, prune_windows, flat,
+                q, frame, sr, snap, start, tops, los, his, dsq, qualified,
+                mindists, policy, prune_windows, flat, anchor,
             )
             return
         # The (distance, oid) selection order is shared by every window
@@ -1503,11 +1442,12 @@ class NWCEngine:
                 if prune_windows and distance >= policy.bound():
                     continue
             window = sr.window_rect(frame, float(snap.ys[start + jj]))
-            policy.offer(ObjectGroup(objects, distance, window))
+            policy.offer(ObjectGroup(objects, distance, window),
+                         (anchor, float(tops[jj])))
 
     def _enumerate_columnar_fast(
-        self, q, frame, sr, snap, start, los, his, dsq, qualified,
-        mindists, policy, prune_windows, flat,
+        self, q, frame, sr, snap, start, tops, los, his, dsq, qualified,
+        mindists, policy, prune_windows, flat, anchor,
     ) -> None:
         """Measure every candidate window of the region in one pass.
 
@@ -1517,7 +1457,7 @@ class NWCEngine:
         them at once and only surviving windows pay for selection and
         object materialization.
 
-        NWC (:class:`_BestGroup` with pruning) replays the sequential
+        NWC (a pruned one-group page from the start) replays the sequential
         offer chain exactly: a window is offered iff its distance beats
         the running minimum of the entry bound and all earlier candidate
         distances — the scalar loop's bound after any prefix equals that
@@ -1529,7 +1469,8 @@ class NWCEngine:
         """
         n = q.n
         k = n if q.measure is DistanceMeasure.MAX else 1
-        if isinstance(policy, _BestGroup) and prune_windows:
+        if (prune_windows and isinstance(policy, CandidatePool)
+                and policy.limit == 1 and policy.after is None):
             entry = policy.bound()
             cand = np.flatnonzero(qualified & (mindists < entry))
             if cand.size == 0:
@@ -1548,7 +1489,8 @@ class NWCEngine:
                 sel = kernels.select_ranked(rank, int(los[jj]), int(his[jj]), n)
                 objects = flat.objects_at(snap.cols[sel])
                 window = sr.window_rect(frame, float(snap.ys[start + jj]))
-                policy.offer(ObjectGroup(objects, dlist[pos], window))
+                policy.offer(ObjectGroup(objects, dlist[pos], window),
+                             (anchor, float(tops[jj])))
             return
         # kNWC (or unpruned) path: the policy bound moves in ways the
         # offer chain cannot precompute, so walk candidates sequentially
@@ -1568,7 +1510,8 @@ class NWCEngine:
             sel = kernels.select_ranked(rank, int(los[jj]), int(his[jj]), n)
             objects = flat.objects_at(snap.cols[sel])
             window = sr.window_rect(frame, float(snap.ys[start + jj]))
-            policy.offer(ObjectGroup(objects, dlist[pos], window))
+            policy.offer(ObjectGroup(objects, dlist[pos], window),
+                         (anchor, float(tops[jj])))
 
     @staticmethod
     def _measure(

@@ -11,15 +11,18 @@ Two interchangeable policies:
   Definition 3 (see DESIGN.md §4.1).
 
 * :class:`ExactGroupBuffer` (default) — buffers every distinct candidate
-  seen so far and re-derives the answer as the greedy-by-distance filter:
-  walk candidates in ascending distance, keep a group iff it overlaps
-  every kept group in at most ``m`` objects, stop at ``k``.  This is
-  exactly Definition 3's semantics and is what the brute-force reference
-  computes, so the two are comparable in tests.
+  seen so far and re-derives the answer as the greedy filter: walk
+  candidates in :data:`Rank` order, keep a group iff it overlaps every
+  kept group in at most ``m`` objects, stop at ``k``.  This is exactly
+  Definition 3's semantics, with its ties broken by the one answer order
+  ``(distance, order key, sorted oids)``, and is what the brute-force
+  reference computes, so the two are comparable in tests.
 
 Both expose ``offer`` / ``bound`` / ``finalize`` so the engine is policy
 agnostic.  ``bound()`` — the distance of the current ``k``-th group (or
 ``inf``) — drives SRR skipping and DIP pruning during the search.
+:class:`CandidatePool` is the third policy: a page of the candidate
+stream, with no overlap filter; NWC is its one-group page.
 """
 
 from __future__ import annotations
@@ -29,55 +32,65 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from ..geometry import Rect
+from ..geometry import PointObject
 from .results import ObjectGroup
 
 
-#: A group's rank: ``(distance, sorted oids)``.
-Rank = tuple[float, tuple[int, ...]]
+#: Where a window lies in the search's enumeration: ``(anchor distance,
+#: partner frame y)`` (see :func:`order_key`).
+OrderKey = tuple[float, float]
+
+#: A candidate's rank, the one answer order: ``(distance, order key of
+#: the group's first window, sorted oids)``.
+Rank = tuple[float, OrderKey, tuple[int, ...]]
+
+#: The order key of an offer made outside a window search (group
+#: queries, hand-built tests): such offers rank by distance, then oids.
+NO_ORDER: OrderKey = (0.0, 0.0)
 
 
-def _rank_key(group: ObjectGroup) -> Rank:
-    """Deterministic ordering: distance, then object ids (tie-break)."""
-    return (group.distance, tuple(sorted(g for g in group.oids)))
-
-
-def offer_order(policy, window: Rect) -> tuple[float, float]:
-    """Enumeration order key of the offer ``policy`` is being made.
+def order_key(qx: float, qy: float, anchor: PointObject,
+              partner_y: float) -> OrderKey:
+    """Enumeration order key of the window ``anchor`` generates with a
+    partner at ``partner_y``.
 
     The search enumerates anchors in ascending distance from ``q`` (one
     contiguous block of offers per anchor, every execution mode), and
-    within an anchor the candidate windows ascend by the top partner's
+    within an anchor the candidate windows ascend by the partner's
     frame-space y (``_enumerate_windows*`` sort region members by frame
     y before pairing).  Both components are properties of the
-    *candidate*, not of tree shape, so order keys are comparable between
-    a shard and the single-engine oracle: the merge key is ``(anchor
-    distance, partner frame y)``, with the second component recovered
-    from the offered window's horizontal edge.
-
-    The origin is the policy's own: the query's ``qy``, and ``anchor``
-    (distance) and ``sy`` (frame y sign) set by the search per anchor.
+    *candidate*, not of tree shape, so keys are comparable between a
+    shard, the single engine and the references, which compute them
+    with these operations.
     """
-    sy = policy.sy
-    partner_y = window.y2 if sy > 0 else window.y1
-    return (policy.anchor, sy * (partner_y - policy.qy))
+    sy = 1.0 if anchor.y >= qy else -1.0
+    return (math.hypot(anchor.x - qx, anchor.y - qy), sy * (partner_y - qy))
+
+
+def rank(group: ObjectGroup, order: OrderKey) -> Rank:
+    """The :data:`Rank` of ``group`` offered at order key ``order``."""
+    return (group.distance, order, tuple(sorted(group.oids)))
 
 
 class GroupPolicy(Protocol):
     """Interface shared by the two maintenance policies."""
 
-    def offer(self, group: ObjectGroup) -> None:
-        """Present one candidate group to the policy."""
+    def offer(self, group: ObjectGroup, order: OrderKey = NO_ORDER) -> None:
+        """Present one candidate group, found at order key ``order``."""
 
     def bound(self) -> float:
         """Current pruning bound: distance of the k-th kept group."""
 
     def finalize(self) -> tuple[ObjectGroup, ...]:
-        """The final answer, ascending by distance."""
+        """The final answer, in rank order."""
 
 
 class ExactGroupBuffer:
-    """Definition-3-exact maintenance via a sorted candidate buffer."""
+    """Definition-3-exact maintenance via a sorted candidate buffer.
+
+    A group's first offer stands: the search offers in order-key order,
+    so that is the group's first window, and its :data:`Rank`.
+    """
 
     def __init__(self, k: int, m: int) -> None:
         if k <= 0:
@@ -93,11 +106,11 @@ class ExactGroupBuffer:
         self._selected: list[ObjectGroup] = []
         self._selected_keys: list[Rank] = []
 
-    def offer(self, group: ObjectGroup) -> None:
+    def offer(self, group: ObjectGroup, order: OrderKey = NO_ORDER) -> None:
         if group.oids in self._seen:
             return
         self._seen.add(group.oids)
-        key = _rank_key(group)
+        key = rank(group, order)
         at = bisect.bisect_left(self._keys, key)
         self._keys.insert(at, key)
         self._candidates.insert(at, group)
@@ -129,7 +142,11 @@ class ExactGroupBuffer:
 
 
 class PaperGroupList:
-    """The paper's Steps 1-5, applied on every discovered group."""
+    """The paper's Steps 1-5, applied on every discovered group.
+
+    Section 3.4 orders groups by distance; ties go to the smaller
+    sorted oids, whatever the window (its answers predate :data:`Rank`).
+    """
 
     def __init__(self, k: int, m: int) -> None:
         if k <= 0:
@@ -141,16 +158,20 @@ class PaperGroupList:
         self._groups: list[ObjectGroup] = []
         self._seen: set[frozenset[int]] = set()
 
-    def offer(self, group: ObjectGroup) -> None:
+    @staticmethod
+    def _key(group: ObjectGroup) -> tuple[float, tuple[int, ...]]:
+        return (group.distance, tuple(sorted(group.oids)))
+
+    def offer(self, group: ObjectGroup, order: OrderKey = NO_ORDER) -> None:
         if group.oids in self._seen:
             return
         self._seen.add(group.oids)
         groups = self._groups
-        key = _rank_key(group)
+        key = self._key(group)
         # Step 2: scan in reverse for the first kept group closer than
         # the candidate; i is the count of strictly-closer groups.
         i = len(groups)
-        while i > 0 and _rank_key(groups[i - 1]) > key:
+        while i > 0 and self._key(groups[i - 1]) > key:
             i -= 1
         if i == self.k:
             return  # farther than a full answer: drop
@@ -179,36 +200,22 @@ class PaperGroupList:
         return tuple(self._groups)
 
 
-#: The merge key of one candidate in a shard's stream: ``(distance,
-#: sorted oids, order key)``.  The first two components are the group's
-#: rank (:func:`_rank_key`), which a shard's stream never repeats; the
-#: order key (see :func:`offer_order`) orders one group's windows the way
-#: the unpruned baseline enumerates them, so when two shards offer the
-#: same group, the smaller key carries the window the baseline keeps.
-InstanceKey = tuple[float, tuple[int, ...], tuple[float, float]]
-
-
-def instance_key(group: ObjectGroup, order: tuple[float, float]) -> InstanceKey:
-    """The :data:`InstanceKey` of ``group`` offered at order key ``order``."""
-    return (*_rank_key(group), order)
-
-
 @dataclass(frozen=True, slots=True)
 class KNWCCandidates:
     """One page of a shard's kNWC candidate stream (see ``knwc_candidates``).
 
     Attributes:
-        groups: The page's candidate groups ascending by
-            :data:`InstanceKey`, overlap constraint NOT applied.
-        orders: Per-group enumeration order key of its first window —
-            ``(anchor distance, partner frame y)``.
-        exhausted: Whether nothing follows the page in the stream.
+        groups: The page's candidate groups in :data:`Rank` order,
+            overlap constraint NOT applied.
+        orders: Per-group order key of its first window.
+        exhausted: Whether nothing follows the page in the stream (below
+            the page's ceiling, when it has one).
         stats: The query's I/O counters, as in ``KNWCResult``.
         reason: Unsatisfiability reason, as in ``KNWCResult``.
     """
 
     groups: tuple[ObjectGroup, ...]
-    orders: tuple[tuple[float, float], ...]
+    orders: tuple[OrderKey, ...]
     exhausted: bool
     stats: dict[str, int]
     reason: str | None = None
@@ -217,60 +224,64 @@ class KNWCCandidates:
 class CandidatePool:
     """The next ``limit`` candidate groups after ``after``, no overlap filter.
 
-    A page of the candidate stream a cross-shard kNWC merge consumes
-    (see ``repro.shard.merge``): offers of a group ranked at or before
-    the cursor ``after`` (a :func:`_rank_key`) are dropped, the rest are
-    ranked by :data:`InstanceKey`, and a group's first offer stands —
-    the window the unpruned baseline's buffer keeps for it, as
-    :class:`ExactGroupBuffer` ignores a group's later offers.  A page
-    never splits a group, so a cursor is a rank, not a window.
+    A page of the candidate stream (see ``NWCEngine.knwc_candidates``):
+    a group's first offer stands, as in :class:`ExactGroupBuffer`; a
+    group ranked at or before the cursor ``after`` (a :data:`Rank`) is
+    dropped, and the rest are kept in rank order, at most ``limit``.
+    NWC is the one-group page from the start.
 
-    ``bound()`` prunes the search one ulp above the ``limit``-th kept
-    distance once the page is full.  The search skips only what lies
-    at or beyond the bound of its time — strictly beyond the then
-    ``limit``-th kept distance, which only falls — so every group up
-    to the final ``limit``-th distance, ties included, was offered, and
-    the page is exactly the stream's next ``limit`` groups.  With
+    ``bound()`` prunes the search at the ``limit``-th kept distance
+    once the page is full, and never above ``ceiling``.  The search
+    meets offers in order-key order, so an offer at the bound's
+    distance ranks after every group kept before it, and the bound
+    only falls: every group the search skips ranks after the page's
+    final ``limit``-th, and the page is exactly the stream's next
+    ``limit`` groups (DESIGN.md, "kNWC: paging in rank order").  With
     ``prune=False`` the bound stays infinite: the search enumerates
     everything and the page is cut by rank alone.
     """
 
-    def __init__(self, limit: int, qy: float, after: Rank | None,
-                 prune: bool) -> None:
+    def __init__(self, limit: int, after: Rank | None = None,
+                 ceiling: float = math.inf, prune: bool = True) -> None:
         if limit <= 0:
             raise ValueError("limit must be positive")
         self.limit = limit
-        self.anchor, self.sy, self.qy = 0.0, 1.0, qy  # see offer_order
-        self._after = after
+        self.after = after
+        self._ceiling = ceiling
         self._prune = prune
-        self._keys: list[InstanceKey] = []
+        self._seen: set[frozenset[int]] = set()
+        self._keys: list[Rank] = []
         self._groups: list[ObjectGroup] = []
 
-    def offer(self, group: ObjectGroup) -> None:
-        rank = _rank_key(group)
-        if self._after is not None and rank <= self._after:
+    def offer(self, group: ObjectGroup, order: OrderKey = NO_ORDER) -> None:
+        if group.oids in self._seen:
+            return
+        self._seen.add(group.oids)
+        key = rank(group, order)
+        if self.after is not None and key <= self.after:
             return
         keys = self._keys
-        # A rank sorts just before every InstanceKey it prefixes.
-        at = bisect.bisect_left(keys, rank)
-        if at == self.limit or (at < len(keys) and keys[at][:2] == rank):
+        at = bisect.bisect_left(keys, key)
+        if at == self.limit:
             return
-        keys.insert(at, (*rank, offer_order(self, group.window)))
+        keys.insert(at, key)
         self._groups.insert(at, group)
         if len(keys) > self.limit:
             keys.pop()
             self._groups.pop()
 
     def bound(self) -> float:
-        if self._prune and len(self._keys) == self.limit:
-            return math.nextafter(self._keys[-1][0], math.inf)
-        return math.inf
+        if not self._prune:
+            return math.inf
+        if len(self._keys) == self.limit:
+            return min(self._keys[-1][0], self._ceiling)
+        return self._ceiling
 
     def finalize(self) -> tuple[ObjectGroup, ...]:
         return tuple(self._groups)
 
-    def orders(self) -> tuple[tuple[float, float], ...]:
-        return tuple(key[2] for key in self._keys)
+    def orders(self) -> tuple[OrderKey, ...]:
+        return tuple(key[1] for key in self._keys)
 
 
 def make_policy(kind: str, k: int, m: int) -> GroupPolicy:

@@ -34,8 +34,7 @@ from .durability import (
     ServerState,
     recover,
 )
-from .loadgen import (LoadMix, LoadReport, LoadgenConfig,
-                      ShardedVerifyTwin, run_loadgen)
+from .loadgen import LoadMix, LoadReport, LoadgenConfig, run_loadgen
 from .server import (LineProtocolServer, QueryServer, ServeConfig,
                      ServerThread, ServingThread)
 from .supervisor import Supervisor, SupervisorConfig
@@ -63,7 +62,6 @@ __all__ = [
     "ServeConfig",
     "ServingThread",
     "ShardUnavailableError",
-    "ShardedVerifyTwin",
     "SubscriptionStream",
     "ServerState",
     "ServerThread",

@@ -15,8 +15,10 @@ every one of its queries locally, and compares the serialized answers
 byte for byte, and an engine-answered (uncached) one's
 ``stats.node_accesses`` with the twin's.  Any divergence (including on
 cache hits, which is where an unsound invalidation rule would show) is
-counted as a mismatch.  The sharded twin's canon is the unpruned
-engine, so ``ShardedVerifyTwin`` checks answers only.
+counted as a mismatch.  A shard coordinator answers as one engine
+over the whole dataset does, so the same twin verifies a fleet; a
+fleet response carries ``shards``, and its node accesses, summed over
+the shard searches, are not compared.
 Other workers stay read-only in this mode so the twin never drifts.
 
 **Subscriptions** (``subscriptions`` > 0): worker 0 registers that many
@@ -57,8 +59,7 @@ from .client import (
     wait_until_healthy,
 )
 
-__all__ = ["LoadMix", "LoadgenConfig", "LoadReport", "ShardedVerifyTwin",
-           "run_loadgen"]
+__all__ = ["LoadMix", "LoadgenConfig", "LoadReport", "run_loadgen"]
 
 #: Object ids the load generator inserts start here, far above any
 #: dataset oid, so generated updates never collide with seed objects.
@@ -252,37 +253,6 @@ class LoadReport:
         return "\n".join(lines)
 
 
-class ShardedVerifyTwin:
-    """Verification twin matching the shard coordinator's canon.
-
-    A coordinator answers NWC bit-identically to the pruned columnar
-    single engine, but kNWC bit-identically to the *unpruned baseline*
-    (the repo's exact-kNWC reference; pruned engines only agree on
-    distances, not on tie picks).  This twin delegates each op to the
-    engine the coordinator is exact against, and mirrors updates into
-    both.
-    """
-
-    def __init__(self, nwc_engine: NWCEngine, knwc_engine: NWCEngine) -> None:
-        self.nwc_engine = nwc_engine
-        self.knwc_engine = knwc_engine
-
-    def nwc(self, query):
-        return self.nwc_engine.nwc(query)
-
-    def knwc(self, query):
-        return self.knwc_engine.knwc(query)
-
-    def insert(self, obj) -> None:
-        self.nwc_engine.insert(obj)
-        self.knwc_engine.insert(obj)
-
-    def delete(self, obj) -> bool:
-        deleted = self.nwc_engine.delete(obj)
-        self.knwc_engine.delete(obj)
-        return deleted
-
-
 class _Worker:
     """One closed-loop client; worker 0 optionally verifies."""
 
@@ -441,8 +411,7 @@ class _Worker:
                 accesses: int, context: dict[str, Any]) -> None:
         self.verified += 1
         served = response.get("stats", {}).get("node_accesses")
-        counted = (response.get("cached")
-                   or isinstance(self.twin, ShardedVerifyTwin)
+        counted = (response.get("cached") or "shards" in response
                    or served == accesses)
         if ((response.get("result") != expected or not counted)
                 and len(self.mismatches) < 10):
@@ -585,7 +554,7 @@ class _Worker:
 def run_loadgen(
     config: LoadgenConfig,
     dataset: Dataset,
-    verify_engine: NWCEngine | ShardedVerifyTwin | None = None,
+    verify_engine: NWCEngine | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> LoadReport:
     """Drive the server with ``config.workers`` closed-loop clients.

@@ -251,8 +251,9 @@ def parse_page(payload: dict[str, Any]) -> tuple[int, Rank | None]:
     """The ``(limit, after)`` of a ``knwc_pool`` page request.
 
     ``limit`` is a positive integer; ``after`` is the cursor the page
-    starts strictly after — ``[distance, [oids…]]``, the rank of the
-    previous page's last group — or absent/``null`` for the first page.
+    starts strictly after — ``[distance, [anchor distance, frame y],
+    [oids…]]``, the rank of the previous page's last group — or
+    absent/``null`` for the first page.
     """
     limit = payload.get("limit")
     if isinstance(limit, bool) or not isinstance(limit, int) or limit <= 0:
@@ -261,19 +262,25 @@ def parse_page(payload: dict[str, Any]) -> tuple[int, Rank | None]:
     after = payload.get("after")
     if after is None:
         return limit, None
+
+    def finite(value) -> bool:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+
     try:
-        distance, oids = after
-        if (isinstance(distance, bool)
-                or not isinstance(distance, (int, float))
-                or not math.isfinite(distance)
-                or not all(isinstance(oid, int) and not isinstance(oid, bool)
-                           for oid in oids)):
-            raise ValueError("non-finite distance or non-integer oid")
+        distance, order, oids = after
+        anchor, frame_y = order
+        if not (finite(distance) and finite(anchor) and finite(frame_y)
+                and all(isinstance(oid, int) and not isinstance(oid, bool)
+                        for oid in oids)):
+            raise ValueError("non-finite number or non-integer oid")
     except (TypeError, ValueError) as exc:
         raise ProtocolError(
-            "field 'after' must be [distance, [oids...]] with a finite "
-            f"distance and integer oids, got {after!r}") from exc
-    return limit, (float(distance), tuple(oids))
+            "field 'after' must be [distance, [anchor distance, frame y], "
+            "[oids...]] with finite numbers and integer oids, got "
+            f"{after!r}") from exc
+    return limit, (float(distance), (float(anchor), float(frame_y)),
+                   tuple(oids))
 
 
 def parse_trace(payload: dict[str, Any]) -> TraceContext | None:

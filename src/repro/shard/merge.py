@@ -10,40 +10,44 @@ exactly the instances the single-engine oracle generates from those
 anchors.  Merging is then a question of reproducing the oracle's
 *selection* over the disjoint union of per-shard enumerations:
 
-**NWC, point measures (MAX/MIN/AVG).**  The oracle keeps the first
-instance (in enumeration order) achieving the optimal distance d*.  The
-coordinator takes each shard's best ``(group, order)`` and picks the
-minimum under ``(distance, order)``; the order key — ``(anchor
-distance, signed partner offset)`` — is a pure function of the instance,
-so it is globally comparable and tree-shape independent.  Seeding later
-shards with ``next_bound(best.distance)`` (one ulp above the running
-best) is safe: a seeded shard still reports every instance at distance
-*equal* to the running best, so order tie-breaking sees every d*
-instance, while everything strictly worse is pruned.
+**One answer order.**  Every answer ranks candidates by
+:data:`~repro.core.knwc.Rank`: ``(distance, order key, sorted oids)``,
+where the order key — ``(anchor distance, partner frame y)`` — is where
+the single engine enumerates the group's first window.  It is a pure
+function of the instance, so it is globally comparable and tree-shape
+independent.  NWC is the first group of that order, and kNWC's greedy
+walks it.
+
+**NWC, point measures (MAX/MIN/AVG).**  Each shard answers the first
+group of its own stream — a one-group page, ``knwc_candidates`` on the
+plain query — with its order key, and the coordinator picks the minimum
+under ``(distance, order)``.  Seeding later shards with
+``next_bound(best.distance)`` (one ulp above the running best) as the
+page's ceiling is safe: a seeded shard still reports an instance at
+distance *equal* to the running best, so the order tie-break sees
+every d* instance, while everything strictly worse is pruned.
 
 **NWC, NEAREST_WINDOW.**  The measure is not monotone in the member
-distances, so the oracle's tie pick among equal-distance windows is
-trajectory dependent.  The scatter goes out *unseeded* and the same
-``(distance, order)`` rule picks a deterministic winner: the merged
-distance equals the oracle's exactly (any instance surviving the
-oracle's pruning survives the shard's looser local pruning), while the
-winning window is the deterministic order-first pick — mirroring the
-repo-wide convention that NEAREST_WINDOW answers agree on distance.
+distances, so the single engine's pruned tie pick among equal-distance
+windows is trajectory dependent.  The scatter goes out *unseeded* and
+the same ``(distance, order)`` rule picks a deterministic winner: the
+merged distance equals the single engine's exactly (any instance
+surviving its pruning survives the shard's looser local pruning), while
+the winning window is the deterministic order-first pick — mirroring
+the repo-wide convention that NEAREST_WINDOW answers agree on distance.
 
 **kNWC (all measures).**  The canonical answer is Definition 3's greedy
-selection over the full candidate universe — what the *unpruned*
-baseline engine and ``knwc_bruteforce`` compute.  The greedy walks the
-candidates in rank order and stops at the ``k``-th acceptance, so it
-reads only a *prefix* of that order, and nothing past the prefix can
-change it.  Each shard serves its candidate groups, each at its first
-window, as a stream in :data:`~repro.core.knwc.InstanceKey` order, one
-page at a time (``knwc_candidates``); :class:`KNWCPager` k-way-merges
-the streams into one :class:`ExactGroupBuffer` and stops at the
-``k``-th acceptance, so the merged answer is exact by construction.
-Distance is a pure function of the group under every measure, so a
-group offered by two shards is adjacent to itself in the merged order,
-and the buffer keeps the first — the smallest order key, the
-baseline's first enumeration of the group.
+selection over the candidate universe in rank order — what the engine
+and ``knwc_bruteforce`` compute.  The greedy reads only a *prefix* of
+that order, and nothing past the prefix can change it.  Each shard
+serves its candidate groups, each at its first window, as a stream in
+rank order, one page at a time (``knwc_candidates``); :class:`KNWCPager`
+k-way-merges the streams into one :class:`ExactGroupBuffer` and stops at
+the ``k``-th acceptance, so the merged answer is exact by construction.
+A group offered by two shards is offered twice at its one distance, the
+smaller order key first, and the buffer keeps that first offer — the
+single engine's first enumeration of the group.  A page's cursor is the
+rank of the last group the coordinator holds from that shard.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import math
 from collections import deque
 from typing import Iterable, Sequence
 
-from ..core.knwc import ExactGroupBuffer, InstanceKey, Rank, instance_key
+from ..core.knwc import ExactGroupBuffer, OrderKey, Rank, rank
 from ..core.measures import DistanceMeasure
 from ..core.query import KNWCQuery
 from ..core.results import ObjectGroup
@@ -65,11 +69,6 @@ __all__ = [
     "seedable",
     "shard_lower_bound",
 ]
-
-#: The enumeration order key of one window instance:
-#: ``(anchor distance, signed partner offset)``.
-OrderKey = tuple[float, float]
-
 
 def seedable(measure: DistanceMeasure) -> bool:
     """Whether a running best may be forwarded as a shard prune bound.
@@ -149,7 +148,7 @@ class KNWCPager:
         self._lower = tuple(shard_lower_bound(base.qx, reach, band)
                             for band in owned)
         count = len(self._lower)
-        self._heads: list[deque[tuple[InstanceKey, ObjectGroup]]] = [
+        self._heads: list[deque[tuple[Rank, ObjectGroup]]] = [
             deque() for _ in range(count)]
         self._after: list[Rank | None] = [None] * count
         self._exhausted = [False] * count
@@ -176,7 +175,8 @@ class KNWCPager:
                         for i, floor in waiting.items() if floor == nearest}
             if src is None:
                 break  # every stream is exhausted
-            self._buffer.offer(heads[src].popleft()[1])
+            key, group = heads[src].popleft()
+            self._buffer.offer(group, key[1])
         return {}
 
     def feed(self, shard: int, groups: Sequence[ObjectGroup],
@@ -185,9 +185,9 @@ class KNWCPager:
         self.pages[shard] += 1
         head = self._heads[shard]
         for group, order in zip(groups, orders):
-            head.append((instance_key(group, order), group))
+            head.append((rank(group, order), group))
         if groups:
-            self._after[shard] = head[-1][0][:2]
+            self._after[shard] = head[-1][0]
         self._exhausted[shard] = exhausted or not groups
 
     def lose(self, shard: int) -> None:

@@ -4,10 +4,10 @@ A :class:`ShardServer` is a :class:`~repro.serve.server.QueryServer`
 over one shard's slice of the dataset, extended with the two scatter
 ops a coordinator fans out:
 
-* ``nwc_scatter`` — :meth:`~repro.core.engine.NWCEngine.nwc_ordered`
-  restricted to the shard's anchor band, optionally seeded with a
-  ``bound`` forwarded from faster shards; answers carry the merge
-  order key.
+* ``nwc_scatter`` — NWC's one-group page of
+  :meth:`~repro.core.engine.NWCEngine.knwc_candidates`, restricted to
+  the shard's anchor band, optionally under a ``bound`` forwarded from
+  faster shards as its ceiling; answers carry the merge order key.
 * ``knwc_pool`` — :meth:`~repro.core.engine.NWCEngine.knwc_candidates`:
   one page of the shard's candidate stream in rank order — the next
   ``limit`` groups ranked strictly after the ``after`` cursor, each at
@@ -34,9 +34,10 @@ carries the tree's node map, so updates splice it (see
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
-from ..core import NWCEngine
+from ..core import NWCEngine, NWCResult
 from ..core.schemes import Scheme
 from ..index import FlatRTree, load_tree
 from ..serve import protocol
@@ -115,15 +116,18 @@ class ShardServer(QueryServer):
         ctx = self._trace_context(payload)
 
         async def body():
-            (result, order), traced = await self._run_engine(
-                lambda: self.engine.nwc_ordered(
-                    query, bound=bound, anchor_region=self.anchor_region),
+            page, traced = await self._run_engine(
+                lambda: self.engine.knwc_candidates(
+                    query, 1, anchor_region=self.anchor_region,
+                    ceiling=math.inf if bound is None else bound),
                 ctx, "nwc")
+            result = NWCResult(group=page.groups[0] if page.groups else None,
+                               stats=page.stats, reason=page.reason)
             return {
                 "ok": True, "op": "nwc_scatter", "version": self.version,
                 "shard": self.shard_index,
                 "result": protocol.serialize_nwc(result),
-                "order": None if order is None else list(order),
+                "order": list(page.orders[0]) if page.orders else None,
                 "stats": {"node_accesses": result.node_accesses},
                 **traced,
             }

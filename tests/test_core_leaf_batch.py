@@ -53,6 +53,7 @@ from repro.core import (
     KNWCQuery,
     NWCEngine,
     NWCQuery,
+    NWCResult,
     OptimizationFlags,
     Scheme,
     kernels,
@@ -104,6 +105,17 @@ def _engine(flags, execution, tree=None, traced=False, grid=None):
 def _answer(result):
     return (result.found, result.distance if result.found else None,
             [p.oid for p in result.objects] if result.found else None)
+
+
+def _nwc_page(engine, query, bound=None, anchor_region=None):
+    """NWC's one-group page under the ceiling ``bound``: ``(result,
+    order key)``."""
+    page = engine.knwc_candidates(
+        query, 1, anchor_region=anchor_region,
+        ceiling=math.inf if bound is None else bound)
+    return (NWCResult(group=page.groups[0] if page.groups else None,
+                      stats=page.stats, reason=page.reason),
+            page.orders[0] if page.orders else None)
 
 
 def _pages(engine, query, limit, anchor):
@@ -182,7 +194,7 @@ def test_sharded_entry_points_match_the_oracle(scheme, bound):
             (DistanceMeasure.MAX, DistanceMeasure.AVG), LOCATIONS[:3]):
         query = NWCQuery(x, y, 40.0, 30.0, 3, measure)
         (a, a_order), (b, b_order) = (
-            engine.nwc_ordered(query, bound=bound, anchor_region=anchor)
+            _nwc_page(engine, query, bound=bound, anchor_region=anchor)
             for engine in (oracle, columnar))
         assert _answer(a) == _answer(b)
         assert a_order == b_order
@@ -449,7 +461,7 @@ def test_dense_constrained_region_matches_the_oracle(builds, enumerating):
 
 def _first_floor(monkeypatch, flags, query, anchor):
     """``(floor, x, y)`` of the first row an unseeded columnar
-    ``nwc_ordered`` pops with a window query."""
+    ``nwc`` page pops with a window query."""
     tables = []
     original = NWCEngine._leaf_table
 
@@ -459,8 +471,8 @@ def _first_floor(monkeypatch, flags, query, anchor):
 
     with monkeypatch.context() as patch:
         patch.setattr(NWCEngine, "_leaf_table", recording)
-        _dense_engine(flags, "columnar").nwc_ordered(
-            query, anchor_region=anchor)
+        _nwc_page(_dense_engine(flags, "columnar"),
+                  query, anchor_region=anchor)
     stream, table, base = tables[0]
     at = next(i for i in range(-base, len(stream.xs))
               if table.slots[i + base] >= 0)
@@ -490,7 +502,7 @@ def test_dense_sharded_entry_points_and_seeds(flags, monkeypatch):
     for bound in (None, 5e-324, floor, above, 12.0):
         del generators[:]
         (a, a_order), (b, b_order) = (
-            engine.nwc_ordered(query, bound=bound, anchor_region=anchor)
+            _nwc_page(engine, query, bound=bound, anchor_region=anchor)
             for engine in (oracle, columnar))
         assert _answer(a) == _answer(b)
         assert a_order == b_order
@@ -789,7 +801,7 @@ def test_sparse_sharded_entry_points_and_seeds(flags, tables):
     for bound in (None, 5e-324, 150.0, 400.0):
         tables.clear()
         (a, a_order), (b, b_order) = (
-            engine.nwc_ordered(query, bound=bound, anchor_region=anchor)
+            _nwc_page(engine, query, bound=bound, anchor_region=anchor)
             for engine in (oracle, columnar))
         assert _answer(a) == _answer(b)
         assert a_order == b_order
@@ -986,7 +998,7 @@ def test_rows_dropped_before_the_first_table_keep_the_stream_going(scheme, table
                 _assert_same_nwc(oracle, columnar, query, **kwargs)
             else:
                 (a, a_order), (b, b_order) = (
-                    engine.nwc_ordered(query, **kwargs)
+                    _nwc_page(engine, query, **kwargs)
                     for engine in (oracle, columnar))
                 assert _answer(a) == _answer(b)
                 assert a_order == b_order
@@ -1015,7 +1027,7 @@ def test_a_bound_finite_from_the_first_pop(flags, object_pops):
     query = _sparse_query(500.0, 500.0, 8)
     for bound in (150.0, 400.0):
         (a, a_order), (b, b_order) = (
-            engine.nwc_ordered(query, bound=bound, anchor_region=anchor)
+            _nwc_page(engine, query, bound=bound, anchor_region=anchor)
             for engine in (oracle, columnar))
         assert _answer(a) == _answer(b)
         assert a_order == b_order

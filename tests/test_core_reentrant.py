@@ -109,17 +109,17 @@ def test_two_ordered_calls_keep_their_own_anchor_bands(monkeypatch):
     engine = _engine()
 
     def west():
-        return engine.nwc_ordered(QUERY_A, anchor_region=WEST)
+        return engine.knwc_candidates(QUERY_A, 1, anchor_region=WEST)
 
     def east():
-        return engine.nwc_ordered(QUERY_A, bound=math.inf,
-                                  anchor_region=EAST)
+        return engine.knwc_candidates(QUERY_A, 1, ceiling=math.inf,
+                                      anchor_region=EAST)
 
     expected = west(), east()
     got = _interleaved(monkeypatch, west, east)
     assert got == expected
-    (result, order), _ = got
-    assert result.found and order is not None
+    page, _ = got
+    assert page.groups and page.orders
 
 
 def test_two_candidate_pools_keep_their_own_state(monkeypatch):

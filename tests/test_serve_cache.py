@@ -223,14 +223,25 @@ class TestProtocol:
     def test_parse_page_validates_limit_and_cursor(self):
         assert protocol.parse_page({"limit": 4}) == (4, None)
         assert protocol.parse_page({"limit": 4, "after": None}) == (4, None)
-        assert protocol.parse_page({"limit": 8, "after": [1.5, [3, 9]]}) \
-            == (8, (1.5, (3, 9)))
+        assert protocol.parse_page(
+            {"limit": 8, "after": [1.5, [0.5, -2], [3, 9]]}) \
+            == (8, (1.5, (0.5, -2.0), (3, 9)))
         for limit in (None, 0, -1, 2.0, True, "4"):
             with pytest.raises(protocol.ProtocolError):
                 protocol.parse_page({"limit": limit})
+        order = [0.5, -2.0]
         for after in (7, [], [1.5], [1.5, [3], [2.0, 0.0]], [1.5, 3],
                       [1.5, [3, 9.5]], [1.5, [True]], ["1.5", [3]],
-                      [False, [3]], [math.inf, [3]], [math.nan, [3]]):
+                      [False, [3]], [math.inf, [3]], [math.nan, [3]],
+                      # The rank's middle part is the order key
+                      # [anchor distance, frame y], both finite.
+                      [1.5, [3, 9]], [1.5, order, [3, 9.5]],
+                      [1.5, order, [True]], ["1.5", order, [3]],
+                      [math.inf, order, [3]], [1.5, None, [3]],
+                      [1.5, 0.5, [3]], [1.5, [0.5], [3]],
+                      [1.5, [0.5, 1.0, 2.0], [3]], [1.5, ["0.5", 1.0], [3]],
+                      [1.5, [True, 1.0], [3]], [1.5, [math.inf, 1.0], [3]],
+                      [1.5, [0.5, math.nan], [3]], [1.5, order, [3], 4]):
             with pytest.raises(protocol.ProtocolError):
                 protocol.parse_page({"limit": 4, "after": after})
 

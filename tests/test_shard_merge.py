@@ -12,15 +12,17 @@ both fresh-built and mmap-loaded shard engines.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro.core import NWCEngine
+from repro.core.knwc import rank
 from repro.core.measures import DistanceMeasure
 from repro.core.query import KNWCQuery, NWCQuery
 from repro.core.schemes import Scheme
-from repro.geometry import Rect
+from repro.geometry import Rect, make_points
 from repro.index import RStarTree
 from repro.shard import (
     KNWCPager,
@@ -57,13 +59,11 @@ class World:
         self.manifest = manifest
         self.engines = engines
         tree = RStarTree.bulk_load(points)
-        # Pruned oracle: canonical for NWC (keeps the first optimal
-        # instance in enumeration order, like the merge's order key).
+        # The pruned single engine and the unpruned baseline: one
+        # answer order, so both are canonical (NEAREST_WINDOW aside,
+        # whose pruned answers agree on distance only).
         self.oracle = NWCEngine(RStarTree.bulk_load(points),
                                 scheme=Scheme.NWC_STAR, extent=EXTENT)
-        # Unpruned baseline: canonical for exact kNWC (Definition 3's
-        # greedy selection over the full candidate universe — the repo
-        # pins bit-exactness to this engine, see test_property_engine).
         self.baseline = NWCEngine(tree, scheme=Scheme.NWC, extent=EXTENT)
 
     # ------------------------------------------------------------------
@@ -77,11 +77,9 @@ class World:
         order = sorted(range(manifest.shard_count),
                        key=lambda i: (bounds[i], i))
         probe = order[0]
-        result, okey = self.engines[probe].nwc_ordered(
-            query, anchor_region=manifest.anchor_region(probe))
-        winners = [(result.group, okey)]
+        winners = [self._nwc_page(probe, query, math.inf)]
         best, _ = merge_nwc(winners)
-        seed = None
+        seed = math.inf
         if best is not None and seedable(query.measure):
             seed = next_bound(best.distance)
         skipped = 0
@@ -89,11 +87,18 @@ class World:
             if best is not None and bounds[i] > best.distance:
                 skipped += 1
                 continue
-            result, okey = self.engines[i].nwc_ordered(
-                query, bound=seed, anchor_region=manifest.anchor_region(i))
-            winners.append((result.group, okey))
+            winners.append(self._nwc_page(i, query, seed))
         merged, _ = merge_nwc(winners)
         return merged, skipped
+
+    def _nwc_page(self, shard, query, ceiling):
+        """Shard ``shard``'s ``nwc_scatter`` answer: ``(group, order)``."""
+        page = self.engines[shard].knwc_candidates(
+            query, 1, anchor_region=self.manifest.anchor_region(shard),
+            ceiling=ceiling)
+        if not page.groups:
+            return None, None
+        return page.groups[0], page.orders[0]
 
     def scatter_knwc(self, query: KNWCQuery):
         """The coordinator's paging loop against in-process shards:
@@ -127,6 +132,18 @@ def _build_world(name, tmp_path, points, shards, mode):
     return World(name, points, manifest, engines)
 
 
+def _duplicated_points():
+    """A cluster the two-shard cut runs through, every other point of it
+    (and of a sparse background) twice: objects at equal coordinates
+    are anchors at equal distances, which pop in heap-counter order."""
+    rng = random.Random(91)
+    coords = [(rng.gauss(500.0, 25.0), rng.gauss(500.0, 25.0))
+              for _ in range(120)]
+    coords += [(rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0))
+               for _ in range(60)]
+    return make_points(coords + coords[::2])
+
+
 WORLD_SPECS = [
     # (id, shards, mode, point factory)
     ("uniform-2-mmap", 2, "mmap",
@@ -138,6 +155,7 @@ WORLD_SPECS = [
     # All data in x <= 120 with 5 shards: several shards are empty.
     ("skewed-5-fresh", 5, "fresh",
      lambda: make_uniform_points(160, span=120.0, seed=55)),
+    ("duplicates-2-fresh", 2, "fresh", _duplicated_points),
 ]
 
 
@@ -204,6 +222,10 @@ def test_knwc_matches_unpruned_baseline(world):
             canon = world.baseline.knwc(query)
             assert [_group_key(g) for g in merged] == \
                 [_group_key(g) for g in canon.groups]
+            if measure is not DistanceMeasure.NEAREST_WINDOW:
+                # One answer order: the pruned engine agrees, ties and
+                # windows included.
+                assert world.oracle.knwc(query).groups == canon.groups
             nonempty += bool(canon.groups)
     assert nonempty > 0
     assert deepest > 1  # some shard must have been paged past its first page
@@ -266,8 +288,22 @@ def test_pages_walk_the_unpruned_candidate_stream(spec, measure, tmp_path):
                 exhausted = page.exhausted
                 for group, order in zip(page.groups, page.orders):
                     got.append((_group_key(group), order))
-                    after = (group.distance, tuple(sorted(group.oids)))
+                    after = rank(group, order)
                 assert len(got) <= len(want)
             assert got == want
             walked += len(want)
     assert walked > 0
+
+
+def test_duplicates_are_split_over_both_shards(tmp_path):
+    """The duplicates world puts equal coordinates in both anchor bands,
+    so both shards' streams hold equal-distance anchors."""
+    points = _duplicated_points()
+    world = _build_world("duplicates", tmp_path, points, 2, "fresh")
+    count: dict[tuple[float, float], int] = {}
+    for p in points:
+        count[(p.x, p.y)] = count.get((p.x, p.y), 0) + 1
+    for i in range(2):
+        x1, y1, x2, y2 = world.manifest.anchor_region(i)
+        assert any(n == 2 and x1 <= x < x2 and y1 <= y < y2
+                   for (x, y), n in count.items())
