@@ -40,7 +40,8 @@ from ..obs.trace import ATTRIBUTION_KEYS, NULL_TRACER
 from ..storage import IOStats
 from . import kernels
 from .errors import EngineConfigError
-from .knwc import CandidatePool, KNWCCandidates, Rank, make_policy
+from .knwc import (ROUNDING_MARGIN, CandidatePool, KNWCCandidates, Rank,
+                   make_policy)
 from .measures import DistanceMeasure
 from .query import KNWCQuery, NWCQuery
 from .regions import (
@@ -577,23 +578,23 @@ class NWCEngine:
         consumes the pages of every shard lazily.
 
         An :class:`NWCQuery` asks for NWC's own search (``limit`` 1):
-        the stream's first group, pruned under every measure.  A
-        :class:`KNWCQuery` page under the NEAREST_WINDOW measure is not
-        pruned on distance: the per-window MINDIST prefilter can drop an
-        instance whose *group* distance is below the bound (the group's
-        nearest covering window need not be the generated one), so its
-        pages are cut by rank only, and each enumerates the whole shard.
+        the stream's first group, pruned as the paper prunes.  A
+        :class:`KNWCQuery` page under NEAREST_WINDOW prunes at its cut
+        plus one query diagonal and a rounding margin: a group's
+        distance is at least its generating window's MINDIST less one
+        diagonal (DESIGN.md §10).
         """
         if isinstance(query, KNWCQuery):
             kind, base, attrs = "knwc", query.base, {"k": query.k, "m": query.m}
-            prune = (
-                (self.flags.srr or self.flags.dip or self.flags.dep
-                 or self.flags.iwp)
-                and base.measure is not DistanceMeasure.NEAREST_WINDOW
-            )
+            prune = (self.flags.srr or self.flags.dip or self.flags.dep
+                     or self.flags.iwp)
         else:
             kind, base, attrs, prune = "nwc", query, {}, True
-        policy = CandidatePool(limit, after, ceiling, prune)
+        slack = 0.0
+        if kind == "knwc" and base.measure is DistanceMeasure.NEAREST_WINDOW:
+            slack = base.diagonal + ROUNDING_MARGIN * (abs(base.qx)
+                                                       + abs(base.qy))
+        policy = CandidatePool(limit, after, ceiling, slack)
         stats, reason = self._answer(kind, base, policy, prune, region,
                                      anchor_region, **attrs)
         groups = policy.finalize()

@@ -48,6 +48,10 @@ Rank = tuple[float, OrderKey, tuple[int, ...]]
 #: queries, hand-built tests): such offers rank by distance, then oids.
 NO_ORDER: OrderKey = (0.0, 0.0)
 
+#: Relative margin that covers the rounding of distances and MINDISTs
+#: (a few ulps of the coordinates involved) where a bound is widened.
+ROUNDING_MARGIN = 1e-9
+
 
 def order_key(qx: float, qy: float, anchor: PointObject,
               partner_y: float) -> OrderKey:
@@ -226,35 +230,36 @@ class CandidatePool:
 
     A page of the candidate stream (see ``NWCEngine.knwc_candidates``):
     a group's first offer stands, as in :class:`ExactGroupBuffer`; a
-    group ranked at or before the cursor ``after`` (a :data:`Rank`) is
-    dropped, and the rest are kept in rank order, at most ``limit``.
-    NWC is the one-group page from the start.
+    group ranked at or before the cursor ``after`` (a :data:`Rank`), or
+    at or above ``ceiling``, is dropped, and the rest are kept in rank
+    order, at most ``limit``.  NWC is the one-group page from the start.
 
-    ``bound()`` prunes the search at the ``limit``-th kept distance
-    once the page is full, and never above ``ceiling``.  The search
-    meets offers in order-key order, so an offer at the bound's
-    distance ranks after every group kept before it, and the bound
-    only falls: every group the search skips ranks after the page's
-    final ``limit``-th, and the page is exactly the stream's next
-    ``limit`` groups (DESIGN.md, "kNWC: paging in rank order").  With
-    ``prune=False`` the bound stays infinite: the search enumerates
-    everything and the page is cut by rank alone.
+    The page's *cut* is its ``limit``-th kept distance once it is full,
+    and never above ``ceiling``.  The search meets offers in order-key
+    order, so an offer at the cut ranks after every group kept before
+    it, and the cut only falls: every group the search skips ranks
+    after the page's final ``limit``-th, and the page is exactly the
+    stream's next ``limit`` groups (DESIGN.md, "One query path: paging
+    in rank order").  ``bound()`` — what the search prunes at — is the cut
+    widened by ``slack`` (and a rounding margin) when the measure only
+    bounds a group's distance from below by a window's MINDIST less
+    ``slack``.
     """
 
     def __init__(self, limit: int, after: Rank | None = None,
-                 ceiling: float = math.inf, prune: bool = True) -> None:
+                 ceiling: float = math.inf, slack: float = 0.0) -> None:
         if limit <= 0:
             raise ValueError("limit must be positive")
         self.limit = limit
         self.after = after
         self._ceiling = ceiling
-        self._prune = prune
+        self._slack = slack
         self._seen: set[frozenset[int]] = set()
         self._keys: list[Rank] = []
         self._groups: list[ObjectGroup] = []
 
     def offer(self, group: ObjectGroup, order: OrderKey = NO_ORDER) -> None:
-        if group.oids in self._seen:
+        if group.distance >= self._ceiling or group.oids in self._seen:
             return
         self._seen.add(group.oids)
         key = rank(group, order)
@@ -271,11 +276,12 @@ class CandidatePool:
             self._groups.pop()
 
     def bound(self) -> float:
-        if not self._prune:
-            return math.inf
+        cut = self._ceiling
         if len(self._keys) == self.limit:
-            return min(self._keys[-1][0], self._ceiling)
-        return self._ceiling
+            cut = min(self._keys[-1][0], cut)
+        if self._slack:
+            return (cut + self._slack) * (1.0 + ROUNDING_MARGIN)
+        return cut
 
     def finalize(self) -> tuple[ObjectGroup, ...]:
         return tuple(self._groups)

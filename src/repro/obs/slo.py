@@ -36,7 +36,6 @@ __all__ = ["DEFAULT_OBJECTIVES", "SLORecorder", "default_objectives"]
 DEFAULT_OBJECTIVES: Mapping[str, float] = {
     "nwc": 0.25,
     "knwc": 1.0,
-    "nwc_scatter": 0.25,
     "knwc_pool": 1.0,
     "insert": 0.25,
     "delete": 0.25,

@@ -62,7 +62,6 @@ __all__ = [
     "encode_result",
     "error_response",
     "group_from_payload",
-    "parse_bound",
     "parse_knwc",
     "parse_nwc",
     "parse_point",
@@ -179,6 +178,12 @@ def _number(payload: dict, key: str) -> float:
     return float(value)
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite JSON number (``bool`` is not)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _integer(payload: dict, key: str, default: int | None = None) -> int:
     value = payload.get(key, default)
     if value is None or isinstance(value, bool) or not isinstance(value, int):
@@ -229,48 +234,36 @@ def parse_request_id(payload: dict[str, Any]) -> str | None:
     return req
 
 
-def parse_bound(payload: dict[str, Any]) -> float | None:
-    """The optional ``bound`` hint of a sharded scatter request.
-
-    A coordinator forwards its running best distance (already advanced
-    one ulp, see ``repro.shard.merge.next_bound``) so later shards prune
-    everything that cannot beat it.  Absent or ``null`` means unseeded.
-    """
-    bound = payload.get("bound")
-    if bound is None:
-        return None
-    if not isinstance(bound, (int, float)) or isinstance(bound, bool):
-        raise ProtocolError(f"field 'bound' must be a number, got {bound!r}")
-    bound = float(bound)
-    if math.isnan(bound) or bound <= 0.0:
-        raise ProtocolError("field 'bound' must be positive")
-    return bound
-
-
-def parse_page(payload: dict[str, Any]) -> tuple[int, Rank | None]:
-    """The ``(limit, after)`` of a ``knwc_pool`` page request.
+def parse_page(payload: dict[str, Any]) -> tuple[int, Rank | None, float]:
+    """The ``(limit, after, ceiling)`` of a ``knwc_pool`` page request.
 
     ``limit`` is a positive integer; ``after`` is the cursor the page
     starts strictly after — ``[distance, [anchor distance, frame y],
     [oids…]]``, the rank of the previous page's last group — or
-    absent/``null`` for the first page.
+    absent/``null`` for the first page; ``ceiling`` is the finite,
+    positive distance the page stops below, or absent/``null`` (``inf``:
+    no ceiling).
     """
     limit = payload.get("limit")
     if isinstance(limit, bool) or not isinstance(limit, int) or limit <= 0:
         raise ProtocolError(
             f"field 'limit' must be a positive integer, got {limit!r}")
+    ceiling = payload.get("ceiling")
+    if ceiling is None:
+        ceiling = math.inf
+    elif _finite(ceiling) and ceiling > 0:
+        ceiling = float(ceiling)
+    else:
+        raise ProtocolError(
+            f"field 'ceiling' must be a finite positive number, got "
+            f"{ceiling!r}")
     after = payload.get("after")
     if after is None:
-        return limit, None
-
-    def finite(value) -> bool:
-        return (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value))
-
+        return limit, None, ceiling
     try:
         distance, order, oids = after
         anchor, frame_y = order
-        if not (finite(distance) and finite(anchor) and finite(frame_y)
+        if not (_finite(distance) and _finite(anchor) and _finite(frame_y)
                 and all(isinstance(oid, int) and not isinstance(oid, bool)
                         for oid in oids)):
             raise ValueError("non-finite number or non-integer oid")
@@ -280,7 +273,7 @@ def parse_page(payload: dict[str, Any]) -> tuple[int, Rank | None]:
             "[oids...]] with finite numbers and integer oids, got "
             f"{after!r}") from exc
     return limit, (float(distance), (float(anchor), float(frame_y)),
-                   tuple(oids))
+                   tuple(oids)), ceiling
 
 
 def parse_trace(payload: dict[str, Any]) -> TraceContext | None:

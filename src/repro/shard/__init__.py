@@ -3,16 +3,15 @@
 The subsystem splits a dataset into density-balanced vertical bands
 (:mod:`repro.shard.partition`), runs one columnar engine per band in its
 own worker process (:mod:`repro.shard.worker`) and answers the ordinary
-serve protocol from a coordinator that scatter-gathers with staged
-prune-bound exchange (:mod:`repro.shard.coordinator`), merging
+serve protocol from a coordinator that pages through every shard's
+candidate stream (:mod:`repro.shard.coordinator`), merging
 bit-identically to the single-engine oracle
 (:mod:`repro.shard.merge` carries the correctness arguments).
 """
 
 from .coordinator import (CoordinatorConfig, ShardCallError,
                           ShardCoordinator, ShardLink, coordinator_thread)
-from .merge import (KNWCPager, merge_nwc, next_bound, seedable,
-                    shard_lower_bound)
+from .merge import KNWCPager, merge_nwc, shard_lower_bound
 from .partition import (MANIFEST_NAME, ShardInfo, ShardManifest, choose_cuts,
                         partition_dataset, shard_filename)
 from .worker import ShardServer, build_shard_server, make_shard_engine
@@ -32,9 +31,7 @@ __all__ = [
     "coordinator_thread",
     "make_shard_engine",
     "merge_nwc",
-    "next_bound",
     "partition_dataset",
-    "seedable",
     "shard_filename",
     "shard_lower_bound",
 ]

@@ -4,21 +4,18 @@ A :class:`ShardCoordinator` speaks the exact NDJSON protocol of a
 single-engine :class:`~repro.serve.server.QueryServer` — same ops, same
 response shapes, bit-identical ``result`` payloads — but owns no engine.
 Instead it holds one :class:`ShardLink` (a pooled, retrying asyncio
-connection) per shard worker and answers queries by staged scatter-
-gather (see :mod:`repro.shard.merge` for the correctness argument):
-
-1. **Probe** the shard with the smallest distance lower bound
-   (usually the one whose band contains the query point) unseeded.
-2. **Prune**: shards whose lower bound exceeds the running best
-   strictly are skipped outright (``shard_prune_skips_total``).
-3. **Fan out** to the remaining shards in parallel, forwarding the
-   running best advanced one ulp as the ``bound`` hint (point measures
-   only; NEAREST_WINDOW scatters unseeded), then merge.
-4. **kNWC** replaces the stages with paging: read each shard's
-   candidate stream in rank order, ask a shard for its next page only
-   when the k-way merge cannot place another instance without it, and
-   stop at the ``k``-th acceptance of the greedy selection; shards
-   never asked count as prune skips.
+connection) per shard worker and answers queries by paged scatter-
+gather (see :mod:`repro.shard.merge` for the correctness argument).
+Both query kinds run one loop over :class:`~repro.shard.merge.KNWCPager`
+(NWC is its ``k = 1``): read each shard's candidate stream in rank
+order, ask a shard for its next page (``knwc_pool``) only when the
+k-way merge cannot place another group without it — the nearest shard
+alone first — and stop at the ``k``-th acceptance of the greedy
+selection.  A page that would complete the answer carries a
+``ceiling`` one ulp above the group it would complete it with, so the
+shard prunes everything that cannot beat it; shards never asked count
+as prune skips (``shard_prune_skips_total``).  For NWC that is a probe
+of the nearest shard, then a fan-out seeded with its answer.
 
 Updates route by stored-band membership: every shard whose band
 (owned ± halo) contains the object applies the update through its own
@@ -354,7 +351,6 @@ class ShardCoordinator(LineProtocolServer):
         # (different pruning trajectories, same answers — but reason
         # parity and stats differ); the sharded tag keeps them apart.
         self._flags_key = ("sharded", manifest.shard_count, manifest.halo)
-        self._lower_bounds_cache: dict[tuple[float, float], tuple[float, ...]] = {}
         m = self.metrics
         self._m_prune_skips = m.counter(
             "shard_prune_skips_total",
@@ -409,20 +405,6 @@ class ShardCoordinator(LineProtocolServer):
             raise ProtocolError(
                 f"window length {query.length} exceeds the partition halo "
                 f"{self.manifest.halo}; repartition with a larger --halo")
-
-    def _lower_bounds(self, qx: float, length: float) -> tuple[float, ...]:
-        key = (qx, length)
-        bounds = self._lower_bounds_cache.get(key)
-        if bounds is None:
-            bounds = tuple(
-                merge.shard_lower_bound(qx, length,
-                                        self.manifest.owned_interval(i))
-                for i in range(self.manifest.shard_count)
-            )
-            if len(self._lower_bounds_cache) > 4096:
-                self._lower_bounds_cache.clear()
-            self._lower_bounds_cache[key] = bounds
-        return bounds
 
     @staticmethod
     def _partial_requested(payload: dict[str, Any]) -> bool:
@@ -536,15 +518,15 @@ class ShardCoordinator(LineProtocolServer):
         shards; the answer is then only partial."""
         base = query if kind == "nwc" else query.base
         if base.n > self.size:
-            found, accesses, failed = (None if kind == "nwc" else ()), 0, []
+            groups, accesses, failed = (), 0, []
             meta = {"fanout": 0, "skipped": self.manifest.shard_count}
             reason = "n exceeds dataset size"
         else:
-            scatter = self._scatter_nwc if kind == "nwc" else self._scatter_knwc
-            found, accesses, meta, failed = await scatter(
-                query, deadline, recorder)
+            groups, accesses, meta, failed = await self._scatter(
+                kind, query, deadline, recorder)
             reason = None
         if kind == "nwc":
+            found = groups[0] if groups else None
             answer = {"found": found is not None,
                       "group": (protocol._serialize_group(found)
                                 if found is not None else None),
@@ -553,85 +535,35 @@ class ShardCoordinator(LineProtocolServer):
                 found=found is not None,
                 distance=found.distance if found is not None else math.inf))
         else:
-            answer = {"groups": [protocol._serialize_group(g) for g in found],
+            answer = {"groups": [protocol._serialize_group(g) for g in groups],
                       "reason": reason}
             radii = protocol.shield_radii_knwc(
-                query, SimpleNamespace(groups=tuple(found)))
+                query, SimpleNamespace(groups=groups))
         return answer, radii, accesses, meta, failed
 
-    async def _scatter_nwc(self, query, deadline, recorder=None):
-        """Staged NWC scatter; returns ``(best, accesses, meta, failed)``."""
-        bounds = self._lower_bounds(query.qx, query.length)
-        order = sorted(range(len(self.links)), key=lambda i: (bounds[i], i))
-        winners: list[tuple[Any, Any]] = []
-        failed: list[int] = []
-        accesses = 0
-        contacted = 0
-        base = {"op": "nwc_scatter", "x": query.qx, "y": query.qy,
-                "length": query.length, "width": query.width,
-                "n": query.n, "measure": query.measure.value}
-
-        def absorb(response) -> None:
-            nonlocal accesses
-            result = response["result"]
-            group = (protocol.group_from_payload(result["group"])
-                     if result.get("group") else None)
-            raw_order = response.get("order")
-            winners.append(
-                (group, None if raw_order is None else tuple(raw_order)))
-            accesses += response.get("stats", {}).get("node_accesses", 0)
-
-        probe = order[0]
-        try:
-            absorb(await self._shard_call(
-                recorder, "probe", probe, base, deadline))
-            contacted += 1
-        except ShardCallError:
-            failed.append(probe)
-        best, _ = merge.merge_nwc(winners)
-        skipped = 0
-        rest = []
-        for i in order[1:]:
-            if best is not None and bounds[i] > best.distance:
-                skipped += 1
-                continue
-            rest.append(i)
-        if rest:
-            fan = dict(base)
-            if best is not None and merge.seedable(query.measure):
-                fan["bound"] = merge.next_bound(best.distance)
-            acks, lost = await self._fan({
-                i: self._shard_call(recorder, "fanout", i, fan, deadline)
-                for i in rest})
-            failed.extend(lost)
-            for response in acks.values():
-                absorb(response)
-            contacted += len(acks)
-        best, _ = merge.merge_nwc(winners)
-        self._m_prune_skips.inc(skipped)
-        self._m_fanout.observe(contacted)
-        meta = {"fanout": contacted, "skipped": skipped}
-        return best, accesses, meta, failed
-
-    async def _scatter_knwc(self, query, deadline, recorder=None):
-        """kNWC by paging through each shard's rank order (see
-        :class:`~repro.shard.merge.KNWCPager`); a lost shard's stream
-        ends where it stands."""
-        base = query.base
+    async def _scatter(self, kind, query, deadline, recorder=None):
+        """One fleet query by paging through each shard's rank order
+        (see :class:`~repro.shard.merge.KNWCPager`; NWC is its ``k =
+        1``): ``(groups, accesses, meta, failed)``.  A lost shard's
+        stream ends where it stands."""
+        base = query if kind == "nwc" else query.base
         pager = merge.KNWCPager(query, [self.manifest.owned_interval(i)
                                         for i in range(len(self.links))])
         request = {"op": "knwc_pool", "x": base.qx, "y": base.qy,
                    "length": base.length, "width": base.width, "n": base.n,
-                   "k": query.k, "m": query.m, "measure": base.measure.value}
+                   "measure": base.measure.value}
+        if kind == "knwc":
+            request |= {"k": query.k, "m": query.m}
         accesses = 0
         failed: list[int] = []
         stage = "probe"
         while pages := pager.requests():
             acks, lost = await self._fan({
-                i: self._shard_call(recorder, stage, i,
-                                    request | {"after": after, "limit": limit},
-                                    deadline)
-                for i, (after, limit) in pages.items()})
+                i: self._shard_call(recorder, stage, i, request | {
+                    "after": after, "limit": limit,
+                    "ceiling": ceiling if ceiling < math.inf else None},
+                    deadline)
+                for i, (after, limit, ceiling) in pages.items()})
             stage = "fanout"
             for i in lost:
                 failed.append(i)

@@ -1,29 +1,28 @@
 """Per-shard worker: one columnar engine behind the serve protocol.
 
 A :class:`ShardServer` is a :class:`~repro.serve.server.QueryServer`
-over one shard's slice of the dataset, extended with the two scatter
-ops a coordinator fans out:
+over one shard's slice of the dataset, extended with the one scatter
+op a coordinator fans out, ``knwc_pool``: one page of
+:meth:`~repro.core.engine.NWCEngine.knwc_candidates`, the shard's
+candidate stream in rank order restricted to its anchor band — the
+next ``limit`` groups ranked strictly after the ``after`` cursor and
+below the optional ``ceiling``, each at its first window with its order
+key, and whether nothing (below the ceiling) follows them.  A request
+with ``k`` pages the kNWC stream; one without is NWC's own one-group
+page (the plain ``NWCQuery``, the paper's pruning).  Pages are
+stateless: each is a fresh search, so pages of many queries run
+concurrently.
 
-* ``nwc_scatter`` — NWC's one-group page of
-  :meth:`~repro.core.engine.NWCEngine.knwc_candidates`, restricted to
-  the shard's anchor band, optionally under a ``bound`` forwarded from
-  faster shards as its ceiling; answers carry the merge order key.
-* ``knwc_pool`` — :meth:`~repro.core.engine.NWCEngine.knwc_candidates`:
-  one page of the shard's candidate stream in rank order — the next
-  ``limit`` groups ranked strictly after the ``after`` cursor, each at
-  its first window with its order key, and whether the stream is
-  exhausted.  Pages are stateless: each is a fresh search, so pages of
-  many queries run concurrently.
-
-Scatter ops bypass the per-worker result cache (their answers depend on
-the coordinator-supplied bound or cursor); the coordinator owns the semantic
-cache instead.  Everything else — the plain query ops, update ops with
-WAL-before-apply durability, request-id dedupe, checkpointing, drain —
-is inherited unchanged, so one shard worker is operationally identical
-to a single-engine server (PR 7's supervisor restarts it with its WAL
-intact).  Fleet subscriptions are not among that state: the
-coordinator indexes them itself from the updates it routes, so a
-worker's WAL and checkpoints hold only its slice of the dataset.
+The scatter op bypasses the per-worker result cache (its answers depend
+on the coordinator-supplied cursor and ceiling); the coordinator owns
+the semantic cache instead.  Everything else — the plain query ops,
+update ops with WAL-before-apply durability, request-id dedupe,
+checkpointing, drain — is inherited unchanged, so one shard worker is
+operationally identical to a single-engine server (the supervisor
+restarts it with its WAL intact).  Fleet subscriptions are not among
+that state: the coordinator indexes them itself from the updates it
+routes, so a worker's WAL and checkpoints hold only its slice of the
+dataset.
 
 At boot the worker reads its shard page file once, into the mutable
 R*-tree that absorbs updates, and takes the columnar
@@ -34,10 +33,9 @@ carries the tree's node map, so updates splice it (see
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
-from ..core import NWCEngine, NWCResult
+from ..core import NWCEngine
 from ..core.schemes import Scheme
 from ..index import FlatRTree, load_tree
 from ..serve import protocol
@@ -85,8 +83,8 @@ def make_shard_engine(
 class ShardServer(QueryServer):
     """A query server bound to one shard of a :class:`ShardManifest`."""
 
-    _OPS = QueryServer._OPS + ("nwc_scatter", "knwc_pool")
-    _LATENCY_OPS = QueryServer._LATENCY_OPS + ("nwc_scatter", "knwc_pool")
+    _OPS = QueryServer._OPS + ("knwc_pool",)
+    _LATENCY_OPS = QueryServer._LATENCY_OPS + ("knwc_pool",)
 
     def __init__(self, engine: NWCEngine, manifest: ShardManifest,
                  shard_index: int, config: ServeConfig | None = None,
@@ -108,43 +106,22 @@ class ShardServer(QueryServer):
         return self._owned_lo <= x < self._owned_hi
 
     # ------------------------------------------------------------------
-    # Scatter ops
+    # The scatter op
     # ------------------------------------------------------------------
-    async def _op_nwc_scatter(self, payload: dict[str, Any]) -> dict[str, Any]:
-        query = protocol.parse_nwc(payload)
-        bound = protocol.parse_bound(payload)
-        ctx = self._trace_context(payload)
-
-        async def body():
-            page, traced = await self._run_engine(
-                lambda: self.engine.knwc_candidates(
-                    query, 1, anchor_region=self.anchor_region,
-                    ceiling=math.inf if bound is None else bound),
-                ctx, "nwc")
-            result = NWCResult(group=page.groups[0] if page.groups else None,
-                               stats=page.stats, reason=page.reason)
-            return {
-                "ok": True, "op": "nwc_scatter", "version": self.version,
-                "shard": self.shard_index,
-                "result": protocol.serialize_nwc(result),
-                "order": list(page.orders[0]) if page.orders else None,
-                "stats": {"node_accesses": result.node_accesses},
-                **traced,
-            }
-
-        return await self._read_op(payload, "nwc_scatter", body, ctx)
-
     async def _op_knwc_pool(self, payload: dict[str, Any]) -> dict[str, Any]:
-        query, _maintenance = protocol.parse_knwc(payload)
-        limit, after = protocol.parse_page(payload)
+        if payload.get("k") is None:
+            query, kind = protocol.parse_nwc(payload), "nwc"
+        else:
+            query, kind = protocol.parse_knwc(payload)[0], "knwc"
+        limit, after, ceiling = protocol.parse_page(payload)
         ctx = self._trace_context(payload)
 
         async def body():
             pool, traced = await self._run_engine(
                 lambda: self.engine.knwc_candidates(
                     query, limit, after=after,
-                    anchor_region=self.anchor_region),
-                ctx, "knwc")
+                    anchor_region=self.anchor_region, ceiling=ceiling),
+                ctx, kind)
             return {
                 "ok": True, "op": "knwc_pool", "version": self.version,
                 "shard": self.shard_index,
@@ -189,7 +166,6 @@ class ShardServer(QueryServer):
 
     _HANDLERS = {
         **QueryServer._HANDLERS,
-        "nwc_scatter": _op_nwc_scatter,
         "knwc_pool": _op_knwc_pool,
         "health": _op_health,
     }

@@ -221,11 +221,12 @@ class TestProtocol:
             protocol.parse_knwc(payload | {"maintenance": "lazy"})
 
     def test_parse_page_validates_limit_and_cursor(self):
-        assert protocol.parse_page({"limit": 4}) == (4, None)
-        assert protocol.parse_page({"limit": 4, "after": None}) == (4, None)
+        assert protocol.parse_page({"limit": 4}) == (4, None, math.inf)
+        assert protocol.parse_page({"limit": 4, "after": None}) \
+            == (4, None, math.inf)
         assert protocol.parse_page(
             {"limit": 8, "after": [1.5, [0.5, -2], [3, 9]]}) \
-            == (8, (1.5, (0.5, -2.0), (3, 9)))
+            == (8, (1.5, (0.5, -2.0), (3, 9)), math.inf)
         for limit in (None, 0, -1, 2.0, True, "4"):
             with pytest.raises(protocol.ProtocolError):
                 protocol.parse_page({"limit": limit})
@@ -244,6 +245,16 @@ class TestProtocol:
                       [1.5, [0.5, math.nan], [3]], [1.5, order, [3], 4]):
             with pytest.raises(protocol.ProtocolError):
                 protocol.parse_page({"limit": 4, "after": after})
+
+    def test_parse_page_validates_the_ceiling(self):
+        for ceiling, want in ((None, math.inf), (2.5, 2.5), (3, 3.0),
+                              (5e-324, 5e-324)):
+            assert protocol.parse_page({"limit": 1, "ceiling": ceiling}) \
+                == (1, None, want)
+        for ceiling in (True, False, "2.5", [2.5], math.nan, math.inf,
+                        -math.inf, 0, 0.0, -1.0):
+            with pytest.raises(protocol.ProtocolError):
+                protocol.parse_page({"limit": 1, "ceiling": ceiling})
 
     def test_parse_point_rejects_non_finite(self):
         with pytest.raises(protocol.ProtocolError):

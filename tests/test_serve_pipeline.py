@@ -41,8 +41,7 @@ def _payloads(tmp_path) -> dict[str, dict]:
     return {
         "nwc": dict(_QUERY),
         "knwc": dict(_QUERY, k=2, m=0),
-        "nwc_scatter": dict(_QUERY),
-        "knwc_pool": dict(_QUERY, k=2, m=0, limit=8),
+        "knwc_pool": dict(_QUERY, limit=1),
         "insert": dict(_POINT),
         "delete": dict(_POINT),
         "subscribe": dict(_QUERY, sub="conformance"),
@@ -222,17 +221,19 @@ def test_repeated_request_id_replays_the_stored_ack(kind, op, tmp_path):
 
 
 @pytest.mark.parametrize("kind,ops", [
-    ("QueryServer", {"nwc": "nwc", "knwc": "knwc"}),
-    ("ShardServer", {"nwc_scatter": "nwc", "knwc_pool": "knwc"}),
+    ("QueryServer", [("nwc", {}, "nwc"), ("knwc", {}, "knwc")]),
+    # A page without ``k`` is NWC's page.
+    ("ShardServer", [("knwc_pool", {}, "nwc"),
+                     ("knwc_pool", {"k": 2, "m": 0}, "knwc")]),
 ])
 def test_engine_runs_observe_query_seconds(kind, ops, tmp_path):
     """One ``nwc_query_seconds{kind}`` observation per engine run, none
     for a cache hit (scatter ops are never cached)."""
     async def scenario(server, send):
-        for op, label in ops.items():
+        for op, fields, label in ops:
             histogram = server.metrics.histogram(
                 "nwc_query_seconds", labels={"kind": label})
-            first = await send(op)
+            first = await send(op, **fields)
             assert first["ok"] is True and not first.get("cached")
             assert histogram.count == 1
             if kind == "QueryServer":

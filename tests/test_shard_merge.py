@@ -1,13 +1,12 @@
-"""Property tests: the coordinator's staged scatter-gather merge is
+"""Property tests: the coordinator's scatter-gather merge is
 bit-identical to the single-engine oracle.
 
 The scatter is simulated in-process against real shard engines — the
-same exchange the coordinator performs over TCP: for NWC, probe the
-closest shard first, seed the fan-out with one ulp above its best and
-skip shards whose x-band lower bound cannot beat it; for kNWC, drive
-the coordinator's :class:`KNWCPager` through each shard's pages.
-Randomized over partitions (including empty shards) and measures, for
-both fresh-built and mmap-loaded shard engines.
+same exchange the coordinator performs over TCP: drive the
+coordinator's :class:`KNWCPager` (NWC is its ``k = 1``) through each
+shard's pages.  Randomized over partitions (including empty shards)
+and measures, for both fresh-built and mmap-loaded shard engines; the
+pager's request rules are pinned by sans-IO tests.
 """
 
 from __future__ import annotations
@@ -21,17 +20,15 @@ from repro.core import NWCEngine
 from repro.core.knwc import rank
 from repro.core.measures import DistanceMeasure
 from repro.core.query import KNWCQuery, NWCQuery
+from repro.core.results import ObjectGroup
 from repro.core.schemes import Scheme
-from repro.geometry import Rect, make_points
+from repro.geometry import PointObject, Rect, make_points
 from repro.index import RStarTree
 from repro.shard import (
     KNWCPager,
     ShardManifest,
     make_shard_engine,
-    merge_nwc,
-    next_bound,
     partition_dataset,
-    seedable,
     shard_lower_bound,
 )
 from tests.conftest import make_clustered_points, make_uniform_points
@@ -67,52 +64,30 @@ class World:
         self.baseline = NWCEngine(tree, scheme=Scheme.NWC, extent=EXTENT)
 
     # ------------------------------------------------------------------
-    # The coordinator's staged exchange, in miniature
+    # The coordinator's exchange, in miniature
     # ------------------------------------------------------------------
-    def scatter_nwc(self, query: NWCQuery):
-        manifest = self.manifest
-        bounds = [shard_lower_bound(query.qx, query.length,
-                                    manifest.owned_interval(i))
-                  for i in range(manifest.shard_count)]
-        order = sorted(range(manifest.shard_count),
-                       key=lambda i: (bounds[i], i))
-        probe = order[0]
-        winners = [self._nwc_page(probe, query, math.inf)]
-        best, _ = merge_nwc(winners)
-        seed = math.inf
-        if best is not None and seedable(query.measure):
-            seed = next_bound(best.distance)
-        skipped = 0
-        for i in order[1:]:
-            if best is not None and bounds[i] > best.distance:
-                skipped += 1
-                continue
-            winners.append(self._nwc_page(i, query, seed))
-        merged, _ = merge_nwc(winners)
-        return merged, skipped
-
-    def _nwc_page(self, shard, query, ceiling):
-        """Shard ``shard``'s ``nwc_scatter`` answer: ``(group, order)``."""
-        page = self.engines[shard].knwc_candidates(
-            query, 1, anchor_region=self.manifest.anchor_region(shard),
-            ceiling=ceiling)
-        if not page.groups:
-            return None, None
-        return page.groups[0], page.orders[0]
-
-    def scatter_knwc(self, query: KNWCQuery):
+    def scatter(self, query, sent=None):
         """The coordinator's paging loop against in-process shards:
-        ``(groups, pages answered per shard)``."""
+        ``(groups, pages answered per shard)``; each request, as
+        ``(shard, after, limit, ceiling)``, is appended to ``sent``."""
         manifest = self.manifest
         pager = KNWCPager(query, [manifest.owned_interval(i)
                                   for i in range(manifest.shard_count)])
         while pages := pager.requests():
-            for i, (after, limit) in pages.items():
+            for i, (after, limit, ceiling) in pages.items():
+                if sent is not None:
+                    sent.append((i, after, limit, ceiling))
                 page = self.engines[i].knwc_candidates(
                     query, limit, after=after,
-                    anchor_region=manifest.anchor_region(i))
+                    anchor_region=manifest.anchor_region(i),
+                    ceiling=ceiling)
                 pager.feed(i, page.groups, page.orders, page.exhausted)
         return pager.result(), pager.pages
+
+    def scatter_nwc(self, query: NWCQuery):
+        """Fleet NWC: the pager at ``k = 1``; ``(group or None, pages)``."""
+        groups, pages = self.scatter(query)
+        return (groups[0] if groups else None), pages
 
 
 def _build_world(name, tmp_path, points, shards, mode):
@@ -217,7 +192,7 @@ def test_knwc_matches_unpruned_baseline(world):
             k = rng.choice((1, 3, 8))
             m = rng.choice((0, n - 1))
             query = KNWCQuery.make(qx, qy, length, width, n, k, m, measure)
-            merged, pages = world.scatter_knwc(query)
+            merged, pages = world.scatter(query)
             deepest = max(deepest, *pages)
             canon = world.baseline.knwc(query)
             assert [_group_key(g) for g in merged] == \
@@ -244,7 +219,7 @@ def test_knwc_prune_skips_occur_without_breaking_identity(world):
     for _ in range(6):
         query = KNWCQuery.make(rng.uniform(0, 60), rng.uniform(0, 200),
                                30.0, 20.0, 2, 2, 1, DistanceMeasure.MAX)
-        merged, pages = world.scatter_knwc(query)
+        merged, pages = world.scatter(query)
         canon = world.baseline.knwc(query)
         assert [_group_key(g) for g in merged] == \
             [_group_key(g) for g in canon.groups]
@@ -307,3 +282,110 @@ def test_duplicates_are_split_over_both_shards(tmp_path):
         x1, y1, x2, y2 = world.manifest.anchor_region(i)
         assert any(n == 2 and x1 <= x < x2 and y1 <= y < y2
                    for (x, y), n in count.items())
+
+
+def test_two_shard_nwc_sends_the_staged_requests(world):
+    """At two shards the pager at ``k = 1`` sends the staged exchange's
+    requests: the shard of lower bound (then index) first, unseeded;
+    then the other one, unless its bound exceeds the best, under a
+    ceiling one ulp above the best."""
+    if world.manifest.shard_count != 2:
+        pytest.skip("the staged exchange is pinned at two shards")
+    bands = [world.manifest.owned_interval(i) for i in range(2)]
+    rng = random.Random(606)
+    for qx, qy, length, width, n in _random_queries(world, rng, 10):
+        for measure in POINT_MEASURES:
+            query = NWCQuery(qx, qy, length, width, n, measure)
+            sent = []
+            world.scatter(query, sent)
+            bounds = [shard_lower_bound(qx, length, band) for band in bands]
+            probe, other = sorted(range(2), key=lambda i: (bounds[i], i))
+            want = [(probe, None, 1, math.inf)]
+            best = world.engines[probe].knwc_candidates(
+                query, 1, anchor_region=world.manifest.anchor_region(probe))
+            if not best.groups:
+                want.append((other, None, 1, math.inf))
+            elif bounds[other] <= best.groups[0].distance:
+                want.append((other, None, 1, math.nextafter(
+                    best.groups[0].distance, math.inf)))
+            assert sent == want
+
+
+# ----------------------------------------------------------------------
+# The pager's request rules, sans IO
+# ----------------------------------------------------------------------
+#: Two shards cut at x = 500: a query at the cut has both at floor 0.
+CUT_BANDS = [(-math.inf, 500.0), (500.0, math.inf)]
+
+
+def _group(distance, *oids):
+    objects = tuple(PointObject(oid, 500.0, 500.0 + distance)
+                    for oid in oids)
+    return ObjectGroup(objects, distance, Rect(0, 0, 1, 1))
+
+
+def _order(distance):
+    return (distance, 0.0)
+
+
+def test_nwc_pager_probes_one_shard_then_seeds_the_other():
+    """``k = 1`` with both shards at floor 0: the nearest shard alone
+    first (lowest index on a tie), with no ceiling; then the other one
+    under a ceiling one ulp above the head — the staged probe and seeded
+    fan-out.  A seeded page that ends below its ceiling completes it."""
+    pager = KNWCPager(NWCQuery(500.0, 500.0, 20.0, 20.0, 2), CUT_BANDS)
+    assert pager.requests() == {0: (None, 1, math.inf)}
+    best = _group(3.0, 1, 2)
+    pager.feed(0, [best], [_order(3.0)], exhausted=False)
+    assert pager.requests() == {1: (None, 1, math.nextafter(3.0, math.inf))}
+    pager.feed(1, [], [], exhausted=True)
+    assert pager.requests() == {}
+    assert pager.result() == (best,)
+    assert pager.pages == [1, 1]
+
+
+def test_page_below_its_ceiling_leaves_the_stream_open():
+    """``k = 2``: the head would complete the answer, so shard 1's page
+    carries a ceiling, and it ends below it — not exhausted: its floor
+    rose to the ceiling.  The feed then takes the head away (shard 1's
+    group ranks first and displaces the accepted one; real streams
+    never do that, the pager only trusts the floor), and once nothing
+    below the ceiling is left, shard 1 is asked again from its cursor."""
+    query = KNWCQuery.make(500.0, 500.0, 20.0, 20.0, 2, 2, 0)
+    # Shard 1's windows start 3 to the right of the query: floor 3.
+    pager = KNWCPager(query, [(-math.inf, 523.0), (523.0, math.inf)])
+    first, head = _group(1.0, 1, 2), _group(5.0, 3, 9)
+    assert pager.requests() == {0: (None, 2, math.inf)}
+    pager.feed(0, [first, head], [_order(1.0), _order(5.0)], exhausted=True)
+    ceiling = math.nextafter(5.0, math.inf)
+    assert pager.requests() == {1: (None, 2, ceiling)}
+    rival = _group(0.5, 1, 9)  # overlaps both buffered groups
+    pager.feed(1, [rival], [_order(0.5)], exhausted=True)
+    assert pager.requests() == {1: (rank(rival, _order(0.5)), 4, math.inf)}
+    late = _group(7.0, 5, 6)
+    pager.feed(1, [late], [_order(7.0)], exhausted=True)
+    assert pager.requests() == {}
+    assert pager.result() == (rival, late)
+
+
+def test_nearest_window_pages_prune_at_the_widened_cut(tmp_path):
+    """A NEAREST_WINDOW kNWC page prunes at its cut plus one diagonal:
+    on the uniform 4-shard world it reads fewer nodes than the same
+    engine's page that never fills (whose cut stays infinite, so it
+    prunes nothing on distance), with the same groups."""
+    name, shards, mode, factory = WORLD_SPECS[1]
+    world = _build_world(name, tmp_path, factory(), shards, mode)
+    rng = random.Random(5)
+    paged = unpruned = 0
+    for qx, qy, length, width, n in _random_queries(world, rng, 4):
+        query = KNWCQuery.make(qx, qy, length, width, n, 2, 0,
+                               DistanceMeasure.NEAREST_WINDOW)
+        for i, engine in enumerate(world.engines):
+            band = world.manifest.anchor_region(i)
+            page = engine.knwc_candidates(query, 2, anchor_region=band)
+            whole = engine.knwc_candidates(query, 1 << 30,
+                                           anchor_region=band)
+            assert page.groups == whole.groups[:2]
+            paged += page.stats["node_accesses"]
+            unpruned += whole.stats["node_accesses"]
+    assert paged < unpruned

@@ -129,7 +129,7 @@ class TestConservation:
         root = span_from_dict(response["trace"]["span"])
         assert span_to_dict(root) == response["trace"]["span"]
         tree = format_span_tree(root)
-        assert "query:nwc" in tree and "rpc:nwc_scatter" in tree
+        assert "query:nwc" in tree and "rpc:knwc_pool" in tree
         text = explain(root)
         assert "per-shard attribution" in text
 
