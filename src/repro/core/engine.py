@@ -68,14 +68,6 @@ EXECUTION_MODES = ("python", "columnar")
 DEFAULT_EXECUTION = "columnar"
 
 
-def _root_mbr_of(tree) -> Rect | None:
-    """Root MBR of either tree layout (``None`` for an empty tree)."""
-    root = getattr(tree, "root", None)
-    if root is not None:
-        return root.mbr
-    return tree.root_mbr
-
-
 class _Attribution:
     """Per-query optimization event counts (see ATTRIBUTION_KEYS).
 
@@ -261,11 +253,7 @@ class NWCEngine:
         flat_iwp: FlatIWP | None = None,
     ) -> None:
         """Args:
-            tree: The R*-tree indexing the object set ``P`` — either the
-                object-graph :class:`RStarTree` or a read-only
-                :class:`~repro.index.flat.FlatRTree` snapshot (the
-                latter requires ``execution="columnar"`` and rejects
-                updates).
+            tree: The :class:`RStarTree` indexing the object set ``P``.
             scheme: A Table-3 scheme or explicit optimization flags.
             grid: Pre-built density grid (DEP); built on demand otherwise.
             grid_cell_size: Cell side used when the grid is auto-built.
@@ -295,13 +283,6 @@ class NWCEngine:
             raise EngineConfigError(
                 f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
             )
-        if isinstance(tree, FlatRTree):
-            if execution != "columnar":
-                raise EngineConfigError(
-                    "a FlatRTree snapshot requires execution='columnar'"
-                )
-            if flat is None:
-                flat = tree
         self.tree = tree
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.metrics = metrics
@@ -344,7 +325,7 @@ class NWCEngine:
         # next refresh splices in (see _note_edit).
         self._flat_edit: set = set()
         if self.flags.dep and self.grid is None:
-            grid_extent = extent if extent is not None else _root_mbr_of(tree)
+            grid_extent = extent if extent is not None else tree.root.mbr
             if grid_extent is None:
                 raise EngineConfigError(
                     "cannot build a density grid over an empty tree"
@@ -369,11 +350,6 @@ class NWCEngine:
         write slot); the engine holds no state across queries that an
         update could leave stale.
         """
-        if isinstance(self.tree, FlatRTree):
-            raise EngineConfigError(
-                "engine is bound to a read-only flat snapshot; updates "
-                "need the object-graph RStarTree"
-            )
         self.tree.insert(obj)
         self._note_edit()
         if self.grid is not None:
@@ -392,11 +368,6 @@ class NWCEngine:
 
         Ordered against queries by the caller, like :meth:`insert`.
         """
-        if isinstance(self.tree, FlatRTree):
-            raise EngineConfigError(
-                "engine is bound to a read-only flat snapshot; updates "
-                "need the object-graph RStarTree"
-            )
         if not self.tree.delete(obj):
             return False
         self._note_edit()
@@ -417,14 +388,13 @@ class NWCEngine:
 
         Edits gather because a fleet worker or a WAL replay can apply
         several before the next query.  A structural edit (see
-        ``RStarTree.last_edit``), or any edit to a snapshot loaded from a
-        page file (it has no node map), drops the snapshot instead: the
-        next refresh rebuilds it with ``FlatRTree.from_tree``.
+        ``RStarTree.last_edit``) drops the snapshot instead: the next
+        refresh rebuilds it with ``FlatRTree.from_tree``.
         """
         if self._flat is None:
             return
         edit = self.tree.last_edit
-        if edit is None or self._flat.node_ids is None:
+        if edit is None:
             self._flat = None
             self._flat_edit = set()
         else:
@@ -436,7 +406,7 @@ class NWCEngine:
         before it is published (a query racing the lazy first build gets
         the published pair or builds an equal one of its own)."""
         if self._grid_dirty and self.grid is not None:
-            extent = _root_mbr_of(self.tree)
+            extent = self.tree.root.mbr
             if extent is not None:
                 extent = extent.union(self.grid.extent)
                 self.grid = DensityGrid.build(
@@ -446,8 +416,7 @@ class NWCEngine:
         if self.execution == "columnar":
             flat, flat_iwp = self._flat, self._flat_iwp
             if flat is None:
-                flat = (self.tree if isinstance(self.tree, FlatRTree)
-                        else FlatRTree.from_tree(self.tree))
+                flat = FlatRTree.from_tree(self.tree)
                 flat_iwp = None
             elif self._flat_edit:
                 flat = flat.splice(self._flat_edit)
@@ -515,7 +484,7 @@ class NWCEngine:
         if query.n > self.tree.size:
             return "n exceeds dataset size"
         if region is not None:
-            mbr = _root_mbr_of(self.tree)
+            mbr = self.tree.root.mbr
             if mbr is None or not region.intersects(mbr):
                 return "constrained region contains no objects"
         return None

@@ -12,21 +12,17 @@ tree laid out as contiguous numpy arrays:
   columns grouped by leaf, so a leaf's objects are the slice
   ``first[leaf] : first[leaf] + count[leaf]``.
 
-Two construction paths produce identical layouts:
+A snapshot is columns only: it holds no ``PointObject`` and no I/O
+counter (a query charges its own, see :meth:`window_query_batch`), and
+:meth:`objects_at` builds the objects a result needs from the columns.
+Every snapshot derives from the engine's own tree:
 
-* :meth:`FlatRTree.from_tree` converts a live tree (sharing its
-  :class:`~repro.storage.IOStats` and its ``PointObject`` instances);
-  after updates that create or remove no node, :meth:`FlatRTree.splice`
-  derives the same arrays from the previous snapshot by rewriting only
-  the edited leaves' columns and their ancestors' MBRs;
-* :meth:`FlatRTree.from_page_file` maps a saved page file with
-  :class:`~repro.storage.MappedPageFile` and decodes node records
-  straight out of the mapping via ``np.frombuffer`` — no intermediate
-  ``Node`` objects are ever materialized.  Because ``save_tree`` writes
-  entries in order and the loader walks pages breadth-first from the
-  root, the numbering matches ``from_tree(load_tree(path))`` exactly,
-  and MBRs recomputed bottom-up from the leaf coordinates are bitwise
-  equal to the loaded tree's (both come from ``pack.chunk_mbrs``).
+* :meth:`FlatRTree.from_tree` converts a live tree and records its
+  node map; after updates that create or remove no node,
+  :meth:`FlatRTree.splice` derives the same arrays from the previous
+  snapshot by rewriting only the edited leaves' columns and their
+  ancestors' MBRs;
+* :meth:`FlatRTree.from_page_file` is ``from_tree(load_tree(path))``.
 
 :class:`FlatIWP` is :class:`~repro.index.pointers.IWPIndex` on the
 flat layout: ancestor-at-depth arrays instead of per-leaf pointer
@@ -40,21 +36,12 @@ bit-identical to the scalar start-set walk.
 from __future__ import annotations
 
 import os
-import struct
 
 import numpy as np
 
 from ..geometry import PointObject, Rect
-from ..storage import (
-    DEFAULT_PAGE_SIZE,
-    CorruptPageError,
-    IOStats,
-    MappedPageFile,
-    SerializationError,
-    decode_entries,
-)
-from ..storage.stats import OWN_STATS
-from .pack import chunk_mbrs
+from ..storage import DEFAULT_PAGE_SIZE
+from .persistence import load_tree
 from .pointers import backward_pointer_depths
 
 #: MBR row of an empty node: fails every intersection / containment
@@ -70,6 +57,14 @@ _PAIR_BUDGET = 4096
 def _mbr_row(mbr: Rect | None) -> tuple[float, float, float, float]:
     """A node's ``mbrs`` row from its cached MBR."""
     return _EMPTY_MBR if mbr is None else (mbr.x1, mbr.y1, mbr.x2, mbr.y2)
+
+
+def _columns(objects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``xs`` / ``ys`` / ``oids`` columns of ``objects``, in order."""
+    n = len(objects)
+    return (np.fromiter((p.x for p in objects), np.float64, n),
+            np.fromiter((p.y for p in objects), np.float64, n),
+            np.fromiter((p.oid for p in objects), np.int64, n))
 
 
 def _meets(a, b) -> np.ndarray:
@@ -99,22 +94,17 @@ class FlatRTree:
         level_bounds: ``(L + 1,)`` int64 — nodes of depth ``d`` are the
             ids ``level_bounds[d] : level_bounds[d + 1]``.
         xs / ys / oids: object columns, grouped by leaf in node order.
-        stats: The I/O counter (shared with the source tree when built
-            by :meth:`from_tree`).
         node_ids: BFS id of every source-tree node by its ``node_id``
-            (what :meth:`splice` needs); ``None`` when built from a page
-            file.
+            (what :meth:`splice` needs).
     """
 
     __slots__ = (
         "mbrs", "is_leaf", "first", "count", "parent", "level_bounds",
-        "xs", "ys", "oids", "size", "max_entries", "min_entries",
-        "stats", "node_ids", "_objects",
+        "xs", "ys", "oids", "size", "max_entries", "min_entries", "node_ids",
     )
 
     def __init__(self, *, mbrs, is_leaf, first, count, parent, level_bounds,
-                 xs, ys, oids, objects, size, max_entries,
-                 min_entries, stats=None, node_ids=None):
+                 xs, ys, oids, size, max_entries, min_entries, node_ids):
         self.mbrs = mbrs
         self.is_leaf = is_leaf
         self.first = first
@@ -127,16 +117,14 @@ class FlatRTree:
         self.size = size
         self.max_entries = max_entries
         self.min_entries = min_entries
-        self.stats = stats if stats is not None else IOStats()
         self.node_ids = node_ids
-        self._objects = objects
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
     def from_tree(cls, tree) -> "FlatRTree":
-        """Convert a live (balanced) tree; shares its objects and stats."""
+        """Convert a live (balanced) tree, recording its node map."""
         levels = [[tree.root]]
         while not levels[-1][0].is_leaf:
             nxt = []
@@ -153,8 +141,7 @@ class FlatRTree:
         first = np.zeros(m, dtype=np.int64)
         count = np.zeros(m, dtype=np.int64)
         parent = np.full(m, -1, dtype=np.int64)
-        objects: list[PointObject] = []
-        col_of_leaf_start: list[int] = []
+        cols = 0
         cursor = 1  # next child id in BFS order (root's children start at 1)
         for i, node in enumerate(order):
             mbrs[i] = _mbr_row(node.mbr)
@@ -162,22 +149,19 @@ class FlatRTree:
             count[i] = cnt
             if node.is_leaf:
                 is_leaf[i] = True
-                first[i] = len(objects)
-                objects.extend(node.entries)
+                first[i] = cols
+                cols += cnt
             else:
                 first[i] = cursor
                 parent[cursor:cursor + cnt] = i
                 cursor += cnt
-        n = len(objects)
-        xs = np.fromiter((p.x for p in objects), np.float64, n)
-        ys = np.fromiter((p.y for p in objects), np.float64, n)
-        oids = np.fromiter((p.oid for p in objects), np.int64, n)
+        xs, ys, oids = _columns(
+            [p for leaf in levels[-1] for p in leaf.entries])
         return cls(
             mbrs=mbrs, is_leaf=is_leaf, first=first, count=count,
             parent=parent, level_bounds=bounds, xs=xs, ys=ys, oids=oids,
-            objects=objects, size=tree.size,
+            size=tree.size,
             max_entries=tree.max_entries, min_entries=tree.min_entries,
-            stats=tree.stats,
             node_ids={node.node_id: i for i, node in enumerate(order)},
         )
 
@@ -190,181 +174,50 @@ class FlatRTree:
         child lists, which such edits leave alone, and a leaf's columns
         only on its entry list; so the untouched column spans are reused
         and the result equals ``from_tree`` of the edited tree, array for
-        array.  ``self`` is not modified: ``is_leaf``, ``parent`` and
-        ``level_bounds`` are shared, everything else is new.
+        array.  ``self`` is not modified: ``is_leaf``, ``parent``,
+        ``level_bounds`` and ``node_ids`` are shared, everything else is
+        new.
         """
         ids = self.node_ids
         count = self.count.copy()
         mbrs = self.mbrs.copy()
-        # One list copy, then slice assignments (they move pointers
-        # without touching the objects, unlike slicing and re-joining).
-        objects = self._objects.copy()
-        xs, ys, oids = [], [], []
+        parts: list[tuple[np.ndarray, ...]] = []
         done = 0  # old columns before this one are already placed
-        shift = 0  # new minus old column of everything after them
         for leaf in sorted(leaves, key=lambda leaf: ids[leaf.node_id]):
             i = ids[leaf.node_id]
-            start, old = int(self.first[i]), int(count[i])
-            entries = leaf.entries
-            cnt = len(entries)
-            objects[start + shift:start + shift + old] = entries
-            xs += (self.xs[done:start],
-                   np.fromiter((p.x for p in entries), np.float64, cnt))
-            ys += (self.ys[done:start],
-                   np.fromiter((p.y for p in entries), np.float64, cnt))
-            oids += (self.oids[done:start],
-                     np.fromiter((p.oid for p in entries), np.int64, cnt))
-            done, shift = start + old, shift + cnt - old
-            count[i] = cnt
+            start = int(self.first[i])
+            parts += ((self.xs[done:start], self.ys[done:start],
+                       self.oids[done:start]),
+                      _columns(leaf.entries))
+            done = start + int(count[i])
+            count[i] = len(leaf.entries)
             node = leaf
             while node is not None:  # the leaf and its ancestors
                 mbrs[ids[node.node_id]] = _mbr_row(node.mbr)
                 node = node.parent
+        parts.append((self.xs[done:], self.ys[done:], self.oids[done:]))
+        xs, ys, oids = (np.concatenate(column) for column in zip(*parts))
         lo = int(self.level_bounds[-2])
         first = self.first.copy()
         first[lo:] = count[lo:].cumsum() - count[lo:]
         return FlatRTree(
             mbrs=mbrs, is_leaf=self.is_leaf, first=first, count=count,
             parent=self.parent, level_bounds=self.level_bounds,
-            xs=np.concatenate((*xs, self.xs[done:])),
-            ys=np.concatenate((*ys, self.ys[done:])),
-            oids=np.concatenate((*oids, self.oids[done:])),
-            objects=objects, size=len(objects), max_entries=self.max_entries,
-            min_entries=self.min_entries, stats=self.stats, node_ids=ids,
+            xs=xs, ys=ys, oids=oids, size=len(xs),
+            max_entries=self.max_entries, min_entries=self.min_entries,
+            node_ids=ids,
         )
 
     @classmethod
     def from_page_file(cls, path: str | os.PathLike[str],
-                       page_size: int = DEFAULT_PAGE_SIZE,
-                       stats: IOStats | None = None,
-                       verify: bool = True) -> "FlatRTree":
-        """Decode a saved tree straight out of an mmap, zero-copy.
+                       page_size: int = DEFAULT_PAGE_SIZE) -> "FlatRTree":
+        """``from_tree(load_tree(path, page_size))``.
 
-        Node records are parsed with ``np.frombuffer`` over the mapped
-        page payloads; no :class:`~repro.index.node.Node` objects (and
-        no :class:`PointObject` instances — those materialize lazily on
-        first access) are created.  The breadth-first page walk yields
-        the same node numbering as ``from_tree(load_tree(path))``.
-
-        Raises:
-            CorruptPageError: Structural damage — bad pointers, cycles,
-                an unbalanced record graph or an object-count mismatch —
-                on top of the per-page CRC checks of the mapping itself.
+        A page file has one reader, :func:`~repro.index.load_tree`; this
+        name stays because the bench ledger (``bench/ledger.py``) times
+        it as ``storage.load_flat_s``.
         """
-        path = os.fspath(path)
-        with MappedPageFile(path, page_size=page_size, verify=verify) as mapped:
-            if mapped.page_count < 1:
-                raise CorruptPageError(f"{path}: no metadata page")
-            try:
-                max_entries, min_entries, size = struct.unpack_from(
-                    "<qqq", mapped.payload(1), 0)
-            except struct.error as exc:
-                raise CorruptPageError(
-                    f"{path}: unreadable metadata page: {exc}", page_id=1
-                ) from exc
-            if mapped.root_page < 0:
-                raise CorruptPageError(f"{path}: no root page recorded",
-                                       page_id=0)
-            visited: set[int] = set()
-            recs: list[tuple[bool, np.ndarray]] = []
-            bounds = [0]
-            level = [mapped.root_page]
-            while level:
-                nxt: list[int] = []
-                level_leaves = 0
-                for page_id in level:
-                    if not 2 <= page_id <= mapped.page_count:
-                        raise CorruptPageError(
-                            f"{path}: child pointer to page {page_id} outside "
-                            f"the data range 2..{mapped.page_count}",
-                            page_id=page_id)
-                    if page_id in visited:
-                        raise CorruptPageError(
-                            f"{path}: page {page_id} referenced twice "
-                            f"(pointer cycle or shared subtree)",
-                            page_id=page_id)
-                    visited.add(page_id)
-                    payload = mapped.payload(page_id)
-                    try:
-                        leaf, entries = decode_entries(payload)
-                    except SerializationError as exc:
-                        raise CorruptPageError(
-                            f"{path}: truncated node record on page "
-                            f"{page_id}", page_id=page_id) from exc
-                    # An owning copy: the mapping cannot close while a
-                    # view into it is alive.
-                    entries = entries.copy()
-                    payload.release()
-                    if leaf:
-                        level_leaves += 1
-                    else:
-                        nxt.extend(entries["page"].tolist())
-                    recs.append((leaf, entries))
-                if level_leaves not in (0, len(level)):
-                    raise CorruptPageError(
-                        f"{path}: unbalanced tree — leaves and internal "
-                        f"nodes share depth {len(bounds) - 1}")
-                if level_leaves and nxt:
-                    raise CorruptPageError(
-                        f"{path}: unbalanced tree — leaf level has deeper "
-                        f"descendants")
-                bounds.append(len(recs))
-                level = nxt
-            return cls._assemble(recs, np.asarray(bounds, dtype=np.int64),
-                                 size, max_entries, min_entries, stats, path)
-
-    @classmethod
-    def _assemble(cls, recs, bounds, size, max_entries, min_entries,
-                  stats, path) -> "FlatRTree":
-        m = len(recs)
-        mbrs = np.empty((m, 4), dtype=np.float64)
-        is_leaf = np.zeros(m, dtype=bool)
-        first = np.zeros(m, dtype=np.int64)
-        count = np.zeros(m, dtype=np.int64)
-        parent = np.full(m, -1, dtype=np.int64)
-        xs_parts, ys_parts, oid_parts = [], [], []
-        cursor = 1
-        cols = 0
-        for i, (leaf, entries) in enumerate(recs):
-            cnt = len(entries)
-            count[i] = cnt
-            if leaf:
-                is_leaf[i] = True
-                first[i] = cols
-                cols += cnt
-                # .astype() extracts the packed struct fields into
-                # contiguous standalone column arrays.
-                xs_parts.append(entries["x"].astype(np.float64))
-                ys_parts.append(entries["y"].astype(np.float64))
-                oid_parts.append(entries["oid"].astype(np.int64))
-            else:
-                first[i] = cursor
-                parent[cursor:cursor + cnt] = i
-                cursor += cnt
-        xs = np.concatenate(xs_parts) if xs_parts else np.empty(0)
-        ys = np.concatenate(ys_parts) if ys_parts else np.empty(0)
-        oids = (np.concatenate(oid_parts) if oid_parts
-                else np.empty(0, dtype=np.int64))
-        if cols != size:
-            raise CorruptPageError(
-                f"{path}: metadata promises {size} objects, found {cols} "
-                f"in leaves")
-        empty = np.flatnonzero(~is_leaf & (count == 0))
-        if len(empty):
-            raise CorruptPageError(
-                f"{path}: internal node {empty[0]} has no children")
-        # MBRs a level at a time from the leaves up, exactly like the
-        # scalar loader's add_entry unions (see repro.index.pack).
-        boxes = (xs, ys)
-        for lo, hi in reversed(list(zip(bounds[:-1], bounds[1:]))):
-            mbrs[lo:hi] = chunk_mbrs(boxes, count[lo:hi])
-            boxes = tuple(mbrs[lo:hi].T)
-        return cls(
-            mbrs=mbrs, is_leaf=is_leaf, first=first, count=count,
-            parent=parent, level_bounds=bounds, xs=xs, ys=ys, oids=oids,
-            objects=[None] * cols, size=size,
-            max_entries=max_entries, min_entries=min_entries, stats=stats,
-        )
+        return cls.from_tree(load_tree(path, page_size))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -393,32 +246,11 @@ class FlatRTree:
         x1, y1, x2, y2 = self.mbrs[0]
         return Rect(float(x1), float(y1), float(x2), float(y2))
 
-    def obj(self, col: int) -> PointObject:
-        """The object stored in column ``col`` (materialized lazily)."""
-        found = self._objects[col]
-        if found is None:
-            found = PointObject(int(self.oids[col]), float(self.xs[col]),
-                                float(self.ys[col]))
-            self._objects[col] = found
-        return found
-
     def objects_at(self, cols) -> tuple[PointObject, ...]:
-        """Objects of the given columns, in the given order."""
-        objects = self._objects
-        out = []
-        for col in cols.tolist() if isinstance(cols, np.ndarray) else cols:
-            found = objects[col]
-            if found is None:
-                found = PointObject(int(self.oids[col]), float(self.xs[col]),
-                                    float(self.ys[col]))
-                objects[col] = found
-            out.append(found)
-        return tuple(out)
-
-    def iter_objects(self):
-        """Every stored object; no I/O accounting (maintenance only)."""
-        for col in range(len(self.xs)):
-            yield self.obj(col)
+        """Objects of the given columns, in the given order, built from
+        the ``oids`` / ``xs`` / ``ys`` columns."""
+        return tuple(map(PointObject, self.oids[cols].tolist(),
+                         self.xs[cols].tolist(), self.ys[cols].tolist()))
 
     # ------------------------------------------------------------------
     # Queries
@@ -533,17 +365,6 @@ class FlatRTree:
         shift = (self.first[nodes] - (ends - counts)).astype(np.int32)
         return shift.repeat(counts) + np.arange(
             ends[-1] if len(ends) else 0, dtype=np.int32), counts
-
-    def window_query(self, rect: Rect, io=OWN_STATS) -> list[PointObject]:
-        """Object-level window query from the root (the columnar twin
-        of ``RStarTree.window_query``, same I/O accounting)."""
-        nodes, leaves, _, cols = self.window_query_batch(
-            np.array(((rect.x1,), (rect.y1,), (rect.x2,), (rect.y2,))))
-        io = self.stats if io is OWN_STATS else io
-        if io is not None:
-            io.node_accesses += int(nodes[0])
-            io.leaf_accesses += int(leaves[0])
-        return list(self.objects_at(cols))
 
     # ------------------------------------------------------------------
     # Validation

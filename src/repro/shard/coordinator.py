@@ -65,9 +65,9 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Any
 
+from ..core.results import KNWCResult, NWCResult
 from ..obs.context import TraceContext
 from ..obs.fleet import merge_fleet, registry_state, rollup
 from ..obs.trace import Span, span_from_dict
@@ -526,19 +526,14 @@ class ShardCoordinator(LineProtocolServer):
                 kind, query, deadline, recorder)
             reason = None
         if kind == "nwc":
-            found = groups[0] if groups else None
-            answer = {"found": found is not None,
-                      "group": (protocol._serialize_group(found)
-                                if found is not None else None),
-                      "reason": reason}
-            radii = protocol.shield_radii_nwc(query, SimpleNamespace(
-                found=found is not None,
-                distance=found.distance if found is not None else math.inf))
+            result = NWCResult(group=groups[0] if groups else None,
+                               reason=reason)
+            answer = protocol.serialize_nwc(result)
+            radii = protocol.shield_radii_nwc(query, result)
         else:
-            answer = {"groups": [protocol._serialize_group(g) for g in groups],
-                      "reason": reason}
-            radii = protocol.shield_radii_knwc(
-                query, SimpleNamespace(groups=groups))
+            result = KNWCResult(groups=tuple(groups), reason=reason)
+            answer = protocol.serialize_knwc(result)
+            radii = protocol.shield_radii_knwc(query, result)
         return answer, radii, accesses, meta, failed
 
     async def _scatter(self, kind, query, deadline, recorder=None):

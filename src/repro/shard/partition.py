@@ -16,8 +16,9 @@ a prefix sum and cuts land on the cell boundaries where the cumulative
 mass crosses each ``j/s`` quantile, so shards carry near-equal object
 counts even on heavily skewed data.  Each shard's stored objects are
 bulk-loaded into an R*-tree and written as one checksummed page file
-(:func:`~repro.index.save_tree`), which workers then mmap back as
-zero-copy :class:`~repro.index.FlatRTree` snapshots.
+(:func:`~repro.index.save_tree`), which a worker reads back with
+:func:`~repro.index.load_tree` at boot and converts into its columnar
+:class:`~repro.index.FlatRTree` snapshot.
 """
 
 from __future__ import annotations

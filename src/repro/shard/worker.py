@@ -58,9 +58,9 @@ def make_shard_engine(
 
     With ``tree=None`` the shard page file is the source of truth: the
     mutable R*-tree is loaded from it and the columnar snapshot is
-    converted from that tree at boot (``from_tree`` numbers nodes as
-    ``FlatRTree.from_page_file`` would, so fresh-built and loaded
-    shards answer bit-identically).  A recovered checkpoint ``tree``
+    converted from that tree at boot, like every snapshot, so
+    fresh-built and loaded shards answer bit-identically.  A recovered
+    checkpoint ``tree``
     (see :func:`~repro.serve.durability.recover`) gets its snapshot
     built in memory on first use.
 

@@ -4,7 +4,10 @@ The paper stores the R*-tree on 4096-byte pages (Section 5).  The
 in-memory tree is what the algorithms run against; this module provides
 the disk substrate used by :mod:`repro.index.persistence` to serialize a
 tree into a page file and load it back, with physical reads/writes
-counted in :class:`repro.storage.stats.IOStats`.
+counted in :class:`repro.storage.stats.IOStats`.  :class:`PageFile` is
+the one reader of a page file: a columnar snapshot
+(:class:`~repro.index.flat.FlatRTree`) is derived from the tree that
+``load_tree`` rebuilds, never decoded from the pages itself.
 
 Two on-disk formats exist:
 
@@ -22,7 +25,6 @@ Two on-disk formats exist:
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 import time
@@ -339,109 +341,6 @@ def decode_header(raw: bytes, path: str = "<bytes>") -> PageHeader:
     if version not in SUPPORTED_VERSIONS or version == LEGACY_VERSION:
         raise FormatVersionError(f"{path}: unsupported format version {version}")
     return PageHeader(page_size, page_count, root_page, version)
-
-
-class MappedPageFile:
-    """Read-only, zero-copy view of a page file through ``mmap``.
-
-    Unlike :class:`PageFile`, no payload bytes are copied on access:
-    :meth:`payload` hands out a :class:`memoryview` into the mapping,
-    suitable for ``np.frombuffer`` — this is the substrate of the
-    columnar :class:`~repro.index.flat.FlatRTree` load path.  v2 pages
-    are CRC-verified on first access (checksums read the mapped bytes in
-    place); legacy v1 pages carry no checksum and are served as stored.
-    """
-
-    def __init__(self, path: str | os.PathLike[str],
-                 page_size: int = DEFAULT_PAGE_SIZE, verify: bool = True) -> None:
-        """Map an existing page file.
-
-        Args:
-            path: Filesystem path of the page file.
-            page_size: Expected page size; must match the header.
-            verify: Verify each v2 page's CRC32 on access.  Ignored for
-                legacy v1 files (nothing to verify).
-
-        Raises:
-            CorruptPageError: Bad header, or a file shorter than the
-                page count the header promises.
-            PageError: Header page size differs from ``page_size``.
-        """
-        self.path = os.fspath(path)
-        self._file = open(self.path, "rb")
-        try:
-            header = decode_header(self._file.read(page_size), self.path)
-            if header.page_size != page_size:
-                raise PageError(
-                    f"page size mismatch: file has {header.page_size}, "
-                    f"requested {page_size}"
-                )
-            self.page_size = header.page_size
-            self.page_count = header.page_count
-            self.root_page = header.root_page
-            self.format_version = header.format_version
-            self.verify = verify and header.format_version != LEGACY_VERSION
-            expected = (self.page_count + 1) * self.page_size
-            actual = os.fstat(self._file.fileno()).st_size
-            if actual < expected:
-                raise CorruptPageError(
-                    f"{self.path}: truncated file — header promises "
-                    f"{expected} bytes ({self.page_count} pages), found {actual}"
-                )
-            self._mmap = mmap.mmap(self._file.fileno(), 0,
-                                   access=mmap.ACCESS_READ)
-            self._view = memoryview(self._mmap)
-        except BaseException:
-            self._file.close()
-            raise
-
-    @property
-    def payload_capacity(self) -> int:
-        """Largest payload one page can hold in this format."""
-        if self.format_version == LEGACY_VERSION:
-            return self.page_size
-        return self.page_size - PAGE_OVERHEAD
-
-    def payload(self, page_id: int) -> memoryview:
-        """Zero-copy view of one page's payload region.
-
-        Raises:
-            PageError: ``page_id`` outside ``1..page_count``.
-            CorruptPageError: v2 checksum mismatch or impossible length
-                (only when ``verify`` is on).
-        """
-        if not 1 <= page_id <= self.page_count:
-            raise PageError(
-                f"page id {page_id} out of range 1..{self.page_count}"
-            )
-        base = page_id * self.page_size
-        raw = self._view[base: base + self.page_size]
-        if self.format_version == LEGACY_VERSION:
-            return raw
-        if self.verify:
-            stored_crc, length = _PAGE_PREFIX.unpack_from(raw, 0)
-            if zlib.crc32(raw[_HEADER_V2_CRC.size:]) != stored_crc:
-                raise CorruptPageError(
-                    f"checksum mismatch on page {page_id}", page_id=page_id
-                )
-            if length > self.payload_capacity:
-                raise CorruptPageError(
-                    f"page {page_id} claims {length} payload bytes "
-                    f"(capacity {self.payload_capacity})", page_id=page_id
-                )
-        return raw[PAGE_OVERHEAD:]
-
-    def close(self) -> None:
-        """Release the mapping and close the backing file."""
-        self._view.release()
-        self._mmap.close()
-        self._file.close()
-
-    def __enter__(self) -> "MappedPageFile":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def scan_pages(path: str | os.PathLike[str],

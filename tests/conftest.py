@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.geometry import PointObject, Rect, make_points
@@ -34,9 +35,23 @@ def make_clustered_points(
     return make_points(coords)
 
 
+#: Coordinates drawn from a small pool: duplicates and ties everywhere,
+#: and both signs of zero.
+_POOL = np.array([-0.0, 0.0, 0.0, 1.5, 2.0, 2.0, 7.25, 9.0])
+
+
+def pooled_points(n: int, seed: int, fix_x=None, fix_y=None) -> list[PointObject]:
+    """Deterministic points on the :data:`_POOL` coordinates (or with
+    one coordinate fixed)."""
+    rng = np.random.default_rng(seed)
+    xs = rng.choice(_POOL, n) if fix_x is None else np.full(n, fix_x)
+    ys = rng.choice(_POOL, n) if fix_y is None else np.full(n, fix_y)
+    return [PointObject(i, float(x), float(y))
+            for i, (x, y) in enumerate(zip(xs, ys))]
+
+
 def grid_upper_bounds(grid, rects) -> list[int]:
     """``grid.upper_bounds`` over a list of :class:`Rect`."""
-    import numpy as np
     columns = (np.array([getattr(r, side) for r in rects])
                for side in ("x1", "y1", "x2", "y2"))
     return grid.upper_bounds(*columns).tolist()

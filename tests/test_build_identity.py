@@ -29,6 +29,7 @@ from repro.index import (
     save_tree,
 )
 from repro.storage import IOStats, PageFile
+from tests.conftest import pooled_points
 
 # ----------------------------------------------------------------------
 # References
@@ -218,19 +219,6 @@ def shape(tree: RStarTree, same_objects: bool = True) -> list:
             out.append((node.node_id, node.is_leaf, parent, mbr, entries))
         level = nxt
     return out
-
-
-#: Coordinates drawn from a small pool: duplicates and ties everywhere,
-#: and both signs of zero.
-_POOL = np.array([-0.0, 0.0, 0.0, 1.5, 2.0, 2.0, 7.25, 9.0])
-
-
-def pooled_points(n: int, seed: int, fix_x=None, fix_y=None):
-    rng = np.random.default_rng(seed)
-    xs = rng.choice(_POOL, n) if fix_x is None else np.full(n, fix_x)
-    ys = rng.choice(_POOL, n) if fix_y is None else np.full(n, fix_y)
-    return [PointObject(i, float(x), float(y))
-            for i, (x, y) in enumerate(zip(xs, ys))]
 
 
 CONFIGS = [(m, f) for m in (4, 8, 50) for f in (0.5, 0.9, 1.0)]

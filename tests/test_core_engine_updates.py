@@ -16,11 +16,18 @@ from repro.core import (
 from repro.geometry import PointObject, Rect
 from repro.grid import DensityGrid
 from repro.index import FlatRTree, RStarTree, load_tree, save_tree, validate_tree
-from tests.conftest import make_clustered_points, make_uniform_points
+from tests.conftest import (make_clustered_points, make_uniform_points,
+                            pooled_points)
 
 
 def _close(a: float, b: float) -> bool:
     return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9) or a == b == float("inf")
+
+
+def _bits(objects) -> list[tuple]:
+    """Objects by oid and the bits of their coordinates."""
+    return [(p.oid, math.copysign(1.0, p.x), p.x, math.copysign(1.0, p.y), p.y)
+            for p in objects]
 
 
 def build_engine(scheme, points):
@@ -153,7 +160,7 @@ class TestIWPRebuild:
 
 class TestSnapshotSplice:
     """Updates splice the flat snapshot; ``FlatRTree.from_tree`` runs only
-    after a structural edit or over a snapshot loaded from a page file."""
+    after a structural edit."""
 
     @staticmethod
     def _count_from_tree(monkeypatch) -> list:
@@ -174,9 +181,11 @@ class TestSnapshotSplice:
 
     @staticmethod
     def _assert_same(oracle, columnar, query):
+        """Same answer and counters; the objects bit for bit, so a
+        ``-0.0`` built from the columns is checked as ``-0.0``."""
         a, b = oracle.nwc(query), columnar.nwc(query)
-        assert (a.found, a.distance, [p.oid for p in a.objects]) == \
-            (b.found, b.distance, [p.oid for p in b.objects])
+        assert (a.found, a.distance, _bits(a.objects)) == \
+            (b.found, b.distance, _bits(b.objects))
         assert a.stats == b.stats
 
     def test_non_structural_updates_never_rebuild(self, monkeypatch):
@@ -207,27 +216,32 @@ class TestSnapshotSplice:
         assert columnar.tree.last_edit is None
         assert len(calls) == 1
 
-    def test_page_file_snapshot_rebuilds_on_first_update(self, tmp_path,
-                                                         monkeypatch):
+    @pytest.mark.parametrize("points,query,inserts", [
+        (make_uniform_points(400, seed=89), NWCQuery(300, 300, 50, 50, 3),
+         [(300.0, 310.0), (301.0, 310.0), (302.0, 310.0)]),
+        # Duplicates and both signs of zero, in answers and in inserts.
+        (pooled_points(400, seed=89), NWCQuery(0.5, 0.5, 1.0, 1.0, 3),
+         [(0.5, -0.0), (-0.0, 0.5), (-0.0, -0.0)]),
+    ], ids=["uniform", "pooled"])
+    def test_page_file_snapshot_splices_from_its_first_update(
+            self, tmp_path, monkeypatch, points, query, inserts):
+        """A page-file snapshot is ``from_tree`` of a loaded tree, so it
+        carries a node map like any other: no update rebuilds it."""
         path = tmp_path / "tree.pages"
-        save_tree(RStarTree.bulk_load(make_uniform_points(400, seed=89),
-                                      max_entries=16), path)
+        save_tree(RStarTree.bulk_load(points, max_entries=16), path)
         oracle = NWCEngine(load_tree(path), Scheme.NWC_STAR,
                            grid_cell_size=50.0, execution="python")
-        tree = load_tree(path)
         columnar = NWCEngine(
-            tree, Scheme.NWC_STAR, grid_cell_size=50.0,
-            flat=FlatRTree.from_page_file(path, stats=tree.stats))
+            load_tree(path), Scheme.NWC_STAR, grid_cell_size=50.0,
+            flat=FlatRTree.from_page_file(path))
         calls = self._count_from_tree(monkeypatch)
-        query = NWCQuery(300, 300, 50, 50, 3)
         self._assert_same(oracle, columnar, query)
-        assert calls == []
-        for i in range(3):
+        for i, (x, y) in enumerate(inserts):
             self._update_both((oracle, columnar), "insert",
-                              PointObject(72_000 + i, 300.0 + i, 310.0))
+                              PointObject(72_000 + i, x, y))
             assert columnar.tree.last_edit
             self._assert_same(oracle, columnar, query)
-            assert len(calls) == 1
+        assert calls == []
 
     def test_shard_worker_splices_from_its_first_update(self, tmp_path,
                                                          monkeypatch):

@@ -20,7 +20,7 @@ import pytest
 import repro.eval.experiments as experiments
 from repro.eval import SweepCheckpoint, SweepTask, run_tasks
 from repro.eval.experiments import DatasetSpec, run_sweep_task
-from repro.index import RStarTree, load_tree, save_tree, validate_tree
+from repro.index import FlatRTree, RStarTree, load_tree, save_tree, validate_tree
 from repro.storage import (
     DEFAULT_PAGE_SIZE,
     CorruptPageError,
@@ -50,14 +50,18 @@ def _oids(tree):
     return sorted(o.oid for o in tree.iter_objects())
 
 
+#: Every way to read a page file: the tree, and a columnar snapshot.
+LOADERS = (load_tree, FlatRTree.from_page_file)
+
+
 # ----------------------------------------------------------------------
 # Acceptance: every single-page corruption is detected on load
 # ----------------------------------------------------------------------
 class TestCorruptionDetection:
     def test_every_data_page_bit_flip_raises(self, tmp_path):
-        """≥100 seeded single-bit corruptions of data pages: load_tree
-        must raise a typed StorageError every single time — zero silent
-        wrong answers."""
+        """≥100 seeded single-bit corruptions of data pages: every
+        loader must raise a typed StorageError every single time — zero
+        silent wrong answers."""
         tree, path = _saved_tree(tmp_path)
         pristine = tmp_path / "pristine.db"
         shutil.copyfile(path, pristine)
@@ -69,8 +73,9 @@ class TestCorruptionDetection:
                 path, rng, DEFAULT_PAGE_SIZE, first_page=1
             )
             pages_hit.add(page_id)
-            with pytest.raises(StorageError):
-                load_tree(path)
+            for load in LOADERS:
+                with pytest.raises(StorageError):
+                    load(path)
         # The sweep actually exercised many distinct pages.
         assert len(pages_hit) > 5
 
@@ -102,15 +107,17 @@ class TestCorruptionDetection:
         with PageFile(path) as file:
             victim = file.root_page
         faults.torn_write(path, victim, DEFAULT_PAGE_SIZE, random.Random(3))
-        with pytest.raises(CorruptPageError):
-            load_tree(path)
+        for load in LOADERS:
+            with pytest.raises(CorruptPageError):
+                load(path)
 
     def test_truncation_detected(self, tmp_path):
         tree, path = _saved_tree(tmp_path)
         size = os.path.getsize(path)
         faults.truncate_file(path, size - DEFAULT_PAGE_SIZE // 2)
-        with pytest.raises(CorruptPageError):
-            load_tree(path)
+        for load in LOADERS:
+            with pytest.raises(CorruptPageError):
+                load(path)
 
     def test_in_flight_read_corruption_detected(self, tmp_path):
         """Bits flipped between disk and caller (FaultInjectingPageFile)

@@ -9,11 +9,8 @@ Two property families back the columnar execution mode:
   exactly the order of ``RStarTree.incremental_nearest`` — bitwise
   distances, identical tie-breaks.
 
-Plus the persistence contract: ``FlatRTree.from_page_file`` (zero-copy
-``np.frombuffer`` over an mmap) must produce the identical layout as
-rebuilding through ``load_tree`` on both v1 (legacy) and v2
-(checksummed) page files, and the update contract: after non-structural
-edits ``FlatRTree.splice`` must produce exactly what ``from_tree`` would.
+Plus the update contract: after non-structural edits
+``FlatRTree.splice`` must produce exactly what ``from_tree`` would.
 """
 
 from __future__ import annotations
@@ -29,16 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import PointObject, Rect, make_points
-from repro.index import (
-    FlatIWP,
-    FlatRTree,
-    IWPIndex,
-    RStarTree,
-    load_tree,
-    save_tree,
-)
-from repro.storage import IOStats
-from tests.conftest import make_clustered_points, make_uniform_points
+from repro.index import FlatIWP, FlatRTree, IWPIndex, RStarTree
+from tests.conftest import make_uniform_points
 
 
 # ----------------------------------------------------------------------
@@ -117,6 +106,14 @@ def flat_incremental_nearest(flat: FlatRTree, x: float, y: float):
                 )
 
 
+def flat_window_query(flat: FlatRTree, rect: Rect):
+    """One rectangle through the batched walk from the root: its
+    objects and its ``(node, leaf)`` accesses."""
+    nodes, leaves, _, cols = flat.window_query_batch(
+        np.array(((rect.x1,), (rect.y1,), (rect.x2,), (rect.y2,))))
+    return flat.objects_at(cols), (int(nodes[0]), int(leaves[0]))
+
+
 # ----------------------------------------------------------------------
 # Property: window queries match the node graph exactly
 # ----------------------------------------------------------------------
@@ -125,14 +122,12 @@ def flat_incremental_nearest(flat: FlatRTree, x: float, y: float):
 def test_window_query_matches_tree(case):
     tree, rect = case
     flat = FlatRTree.from_tree(tree)
-    flat.stats = IOStats()  # unshare from the tree to compare accounting
     tree.stats.reset()
     want = tree.window_query(rect)
-    got = flat.window_query(rect)
+    got, accesses = flat_window_query(flat, rect)
     assert sorted(p.oid for p in got) == sorted(p.oid for p in want)
     # Identical I/O accounting: same nodes touched, pushed or pruned.
-    assert flat.stats.node_accesses == tree.stats.node_accesses
-    assert flat.stats.leaf_accesses == tree.stats.leaf_accesses
+    assert accesses == (tree.stats.node_accesses, tree.stats.leaf_accesses)
 
 
 # ----------------------------------------------------------------------
@@ -265,12 +260,11 @@ def test_flat_layout_is_valid(case):
     flat = FlatRTree.from_tree(tree)
     flat.validate()
     assert flat.size == len(points)
-    assert sorted(p.oid for p in flat.iter_objects()) == \
-        sorted(p.oid for p in points)
+    assert sorted(flat.oids.tolist()) == sorted(p.oid for p in points)
 
 
 # ----------------------------------------------------------------------
-# Persistence: mmap load equals load_tree rebuild (v1 and v2 files)
+# Updates: a splice of the previous snapshot equals from_tree
 # ----------------------------------------------------------------------
 def _assert_same_layout(a: FlatRTree, b: FlatRTree) -> None:
     np.testing.assert_array_equal(a.mbrs, b.mbrs)
@@ -287,63 +281,19 @@ def _assert_same_layout(a: FlatRTree, b: FlatRTree) -> None:
         (b.size, b.max_entries, b.min_entries)
 
 
-@pytest.mark.parametrize("format_version", [1, 2])
-def test_from_page_file_matches_load_tree(tmp_path, format_version):
-    points = make_clustered_points(400, clusters=4, seed=97)
-    tree = RStarTree.bulk_load(points, max_entries=16)
-    path = tmp_path / f"tree_v{format_version}.pages"
-    save_tree(tree, path, format_version=format_version)
-
-    mmapped = FlatRTree.from_page_file(path)
-    rebuilt = FlatRTree.from_tree(load_tree(path))
-    mmapped.validate()
-    _assert_same_layout(mmapped, rebuilt)
-
-    # And both answer queries exactly like the original node graph.
-    for rect in (Rect(100, 100, 400, 400), Rect(0, 0, 1000, 1000),
-                 Rect(950, 950, 960, 960)):
-        want = sorted(p.oid for p in tree.window_query(rect))
-        assert sorted(p.oid for p in mmapped.window_query(rect)) == want
-    qx, qy = 321.0, 654.0
-    want = [(obj.oid, dist)
-            for obj, dist, _leaf in tree.incremental_nearest(qx, qy)]
-    assert list(flat_incremental_nearest(mmapped, qx, qy)) == want
-
-
-@pytest.mark.parametrize("format_version", [1, 2])
-def test_from_page_file_insert_built_tree(tmp_path, format_version):
-    # Insert-built (non-bulk-loaded) trees have different shapes;
-    # the page-file assembly must reproduce them too.
-    tree = RStarTree(max_entries=8)
-    for p in make_uniform_points(150, seed=99):
-        tree.insert(p)
-    path = tmp_path / "grown.pages"
-    save_tree(tree, path, format_version=format_version)
-    mmapped = FlatRTree.from_page_file(path)
-    _assert_same_layout(mmapped, FlatRTree.from_tree(load_tree(path)))
-    rect = Rect(200, 200, 700, 700)
-    assert sorted(p.oid for p in mmapped.window_query(rect)) == \
-        sorted(p.oid for p in tree.window_query(rect))
-
-
-# ----------------------------------------------------------------------
-# Updates: a splice of the previous snapshot equals from_tree
-# ----------------------------------------------------------------------
 _FIELDS = ("mbrs", "is_leaf", "first", "count", "parent", "level_bounds",
            "xs", "ys", "oids", "leaf_of")
 
 
 def _frozen(flat: FlatRTree):
     return ({name: getattr(flat, name).copy() for name in _FIELDS},
-            list(flat._objects), flat.size)
+            flat.size)
 
 
 def _assert_same_snapshot(a: FlatRTree, b: FlatRTree) -> None:
     _assert_same_layout(a, b)
     for name in _FIELDS:
         assert getattr(a, name).dtype == getattr(b, name).dtype, name
-    assert a._objects == b._objects
-    assert a.stats is b.stats
 
 
 @pytest.mark.parametrize("max_entries", [4, 5, 8])
@@ -403,12 +353,12 @@ def test_empty_and_single_object_trees():
     empty = FlatRTree.from_tree(RStarTree(max_entries=8))
     assert empty.size == 0
     assert empty.root_mbr is None
-    assert empty.window_query(Rect(0, 0, 10, 10)) == []
+    assert flat_window_query(empty, Rect(0, 0, 10, 10))[0] == ()
     assert list(flat_incremental_nearest(empty, 0.0, 0.0)) == []
 
     single = RStarTree(max_entries=8)
     single.insert(PointObject(7, 3.0, 4.0))
     flat = FlatRTree.from_tree(single)
     flat.validate()
-    assert [p.oid for p in flat.window_query(Rect(0, 0, 10, 10))] == [7]
+    assert [p.oid for p in flat_window_query(flat, Rect(0, 0, 10, 10))[0]] == [7]
     assert list(flat_incremental_nearest(flat, 0.0, 0.0)) == [(7, 5.0)]
