@@ -29,7 +29,6 @@ import numpy as np
 
 from ..storage import (
     DEFAULT_PAGE_SIZE,
-    FORMAT_VERSION,
     CorruptPageError,
     IOStats,
     LeafRecord,
@@ -51,8 +50,7 @@ _META = struct.Struct("<qqq")  # max_entries, min_entries, size
 
 
 def save_tree(tree: RStarTree, path: str | os.PathLike[str],
-              page_size: int = DEFAULT_PAGE_SIZE,
-              format_version: int = FORMAT_VERSION) -> int:
+              page_size: int = DEFAULT_PAGE_SIZE) -> int:
     """Write the tree to ``path`` atomically; returns the pages written.
 
     Pages are assigned bottom-up so that every internal record refers to
@@ -64,8 +62,7 @@ def save_tree(tree: RStarTree, path: str | os.PathLike[str],
     path = os.fspath(path)
     tmp_path = f"{path}.tmp.{os.getpid()}"
     try:
-        file = PageFile(tmp_path, page_size=page_size, create=True,
-                        format_version=format_version)
+        file = PageFile(tmp_path, page_size=page_size, create=True)
         try:
             meta_page = file.allocate()
             file.write_page(

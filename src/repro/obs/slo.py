@@ -17,9 +17,9 @@ Everything is exported through the shared registry
 ``slo_burn_rate`` / ``slo_objective_seconds`` gauges, all labeled by
 ``op``), so SLO state rides the same scrape/merge path as every other
 metric and ``repro fleet-status`` can show per-shard burn.  The serve
-layer calls :meth:`record` from its single request-accounting seam
-(``LineProtocolServer._observe_request``), which covers the plain
-server, shard workers and the coordinator alike; ops without an
+layer calls :meth:`record` once per request, where
+``LineProtocolServer`` dispatches it, which covers the plain server,
+shard workers and the coordinator alike; ops without an
 objective (``health``, ``metrics``...) are ignored.
 """
 

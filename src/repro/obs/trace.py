@@ -29,8 +29,8 @@ Two tracer implementations share the interface:
 * :data:`NULL_TRACER` (a :class:`NullTracer`) — the default everywhere.
   Its ``enabled`` flag is ``False`` and instrumented code checks that
   flag *once per query*, so the disabled cost is a handful of attribute
-  reads — the overhead budget (≤2%) is enforced by
-  ``scripts/bench_report.py``.
+  reads: an unobserved query builds no attribution and reads no clock
+  (``tests/test_core_leaf_batch.py`` counts both).
 * :class:`QueryTracer` — records spans, bounded by ``max_spans`` so a
   baseline-scheme query over a large dataset cannot hoard memory; spans
   beyond the cap are counted in ``dropped_spans`` instead of kept.

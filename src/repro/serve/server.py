@@ -629,21 +629,11 @@ class LineProtocolServer:
             response, outcome = error_response(
                 "internal", f"{type(exc).__name__}: {exc}"
             ), "internal"
-        self._observe_request(op, outcome, time.perf_counter() - start)
+        self._m_requests[(op, outcome)].inc()
+        self.slo.record(op, time.perf_counter() - start, error=(outcome != "ok"))
         if request_id is not None:
             response["id"] = request_id
         return response
-
-    def _observe_request(self, op: str, outcome: str, seconds: float) -> None:
-        """The single request-accounting seam: outcome counter + SLO.
-        One override point covers plain servers, shard workers and the
-        coordinator alike (and the bench overhead guard shadows it)."""
-        self._m_requests[(op, outcome)].inc()
-        self.slo.record(op, seconds, error=(outcome != "ok"))
-
-    def _trace_context(self, payload: dict[str, Any]) -> TraceContext | None:
-        """The request's distributed-trace context, if any."""
-        return protocol.parse_trace(payload)
 
     # ------------------------------------------------------------------
     # Admission + deadlines
@@ -760,7 +750,7 @@ class LineProtocolServer:
         remaining response fields (``stats``, ``trace``, ``shards``…).
         A sampled trace bypasses the cache so it always shows a real
         run."""
-        ctx = self._trace_context(payload)
+        ctx = protocol.parse_trace(payload)
         if ctx is not None and not ctx.sampled:
             ctx = None
         start = time.perf_counter()

@@ -114,7 +114,7 @@ class ShardServer(QueryServer):
         else:
             query, kind = protocol.parse_knwc(payload)[0], "knwc"
         limit, after, ceiling = protocol.parse_page(payload)
-        ctx = self._trace_context(payload)
+        ctx = protocol.parse_trace(payload)
 
         async def body():
             pool, traced = await self._run_engine(

@@ -12,8 +12,8 @@ the one reader of a page file: a columnar snapshot
 Two on-disk formats exist:
 
 * **v1** (the seed format, magic ``NWC1``): raw page payloads, no
-  integrity checks.  Still readable (and writable, for benchmarking the
-  checksum overhead) but never the default.
+  integrity checks.  Still readable, but never written: a v1 file is
+  read-only.
 * **v2** (magic ``NWCF`` + explicit version field, the default): the
   header and every data page carry a CRC32 covering the *whole* page, so
   any single-bit corruption, torn write or truncation is detected on
@@ -45,7 +45,7 @@ FORMAT_VERSION = 2
 LEGACY_MAGIC = b"NWC1"
 LEGACY_VERSION = 1
 
-#: Formats :class:`PageFile` can read and write.
+#: Formats :class:`PageFile` can read (it writes only the current one).
 SUPPORTED_VERSIONS = (LEGACY_VERSION, FORMAT_VERSION)
 
 #: Per-page bytes consumed by the v2 integrity fields (crc32 + length).
@@ -87,18 +87,16 @@ class PageFile:
 
     def __init__(self, path: str | os.PathLike[str], page_size: int = DEFAULT_PAGE_SIZE,
                  stats: IOStats | None = None, create: bool = False,
-                 format_version: int | None = None, metrics=None) -> None:
+                 metrics=None) -> None:
         """Open (or create) a page file.
 
         Args:
             path: Filesystem path of the backing file.
             page_size: Page size in bytes; must hold the header.
             stats: Counter sink; a private one is created when omitted.
-            create: Truncate/initialize the file when True.
-            format_version: On-disk format to create (default: the
-                current checksummed format).  When opening an existing
-                file the version is detected from the header; passing a
-                different one raises :class:`FormatVersionError`.
+            create: Truncate/initialize the file when True.  A new
+                file is always in the current checksummed format; an
+                existing file's format is detected from its header.
             metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
                 when given, per-page read/write wall-clock latency is
                 observed into the ``page_read_seconds`` /
@@ -114,11 +112,6 @@ class PageFile:
                 "page_write_seconds", "Physical page write latency")
         else:
             self._m_read_seconds = self._m_write_seconds = None
-        if format_version is not None and format_version not in SUPPORTED_VERSIONS:
-            raise FormatVersionError(
-                f"unsupported format version {format_version}; "
-                f"supported: {SUPPORTED_VERSIONS}"
-            )
         self.path = os.fspath(path)
         self.page_size = page_size
         self.stats = stats if stats is not None else IOStats()
@@ -127,19 +120,12 @@ class PageFile:
         self._file = open(self.path, mode)
         try:
             if mode == "w+b":
-                self.format_version = (
-                    FORMAT_VERSION if format_version is None else format_version
-                )
+                self.format_version = FORMAT_VERSION
                 self._page_count = 0
                 self._root_page = -1
                 self._write_header()
             else:
                 header = self._read_header()
-                if format_version is not None and header.format_version != format_version:
-                    raise FormatVersionError(
-                        f"{self.path}: file is format v{header.format_version}, "
-                        f"requested v{format_version}"
-                    )
                 if header.page_size != page_size:
                     raise PageError(
                         f"page size mismatch: file has {header.page_size}, "
@@ -157,14 +143,10 @@ class PageFile:
     # Header handling
     # ------------------------------------------------------------------
     def _write_header(self) -> None:
-        if self.format_version == LEGACY_VERSION:
-            payload = LEGACY_MAGIC + self.page_size.to_bytes(4, "little")
-            payload += self._page_count.to_bytes(8, "little")
-            payload += self._root_page.to_bytes(8, "little", signed=True)
-        else:
-            body = _HEADER_V2.pack(MAGIC, self.format_version, 0, self.page_size,
-                                   self._page_count, self._root_page)
-            payload = body + _HEADER_V2_CRC.pack(zlib.crc32(body))
+        self._check_writable()
+        body = _HEADER_V2.pack(MAGIC, self.format_version, 0, self.page_size,
+                               self._page_count, self._root_page)
+        payload = body + _HEADER_V2_CRC.pack(zlib.crc32(body))
         self._file.seek(0)
         self._file.write(payload.ljust(self.page_size, b"\x00"))
         self._header_dirty = False
@@ -173,6 +155,10 @@ class PageFile:
         self._file.seek(0)
         raw = self._file.read(self.page_size)
         return decode_header(raw, self.path)
+
+    def _check_writable(self) -> None:
+        if self.format_version == LEGACY_VERSION:
+            raise FormatVersionError(f"{self.path}: v1 files are read-only")
 
     def _check_file_size(self) -> None:
         expected = (self._page_count + 1) * self.page_size
@@ -215,6 +201,7 @@ class PageFile:
         The header is rewritten lazily (on :meth:`flush` / :meth:`close`
         / :meth:`set_root_page`) rather than on every allocation.
         """
+        self._check_writable()
         self._page_count += 1
         self._header_dirty = True
         return self._page_count
@@ -222,17 +209,15 @@ class PageFile:
     def write_page(self, page_id: int, data: bytes) -> None:
         """Write one page; ``data`` must fit in :attr:`payload_capacity`."""
         self._check_page_id(page_id)
+        self._check_writable()
         if len(data) > self.payload_capacity:
             raise PageError(
                 f"payload of {len(data)} bytes exceeds page capacity "
                 f"{self.payload_capacity} (page size {self.page_size})"
             )
-        if self.format_version == LEGACY_VERSION:
-            page = data.ljust(self.page_size, b"\x00")
-        else:
-            body = struct.pack("<I", len(data)) + data
-            body = body.ljust(self.page_size - _HEADER_V2_CRC.size, b"\x00")
-            page = _HEADER_V2_CRC.pack(zlib.crc32(body)) + body
+        body = struct.pack("<I", len(data)) + data
+        body = body.ljust(self.page_size - _HEADER_V2_CRC.size, b"\x00")
+        page = _HEADER_V2_CRC.pack(zlib.crc32(body)) + body
         timed = self._m_write_seconds is not None
         start = time.perf_counter() if timed else 0.0
         self._file.seek(page_id * self.page_size)
@@ -293,10 +278,10 @@ class PageFile:
 
     def close(self, sync: bool = False) -> None:
         """Flush and close the backing file (``sync=True`` fsyncs too)."""
-        self._write_header()
         if sync:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            self.sync()
+        else:
+            self.flush()
         self._file.close()
 
     def __enter__(self) -> "PageFile":

@@ -28,10 +28,6 @@ deleted object was — caught by the ``n > new_size`` sweep (guarded by
 the running maximum ``n``, so it costs nothing until the dataset
 actually shrinks near it).  This module is the only place that test
 and those rules are written.
-
-``naive=True`` turns both probes into "everything" — the
-re-evaluate-all baseline the benchmark's incrementality gate compares
-against.
 """
 
 from __future__ import annotations
@@ -172,14 +168,10 @@ class SubscriptionIndex(Generic[T]):
     exclusive write slot, or from the event-loop thread for the cache.
     """
 
-    def __init__(self, cell_size: float = DEFAULT_CELL_SIZE,
-                 naive: bool = False) -> None:
+    def __init__(self, cell_size: float = DEFAULT_CELL_SIZE) -> None:
         if not (cell_size > 0 and math.isfinite(cell_size)):
             raise ValueError("cell_size must be positive and finite")
         self.cell_size = cell_size
-        #: ``True`` degrades every probe to "all items" — the
-        #: benchmark's re-evaluate-everything baseline.
-        self.naive = naive
         self._items: dict[Hashable, T] = {}
         self._cells: dict[tuple[int, int], set[Hashable]] = {}
         self._always_insert: set[Hashable] = set()
@@ -294,8 +286,6 @@ class SubscriptionIndex(Generic[T]):
         a superset of every item the update can affect."""
         if op not in ("insert", "delete"):
             raise ValueError(f"unknown update op {op!r}")
-        if self.naive:
-            return set(self._items)
         candidates = set(self._cells.get(self._cell_of(x, y), ()))
         candidates |= (self._always_insert if op == "insert"
                        else self._always_delete)
@@ -309,8 +299,6 @@ class SubscriptionIndex(Generic[T]):
         every item whose ``n`` now exceeds it (its answer flips to the
         size-threshold reason regardless of geometry)."""
         candidates = self.probe(x, y, op)
-        if self.naive:
-            return candidates
         if op == "delete" and new_size < self._max_n:
             # The dataset shrank below the largest live n: sweep for
             # size flips.  Rare by construction (the guard is the max).
@@ -320,8 +308,7 @@ class SubscriptionIndex(Generic[T]):
                 if self._within(x, y, self._items[key], op, new_size)}
 
     def affected_insert(self, x: float, y: float) -> list[T]:
-        """The items an insert at ``(x, y)`` may affect, in key order
-        (naive: every item, in registration order)."""
+        """The items an insert at ``(x, y)`` may affect, in key order."""
         return self._in_key_order(self.affected(x, y, "insert"))
 
     def affected_delete(self, x: float, y: float, new_size: int) -> list[T]:
@@ -331,8 +318,6 @@ class SubscriptionIndex(Generic[T]):
     def _in_key_order(self, keys: set[Hashable]) -> list[T]:
         # Re-evaluation order is part of the WAL replay contract: the
         # live server and recovery must walk subscriptions identically.
-        if self.naive:
-            return list(self._items.values())
         return [self._items[key] for key in sorted(keys)]
 
     @staticmethod

@@ -6,7 +6,7 @@ failure modes:
 
 * file-level corruptors (:func:`flip_bit`, :func:`corrupt_random_bit`,
   :func:`torn_write`, :func:`truncate_file`) that damage a saved page
-  file the way disks and crashes do;
+  file the way disks and crashes do, and :func:`rewrite_as_v1`;
 * :class:`FaultInjectingPageFile`, a drop-in :class:`PageFile` that
   raises seeded transient ``OSError`` s and/or flips read bits in
   flight, for exercising error propagation through higher layers;
@@ -30,6 +30,7 @@ import random
 
 from repro.eval.experiments import SweepTask, run_sweep_task
 from repro.storage import PageFile
+from repro.storage.pages import LEGACY_MAGIC
 from repro.storage.stats import IOStats
 
 #: Pid of the process that imported this module first — i.e. the test
@@ -97,6 +98,20 @@ def truncate_file(path: str | os.PathLike[str], keep_bytes: int) -> None:
     """Cut the file short, as if a crash interrupted an append."""
     with open(path, "r+b") as handle:
         handle.truncate(keep_bytes)
+
+
+def rewrite_as_v1(path: str | os.PathLike[str], page_size: int) -> None:
+    """Rewrite a v2 page file in place as v1: the v1 header, and each
+    data page's payload without its 8-byte crc/length prefix."""
+    with PageFile(path, page_size=page_size) as file:
+        pages = [LEGACY_MAGIC + page_size.to_bytes(4, "little")
+                 + file.page_count.to_bytes(8, "little")
+                 + file.root_page.to_bytes(8, "little", signed=True)]
+        pages += [file.read_page(page_id)
+                  for page_id in range(1, file.page_count + 1)]
+    with open(path, "wb") as handle:
+        for page in pages:
+            handle.write(page.ljust(page_size, b"\x00"))
 
 
 # ----------------------------------------------------------------------

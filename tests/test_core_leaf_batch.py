@@ -562,6 +562,34 @@ def test_observers_do_not_change_which_code_answers(builds):
     assert seen[0] == seen[1] == seen[2]
 
 
+def test_disabled_observers_cost_no_attribution_and_no_clock(monkeypatch):
+    """No clock: with neither tracer nor registry a query builds no
+    ``_Attribution`` and reads ``time.perf_counter`` 0 times; with a
+    registry it builds one."""
+    plain = _dense_engine(Scheme.NWC_STAR, "columnar")
+    metered = _dense_engine(Scheme.NWC_STAR, "columnar",
+                            metrics=MetricsRegistry())
+    counts = {"attributions": 0, "clock": 0}
+    attribution = engine_module._Attribution
+
+    def counting_attribution():
+        counts["attributions"] += 1
+        return attribution()
+
+    def counting_clock():
+        counts["clock"] += 1
+        return 0.0
+
+    monkeypatch.setattr(engine_module, "_Attribution", counting_attribution)
+    monkeypatch.setattr(engine_module, "time",
+                        types.SimpleNamespace(perf_counter=counting_clock))
+    query = NWCQuery(*DENSE_LOCATIONS[0], LENGTH, WIDTH, 8)
+    plain.nwc(query)
+    assert counts == {"attributions": 0, "clock": 0}
+    metered.nwc(query)
+    assert counts["attributions"] == 1
+
+
 @pytest.mark.parametrize("budget", [1, 150, 1000])
 def test_floor_work_in_passes_under_a_small_budget(monkeypatch, budget,
                                                    builds, enumerating):

@@ -198,7 +198,8 @@ class TestLegacyFormat:
         points = make_uniform_points(300, seed=17)
         tree = RStarTree.bulk_load(points, max_entries=16)
         path = tmp_path / "legacy.db"
-        save_tree(tree, path, format_version=1)
+        save_tree(tree, path)
+        faults.rewrite_as_v1(path, DEFAULT_PAGE_SIZE)
         with open(path, "rb") as handle:
             assert handle.read(4) == b"NWC1"
         loaded = load_tree(path)

@@ -6,8 +6,8 @@ loop."""
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
-import time
 
 import pytest
 
@@ -140,47 +140,50 @@ class TestUpdatesAndCache:
 
 
 class TestAdmissionControl:
-    def _slow_server(self, sleep_s=0.8, **config):
+    @contextlib.contextmanager
+    def _slot_held(self, **config):
+        """A one-slot server whose slot an NWC query holds, blocked in
+        the engine, until ``release`` is set or the block exits."""
         engine = _engine()
         real = engine.nwc
-        def slow_nwc(query, **kw):
-            time.sleep(sleep_s)
+        started, release = threading.Event(), threading.Event()
+        def blocking_nwc(query, **kw):
+            started.set()
+            release.wait()
             return real(query, **kw)
-        engine.nwc = slow_nwc
-        return ServerThread(engine, ServeConfig(port=0, **config))
-
-    def test_overloaded_when_system_full(self):
-        with self._slow_server(max_inflight=1, max_queue=0) as thread:
-            errors = []
-            def occupy():
-                with ServeClient(port=thread.port) as c:
-                    c.nwc(200, 200, 60, 60, 3)
+        engine.nwc = blocking_nwc
+        def occupy():
+            with ServeClient(port=thread.port) as c:
+                c.nwc(200, 200, 60, 60, 3)
+        config = ServeConfig(port=0, max_inflight=1, **config)
+        with ServerThread(engine, config) as thread:
             blocker = threading.Thread(target=occupy)
             blocker.start()
-            time.sleep(0.3)  # let the slow query take the only slot
+            try:
+                assert started.wait(30)
+                yield thread, blocker, release
+            finally:
+                release.set()
+                blocker.join()
+
+    def test_overloaded_when_system_full(self):
+        with self._slot_held(max_queue=0) as (thread, blocker, release):
             with ServeClient(port=thread.port) as client:
                 with pytest.raises(OverloadedError):
                     client.nwc(300, 300, 60, 60, 3)
+            release.set()
             blocker.join()
             # The slot freed up; the same request now succeeds.
             with ServeClient(port=thread.port) as client:
                 assert client.nwc(300, 300, 60, 60, 3)["ok"]
 
     def test_deadline_exceeded_while_queued(self):
-        with self._slow_server(max_inflight=1, max_queue=8) as thread:
-            def occupy():
-                with ServeClient(port=thread.port) as c:
-                    c.nwc(200, 200, 60, 60, 3)
-            blocker = threading.Thread(target=occupy)
-            blocker.start()
-            time.sleep(0.3)
+        with self._slot_held(max_queue=8) as (thread, blocker, _):
             with ServeClient(port=thread.port) as client:
-                start = time.perf_counter()
                 with pytest.raises(DeadlineError):
                     client.nwc(300, 300, 60, 60, 3, deadline_ms=100)
-                # Answered at its deadline, not after the slow query.
-                assert time.perf_counter() - start < 0.5
-            blocker.join()
+            # Answered at its deadline, while the slot holder still blocks.
+            assert blocker.is_alive()
 
     def test_bad_deadline_rejected(self, served):
         client, _, _ = served

@@ -1,6 +1,7 @@
 """Unit tests for repro.storage (stats, pages, serializer)."""
 
 import os
+import zlib
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.storage import (
     max_leaf_entries,
     scan_pages,
 )
+from tests import faults
 
 
 class TestIOStats:
@@ -136,24 +138,29 @@ class TestPageFormat:
 
     def test_legacy_v1_create_and_reopen(self, tmp_path):
         path = tmp_path / "legacy.db"
-        with PageFile(path, page_size=128, create=True,
-                      format_version=LEGACY_VERSION) as file:
-            assert file.payload_capacity == 128
+        with PageFile(path, page_size=128, create=True) as file:
             pid = file.allocate()
             file.write_page(pid, b"raw bytes, no checksum")
+        faults.rewrite_as_v1(path, 128)
         with open(path, "rb") as handle:
             assert handle.read(4) == b"NWC1"
         with PageFile(path, page_size=128) as file:  # auto-detected
             assert file.format_version == LEGACY_VERSION
+            assert file.payload_capacity == 128
             assert file.read_page(pid).startswith(b"raw bytes")
+            with pytest.raises(FormatVersionError):  # v1 is read-only
+                file.write_page(pid, b"new bytes")
 
-    def test_requested_version_must_match_file(self, tmp_path):
+    def test_unknown_header_version_rejected(self, tmp_path):
         path = tmp_path / "p.db"
         PageFile(path, page_size=128, create=True).close()
+        with open(path, "r+b") as handle:
+            body = bytearray(handle.read(28))  # the CRC-covered header body
+            body[4:6] = (7).to_bytes(2, "little")
+            handle.seek(0)
+            handle.write(body + zlib.crc32(body).to_bytes(4, "little"))
         with pytest.raises(FormatVersionError):
-            PageFile(path, page_size=128, format_version=LEGACY_VERSION)
-        with pytest.raises(FormatVersionError):
-            PageFile(path, page_size=128, create=True, format_version=7)
+            PageFile(path, page_size=128)
 
     def test_payload_capacity_boundary(self, tmp_path):
         with PageFile(tmp_path / "p.db", page_size=64, create=True) as file:

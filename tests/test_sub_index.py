@@ -1,19 +1,26 @@
 """Unit tests for the standing-query registry: shield-radius
 bucketing, always/never placement, rebucketing, the delete size-flip
-sweep, the naive baseline mode and state round-trips."""
+sweep, the re-evaluations the shields spare and state round-trips."""
 
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
+from repro.core import NWCEngine, Scheme
+from repro.geometry import PointObject
+from repro.index import RStarTree
+from repro.sub import reconcile, subscription_from_record
 from repro.sub.index import (
     DEFAULT_CELL_SIZE,
     MAX_CELLS_PER_SUB,
     Subscription,
     SubscriptionIndex,
 )
+from repro.sub.runtime import evaluate_subscription
+from tests.conftest import make_uniform_points
 
 
 def _sub(sub_id: str, qx: float, qy: float, *, n: int = 4,
@@ -114,17 +121,34 @@ class TestDeleteSizeFlip:
                 for s in index.affected_delete(0.0, 0.0, new_size=4)] == ["a"]
 
 
-class TestNaiveMode:
-    def test_probe_and_affected_return_everything(self):
-        index = SubscriptionIndex(cell_size=100.0, naive=True)
-        index.add(_sub("a", 0.0, 0.0, ins=10.0, dele=10.0))
-        index.add(_sub("b", 5000.0, 5000.0, ins=-math.inf, dele=-math.inf))
-        assert index.probe(2500.0, 2500.0, "insert") == {"a", "b"}
-        assert {s.sub_id for s in index.affected_insert(2500.0, 2500.0)} \
-            == {"a", "b"}
-        assert {s.sub_id
-                for s in index.affected_delete(2500.0, 2500.0, 999)} \
-            == {"a", "b"}
+class TestIncrementality:
+    def test_shields_spare_most_reevaluations(self):
+        """20 inserts re-evaluate 300 standing NWC queries (~2n objects
+        per window) at most a fifth of the 6,000 times that re-evaluating
+        every query on every insert would."""
+        length, width, n, subs, inserts = 20.0, 15.0, 2, 300, 20
+        side = math.sqrt(4000 * length * width / (2.0 * n))
+        engine = NWCEngine(RStarTree.bulk_load(
+            make_uniform_points(4000, span=side, seed=20260808),
+            max_entries=50), Scheme.NWC_STAR)
+        rng = random.Random(5)
+        index = SubscriptionIndex()
+        for i in range(subs):
+            sub = subscription_from_record({
+                "sub": f"s{i:03d}", "x": rng.uniform(width, side - width),
+                "y": rng.uniform(width, side - width),
+                "length": length, "width": width, "n": n})
+            sub.result, sub.insert_radius, sub.delete_radius = \
+                evaluate_subscription(engine, sub)
+            index.add(sub)
+        reevals = 0
+        for step in range(inserts):
+            obj = PointObject(90_000 + step, rng.uniform(0.0, side),
+                              rng.uniform(0.0, side))
+            engine.insert(obj)
+            reevals += reconcile(index, engine, "insert", obj.x, obj.y,
+                                 engine.tree.size, step + 1)[1]
+        assert reevals <= subs * inserts // 5, reevals
 
 
 class TestValidation:
