@@ -364,8 +364,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         engine, durable = recover(
             dconfig,
-            lambda tree: _make_engine(args, execution=args.execution,
-                                      tree=tree),
+            lambda tree: _make_engine(args, tree=tree),
             metrics=metrics,
         )
         report = durable.recovery
@@ -374,12 +373,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"replayed, {report.truncated_bytes} torn byte(s) dropped, "
               f"version {report.version}", file=sys.stderr, flush=True)
     else:
-        engine = _make_engine(args, execution=args.execution)
+        engine = _make_engine(args)
     config = ServeConfig(
         host=args.host, port=args.port,
         max_inflight=args.max_inflight, max_queue=args.max_queue,
         deadline_s=args.deadline, cache_entries=args.cache_entries,
-        cache_ttl_s=args.cache_ttl,
     )
     server = QueryServer(engine, config, metrics=metrics, durable=durable)
 
@@ -387,8 +385,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await server.start()
         if args.port_file:
             _write_port_file(args.port_file, server.port)
-        print(f"serving {args.dataset}/{args.size} ({args.scheme}, "
-              f"{args.execution}) on {config.host}:{server.port}",
+        print(f"serving {args.dataset}/{args.size} ({args.scheme}) on "
+              f"{config.host}:{server.port}",
               file=sys.stderr, flush=True)
         await server.serve_forever()
         print("drained, exiting", file=sys.stderr)
@@ -402,12 +400,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     # The dataset seeds the query pool; with --verify it must describe
     # the same points the server was started with (same --dataset,
-    # --size, --scheme and --execution), because the twin engine replays
+    # --size and --scheme), because the twin engine replays
     # every operation locally and compares answers byte for byte.
     dataset = _DATASETS[args.dataset](args.size)
     twin = None
     if args.verify:
-        twin = _make_engine(args, execution=args.execution)
+        twin = _make_engine(args)
     if args.verify_subs and twin is None:
         print("error: --verify-subs needs a twin; add --verify",
               file=sys.stderr)
@@ -576,7 +574,6 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
             host=args.host, port=args.port,
             max_inflight=args.max_inflight, max_queue=args.max_queue,
             deadline_s=args.deadline, cache_entries=args.cache_entries,
-            cache_ttl_s=args.cache_ttl,
         )
         coordinator = ShardCoordinator(manifest, addresses, config=config,
                                        metrics=MetricsRegistry())
@@ -802,9 +799,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dataset cardinality")
         p.add_argument("--scheme", choices=[s.name for s in Scheme],
                        default="NWC_STAR")
-        p.add_argument("--execution", choices=list(EXECUTION_MODES),
-                       default=DEFAULT_EXECUTION,
-                       help=f"engine execution mode (default: {DEFAULT_EXECUTION})")
 
     srv = sub.add_parser(
         "serve", help="serve NWC/kNWC queries over TCP (NDJSON protocol)")
@@ -821,8 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="default per-request deadline in seconds")
     srv.add_argument("--cache-entries", type=int, default=1024,
                      help="result-cache capacity (0 disables caching)")
-    srv.add_argument("--cache-ttl", type=float, default=None,
-                     help="result-cache TTL in seconds (default: no expiry)")
     srv.add_argument("--state-dir", default=None,
                      help="durable state directory (WAL + checkpoints); "
                           "acknowledged updates then survive crashes and "
@@ -929,7 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
     shs.add_argument("--cache-entries", type=int, default=1024,
                      help="coordinator result-cache capacity (workers "
                           "never cache scatter ops)")
-    shs.add_argument("--cache-ttl", type=float, default=None)
     shs.add_argument("--worker-inflight", type=int, default=4,
                      help="concurrent engine operations per shard worker")
     shs.add_argument("--state-root", default=None,

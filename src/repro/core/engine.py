@@ -354,10 +354,7 @@ class NWCEngine:
         self._note_edit()
         if self.grid is not None:
             if self.grid.extent.contains_point(obj.x, obj.y):
-                try:
-                    self.grid.add(obj.x, obj.y)
-                except RuntimeError:  # frozen prefix-sum grid
-                    self._grid_dirty = True
+                self.grid.add(obj.x, obj.y)
             else:
                 self._grid_dirty = True
         if self.flags.iwp:
@@ -373,10 +370,7 @@ class NWCEngine:
         self._note_edit()
         if self.grid is not None:
             if self.grid.extent.contains_point(obj.x, obj.y):
-                try:
-                    self.grid.remove(obj.x, obj.y)
-                except RuntimeError:
-                    self._grid_dirty = True
+                self.grid.remove(obj.x, obj.y)
             else:
                 self._grid_dirty = True
         if self.flags.iwp:

@@ -12,8 +12,8 @@ table (the O(1) window aggregate of Shi & Wang, see PAPERS.md), one
 eagerly built int32 array kept exact under ``add``/``remove``: every
 upper bound — scalar or a whole array of rectangles at once — is four
 table lookups, a single cell's count included, and concurrent readers
-never create state.  :class:`PrefixSumDensityGrid` is the same grid
-frozen against updates (the former ablation, kept for its importers).
+never create state.  ``PrefixSumDensityGrid`` is another name for it,
+kept for its importers.
 """
 
 from __future__ import annotations
@@ -154,36 +154,5 @@ class DensityGrid:
         return tuple(counts.ravel().tolist())
 
 
-class PrefixSumDensityGrid(DensityGrid):
-    """A :class:`DensityGrid` frozen against updates.
-
-    Historically the O(1) ablation of the cell-loop grid; the base grid
-    now answers from the same cumulative table, so only the contract
-    remains: :meth:`freeze` (called by :meth:`build`) makes ``add`` /
-    ``remove`` raise, which the engine answers with a lazy rebuild.
-    """
-
-    def __init__(self, extent: Rect, cell_size: float) -> None:
-        super().__init__(extent, cell_size)
-        self._frozen = False
-
-    @classmethod
-    def build(cls, objects: Iterable[PointObject], extent: Rect,
-              cell_size: float) -> "PrefixSumDensityGrid":
-        grid = super().build(objects, extent, cell_size)
-        grid.freeze()
-        return grid
-
-    def add(self, x: float, y: float) -> None:
-        if self._frozen:
-            raise RuntimeError("grid is frozen; updates are not allowed")
-        super().add(x, y)
-
-    def remove(self, x: float, y: float) -> None:
-        if self._frozen:
-            raise RuntimeError("grid is frozen; updates are not allowed")
-        super().remove(x, y)
-
-    def freeze(self) -> None:
-        """Reject further updates."""
-        self._frozen = True
+#: Another name for :class:`DensityGrid`, kept for its importers.
+PrefixSumDensityGrid = DensityGrid

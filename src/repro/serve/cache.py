@@ -1,8 +1,8 @@
 """Update-aware semantic result cache for the query server.
 
 Entries are keyed on the full query description — kind, location,
-window, ``n``, measure, kNWC parameters and the engine's optimization
-flags.  The cache tracks the dataset version it was last reconciled to,
+window, ``n``, measure and kNWC parameters (each server owns its
+cache, so the engine behind every key is the same).  The cache tracks the dataset version it was last reconciled to,
 and a lookup only hits at that version, so staleness is impossible by
 construction; the interesting part is what happens on updates.
 
@@ -16,8 +16,8 @@ cached answer provably equals what the engine would recompute).
 Entries without a usable bound get an infinite radius — the per-entry
 fallback to full invalidation.
 
-Eviction is LRU with an optional TTL; both exist for hygiene (bounded
-memory, bounded staleness of *metadata* like stats), not correctness.
+Eviction is LRU, which bounds memory; it plays no part in
+correctness.
 
 The cache is not thread-safe by design: the server touches it from the
 event-loop thread only.
@@ -25,11 +25,9 @@ event-loop thread only.
 
 from __future__ import annotations
 
-import math
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 from ..obs.metrics import MetricsRegistry
 from ..sub.index import SubscriptionIndex
@@ -41,14 +39,13 @@ DEFAULT_CACHE_ENTRIES = 1024
 
 #: Cache event outcomes exported through the
 #: ``nwc_cache_events_total`` family (``layer="serve"``).
-_EVENTS = ("hit", "miss", "expired", "invalidated", "carried", "evicted")
+_EVENTS = ("hit", "miss", "invalidated", "carried", "evicted")
 
 
 @dataclass(slots=True)
 class _Entry:
     key: Hashable
     payload: dict[str, Any]
-    expires_at: float
     qx: float
     qy: float
     n: int
@@ -63,7 +60,6 @@ class CacheStats:
     entries: int
     hits: int
     misses: int
-    expired: int
     invalidated: int
     carried: int
     evicted: int
@@ -75,36 +71,27 @@ class CacheStats:
 
 
 class ResultCache:
-    """LRU + TTL result cache with shielded, update-aware invalidation."""
+    """LRU result cache with shielded, update-aware invalidation."""
 
     def __init__(
         self,
         max_entries: int = DEFAULT_CACHE_ENTRIES,
-        ttl_s: float | None = None,
         metrics: MetricsRegistry | None = None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         """Args:
             max_entries: LRU capacity; 0 disables caching entirely.
-            ttl_s: Entry lifetime in seconds; ``None`` means no expiry.
             metrics: Optional registry; cache events are counted into
                 ``nwc_cache_events_total{layer="serve"}``.
-            clock: Monotonic time source (injectable for tests).
         """
         if max_entries < 0:
             raise ValueError("max_entries must be non-negative")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError("ttl_s must be positive (or None)")
         self.max_entries = max_entries
-        self.ttl_s = ttl_s
-        self._clock = clock
         self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._shields: SubscriptionIndex[_Entry] = SubscriptionIndex()
         #: The dataset version every live entry is valid at.
         self._version = 0
         self.hits = 0
         self.misses = 0
-        self.expired = 0
         self.invalidated = 0
         self.carried = 0
         self.evicted = 0
@@ -136,8 +123,8 @@ class ResultCache:
         """The cached payload for ``key`` at ``version``, or ``None``.
 
         A lookup at any version but the one the cache was last
-        reconciled to evicts the entry (it is not known valid there), an
-        expired TTL likewise; both count as misses.
+        reconciled to evicts the entry (it is not known valid there) and
+        counts as a miss.
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -146,11 +133,6 @@ class ResultCache:
         if version != self._version:
             self._drop(key)
             self._record("invalidated")
-            self._record("miss")
-            return None
-        if entry.expires_at <= self._clock():
-            self._drop(key)
-            self._record("expired")
             self._record("miss")
             return None
         self._entries.move_to_end(key)
@@ -187,9 +169,7 @@ class ResultCache:
             return
         if version > self._version:
             self._reconcile(set(self._entries), version)
-        expires = math.inf if self.ttl_s is None else self._clock() + self.ttl_s
-        entry = _Entry(key, payload, expires, qx, qy, n, insert_radius,
-                       delete_radius)
+        entry = _Entry(key, payload, qx, qy, n, insert_radius, delete_radius)
         self._entries[key] = entry
         self._entries.move_to_end(key)
         self._shields.add(entry)
@@ -239,6 +219,6 @@ class ResultCache:
         """Snapshot of the running counters."""
         return CacheStats(
             entries=len(self._entries), hits=self.hits, misses=self.misses,
-            expired=self.expired, invalidated=self.invalidated,
+            invalidated=self.invalidated,
             carried=self.carried, evicted=self.evicted,
         )

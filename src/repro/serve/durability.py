@@ -47,7 +47,8 @@ from ..storage.wal import (
     WriteAheadLog,
     replay_wal,
 )
-from ..sub import SubscriptionIndex, reconcile, subscription_from_record
+from ..sub import (Subscription, SubscriptionIndex, reconcile,
+                   subscription_from_record)
 from ..sub.runtime import evaluate_subscription
 
 __all__ = [
@@ -245,76 +246,75 @@ class DurableState:
     records_since_checkpoint: int = 0
     subs: SubscriptionIndex = field(default_factory=SubscriptionIndex)
 
-    def remember(self, request_id: str, response: dict[str, Any]) -> None:
-        """LRU-record an acknowledged update for idempotent retries."""
-        self.dedupe[request_id] = response
-        self.dedupe.move_to_end(request_id)
-        while len(self.dedupe) > self.config.dedupe_entries:
-            self.dedupe.popitem(last=False)
-
     def close(self) -> None:
         self.wal.close()
 
 
 def apply_record(engine: NWCEngine, version: int, record: dict[str, Any],
-                 subs: SubscriptionIndex | None = None
-                 ) -> tuple[int, dict[str, Any]]:
-    """Apply one WAL record to ``engine`` at dataset ``version``.
+                 subs: SubscriptionIndex
+                 ) -> tuple[int, dict[str, Any], list[Subscription], int,
+                            float]:
+    """Apply one logged record to ``engine`` at dataset ``version``.
 
-    Returns ``(new_version, ack_response)`` where the response is byte-
-    identical to the one the live server sent (or would have sent) when
-    it appended the record — replay therefore reconstructs the dedupe
-    map exactly.
+    The one step that turns a record into server state: a live server
+    runs it for each update it serves, right after logging the record,
+    and recovery runs it for each record it replays — so the ack a
+    client received and the one replay files in the dedupe map are
+    built by the same code.
 
-    With a :class:`~repro.sub.SubscriptionIndex`, ``subscribe`` /
-    ``unsubscribe`` records restore standing queries, and every replayed
-    update runs the same :func:`~repro.sub.reconcile` step the live
-    server ran — the re-evaluations are deterministic, so revisions
+    ``subscribe`` / ``unsubscribe`` records restore standing queries,
+    and every applied update runs :func:`~repro.sub.reconcile` over
+    ``subs`` — the re-evaluations are deterministic, so revisions
     *continue* across a crash instead of forking.
+
+    Returns ``(new_version, ack, changed, reevals, reeval_s)``: the
+    subscriptions whose answer changed (the live server pushes their
+    ``notify`` frames), the re-evaluations run and their wall time.
+    Recovery ignores the last three.
     """
     from ..geometry import PointObject
 
     op = record.get("op")
     if op == "subscribe":
         sub = subscription_from_record(record)
-        response: dict[str, Any] = {"ok": True, "op": op,
-                                    "sub": sub.sub_id, "version": version}
-        if subs is not None:
-            sub.result, sub.insert_radius, sub.delete_radius = \
-                evaluate_subscription(engine, sub)
-            sub.revision = 1
-            sub.version = version
-            response["kind"] = sub.kind
-            response["revision"] = 1
-            response["result"] = sub.result
-            subs.add(sub)
-        return version, response
+        sub.result, sub.insert_radius, sub.delete_radius = \
+            evaluate_subscription(engine, sub)
+        sub.revision, sub.version = 1, version
+        subs.add(sub)
+        return version, {"ok": True, "op": op, "sub": sub.sub_id,
+                         "kind": sub.kind, "version": version,
+                         "revision": 1, "result": sub.result}, [], 0, 0.0
     if op == "unsubscribe":
         sub_id = str(record["sub"])
-        removed = subs.remove(sub_id) if subs is not None else None
-        response = {"ok": True, "op": op, "sub": sub_id,
-                    "removed": removed is not None, "version": version}
-        return version, response
+        removed = subs.remove(sub_id)
+        return version, {"ok": True, "op": op, "sub": sub_id,
+                         "removed": removed is not None,
+                         "version": version}, [], 0, 0.0
+    if op not in ("insert", "delete"):
+        raise WalError(f"WAL record with unknown op {op!r}")
     obj = PointObject(int(record["oid"]), float(record["x"]),
                       float(record["y"]))
     if op == "insert":
         engine.insert(obj)
+        applied, ack = True, {"ok": True, "op": op}
+    else:
+        applied = engine.delete(obj)
+        ack = {"ok": True, "op": op, "deleted": applied}
+    changed: list[Subscription] = []
+    reevals, reeval_s = 0, 0.0
+    if applied:
         version += 1
-        if subs is not None and len(subs):
-            reconcile(subs, engine, "insert", obj.x, obj.y,
-                      engine.tree.size, version)
-        return version, {"ok": True, "op": "insert", "version": version,
-                         "size": engine.tree.size}
-    if op == "delete":
-        deleted = engine.delete(obj)
-        if deleted:
-            version += 1
-            if subs is not None and len(subs):
-                reconcile(subs, engine, "delete", obj.x, obj.y,
-                          engine.tree.size, version)
-        return version, {"ok": True, "op": "delete", "version": version,
-                         "deleted": deleted, "size": engine.tree.size}
-    raise WalError(f"WAL record with unknown op {record.get('op')!r}")
+        if len(subs):
+            # Rebuild what the update invalidated first, so the timing
+            # covers the re-evaluations alone.
+            engine._refresh_structures()
+            start = time.perf_counter()
+            changed, reevals = reconcile(subs, engine, op, obj.x, obj.y,
+                                         engine.tree.size, version)
+            reeval_s = time.perf_counter() - start
+    ack["version"] = version
+    ack["size"] = engine.tree.size
+    return version, ack, changed, reevals, reeval_s
 
 
 #: The shield sentinels shard workers used to hold for a coordinator
@@ -383,7 +383,8 @@ def recover(
             if seq <= base_seq or record.get("op") in _RETIRED_OPS:
                 report.skipped += 1
                 continue
-            version, response = apply_record(engine, version, record, subs)
+            version, response, *_ = apply_record(engine, version, record,
+                                                 subs)
             request_id = record.get("req")
             if isinstance(request_id, str):
                 dedupe[request_id] = response

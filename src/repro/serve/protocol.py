@@ -320,13 +320,13 @@ def parse_subscription_id(payload: dict[str, Any],
 
 
 def parse_subscription(payload: dict[str, Any]
-                       ) -> tuple[str, dict[str, Any], Any, str]:
+                       ) -> tuple[str, dict[str, Any]]:
     """The standing query of a ``subscribe`` request.
 
-    Returns ``(kind, spec, query, maintenance)`` where ``spec`` is the
-    *canonical* field dict (re-parses to the same query) that the WAL
-    record and the checkpoint pointer persist.  The kind is ``knwc``
-    when the request carries ``k``, ``nwc`` otherwise.
+    Returns ``(kind, spec)`` where ``spec`` is the *canonical* field
+    dict (re-parses to the same query) that the WAL record and the
+    checkpoint pointer persist.  The kind is ``knwc`` when the request
+    carries ``k``, ``nwc`` otherwise.
     """
     if "k" in payload:
         query, maintenance = parse_knwc(payload)
@@ -335,12 +335,12 @@ def parse_subscription(payload: dict[str, Any]
                 "width": base.width, "n": base.n,
                 "measure": base.measure.value, "k": query.k, "m": query.m,
                 "maintenance": maintenance}
-        return "knwc", spec, query, maintenance
+        return "knwc", spec
     query = parse_nwc(payload)
     spec = {"x": query.qx, "y": query.qy, "length": query.length,
             "width": query.width, "n": query.n,
             "measure": query.measure.value}
-    return "nwc", spec, query, "exact"
+    return "nwc", spec
 
 
 def notify_frame(sub_id: str, kind: str, revision: int, version: int,

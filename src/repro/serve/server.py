@@ -70,11 +70,11 @@ from ..obs.slo import SLORecorder, default_objectives
 from ..obs.trace import QueryTracer, span_to_dict
 from ..storage import StorageError
 from ..storage.wal import crash_point
-from ..sub import Subscription, SubscriptionIndex, reconcile
+from ..sub import Subscription, SubscriptionIndex, subscription_from_record
 from ..sub.runtime import evaluate_subscription
 from . import protocol
 from .cache import DEFAULT_CACHE_ENTRIES, ResultCache
-from .durability import DEFAULT_DEDUPE_ENTRIES, DurableState
+from .durability import DEFAULT_DEDUPE_ENTRIES, DurableState, apply_record
 from .protocol import ProtocolError, error_response
 
 __all__ = ["DeadlineExceeded", "LineProtocolServer", "ReadWriteScheduler",
@@ -203,7 +203,6 @@ class ServeConfig:
         deadline_s: Default per-request deadline (overridable per
             request via ``deadline_ms``).
         cache_entries: Result-cache capacity (0 disables caching).
-        cache_ttl_s: Result-cache TTL (None = no expiry).
         drain_timeout_s: Grace period for in-flight requests at
             shutdown (an idle connection is closed at once).
     """
@@ -214,7 +213,6 @@ class ServeConfig:
     max_queue: int = 64
     deadline_s: float = 10.0
     cache_entries: int = DEFAULT_CACHE_ENTRIES
-    cache_ttl_s: float | None = None
     drain_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
@@ -859,23 +857,22 @@ class LineProtocolServer:
 
     async def _op_subscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
         sub_id = protocol.parse_subscription_id(payload)
-        kind, spec, query, maintenance = protocol.parse_subscription(payload)
+        kind, spec = protocol.parse_subscription(payload)
 
         async def body(deadline, request_id):
             existing = self.subs.get(sub_id)
             if existing is not None:
                 return self._resume_subscription(existing)
-            sub = Subscription(
-                sub_id=sub_id or f"sub-{uuid.uuid4().hex[:16]}",
-                kind=kind, spec=spec, query=query,
-                maintenance=maintenance, qx=spec["x"], qy=spec["y"],
-                n=spec["n"])
-            # Same durability contract as updates: the registration
-            # is on disk before the ack leaves, and recovery replays
-            # it (re-evaluating at the same point in the record
-            # stream, so revisions continue rather than fork).
-            await self._log({"op": "subscribe", "sub": sub.sub_id,
-                             "kind": kind, **spec}, request_id)
+            record = {"op": "subscribe",
+                      "sub": sub_id or f"sub-{uuid.uuid4().hex[:16]}",
+                      "kind": kind, **spec}
+            # Built from the record it logs, like a replayed one.  Same
+            # durability contract as updates: the registration is on
+            # disk before the ack leaves, and recovery replays it
+            # (re-evaluating at the same point in the record stream, so
+            # revisions continue rather than fork).
+            sub = subscription_from_record(record)
+            await self._log(record, request_id)
             sub.result, sub.insert_radius, sub.delete_radius = \
                 await self._evaluate_subscription(sub, deadline)
             sub.revision = 1
@@ -991,11 +988,8 @@ class QueryServer(LineProtocolServer):
         """
         super().__init__(config, metrics)
         self.engine = engine
-        self.cache = ResultCache(
-            max_entries=self.config.cache_entries,
-            ttl_s=self.config.cache_ttl_s,
-            metrics=self.metrics,
-        )
+        self.cache = ResultCache(max_entries=self.config.cache_entries,
+                                 metrics=self.metrics)
         self.durable = durable
         if durable is not None:
             self.version = durable.recovery.version
@@ -1006,11 +1000,6 @@ class QueryServer(LineProtocolServer):
         self.subs: SubscriptionIndex = (
             durable.subs if durable is not None else SubscriptionIndex())
         self._g_sub_active.set(len(self.subs))
-        self._flags_key = (
-            self.engine.flags.srr, self.engine.flags.dip,
-            self.engine.flags.dep, self.engine.flags.iwp,
-            self.engine.execution,
-        )
         self._m_query_seconds = {kind: query_seconds(self.metrics, kind)
                                  for kind in ("nwc", "knwc")}
 
@@ -1020,7 +1009,7 @@ class QueryServer(LineProtocolServer):
     async def _op_nwc(self, payload: dict[str, Any]) -> dict[str, Any]:
         query = protocol.parse_nwc(payload)
         key = ("nwc", query.qx, query.qy, query.length, query.width,
-               query.n, query.measure.value, self._flags_key)
+               query.n, query.measure.value)
         return await self._answer_query(
             payload, "nwc", key, query.qx, query.qy, query.n,
             lambda deadline, ctx: self._evaluate(
@@ -1031,8 +1020,7 @@ class QueryServer(LineProtocolServer):
         query, maintenance = protocol.parse_knwc(payload)
         base = query.base
         key = ("knwc", base.qx, base.qy, base.length, base.width, base.n,
-               base.measure.value, query.k, query.m, maintenance,
-               self._flags_key)
+               base.measure.value, query.k, query.m, maintenance)
         return await self._answer_query(
             payload, "knwc", key, base.qx, base.qy, base.n,
             lambda deadline, ctx: self._evaluate(
@@ -1079,81 +1067,46 @@ class QueryServer(LineProtocolServer):
     # ------------------------------------------------------------------
     # Update ops
     # ------------------------------------------------------------------
-    async def _op_insert(self, payload: dict[str, Any]) -> dict[str, Any]:
+    async def _op_update(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """``insert`` / ``delete``: log the record, then apply it with
+        :func:`~repro.serve.durability.apply_record` — the step recovery
+        replays, so the ack sent here is the ack a restart rebuilds."""
         obj = protocol.parse_point(payload)
+        op = payload["op"]
 
         async def body(deadline, request_id):
             # Durability contract: the record is on disk (per fsync
-            # policy) before the engine changes, and long before the
-            # ack leaves the server.
-            await self._log({"op": "insert", "oid": obj.oid,
-                             "x": obj.x, "y": obj.y}, request_id)
-            await self._run(self._apply_insert, obj)
-            self.version += 1
-            self.cache.note_insert(obj.x, obj.y, self.version)
-            response = {"ok": True, "op": "insert", "version": self.version,
-                        "size": self.engine.tree.size}
-            await self._reconcile_subs("insert", obj.x, obj.y)
-            return response
+            # policy) before the engine changes, and long before the ack
+            # leaves the server.  A delete is logged even when it turns
+            # out to be a no-op: replay recomputes the same outcome, and
+            # the dedupe map must remember *every* acknowledged id.
+            record = {"op": op, "oid": obj.oid, "x": obj.x, "y": obj.y}
+            await self._log(record, request_id)
+            version, ack, changed, reevals, reeval_s = await self._run(
+                self._apply, record)
+            if version != self.version:
+                self.version = version
+                if op == "insert":
+                    self.cache.note_insert(obj.x, obj.y, version)
+                else:
+                    self.cache.note_delete(obj.x, obj.y, version, ack["size"])
+            if reevals:
+                self._m_sub_reevals.inc(reevals)
+                self._h_sub_reeval.observe(reeval_s)
+            self._push_notifications(changed)
+            return ack
 
-        return await self._write_op(payload, "insert", body)
+        return await self._write_op(payload, op, body)
 
-    async def _op_delete(self, payload: dict[str, Any]) -> dict[str, Any]:
-        obj = protocol.parse_point(payload)
-
-        async def body(deadline, request_id):
-            # Logged even when it turns out to be a no-op: replay
-            # recomputes the same outcome, and the dedupe map must
-            # remember *every* acknowledged request id.
-            await self._log({"op": "delete", "oid": obj.oid,
-                             "x": obj.x, "y": obj.y}, request_id)
-            deleted = await self._run(self._apply_delete, obj)
-            if deleted:
-                self.version += 1
-                self.cache.note_delete(
-                    obj.x, obj.y, self.version, self.engine.tree.size
-                )
-            response = {"ok": True, "op": "delete", "version": self.version,
-                        "deleted": deleted, "size": self.engine.tree.size}
-            if deleted:
-                await self._reconcile_subs("delete", obj.x, obj.y)
-            return response
-
-        return await self._write_op(payload, "delete", body)
-
-    def _apply_insert(self, obj) -> None:
-        self.engine.insert(obj)
-        # Refresh the derived structures while we hold the exclusive
-        # slot — splice the edited leaves into the flat snapshot (a full
-        # from_tree rebuild only after an edit that created or removed a
-        # node, or over a page-file snapshot) and rebuild FlatIWP — so
-        # readers never trigger (or race on) a lazy refresh.
+    def _apply(self, record: dict[str, Any]) -> tuple:
+        """:func:`~repro.serve.durability.apply_record` on the executor,
+        inside the exclusive slot, then a refresh of the derived
+        structures — splice the edited leaves into the flat snapshot and
+        rebuild FlatIWP — so readers never trigger (or race on) a lazy
+        refresh."""
+        applied = apply_record(self.engine, self.version, record, self.subs)
         self.engine._refresh_structures()
-
-    def _apply_delete(self, obj) -> bool:
-        deleted = self.engine.delete(obj)
-        if deleted:
-            self.engine._refresh_structures()
-        return deleted
-
-    # ------------------------------------------------------------------
-    # Subscriptions (standing queries)
-    # ------------------------------------------------------------------
-    async def _reconcile_subs(self, op: str, x: float, y: float) -> None:
-        """Re-evaluate affected standing queries and push their
-        ``notify`` frames; called inside the exclusive write slot with
-        the update applied and the version bumped, so every changed
-        answer is bit-identical to a fresh query at ``self.version``."""
-        if not len(self.subs):
-            return
-        start = time.perf_counter()
-        changed, reevals = await self._run(
-            reconcile, self.subs, self.engine, op, x, y,
-            self.engine.tree.size, self.version)
-        if reevals:
-            self._m_sub_reevals.inc(reevals)
-            self._h_sub_reeval.observe(time.perf_counter() - start)
-        self._push_notifications(changed)
+        return applied
 
     async def _evaluate_subscription(self, sub, deadline):
         """One engine run on the executor."""
@@ -1245,8 +1198,8 @@ class QueryServer(LineProtocolServer):
     _HANDLERS: dict[str, Callable[["LineProtocolServer", dict], Awaitable[dict]]] = {
         "nwc": _op_nwc,
         "knwc": _op_knwc,
-        "insert": _op_insert,
-        "delete": _op_delete,
+        "insert": _op_update,
+        "delete": _op_update,
         "snapshot": _op_snapshot,
         "checkpoint": _op_checkpoint,
         "health": _op_health,

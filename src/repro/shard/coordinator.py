@@ -323,11 +323,8 @@ class ShardCoordinator(LineProtocolServer):
                 f"got {len(addresses)}")
         super().__init__(config or CoordinatorConfig(), metrics)
         self.manifest = manifest
-        self.cache = ResultCache(
-            max_entries=self.config.cache_entries,
-            ttl_s=self.config.cache_ttl_s,
-            metrics=self.metrics,
-        )
+        self.cache = ResultCache(max_entries=self.config.cache_entries,
+                                 metrics=self.metrics)
         self.links = [
             ShardLink(i, host, port,
                       attempts=self.config.shard_attempts,
@@ -347,10 +344,6 @@ class ShardCoordinator(LineProtocolServer):
         # subscription instead of probing the index, and clears the
         # flag once a pass completes without failures.
         self._subs_dirty = False
-        # Cache keys must never collide with a single-engine server's
-        # (different pruning trajectories, same answers — but reason
-        # parity and stats differ); the sharded tag keeps them apart.
-        self._flags_key = ("sharded", manifest.shard_count, manifest.halo)
         m = self.metrics
         self._m_prune_skips = m.counter(
             "shard_prune_skips_total",
@@ -459,7 +452,7 @@ class ShardCoordinator(LineProtocolServer):
     async def _op_nwc(self, payload: dict[str, Any]) -> dict[str, Any]:
         query = protocol.parse_nwc(payload)
         key = ("nwc", query.qx, query.qy, query.length, query.width,
-               query.n, query.measure.value, self._flags_key)
+               query.n, query.measure.value)
         return await self._answer_fleet_query(payload, "nwc", query, query,
                                               key)
 
@@ -468,8 +461,7 @@ class ShardCoordinator(LineProtocolServer):
         self._check_exact(maintenance)
         base = query.base
         key = ("knwc", base.qx, base.qy, base.length, base.width, base.n,
-               base.measure.value, query.k, query.m, maintenance,
-               self._flags_key)
+               base.measure.value, query.k, query.m, maintenance)
         return await self._answer_fleet_query(payload, "knwc", query, base,
                                               key)
 

@@ -52,7 +52,6 @@ def make_shard_engine(
     index: int,
     tree=None,
     scheme: Scheme = Scheme.NWC_STAR,
-    execution: str = "columnar",
 ) -> NWCEngine:
     """Build shard ``index``'s engine.
 
@@ -71,13 +70,10 @@ def make_shard_engine(
     """
     if tree is None:
         tree = load_tree(manifest.shard_path(directory, index))
-        flat = None
-        if execution == "columnar" and tree.size:
-            flat = FlatRTree.from_tree(tree)
+        flat = FlatRTree.from_tree(tree) if tree.size else None
         return NWCEngine(tree, scheme=scheme, extent=manifest.extent,
-                         execution=execution, flat=flat)
-    return NWCEngine(tree, scheme=scheme, extent=manifest.extent,
-                     execution=execution)
+                         flat=flat)
+    return NWCEngine(tree, scheme=scheme, extent=manifest.extent)
 
 
 class ShardServer(QueryServer):
@@ -153,16 +149,11 @@ class ShardServer(QueryServer):
         }
         return response
 
-    def _apply_insert(self, obj) -> None:
-        super()._apply_insert(obj)
-        if self._owns(obj.x):
-            self.owned_size += 1
-
-    def _apply_delete(self, obj) -> bool:
-        deleted = super()._apply_delete(obj)
-        if deleted and self._owns(obj.x):
-            self.owned_size -= 1
-        return deleted
+    def _apply(self, record: dict[str, Any]) -> tuple:
+        applied = super()._apply(record)
+        if applied[0] != self.version and self._owns(record["x"]):
+            self.owned_size += 1 if record["op"] == "insert" else -1
+        return applied
 
     _HANDLERS = {
         **QueryServer._HANDLERS,
@@ -179,7 +170,6 @@ def build_shard_server(
     state_dir: str | None = None,
     durability: DurabilityConfig | None = None,
     scheme: Scheme = Scheme.NWC_STAR,
-    execution: str = "columnar",
     metrics=None,
 ) -> ShardServer:
     """Construct a (possibly durable) worker for shard ``index``.
@@ -197,13 +187,10 @@ def build_shard_server(
         engine, durable = recover(
             cfg,
             lambda tree: make_shard_engine(
-                manifest, directory, index, tree=tree, scheme=scheme,
-                execution=execution,
-            ),
+                manifest, directory, index, tree=tree, scheme=scheme),
             metrics=metrics,
         )
     else:
-        engine = make_shard_engine(manifest, directory, index, scheme=scheme,
-                                   execution=execution)
+        engine = make_shard_engine(manifest, directory, index, scheme=scheme)
     return ShardServer(engine, manifest, index, config=config,
                        metrics=metrics, durable=durable)

@@ -1,12 +1,13 @@
 """Subscription evaluation and maintenance.
 
 :func:`reconcile` is the one maintenance step every code path shares:
-the live server calls it inside the exclusive write slot right after an
-update applies (so notifications are bit-identical to a fresh query at
-that dataset version), and WAL replay calls it record-by-record during
-recovery — which is exactly why revisions continue across ``kill -9``
-instead of forking: the replayed re-evaluations are the same
-deterministic computations the live server performed.
+:func:`repro.serve.durability.apply_record` calls it right after an
+update applies — on a live server inside the exclusive write slot (so
+notifications are bit-identical to a fresh query at that dataset
+version), and record by record during recovery — which is exactly why
+revisions continue across ``kill -9`` instead of forking: the replayed
+re-evaluations are the same deterministic computations, run by the same
+code, the live server performed.
 
 :func:`advance` is the per-subscription half of that step — store one
 fresh evaluation, bump the revision on a change, rebucket — and is also

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.geometry import Rect, make_points
-from repro.grid import DensityGrid, PrefixSumDensityGrid
+from repro.grid import DensityGrid
 from tests.conftest import grid_cell_sum as _cell_sum
 from tests.conftest import grid_upper_bounds as _bounds
 from tests.conftest import make_uniform_points
@@ -154,28 +154,3 @@ class TestVectorisedBounds:
         assert grid.upper_bound(EXTENT) == grid.total == len(live)
         fresh = DensityGrid.build(make_points(live), EXTENT, 40.0)
         assert fresh.cell_counts() == grid.cell_counts()
-
-
-class TestPrefixSumVariant:
-    def test_agrees_with_plain_grid(self, uniform_points):
-        plain = DensityGrid.build(uniform_points, EXTENT, 25.0)
-        prefix = PrefixSumDensityGrid.build(uniform_points, EXTENT, 25.0)
-        rng = random.Random(12)
-        for _ in range(200):
-            x, y = rng.uniform(-100, 1050), rng.uniform(-100, 1050)
-            rect = Rect(x, y, x + rng.uniform(0.5, 400), y + rng.uniform(0.5, 400))
-            assert prefix.upper_bound(rect) == plain.upper_bound(rect)
-
-    def test_frozen_grid_rejects_updates(self, uniform_points):
-        grid = PrefixSumDensityGrid.build(uniform_points, EXTENT, 25.0)
-        with pytest.raises(RuntimeError):
-            grid.add(1, 1)
-        with pytest.raises(RuntimeError):
-            grid.remove(1, 1)
-
-    def test_unfrozen_falls_back(self):
-        grid = PrefixSumDensityGrid(EXTENT, 10.0)
-        grid.add(5, 5)
-        assert grid.upper_bound(Rect(0, 0, 10, 10)) == 1
-        grid.freeze()
-        assert grid.upper_bound(Rect(0, 0, 10, 10)) == 1

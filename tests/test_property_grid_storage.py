@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import PointObject, Rect
-from repro.grid import DensityGrid, PrefixSumDensityGrid
+from repro.grid import DensityGrid
 from repro.storage import decode, encode_internal, encode_leaf
 
 from .conftest import grid_cell_sum as _cell_sum
@@ -35,14 +35,6 @@ class TestDensityGridProperties:
         grid = DensityGrid.build(points, EXTENT, cell)
         actual = sum(1 for p in points if rect.contains_object(p))
         assert grid.upper_bound(rect) >= actual
-
-    @given(grid_points, query_rects(), st.floats(1.0, 40.0, allow_nan=False))
-    @settings(max_examples=80, deadline=None)
-    def test_prefix_sum_equals_plain(self, raw, rect, cell):
-        points = [PointObject(i, x, y) for i, (x, y) in enumerate(raw)]
-        plain = DensityGrid.build(points, EXTENT, cell)
-        prefix = PrefixSumDensityGrid.build(points, EXTENT, cell)
-        assert plain.upper_bound(rect) == prefix.upper_bound(rect)
 
     @given(grid_points, st.floats(1.0, 40.0, allow_nan=False))
     @settings(max_examples=60, deadline=None)

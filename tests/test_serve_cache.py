@@ -1,5 +1,5 @@
 """Unit tests for the serving result cache and its protocol helpers:
-shield-radius derivation, targeted invalidation, LRU/TTL hygiene and
+shield-radius derivation, targeted invalidation, LRU hygiene and
 the deterministic wire serialization the cache's correctness rests on."""
 
 from __future__ import annotations
@@ -42,16 +42,6 @@ class TestLookup:
         stats = cache.stats()
         assert stats.hits == 1 and stats.misses == 2 and stats.invalidated == 1
 
-    def test_ttl_expiry_with_injected_clock(self):
-        now = [0.0]
-        cache = ResultCache(ttl_s=5.0, clock=lambda: now[0])
-        _put(cache, "a")
-        now[0] = 4.9
-        assert cache.get("a", 0) is not None
-        now[0] = 5.1
-        assert cache.get("a", 0) is None
-        assert cache.stats().expired == 1
-
     def test_lru_evicts_least_recent(self):
         cache = ResultCache(max_entries=2)
         _put(cache, "a")
@@ -71,8 +61,6 @@ class TestLookup:
     def test_validation(self):
         with pytest.raises(ValueError):
             ResultCache(max_entries=-1)
-        with pytest.raises(ValueError):
-            ResultCache(ttl_s=0.0)
 
 
 class TestTargetedInvalidation:
@@ -372,36 +360,30 @@ class TestCacheVersion:
 class _LinearCache:
     """The reference rule, one walk over every live entry per update:
     an entry is carried iff ``n <= new_size`` and the update lies
-    strictly outside its shield radius; LRU and TTL as in the cache."""
+    strictly outside its shield radius; LRU as in the cache."""
 
-    def __init__(self, max_entries, ttl_s, clock):
-        self.max_entries, self.ttl_s, self.clock = max_entries, ttl_s, clock
-        self.entries = OrderedDict()  # key -> (expires_at, qx, qy, n, ins, del)
+    def __init__(self, max_entries):
+        self.max_entries = max_entries
+        self.entries = OrderedDict()  # key -> (qx, qy, n, ins, del)
         self.counts = dict.fromkeys(
-            ("hits", "misses", "expired", "invalidated", "carried",
-             "evicted"), 0)
+            ("hits", "misses", "invalidated", "carried", "evicted"), 0)
 
     def get(self, key):
-        entry = self.entries.get(key)
-        if entry is None:
-            self.counts["misses"] += 1
-        elif entry[0] <= self.clock():
-            del self.entries[key]
-            self.counts["expired"] += 1
-            self.counts["misses"] += 1
-        else:
+        if key in self.entries:
             self.entries.move_to_end(key)
             self.counts["hits"] += 1
+        else:
+            self.counts["misses"] += 1
 
     def put(self, key, qx, qy, n, ins, dele):
-        self.entries[key] = (self.clock() + self.ttl_s, qx, qy, n, ins, dele)
+        self.entries[key] = (qx, qy, n, ins, dele)
         self.entries.move_to_end(key)
         while len(self.entries) > self.max_entries:
             self.entries.popitem(last=False)
             self.counts["evicted"] += 1
 
     def note(self, x, y, op, new_size):
-        for key, (_, qx, qy, n, ins, dele) in list(self.entries.items()):
+        for key, (qx, qy, n, ins, dele) in list(self.entries.items()):
             radius = ins if op == "insert" else dele
             if n <= new_size and math.hypot(x - qx, y - qy) > radius:
                 self.counts["carried"] += 1
@@ -414,16 +396,14 @@ class TestShieldIndexEquivalence:
     """The bucketed reconcile against the linear rule, step by step:
     random puts (finite, always and never radii, huge radii past the
     bucketing budget, ``n`` around the dataset size, re-puts of live
-    keys at moved locations), lookups, inserts, deletes, LRU overflow
-    and TTL expiry on the injected clock."""
+    keys at moved locations), lookups, inserts, deletes and LRU
+    overflow."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_linear_reference(self, seed):
         rng = random.Random(seed)
-        now = [0.0]
-        clock = lambda: now[0]  # noqa: E731
-        cache = ResultCache(max_entries=10, ttl_s=40.0, clock=clock)
-        ref = _LinearCache(10, 40.0, clock)
+        cache = ResultCache(max_entries=10)
+        ref = _LinearCache(10)
         size, version = 30, 0
 
         def radius():
@@ -450,10 +430,9 @@ class TestShieldIndexEquivalence:
             elif step < 0.7:
                 key = ("q", rng.randrange(60))
                 assert (cache.get(key, version) is not None) \
-                    == (key in ref.entries
-                        and ref.entries[key][0] > now[0])
+                    == (key in ref.entries)
                 ref.get(key)
-            elif step < 0.85:
+            else:
                 x, y = rng.uniform(-200, 2200), rng.uniform(-200, 2200)
                 version += 1
                 if rng.random() < 0.5:
@@ -464,8 +443,6 @@ class TestShieldIndexEquivalence:
                     size -= 1
                     cache.note_delete(x, y, version, size)
                     ref.note(x, y, "delete", size)
-            else:
-                now[0] += rng.uniform(0.0, 20.0)
             stats = cache.stats()
             assert list(cache._entries) == list(ref.entries)
             assert len(cache._shields) == len(cache)

@@ -301,6 +301,56 @@ class TestDedupe:
                 assert replay["version"] == first["version"]
                 assert replay["size"] == first["size"]
 
+    def test_live_acks_equal_the_acks_recovery_rebuilds(self, tmp_path):
+        """Each served insert, delete (no-op included), subscribe and
+        unsubscribe ack is the one replay files under its ``req``, and
+        replayed subscriptions land on the live revisions."""
+        engine, durable = _boot(tmp_path / "state")
+        rng = random.Random(39)
+        live, acks, streams = list(POINTS), {}, []
+        with ServerThread(engine, ServeConfig(port=0), durable=durable) as st:
+            with ServeClient(port=st.port) as client:
+                for i in range(40):
+                    frame = {"id": i, "req": f"mix-{i}"}
+                    if i in (3, 17):  # each stream on its own connection
+                        streams.append(ServeClient(port=st.port))
+                        frame |= {"op": "subscribe", "x": 500.0, "y": 500.0,
+                                  "length": 100.0, "width": 100.0, "n": 4}
+                        if i == 17:
+                            frame |= {"k": 2, "m": 1}
+                        acks[i] = streams[-1].call(frame)
+                        continue
+                    if i == 30:
+                        frame |= {"op": "unsubscribe", "sub": acks[3]["sub"]}
+                    elif i == 9:
+                        frame |= {"op": "delete", "oid": 1, "x": -5.0,
+                                  "y": -5.0}
+                    elif rng.random() < 0.5:
+                        obj = PointObject(20_000 + i, rng.uniform(420, 580),
+                                          rng.uniform(420, 580))
+                        live.append(obj)
+                        frame |= {"op": "insert", "oid": obj.oid,
+                                  "x": obj.x, "y": obj.y}
+                    else:
+                        obj = live.pop(rng.randrange(len(live)))
+                        frame |= {"op": "delete", "oid": obj.oid,
+                                  "x": obj.x, "y": obj.y}
+                    acks[i] = client.call(frame)
+            for stream in streams:
+                stream.close()
+        assert acks[9]["deleted"] is False and acks[30]["removed"] is True
+        state = lambda subs: {sub.sub_id: (sub.revision, sub.version,  # noqa: E731
+                                           sub.result)
+                              for sub in subs.subscriptions()}
+        _, durable2 = _boot(tmp_path / "state")
+        for i, ack in acks.items():
+            rebuilt = protocol.decode_line(protocol.encode_line(
+                durable2.dedupe[f"mix-{i}"]))
+            assert rebuilt == {k: v for k, v in ack.items() if k != "id"}
+        assert state(durable2.subs) == state(st.server.subs)
+        assert max(rev for rev, _, _ in state(durable2.subs).values()) > 1
+        durable2.close()
+
 
 class TestClientRobustness:
     def test_init_closes_socket_when_makefile_fails(self, monkeypatch):
