@@ -1,8 +1,5 @@
 """Ablation benches for design choices called out in DESIGN.md.
 
-* DEP grid implementation: the cumulative-count table grid and its
-  frozen alias — identical answers, different CPU cost; the paper's I/O
-  metric is unaffected.
 * kNWC maintenance: the paper's Steps 1-5 vs the exact greedy buffer.
 * Tree construction: STR bulk load vs dynamic R* inserts — query I/O
   of the resulting trees should be in the same ballpark.
@@ -17,7 +14,6 @@ import pytest
 from repro.core import KNWCQuery, NWCEngine, NWCQuery, Scheme
 from repro.datasets import ny_like
 from repro.geometry import Rect
-from repro.grid import DensityGrid, PrefixSumDensityGrid
 from repro.index import RStarTree
 from repro.workloads import data_biased_query_points
 
@@ -33,21 +29,6 @@ def dataset():
 @pytest.fixture(scope="module")
 def tree(dataset):
     return RStarTree.bulk_load(dataset.points)
-
-
-class TestGridAblation:
-    def test_prefix_sum_grid_same_io(self, benchmark, dataset, tree):
-        plain = DensityGrid.build(dataset.points, dataset.extent, 25.0)
-        prefix = PrefixSumDensityGrid.build(dataset.points, dataset.extent, 25.0)
-        (qx, qy) = data_biased_query_points(dataset, 1, seed=3)[0]
-        query = NWCQuery(qx, qy, 40, 40, 8)
-        io_plain = NWCEngine(tree, Scheme.DEP, grid=plain).nwc(query).node_accesses
-
-        def run():
-            return NWCEngine(tree, Scheme.DEP, grid=prefix).nwc(query).node_accesses
-
-        io_prefix = benchmark(run)
-        assert io_prefix == io_plain  # identical pruning decisions
 
 
 class TestKnwcMaintenanceAblation:

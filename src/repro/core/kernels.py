@@ -1,12 +1,13 @@
 """Vectorized array kernels for the NWC hot path.
 
-The scalar engine path (``NWCEngine._enumerate_windows``) spends almost
-all of its time in per-object Python work: building ``(ty, dsq, obj)``
-tuples, sorting them, bisecting the y-sorted list once per candidate
-partner and running ``heapq.nsmallest`` once per qualified window.  The
-kernels below compute the same quantities as whole-array numpy
-operations over one search region's members, or over all the search
-regions of a group of leaves:
+The scalar oracle's enumeration (``repro.core.oracle._enumerate_windows``)
+spends almost all of its time in per-object Python work: building
+``(ty, dsq, obj)`` tuples, sorting them, bisecting the y-sorted list
+once per candidate partner and running ``heapq.nsmallest`` once per
+qualified window.  The kernels below compute the same quantities as
+whole-array numpy operations over one search region's members, or over
+all the search regions of a group of leaves, for the columnar search
+(:mod:`repro.core.columnar`):
 
 * :class:`ColumnarSnapshot` — the frame transform and the stable y-sort
   of one region's members, as flat-index column ids;

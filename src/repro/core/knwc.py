@@ -61,8 +61,9 @@ def order_key(qx: float, qy: float, anchor: PointObject,
     The search enumerates anchors in ascending distance from ``q`` (one
     contiguous block of offers per anchor, every execution mode), and
     within an anchor the candidate windows ascend by the partner's
-    frame-space y (``_enumerate_windows*`` sort region members by frame
-    y before pairing).  Both components are properties of the
+    frame-space y (``_enumerate_windows`` of ``repro.core.oracle`` and
+    of ``repro.core.columnar`` sort region members by frame y before
+    pairing).  Both components are properties of the
     *candidate*, not of tree shape, so keys are comparable between a
     shard, the single engine and the references, which compute them
     with these operations.

@@ -90,7 +90,8 @@ class BenchContext:
         return self.grids[cell_size]
 
     def pointer_index(self) -> IWPIndex:
-        """The IWP pointer index, built once."""
+        """The scalar IWP pointer index, built once (its size is a
+        storage overhead; the columnar engines read ``FlatIWP``)."""
         if self.iwp is None:
             self.iwp = IWPIndex(self.tree)
         return self.iwp
@@ -110,16 +111,16 @@ class BenchContext:
     def engine(self, scheme: Scheme, point: SweepPoint) -> NWCEngine:
         """An engine for ``scheme`` with shared DEP/IWP structures.
 
-        The flat snapshot (and its FlatIWP) is shared too, so the
-        default columnar execution does not re-convert the tree for
-        every (scheme, sweep point) cell.
+        The flat snapshot and its FlatIWP are shared, so the default
+        columnar execution does not re-convert the tree for every
+        (scheme, sweep point) cell, nor build a scalar pointer index it
+        never reads.
         """
         flags = scheme.flags
         return NWCEngine(
             self.tree,
             scheme,
             grid=self.grid(point.grid_cell) if flags.dep else None,
-            iwp=self.pointer_index() if flags.iwp else None,
             flat=self.flat_index(),
             flat_iwp=self.flat_pointer_index() if flags.iwp else None,
             extent=self.dataset.extent,

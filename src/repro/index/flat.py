@@ -1,5 +1,5 @@
-"""Columnar (struct-of-arrays) R-tree: the flat index behind
-``execution="columnar"``.
+"""Columnar (struct-of-arrays) R-tree: the flat index the columnar
+search (:mod:`repro.core.columnar`, ``execution="columnar"``) walks.
 
 The object-graph :class:`~repro.index.rtree.RStarTree` is the mutable,
 scalar oracle; :class:`FlatRTree` is an immutable snapshot of the same

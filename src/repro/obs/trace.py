@@ -1,9 +1,11 @@
 """Per-query tracing: structured span trees with I/O and attribution.
 
 A trace answers, for one query, the questions the aggregate registry
-cannot: *which* window query burned the node accesses, *how long* the
+cannot: *which* window query burned the node accesses, *how long* its
 window enumeration took, and *which paper optimization* saved work.  The
-span tree mirrors the shape of Algorithm 1:
+span tree mirrors the shape of Algorithm 1, and is the same whichever
+search answers the query (``repro.core.oracle`` or
+``repro.core.columnar``):
 
 .. code-block:: text
 
@@ -27,13 +29,17 @@ mode turns into a savings report.
 Two tracer implementations share the interface:
 
 * :data:`NULL_TRACER` (a :class:`NullTracer`) — the default everywhere.
-  Its ``enabled`` flag is ``False`` and instrumented code checks that
-  flag *once per query*, so the disabled cost is a handful of attribute
-  reads: an unobserved query builds no attribution and reads no clock
-  (``tests/test_core_leaf_batch.py`` counts both).
+  Its ``enabled`` flag is ``False`` and its span calls do nothing, so
+  the disabled cost is a handful of attribute reads: an unobserved
+  query builds no attribution and reads no clock
+  (``tests/test_core_leaf_batch.py`` counts both).  A tracer never
+  picks which code answers: a traced query runs the code an untraced
+  one runs, and only the clock reads at span edges are its own.
 * :class:`QueryTracer` — records spans, bounded by ``max_spans`` so a
   baseline-scheme query over a large dataset cannot hoard memory; spans
-  beyond the cap are counted in ``dropped_spans`` instead of kept.
+  beyond the cap are counted in ``dropped_spans`` instead of kept.  A
+  tracer belongs to one query at a time (it binds ``stats`` to the
+  query's counters): a server gives each sampled request its own.
 
 Export: :func:`format_span_tree` renders the tree for terminals,
 :func:`span_to_dict` / :func:`write_jsonl` produce the structured sink
@@ -81,7 +87,7 @@ class Span:
         name: Span kind (``query:nwc``, ``search``, ``window_query``,
             ``enumerate``).
         attrs: Free-form attributes (query parameters, object ids,
-            member counts, accumulated measure time).
+            member counts).
         io: Counter deltas of the tree's ``IOStats`` across the span.
         counts: Attribution counters recorded while the span was open.
         children: Nested spans, in start order.
@@ -103,10 +109,6 @@ class Span:
     def count(self, key: str, amount: int = 1) -> None:
         """Bump one attribution counter on this span."""
         self.counts[key] = self.counts.get(key, 0) + amount
-
-    def add_time(self, key: str, seconds: float) -> None:
-        """Accumulate a named sub-timing (e.g. measure computation)."""
-        self.attrs[key] = self.attrs.get(key, 0.0) + seconds
 
     @property
     def self_io(self) -> dict[str, int]:
@@ -394,10 +396,6 @@ def explain(span: Span) -> str:
             f"  window queries issued: {window_queries}, "
             f"cancelled by DEP: {cancelled}"
         )
-    measure_s = _subtree_attr_sum(span, "measure_s")
-    if measure_s:
-        lines.append(f"  measure computation: {measure_s * 1e3:.3f}ms "
-                     f"({_subtree_attr_sum(span, 'measure_calls'):.0f} calls)")
     rpcs = [child for child in span.children if child.name.startswith("rpc:")]
     if rpcs:
         lines.append("  per-shard attribution (stitched trace):")
@@ -413,10 +411,3 @@ def explain(span: Span) -> str:
                 f"node_accesses={child.io.get('node_accesses', 0)}"
             )
     return "\n".join(lines)
-
-
-def _subtree_attr_sum(span: Span, key: str) -> float:
-    total = float(span.attrs.get(key, 0.0) or 0.0)
-    for child in span.children:
-        total += _subtree_attr_sum(child, key)
-    return total

@@ -49,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import contextvars
+import copy
 import dataclasses
 import os
 import signal
@@ -740,8 +741,9 @@ class LineProtocolServer:
         """A cached query: trace context → admit → cache lookup →
         deadline → slot → ``evaluate`` → encode → cache fill → latency.
 
-        ``await evaluate(deadline, ctx)`` runs inside the slot (``ctx``
-        is the sampled trace context or ``None``) and returns ``(answer,
+        ``await evaluate(deadline, ctx)`` runs inside a read slot
+        (``ctx`` is the sampled trace context or ``None``; a traced
+        query is an ordinary reader) and returns ``(answer,
         radii, extras)``: the serialized ``result``, the ``(insert,
         delete)`` shield radii to cache it under — ``None`` for an
         answer that must not be cached (traced, partial) — and the
@@ -762,7 +764,7 @@ class LineProtocolServer:
                     return {"ok": True, "op": op, "version": self.version,
                             "cached": True, "result": cached}
             deadline = self._deadline(payload)
-            async with self._slot(ctx)(deadline):
+            async with self._scheduler.read(deadline):
                 self._refresh_pressure_gauges()
                 version = self.version  # stable while the slot is held
                 answer, radii, extras = await evaluate(deadline, ctx)
@@ -813,26 +815,17 @@ class LineProtocolServer:
             return response
 
     async def _read_op(self, payload: dict[str, Any], op: str,
-                       body: Callable,
-                       ctx: TraceContext | None = None) -> dict[str, Any]:
-        """An uncached read: admit → deadline → :meth:`_slot` of ``ctx``
-        → ``body`` → latency.  ``await body()`` returns the response."""
+                       body: Callable) -> dict[str, Any]:
+        """An uncached read: admit → deadline → read slot → ``body`` →
+        latency.  ``await body()`` returns the response."""
         start = time.perf_counter()
         with self._admitted():
             deadline = self._deadline(payload)
-            async with self._slot(ctx)(deadline):
+            async with self._scheduler.read(deadline):
                 self._refresh_pressure_gauges()
                 response = await body()
             self._m_latency[(op, "engine")].observe(time.perf_counter() - start)
             return response
-
-    def _slot(self, ctx: TraceContext | None) -> Callable:
-        """A read's scheduler slot: exclusive for a sampled trace of the
-        local engine, whose tracer is set on the shared engine for the
-        run (a coordinator stitches its workers' traces), else shared."""
-        if ctx is not None and ctx.sampled and self.engine is not None:
-            return self._scheduler.write
-        return self._scheduler.read
 
     # ------------------------------------------------------------------
     # Subscription ops, shared over two hooks: _log, _evaluate_subscription
@@ -1013,7 +1006,8 @@ class QueryServer(LineProtocolServer):
         return await self._answer_query(
             payload, "nwc", key, query.qx, query.qy, query.n,
             lambda deadline, ctx: self._evaluate(
-                ctx, "nwc", lambda: self.engine.nwc(query), protocol.serialize_nwc,
+                ctx, "nwc", lambda engine: engine.nwc(query),
+                protocol.serialize_nwc,
                 lambda result: protocol.shield_radii_nwc(query, result)))
 
     async def _op_knwc(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -1024,7 +1018,8 @@ class QueryServer(LineProtocolServer):
         return await self._answer_query(
             payload, "knwc", key, base.qx, base.qy, base.n,
             lambda deadline, ctx: self._evaluate(
-                ctx, "knwc", lambda: self.engine.knwc(query, maintenance=maintenance),
+                ctx, "knwc",
+                lambda engine: engine.knwc(query, maintenance=maintenance),
                 protocol.serialize_knwc,
                 lambda result: protocol.shield_radii_knwc(query, result)))
 
@@ -1037,32 +1032,24 @@ class QueryServer(LineProtocolServer):
 
     async def _run_engine(self, run: Callable, ctx: TraceContext | None,
                           kind: str) -> tuple[Any, dict[str, Any]]:
-        """``run()`` on the executor → ``(value, response fields)``: no
-        fields, or — for a sampled trace context, which runs the call
-        under a per-request tracer — the ``trace`` envelope.  Observes
+        """``run(engine)`` on the executor → ``(value, response
+        fields)``: no fields, or — for a sampled trace context — the
+        ``trace`` envelope.  A sampled request runs on a shallow copy of
+        the engine that carries its own :class:`QueryTracer`: a query
+        writes nothing on the engine, so the copy reads the same
+        snapshot and the request is an ordinary reader.  Observes
         ``nwc_query_seconds{kind}`` once, on the loop thread."""
         start = time.perf_counter()
         if ctx is None or not ctx.sampled:
-            value, fields = await self._run(run), {}
+            value, fields = await self._run(run, self.engine), {}
         else:
-            value, root, dropped = await self._run(self._trace_engine_call, run)
-            fields = {"trace": self._trace_envelope(ctx, root, dropped)}
+            engine = copy.copy(self.engine)
+            engine.tracer = tracer = QueryTracer()
+            value = await self._run(run, engine)
+            fields = {"trace": self._trace_envelope(
+                ctx, tracer.last, tracer.dropped_spans)}
         self._m_query_seconds[kind].observe(time.perf_counter() - start)
         return value, fields
-
-    def _trace_engine_call(self, run: Callable) -> tuple[Any, Any, int]:
-        """Run ``run()`` with a per-request tracer on the engine
-        (executor thread).  The caller must hold the exclusive slot
-        (:meth:`_slot`), since the tracer is set on the shared engine;
-        the swap is restored even when the engine raises."""
-        tracer = QueryTracer()
-        previous = self.engine.tracer
-        self.engine.tracer = tracer
-        try:
-            result = run()
-        finally:
-            self.engine.tracer = previous
-        return result, tracer.last, tracer.dropped_spans
 
     # ------------------------------------------------------------------
     # Update ops

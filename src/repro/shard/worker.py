@@ -114,7 +114,7 @@ class ShardServer(QueryServer):
 
         async def body():
             pool, traced = await self._run_engine(
-                lambda: self.engine.knwc_candidates(
+                lambda engine: engine.knwc_candidates(
                     query, limit, after=after,
                     anchor_region=self.anchor_region, ceiling=ceiling),
                 ctx, kind)
@@ -132,7 +132,7 @@ class ShardServer(QueryServer):
                 **traced,
             }
 
-        return await self._read_op(payload, "knwc_pool", body, ctx)
+        return await self._read_op(payload, "knwc_pool", body)
 
     # ------------------------------------------------------------------
     # Inherited ops, shard-aware

@@ -1,6 +1,6 @@
 """The leaf-batched columnar loop against the scalar oracle.
 
-``NWCEngine._leaf_table`` runs SRR, DEP, the window walk and the
+``repro.core.columnar._leaf_table`` runs SRR, DEP, the window walk and the
 below-``n`` test for all remaining objects of a leaf in one array pass;
 a pop then only replays its row.  The contract is the one every
 execution mode has: results, the full ``IOStats`` *and* the attribution
@@ -47,6 +47,8 @@ import pytest
 
 import numpy as np
 
+from repro.core import columnar as columnar_module
+from repro.core import oracle as oracle_module
 from repro.core import engine as engine_module
 from repro.core import (
     DistanceMeasure,
@@ -271,13 +273,13 @@ def test_bound_moving_mid_leaf_restamps_the_table(monkeypatch):
     far = [(rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)) for _ in range(80)]
     points = make_points(cluster + ring + far)
     builds = []
-    original = NWCEngine._leaf_table
+    original = columnar_module._leaf_table
 
-    def recording(self, q, parts, bound, *rest):
+    def recording(s, parts, bound, *rest):
         builds.extend((stream.leaf, start, bound) for stream, start in parts)
-        return original(self, q, parts, bound, *rest)
+        return original(s, parts, bound, *rest)
 
-    monkeypatch.setattr(NWCEngine, "_leaf_table", recording)
+    monkeypatch.setattr(columnar_module, "_leaf_table", recording)
     engines = [NWCEngine(RStarTree.bulk_load(points, max_entries=16),
                          Scheme.NWC_STAR, grid=DensityGrid.build(points, EXTENT, CELL),
                          execution=mode, tracer=QueryTracer())
@@ -358,14 +360,14 @@ def enumerating(monkeypatch):
     """The oracle's window queries that found at least ``n`` members —
     the rows the columnar loop used to build one snapshot each for."""
     sizes = []
-    original = NWCEngine._enumerate_windows
+    original = oracle_module._enumerate_windows
 
-    def counting(self, q, frame, sr, members, *args, **kwargs):
-        if len(members) >= q.n:
+    def counting(s, frame, sr, members, *args, **kwargs):
+        if len(members) >= s.q.n:
             sizes.append(len(members))
-        return original(self, q, frame, sr, members, *args, **kwargs)
+        return original(s, frame, sr, members, *args, **kwargs)
 
-    monkeypatch.setattr(NWCEngine, "_enumerate_windows", counting)
+    monkeypatch.setattr(oracle_module, "_enumerate_windows", counting)
     return sizes
 
 
@@ -413,15 +415,15 @@ def test_dense_knwc_matches_the_oracle(maintenance, builds, enumerating):
 
 def test_one_table_holds_both_frame_signs(monkeypatch):
     signs = []
-    original = NWCEngine._walk_rows
+    original = columnar_module._walk_rows
 
-    def recording(self, table, q, rects, leaf, region, sy, *rest):
-        original(self, table, q, rects, leaf, region, sy, *rest)
+    def recording(s, table, rects, leaf, sy, *rest):
+        original(s, table, rects, leaf, sy, *rest)
         if table.floors is not None:
             signs.append({s for s, floor in zip(sy.tolist(), table.floors)
                           if math.isfinite(floor)})
 
-    monkeypatch.setattr(NWCEngine, "_walk_rows", recording)
+    monkeypatch.setattr(columnar_module, "_walk_rows", recording)
     for measure in (DistanceMeasure.MAX, DistanceMeasure.MIN):
         _assert_same_nwc(*_dense_pair(Scheme.NWC_STAR),
                          NWCQuery(41.3, 57.9, LENGTH, WIDTH, 8, measure))
@@ -463,14 +465,14 @@ def _first_floor(monkeypatch, flags, query, anchor):
     """``(floor, x, y)`` of the first row an unseeded columnar
     ``nwc`` page pops with a window query."""
     tables = []
-    original = NWCEngine._leaf_table
+    original = columnar_module._leaf_table
 
-    def recording(self, q, parts, *rest):
-        original(self, q, parts, *rest)
+    def recording(s, parts, *rest):
+        original(s, parts, *rest)
         tables.append((parts[0][0], parts[0][0].table, parts[0][0].base))
 
     with monkeypatch.context() as patch:
-        patch.setattr(NWCEngine, "_leaf_table", recording)
+        patch.setattr(columnar_module, "_leaf_table", recording)
         _nwc_page(_dense_engine(flags, "columnar"),
                   query, anchor_region=anchor)
     stream, table, base = tables[0]
@@ -489,13 +491,13 @@ def test_dense_sharded_entry_points_and_seeds(flags, monkeypatch):
     # row's floor is a seed the search meets again, exactly.
     floor, px, py = _first_floor(monkeypatch, NO_SRR, query, anchor)
     generators = []
-    original = NWCEngine._enumerate_windows_columnar
+    original = columnar_module._enumerate_windows
 
-    def recording(self, q, frame, sr, *args, **kwargs):
+    def recording(s, frame, sr, *args, **kwargs):
         generators.append((sr.px, sr.py))
-        return original(self, q, frame, sr, *args, **kwargs)
+        return original(s, frame, sr, *args, **kwargs)
 
-    monkeypatch.setattr(NWCEngine, "_enumerate_windows_columnar", recording)
+    monkeypatch.setattr(columnar_module, "_enumerate_windows", recording)
     oracle = _dense_engine(flags, "python")
     columnar = _dense_engine(flags, "columnar")
     above = math.nextafter(floor, math.inf)
@@ -536,10 +538,19 @@ def test_dense_windows_after_interleaved_updates(builds, enumerating):
     assert len(builds) * 3 < len(enumerating)
 
 
-def test_observers_do_not_change_which_code_answers(builds):
+def test_observers_do_not_change_which_code_answers(builds, monkeypatch):
     """No clock: with a registry, with a tracer and with neither, a
-    query builds the same snapshots and returns the same answer and
-    counters — attribution reads the table, it does not pick a loop."""
+    query builds the same snapshots, makes the same ``select_ranked``
+    calls and returns the same answer and counters — attribution reads
+    the table and counts beside the kernel, it does not pick a loop."""
+    selections = []
+    select_ranked = kernels.select_ranked
+
+    def counting(*args):
+        selections.append(None)
+        return select_ranked(*args)
+
+    monkeypatch.setattr(kernels, "select_ranked", counting)
     engines = [_dense_engine(Scheme.NWC_STAR, "columnar", **observers)
                for observers in ({}, {"metrics": MetricsRegistry()},
                                  {"tracer": QueryTracer()})]
@@ -549,16 +560,18 @@ def test_observers_do_not_change_which_code_answers(builds):
     for query in queries:
         seen = []
         for engine in engines:
-            del builds[:]
+            del builds[:], selections[:]
             result = engine.nwc(query)
-            seen.append((_answer(result), result.stats, list(builds)))
+            seen.append((_answer(result), result.stats, list(builds),
+                         len(selections)))
         assert seen[0] == seen[1] == seen[2]
     knwc = KNWCQuery.make(41.3, 57.9, LENGTH, WIDTH, 8, 3, 2)
     seen = []
     for engine in engines:
-        del builds[:]
+        del builds[:], selections[:]
         result = engine.knwc(knwc)
-        seen.append((result.distances, result.stats, list(builds)))
+        seen.append((result.distances, result.stats, list(builds),
+                     len(selections)))
     assert seen[0] == seen[1] == seen[2]
 
 
@@ -595,7 +608,7 @@ def test_floor_work_in_passes_under_a_small_budget(monkeypatch, budget,
                                                    builds, enumerating):
     """``_FLOOR_BUDGET`` patched down: a pass per row (rows larger than
     the budget, repeated cuts), a few rows a pass, a few passes a table."""
-    monkeypatch.setattr("repro.core.engine._FLOOR_BUDGET", budget)
+    monkeypatch.setattr("repro.core.columnar._FLOOR_BUDGET", budget)
     engines = _dense_pair(Scheme.NWC_STAR)
     for measure, n in itertools.product(
             (DistanceMeasure.MAX, DistanceMeasure.MIN), (8, 40)):
@@ -674,14 +687,14 @@ class _Tables:
 
     def __init__(self, monkeypatch):
         self.builds = []
-        original = NWCEngine._leaf_table
+        original = columnar_module._leaf_table
 
-        def recording(engine, q, parts, bound, *rest):
+        def recording(s, parts, bound, *rest):
             self.builds.append((bound, [(stream, start, stream.seq is None)
                                         for stream, start in parts]))
-            return original(engine, q, parts, bound, *rest)
+            return original(s, parts, bound, *rest)
 
-        monkeypatch.setattr(NWCEngine, "_leaf_table", recording)
+        monkeypatch.setattr(columnar_module, "_leaf_table", recording)
 
     def clear(self):
         del self.builds[:]
@@ -753,7 +766,7 @@ def test_a_first_leaf_that_offers_keeps_one_leaf_per_table(tables, monkeypatch):
         assert all(len(parts) == 1 for (before, _), (bound, parts)
                    in zip(grouped, grouped[1:]) if bound != before)
         with monkeypatch.context() as patch:
-            patch.setattr(engine_module, "_GROUP_CAP", 1)
+            patch.setattr(columnar_module, "_GROUP_CAP", 1)
             tables.clear()
             columnar.nwc(query)
         assert all(len(parts) == 1 for _, parts in tables.builds)
@@ -867,14 +880,14 @@ def test_sparse_windows_after_interleaved_updates(tables):
         ahead += len(tables.ahead())
         tables.clear()
         gc.collect()
-        assert not any(isinstance(found, engine_module._LeafStream)
+        assert not any(isinstance(found, columnar_module._LeafStream)
                        for found in gc.get_objects())
     assert ahead > 0
 
 
 @pytest.mark.parametrize("cap", [1, 2, 1000])
 def test_group_cap_changes_no_answer_and_no_counter(monkeypatch, cap, tables):
-    monkeypatch.setattr(engine_module, "_GROUP_CAP", cap)
+    monkeypatch.setattr(columnar_module, "_GROUP_CAP", cap)
     for flags in (Scheme.NWC_STAR, NO_SRR):
         oracle, columnar = _sparse_pair(flags)
         for n, (x, y) in itertools.product((3, 8), SPARSE_LOCATIONS):
@@ -889,7 +902,7 @@ def test_group_cap_changes_no_answer_and_no_counter(monkeypatch, cap, tables):
 @pytest.fixture
 def object_pops(monkeypatch):
     """The object entries the columnar loop takes off its heap, in
-    order (``heapq`` as :mod:`repro.core.engine` sees it)."""
+    order (``heapq`` as :mod:`repro.core.columnar` sees it)."""
     popped = []
     shim = types.SimpleNamespace(**vars(heapq))
 
@@ -900,7 +913,7 @@ def object_pops(monkeypatch):
         return entry
 
     shim.heappop = heappop
-    monkeypatch.setattr(engine_module, "heapq", shim)
+    monkeypatch.setattr(columnar_module, "heapq", shim)
     return popped
 
 
@@ -928,13 +941,13 @@ def test_only_events_go_through_the_heap(tables, object_pops, monkeypatch):
     columnar = _sparse_engine(Scheme.NWC_STAR, "columnar", points)
     visits = _count_visits(monkeypatch, oracle)
     enumerations = []
-    original = NWCEngine._enumerate_windows_columnar
+    original = columnar_module._enumerate_windows
 
-    def counting(self, *args, **kwargs):
-        enumerations.append(args[2])
-        return original(self, *args, **kwargs)
+    def counting(s, *args, **kwargs):
+        enumerations.append(args[1])
+        return original(s, *args, **kwargs)
 
-    monkeypatch.setattr(NWCEngine, "_enumerate_windows_columnar", counting)
+    monkeypatch.setattr(columnar_module, "_enumerate_windows", counting)
     for x, y in SPARSE_LOCATIONS:
         tables.clear()
         del object_pops[:], visits[:], enumerations[:]
@@ -971,7 +984,7 @@ def test_equal_distances_across_leaves_are_cut_by_seq(monkeypatch):
     oracle's, with twins on both sides of a move and beyond the stop."""
     points = _mirrored_points()
     cuts = []  # (key the sums are cut at, side of a stream with a twin)
-    original = engine_module._LeafStream.first_after
+    original = columnar_module._LeafStream.first_after
 
     def recording(stream, dist, seq):
         dists = stream.dists
@@ -985,7 +998,7 @@ def test_equal_distances_across_leaves_are_cut_by_seq(monkeypatch):
             cuts.append(((dist, seq), None))
         return original(stream, dist, seq)
 
-    monkeypatch.setattr(engine_module._LeafStream, "first_after", recording)
+    monkeypatch.setattr(columnar_module._LeafStream, "first_after", recording)
     engines = [NWCEngine(RStarTree.bulk_load(points, max_entries=8),
                          Scheme.NWC_STAR,
                          grid=DensityGrid.build(points, Rect(0, 0, 100, 100), 5.0),

@@ -63,9 +63,12 @@ class TestBenchContext:
         point = SweepPoint()
         star = ctx.engine(Scheme.NWC_STAR, point)
         assert star.grid is ctx.grid(point.grid_cell)
-        assert star.iwp is ctx.pointer_index()
+        assert star._flat_iwp is ctx.flat_pointer_index()
+        # The columnar engines read FlatIWP: no scalar pointer index.
+        assert star.iwp is None and ctx.iwp is None
         plus = ctx.engine(Scheme.NWC_PLUS, point)
         assert plus.grid is None and plus.iwp is None
+        assert plus._flat_iwp is None
 
 
 class TestRunSettings:

@@ -15,6 +15,7 @@ from repro.core import KNWCQuery, NWCEngine, NWCQuery, Scheme
 from repro.datasets import Dataset
 from repro.geometry import PointObject
 from repro.index import RStarTree, load_tree
+from repro.obs.context import TraceContext, new_span_id, new_trace_id
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
     DeadlineError,
@@ -189,6 +190,53 @@ class TestAdmissionControl:
         client, _, _ = served
         with pytest.raises(RemoteError):
             client.nwc(1, 1, 10, 10, 2, deadline_ms=-5)
+
+
+class TestTracedReads:
+    def test_sampled_nwc_answers_while_another_reader_holds_a_slot(self):
+        """A sampled trace is an ordinary reader: it runs on a copy of
+        the engine carrying its own tracer, so it is answered — span
+        tree and all — while a kNWC query holds a read slot, blocked in
+        the engine until the test releases it."""
+        engine = _engine()
+        real = engine.knwc
+        started, release = threading.Event(), threading.Event()
+
+        def blocking_knwc(query, **kw):
+            started.set()
+            release.wait()
+            return real(query, **kw)
+
+        engine.knwc = blocking_knwc
+        config = ServeConfig(port=0, max_inflight=2)
+        with ServerThread(engine, config) as thread:
+            def occupy():
+                with ServeClient(port=thread.port) as c:
+                    c.knwc(400, 400, 100, 100, 3, 3, 1)
+            blocker = threading.Thread(target=occupy)
+            blocker.start()
+            try:
+                assert started.wait(30)
+                with ServeClient(port=thread.port) as client:
+                    # The deadline only bounds a failure: a traced read
+                    # that waited for the writer's slot would expire.
+                    response = client.nwc(
+                        200, 300, 80, 80, 4, deadline_ms=10_000,
+                        trace=TraceContext(new_trace_id(),
+                                           new_span_id()).to_wire())
+                assert blocker.is_alive() and not release.is_set()
+            finally:
+                release.set()
+                blocker.join(30)
+        assert not blocker.is_alive()
+        direct = _engine().nwc(NWCQuery(200, 300, 80, 80, 4))
+        assert response["result"] == protocol.serialize_nwc(direct)
+        root = response["trace"]["span"]
+        assert root["name"] == "query:nwc"
+        assert root["io"]["node_accesses"] == direct.node_accesses
+        assert [child["name"] for child in root["children"]] == ["search"]
+        # The engine the server owns still carries no tracer.
+        assert not engine.tracer.enabled
 
 
 class TestProtocolErrors:
