@@ -99,6 +99,12 @@ _ERROR_TYPES = {
 }
 
 
+def _request(op: str, **fields: Any) -> dict[str, Any]:
+    """A request frame: ``op`` plus the ``fields`` that are not ``None``."""
+    return {"op": op} | {key: value for key, value in fields.items()
+                         if value is not None}
+
+
 @dataclass(frozen=True, slots=True)
 class RetryPolicy:
     """Reconnect-and-resend behaviour of one client.
@@ -297,32 +303,19 @@ class ServeClient:
             measure: str | None = None,
             deadline_ms: float | None = None,
             trace: dict[str, Any] | None = None) -> dict[str, Any]:
-        payload: dict[str, Any] = {"op": "nwc", "x": x, "y": y,
-                                   "length": length, "width": width, "n": n}
-        if measure is not None:
-            payload["measure"] = measure
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
-        if trace is not None:
-            payload["trace"] = trace
-        return self.call(payload)
+        return self.call(_request(
+            "nwc", x=x, y=y, length=length, width=width, n=n,
+            measure=measure, deadline_ms=deadline_ms, trace=trace))
 
     def knwc(self, x: float, y: float, length: float, width: float, n: int,
              k: int, m: int = 0, maintenance: str = "exact",
              measure: str | None = None,
              deadline_ms: float | None = None,
              trace: dict[str, Any] | None = None) -> dict[str, Any]:
-        payload: dict[str, Any] = {"op": "knwc", "x": x, "y": y,
-                                   "length": length, "width": width,
-                                   "n": n, "k": k, "m": m,
-                                   "maintenance": maintenance}
-        if measure is not None:
-            payload["measure"] = measure
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
-        if trace is not None:
-            payload["trace"] = trace
-        return self.call(payload)
+        return self.call(_request(
+            "knwc", x=x, y=y, length=length, width=width, n=n, k=k, m=m,
+            maintenance=maintenance, measure=measure,
+            deadline_ms=deadline_ms, trace=trace))
 
     def _update(self, payload: dict[str, Any]) -> dict[str, Any]:
         """Send an update; with retries on, a request id makes it
@@ -334,17 +327,13 @@ class ServeClient:
 
     def insert(self, oid: int, x: float, y: float,
                deadline_ms: float | None = None) -> dict[str, Any]:
-        payload: dict[str, Any] = {"op": "insert", "oid": oid, "x": x, "y": y}
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
-        return self._update(payload)
+        return self._update(_request("insert", oid=oid, x=x, y=y,
+                                     deadline_ms=deadline_ms))
 
     def delete(self, oid: int, x: float, y: float,
                deadline_ms: float | None = None) -> dict[str, Any]:
-        payload: dict[str, Any] = {"op": "delete", "oid": oid, "x": x, "y": y}
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
-        return self._update(payload)
+        return self._update(_request("delete", oid=oid, x=x, y=y,
+                                     deadline_ms=deadline_ms))
 
     def snapshot(self, path: str) -> dict[str, Any]:
         return self.call({"op": "snapshot", "path": path})
@@ -360,10 +349,7 @@ class ServeClient:
                 scope: str | None = None) -> dict[str, Any]:
         """Scrape metrics.  ``scope="fleet"`` (coordinators only) merges
         every worker's registry into one ``shard``-labelled view."""
-        payload: dict[str, Any] = {"op": "metrics", "format": fmt}
-        if scope is not None:
-            payload["scope"] = scope
-        return self.call(payload)
+        return self.call(_request("metrics", format=fmt, scope=scope))
 
     # ------------------------------------------------------------------
     # Standing queries
@@ -386,18 +372,11 @@ class ServeClient:
         dedicated client per subscription stream (ordinary calls — and
         ``unsubscribe`` — belong on a different connection).
         """
-        payload: dict[str, Any] = {"op": "subscribe", "x": x, "y": y,
-                                   "length": length, "width": width, "n": n}
+        payload = _request("subscribe", x=x, y=y, length=length,
+                           width=width, n=n, measure=measure, sub=sub,
+                           deadline_ms=deadline_ms)
         if k is not None:
-            payload["k"] = k
-            payload["m"] = m
-            payload["maintenance"] = maintenance
-        if measure is not None:
-            payload["measure"] = measure
-        if sub is not None:
-            payload["sub"] = sub
-        if deadline_ms is not None:
-            payload["deadline_ms"] = deadline_ms
+            payload |= {"k": k, "m": m, "maintenance": maintenance}
         if self.retry is not None:
             payload["req"] = self._request_id()
         ack = self.call(payload, idempotent=True)

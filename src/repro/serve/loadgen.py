@@ -81,11 +81,6 @@ class LoadMix:
         if self.nwc + self.knwc + self.insert + self.delete <= 0:
             raise ValueError("mix weights must not all be zero")
 
-    @property
-    def update_fraction(self) -> float:
-        total = self.nwc + self.knwc + self.insert + self.delete
-        return (self.insert + self.delete) / total
-
 
 @dataclass(frozen=True, slots=True)
 class LoadgenConfig:

@@ -338,9 +338,8 @@ class LineProtocolServer:
     cache, accounting), written once as three shapes: :meth:`_answer_query`
     for cached queries, :meth:`_write_op` for idempotent writes and
     :meth:`_read_op` for uncached reads (DESIGN.md "Request pipeline") —
-    and the ``subscribe``/``unsubscribe`` handlers over the standing-query
-    index, which differ between classes only in the :meth:`_log` and
-    :meth:`_evaluate_subscription` hooks.
+    and the write handlers, which differ between classes only in the
+    :meth:`_log`, :meth:`_apply` and :meth:`_evaluate_subscription` hooks.
 
     Subclasses — :class:`QueryServer` (one engine),
     :class:`~repro.shard.worker.ShardServer` (one shard) and
@@ -828,7 +827,7 @@ class LineProtocolServer:
             return response
 
     # ------------------------------------------------------------------
-    # Subscription ops, shared over two hooks: _log, _evaluate_subscription
+    # Write ops, shared over hooks: _log, _apply, _evaluate_subscription
     # ------------------------------------------------------------------
     async def _log(self, record: dict[str, Any],
                    request_id: str | None) -> None:
@@ -847,6 +846,50 @@ class LineProtocolServer:
         ``(result payload, insert_radius, delete_radius)`` — the exact
         ``result`` a one-shot query op would return."""
         raise NotImplementedError
+
+    async def _apply(self, record: dict[str, Any], deadline: float) -> tuple:
+        """Apply one logged update and reconcile the standing queries:
+        ``(version, ack, changed, reevals, reeval_s)``, as
+        :func:`~repro.serve.durability.apply_record` returns them."""
+        raise NotImplementedError
+
+    async def _op_update(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """``insert`` / ``delete``: log the record, :meth:`_apply` it,
+        advance version and cache, push the changed answers."""
+        obj = protocol.parse_point(payload)
+        op = payload["op"]
+
+        async def body(deadline, request_id):
+            # Durability contract: the record is on disk (per fsync
+            # policy) before the dataset changes, and long before the
+            # ack leaves the server.  A delete is logged even when it
+            # turns out to be a no-op: replay recomputes the same
+            # outcome, and the dedupe map must remember *every*
+            # acknowledged id.
+            record = {"op": op, "oid": obj.oid, "x": obj.x, "y": obj.y}
+            await self._log(record, request_id)
+            version, ack, changed, reevals, reeval_s = await self._apply(
+                record, deadline)
+            self._advance_version(record, version, ack["size"])
+            if reevals:
+                self._m_sub_reevals.inc(reevals)
+                self._h_sub_reeval.observe(reeval_s)
+            self._push_notifications(changed)
+            return ack
+
+        return await self._write_op(payload, op, body)
+
+    def _advance_version(self, record: dict[str, Any], version: int,
+                         size: int) -> None:
+        """Move to dataset ``version`` after ``record``, carrying cached
+        answers forward or invalidating them at the new ``size``."""
+        if version == self.version:
+            return
+        self.version = version
+        if record["op"] == "insert":
+            self.cache.note_insert(record["x"], record["y"], version)
+        else:
+            self.cache.note_delete(record["x"], record["y"], version, size)
 
     async def _op_subscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
         sub_id = protocol.parse_subscription_id(payload)
@@ -1052,48 +1095,22 @@ class QueryServer(LineProtocolServer):
         return value, fields
 
     # ------------------------------------------------------------------
-    # Update ops
+    # Write hooks
     # ------------------------------------------------------------------
-    async def _op_update(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """``insert`` / ``delete``: log the record, then apply it with
-        :func:`~repro.serve.durability.apply_record` — the step recovery
-        replays, so the ack sent here is the ack a restart rebuilds."""
-        obj = protocol.parse_point(payload)
-        op = payload["op"]
-
-        async def body(deadline, request_id):
-            # Durability contract: the record is on disk (per fsync
-            # policy) before the engine changes, and long before the ack
-            # leaves the server.  A delete is logged even when it turns
-            # out to be a no-op: replay recomputes the same outcome, and
-            # the dedupe map must remember *every* acknowledged id.
-            record = {"op": op, "oid": obj.oid, "x": obj.x, "y": obj.y}
-            await self._log(record, request_id)
-            version, ack, changed, reevals, reeval_s = await self._run(
-                self._apply, record)
-            if version != self.version:
-                self.version = version
-                if op == "insert":
-                    self.cache.note_insert(obj.x, obj.y, version)
-                else:
-                    self.cache.note_delete(obj.x, obj.y, version, ack["size"])
-            if reevals:
-                self._m_sub_reevals.inc(reevals)
-                self._h_sub_reeval.observe(reeval_s)
-            self._push_notifications(changed)
-            return ack
-
-        return await self._write_op(payload, op, body)
-
-    def _apply(self, record: dict[str, Any]) -> tuple:
-        """:func:`~repro.serve.durability.apply_record` on the executor,
-        inside the exclusive slot, then a refresh of the derived
-        structures — splice the edited leaves into the flat snapshot and
-        rebuild FlatIWP — so readers never trigger (or race on) a lazy
+    async def _apply(self, record, deadline):
+        """:func:`~repro.serve.durability.apply_record` on the executor
+        — the step recovery replays, so the ack sent here is the ack a
+        restart rebuilds — then a refresh of the derived structures
+        (splice the edited leaves into the flat snapshot, rebuild
+        FlatIWP), so readers never trigger (or race on) a lazy
         refresh."""
-        applied = apply_record(self.engine, self.version, record, self.subs)
-        self.engine._refresh_structures()
-        return applied
+        def step():
+            applied = apply_record(self.engine, self.version, record,
+                                   self.subs)
+            self.engine._refresh_structures()
+            return applied
+
+        return await self._run(step)
 
     async def _evaluate_subscription(self, sub, deadline):
         """One engine run on the executor."""
@@ -1185,8 +1202,8 @@ class QueryServer(LineProtocolServer):
     _HANDLERS: dict[str, Callable[["LineProtocolServer", dict], Awaitable[dict]]] = {
         "nwc": _op_nwc,
         "knwc": _op_knwc,
-        "insert": _op_update,
-        "delete": _op_update,
+        "insert": LineProtocolServer._op_update,
+        "delete": LineProtocolServer._op_update,
         "snapshot": _op_snapshot,
         "checkpoint": _op_checkpoint,
         "health": _op_health,

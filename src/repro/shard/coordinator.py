@@ -17,13 +17,14 @@ shard prunes everything that cannot beat it; shards never asked count
 as prune skips (``shard_prune_skips_total``).  For NWC that is a probe
 of the nearest shard, then a fan-out seeded with its answer.
 
-Updates route by stored-band membership: every shard whose band
-(owned ± halo) contains the object applies the update through its own
-WAL, under the coordinator's exclusive write slot.  The update-aware
-semantic cache lives here — shard workers skip caching scatter ops —
-keyed on the coordinator's dataset version and invalidated with the
-same shield radii as the single-engine server, so a cache hit is
-bit-identical to re-scattering.
+Updates run the write step every server shares (``_op_update``); the
+coordinator's ``_apply`` routes them by stored-band membership: every
+shard whose band (owned ± halo) contains the object applies the update
+through its own WAL, under the coordinator's exclusive write slot.  The
+update-aware semantic cache lives here — shard workers skip caching
+scatter ops — keyed on the coordinator's dataset version and
+invalidated with the same shield radii as the single-engine server, so
+a cache hit is bit-identical to re-scattering.
 
 A shard that stays unreachable after retries surfaces as the typed
 ``shard_unavailable`` error; clients that prefer availability over
@@ -33,14 +34,13 @@ response and never cached).
 
 **Fleet subscriptions** (standing queries, see :mod:`repro.sub`) live
 in the coordinator's own :class:`~repro.sub.SubscriptionIndex`:
-``subscribe`` evaluates through the scatter path, and every applied
-update probes the index with the update's ``(x, y)`` and the fleet size
-— the same arguments the cache's shield check takes — then re-gathers
-only the subscriptions it names under the write slot, pushing
-``notify`` frames that are bit-identical to re-querying at the new
+``subscribe`` evaluates through the scatter path, and after every
+applied update ``_apply`` re-gathers the subscriptions the index names
+due, pushing ``notify`` frames bit-identical to re-querying at the new
 fleet version.  Workers hold no subscription state.  A torn write or a
-failed re-evaluation degrades the next pass to re-evaluating every
-fleet subscription (delayed, never wrong).
+failed re-evaluation marks the index ``stale``: the next update
+re-evaluates every fleet subscription (delayed, never wrong).  There is
+no coordinator WAL: a coordinator restart loses fleet subscriptions.
 
 The coordinator is also the fleet's observability hub.  A sampled
 ``trace`` context on a query bypasses the cache, forwards a child
@@ -334,16 +334,6 @@ class ShardCoordinator(LineProtocolServer):
         ]
         self.size = 0
         self._size_known = False
-        # Fleet subscriptions (standing queries) live in the inherited
-        # SubscriptionIndex.  There is no coordinator WAL: they do not
-        # survive a coordinator restart — clients resubscribe (their
-        # revision counters restart at 1).  The dirty flag is set when
-        # an update's fan partially failed (shards may have applied
-        # while re-evaluation could not run) or a re-evaluation failed:
-        # the next reconcile pass degrades to re-evaluating EVERY fleet
-        # subscription instead of probing the index, and clears the
-        # flag once a pass completes without failures.
-        self._subs_dirty = False
         m = self.metrics
         self._m_prune_skips = m.counter(
             "shard_prune_skips_total",
@@ -571,73 +561,60 @@ class ShardCoordinator(LineProtocolServer):
         return pager.result(), accesses, meta, failed
 
     # ------------------------------------------------------------------
-    # Update ops
+    # Write hooks
     # ------------------------------------------------------------------
-    async def _op_insert(self, payload: dict[str, Any]) -> dict[str, Any]:
-        return await self._update(payload, "insert")
-
-    async def _op_delete(self, payload: dict[str, Any]) -> dict[str, Any]:
-        return await self._update(payload, "delete")
-
-    def _update(self, payload: dict[str, Any], op: str):
-        """The one update handler body: forward to every shard storing
-        the object, then advance version, size, cache and standing
-        queries — or, on a torn write, everything but the size."""
-        obj = protocol.parse_point(payload)
+    async def _apply(self, record: dict[str, Any], deadline: float) -> tuple:
+        """Forward the record to every shard storing the object, then
+        re-gather the fleet subscriptions the index names.  Each frame
+        carries an idempotency id — the client's when given, a
+        coordinator-generated one otherwise — so the per-shard WAL
+        dedupe absorbs the link layer's retries."""
+        op, x, y = record["op"], record["x"], record["y"]
         insert = op == "insert"
-
-        async def body(deadline, request_id):
-            # Each forwarded request carries an idempotency id — the
-            # client's when given, a coordinator-generated one otherwise
-            # — so the per-shard WAL dedupe absorbs the link layer's
-            # retries.
-            frame = {"op": op, "oid": obj.oid, "x": obj.x, "y": obj.y,
-                     "req": request_id or f"coord-{uuid.uuid4().hex[:20]}"}
-            targets = self.manifest.affected(obj.x)
-            acks, failed = await self._fan(
-                {i: self.links[i].call(dict(frame), deadline)
-                 for i in targets},
-                lost=(ShardCallError, DeadlineExceeded))
-            deleted = (not insert and not failed and bool(
-                acks[self.manifest.route(obj.x)].get("deleted")))
-            if insert or deleted or failed:
-                self.version += 1
-                if not failed:
-                    self.size += 1 if insert else -1
-                if insert:
-                    self.cache.note_insert(obj.x, obj.y, self.version)
-                else:
-                    self.cache.note_delete(obj.x, obj.y, self.version,
-                                           self.size)
-            if failed:
-                # Some shards may already have applied: the dataset
-                # changed, so the version advanced (invalidating any
-                # cached answer the torn write could affect) before
-                # failing the request.  A client retry with the same
-                # request id is absorbed by the shard WAL dedupe.
-                # Standing queries could not be re-evaluated either:
-                # the dirty flag forces a full pass next update.  A
-                # deadline that passed on one target is the same torn
-                # write; the client still reads ``deadline_exceeded``.
-                if len(self.subs):
-                    self._subs_dirty = True
-                for error in failed.values():
-                    if isinstance(error, DeadlineExceeded):
-                        raise error
-                raise Refused(
-                    "shard_unavailable",
-                    f"{op} reached {len(acks)}/{len(targets)} shard(s); "
-                    f"{sorted(failed)} down")
-            if insert or deleted:
-                self._push_notifications(await self._reconcile_fleet_subs(
-                    op, obj.x, obj.y, deadline))
-            response = {"ok": True, "op": op, "version": self.version,
-                        "size": self.size, "shards": list(targets)}
-            if not insert:
-                response["deleted"] = deleted
-            return response
-
-        return self._write_op(payload, op, body)
+        frame = record | {"req": record.get("req")
+                          or f"coord-{uuid.uuid4().hex[:20]}"}
+        targets = self.manifest.affected(x)
+        acks, failed = await self._fan(
+            {i: self.links[i].call(dict(frame), deadline) for i in targets},
+            lost=(ShardCallError, DeadlineExceeded))
+        if failed:
+            # A torn write: some shards may have applied, so the version
+            # advances (invalidating cached answers it could affect) and
+            # the standing queries go stale before the request fails.  A
+            # retry with the same request id is absorbed by the shard
+            # WAL dedupe.  A deadline that passed on one target is the
+            # same torn write; the client reads ``deadline_exceeded``.
+            self._advance_version(record, self.version + 1, self.size)
+            self.subs.stale = True
+            for error in failed.values():
+                if isinstance(error, DeadlineExceeded):
+                    raise error
+            raise Refused("shard_unavailable",
+                          f"{op} reached {len(acks)}/{len(targets)} "
+                          f"shard(s); {sorted(failed)} down")
+        applied = insert or bool(
+            acks[self.manifest.route(x)].get("deleted"))
+        ack = {"ok": True, "op": op}
+        if not insert:
+            ack["deleted"] = applied
+        version, changed, reevals = self.version, [], 0
+        start = time.perf_counter()
+        if applied:
+            version += 1
+            self.size += 1 if insert else -1
+            for sub in self.subs.due(op, x, y, self.size):
+                try:
+                    evaluation = await self._evaluate_subscription(
+                        sub, deadline)
+                except (Refused, DeadlineExceeded):
+                    self.subs.stale = True  # delayed, never wrong
+                    continue
+                reevals += 1
+                if advance(self.subs, sub, version, evaluation):
+                    changed.append(sub)
+        ack |= {"version": version, "size": self.size,
+                "shards": list(targets)}
+        return version, ack, changed, reevals, time.perf_counter() - start
 
     # ------------------------------------------------------------------
     # Fleet subscriptions (standing queries)
@@ -659,41 +636,6 @@ class ShardCoordinator(LineProtocolServer):
                           f"cannot evaluate subscription: shard(s) "
                           f"{sorted(failed)} unreachable")
         return answer, *radii
-
-    async def _reconcile_fleet_subs(self, op: str, x: float, y: float,
-                                    deadline: float | None
-                                    ) -> list[Subscription]:
-        """Bring fleet subscriptions up to date after an applied update
-        (inside the exclusive write slot, version and size already
-        advanced): probe the index with the update, or take every
-        subscription when the dirty flag is set.  A failed
-        re-evaluation re-arms the flag: correctness degrades to
-        *delayed*, never to *wrong*."""
-        if not len(self.subs):
-            return []
-        if self._subs_dirty:
-            todo = list(self.subs.subscriptions())
-        elif op == "insert":
-            todo = self.subs.affected_insert(x, y)
-        else:
-            todo = self.subs.affected_delete(x, y, self.size)
-        if not todo:
-            return []
-        start = time.perf_counter()
-        changed: list[Subscription] = []
-        dirty = False
-        for sub in todo:
-            try:
-                evaluation = await self._evaluate_subscription(sub, deadline)
-            except (Refused, DeadlineExceeded):
-                dirty = True
-                continue
-            self._m_sub_reevals.inc()
-            if advance(self.subs, sub, self.version, evaluation):
-                changed.append(sub)
-        self._subs_dirty = dirty
-        self._h_sub_reeval.observe(time.perf_counter() - start)
-        return changed
 
     # ------------------------------------------------------------------
     # Maintenance ops
@@ -766,8 +708,8 @@ class ShardCoordinator(LineProtocolServer):
     _HANDLERS = {
         "nwc": _op_nwc,
         "knwc": _op_knwc,
-        "insert": _op_insert,
-        "delete": _op_delete,
+        "insert": LineProtocolServer._op_update,
+        "delete": LineProtocolServer._op_update,
         "subscribe": LineProtocolServer._op_subscribe,
         "unsubscribe": LineProtocolServer._op_unsubscribe,
         "checkpoint": _op_checkpoint,

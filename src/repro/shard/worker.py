@@ -149,8 +149,8 @@ class ShardServer(QueryServer):
         }
         return response
 
-    def _apply(self, record: dict[str, Any]) -> tuple:
-        applied = super()._apply(record)
+    async def _apply(self, record: dict[str, Any], deadline: float) -> tuple:
+        applied = await super()._apply(record, deadline)
         if applied[0] != self.version and self._owns(record["x"]):
             self.owned_size += 1 if record["op"] == "insert" else -1
         return applied

@@ -21,10 +21,9 @@ standing query.
 server and WAL replay — which is what makes revisions *recoverable*:
 replaying the log re-runs the exact same re-evaluations, so a
 ``kill -9`` cannot fork revision history.  A shard coordinator keeps
-fleet subscriptions in its own index, probes it with the ``(x, y)`` of
-every update it routes, and stores each scatter-gather re-evaluation
-through the same per-subscription :func:`advance` step; shard workers
-hold no subscription state for it.
+fleet subscriptions in its own index and runs the same two halves —
+the index's ``due`` naming step, then :func:`advance` — around
+scatter-gather re-evaluations.
 """
 
 from .index import DEFAULT_CELL_SIZE, Subscription, SubscriptionIndex

@@ -180,6 +180,9 @@ class SubscriptionIndex(Generic[T]):
         self._placement: dict[Hashable, tuple[tuple[int, int], ...]] = {}
         self._n_counts: dict[int, int] = {}
         self._max_n = 0
+        #: An applied update may not have been reconciled: :meth:`due`
+        #: then names every item.
+        self.stale = False
 
     # ------------------------------------------------------------------
     # Registry
@@ -314,6 +317,16 @@ class SubscriptionIndex(Generic[T]):
     def affected_delete(self, x: float, y: float, new_size: int) -> list[T]:
         """Same for a delete that leaves ``new_size`` objects."""
         return self._in_key_order(self.affected(x, y, "delete", new_size))
+
+    def due(self, op: str, x: float, y: float, new_size: int) -> list[T]:
+        """The items to re-evaluate after an applied ``op`` at ``(x, y)``
+        leaving ``new_size`` objects, in key order: the affected ones,
+        or all while :attr:`stale` (cleared here; a caller whose
+        re-evaluation fails sets it again)."""
+        if self.stale:
+            self.stale = False
+            return self._in_key_order(set(self._items))
+        return self._in_key_order(self.affected(x, y, op, new_size))
 
     def _in_key_order(self, keys: set[Hashable]) -> list[T]:
         # Re-evaluation order is part of the WAL replay contract: the

@@ -9,10 +9,10 @@ revisions continue across ``kill -9`` instead of forking: the replayed
 re-evaluations are the same deterministic computations, run by the same
 code, the live server performed.
 
-:func:`advance` is the per-subscription half of that step — store one
-fresh evaluation, bump the revision on a change, rebucket — and is also
-what a shard coordinator runs after each scatter-gather re-evaluation
-of its own (engine-less) index.
+The index names the subscriptions an update makes due
+(:meth:`~repro.sub.index.SubscriptionIndex.due`); :func:`advance`
+stores one fresh evaluation of each.  A shard coordinator runs both
+halves around scatter-gather re-evaluations.
 
 The :mod:`repro.serve.protocol` imports are deliberately lazy: the
 serve package imports :mod:`repro.sub` (durability restores
@@ -112,22 +112,20 @@ def advance(index: SubscriptionIndex, sub: Subscription, version: int,
 def reconcile(index: SubscriptionIndex, engine: Any, op: str,
               x: float, y: float, new_size: int,
               version: int) -> tuple[list[Subscription], int]:
-    """Bring every subscription the update can affect up to date.
+    """Bring every subscription the update can affect up to date: the
+    index names them (:meth:`~SubscriptionIndex.due`), each is
+    re-evaluated on ``engine`` and stored through :func:`advance`.
 
     Called with the update already applied (dataset at ``version``) and
     the caller holding whatever makes engine access exclusive — the
     write slot on a live server, nothing during single-threaded replay.
 
     Returns ``(changed, reevals)``: the subscriptions whose answer
-    changed (see :func:`advance`; the caller pushes their ``notify``
-    frames) and the evaluations actually run (the incrementality
-    metric).
+    changed (the caller pushes their ``notify`` frames) and the
+    evaluations actually run (the incrementality metric).
     """
-    if op == "insert":
-        affected = index.affected_insert(x, y)
-    else:
-        affected = index.affected_delete(x, y, new_size)
-    changed = [sub for sub in affected
+    due = index.due(op, x, y, new_size)
+    changed = [sub for sub in due
                if advance(index, sub, version,
                           evaluate_subscription(engine, sub))]
-    return changed, len(affected)
+    return changed, len(due)

@@ -1088,15 +1088,14 @@ def test_a_bound_finite_from_the_first_pop(flags, object_pops):
 
 
 def _span_tree(span):
-    """A span subtree without its clock readings (and the count of
-    them: a row answered by its floor measures no window)."""
+    """A span subtree without its clock readings and ``execution``
+    attribute."""
     tree = span_to_dict(span)
 
     def strip(node):
         del node["duration_s"]
-        node["attrs"] = {
-            key: value for key, value in node["attrs"].items()
-            if key not in ("execution", "measure_s", "measure_calls")}
+        node["attrs"] = {key: value for key, value in node["attrs"].items()
+                         if key != "execution"}
         for child in node["children"]:
             strip(child)
         return node

@@ -54,6 +54,17 @@ class TestPlacement:
         # NEVER on the delete side: geometry can never flip it.
         assert index.affected_delete(0.0, 0.0, new_size=100) == []
 
+    def test_stale_index_names_everything_once(self):
+        index = SubscriptionIndex(cell_size=100.0)
+        for sub_id, qx in (("b", 0.0), ("a", 900.0)):
+            index.add(_sub(sub_id, qx, 0.0, ins=50.0, dele=50.0))
+        assert [s.sub_id for s in index.due("insert", 0.0, 0.0, 10)] == ["b"]
+        index.stale = True
+        assert [s.sub_id
+                for s in index.due("delete", 5e6, 5e6, 10)] == ["a", "b"]
+        assert index.stale is False
+        assert index.due("delete", 5e6, 5e6, 10) == []
+
     def test_huge_finite_radius_degrades_to_always(self):
         index = SubscriptionIndex(cell_size=1.0)
         radius = MAX_CELLS_PER_SUB * 10.0

@@ -247,7 +247,7 @@ def test_loopback_torn_write_forces_one_full_pass(tmp_path):
                               y=y + 0.1)
             assert torn["error"]["code"] == "shard_unavailable"
         coordinator.links[1].fail_on = None
-        assert coordinator._subs_dirty is True
+        assert coordinator.subs.stale is True
         assert conn.frames == []
 
         # The next applied update re-evaluates every subscription,
@@ -259,7 +259,7 @@ def test_loopback_torn_write_forces_one_full_pass(tmp_path):
         ack = await send("insert", oid=810_100, x=outside[0], y=outside[1])
         assert ack["ok"] is True
         assert _reevals(coordinator) == before + 2
-        assert coordinator._subs_dirty is False
+        assert coordinator.subs.stale is False
         assert halo.result != before_answer
         assert halo.result["group"]["distance"] < 1.0
         [frame] = conn.frames
@@ -299,3 +299,57 @@ def test_loopback_delete_below_n_pushes_size_threshold(tmp_path):
         assert frame["result"]["reason"] == "n exceeds dataset size"
 
     _loopback(tmp_path, scenario)
+
+
+def test_fleet_writes_match_the_single_engine_server(tmp_path):
+    """One op script through a single-engine server and a 2-shard
+    coordinator over the same points: the same acks (the fleet's
+    ``shards`` routing field aside) and the same ``notify`` frames, one
+    for one — both servers run the one shared write step."""
+    nwc_at, knwc_at, far = (300.0, 500.0), (650.0, 400.0), (950.0, 50.0)
+
+    async def run(kind):
+        (tmp_path / kind).mkdir()
+        server, everything = _build(kind, tmp_path / kind)
+        conn = _Conn()
+        token = serve_server._CURRENT_CONN.set(conn)
+        acks = []
+
+        async def send(op, **fields):
+            ack = await server._handle_line(
+                protocol.encode_line({"op": op, **fields}))
+            assert ack["ok"] is True, ack
+            acks.append(ack)
+            return ack
+
+        try:
+            await send("subscribe", sub="p-nwc", x=nwc_at[0], y=nwc_at[1],
+                       **_QUERY)
+            await send("subscribe", sub="p-knwc", x=knwc_at[0],
+                       y=knwc_at[1], k=2, m=1, **_QUERY)
+            await send("insert", oid=820_001, x=nwc_at[0] + 0.5,
+                       y=nwc_at[1] + 0.5)
+            for sub in server.subs.subscriptions():
+                assert not _inside(sub, *far, sub.insert_radius)
+            await send("insert", oid=820_002, x=far[0], y=far[1])
+            oid, x, y = \
+                server.subs.get("p-nwc").result["group"]["objects"][-1]
+            assert (await send("delete", oid=oid, x=x, y=y))["deleted"]
+            assert not (await send("delete", oid=820_999, x=far[0],
+                                   y=far[1] + 1.0))["deleted"]
+            assert (await send("unsubscribe", sub="p-nwc"))["removed"]
+        finally:
+            serve_server._CURRENT_CONN.reset(token)
+            for each in everything:
+                await each.drain()
+        return acks, conn.frames
+
+    single_acks, single_frames = asyncio.run(run("QueryServer"))
+    fleet_acks, fleet_frames = asyncio.run(run("ShardCoordinator"))
+    for single, fleet in zip(single_acks, fleet_acks, strict=True):
+        assert "shards" not in single
+        if fleet["op"] in ("insert", "delete"):
+            assert fleet.pop("shards")
+        assert fleet == single
+    assert [frame["sub"] for frame in single_frames] == ["p-nwc", "p-nwc"]
+    assert fleet_frames == single_frames
