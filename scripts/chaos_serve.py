@@ -8,7 +8,7 @@ supervisor's pid file).  The run passes only if the crashes are
 *invisible* to correctness:
 
 * zero verification mismatches — every answer worker 0 checked matched
-  its twin engine, across all restarts;
+  its twin (:mod:`repro.check`), across all restarts;
 * zero request errors — the retrying clients absorbed every connection
   loss, and request-id dedupe kept the retried updates exactly-once;
 * final state equality — a snapshot of the server's tree after the
@@ -32,13 +32,13 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core import NWCEngine, Scheme
+from repro.check import Twin
+from repro.cli import serve_engine
 from repro.datasets import uniform
-from repro.index import RStarTree, load_tree
+from repro.index import load_tree
 from repro.serve import (
     BackoffPolicy,
     RetryPolicy,
@@ -111,6 +111,7 @@ def main(argv=None) -> int:
     port = _free_port()
     repo = os.path.join(os.path.dirname(__file__), "..")
     outcome: dict[str, object] = {"kills_wanted": args.kills, "port": port}
+    serve_args = ["--dataset", "uniform", "--size", str(args.size)]
 
     with tempfile.TemporaryDirectory(prefix="chaos-serve-") as workdir:
         state_dir = os.path.join(workdir, "state")
@@ -119,8 +120,7 @@ def main(argv=None) -> int:
         env["PYTHONPATH"] = (os.path.join(repo, "src") + os.pathsep
                              + env.get("PYTHONPATH", ""))
         supervisor = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve",
-             "--dataset", "uniform", "--size", str(args.size),
+            [sys.executable, "-m", "repro", "serve", *serve_args,
              "--port", str(port), "--state-dir", state_dir,
              "--checkpoint-every", str(args.checkpoint_every),
              "--supervised"],
@@ -129,9 +129,7 @@ def main(argv=None) -> int:
         killer = Killer(pid_file, args.kills, rng, supervisor.pid)
         try:
             wait_until_healthy("127.0.0.1", port, timeout_s=60)
-            dataset = uniform(args.size)
-            twin = NWCEngine(RStarTree.bulk_load(dataset.points),
-                             Scheme.NWC_STAR, extent=dataset.extent)
+            engine = serve_engine(serve_args)
             killer.start()
             report = run_loadgen(
                 LoadgenConfig(
@@ -145,8 +143,8 @@ def main(argv=None) -> int:
                         max_attempts=20,
                         backoff=BackoffPolicy(initial_s=0.05, max_s=1.0)),
                 ),
-                dataset,
-                verify_engine=twin,
+                uniform(args.size),
+                verify_engine=engine,
             )
             killer.stop.set()
             killer.join(timeout=10)
@@ -158,11 +156,8 @@ def main(argv=None) -> int:
                     max_attempts=20)) as client:
                 snap = client.snapshot(snapshot_path)
                 health = client.health()
-            served_objects = sorted(
-                (p.oid, p.x, p.y)
-                for p in load_tree(snapshot_path).iter_objects())
-            twin_objects = sorted(
-                (p.oid, p.x, p.y) for p in twin.tree.iter_objects())
+            objects_equal = Twin(engine).check_objects(
+                load_tree(snapshot_path).iter_objects())
 
             outcome.update({
                 "kills_done": killer.kills_done,
@@ -178,7 +173,7 @@ def main(argv=None) -> int:
                 "snapshot_version": snap["version"],
                 "final_version": health["version"],
                 "recovery": health["durability"]["recovery"],
-                "objects_equal": served_objects == twin_objects,
+                "objects_equal": objects_equal,
             })
             failures = []
             if killer.kills_done < args.kills:
@@ -187,7 +182,7 @@ def main(argv=None) -> int:
                 failures.append("verification mismatches")
             if report.errors:
                 failures.append("request errors escaped the retry layer")
-            if served_objects != twin_objects:
+            if not objects_equal:
                 failures.append("final tree diverged from the acked twin")
             outcome["failures"] = failures
         finally:

@@ -5,7 +5,8 @@ Boots a 3-shard fleet (one supervised ``repro shard-worker``
 subprocess per shard, WAL state directories, in-process coordinator),
 registers a set of NWC/kNWC subscriptions, then drives a verified
 update burst while SIGKILL-ing one worker child mid-burst.  The run
-passes only if the crash is invisible to subscription correctness:
+passes only if the crash is invisible to subscription correctness, as
+:mod:`repro.check` states it:
 
 * **zero spurious notifications** — every pushed frame's result equals
   the twin's answer at exactly the dataset version the frame carries
@@ -39,10 +40,10 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.check import Twin
 from repro.core import KNWCQuery, NWCEngine, NWCQuery, Scheme
 from repro.geometry import PointObject, Rect
 from repro.index import RStarTree
-from repro.serve import protocol
 from repro.serve.client import (
     ServeClient,
     ShardUnavailableError,
@@ -91,27 +92,10 @@ def _update_with_retry(client, payload, timeout_s=60.0):
             time.sleep(0.1)
 
 
-class Twin:
-    """The coordinator's canon: one star engine over the whole dataset."""
-
-    def __init__(self, points) -> None:
-        self.star = NWCEngine(RStarTree.bulk_load(list(points)),
-                              Scheme.NWC_STAR, extent=EXTENT,
-                              execution="columnar")
-
-    def apply(self, op: str, obj: PointObject) -> None:
-        if op == "insert":
-            self.star.insert(obj)
-        else:
-            self.star.delete(obj)
-
-    def answer(self, spec) -> dict:
-        x, y, n, k = spec
-        if k is None:
-            return protocol.serialize_nwc(
-                self.star.nwc(NWCQuery(x, y, L, W, n)))
-        return protocol.serialize_knwc(
-            self.star.knwc(KNWCQuery(NWCQuery(x, y, L, W, n), k, 1)))
+def _query(spec):
+    x, y, n, k = spec
+    query = NWCQuery(x, y, L, W, n)
+    return query if k is None else KNWCQuery(query, k, 1)
 
 
 def main(argv=None) -> int:
@@ -138,7 +122,7 @@ def main(argv=None) -> int:
                          + env.get("PYTHONPATH", ""))
     outcome: dict[str, object] = {"updates": args.updates,
                                   "kill_at": kill_at}
-    failures: list[str] = []
+    failures: list[object] = []
 
     with tempfile.TemporaryDirectory(prefix="chaos-subs-") as workdir:
         manifest = partition_dataset(points, args.shards, L, workdir,
@@ -174,7 +158,11 @@ def main(argv=None) -> int:
             sub_client = ServeClient(coordinator.host, coordinator.port)
             clients = [upd, sub_client]
 
-            twin = Twin(points)
+            # The coordinator's canon: one star engine over the whole
+            # dataset.
+            twin = Twin(NWCEngine(RStarTree.bulk_load(list(points)),
+                                  Scheme.NWC_STAR, extent=EXTENT,
+                                  execution="columnar"))
             specs, streams = [], []
             for i in range(args.subs):
                 spec = (rng.uniform(100.0, 900.0), rng.uniform(100.0, 900.0),
@@ -183,17 +171,9 @@ def main(argv=None) -> int:
                 x, y, n, k = spec
                 stream = sub_client.subscribe(x, y, L, W, n, k=k,
                                               m=0 if k is None else 1)
-                if stream.result != twin.answer(spec):
-                    failures.append(f"ack mismatch for {stream.sub_id}")
+                twin.check_subscribe(_query(spec), stream.ack)
                 specs.append(spec)
                 streams.append(stream)
-            pushed = {s.sub_id: s.result for s in streams}
-            revisions = {s.sub_id: s.revision for s in streams}
-
-            # Answers per sub at every acked version: the spurious
-            # check keys on the version each pushed frame carries.
-            history: dict[str, dict[int, dict]] = {
-                s.sub_id: {} for s in streams}
 
             live: list[PointObject] = []
             kills_done = 0
@@ -228,47 +208,24 @@ def main(argv=None) -> int:
                 ack = _update_with_retry(upd, payload)
                 if op == "insert":
                     live.append(obj)
-                twin.apply(op, obj)
-                version = ack["version"]
-                for stream, spec in zip(streams, specs):
-                    history[stream.sub_id][version] = twin.answer(spec)
+                twin.check_update(op, obj, ack)
 
             # Drain: frames keep arriving while the re-gather queue
             # settles; stop after a quiet second.
-            spurious = 0
-            while True:
-                frame = streams[0].poll(timeout_s=1.0)
-                if frame is None:
-                    break
-                sid = frame["sub"]
-                if frame["revision"] != revisions[sid] + 1:
-                    spurious += 1
-                    failures.append(
-                        f"non-consecutive revision for {sid}: "
-                        f"{revisions[sid]} -> {frame['revision']}")
-                revisions[sid] = frame["revision"]
-                pushed[sid] = frame["result"]
-                expected = history[sid].get(frame["version"])
-                if expected is None or frame["result"] != expected:
-                    spurious += 1
-                    failures.append(
-                        f"spurious frame for {sid} at version "
-                        f"{frame['version']}")
+            notifications = 0
+            while (frame := streams[0].poll(timeout_s=1.0)) is not None:
+                notifications += 1
+                twin.check_frame(frame)
 
-            # Missed check: every standing query converged on the
-            # twin's final answer (== a fresh query at final version).
-            missed = 0
-            for stream, spec in zip(streams, specs):
-                final = twin.answer(spec)
-                if pushed[stream.sub_id] != final:
-                    missed += 1
-                    failures.append(f"{stream.sub_id} never converged")
+            # While a shard is down pushes may coalesce, so the end
+            # check is convergence: every last frame is the final
+            # answer, which a fresh query serves too.
+            twin.check_delivery(exact=False)
+            for spec in specs:
                 x, y, n, k = spec
-                served = (upd.nwc(x, y, L, W, n) if k is None
-                          else upd.knwc(x, y, L, W, n, k, 1))
-                if served["result"] != final:
-                    failures.append(f"fresh query diverged for "
-                                    f"{stream.sub_id}")
+                twin.check_answer(_query(spec),
+                                  upd.nwc(x, y, L, W, n) if k is None
+                                  else upd.knwc(x, y, L, W, n, k, 1))
 
             # The supervisor restarted the victim on the same port.
             wait_until_healthy(*addresses[victim], timeout_s=60)
@@ -278,7 +235,7 @@ def main(argv=None) -> int:
             health = upd.health()
             if health.get("subscriptions") != args.subs:
                 failures.append("fleet lost subscriptions")
-            notifications = sum(revisions[s.sub_id] - 1 for s in streams)
+            failures.extend(twin.examples)
             if notifications == 0:
                 failures.append("burst produced no notifications at all")
 
@@ -288,8 +245,8 @@ def main(argv=None) -> int:
                 "victim_shard": victim,
                 "victim_pids": [first_pid, second_pid],
                 "notifications": notifications,
-                "spurious": spurious,
-                "missed": missed,
+                "spurious": twin.spurious,
+                "missed": twin.missed,
                 "final_version": health.get("version"),
             })
         finally:

@@ -23,7 +23,7 @@ Subcommands:
   crash-restarting process supervisor.
 * ``loadgen`` — drive a running server with closed-loop workers and
   report throughput and latency percentiles; ``--verify`` replays every
-  operation on a twin engine and counts answer mismatches (against
+  acked update on a :mod:`repro.check` twin and counts mismatches (against
   a single server or a shard coordinator alike), ``--retries`` rides out server restarts with idempotent resends, and
   ``--subscriptions``/``--verify-subs`` register standing queries and
   check every pushed notification against the twin.
@@ -119,6 +119,12 @@ def _make_engine(args: argparse.Namespace, *, tracer=None, metrics=None,
         engine._grid_dirty = True
         engine._refresh_structures()
     return engine
+
+
+def serve_engine(argv: list[str]) -> NWCEngine:
+    """The engine ``repro serve <argv>`` starts from, built by the
+    server's own code: the twin a verifier replays acked updates on."""
+    return _make_engine(build_parser().parse_args(["serve", *argv]))
 
 
 def _run_query(engine: NWCEngine, args: argparse.Namespace) -> None:

@@ -112,14 +112,13 @@ class RetryPolicy:
     Attributes:
         max_attempts: Total tries per request (1 = no retry).
         backoff: Jittered delay schedule between tries.
-        retry_draining: Also retry requests a *draining* server refused
-            — right when a supervisor will boot a replacement, wrong
-            when the shutdown is final.
+
+    A request a *draining* server refused is retried too: a supervisor
+    boots a replacement on the same port.
     """
 
     max_attempts: int = 6
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
-    retry_draining: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -220,7 +219,7 @@ class ServeClient:
                 self._disconnect()
                 last_error = exc
             except DrainingError as exc:
-                if self.retry is None or not self.retry.retry_draining:
+                if self.retry is None:
                     raise
                 self._disconnect()
                 last_error = exc

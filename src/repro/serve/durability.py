@@ -49,7 +49,7 @@ from ..storage.wal import (
 )
 from ..sub import (Subscription, SubscriptionIndex, reconcile,
                    subscription_from_record)
-from ..sub.runtime import evaluate_subscription
+from ..sub.runtime import evaluate_subscription, register, unregister
 
 __all__ = [
     "DurabilityConfig",
@@ -59,8 +59,8 @@ __all__ = [
     "recover",
 ]
 
-#: Default cap on remembered request ids (LRU-evicted beyond this).
-DEFAULT_DEDUPE_ENTRIES = 10_000
+#: Cap on remembered request ids (LRU-evicted beyond this).
+DEDUPE_ENTRIES = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,14 +74,12 @@ class DurabilityConfig:
         checkpoint_every: Auto-checkpoint after this many WAL records
             (0 disables auto-checkpointing; the ``checkpoint`` op always
             works).
-        dedupe_entries: Request-id memory for idempotent retries.
     """
 
     state_dir: str
     fsync: str = "interval"
     fsync_interval_s: float = 0.05
     checkpoint_every: int = 0
-    dedupe_entries: int = DEFAULT_DEDUPE_ENTRIES
 
     def __post_init__(self) -> None:
         if self.fsync not in FSYNC_POLICIES:
@@ -89,8 +87,6 @@ class DurabilityConfig:
                 f"fsync must be one of {FSYNC_POLICIES}, got {self.fsync!r}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
-        if self.dedupe_entries < 0:
-            raise ValueError("dedupe_entries must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,19 +273,11 @@ def apply_record(engine: NWCEngine, version: int, record: dict[str, Any],
     op = record.get("op")
     if op == "subscribe":
         sub = subscription_from_record(record)
-        sub.result, sub.insert_radius, sub.delete_radius = \
-            evaluate_subscription(engine, sub)
-        sub.revision, sub.version = 1, version
-        subs.add(sub)
-        return version, {"ok": True, "op": op, "sub": sub.sub_id,
-                         "kind": sub.kind, "version": version,
-                         "revision": 1, "result": sub.result}, [], 0, 0.0
+        return version, register(subs, sub, evaluate_subscription(engine, sub),
+                                 version), [], 0, 0.0
     if op == "unsubscribe":
-        sub_id = str(record["sub"])
-        removed = subs.remove(sub_id)
-        return version, {"ok": True, "op": op, "sub": sub_id,
-                         "removed": removed is not None,
-                         "version": version}, [], 0, 0.0
+        return version, unregister(subs, str(record["sub"]), version), \
+            [], 0, 0.0
     if op not in ("insert", "delete"):
         raise WalError(f"WAL record with unknown op {op!r}")
     obj = PointObject(int(record["oid"]), float(record["x"]),
@@ -398,7 +386,7 @@ def recover(
         fsync_interval_s=config.fsync_interval_s,
         base_seq=base_seq, base_version=version, metrics=metrics,
     )
-    while len(dedupe) > config.dedupe_entries:
+    while len(dedupe) > DEDUPE_ENTRIES:
         dedupe.popitem(last=False)
     report.version = version
     report.last_seq = wal.last_seq

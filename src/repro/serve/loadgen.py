@@ -6,30 +6,25 @@ the latency.  Query locations come from the same distributions the
 experiment harness uses (:mod:`repro.workloads`), drawn from a finite
 per-worker pool so repeated queries exercise the server's result cache.
 
-**Verification** (``verify_engine``): worker 0 keeps a *twin* engine —
-built exactly like the server's — and is the only worker that issues
-updates.  Because the client is closed-loop, worker 0's view of the
-dataset is sequentially consistent with the server's: it applies every
-update to the twin the moment the server acknowledges it, recomputes
-every one of its queries locally, and compares the serialized answers
-byte for byte, and an engine-answered (uncached) one's
-``stats.node_accesses`` with the twin's.  Any divergence (including on
-cache hits, which is where an unsound invalidation rule would show) is
-counted as a mismatch.  A shard coordinator answers as one engine
-over the whole dataset does, so the same twin verifies a fleet; a
-fleet response carries ``shards``, and its node accesses, summed over
-the shard searches, are not compared.
-Other workers stay read-only in this mode so the twin never drifts.
+**Verification** (``verify_engine``): worker 0 wraps a twin engine,
+built exactly like the server's, in a :class:`repro.check.Twin` and is
+the only worker that issues updates.  Because the client is
+closed-loop, worker 0's view of the dataset is sequentially consistent
+with the server's: the twin applies every update the server
+acknowledges and checks every one of worker 0's answers (cache hits
+too, which is where an unsound invalidation rule would show).  Other
+workers stay read-only in this mode so the twin never drifts.  A shard
+coordinator answers as one engine over the whole dataset does, so the
+same twin verifies a fleet.
 
 **Subscriptions** (``subscriptions`` > 0): worker 0 registers that many
 standing queries over a dedicated streaming connection before driving
 load, and drains the server's pushed ``notify`` frames between its
-closed-loop requests.  With ``verify_subs`` (requires the twin), every
-acknowledged update re-derives each subscription's expected answer on
-the twin; an answer that changed *must* arrive as a notification
-carrying exactly that result at exactly the next revision — anything
-late is ``sub_missed``, anything unexpected (or with the wrong payload)
-is ``sub_spurious``, and both count as mismatches.
+closed-loop requests.  With ``verify_subs`` (requires the twin) the
+twin checks every ack and frame, and at the end that the frames were
+exactly the answer changes.  A broken frame rule is ``sub_spurious``, an
+undelivered change ``sub_missed``; both count as mismatches.  The
+rules themselves are stated once, in :mod:`repro.check`.
 
 The report carries client-side throughput and latency percentiles
 (exact, from the raw samples) split by cache hit/miss, and optionally
@@ -46,12 +41,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from .. import check
 from ..core import KNWCQuery, NWCEngine, NWCQuery
 from ..datasets import Dataset
 from ..geometry import PointObject
 from ..obs.metrics import MetricsRegistry
 from ..workloads import data_biased_query_points
-from . import protocol
 from .client import (
     RetryPolicy,
     ServeClient,
@@ -190,11 +185,11 @@ class LoadReport:
     subscriptions: int = 0
     #: ``notify`` frames received over the streaming connection.
     notifications: int = 0
-    #: Expected notifications (twin said the answer changed) that never
-    #: arrived; counted into ``mismatches`` too.
+    #: Answer changes the twin saw that no frame delivered; counted into
+    #: ``mismatches`` too.
     sub_missed: int = 0
-    #: Frames with no matching expectation, or the wrong result or
-    #: revision; counted into ``mismatches`` too.
+    #: Frames that broke a frame rule of :mod:`repro.check`; counted
+    #: into ``mismatches`` too.
     sub_spurious: int = 0
 
     @property
@@ -252,7 +247,7 @@ class _Worker:
     """One closed-loop client; worker 0 optionally verifies."""
 
     def __init__(self, index: int, config: LoadgenConfig, dataset: Dataset,
-                 twin: NWCEngine | None, stop_at: float | None) -> None:
+                 twin: check.Twin | None, stop_at: float | None) -> None:
         self.index = index
         self.config = config
         self.rng = random.Random(config.seed * 7919 + index)
@@ -271,8 +266,6 @@ class _Worker:
         self.by_op: dict[str, int] = {}
         self.errors: dict[str, int] = {}
         self.updates = 0
-        self.verified = 0
-        self.mismatches: list[dict[str, Any]] = []
         self.inserted: list[PointObject] = []
         self._next_oid = LOADGEN_OID_BASE + index * 1_000_000
         self.failure: Exception | None = None
@@ -281,13 +274,11 @@ class _Worker:
         # Standing-query state (worker 0 only, see _setup_subscriptions)
         self.subs_registered = 0
         self.notifications = 0
-        self.sub_missed = 0
-        self.sub_spurious = 0
         self._sub_client: ServeClient | None = None
         self._sub_stream = None
-        self._sub_states: list[dict[str, Any]] = []
-        # sub id -> FIFO of (expected revision, expected result)
-        self._sub_pending: dict[str, list[tuple[int, dict[str, Any]]]] = {}
+        self._sub_ids: list[str] = []
+        # Undelivered changes the drain stopped waiting for.
+        self._given_up = 0
 
     # Only worker 0 may update, so a single verification twin can
     # replay the sequence of acknowledged updates deterministically.
@@ -353,9 +344,8 @@ class _Worker:
         response = client.nwc(x, y, c.length, c.width, c.n,
                               deadline_ms=c.deadline_ms)
         if self.twin is not None:
-            result = self.twin.nwc(NWCQuery(x, y, c.length, c.width, c.n))
-            self._verify(response, protocol.serialize_nwc(result),
-                         result.node_accesses, {"op": "nwc", "x": x, "y": y})
+            self.twin.check_answer(NWCQuery(x, y, c.length, c.width, c.n),
+                                   response)
         return response
 
     def _op_knwc(self, client: ServeClient) -> dict[str, Any]:
@@ -364,10 +354,9 @@ class _Worker:
         response = client.knwc(x, y, c.length, c.width, c.n, c.k, c.m,
                                deadline_ms=c.deadline_ms)
         if self.twin is not None:
-            result = self.twin.knwc(
-                KNWCQuery.make(x, y, c.length, c.width, c.n, c.k, c.m))
-            self._verify(response, protocol.serialize_knwc(result),
-                         result.node_accesses, {"op": "knwc", "x": x, "y": y})
+            self.twin.check_answer(
+                KNWCQuery.make(x, y, c.length, c.width, c.n, c.k, c.m),
+                response)
         return response
 
     def _op_insert(self, client: ServeClient) -> dict[str, Any]:
@@ -381,44 +370,25 @@ class _Worker:
         response = client.insert(obj.oid, obj.x, obj.y,
                                  deadline_ms=self.config.deadline_ms)
         self.inserted.append(obj)
-        self.updates += 1
-        if self.twin is not None:
-            self.twin.insert(obj)
-        self._after_update_subs()
+        self._after_update("insert", obj, response)
         return response
 
     def _op_delete(self, client: ServeClient) -> dict[str, Any]:
         obj = self.inserted.pop(self.rng.randrange(len(self.inserted)))
         response = client.delete(obj.oid, obj.x, obj.y,
                                  deadline_ms=self.config.deadline_ms)
-        self.updates += 1
-        if self.twin is not None:
-            self.twin.delete(obj)
-            if not response.get("deleted"):
-                self.mismatches.append(
-                    {"op": "delete", "oid": obj.oid,
-                     "detail": "server did not find an object the twin holds"}
-                )
-        self._after_update_subs()
+        self._after_update("delete", obj, response)
         return response
 
-    def _verify(self, response: dict[str, Any], expected: dict[str, Any],
-                accesses: int, context: dict[str, Any]) -> None:
-        self.verified += 1
-        served = response.get("stats", {}).get("node_accesses")
-        counted = (response.get("cached") or "shards" in response
-                   or served == accesses)
-        if ((response.get("result") != expected or not counted)
-                and len(self.mismatches) < 10):
-            self.mismatches.append(
-                context | {
-                    "cached": response.get("cached"),
-                    "version": response.get("version"),
-                    "served": response.get("result"),
-                    "expected": expected,
-                    "node_accesses": [served, accesses],
-                }
-            )
+    def _after_update(self, op: str, obj: PointObject,
+                      ack: dict[str, Any]) -> None:
+        """Replay an acknowledged update on the twin, then drain the
+        notifications it made due."""
+        self.updates += 1
+        if self.twin is not None:
+            self.twin.check_update(op, obj, ack)
+        if self._sub_stream is not None:
+            self._drain_notifications(grace_s=5.0)
 
     # -- standing queries ----------------------------------------------
     def _setup_subscriptions(self) -> None:
@@ -431,117 +401,57 @@ class _Worker:
                                        timeout_s=c.connect_timeout_s)
         for i in range(c.subscriptions):
             x, y = self.query_points[i % len(self.query_points)]
-            if i % 4 == 3:  # every fourth standing query is a kNWC
-                stream = self._sub_client.subscribe(
-                    x, y, c.length, c.width, c.n, k=c.k, m=c.m)
-                query: Any = KNWCQuery.make(x, y, c.length, c.width,
-                                            c.n, c.k, c.m)
-            else:
-                stream = self._sub_client.subscribe(
-                    x, y, c.length, c.width, c.n)
-                query = NWCQuery(x, y, c.length, c.width, c.n)
-            state = {"id": stream.sub_id, "kind": stream.kind,
-                     "query": query, "result": stream.result,
-                     "revision": stream.revision}
-            if c.verify_subs and self.twin is not None:
-                expected = self._expected_sub_answer(state)
-                if expected != stream.result and len(self.mismatches) < 10:
-                    self.mismatches.append(
-                        {"op": "subscribe", "sub": stream.sub_id,
-                         "served": stream.result, "expected": expected})
-                state["result"] = expected
+            knwc = i % 4 == 3  # every fourth standing query is a kNWC
+            stream = self._sub_client.subscribe(
+                x, y, c.length, c.width, c.n, k=c.k if knwc else None,
+                m=c.m)
+            if c.verify_subs:
+                query = (KNWCQuery.make(x, y, c.length, c.width, c.n, c.k,
+                                        c.m) if knwc
+                         else NWCQuery(x, y, c.length, c.width, c.n))
+                self.twin.check_subscribe(query, stream.ack)
             if self._sub_stream is None:
                 self._sub_stream = stream
-            self._sub_states.append(state)
-        self.subs_registered = len(self._sub_states)
-
-    def _expected_sub_answer(self, state: dict[str, Any]) -> dict[str, Any]:
-        if state["kind"] == "nwc":
-            return protocol.serialize_nwc(self.twin.nwc(state["query"]))
-        return protocol.serialize_knwc(self.twin.knwc(state["query"]))
-
-    def _after_update_subs(self) -> None:
-        """Derive which standing queries this acknowledged update must
-        have changed (twin recomputation), then drain the stream until
-        every expected notification arrived."""
-        if self._sub_stream is None:
-            return
-        if self.config.verify_subs and self.twin is not None:
-            for state in self._sub_states:
-                expected = self._expected_sub_answer(state)
-                if expected != state["result"]:
-                    state["result"] = expected
-                    state["revision"] += 1
-                    self._sub_pending.setdefault(state["id"], []).append(
-                        (state["revision"], expected))
-        self._drain_notifications(grace_s=5.0)
-
-    def _pending_count(self) -> int:
-        return sum(len(queue) for queue in self._sub_pending.values())
+            self._sub_ids.append(stream.sub_id)
+        self.subs_registered = len(self._sub_ids)
 
     def _drain_notifications(self, grace_s: float) -> None:
-        """Consume pushed frames; block up to ``grace_s`` only while
-        expectations are outstanding.  Expectations still unmet after
-        the grace window are recorded as missed immediately (rather
-        than re-stalling every subsequent update on them)."""
+        """Consume pushed frames; block up to ``grace_s`` only while the
+        twin still expects changes.  Changes still undelivered when the
+        grace window closes are given up on, so later updates do not
+        stall on them again; the end-of-run delivery check counts
+        them."""
+        verify = self.config.verify_subs
         deadline = time.monotonic() + grace_s
         while True:
-            pending = self._pending_count()
-            timeout = 0.01 if not pending else min(
+            owed = verify and self.twin.pending() > self._given_up
+            timeout = 0.01 if not owed else min(
                 0.25, max(0.01, deadline - time.monotonic()))
             try:
                 frame = self._sub_stream.poll(timeout_s=timeout)
             except ServeClientError:
                 return  # stream gone; teardown accounts for leftovers
             if frame is None:
-                if not pending:
+                if not owed:
                     return
                 if time.monotonic() >= deadline:
-                    self._record_missed()
+                    self._given_up = self.twin.pending()
                     return
                 continue
             self.notifications += 1
-            self._match_notification(frame)
-
-    def _match_notification(self, frame: dict[str, Any]) -> None:
-        if not self.config.verify_subs or self.twin is None:
-            return
-        queue = self._sub_pending.get(frame.get("sub"))
-        if not queue:
-            self.sub_spurious += 1
-            if len(self.mismatches) < 10:
-                self.mismatches.append(
-                    {"op": "notify", "sub": frame.get("sub"),
-                     "detail": "unexpected notification", "frame": frame})
-            return
-        revision, expected = queue.pop(0)
-        if frame.get("revision") != revision or frame.get("result") != expected:
-            self.sub_spurious += 1
-            if len(self.mismatches) < 10:
-                self.mismatches.append(
-                    {"op": "notify", "sub": frame.get("sub"),
-                     "served": frame.get("result"), "expected": expected,
-                     "revision": frame.get("revision"),
-                     "expected_revision": revision})
-
-    def _record_missed(self) -> None:
-        for sub_id, queue in self._sub_pending.items():
-            for revision, _expected in queue:
-                self.sub_missed += 1
-                if len(self.mismatches) < 10:
-                    self.mismatches.append(
-                        {"op": "notify", "sub": sub_id,
-                         "detail": f"missed notification rev {revision}"})
-            queue.clear()
+            if verify:
+                self.twin.check_frame(frame)
 
     def _teardown_subscriptions(self, client: ServeClient) -> None:
         if self._sub_client is None:
             return
+        self._given_up = 0
         self._drain_notifications(grace_s=5.0)
-        self._record_missed()
-        for state in self._sub_states:
+        if self.config.verify_subs:
+            self.twin.check_delivery(exact=True)
+        for sub_id in self._sub_ids:
             try:
-                client.unsubscribe(state["id"])
+                client.unsubscribe(sub_id)
             except ServeClientError:
                 break  # server gone; nothing left to clean up
 
@@ -575,9 +485,12 @@ def run_loadgen(
     stop_at = None
     if config.requests_per_worker is None:
         stop_at = time.monotonic() + config.duration_s
+    # Without an engine the twin checks nothing and its counts read 0.
+    twin = check.Twin(verify_engine)
     workers = [
         _Worker(i, config, dataset,
-                twin=verify_engine if i == 0 else None, stop_at=stop_at)
+                twin=twin if i == 0 and verify_engine is not None else None,
+                stop_at=stop_at)
         for i in range(config.workers)
     ]
     threads = [
@@ -619,7 +532,6 @@ def run_loadgen(
     query_samples = [s for s in samples if s[0] in ("nwc", "knwc")]
     hit = [s[2] for s in query_samples if s[1]]
     miss = [s[2] for s in query_samples if not s[1]]
-    mismatches = [m for w in workers for m in w.mismatches]
     shard_metrics: dict[str, Any] = {}
     fleet: dict[str, Any] = {}
     try:
@@ -655,13 +567,13 @@ def run_loadgen(
         cache_hits=len(hit),
         cache_misses=len(miss),
         updates_applied=sum(w.updates for w in workers),
-        verified=sum(w.verified for w in workers),
-        mismatches=len(mismatches),
-        mismatch_examples=mismatches[:10],
+        verified=twin.checked,
+        mismatches=twin.mismatches,
+        mismatch_examples=twin.examples,
         shard_metrics=shard_metrics,
         fleet=fleet,
         subscriptions=sum(w.subs_registered for w in workers),
         notifications=sum(w.notifications for w in workers),
-        sub_missed=sum(w.sub_missed for w in workers),
-        sub_spurious=sum(w.sub_spurious for w in workers),
+        sub_missed=twin.missed,
+        sub_spurious=twin.spurious,
     )

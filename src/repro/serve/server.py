@@ -72,10 +72,10 @@ from ..obs.trace import QueryTracer, span_to_dict
 from ..storage import StorageError
 from ..storage.wal import crash_point
 from ..sub import Subscription, SubscriptionIndex, subscription_from_record
-from ..sub.runtime import evaluate_subscription
+from ..sub.runtime import evaluate_subscription, register, unregister
 from . import protocol
 from .cache import DEFAULT_CACHE_ENTRIES, ResultCache
-from .durability import DEFAULT_DEDUPE_ENTRIES, DurableState, apply_record
+from .durability import DEDUPE_ENTRIES, DurableState, apply_record
 from .protocol import ProtocolError, error_response
 
 __all__ = ["DeadlineExceeded", "LineProtocolServer", "ReadWriteScheduler",
@@ -374,7 +374,6 @@ class LineProtocolServer:
         self.durable: DurableState | None = None
         self.version = 0
         self._dedupe: OrderedDict[str, dict[str, Any]] = OrderedDict()
-        self._dedupe_cap = DEFAULT_DEDUPE_ENTRIES
         self._checkpoint_lock = asyncio.Lock()
         self._auto_checkpoint_task: asyncio.Task | None = None
         self._scheduler = ReadWriteScheduler(self.config.max_inflight)
@@ -702,7 +701,7 @@ class LineProtocolServer:
             return
         self._dedupe[request_id] = dict(response)
         self._dedupe.move_to_end(request_id)
-        while len(self._dedupe) > self._dedupe_cap:
+        while len(self._dedupe) > DEDUPE_ENTRIES:
             self._dedupe.popitem(last=False)
 
     def _note_durable_record(self) -> None:
@@ -902,23 +901,20 @@ class LineProtocolServer:
             record = {"op": "subscribe",
                       "sub": sub_id or f"sub-{uuid.uuid4().hex[:16]}",
                       "kind": kind, **spec}
-            # Built from the record it logs, like a replayed one.  Same
+            # Built from the record it logs and registered by the step
+            # recovery replays it with (sub.runtime.register).  Same
             # durability contract as updates: the registration is on
-            # disk before the ack leaves, and recovery replays it
-            # (re-evaluating at the same point in the record stream, so
-            # revisions continue rather than fork).
+            # disk before the ack leaves, and the replay re-evaluates at
+            # the same point in the record stream, so revisions
+            # continue rather than fork.
             sub = subscription_from_record(record)
             await self._log(record, request_id)
-            sub.result, sub.insert_radius, sub.delete_radius = \
-                await self._evaluate_subscription(sub, deadline)
-            sub.revision = 1
-            sub.version = self.version
-            self.subs.add(sub)
+            ack = register(self.subs, sub,
+                           await self._evaluate_subscription(sub, deadline),
+                           self.version)
             self._attach_subscription(sub)
             self._g_sub_active.set(len(self.subs))
-            return {"ok": True, "op": "subscribe", "sub": sub.sub_id,
-                    "kind": kind, "version": self.version, "revision": 1,
-                    "result": sub.result}
+            return ack
 
         return await self._write_op(payload, "subscribe", body,
                                     self._reattach_replayed)
@@ -931,13 +927,9 @@ class LineProtocolServer:
             # deletes, replay recomputes the same outcome and the
             # dedupe map must remember every acknowledged id.
             await self._log({"op": "unsubscribe", "sub": sub_id}, request_id)
-            removed = self.subs.remove(sub_id)
-            if removed is not None and removed.conn is not None:
-                removed.conn.subs.discard(sub_id)
-                removed.conn = None
+            ack = unregister(self.subs, sub_id, self.version)
             self._g_sub_active.set(len(self.subs))
-            return {"ok": True, "op": "unsubscribe", "sub": sub_id,
-                    "removed": removed is not None, "version": self.version}
+            return ack
 
         return await self._write_op(payload, "unsubscribe", body)
 
@@ -1030,7 +1022,6 @@ class QueryServer(LineProtocolServer):
         if durable is not None:
             self.version = durable.recovery.version
             self._dedupe = durable.dedupe
-            self._dedupe_cap = durable.config.dedupe_entries
         # Standing queries: recovered alongside the engine on durable
         # servers (revision continuity across kill -9), fresh otherwise.
         self.subs: SubscriptionIndex = (

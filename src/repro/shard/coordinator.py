@@ -91,6 +91,10 @@ __all__ = ["CoordinatorConfig", "ShardCallError", "ShardCoordinator",
 #: size × ``n`` serialized objects, and page sizes double per shard.
 SHARD_LINE_BYTES = 64 << 20
 
+#: Per-attempt socket timeout of a shard call without a client deadline
+#: (health fan-in, boot).
+SHARD_TIMEOUT_S = 10.0
+
 
 class ShardCallError(Exception):
     """A shard request failed terminally (retries exhausted or a
@@ -111,13 +115,10 @@ class CoordinatorConfig(ServeConfig):
             with ``shard_unavailable`` (reconnects count; a supervisor
             restarting a worker typically lands within the backoff).
         shard_backoff_s: Initial retry backoff between shard attempts.
-        shard_timeout_s: Per-attempt socket timeout for calls without a
-            client deadline (health fan-in, boot).
     """
 
     shard_attempts: int = 4
     shard_backoff_s: float = 0.05
-    shard_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
         # slots=True rebuilds the class, breaking zero-argument super()
@@ -329,7 +330,7 @@ class ShardCoordinator(LineProtocolServer):
             ShardLink(i, host, port,
                       attempts=self.config.shard_attempts,
                       backoff_s=self.config.shard_backoff_s,
-                      timeout_s=self.config.shard_timeout_s)
+                      timeout_s=SHARD_TIMEOUT_S)
             for i, (host, port) in enumerate(addresses)
         ]
         self.size = 0

@@ -9,18 +9,15 @@ the one reader of a page file: a columnar snapshot
 (:class:`~repro.index.flat.FlatRTree`) is derived from the tree that
 ``load_tree`` rebuilds, never decoded from the pages itself.
 
-Two on-disk formats exist:
-
-* **v1** (the seed format, magic ``NWC1``): raw page payloads, no
-  integrity checks.  Still readable, but never written: a v1 file is
-  read-only.
-* **v2** (magic ``NWCF`` + explicit version field, the default): the
-  header and every data page carry a CRC32 covering the *whole* page, so
-  any single-bit corruption, torn write or truncation is detected on
-  read and raised as a typed :class:`CorruptPageError` — never returned
-  as silently wrong data.  Data pages are laid out as
-  ``crc32:u32 | payload_len:u32 | payload | zero pad`` with the CRC over
-  everything after the CRC field (padding included).
+The on-disk format is v2 (magic ``NWCF`` + explicit version field):
+the header and every data page carry a CRC32 covering the *whole* page,
+so any single-bit corruption, torn write or truncation is detected on
+read and raised as a typed :class:`CorruptPageError` — never returned as
+silently wrong data.  Data pages are laid out as
+``crc32:u32 | payload_len:u32 | payload | zero pad`` with the CRC over
+everything after the CRC field (padding included).  The checksum-free
+seed format (v1, magic ``NWC1``) is no longer read: such a file fails
+like any other foreign file, with :class:`CorruptPageError`.
 """
 
 from __future__ import annotations
@@ -41,13 +38,6 @@ DEFAULT_PAGE_SIZE = 4096
 MAGIC = b"NWCF"
 FORMAT_VERSION = 2
 
-#: Magic of the legacy, checksum-free seed format.
-LEGACY_MAGIC = b"NWC1"
-LEGACY_VERSION = 1
-
-#: Formats :class:`PageFile` can read (it writes only the current one).
-SUPPORTED_VERSIONS = (LEGACY_VERSION, FORMAT_VERSION)
-
 #: Per-page bytes consumed by the v2 integrity fields (crc32 + length).
 PAGE_OVERHEAD = 8
 
@@ -55,8 +45,6 @@ _PAGE_PREFIX = struct.Struct("<II")  # crc32, payload length
 # v2 header: magic, version, reserved, page_size, page_count, root_page
 _HEADER_V2 = struct.Struct("<4sHHIQq")
 _HEADER_V2_CRC = struct.Struct("<I")
-# v1 header: magic, page_size, page_count, root_page
-_HEADER_V1_SIZE = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +55,7 @@ class PageHeader:
         page_size: Size of every page in bytes.
         page_count: Number of allocated pages (excluding the header page).
         root_page: Page id of the tree root (``-1`` when unset).
-        format_version: On-disk format (1 = legacy, 2 = checksummed).
+        format_version: On-disk format (2, checksummed).
     """
 
     page_size: int
@@ -96,7 +84,7 @@ class PageFile:
             stats: Counter sink; a private one is created when omitted.
             create: Truncate/initialize the file when True.  A new
                 file is always in the current checksummed format; an
-                existing file's format is detected from its header.
+                existing file's header must be in it too.
             metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
                 when given, per-page read/write wall-clock latency is
                 observed into the ``page_read_seconds`` /
@@ -143,7 +131,6 @@ class PageFile:
     # Header handling
     # ------------------------------------------------------------------
     def _write_header(self) -> None:
-        self._check_writable()
         body = _HEADER_V2.pack(MAGIC, self.format_version, 0, self.page_size,
                                self._page_count, self._root_page)
         payload = body + _HEADER_V2_CRC.pack(zlib.crc32(body))
@@ -155,10 +142,6 @@ class PageFile:
         self._file.seek(0)
         raw = self._file.read(self.page_size)
         return decode_header(raw, self.path)
-
-    def _check_writable(self) -> None:
-        if self.format_version == LEGACY_VERSION:
-            raise FormatVersionError(f"{self.path}: v1 files are read-only")
 
     def _check_file_size(self) -> None:
         expected = (self._page_count + 1) * self.page_size
@@ -184,9 +167,7 @@ class PageFile:
 
     @property
     def payload_capacity(self) -> int:
-        """Largest payload one page can hold in this format."""
-        if self.format_version == LEGACY_VERSION:
-            return self.page_size
+        """Largest payload one page can hold."""
         return self.page_size - PAGE_OVERHEAD
 
     def set_root_page(self, page_id: int) -> None:
@@ -201,7 +182,6 @@ class PageFile:
         The header is rewritten lazily (on :meth:`flush` / :meth:`close`
         / :meth:`set_root_page`) rather than on every allocation.
         """
-        self._check_writable()
         self._page_count += 1
         self._header_dirty = True
         return self._page_count
@@ -209,7 +189,6 @@ class PageFile:
     def write_page(self, page_id: int, data: bytes) -> None:
         """Write one page; ``data`` must fit in :attr:`payload_capacity`."""
         self._check_page_id(page_id)
-        self._check_writable()
         if len(data) > self.payload_capacity:
             raise PageError(
                 f"payload of {len(data)} bytes exceeds page capacity "
@@ -230,7 +209,7 @@ class PageFile:
         """Read one page's payload region, verifying its checksum.
 
         Returns the zero-padded payload area (``payload_capacity``
-        bytes); legacy v1 pages are returned as stored, unverified.
+        bytes).
 
         Raises:
             CorruptPageError: Short read, checksum mismatch or an
@@ -248,8 +227,6 @@ class PageFile:
                 f"short read on page {page_id}", page_id=page_id
             )
         self.stats.page_reads += 1
-        if self.format_version == LEGACY_VERSION:
-            return raw
         return self._verify_page(raw, page_id)
 
     def _verify_page(self, raw: bytes, page_id: int) -> bytes:
@@ -300,18 +277,13 @@ class PageFile:
 def decode_header(raw: bytes, path: str = "<bytes>") -> PageHeader:
     """Decode (and for v2, CRC-verify) a page-file header.
 
-    Accepts the raw bytes of page 0 in either supported format and
-    returns the parsed :class:`PageHeader`.
+    Accepts the raw bytes of page 0 and returns the parsed
+    :class:`PageHeader`.
 
     Raises:
         CorruptPageError: Truncated header, bad magic or CRC mismatch.
         FormatVersionError: Recognized magic but unsupported version.
     """
-    if len(raw) >= _HEADER_V1_SIZE and raw[:4] == LEGACY_MAGIC:
-        page_size = int.from_bytes(raw[4:8], "little")
-        page_count = int.from_bytes(raw[8:16], "little")
-        root_page = int.from_bytes(raw[16:24], "little", signed=True)
-        return PageHeader(page_size, page_count, root_page, LEGACY_VERSION)
     if len(raw) < _HEADER_V2.size + _HEADER_V2_CRC.size:
         raise CorruptPageError(f"{path}: truncated header", page_id=0)
     if raw[:4] != MAGIC:
@@ -323,7 +295,7 @@ def decode_header(raw: bytes, path: str = "<bytes>") -> PageHeader:
     magic, version, _reserved, page_size, page_count, root_page = (
         _HEADER_V2.unpack(body)
     )
-    if version not in SUPPORTED_VERSIONS or version == LEGACY_VERSION:
+    if version != FORMAT_VERSION:
         raise FormatVersionError(f"{path}: unsupported format version {version}")
     return PageHeader(page_size, page_count, root_page, version)
 
@@ -336,25 +308,18 @@ def scan_pages(path: str | os.PathLike[str],
     Yields ``(page_id, payload)`` for each data page whose integrity
     checks pass, silently skipping damaged ones; used by the
     ``repair=True`` load path to salvage what is readable.  The header
-    is only consulted to detect the format version (legacy v1 pages
-    carry no checksum and are yielded as stored); a corrupt header does
-    not stop the scan.
+    is not consulted, so a corrupt header does not stop the scan.
     """
     path = os.fspath(path)
     with open(path, "rb") as handle:
-        head = handle.read(4)
-        version = LEGACY_VERSION if head == LEGACY_MAGIC else FORMAT_VERSION
         handle.seek(0, os.SEEK_END)
         file_size = handle.tell()
         page_count = max(0, file_size // page_size - 1)
-        capacity = page_size if version == LEGACY_VERSION else page_size - PAGE_OVERHEAD
+        capacity = page_size - PAGE_OVERHEAD
         for page_id in range(1, page_count + 1):
             handle.seek(page_id * page_size)
             raw = handle.read(page_size)
             if len(raw) != page_size:
-                continue
-            if version == LEGACY_VERSION:
-                yield page_id, raw
                 continue
             stored_crc, length = _PAGE_PREFIX.unpack_from(raw, 0)
             if zlib.crc32(raw[_HEADER_V2_CRC.size:]) != stored_crc:

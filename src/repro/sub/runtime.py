@@ -9,6 +9,10 @@ revisions continue across ``kill -9`` instead of forking: the replayed
 re-evaluations are the same deterministic computations, run by the same
 code, the live server performed.
 
+:func:`register` and :func:`unregister` are shared the same way: a
+live server's ``subscribe``/``unsubscribe`` and the replay of their
+records run them, so the acks are built once.
+
 The index names the subscriptions an update makes due
 (:meth:`~repro.sub.index.SubscriptionIndex.due`); :func:`advance`
 stores one fresh evaluation of each.  A shard coordinator runs both
@@ -30,7 +34,9 @@ __all__ = [
     "evaluate_subscription",
     "parse_spec",
     "reconcile",
+    "register",
     "subscription_from_record",
+    "unregister",
 ]
 
 
@@ -88,6 +94,34 @@ def subscription_from_record(record: dict[str, Any]) -> Subscription:
     query, qx, qy, n = parse_spec(kind, spec, maintenance)
     return Subscription(sub_id=sub_id, kind=kind, spec=spec, query=query,
                         maintenance=maintenance, qx=qx, qy=qy, n=n)
+
+
+def register(index: SubscriptionIndex, sub: Subscription,
+             evaluation: tuple[dict[str, Any], float, float],
+             version: int) -> dict[str, Any]:
+    """Add a new standing query at revision 1 with its first
+    ``evaluation`` (made at dataset ``version``) and return the
+    ``subscribe`` ack.  The one registration step: a live server runs
+    it for the subscribe it serves, recovery for the record it
+    replays, so both build the same ack."""
+    sub.result, sub.insert_radius, sub.delete_radius = evaluation
+    sub.revision, sub.version = 1, version
+    index.add(sub)
+    return {"ok": True, "op": "subscribe", "sub": sub.sub_id,
+            "kind": sub.kind, "version": version, "revision": 1,
+            "result": sub.result}
+
+
+def unregister(index: SubscriptionIndex, sub_id: str,
+               version: int) -> dict[str, Any]:
+    """Drop a standing query, detached from its push target, and return
+    the ``unsubscribe`` ack (an unknown id is acked as not removed)."""
+    removed = index.remove(sub_id)
+    if removed is not None and removed.conn is not None:
+        removed.conn.subs.discard(sub_id)
+        removed.conn = None
+    return {"ok": True, "op": "unsubscribe", "sub": sub_id,
+            "removed": removed is not None, "version": version}
 
 
 def advance(index: SubscriptionIndex, sub: Subscription, version: int,

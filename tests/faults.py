@@ -6,7 +6,8 @@ failure modes:
 
 * file-level corruptors (:func:`flip_bit`, :func:`corrupt_random_bit`,
   :func:`torn_write`, :func:`truncate_file`) that damage a saved page
-  file the way disks and crashes do, and :func:`rewrite_as_v1`;
+  file the way disks and crashes do, and :func:`rewrite_as_v1`, which
+  leaves a file in the retired checksum-free format;
 * :class:`FaultInjectingPageFile`, a drop-in :class:`PageFile` that
   raises seeded transient ``OSError`` s and/or flips read bits in
   flight, for exercising error propagation through higher layers;
@@ -30,7 +31,6 @@ import random
 
 from repro.eval.experiments import SweepTask, run_sweep_task
 from repro.storage import PageFile
-from repro.storage.pages import LEGACY_MAGIC
 from repro.storage.stats import IOStats
 
 #: Pid of the process that imported this module first — i.e. the test
@@ -104,7 +104,7 @@ def rewrite_as_v1(path: str | os.PathLike[str], page_size: int) -> None:
     """Rewrite a v2 page file in place as v1: the v1 header, and each
     data page's payload without its 8-byte crc/length prefix."""
     with PageFile(path, page_size=page_size) as file:
-        pages = [LEGACY_MAGIC + page_size.to_bytes(4, "little")
+        pages = [b"NWC1" + page_size.to_bytes(4, "little")
                  + file.page_count.to_bytes(8, "little")
                  + file.root_page.to_bytes(8, "little", signed=True)]
         pages += [file.read_page(page_id)
@@ -208,8 +208,6 @@ class FaultInjectingPageFile(PageFile):
             bit = self._rng.randrange(8)
             raw = (raw[:position] + bytes([raw[position] ^ (1 << bit)])
                    + raw[position + 1:])
-        if self.format_version == 1:
-            return raw
         return self._verify_page(raw, page_id)
 
 

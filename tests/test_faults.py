@@ -194,17 +194,20 @@ class TestRepair:
 # Legacy format
 # ----------------------------------------------------------------------
 class TestLegacyFormat:
-    def test_v1_roundtrip_still_works(self, tmp_path):
-        points = make_uniform_points(300, seed=17)
-        tree = RStarTree.bulk_load(points, max_entries=16)
+    def test_v1_file_is_a_typed_error(self, tmp_path):
+        """The checksum-free seed format is no longer read: loading one
+        fails with a typed error, with or without salvage."""
+        tree = RStarTree.bulk_load(make_uniform_points(300, seed=17),
+                                   max_entries=16)
         path = tmp_path / "legacy.db"
         save_tree(tree, path)
         faults.rewrite_as_v1(path, DEFAULT_PAGE_SIZE)
         with open(path, "rb") as handle:
             assert handle.read(4) == b"NWC1"
-        loaded = load_tree(path)
-        validate_tree(loaded)
-        assert _oids(loaded) == _oids(tree)
+        with pytest.raises(StorageError):
+            load_tree(path)
+        with pytest.raises(StorageError):
+            load_tree(path, repair=True)
 
 
 # ----------------------------------------------------------------------

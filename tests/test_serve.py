@@ -28,7 +28,6 @@ from repro.serve import (
     protocol,
     run_loadgen,
 )
-from repro.serve.loadgen import _Worker
 from repro.serve.server import DeadlineExceeded, ReadWriteScheduler
 from tests.conftest import make_uniform_points
 
@@ -372,24 +371,6 @@ class TestLoadgen:
         assert report.qps > 0
         d = report.to_dict()
         assert d["latency"]["p95_ms"] >= d["latency"]["p50_ms"]
-
-    def test_doctored_node_accesses_is_a_mismatch(self):
-        dataset = Dataset("serve-test", tuple(POINTS))
-        worker = _Worker(0, LoadgenConfig(query_pool=4), dataset,
-                         twin=_engine(), stop_at=None)
-        result = worker.twin.nwc(NWCQuery(500.0, 500.0, 60.0, 60.0, 3))
-        expected = protocol.serialize_nwc(result)
-        accesses = result.node_accesses
-        for cached, served, mismatches in ((False, accesses, 0),
-                                           (True, accesses + 1, 0),
-                                           (False, accesses + 1, 1)):
-            response = {"ok": True, "op": "nwc", "cached": cached,
-                        "result": expected,
-                        "stats": {"node_accesses": served}}
-            worker._verify(response, expected, accesses, {"op": "nwc"})
-            assert len(worker.mismatches) == mismatches
-        assert worker.mismatches[0]["node_accesses"] == [accesses + 1,
-                                                         accesses]
 
     def test_loadgen_metrics_and_format(self):
         dataset = Dataset("serve-test", tuple(POINTS))

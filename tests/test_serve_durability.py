@@ -32,6 +32,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.check import Twin
+from repro.cli import serve_engine
 from repro.core import NWCEngine, NWCQuery, Scheme
 from repro.geometry import PointObject
 from repro.index import RStarTree, load_tree, save_tree
@@ -602,6 +604,7 @@ class TestSupervisor:
 # ----------------------------------------------------------------------
 REPO = Path(__file__).resolve().parents[1]
 SERVER_SIZE = 250
+SERVE_ARGS = ["--dataset", "uniform", "--size", str(SERVER_SIZE)]
 
 
 def _free_port() -> int:
@@ -619,8 +622,7 @@ def _spawn_server(state_dir, port, crash: str | None = None,
         env["REPRO_CRASH_POINT"] = crash
     else:
         env.pop("REPRO_CRASH_POINT", None)
-    command = [sys.executable, "-m", "repro", "serve",
-               "--dataset", "uniform", "--size", str(SERVER_SIZE),
+    command = [sys.executable, "-m", "repro", "serve", *SERVE_ARGS,
                "--port", str(port), "--state-dir", str(state_dir),
                *(extra or [])]
     proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
@@ -633,21 +635,18 @@ def _spawn_server(state_dir, port, crash: str | None = None,
     return proc
 
 
-def _cli_twin() -> NWCEngine:
-    """An engine built the way ``repro serve`` builds its own."""
-    from repro.datasets import uniform
-
-    dataset = uniform(SERVER_SIZE)
-    tree = RStarTree.bulk_load(dataset.points)
-    return NWCEngine(tree, Scheme.NWC_STAR, extent=dataset.extent)
-
-
-def _assert_matches_twin(port: int, twin: NWCEngine) -> None:
+def _check_queries(port: int, inserted: list[PointObject]) -> None:
+    """The served answers are those of the seed dataset plus exactly
+    the ``inserted`` objects."""
+    twin = Twin(serve_engine(SERVE_ARGS))
+    for version, obj in enumerate(inserted, start=1):
+        twin.apply("insert", obj, version)
     with ServeClient(port=port) as client:
         for query in QUERIES:
-            served = client.nwc(query.qx, query.qy, query.length,
-                                query.width, query.n)
-            assert served["result"] == protocol.serialize_nwc(twin.nwc(query))
+            twin.check_answer(query, client.nwc(query.qx, query.qy,
+                                                query.length, query.width,
+                                                query.n))
+    assert twin.mismatches == 0, twin.examples
 
 
 @pytest.mark.slow
@@ -678,11 +677,9 @@ class TestSeededSubprocessCrashes:
                 assert replay.get("deduped") is True
                 assert replay["version"] == 3
                 assert replay["size"] == SERVER_SIZE + 3
-            twin = _cli_twin()
-            twin.insert(PointObject(10_000_000, 40.0, 40.0))
-            twin.insert(PointObject(10_000_001, 41.0, 42.0))
-            twin.insert(PointObject(10_000_002, 42.0, 43.0))
-            _assert_matches_twin(port, twin)
+            _check_queries(port, [PointObject(10_000_000, 40.0, 40.0),
+                                  PointObject(10_000_001, 41.0, 42.0),
+                                  PointObject(10_000_002, 42.0, 43.0)])
         finally:
             proc.terminate()
             proc.wait(timeout=30)
@@ -708,10 +705,8 @@ class TestSeededSubprocessCrashes:
                 assert recovery["checkpoint_seq"] == 0
                 assert recovery["replayed"] == 5
                 assert recovery["version"] == 5
-            twin = _cli_twin()
-            for i in range(5):
-                twin.insert(PointObject(10_000_000 + i, 60.0 + i, 60.0 + i))
-            _assert_matches_twin(port, twin)
+            _check_queries(port, [PointObject(10_000_000 + i, 60.0 + i,
+                                              60.0 + i) for i in range(5)])
         finally:
             proc.terminate()
             proc.wait(timeout=30)
@@ -739,10 +734,8 @@ class TestSeededSubprocessCrashes:
                 assert recovery["skipped"] == 5
                 assert recovery["replayed"] == 0
                 assert recovery["version"] == 5
-            twin = _cli_twin()
-            for i in range(5):
-                twin.insert(PointObject(10_000_000 + i, 60.0 + i, 60.0 + i))
-            _assert_matches_twin(port, twin)
+            _check_queries(port, [PointObject(10_000_000 + i, 60.0 + i,
+                                              60.0 + i) for i in range(5)])
         finally:
             proc.terminate()
             proc.wait(timeout=30)
@@ -770,10 +763,8 @@ class TestSeededSubprocessCrashes:
                 replay = client.call(dict(payload))
                 assert replay.get("deduped") is True
                 assert replay["size"] == SERVER_SIZE + 2
-            twin = _cli_twin()
-            twin.insert(PointObject(10_000_000, 70.0, 70.0))
-            twin.insert(PointObject(10_000_001, 71.0, 72.0))
-            _assert_matches_twin(port, twin)
+            _check_queries(port, [PointObject(10_000_000, 70.0, 70.0),
+                                  PointObject(10_000_001, 71.0, 72.0)])
         finally:
             proc.terminate()
             proc.wait(timeout=30)

@@ -1,6 +1,5 @@
 """Unit tests for repro.storage (stats, pages, serializer)."""
 
-import os
 import zlib
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from repro.geometry import PointObject, Rect
 from repro.storage import (
     FORMAT_VERSION,
-    LEGACY_VERSION,
     PAGE_OVERHEAD,
     CorruptPageError,
     FormatVersionError,
@@ -24,7 +22,6 @@ from repro.storage import (
     max_leaf_entries,
     scan_pages,
 )
-from tests import faults
 
 
 class TestIOStats:
@@ -125,8 +122,7 @@ class TestPageFile:
 
 
 class TestPageFormat:
-    """The v2 checksummed format, the legacy v1 format, and the
-    boundary between them."""
+    """The v2 checksummed format and its version field."""
 
     def test_new_files_are_v2(self, tmp_path):
         path = tmp_path / "p.db"
@@ -135,21 +131,6 @@ class TestPageFormat:
             assert file.payload_capacity == 128 - PAGE_OVERHEAD
         with open(path, "rb") as handle:
             assert handle.read(4) == b"NWCF"
-
-    def test_legacy_v1_create_and_reopen(self, tmp_path):
-        path = tmp_path / "legacy.db"
-        with PageFile(path, page_size=128, create=True) as file:
-            pid = file.allocate()
-            file.write_page(pid, b"raw bytes, no checksum")
-        faults.rewrite_as_v1(path, 128)
-        with open(path, "rb") as handle:
-            assert handle.read(4) == b"NWC1"
-        with PageFile(path, page_size=128) as file:  # auto-detected
-            assert file.format_version == LEGACY_VERSION
-            assert file.payload_capacity == 128
-            assert file.read_page(pid).startswith(b"raw bytes")
-            with pytest.raises(FormatVersionError):  # v1 is read-only
-                file.write_page(pid, b"new bytes")
 
     def test_unknown_header_version_rejected(self, tmp_path):
         path = tmp_path / "p.db"

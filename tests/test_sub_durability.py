@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.check import Standing, Twin
+from repro.cli import serve_engine
 from repro.core import NWCEngine, NWCQuery, Scheme
 from repro.geometry import PointObject
 from repro.index import RStarTree, save_tree
@@ -26,8 +28,6 @@ from repro.serve import (
     recover,
     wait_until_healthy,
 )
-from repro.sub import SubscriptionIndex, reconcile, subscription_from_record
-from repro.sub.runtime import evaluate_subscription
 from tests.conftest import make_uniform_points
 
 POINTS = make_uniform_points(300, span=1000.0, seed=11)
@@ -46,26 +46,15 @@ def _boot(state_dir, **kwargs):
                                     **kwargs), _make_engine)
 
 
-def _twin_replay(updates) -> tuple[NWCEngine, int, dict]:
-    """Replay the acked update stream through the same reconcile code
-    path recovery uses; returns the twin, the expected revision and the
-    expected final result."""
-    twin = _make_engine()
-    index = SubscriptionIndex()
-    sub = subscription_from_record(
-        {"op": "subscribe", "sub": "s1", "kind": "nwc", "x": QUERY.qx,
-         "y": QUERY.qy, "length": QUERY.length, "width": QUERY.width,
-         "n": QUERY.n})
-    sub.result, sub.insert_radius, sub.delete_radius = \
-        evaluate_subscription(twin, sub)
-    sub.revision = 1
-    index.add(sub)
-    version = 0
-    for op, obj in updates:
-        twin.insert(obj) if op == "insert" else twin.delete(obj)
-        version += 1
-        reconcile(index, twin, op, obj.x, obj.y, twin.tree.size, version)
-    return twin, sub.revision, sub.result
+def _expected(updates) -> tuple[Twin, Standing]:
+    """Subscription ``s1`` on :data:`QUERY` followed over the acked
+    update stream by fresh evaluations: its revision counts the changes
+    of its answer."""
+    twin = Twin(_make_engine())
+    standing = twin.subscribe("s1", QUERY, version=0)
+    for version, (op, obj) in enumerate(updates, start=1):
+        twin.apply(op, obj, version)
+    return twin, standing
 
 
 class TestRecovery:
@@ -95,15 +84,15 @@ class TestRecovery:
                         upd.delete(obj.oid, obj.x, obj.y)
                     updates.append((op, obj))
 
-        twin, expected_revision, expected_result = _twin_replay(updates)
-        assert expected_revision >= 3  # cluster formed, then broken
+        _twin, expected = _expected(updates)
+        assert expected.revision >= 3  # cluster formed, then broken
 
         recovered, durable2 = _boot(tmp_path / "state")
         copy = durable2.subs.get("s1")
         assert copy is not None
-        assert copy.revision == expected_revision
+        assert copy.revision == expected.revision
         assert copy.version == len(updates)
-        assert copy.result == expected_result
+        assert copy.result == expected.answer
         assert copy.result == protocol.serialize_nwc(recovered.nwc(QUERY))
         durable2.close()
 
@@ -128,16 +117,16 @@ class TestRecovery:
                 upd.delete(obj.oid, obj.x, obj.y)
                 updates.append(("delete", obj))
 
-        _twin, expected_revision, expected_result = _twin_replay(updates)
-        assert expected_revision >= 3  # changed before AND after the cut
+        _twin, expected = _expected(updates)
+        assert expected.revision >= 3  # changed before AND after the cut
         recovered, durable2 = _boot(tmp_path / "state")
         assert durable2.recovery.replayed == 1  # only the tail insert
         copy = durable2.subs.get("s1")
         assert copy is not None
         # The checkpoint carried revision state, the tail replay
         # continued it: no fork, no reset.
-        assert copy.revision == expected_revision
-        assert copy.result == expected_result
+        assert copy.revision == expected.revision
+        assert copy.result == expected.answer
         durable2.close()
 
     def test_unsubscribe_is_durable(self, tmp_path):
@@ -207,13 +196,13 @@ class TestRecovery:
 
         recovered, durable = _boot(state_dir)
         updates = head + tail
-        twin, expected_revision, expected_result = _twin_replay(updates)
-        assert recovered.tree.size == twin.tree.size == len(POINTS) + 3
+        twin, expected = _expected(updates)
+        assert recovered.tree.size == twin.engine.tree.size == len(POINTS) + 3
         assert durable.recovery.version == len(updates)
         assert [sub.sub_id for sub in durable.subs.subscriptions()] == ["s1"]
         copy = durable.subs.get("s1")
-        assert copy.revision == expected_revision >= 2
-        assert copy.result == expected_result
+        assert copy.revision == expected.revision >= 2
+        assert copy.result == expected.answer
         assert copy.result == protocol.serialize_nwc(recovered.nwc(QUERY))
         assert not any(req.startswith("coord-") for req in durable.dedupe)
         durable.close()
@@ -224,6 +213,7 @@ class TestRecovery:
 # ----------------------------------------------------------------------
 REPO = Path(__file__).resolve().parents[1]
 SERVER_SIZE = 250
+SERVE_ARGS = ["--dataset", "uniform", "--size", str(SERVER_SIZE)]
 
 
 def _free_port() -> int:
@@ -241,8 +231,7 @@ def _spawn_server(state_dir, port,
         env["REPRO_CRASH_POINT"] = crash
     else:
         env.pop("REPRO_CRASH_POINT", None)
-    command = [sys.executable, "-m", "repro", "serve",
-               "--dataset", "uniform", "--size", str(SERVER_SIZE),
+    command = [sys.executable, "-m", "repro", "serve", *SERVE_ARGS,
                "--port", str(port), "--state-dir", str(state_dir)]
     proc = subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
@@ -252,14 +241,6 @@ def _spawn_server(state_dir, port,
         proc.kill()
         raise
     return proc
-
-
-def _cli_twin() -> NWCEngine:
-    from repro.datasets import uniform
-
-    dataset = uniform(SERVER_SIZE)
-    tree = RStarTree.bulk_load(dataset.points)
-    return NWCEngine(tree, Scheme.NWC_STAR, extent=dataset.extent)
 
 
 @pytest.mark.slow
@@ -297,31 +278,21 @@ class TestKillNineResume:
                 fresh = upd.nwc(query.qx, query.qy, query.length,
                                 query.width, query.n)
 
-            twin = _cli_twin()
-            index = SubscriptionIndex()
-            sub = subscription_from_record(
-                {"op": "subscribe", "sub": "standing-crash", "kind": "nwc",
-                 "x": query.qx, "y": query.qy, "length": query.length,
-                 "width": query.width, "n": query.n})
-            sub.result, sub.insert_radius, sub.delete_radius = \
-                evaluate_subscription(twin, sub)
-            sub.revision = 1
-            index.add(sub)
+            twin = Twin(serve_engine(SERVE_ARGS))
+            expected = twin.subscribe("standing-crash", query, version=0)
             for version, (oid, x, y) in enumerate(
                     [(9001, 495.0, 500.0), (9002, 505.0, 500.0),
                      (9003, 500.0, 505.0)], start=1):
-                twin.insert(PointObject(oid, x, y))
-                reconcile(index, twin, "insert", x, y, twin.tree.size,
-                          version)
-            assert sub.revision > 1  # the burst actually changed it
+                twin.apply("insert", PointObject(oid, x, y), version)
+            assert expected.revision > 1  # the burst actually changed it
 
             with ServeClient(port=port) as sub_client:
                 resumed = sub_client.subscribe(
                     query.qx, query.qy, query.length, query.width, query.n,
                     sub="standing-crash")
                 assert resumed.ack.get("resumed") is True
-                assert resumed.revision == sub.revision
-                assert resumed.result == sub.result
+                assert resumed.revision == expected.revision
+                assert resumed.result == expected.answer
                 assert resumed.result == fresh["result"]
         finally:
             proc.terminate()

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.check import Twin
 from repro.core import KNWCQuery, NWCEngine, NWCQuery, Scheme
 from repro.datasets import Dataset
 from repro.geometry import PointObject
@@ -116,7 +117,7 @@ class TestSubscribeLifecycle:
 
     def test_revisions_monotone_under_interleaved_updates(self, served):
         rng = random.Random(42)
-        twin = _engine()
+        twin = Twin(_engine())
         queries = [NWCQuery(260.0 + 90.0 * i, 300.0, 80.0, 80.0, 4)
                    for i in range(3)]
         with ServeClient(port=served.port) as sub_client, \
@@ -124,53 +125,37 @@ class TestSubscribeLifecycle:
             streams = [sub_client.subscribe(q.qx, q.qy, q.length, q.width,
                                             q.n)
                        for q in queries]
-            states = {s.sub_id: {"query": q, "result": s.result,
-                                 "revision": 1}
-                      for s, q in zip(streams, queries)}
+            for stream, query in zip(streams, queries):
+                twin.check_subscribe(query, stream.ack)
             live: list[PointObject] = []
-            expected_total = 0
             for i in range(40):
                 if live and rng.random() < 0.4:
                     obj = live.pop(rng.randrange(len(live)))
-                    upd.delete(obj.oid, obj.x, obj.y)
-                    twin.delete(obj)
+                    twin.check_update("delete", obj,
+                                      upd.delete(obj.oid, obj.x, obj.y))
                 else:
                     obj = PointObject(20000 + i, rng.uniform(200.0, 600.0),
                                       rng.uniform(250.0, 350.0))
-                    upd.insert(obj.oid, obj.x, obj.y)
-                    twin.insert(obj)
+                    twin.check_update("insert", obj,
+                                      upd.insert(obj.oid, obj.x, obj.y))
                     live.append(obj)
-                for state in states.values():
-                    fresh = protocol.serialize_nwc(twin.nwc(state["query"]))
-                    if fresh != state["result"]:
-                        state["result"] = fresh
-                        state["revision"] += 1
-                        expected_total += 1
-            assert expected_total > 0  # the stream actually churned
-            # Drain everything: each frame must be the next expected
-            # revision of its subscription.  poll() returns frames for
-            # every subscription on the connection, whichever stream
-            # object it is called through.
-            seen = {sid: 1 for sid in states}
-            pushed = {s.sub_id: s.result for s in streams}
-            stream = streams[0]
+            assert twin.pending() > 0  # the stream actually churned
+            # Drain everything: each frame must be the next change of
+            # its subscription.  poll() returns frames for every
+            # subscription on the connection, whichever stream object
+            # it is called through.
             deadline_polls = 0
-            while sum(seen.values()) < sum(
-                    s["revision"] for s in states.values()):
-                frame = stream.poll(timeout_s=1.0)
+            while twin.pending():
+                frame = streams[0].poll(timeout_s=1.0)
                 if frame is None:
                     deadline_polls += 1
-                    assert deadline_polls < 10, (seen, {
-                        sid: s["revision"] for sid, s in states.items()})
+                    assert deadline_polls < 10, twin.pending()
                     continue
-                sid = frame["sub"]
-                assert frame["revision"] == seen[sid] + 1, frame
-                seen[sid] = frame["revision"]
-                pushed[sid] = frame["result"]
-            for sid, state in states.items():
-                assert seen[sid] == state["revision"]
-                # Final pushed result matches a final fresh evaluation.
-                assert pushed[sid] == state["result"]
+                twin.check_frame(frame)
+            # One frame per answer change, the last one the final
+            # fresh answer.
+            twin.check_delivery(exact=True)
+            assert twin.mismatches == 0, twin.examples
 
 
 class TestLoadgenSubscriptions:
