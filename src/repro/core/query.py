@@ -45,6 +45,12 @@ class NWCQuery:
         object on its edge (used for search termination)."""
         return math.hypot(self.length, self.width)
 
+    @property
+    def base(self) -> "NWCQuery":
+        """The window/cluster parameters: the query itself (a
+        :class:`KNWCQuery` carries them as its ``base``)."""
+        return self
+
 
 @dataclass(frozen=True, slots=True)
 class KNWCQuery:

@@ -329,7 +329,10 @@ class _Worker:
         self.by_op[op] = self.by_op.get(op, 0) + 1
         start = time.perf_counter()
         try:
-            response = getattr(self, "_op_" + op)(client)
+            if op in ("insert", "delete"):
+                response = getattr(self, "_op_" + op)(client)
+            else:
+                response = self._op_query(client, op == "knwc")
         except ServeClientError as exc:
             self.errors[exc.code] = self.errors.get(exc.code, 0) + 1
             return
@@ -338,25 +341,24 @@ class _Worker:
         self.samples.append((op, cached, elapsed))
 
     # -- operations ----------------------------------------------------
-    def _op_nwc(self, client: ServeClient) -> dict[str, Any]:
-        x, y = self.rng.choice(self.query_points)
+    def _query(self, x: float, y: float,
+               knwc: bool) -> NWCQuery | KNWCQuery:
         c = self.config
-        response = client.nwc(x, y, c.length, c.width, c.n,
-                              deadline_ms=c.deadline_ms)
-        if self.twin is not None:
-            self.twin.check_answer(NWCQuery(x, y, c.length, c.width, c.n),
-                                   response)
-        return response
+        if knwc:
+            return KNWCQuery.make(x, y, c.length, c.width, c.n, c.k, c.m)
+        return NWCQuery(x, y, c.length, c.width, c.n)
 
-    def _op_knwc(self, client: ServeClient) -> dict[str, Any]:
+    def _op_query(self, client: ServeClient, knwc: bool) -> dict[str, Any]:
         x, y = self.rng.choice(self.query_points)
         c = self.config
-        response = client.knwc(x, y, c.length, c.width, c.n, c.k, c.m,
-                               deadline_ms=c.deadline_ms)
+        if knwc:
+            response = client.knwc(x, y, c.length, c.width, c.n, c.k, c.m,
+                                   deadline_ms=c.deadline_ms)
+        else:
+            response = client.nwc(x, y, c.length, c.width, c.n,
+                                  deadline_ms=c.deadline_ms)
         if self.twin is not None:
-            self.twin.check_answer(
-                KNWCQuery.make(x, y, c.length, c.width, c.n, c.k, c.m),
-                response)
+            self.twin.check_answer(self._query(x, y, knwc), response)
         return response
 
     def _op_insert(self, client: ServeClient) -> dict[str, Any]:
@@ -406,10 +408,8 @@ class _Worker:
                 x, y, c.length, c.width, c.n, k=c.k if knwc else None,
                 m=c.m)
             if c.verify_subs:
-                query = (KNWCQuery.make(x, y, c.length, c.width, c.n, c.k,
-                                        c.m) if knwc
-                         else NWCQuery(x, y, c.length, c.width, c.n))
-                self.twin.check_subscribe(query, stream.ack)
+                self.twin.check_subscribe(self._query(x, y, knwc),
+                                          stream.ack)
             if self._sub_stream is None:
                 self._sub_stream = stream
             self._sub_ids.append(stream.sub_id)

@@ -39,6 +39,12 @@ This module also derives the *shield radii* the result cache uses for
 targeted invalidation — the geometric argument lives with the
 serialization because both must agree on what exactly is cached (see
 :mod:`repro.serve.cache` for how the radii are applied).
+
+And it is the one *query description* every server and subscription
+layer reads: :func:`parse_query`, :func:`query_key` (the cache key),
+:func:`query_spec` (what WAL records and checkpoints store) and
+:func:`evaluate`.  The kind is the query's type (NWC is kNWC at ``k =
+1``, the paper's Section 3.4), never a string layers branch on.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ import math
 from typing import Any
 
 from ..core import DistanceMeasure, KNWCQuery, KNWCResult, NWCQuery, NWCResult
-from ..core.knwc import Rank
+from ..core.knwc import KNWCCandidates, Rank
 from ..core.results import ObjectGroup
 from ..geometry import PointObject, Rect
 from ..obs.context import TraceContext
@@ -61,18 +67,25 @@ __all__ = [
     "encode_line",
     "encode_result",
     "error_response",
+    "describe",
+    "evaluate",
     "group_from_payload",
+    "parse_id",
     "parse_knwc",
     "parse_nwc",
     "parse_point",
     "parse_page",
-    "parse_request_id",
-    "parse_subscription",
-    "parse_subscription_id",
+    "parse_pool",
+    "parse_query",
     "parse_trace",
     "notify_frame",
+    "query_key",
+    "query_kind",
+    "query_spec",
+    "serialize_group",
     "serialize_knwc",
     "serialize_nwc",
+    "serialize_pool",
     "shield_radii_knwc",
     "shield_radii_nwc",
 ]
@@ -216,22 +229,42 @@ def parse_knwc(payload: dict[str, Any]) -> tuple[KNWCQuery, str]:
     return query, maintenance
 
 
-#: Longest accepted ``req`` id — they are persisted per-record in the
-#: WAL and in the checkpoint pointer, so size is bounded on the wire.
-MAX_REQUEST_ID_CHARS = 128
+def parse_query(payload: dict[str, Any],
+                op: str) -> tuple[NWCQuery | KNWCQuery, str]:
+    """``(query, maintenance)`` of any request that describes a query.
+
+    ``op`` ``nwc``/``knwc`` names the kind; every other op (``subscribe``,
+    ``knwc_pool``, a WAL record's ``kind``) asks for kNWC by carrying
+    ``k``.  An NWC query's maintenance is ``exact``: it has no other.
+    """
+    if op == "knwc" or (op != "nwc" and "k" in payload):
+        return parse_knwc(payload)
+    return parse_nwc(payload), "exact"
 
 
-def parse_request_id(payload: dict[str, Any]) -> str | None:
-    """The optional idempotency id (``req``) of an update request."""
-    req = payload.get("req")
-    if req is None:
+#: Longest accepted ``req`` (request) or ``sub`` (subscription) id —
+#: both are persisted per-record in the WAL and in the checkpoint
+#: pointer, so size is bounded on the wire.
+MAX_ID_CHARS = 128
+
+
+def parse_id(payload: dict[str, Any], field: str,
+             required: bool = False) -> str | None:
+    """The client-chosen id under ``field``: an update's optional
+    idempotency id ``req``, or a subscription's ``sub`` — which
+    ``subscribe`` may omit (the server then generates one and returns
+    it in the ack) and ``unsubscribe`` requires."""
+    value = payload.get(field)
+    if value is None:
+        if required:
+            raise ProtocolError(f"field {field!r} is required")
         return None
-    if not isinstance(req, str) or not req:
-        raise ProtocolError("field 'req' must be a non-empty string")
-    if len(req) > MAX_REQUEST_ID_CHARS:
+    if not isinstance(value, str) or not value:
+        raise ProtocolError(f"field {field!r} must be a non-empty string")
+    if len(value) > MAX_ID_CHARS:
         raise ProtocolError(
-            f"field 'req' exceeds {MAX_REQUEST_ID_CHARS} characters")
-    return req
+            f"field {field!r} exceeds {MAX_ID_CHARS} characters")
+    return value
 
 
 def parse_page(payload: dict[str, Any]) -> tuple[int, Rank | None, float]:
@@ -294,55 +327,6 @@ def parse_trace(payload: dict[str, Any]) -> TraceContext | None:
         raise ProtocolError(f"malformed trace context: {exc}") from exc
 
 
-#: Longest accepted subscription id (``sub``) — persisted in WAL
-#: ``subscribe`` records and the checkpoint pointer, like ``req`` ids.
-MAX_SUBSCRIPTION_ID_CHARS = 128
-
-
-def parse_subscription_id(payload: dict[str, Any],
-                          required: bool = False) -> str | None:
-    """The subscription id (``sub``) of a subscription frame.
-
-    ``subscribe`` may omit it (the server then generates one and
-    returns it in the ack); ``unsubscribe`` requires it.
-    """
-    sub = payload.get("sub")
-    if sub is None:
-        if required:
-            raise ProtocolError("field 'sub' is required")
-        return None
-    if not isinstance(sub, str) or not sub:
-        raise ProtocolError("field 'sub' must be a non-empty string")
-    if len(sub) > MAX_SUBSCRIPTION_ID_CHARS:
-        raise ProtocolError(
-            f"field 'sub' exceeds {MAX_SUBSCRIPTION_ID_CHARS} characters")
-    return sub
-
-
-def parse_subscription(payload: dict[str, Any]
-                       ) -> tuple[str, dict[str, Any]]:
-    """The standing query of a ``subscribe`` request.
-
-    Returns ``(kind, spec)`` where ``spec`` is the *canonical* field
-    dict (re-parses to the same query) that the WAL record and the
-    checkpoint pointer persist.  The kind is ``knwc`` when the request
-    carries ``k``, ``nwc`` otherwise.
-    """
-    if "k" in payload:
-        query, maintenance = parse_knwc(payload)
-        base = query.base
-        spec = {"x": base.qx, "y": base.qy, "length": base.length,
-                "width": base.width, "n": base.n,
-                "measure": base.measure.value, "k": query.k, "m": query.m,
-                "maintenance": maintenance}
-        return "knwc", spec
-    query = parse_nwc(payload)
-    spec = {"x": query.qx, "y": query.qy, "length": query.length,
-            "width": query.width, "n": query.n,
-            "measure": query.measure.value}
-    return "nwc", spec
-
-
 def notify_frame(sub_id: str, kind: str, revision: int, version: int,
                  result: dict[str, Any]) -> dict[str, Any]:
     """One server-push ``notify`` frame: the fresh answer of a standing
@@ -368,7 +352,8 @@ def parse_point(payload: dict[str, Any]) -> PointObject:
 # ----------------------------------------------------------------------
 # Result serialization
 # ----------------------------------------------------------------------
-def _serialize_group(group: ObjectGroup) -> dict[str, Any]:
+def serialize_group(group: ObjectGroup) -> dict[str, Any]:
+    """One group's payload: distance, ``[oid, x, y]`` objects, window."""
     return {
         "distance": group.distance,
         "objects": [[p.oid, p.x, p.y] for p in group.objects],
@@ -379,7 +364,7 @@ def _serialize_group(group: ObjectGroup) -> dict[str, Any]:
 
 def group_from_payload(payload: dict[str, Any]) -> ObjectGroup:
     """Rebuild the :class:`ObjectGroup` serialized by
-    ``_serialize_group`` — the inverse a scatter-gather coordinator
+    :func:`serialize_group` — the inverse a scatter-gather coordinator
     needs to merge shard answers.  ``json`` renders floats with
     ``repr``, so the round trip is bit-exact and the rebuilt group
     compares equal to the original.
@@ -401,7 +386,7 @@ def serialize_nwc(result: NWCResult) -> dict[str, Any]:
     """The deterministic answer payload of one NWC result (no stats)."""
     return {
         "found": result.found,
-        "group": _serialize_group(result.group) if result.group else None,
+        "group": serialize_group(result.group) if result.group else None,
         "reason": result.reason,
     }
 
@@ -409,9 +394,29 @@ def serialize_nwc(result: NWCResult) -> dict[str, Any]:
 def serialize_knwc(result: KNWCResult) -> dict[str, Any]:
     """The deterministic answer payload of one kNWC result (no stats)."""
     return {
-        "groups": [_serialize_group(g) for g in result.groups],
+        "groups": [serialize_group(g) for g in result.groups],
         "reason": result.reason,
     }
+
+
+def serialize_pool(pool: KNWCCandidates) -> dict[str, Any]:
+    """The ``pool`` payload of a ``knwc_pool`` page: its groups with
+    their order keys, whether the stream is exhausted, and the reason."""
+    return {
+        "groups": [serialize_group(g) for g in pool.groups],
+        "orders": [list(order) for order in pool.orders],
+        "exhausted": pool.exhausted,
+        "reason": pool.reason,
+    }
+
+
+def parse_pool(payload: dict[str, Any]
+               ) -> tuple[list[ObjectGroup], list[tuple], bool]:
+    """``(groups, orders, exhausted)`` of a :func:`serialize_pool`
+    payload, bit-exact (see :func:`group_from_payload`)."""
+    return ([group_from_payload(g) for g in payload["groups"]],
+            [tuple(order) for order in payload["orders"]],
+            payload["exhausted"])
 
 
 # ----------------------------------------------------------------------
@@ -484,3 +489,57 @@ def shield_radii_knwc(query: KNWCQuery, result: KNWCResult) -> tuple[float, floa
     if result.groups:
         return ALWAYS_INVALIDATE, ALWAYS_INVALIDATE
     return ALWAYS_INVALIDATE, NEVER_INVALIDATE
+
+
+# ----------------------------------------------------------------------
+# The query description
+# ----------------------------------------------------------------------
+def query_kind(query: NWCQuery | KNWCQuery) -> str:
+    """``knwc`` for a :class:`KNWCQuery`, ``nwc`` otherwise."""
+    return "knwc" if isinstance(query, KNWCQuery) else "nwc"
+
+
+def query_spec(query: NWCQuery | KNWCQuery,
+               maintenance: str | None = None) -> dict[str, Any]:
+    """The canonical request fields of ``query`` (they re-parse to it):
+    with a kNWC ``maintenance`` what WAL records and checkpoints store,
+    without one the query part of a ``knwc_pool`` page request."""
+    base = query.base
+    spec = {"x": base.qx, "y": base.qy, "length": base.length,
+            "width": base.width, "n": base.n, "measure": base.measure.value}
+    if isinstance(query, KNWCQuery):
+        spec |= {"k": query.k, "m": query.m}
+        if maintenance is not None:
+            spec["maintenance"] = maintenance
+    return spec
+
+
+def query_key(query: NWCQuery | KNWCQuery, maintenance: str) -> tuple:
+    """The result-cache key: the kind, then the spec's values in spec
+    order (built directly: every cache hit pays for it)."""
+    base = query.base
+    if not isinstance(query, KNWCQuery):
+        return ("nwc", base.qx, base.qy, base.length, base.width, base.n,
+                base.measure.value)
+    return ("knwc", base.qx, base.qy, base.length, base.width, base.n,
+            base.measure.value, query.k, query.m, maintenance)
+
+
+def describe(query: NWCQuery | KNWCQuery, result: NWCResult | KNWCResult
+             ) -> tuple[dict[str, Any], tuple[float, float]]:
+    """``(answer, radii)``: the serialized ``result`` of ``query`` and
+    the ``(insert, delete)`` shield radii that guard it."""
+    if isinstance(query, KNWCQuery):
+        return serialize_knwc(result), shield_radii_knwc(query, result)
+    return serialize_nwc(result), shield_radii_nwc(query, result)
+
+
+def evaluate(engine: Any, query: NWCQuery | KNWCQuery, maintenance: str
+             ) -> tuple[dict[str, Any], tuple[float, float], int]:
+    """One fresh evaluation on ``engine``: ``(answer, radii,
+    node_accesses)``, for one-shot and standing queries alike."""
+    if isinstance(query, KNWCQuery):
+        result = engine.knwc(query, maintenance=maintenance)
+    else:
+        result = engine.nwc(query)
+    return (*describe(query, result), result.node_accesses)

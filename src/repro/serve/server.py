@@ -39,6 +39,11 @@ built over a :class:`~repro.serve.durability.DurableState`:
   auto-trigger) saves the tree, repoints ``CURRENT`` and compacts the
   log.
 
+Every op handler but the maintenance ones is :class:`LineProtocolServer`'s
+(one read step, one write step); :class:`QueryServer` supplies the engine
+hooks ``_evaluate`` (:func:`~repro.serve.protocol.evaluate`) and ``_apply``
+(:func:`~repro.serve.durability.apply_record`).
+
 On SIGINT/SIGTERM the server drains: it stops accepting connections,
 answers new requests with ``draining``, waits up to
 ``drain_timeout_s`` for in-flight work, then closes (syncing the WAL).
@@ -72,7 +77,7 @@ from ..obs.trace import QueryTracer, span_to_dict
 from ..storage import StorageError
 from ..storage.wal import crash_point
 from ..sub import Subscription, SubscriptionIndex, subscription_from_record
-from ..sub.runtime import evaluate_subscription, register, unregister
+from ..sub.runtime import register, unregister
 from . import protocol
 from .cache import DEFAULT_CACHE_ENTRIES, ResultCache
 from .durability import DEDUPE_ENTRIES, DurableState, apply_record
@@ -338,15 +343,17 @@ class LineProtocolServer:
     cache, accounting), written once as three shapes: :meth:`_answer_query`
     for cached queries, :meth:`_write_op` for idempotent writes and
     :meth:`_read_op` for uncached reads (DESIGN.md "Request pipeline") —
-    and the write handlers, which differ between classes only in the
-    :meth:`_log`, :meth:`_apply` and :meth:`_evaluate_subscription` hooks.
+    and the handlers themselves: one read step (:meth:`_op_query` for
+    ``nwc`` and ``knwc``, over the :meth:`_check_query` and
+    :meth:`_evaluate` hooks, which standing queries evaluate through
+    too) and one write step (over :meth:`_log` and :meth:`_apply`).
 
     Subclasses — :class:`QueryServer` (one engine),
     :class:`~repro.shard.worker.ShardServer` (one shard) and
     :class:`~repro.shard.coordinator.ShardCoordinator` (no engine at
-    all) — contribute a ``_HANDLERS`` table whose handlers parse the
-    request and supply the stage body, and may extend ``_OPS`` /
-    ``_OUTCOMES`` so the metric families cover their extra ops.
+    all) — implement the hooks, contribute a ``_HANDLERS`` table for
+    the ops they serve, and may extend ``_OPS`` / ``_OUTCOMES`` so the
+    metric families cover their extra ops.
     """
 
     _OPS: tuple[str, ...] = (
@@ -368,7 +375,6 @@ class LineProtocolServer:
         self.config = config or ServeConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.engine: NWCEngine | None = None
-        self.cache: ResultCache | None = None
         #: Standing queries (recovered from the WAL on durable servers).
         self.subs = SubscriptionIndex()
         self.durable: DurableState | None = None
@@ -433,6 +439,8 @@ class LineProtocolServer:
             "Subscription re-evaluation time per affecting update")
         self.slo = SLORecorder(
             m, default_objectives(type(self)._LATENCY_OPS))
+        self.cache = ResultCache(max_entries=self.config.cache_entries,
+                                 metrics=m)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -734,23 +742,15 @@ class LineProtocolServer:
     # The request pipeline (DESIGN.md "Request pipeline")
     # ------------------------------------------------------------------
     async def _answer_query(self, payload: dict[str, Any], op: str,
-                            key: tuple, qx: float, qy: float, n: int,
-                            evaluate: Callable) -> dict[str, Any]:
+                            query, maintenance: str) -> dict[str, Any]:
         """A cached query: trace context → admit → cache lookup →
-        deadline → slot → ``evaluate`` → encode → cache fill → latency.
-
-        ``await evaluate(deadline, ctx)`` runs inside a read slot
-        (``ctx`` is the sampled trace context or ``None``; a traced
-        query is an ordinary reader) and returns ``(answer,
-        radii, extras)``: the serialized ``result``, the ``(insert,
-        delete)`` shield radii to cache it under — ``None`` for an
-        answer that must not be cached (traced, partial) — and the
-        remaining response fields (``stats``, ``trace``, ``shards``…).
-        A sampled trace bypasses the cache so it always shows a real
-        run."""
+        deadline → slot → :meth:`_evaluate` → encode → cache fill →
+        latency.  A sampled trace bypasses the cache so it always shows
+        a real run (and is an ordinary reader)."""
         ctx = protocol.parse_trace(payload)
         if ctx is not None and not ctx.sampled:
             ctx = None
+        key = protocol.query_key(query, maintenance)
         start = time.perf_counter()
         with self._admitted():
             if ctx is None:
@@ -765,12 +765,15 @@ class LineProtocolServer:
             async with self._scheduler.read(deadline):
                 self._refresh_pressure_gauges()
                 version = self.version  # stable while the slot is held
-                answer, radii, extras = await evaluate(deadline, ctx)
+                answer, radii, extras = await self._evaluate(
+                    query, maintenance, deadline, ctx, payload)
             # Encoded once: this response and every later hit send the
             # stored text (see protocol.EncodedResult).
             answer = protocol.encode_result(answer)
             if radii is not None:
-                self.cache.put(key, version, answer, qx, qy, n, *radii)
+                base = query.base
+                self.cache.put(key, version, answer, base.qx, base.qy,
+                               base.n, *radii)
                 self._g_cache_entries.set(len(self.cache))
             self._m_latency[(op, "engine")].observe(time.perf_counter() - start)
             return {"ok": True, "op": op, "version": version,
@@ -790,7 +793,7 @@ class LineProtocolServer:
         id gets the stored ack back (``on_replay(ack)`` first, for side
         effects the retry still needs).  A ``resumed`` ack changed
         nothing: it is neither remembered nor counted."""
-        request_id = protocol.parse_request_id(payload)
+        request_id = protocol.parse_id(payload, "req")
         start = time.perf_counter()
         with self._admitted():
             deadline = self._deadline(payload)
@@ -808,6 +811,7 @@ class LineProtocolServer:
                 self._note_durable_record()
             self._g_version.set(self.version)
             self._g_cache_entries.set(len(self.cache))
+            self._g_sub_active.set(len(self.subs))
             self._m_latency[(op, "engine")].observe(time.perf_counter() - start)
             crash_point("before_ack")
             return response
@@ -826,7 +830,43 @@ class LineProtocolServer:
             return response
 
     # ------------------------------------------------------------------
-    # Write ops, shared over hooks: _log, _apply, _evaluate_subscription
+    # The read step, shared over hooks: _check_query, _evaluate
+    # ------------------------------------------------------------------
+    def _op_query(self, payload: dict[str, Any]) -> Awaitable[dict[str, Any]]:
+        """``nwc`` / ``knwc``: parse, :meth:`_check_query`, the cached
+        pipeline.  (A plain ``def``: no extra coroutine per request.)"""
+        op = payload["op"]
+        query, maintenance = protocol.parse_query(payload, op)
+        self._check_query(query, maintenance, payload)
+        return self._answer_query(payload, op, query, maintenance)
+
+    def _check_query(self, query, maintenance: str,
+                     payload: dict[str, Any]) -> None:
+        """Refuse (:class:`ProtocolError`), before it takes a place, a
+        query this server cannot answer exactly; an engine answers all."""
+
+    async def _evaluate(self, query, maintenance: str, deadline: float,
+                        ctx: TraceContext | None,
+                        payload: dict[str, Any] | None = None) -> tuple:
+        """One fresh evaluation inside a slot: ``(answer, radii, extras)``
+        — the ``result``, the shield radii to cache it under (``None``:
+        do not cache) and the other response fields.  ``ctx`` is the
+        sampled trace context or ``None``; ``payload`` the one-shot
+        request, ``None`` for a standing query (its answer must be
+        whole)."""
+        raise NotImplementedError
+
+    async def _evaluate_subscription(self, sub: Subscription,
+                                     deadline: float
+                                     ) -> tuple[dict[str, Any], float, float]:
+        """One fresh :meth:`_evaluate` of ``sub`` inside the write slot:
+        ``(result payload, insert_radius, delete_radius)``."""
+        answer, radii, _extras = await self._evaluate(
+            sub.query, sub.maintenance, deadline, None)
+        return answer, *radii
+
+    # ------------------------------------------------------------------
+    # The write step, shared over hooks: _log, _apply
     # ------------------------------------------------------------------
     async def _log(self, record: dict[str, Any],
                    request_id: str | None) -> None:
@@ -837,14 +877,6 @@ class LineProtocolServer:
             record["req"] = request_id
         if self.durable is not None:
             await self._run(self.durable.wal.append, record)
-
-    async def _evaluate_subscription(self, sub: Subscription,
-                                     deadline: float
-                                     ) -> tuple[dict[str, Any], float, float]:
-        """One fresh evaluation of ``sub`` inside the write slot:
-        ``(result payload, insert_radius, delete_radius)`` — the exact
-        ``result`` a one-shot query op would return."""
-        raise NotImplementedError
 
     async def _apply(self, record: dict[str, Any], deadline: float) -> tuple:
         """Apply one logged update and reconcile the standing queries:
@@ -891,8 +923,9 @@ class LineProtocolServer:
             self.cache.note_delete(record["x"], record["y"], version, size)
 
     async def _op_subscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
-        sub_id = protocol.parse_subscription_id(payload)
-        kind, spec = protocol.parse_subscription(payload)
+        sub_id = protocol.parse_id(payload, "sub")
+        query, maintenance = protocol.parse_query(payload, "subscribe")
+        self._check_query(query, maintenance, payload)
 
         async def body(deadline, request_id):
             existing = self.subs.get(sub_id)
@@ -900,7 +933,8 @@ class LineProtocolServer:
                 return self._resume_subscription(existing)
             record = {"op": "subscribe",
                       "sub": sub_id or f"sub-{uuid.uuid4().hex[:16]}",
-                      "kind": kind, **spec}
+                      "kind": protocol.query_kind(query),
+                      **protocol.query_spec(query, maintenance)}
             # Built from the record it logs and registered by the step
             # recovery replays it with (sub.runtime.register).  Same
             # durability contract as updates: the registration is on
@@ -913,23 +947,20 @@ class LineProtocolServer:
                            await self._evaluate_subscription(sub, deadline),
                            self.version)
             self._attach_subscription(sub)
-            self._g_sub_active.set(len(self.subs))
             return ack
 
         return await self._write_op(payload, "subscribe", body,
                                     self._reattach_replayed)
 
     async def _op_unsubscribe(self, payload: dict[str, Any]) -> dict[str, Any]:
-        sub_id = protocol.parse_subscription_id(payload, required=True)
+        sub_id = protocol.parse_id(payload, "sub", required=True)
 
         async def body(deadline, request_id):
             # Logged even when the id is unknown: like no-op
             # deletes, replay recomputes the same outcome and the
             # dedupe map must remember every acknowledged id.
             await self._log({"op": "unsubscribe", "sub": sub_id}, request_id)
-            ack = unregister(self.subs, sub_id, self.version)
-            self._g_sub_active.set(len(self.subs))
-            return ack
+            return unregister(self.subs, sub_id, self.version)
 
         return await self._write_op(payload, "unsubscribe", body)
 
@@ -937,28 +968,35 @@ class LineProtocolServer:
     # Generic ops
     # ------------------------------------------------------------------
     async def _op_metrics(self, payload: dict[str, Any]) -> dict[str, Any]:
-        scope = payload.get("scope", "local")
-        if scope != "local":
-            raise ProtocolError(
-                f"metrics scope {scope!r} is not served here — 'fleet' "
-                "requires a shard coordinator")
+        """Refresh the gauges, then render this server's registry —
+        or, for another ``scope``, the one :meth:`_scrape` gathers — in
+        the requested ``format``."""
+        fmt = payload.get("format", "json")
+        if fmt not in ("json", "prometheus", "state"):
+            raise ProtocolError(f"unknown metrics format {fmt!r}")
         self._refresh_pressure_gauges()
         self._g_version.set(self.version)
-        if self.cache is not None:
-            self._g_cache_entries.set(len(self.cache))
-        fmt = payload.get("format", "json")
+        self._g_cache_entries.set(len(self.cache))
+        response = {"ok": True, "op": "metrics", "format": fmt}
+        registry = self.metrics
+        scope = payload.get("scope", "local")
+        if scope != "local":
+            registry, fields = await self._scrape(scope, fmt)
+            response |= fields
         if fmt == "prometheus":
-            return {"ok": True, "op": "metrics", "format": fmt,
-                    "text": self.metrics.dump_metrics()}
-        if fmt == "json":
-            return {"ok": True, "op": "metrics", "format": fmt,
-                    "metrics": self.metrics.to_dict()}
+            return response | {"text": registry.dump_metrics()}
         if fmt == "state":
             # The lossless structural form fleet aggregation merges
             # (to_dict() summarizes histograms, which cannot be merged).
-            return {"ok": True, "op": "metrics", "format": fmt,
-                    "state": registry_state(self.metrics)}
-        raise ProtocolError(f"unknown metrics format {fmt!r}")
+            return response | {"state": registry_state(registry)}
+        return response | {"metrics": registry.to_dict()}
+
+    async def _scrape(self, scope: str, fmt: str
+                      ) -> tuple[MetricsRegistry, dict[str, Any]]:
+        """``(registry, response fields)`` of a non-local ``scope``."""
+        raise ProtocolError(
+            f"metrics scope {scope!r} is not served here — 'fleet' "
+            "requires a shard coordinator")
 
     def _health(self, size: int) -> dict[str, Any]:
         """The ``health`` fields every server reports."""
@@ -1016,53 +1054,29 @@ class QueryServer(LineProtocolServer):
         """
         super().__init__(config, metrics)
         self.engine = engine
-        self.cache = ResultCache(max_entries=self.config.cache_entries,
-                                 metrics=self.metrics)
         self.durable = durable
         if durable is not None:
             self.version = durable.recovery.version
             self._dedupe = durable.dedupe
-        # Standing queries: recovered alongside the engine on durable
-        # servers (revision continuity across kill -9), fresh otherwise.
-        self.subs: SubscriptionIndex = (
-            durable.subs if durable is not None else SubscriptionIndex())
+            # Standing queries recovered alongside the engine (revision
+            # continuity across kill -9).
+            self.subs = durable.subs
         self._g_sub_active.set(len(self.subs))
         self._m_query_seconds = {kind: query_seconds(self.metrics, kind)
                                  for kind in ("nwc", "knwc")}
 
     # ------------------------------------------------------------------
-    # Query ops
+    # Read hook
     # ------------------------------------------------------------------
-    async def _op_nwc(self, payload: dict[str, Any]) -> dict[str, Any]:
-        query = protocol.parse_nwc(payload)
-        key = ("nwc", query.qx, query.qy, query.length, query.width,
-               query.n, query.measure.value)
-        return await self._answer_query(
-            payload, "nwc", key, query.qx, query.qy, query.n,
-            lambda deadline, ctx: self._evaluate(
-                ctx, "nwc", lambda engine: engine.nwc(query),
-                protocol.serialize_nwc,
-                lambda result: protocol.shield_radii_nwc(query, result)))
-
-    async def _op_knwc(self, payload: dict[str, Any]) -> dict[str, Any]:
-        query, maintenance = protocol.parse_knwc(payload)
-        base = query.base
-        key = ("knwc", base.qx, base.qy, base.length, base.width, base.n,
-               base.measure.value, query.k, query.m, maintenance)
-        return await self._answer_query(
-            payload, "knwc", key, base.qx, base.qy, base.n,
-            lambda deadline, ctx: self._evaluate(
-                ctx, "knwc",
-                lambda engine: engine.knwc(query, maintenance=maintenance),
-                protocol.serialize_knwc,
-                lambda result: protocol.shield_radii_knwc(query, result)))
-
-    async def _evaluate(self, ctx, kind, run, serialize, radii):
-        """The ``evaluate`` stage of a local query: one engine run,
-        serialized while the slot is still held."""
-        result, traced = await self._run_engine(run, ctx, kind)
-        return (serialize(result), None if traced else radii(result),
-                {"stats": {"node_accesses": result.node_accesses}, **traced})
+    async def _evaluate(self, query, maintenance, deadline, ctx,
+                        payload=None):
+        """One executor run of :func:`protocol.evaluate`; a traced answer
+        is not cached."""
+        (answer, radii, accesses), traced = await self._run_engine(
+            lambda engine: protocol.evaluate(engine, query, maintenance),
+            ctx, protocol.query_kind(query))
+        return (answer, None if traced else radii,
+                {"stats": {"node_accesses": accesses}, **traced})
 
     async def _run_engine(self, run: Callable, ctx: TraceContext | None,
                           kind: str) -> tuple[Any, dict[str, Any]]:
@@ -1102,10 +1116,6 @@ class QueryServer(LineProtocolServer):
             return applied
 
         return await self._run(step)
-
-    async def _evaluate_subscription(self, sub, deadline):
-        """One engine run on the executor."""
-        return await self._run(evaluate_subscription, self.engine, sub)
 
     # ------------------------------------------------------------------
     # Maintenance ops
@@ -1191,8 +1201,8 @@ class QueryServer(LineProtocolServer):
         return response
 
     _HANDLERS: dict[str, Callable[["LineProtocolServer", dict], Awaitable[dict]]] = {
-        "nwc": _op_nwc,
-        "knwc": _op_knwc,
+        "nwc": LineProtocolServer._op_query,
+        "knwc": LineProtocolServer._op_query,
         "insert": LineProtocolServer._op_update,
         "delete": LineProtocolServer._op_update,
         "snapshot": _op_snapshot,

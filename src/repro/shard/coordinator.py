@@ -15,7 +15,11 @@ selection.  A page that would complete the answer carries a
 ``ceiling`` one ulp above the group it would complete it with, so the
 shard prunes everything that cannot beat it; shards never asked count
 as prune skips (``shard_prune_skips_total``).  For NWC that is a probe
-of the nearest shard, then a fan-out seeded with its answer.
+of the nearest shard, then a fan-out seeded with its answer.  The
+query handler is the one every server runs (``_op_query``); the
+coordinator supplies its two hooks: ``_check_query`` refuses what the
+fleet cannot answer exactly (a window longer than the halo, a
+maintenance other than ``exact``) and ``_evaluate`` is the scatter.
 
 Updates run the write step every server shares (``_op_update``); the
 coordinator's ``_apply`` routes them by stored-band membership: every
@@ -34,9 +38,9 @@ response and never cached).
 
 **Fleet subscriptions** (standing queries, see :mod:`repro.sub`) live
 in the coordinator's own :class:`~repro.sub.SubscriptionIndex`:
-``subscribe`` evaluates through the scatter path, and after every
-applied update ``_apply`` re-gathers the subscriptions the index names
-due, pushing ``notify`` frames bit-identical to re-querying at the new
+``subscribe`` is checked and evaluated through the same two hooks, and
+after every applied update ``_apply`` re-gathers the subscriptions the
+index names due, pushing ``notify`` frames bit-identical to re-querying at the new
 fleet version.  Workers hold no subscription state.  A torn write or a
 failed re-evaluation marks the index ``stale``: the next update
 re-evaluates every fleet subscription (delayed, never wrong).  There is
@@ -67,17 +71,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
-from ..core.results import KNWCResult, NWCResult
+from ..core import KNWCQuery, KNWCResult, NWCResult
 from ..obs.context import TraceContext
 from ..obs.fleet import merge_fleet, registry_state, rollup
 from ..obs.trace import Span, span_from_dict
 from ..serve import protocol
 from ..serve.backoff import BackoffPolicy
-from ..serve.cache import ResultCache
 from ..serve.protocol import ProtocolError
 from ..serve.server import (DeadlineExceeded, LineProtocolServer, Refused,
                             ServeConfig, ServingThread)
-from ..sub import Subscription, advance
+from ..sub import advance
 from . import merge
 from .partition import ShardManifest
 
@@ -324,8 +327,6 @@ class ShardCoordinator(LineProtocolServer):
                 f"got {len(addresses)}")
         super().__init__(config or CoordinatorConfig(), metrics)
         self.manifest = manifest
-        self.cache = ResultCache(max_entries=self.config.cache_entries,
-                                 metrics=self.metrics)
         self.links = [
             ShardLink(i, host, port,
                       attempts=self.config.shard_attempts,
@@ -376,26 +377,21 @@ class ShardCoordinator(LineProtocolServer):
     # ------------------------------------------------------------------
     # Query ops
     # ------------------------------------------------------------------
-    @staticmethod
-    def _check_exact(maintenance: str) -> None:
+    def _check_query(self, query, maintenance, payload) -> None:
+        """Refuse a window longer than the halo, a maintenance other than
+        ``exact`` and a non-boolean ``partial``."""
+        if query.base.length > self.manifest.halo:
+            raise ProtocolError(
+                f"window length {query.base.length} exceeds the partition "
+                f"halo {self.manifest.halo}; repartition with a larger "
+                "--halo")
         if maintenance != "exact":
             raise ProtocolError(
                 "sharded serving supports maintenance='exact' only (the "
                 "'paper' policy is offer-sequence dependent and has no "
                 "shard-exact replay)")
-
-    def _check_window(self, query) -> None:
-        if query.length > self.manifest.halo:
-            raise ProtocolError(
-                f"window length {query.length} exceeds the partition halo "
-                f"{self.manifest.halo}; repartition with a larger --halo")
-
-    @staticmethod
-    def _partial_requested(payload: dict[str, Any]) -> bool:
-        partial = payload.get("partial", False)
-        if not isinstance(partial, bool):
+        if not isinstance(payload.get("partial", False), bool):
             raise ProtocolError("field 'partial' must be a boolean")
-        return partial
 
     async def _shard_call(self, recorder: _TraceRecorder | None, stage: str,
                           index: int, payload: dict[str, Any],
@@ -440,98 +436,56 @@ class ShardCoordinator(LineProtocolServer):
         return self._fan({i: link.call(dict(frame), deadline)
                           for i, link in enumerate(self.links)}, lost)
 
-    async def _op_nwc(self, payload: dict[str, Any]) -> dict[str, Any]:
-        query = protocol.parse_nwc(payload)
-        key = ("nwc", query.qx, query.qy, query.length, query.width,
-               query.n, query.measure.value)
-        return await self._answer_fleet_query(payload, "nwc", query, query,
-                                              key)
-
-    async def _op_knwc(self, payload: dict[str, Any]) -> dict[str, Any]:
-        query, maintenance = protocol.parse_knwc(payload)
-        self._check_exact(maintenance)
-        base = query.base
-        key = ("knwc", base.qx, base.qy, base.length, base.width, base.n,
-               base.measure.value, query.k, query.m, maintenance)
-        return await self._answer_fleet_query(payload, "knwc", query, base,
-                                              key)
-
-    def _answer_fleet_query(self, payload, kind, query, base, key):
-        """The one query handler body: scatter, then refuse or flag a
-        partial answer, then stitch the trace.  (A plain ``def`` handing
-        back the pipeline's awaitable: no extra coroutine per request.)"""
-        self._check_window(base)
-        partial_ok = self._partial_requested(payload)
-
-        async def evaluate(deadline, ctx):
-            recorder = _TraceRecorder(ctx) if ctx is not None else None
-            answer, radii, accesses, meta, failed = await self._evaluate(
-                kind, query, deadline, recorder)
-            if failed and not partial_ok:
-                raise Refused("shard_unavailable",
-                              f"shard(s) {sorted(failed)} unreachable")
-            extras = {"stats": {"node_accesses": accesses}, "shards": meta}
-            if failed:
-                # Degraded answers are flagged and never cached.
-                self._m_partial.inc()
-                extras["shards"] = meta | {"failed": sorted(failed)}
-                extras["partial"] = True
-                radii = None
-            if recorder is not None:
-                root = recorder.finish(f"query:{kind}", {
-                    "kind": kind, "sharded": True,
-                    "shards": self.manifest.shard_count,
-                    "fanout": meta["fanout"], "skipped": meta["skipped"],
-                })
-                extras["trace"] = self._trace_envelope(
-                    ctx, root, recorder.dropped)
-                radii = None
-            return answer, radii, extras
-
-        return self._answer_query(payload, kind, key, base.qx, base.qy,
-                                  base.n, evaluate)
-
-    async def _evaluate(self, kind: str, query, deadline: float | None,
-                        recorder: _TraceRecorder | None = None):
-        """One fresh scatter-gather evaluation, shared by one-shot
-        queries and fleet subscriptions: ``(answer, radii, accesses,
-        meta, failed)`` — the exact ``result`` payload of the wire
-        response, the ``(insert, delete)`` shield radii that guard it,
-        and the scatter's bookkeeping.  ``failed`` lists unreachable
-        shards; the answer is then only partial."""
-        base = query if kind == "nwc" else query.base
-        if base.n > self.size:
+    async def _evaluate(self, query, maintenance, deadline, ctx,
+                        payload=None):
+        """One scatter-gather evaluation.  Unreachable shards refuse
+        (``shard_unavailable``) unless the request sent ``"partial":
+        true`` (a standing query never does): the answer over the
+        reachable shards is then flagged and never cached.  A sampled
+        ``ctx`` stitches the shards' span subtrees under one root."""
+        recorder = _TraceRecorder(ctx) if ctx is not None else None
+        if query.base.n > self.size:
             groups, accesses, failed = (), 0, []
             meta = {"fanout": 0, "skipped": self.manifest.shard_count}
             reason = "n exceeds dataset size"
         else:
             groups, accesses, meta, failed = await self._scatter(
-                kind, query, deadline, recorder)
+                query, deadline, recorder)
             reason = None
-        if kind == "nwc":
-            result = NWCResult(group=groups[0] if groups else None,
-                               reason=reason)
-            answer = protocol.serialize_nwc(result)
-            radii = protocol.shield_radii_nwc(query, result)
-        else:
-            result = KNWCResult(groups=tuple(groups), reason=reason)
-            answer = protocol.serialize_knwc(result)
-            radii = protocol.shield_radii_knwc(query, result)
-        return answer, radii, accesses, meta, failed
+        if failed and not (payload and payload.get("partial")):
+            raise Refused("shard_unavailable",
+                          f"shard(s) {sorted(failed)} unreachable")
+        result = (KNWCResult(groups=tuple(groups), reason=reason)
+                  if isinstance(query, KNWCQuery) else
+                  NWCResult(group=groups[0] if groups else None,
+                            reason=reason))
+        answer, radii = protocol.describe(query, result)
+        extras = {"stats": {"node_accesses": accesses}, "shards": meta}
+        if failed:
+            self._m_partial.inc()
+            extras["shards"] = meta | {"failed": sorted(failed)}
+            extras["partial"] = True
+            radii = None
+        if recorder is not None:
+            kind = protocol.query_kind(query)
+            root = recorder.finish(f"query:{kind}", {
+                "kind": kind, "sharded": True,
+                "shards": self.manifest.shard_count,
+                "fanout": meta["fanout"], "skipped": meta["skipped"],
+            })
+            extras["trace"] = self._trace_envelope(ctx, root,
+                                                   recorder.dropped)
+            radii = None
+        return answer, radii, extras
 
-    async def _scatter(self, kind, query, deadline, recorder=None):
+    async def _scatter(self, query, deadline, recorder=None):
         """One fleet query by paging through each shard's rank order
         (see :class:`~repro.shard.merge.KNWCPager`; NWC is its ``k =
         1``): ``(groups, accesses, meta, failed)``.  A lost shard's
         stream ends where it stands."""
-        base = query if kind == "nwc" else query.base
         pager = merge.KNWCPager(query, [self.manifest.owned_interval(i)
                                         for i in range(len(self.links))])
-        request = {"op": "knwc_pool", "x": base.qx, "y": base.qy,
-                   "length": base.length, "width": base.width, "n": base.n,
-                   "measure": base.measure.value}
-        if kind == "knwc":
-            request |= {"k": query.k, "m": query.m}
+        request = {"op": "knwc_pool", **protocol.query_spec(query)}
         accesses = 0
         failed: list[int] = []
         stage = "probe"
@@ -547,12 +501,8 @@ class ShardCoordinator(LineProtocolServer):
                 failed.append(i)
                 pager.lose(i)
             for i, response in acks.items():
-                pool = response["pool"]
                 accesses += response.get("stats", {}).get("node_accesses", 0)
-                pager.feed(i, [protocol.group_from_payload(g)
-                               for g in pool["groups"]],
-                           [tuple(o) for o in pool["orders"]],
-                           pool["exhausted"])
+                pager.feed(i, *protocol.parse_pool(response["pool"]))
         contacted = sum(1 for count in pager.pages if count)
         skipped = sum(1 for i, count in enumerate(pager.pages)
                       if not count and i not in failed)
@@ -618,27 +568,6 @@ class ShardCoordinator(LineProtocolServer):
         return version, ack, changed, reevals, time.perf_counter() - start
 
     # ------------------------------------------------------------------
-    # Fleet subscriptions (standing queries)
-    # ------------------------------------------------------------------
-    async def _evaluate_subscription(self, sub: Subscription,
-                                     deadline: float | None
-                                     ) -> tuple[dict[str, Any], float, float]:
-        """One fresh scatter-gather evaluation of a fleet subscription.
-        Refuses (``shard_unavailable``) when any shard is unreachable:
-        a partial answer must never be pushed as a notification.  The
-        window/maintenance checks of the query ops run here too, since
-        the shared ``subscribe`` handler has no coordinator parse step."""
-        self._check_exact(sub.maintenance)
-        self._check_window(sub.query if sub.kind == "nwc" else sub.query.base)
-        answer, radii, _accesses, _meta, failed = await self._evaluate(
-            sub.kind, sub.query, deadline)
-        if failed:
-            raise Refused("shard_unavailable",
-                          f"cannot evaluate subscription: shard(s) "
-                          f"{sorted(failed)} unreachable")
-        return answer, *radii
-
-    # ------------------------------------------------------------------
     # Maintenance ops
     # ------------------------------------------------------------------
     async def _op_checkpoint(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -659,39 +588,25 @@ class ShardCoordinator(LineProtocolServer):
                                 "checkpoint": ack.get("checkpoint")}
                                for i, ack in acks.items()]}
 
-    async def _op_metrics(self, payload: dict[str, Any]) -> dict[str, Any]:
-        scope = payload.get("scope", "local")
-        if scope == "local":
-            return await super()._op_metrics(payload)
+    async def _scrape(self, scope, fmt):
+        """``scope: fleet``: every worker's registry (lossless ``state``
+        form) merged with the coordinator's under a ``shard`` label."""
         if scope != "fleet":
             raise ProtocolError(f"unknown metrics scope {scope!r}")
-        fmt = payload.get("format", "json")
-        if fmt not in ("json", "prometheus", "state"):
-            raise ProtocolError(f"unknown metrics format {fmt!r}")
-        self._refresh_pressure_gauges()
-        self._g_version.set(self.version)
-        if self.cache is not None:
-            self._g_cache_entries.set(len(self.cache))
         acks, failed = await self._fan_all(
             {"op": "metrics", "format": "state"})
-        scrapes: list[tuple[dict[str, str], dict]] = [
+        merged = merge_fleet([
             ({"shard": "coordinator"}, registry_state(self.metrics)),
-        ]
-        scrapes.extend(({"shard": str(i)}, ack["state"])
-                       for i, ack in acks.items())
-        merged = merge_fleet(scrapes)
-        response = {"ok": True, "op": "metrics", "scope": "fleet",
-                    "format": fmt, "shards_scraped": len(acks),
-                    "unreachable": sorted(failed)}
-        if fmt == "prometheus":
-            return response | {"text": merged.dump_metrics()}
-        if fmt == "state":
-            return response | {"state": registry_state(merged)}
-        # JSON ships both views: the shard-labelled merge for per-shard
-        # drill-down and the label-dropped rollup where each fleet-wide
-        # counter appears exactly once.
-        return response | {"metrics": merged.to_dict(),
-                           "rollup": rollup(merged).to_dict()}
+            *(({"shard": str(i)}, ack["state"]) for i, ack in acks.items()),
+        ])
+        fields = {"scope": "fleet", "shards_scraped": len(acks),
+                  "unreachable": sorted(failed)}
+        if fmt == "json":
+            # JSON ships both views: the shard-labelled merge for
+            # per-shard drill-down and the label-dropped rollup where
+            # each fleet-wide counter appears exactly once.
+            fields["rollup"] = rollup(merged).to_dict()
+        return merged, fields
 
     async def _op_health(self, payload: dict[str, Any]) -> dict[str, Any]:
         acks, failed = await self._fan_all({"op": "health"})
@@ -707,15 +622,15 @@ class ShardCoordinator(LineProtocolServer):
         return self._health(self.size) | {"shards": shards}
 
     _HANDLERS = {
-        "nwc": _op_nwc,
-        "knwc": _op_knwc,
+        "nwc": LineProtocolServer._op_query,
+        "knwc": LineProtocolServer._op_query,
         "insert": LineProtocolServer._op_update,
         "delete": LineProtocolServer._op_update,
         "subscribe": LineProtocolServer._op_subscribe,
         "unsubscribe": LineProtocolServer._op_unsubscribe,
         "checkpoint": _op_checkpoint,
         "health": _op_health,
-        "metrics": _op_metrics,
+        "metrics": LineProtocolServer._op_metrics,
     }
 
 

@@ -9,9 +9,10 @@ next ``limit`` groups ranked strictly after the ``after`` cursor and
 below the optional ``ceiling``, each at its first window with its order
 key, and whether nothing (below the ceiling) follows them.  A request
 with ``k`` pages the kNWC stream; one without is NWC's own one-group
-page (the plain ``NWCQuery``, the paper's pruning).  Pages are
-stateless: each is a fresh search, so pages of many queries run
-concurrently.
+page (the plain ``NWCQuery``, the paper's pruning) — the dispatch of
+:func:`~repro.serve.protocol.parse_query`, and the page format is
+:func:`~repro.serve.protocol.serialize_pool`'s.  Pages are stateless:
+each is a fresh search, so pages of many queries run concurrently.
 
 The scatter op bypasses the per-worker result cache (its answers depend
 on the coordinator-supplied cursor and ceiling); the coordinator owns
@@ -104,11 +105,8 @@ class ShardServer(QueryServer):
     # ------------------------------------------------------------------
     # The scatter op
     # ------------------------------------------------------------------
-    async def _op_knwc_pool(self, payload: dict[str, Any]) -> dict[str, Any]:
-        if payload.get("k") is None:
-            query, kind = protocol.parse_nwc(payload), "nwc"
-        else:
-            query, kind = protocol.parse_knwc(payload)[0], "knwc"
+    async def _op_page(self, payload: dict[str, Any]) -> dict[str, Any]:
+        query, _maintenance = protocol.parse_query(payload, "knwc_pool")
         limit, after, ceiling = protocol.parse_page(payload)
         ctx = protocol.parse_trace(payload)
 
@@ -117,20 +115,12 @@ class ShardServer(QueryServer):
                 lambda engine: engine.knwc_candidates(
                     query, limit, after=after,
                     anchor_region=self.anchor_region, ceiling=ceiling),
-                ctx, kind)
-            return {
-                "ok": True, "op": "knwc_pool", "version": self.version,
-                "shard": self.shard_index,
-                "pool": {
-                    "groups": [protocol._serialize_group(g)
-                               for g in pool.groups],
-                    "orders": [list(order) for order in pool.orders],
-                    "exhausted": pool.exhausted,
-                    "reason": pool.reason,
-                },
-                "stats": {"node_accesses": pool.stats["node_accesses"]},
-                **traced,
-            }
+                ctx, protocol.query_kind(query))
+            return {"ok": True, "op": "knwc_pool", "version": self.version,
+                    "shard": self.shard_index,
+                    "pool": protocol.serialize_pool(pool),
+                    "stats": {"node_accesses": pool.stats["node_accesses"]},
+                    **traced}
 
         return await self._read_op(payload, "knwc_pool", body)
 
@@ -157,7 +147,7 @@ class ShardServer(QueryServer):
 
     _HANDLERS = {
         **QueryServer._HANDLERS,
-        "knwc_pool": _op_knwc_pool,
+        "knwc_pool": _op_page,
         "health": _op_health,
     }
 

@@ -116,17 +116,23 @@ class Subscription:
         return state
 
     @classmethod
+    def parse(cls, sub_id: str, kind: str, spec: dict[str, Any],
+              **state: Any) -> "Subscription":
+        """A standing query from its stored ``kind`` and ``spec`` (plus
+        ``state`` fields), parsed and validated like a live request."""
+        from ..serve import protocol  # lazy: serve imports this package
+
+        query, maintenance = protocol.parse_query(spec, kind)
+        base = query.base
+        return cls(sub_id=sub_id, kind=protocol.query_kind(query),
+                   spec=spec, query=query, maintenance=maintenance,
+                   qx=base.qx, qy=base.qy, n=base.n, **state)
+
+    @classmethod
     def from_state(cls, state: dict[str, Any]) -> "Subscription":
         """Rebuild from :meth:`to_state` (checkpoint recovery)."""
-        from .runtime import parse_spec
-
-        kind = str(state["kind"])
-        spec = dict(state["spec"])
-        maintenance = str(state.get("maintenance", "exact"))
-        query, qx, qy, n = parse_spec(kind, spec, maintenance)
-        return cls(
-            sub_id=str(state["sub"]), kind=kind, spec=spec, query=query,
-            maintenance=maintenance, qx=qx, qy=qy, n=n,
+        return cls.parse(
+            str(state["sub"]), str(state["kind"]), dict(state["spec"]),
             result=state.get("result"),
             revision=int(state["revision"]), version=int(state["version"]),
             insert_radius=_decode_radius(state["ins"]),

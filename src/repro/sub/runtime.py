@@ -18,9 +18,9 @@ The index names the subscriptions an update makes due
 stores one fresh evaluation of each.  A shard coordinator runs both
 halves around scatter-gather re-evaluations.
 
-The :mod:`repro.serve.protocol` imports are deliberately lazy: the
-serve package imports :mod:`repro.sub` (durability restores
-subscription state), so a module-level import here would be circular.
+A standing query is parsed and evaluated by the one query description
+in :mod:`repro.serve.protocol`, imported lazily: the serve package
+imports :mod:`repro.sub`, so a module-level import would be circular.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .index import Subscription, SubscriptionIndex
 __all__ = [
     "advance",
     "evaluate_subscription",
-    "parse_spec",
     "reconcile",
     "register",
     "subscription_from_record",
@@ -40,44 +39,18 @@ __all__ = [
 ]
 
 
-def parse_spec(kind: str, spec: dict[str, Any],
-               maintenance: str) -> tuple[Any, float, float, int]:
-    """Parse a subscription ``spec`` into ``(query, qx, qy, n)``
-    through the wire parsers, so a spec that came off the WAL is
-    validated exactly like a live request."""
-    from ..serve import protocol
-
-    if kind == "nwc":
-        query = protocol.parse_nwc(spec)
-        return query, query.qx, query.qy, query.n
-    if kind == "knwc":
-        query, parsed_maintenance = protocol.parse_knwc(spec)
-        if parsed_maintenance != maintenance:
-            raise ValueError(
-                f"maintenance mismatch: spec says {parsed_maintenance!r}, "
-                f"state says {maintenance!r}")
-        base = query.base
-        return query, base.qx, base.qy, base.n
-    raise ValueError(f"unknown subscription kind {kind!r}")
-
-
 def evaluate_subscription(engine: Any,
                           sub: Subscription) -> tuple[dict[str, Any],
                                                       float, float]:
-    """One fresh evaluation: ``(serialized answer, insert_radius,
-    delete_radius)`` — the exact payload a one-shot query op would
-    return, so pushed notifications are bit-identical to querying."""
+    """One fresh evaluation on ``engine``: ``(serialized answer,
+    insert_radius, delete_radius)`` by
+    :func:`repro.serve.protocol.evaluate`, the step a one-shot query
+    runs, so pushed notifications are bit-identical to querying."""
     from ..serve import protocol
 
-    if sub.kind == "nwc":
-        result = engine.nwc(sub.query)
-        return (protocol.serialize_nwc(result),
-                *protocol.shield_radii_nwc(sub.query, result))
-    if sub.kind == "knwc":
-        result = engine.knwc(sub.query, maintenance=sub.maintenance)
-        return (protocol.serialize_knwc(result),
-                *protocol.shield_radii_knwc(sub.query, result))
-    raise ValueError(f"cannot evaluate subscription kind {sub.kind!r}")
+    answer, radii, _accesses = protocol.evaluate(engine, sub.query,
+                                                 sub.maintenance)
+    return answer, *radii
 
 
 def subscription_from_record(record: dict[str, Any]) -> Subscription:
@@ -87,13 +60,9 @@ def subscription_from_record(record: dict[str, Any]) -> Subscription:
     sub_id = record.get("sub")
     if not isinstance(sub_id, str) or not sub_id:
         raise ValueError("subscribe record without a subscription id")
-    kind = str(record.get("kind", "nwc"))
     spec = {key: value for key, value in record.items()
             if key not in ("op", "sub", "kind", "req")}
-    maintenance = str(spec.get("maintenance", "exact"))
-    query, qx, qy, n = parse_spec(kind, spec, maintenance)
-    return Subscription(sub_id=sub_id, kind=kind, spec=spec, query=query,
-                        maintenance=maintenance, qx=qx, qy=qy, n=n)
+    return Subscription.parse(sub_id, str(record.get("kind", "nwc")), spec)
 
 
 def register(index: SubscriptionIndex, sub: Subscription,

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import DistanceMeasure, KNWCQuery, NWCQuery, NWCResult, ObjectGroup
 from repro.geometry import Rect, make_points
-from repro.serve.protocol import _serialize_group, group_from_payload
+from repro.serve.protocol import group_from_payload, serialize_group
 
 
 class TestNWCQuery:
@@ -74,8 +74,8 @@ class TestObjectGroup:
         for group in (asked, fresh):
             copy = pickle.loads(pickle.dumps(group))
             assert copy == group and copy.oids == group.oids
-        assert group_from_payload(_serialize_group(asked)) == fresh
-        assert _serialize_group(asked) == _serialize_group(fresh)
+        assert group_from_payload(serialize_group(asked)) == fresh
+        assert serialize_group(asked) == serialize_group(fresh)
 
 
 class TestNWCResult:
